@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
 Every subcommand reads StructureDoc JSON (file path or - for stdin), writes
-deterministic text or JSON to stdout, and exits 1 when a hypothesis fails and
-2 on malformed input.
+deterministic text or JSON to stdout, and exits 1 when a hypothesis fails,
+2 on malformed input and 3 when an internal check fails.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .structdoc import (
     LAZY_CARRIERS,
     load_any,
     load_map_on,
+    read_doc,
     to_json,
 )
 from .verify import run_all, run_all_lazy
@@ -50,19 +51,8 @@ HYPOTHESIS_EXIT = 1
 MALFORMED_EXIT = 2
 
 
-def _read_doc(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StructureError("document must be a JSON object")
-    return doc
-
-
 def _load_magma_arg(path: str):
-    obj = load_any(_read_doc(path))
+    obj = load_any(read_doc(path))
     if isinstance(obj, (OrderedMagma, LazyCarrier)):
         return obj
     raise StructureError("expected a magma document")
@@ -76,7 +66,7 @@ def _load_finite_magma(path: str) -> OrderedMagma:
 
 
 def _load_map_for(magma, path: str):
-    doc = _read_doc(path)
+    doc = read_doc(path)
     if isinstance(magma, OrderedMagma):
         if doc.get("kind") != "map":
             raise StructureError("expected a map document")
@@ -134,21 +124,24 @@ def _parse_poly_spec(spec: str):
         if poly.startswith("f="):
             poly = poly[2:]
         p = int(head)
+        coeffs: dict = {}
+        for term in poly.replace("-", "+-").split("+"):
+            term = term.strip()
+            if not term:
+                continue
+            if "x" not in term:
+                coeffs[0] = coeffs.get(0, 0) + int(term)
+                continue
+            lhs, _, rhs = term.partition("x")
+            c = -1 if lhs.strip() == "-" else int(lhs) if lhs.strip() else 1
+            d = int(rhs[1:]) if rhs.startswith("^") else 1
+            coeffs[d] = coeffs.get(d, 0) + c
     except ValueError as exc:
         raise StructureError("poly spec must look like p=2,f=x^3") from exc
-    terms = poly.replace("-", "+-").split("+")
-    coeffs: dict = {}
-    for term in terms:
-        term = term.strip()
-        if not term:
-            continue
-        if "x" not in term:
-            coeffs[0] = coeffs.get(0, 0) + int(term)
-            continue
-        lhs, _, rhs = term.partition("x")
-        c = -1 if lhs.strip() == "-" else int(lhs) if lhs.strip() else 1
-        d = int(rhs[1:]) if rhs.startswith("^") else 1
-        coeffs[d] = coeffs.get(d, 0) + c
+    if not coeffs:
+        raise StructureError("poly spec has no polynomial")
+    if p < 2:
+        raise StructureError("coefficient field needs a prime order")
     deg = max(coeffs)
     out = [(coeffs.get(i, 0)) % p for i in range(deg + 1)]
     return p, out, poly
@@ -158,7 +151,7 @@ def _parse_group(name: str) -> FiniteMagmaDesc:
     label = name.strip().upper()
     if label in ("Z1", "1", "TRIVIAL"):
         return FiniteMagmaDesc.trivial_monoid()
-    if label.startswith("Z"):
+    if label.startswith("Z") and label[1:].isdigit():
         return FiniteMagmaDesc.cyclic_group(int(label[1:]))
     if label in ("V4", "KLEIN"):
         return FiniteMagmaDesc.klein_four()

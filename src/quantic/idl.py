@@ -164,7 +164,7 @@ def down_map_on_powerset(m: OrderedMagma):
 def verify_morphism_ms(g: MagmaMorphism):
     """Morphism of multiplicative semilattices: magma hom preserving finite
     nonempty sups."""
-    if not (g.is_order_preserving() and g.is_magma_hom() and g.preserves_finite_nonempty_sups()):
+    if not (g.is_order_preserving() and g.is_magma_hom() and g.preserves_sups(True)):
         raise NotAMorphism("not a morphism of multiplicative semilattices")
 
 

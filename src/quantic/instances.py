@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
-from .lazy import ChainOmega, UpsetsNat, upsets_ideal_map, upsets_saturation_map
+from .lazy import UpsetsNat, upsets_ideal_map, upsets_saturation_map
 from .magma import OrderedMagma, adjoin_annihilator
 from .nucleus import MonotoneMap, is_nucleus, transportable_mask
 from .poset import FinitePoset, bits
@@ -371,10 +371,6 @@ def zchain_with_top(n: int = 1) -> OrderedMagma:
 def zchain_with_both_ends(n: int = 1) -> OrderedMagma:
     """The same surrogate with an annihilator adjoined below."""
     return adjoin_annihilator(zchain_with_top(n), label="-inf")
-
-
-def lazy_chain() -> ChainOmega:
-    return ChainOmega()
 
 
 def upsets_quantale() -> UpsetsNat:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import InternalCheckError, NoUnit, StructureError
+from .errors import InternalCheckError, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits
 
 
@@ -105,6 +105,21 @@ class Residual:
 
     left: Optional[int]
     right: Optional[int]
+
+
+@dataclass(frozen=True)
+class ResidualTable:
+    """Every residual of a finite carrier, from one scan of the defining sets.
+
+    at[x][a] is the Residual of x by a; a side is None where its defining set
+    is empty or has no greatest element.  The carrier is residuated when every
+    defining set has a greatest element, and near residuated when every
+    nonempty one does.
+    """
+
+    at: tuple
+    residuated: bool
+    near_residuated: bool
 
 
 @dataclass(frozen=True)
@@ -203,6 +218,36 @@ class OrderedMagma:
     def profile(self) -> ClassificationProfile:
         return classify(self)
 
+    @cached_property
+    def residuals(self) -> ResidualTable:
+        """The residual table; each entry is checked against the adjunction as it is built."""
+        p, n, mul = self.poset, self.n, self.mul
+        residuated = near = True
+        rows = []
+        for x in range(n):
+            below_x = p.down[x]
+            row = []
+            for a in range(n):
+                left_set = right_set = 0
+                for z in range(n):
+                    if (below_x >> mul[z][a]) & 1:
+                        left_set |= 1 << z
+                    if (below_x >> mul[a][z]) & 1:
+                        right_set |= 1 << z
+                left, right = p.greatest_of(left_set), p.greatest_of(right_set)
+                for defining, r in ((left_set, left), (right_set, right)):
+                    if not defining:
+                        residuated = False
+                    elif r is None:
+                        residuated = near = False
+                if left is not None and not p.leq(mul[left][a], x):
+                    raise InternalCheckError("residual adjunction violated on the left")
+                if right is not None and not p.leq(mul[a][right], x):
+                    raise InternalCheckError("residual adjunction violated on the right")
+                row.append(Residual(left, right))
+            rows.append(tuple(row))
+        return ResidualTable(tuple(rows), residuated, near)
+
     def complex_mul_mask(self, xmask: int, ymask: int) -> int:
         """Elementwise product set XY as a mask."""
         out = 0
@@ -231,7 +276,7 @@ class OrderedMagma:
 
 
 def residual(m: OrderedMagma, x: int, a: int) -> Residual:
-    """Left and right residuals computed by scan of the defining sets; lazy
+    """Left and right residuals, read from the carrier's residual table; lazy
     carriers answer through their residual rule when they carry one."""
     if not isinstance(m, OrderedMagma):
         rule = getattr(m, "residual", None)
@@ -242,77 +287,28 @@ def residual(m: OrderedMagma, x: int, a: int) -> Residual:
         value = rule(x, a)
         # Both shipped lazy carriers are commutative.
         return Residual(value, value)
+    return m.residuals.at[x][a]
+
+
+def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
+    """Whether a(sup X) == sup(aX) and (sup X)a == sup(Xa) for every nonempty X,
+    and for every X, whose sup exists; one exhaustive pass over the subsets."""
     p = m.poset
-    left_set = p.mask_of([z for z in range(m.n) if p.leq(m.op(z, a), x)])
-    right_set = p.mask_of([z for z in range(m.n) if p.leq(m.op(a, z), x)])
-    left = p.greatest_of(left_set) if left_set else None
-    right = p.greatest_of(right_set) if right_set else None
-    res = Residual(left, right)
-    if left is not None:
-        if not p.leq(m.op(left, a), x):
-            raise InternalCheckError("residual adjunction violated on the left")
-    if right is not None:
-        if not p.leq(m.op(a, right), x):
-            raise InternalCheckError("residual adjunction violated on the right")
-    return res
-
-
-def _residuation_status(m: OrderedMagma):
-    """(residuated, near_residuated) by direct scan of every residual set."""
-    p = m.poset
-    residuated = True
-    near = True
-    for x in range(m.n):
-        for a in range(m.n):
-            lset = [z for z in range(m.n) if p.leq(m.op(z, a), x)]
-            rset = [z for z in range(m.n) if p.leq(m.op(a, z), x)]
-            for s in (lset, rset):
-                if not s:
-                    residuated = False
-                elif p.greatest_of(p.mask_of(s)) is None:
-                    residuated = False
-                    near = False
-    return residuated, near
-
-
-def _translations_preserve_existing_sups(m: OrderedMagma, nonempty_only: bool) -> bool:
-    """a(sup X) == sup(aX) for every X whose sup exists (exhaustive up to cap)."""
-    p = m.poset
-    if m.n > EXHAUSTIVE_CAP:
-        return _translations_preserve_pair_sups(m, nonempty_only)
-    start = 1 if nonempty_only else 0
-    for mask in range(start, 1 << m.n):
+    every = True
+    for mask in range(1 << m.n):
         s = p.sup_mask(mask)
         if s is None:
             continue
         for a in range(m.n):
-            left = m.complex_mul_mask(1 << a, mask)
-            if p.sup_mask(left) != m.op(a, s):
-                return False
-            right = m.complex_mul_mask(mask, 1 << a)
-            if p.sup_mask(right) != m.op(s, a):
-                return False
-    return True
-
-
-def _translations_preserve_pair_sups(m: OrderedMagma, nonempty_only: bool) -> bool:
-    """Pairwise (plus empty-set) form; equivalent on finite carriers by induction."""
-    p = m.poset
-    for a in range(m.n):
-        for x in range(m.n):
-            for y in range(x, m.n):
-                s = p.join(x, y)
-                if s is None:
-                    continue
-                if m.op(a, s) != p.join(m.op(a, x), m.op(a, y)):
-                    return False
-                if m.op(s, a) != p.join(m.op(x, a), m.op(y, a)):
-                    return False
-        if not nonempty_only:
-            b = p.bottom
-            if b is not None and (m.op(a, b) != b or m.op(b, a) != b):
-                return False
-    return True
+            if (
+                p.sup_mask(m.complex_mul_mask(1 << a, mask)) != m.op(a, s)
+                or p.sup_mask(m.complex_mul_mask(mask, 1 << a)) != m.op(s, a)
+            ):
+                if mask:
+                    return False, False
+                every = False
+                break
+    return True, every
 
 
 def _distributes_over_finite_nonempty(m: OrderedMagma) -> bool:
@@ -348,7 +344,7 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     unital = m.unit is not None
     with_annihilator = m.annihilator is not None
 
-    residuated, near_residuated = _residuation_status(m)
+    residuated, near_residuated = m.residuals.residuated, m.residuals.near_residuated
 
     mult_semilattice = _distributes_over_finite_nonempty(m)
     # On a finite carrier every nonempty subset is finite and a join
@@ -368,9 +364,10 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     if prequantale != (pf.complete and residuated):
         raise InternalCheckError(f"prequantale characterizations disagree on {m.name or m}")
     if n <= EXHAUSTIVE_CAP:
-        scan_np = pf.near_sup_complete and _translations_preserve_existing_sups(m, True)
-        scan_p = pf.complete and _translations_preserve_existing_sups(m, False)
-        if scan_np != near_prequantale or scan_p != prequantale:
+        scan_np, scan_all = (
+            _translations_preserve_existing_sups(m) if pf.near_sup_complete else (False, False)
+        )
+        if scan_np != near_prequantale or (pf.complete and scan_all) != prequantale:
             raise InternalCheckError(
                 f"subset-scan classification disagrees with pairwise on {m.name or m}"
             )
@@ -436,7 +433,7 @@ def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
     return True
 
 
-def distinguished_sets(m: OrderedMagma, require_unit_for_r: bool = False) -> DistinguishedSets:
+def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
     """U(M), Inv(M), Idem(M), R(M) and whether K(M) is a submagma."""
     p, n = m.poset, m.n
     units = []
@@ -456,12 +453,7 @@ def distinguished_sets(m: OrderedMagma, require_unit_for_r: bool = False) -> Dis
     if not set(invertible) <= set(units):
         raise InternalCheckError("Inv(M) not contained in U(M)")
     idem = [x for x in range(n) if m.op(x, x) == x]
-    if m.unit is not None:
-        r_set = tuple(x for x in idem if p.leq(m.unit, x))
-    elif require_unit_for_r:
-        raise NoUnit("R(M) requested on a carrier without unit")
-    else:
-        r_set = None
+    r_set = None if m.unit is None else tuple(x for x in idem if p.leq(m.unit, x))
     # Finite carriers: K(M) = M, trivially a submagma.
     return DistinguishedSets(tuple(units), tuple(invertible), tuple(idem), r_set, True)
 
@@ -570,11 +562,6 @@ class MagmaMorphism:
             if tp.sup_mask(fmask) != self.table[s]:
                 return False
         return True
-
-    def preserves_finite_nonempty_sups(self) -> bool:
-        """Multiplicative-semilattice morphism condition; pairs suffice when all
-        finite sups exist, otherwise falls back to the exhaustive scan."""
-        return self.preserves_sups(nonempty_only=True)
 
     def compose(self, inner: "MagmaMorphism") -> "MagmaMorphism":
         if inner.target is not self.source and inner.target != self.source:

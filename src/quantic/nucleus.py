@@ -194,7 +194,7 @@ def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     c1, c2, c3 = _nucleus_conditions(m, s)
     if not (c1 == c2 == c3):
         raise InternalCheckError("nucleus characterizations disagree")
-    if m.unit is not None or _one_sided_unital(m):
+    if m.unit is not None or _on_carrier(m, "_one_sided_unital", _one_sided_unital):
         u2, u3 = _unital_selfmap_conditions(m, s)
         if not (c1 == u2 == u3):
             raise InternalCheckError("unital single-axiom nucleus forms disagree")
@@ -203,15 +203,20 @@ def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     return c1
 
 
-def _one_sided_unital(m: OrderedMagma) -> bool:
-    cached = m.__dict__.get("_one_sided_unital")
+def _on_carrier(carrier, key: str, build):
+    """build(carrier), computed once per carrier object and kept on it.  A call
+    that raises stores nothing, so the next call raises again."""
+    cached = carrier.__dict__.get(key)
     if cached is None:
-        n = m.n
-        cached = any(all(m.op(u, x) == x for x in range(n)) for u in range(n)) or any(
-            all(m.op(x, u) == x for x in range(n)) for u in range(n)
-        )
-        m.__dict__["_one_sided_unital"] = cached
+        cached = carrier.__dict__[key] = build(carrier)
     return cached
+
+
+def _one_sided_unital(m: OrderedMagma) -> bool:
+    n = m.n
+    return any(all(m.op(u, x) == x for x in range(n)) for u in range(n)) or any(
+        all(m.op(x, u) == x for x in range(n)) for u in range(n)
+    )
 
 
 def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
@@ -362,17 +367,21 @@ def nuclei_join(
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_closures(carrier, cap: int = ENUMERATION_CAP) -> List[MonotoneMap]:
+def enumerate_closures(carrier) -> List[MonotoneMap]:
     """All closure operations, via candidate image sets.
 
     A subset C is the image of a (unique) closure operation exactly when every
     fiber {a in C : a >= x} has a least element, and then x* is that element.
-    The 2**n walk over candidate images is capped; callers who accept the
-    exponential cost may raise the cap explicitly.
+    The 2**n walk over candidate images runs once per carrier, up to
+    ENUMERATION_CAP elements; every call returns a fresh list.
     """
+    return list(_on_carrier(carrier, "_closures", _closures_by_images))
+
+
+def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
     p = poset_of(carrier)
-    if p.n > cap:
-        raise CarrierTooLarge(f"closure enumeration capped at {cap} elements")
+    if p.n > ENUMERATION_CAP:
+        raise CarrierTooLarge(f"closure enumeration capped at {ENUMERATION_CAP} elements")
     required = 0
     for mx in p.maximal_elements():
         required |= 1 << mx
@@ -393,7 +402,7 @@ def enumerate_closures(carrier, cap: int = ENUMERATION_CAP) -> List[MonotoneMap]
         else:
             out.append(MonotoneMap(carrier, tuple(table)))
     out.sort(key=lambda s: s.table)
-    return out
+    return tuple(out)
 
 
 def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
@@ -410,34 +419,33 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
     return out
 
 
-def enumerate_nuclei(
-    m: OrderedMagma, cross_check: bool = True, cap: int = ENUMERATION_CAP
-) -> List[MonotoneMap]:
-    """All nuclei on m.
+def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
+    """All nuclei on m, computed once per carrier; every call returns a fresh list.
 
-    On bounded-complete near-residuated carriers the image-set criterion
-    (meet-closed, residual-stable subsets) is used and cross-checked against
-    filtering the closure enumeration; otherwise only the filter route runs.
+    Both routes filter the one closure enumeration.  On bounded-complete
+    near-residuated carriers the image-set criterion (meet-closed,
+    residual-stable images) must select exactly the closures that pass
+    is_nucleus; otherwise only the is_nucleus filter runs.
     """
-    closures = enumerate_closures(m, cap=cap)
+    return list(_on_carrier(m, "_nuclei", _nuclei_two_routes))
+
+
+def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
+    closures = enumerate_closures(m)
     filtered = [s for s in closures if is_nucleus(m, s)]
     prof = m.profile
-    if prof.bounded_complete and prof.near_residuated and cross_check:
-        by_images = _nuclei_by_image_sets(m, cap=cap)
+    if prof.bounded_complete and prof.near_residuated:
+        by_images = _nuclei_by_image_sets(m, closures)
         if [s.table for s in by_images] != [s.table for s in filtered]:
             raise InternalCheckError("image-set and filter nucleus enumerations disagree")
-    return filtered
+    return tuple(filtered)
 
 
-def _nuclei_by_image_sets(m: OrderedMagma, cap: int = ENUMERATION_CAP) -> List[MonotoneMap]:
+def _nuclei_by_image_sets(m: OrderedMagma, closures: List[MonotoneMap]) -> List[MonotoneMap]:
     p = m.poset
-    out = []
-    for s in enumerate_closures(m, cap=cap):
-        c = s.image_mask()
-        if _meet_closed(p, c) and _residual_stable(m, c):
-            out.append(s)
-    out.sort(key=lambda s: s.table)
-    return out
+    return [
+        s for s in closures if _meet_closed(p, s.image_mask()) and _residual_stable(m, s.image_mask())
+    ]
 
 
 def _meet_closed(p: FinitePoset, c: int) -> bool:
@@ -452,18 +460,11 @@ def _meet_closed(p: FinitePoset, c: int) -> bool:
 
 
 def _residual_stable(m: OrderedMagma, c: int) -> bool:
-    p = m.poset
+    at = m.residuals.at
     for x in bits(c):
-        for y in range(m.n):
-            lset = p.mask_of([z for z in range(m.n) if p.leq(m.op(z, y), x)])
-            if lset:
-                r = p.greatest_of(lset)
-                if r is not None and not ((c >> r) & 1):
-                    return False
-            rset = p.mask_of([z for z in range(m.n) if p.leq(m.op(y, z), x)])
-            if rset:
-                r = p.greatest_of(rset)
-                if r is not None and not ((c >> r) & 1):
+        for r in at[x]:
+            for side in (r.left, r.right):
+                if side is not None and not ((c >> side) & 1):
                     return False
     return True
 
@@ -537,18 +538,13 @@ def _assert_quotient_residuals(m: OrderedMagma, s: MonotoneMap):
     """(x/y)* = x/y* = x/y for star-fixed x, whenever the residual exists."""
     if not m.profile.near_residuated:
         return
-    p, t = m.poset, s.table
+    at, t = m.residuals.at, s.table
     for x in range(m.n):
         if t[x] != x:
             continue
         for y in range(m.n):
-            lset = p.mask_of([z for z in range(m.n) if p.leq(m.op(z, y), x)])
-            if not lset:
-                continue
-            r = p.greatest_of(lset)
-            l2 = p.mask_of([z for z in range(m.n) if p.leq(m.op(z, t[y]), x)])
-            r2 = p.greatest_of(l2) if l2 else None
-            if t[r] != r or r2 != r:
+            r = at[x][y].left
+            if r is not None and (t[r] != r or at[x][t[y]].left != r):
                 raise InternalCheckError("quotient residual formula failed")
 
 
@@ -802,14 +798,16 @@ class TowerReport:
     simple: bool
 
 
-def nucleus_tower(m: OrderedMagma, depth: int = 2, level_cap: int = ENUMERATION_CAP) -> TowerReport:
+def nucleus_tower(m: OrderedMagma, depth: int = 2) -> TowerReport:
     """N(M), N(N(M)), ... with the structure theorems asserted at each level."""
+    if depth < 1:
+        raise StructureError(f"tower depth must be at least 1, got {depth}")
     if not m.profile.near_sup_magma:
         raise HypothesisNotMet("the nucleus tower needs a near sup-magma")
     levels = []
     current = m
     for _ in range(depth):
-        if current.n > level_cap:
+        if current.n > ENUMERATION_CAP:
             raise CarrierTooLarge("tower level exceeds the enumeration cap")
         lat = nucleus_lattice(current)
         levels.append(lat)

@@ -256,9 +256,6 @@ class FinitePoset:
     def maximal_elements(self) -> list:
         return [i for i in range(self.n) if self.up[i] == (1 << i)]
 
-    def minimal_elements(self) -> list:
-        return [i for i in range(self.n) if self.down[i] == (1 << i)]
-
     def covers(self, i: int) -> list:
         """Elements directly above i."""
         strict = self.up[i] & ~(1 << i)
@@ -340,9 +337,6 @@ class FinitePoset:
             )
 
     # -- misc ----------------------------------------------------------------
-
-    def iter_subsets(self):
-        return range(1 << self.n)
 
     def __eq__(self, other):
         return isinstance(other, FinitePoset) and self.up == other.up

@@ -180,9 +180,6 @@ class RingIdealLattice:
     def characteristic(self) -> int:
         return self.ring.characteristic
 
-    def ideal_members(self, i: int) -> list:
-        return list(bits(self.ideals[i]))
-
 
 def _additive_span(ring: FiniteRing, gens_mask: int) -> int:
     span = 1 << ring.zero

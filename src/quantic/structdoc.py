@@ -7,6 +7,7 @@ and reject malformed input with the offending axiom named.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Union
 
 from .errors import StructureError
@@ -160,11 +161,28 @@ def load_any(doc: dict):
     raise StructureError(f"unknown document kind {kind!r}")
 
 
-def parse(text: str):
+def read_doc(path: str) -> dict:
+    """The JSON object in the file at path, or on standard input for "-"."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructureError(f"cannot read {path}: {exc}") from exc
+    return _object_of(text)
+
+
+def _object_of(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StructureError("document must be a JSON object")
-    return load_any(doc)
+    return doc
+
+
+def parse(text: str):
+    return load_any(_object_of(text))

@@ -50,6 +50,37 @@ def compatible_magmas(p):
     return out
 
 
+def scanned_residuals(m):
+    """Oracle for the residual table: every defining set scanned afresh, its
+    greatest element found by comparing members pairwise."""
+    p, n = m.poset, m.n
+    residuated = near = True
+    at = []
+    for x in range(n):
+        row = []
+        for a in range(n):
+            sides = []
+            for defining in (
+                [z for z in range(n) if p.leq(m.op(z, a), x)],
+                [z for z in range(n) if p.leq(m.op(a, z), x)],
+            ):
+                greatest = [g for g in defining if all(p.leq(z, g) for z in defining)]
+                if not defining:
+                    residuated = False
+                elif not greatest:
+                    residuated = near = False
+                sides.append(greatest[0] if greatest else None)
+            row.append(tuple(sides))
+        at.append(row)
+    return at, residuated, near
+
+
+def assert_residual_table_matches_scan(m):
+    table = m.residuals
+    at = [[(r.left, r.right) for r in row] for row in table.at]
+    assert (at, table.residuated, table.near_residuated) == scanned_residuals(m)
+
+
 @pytest.mark.parametrize("pname", sorted(three_element_posets()))
 def test_every_three_element_ordered_magma_classifies_coherently(pname):
     p = three_element_posets()[pname]
@@ -60,6 +91,20 @@ def test_every_three_element_ordered_magma_classifies_coherently(pname):
         check_profile_implications(profile, pname)
         with_zero = adjoin_annihilator(m)
         assert profile.near_prequantale == with_zero.profile.prequantale
+        assert_residual_table_matches_scan(m)
+
+
+def test_sweep_reaches_every_residuation_class():
+    seen = set()
+    for p in three_element_posets().values():
+        for m in compatible_magmas(p):
+            seen.add((m.residuals.residuated, m.residuals.near_residuated))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_residual_table_matches_scan_on_the_corpus(corpus):
+    for m in corpus.values():
+        assert_residual_table_matches_scan(m)
 
 
 def test_counts_of_compatible_multiplications_are_stable():

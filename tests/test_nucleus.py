@@ -29,6 +29,7 @@ from quantic.nucleus import (
     unit_part,
 )
 from quantic.poset import FinitePoset
+from quantic.structdoc import load_magma, magma_doc
 
 
 def join_magma(p, name=""):
@@ -379,6 +380,19 @@ class TestCompositionJoin:
 
 
 def test_enumeration_deterministic(z4):
-    a = [s.table for s in enumerate_nuclei(z4.magma)]
-    b = [s.table for s in enumerate_nuclei(z4.magma)]
+    # Two carriers loaded independently: on one carrier object the
+    # per-carrier memo would make the comparison trivial.
+    doc = magma_doc(z4.magma)
+    a = [s.table for s in enumerate_nuclei(load_magma(doc))]
+    b = [s.table for s in enumerate_nuclei(load_magma(doc))]
     assert a == b == sorted(a)
+
+
+@pytest.mark.parametrize("enumerate_maps", [enumerate_closures, enumerate_nuclei])
+def test_mutating_a_returned_list_leaves_the_next_call_alone(z4, enumerate_maps):
+    m = load_magma(magma_doc(z4.magma))
+    first = enumerate_maps(m)
+    tables = [s.table for s in first]
+    first.reverse()
+    first.append(MonotoneMap.identity(m))
+    assert [s.table for s in enumerate_maps(m)] == tables

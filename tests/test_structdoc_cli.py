@@ -201,6 +201,35 @@ class TestCli:
         code, _, err = run_cli(["classify", "-"], stdin_text="{broken")
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "{missing}"],
+            ["classify", "{dir}"],
+            ["classify", "{non_utf8}"],
+            ["tower", "{z4}", "--depth", "0"],
+            ["tower", "{z4}", "--depth", "-1"],
+            ["make", "module-system-lattice", "--group", "Zq"],
+            ["make", "ring", "--poly", "2,x^a"],
+            ["make", "ring", "--poly", "2,"],
+        ],
+        ids=[
+            "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
+            "unknown-group", "bad-exponent", "empty-poly",
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, args):
+        paths = {
+            "missing": tmp_path / "missing.json",
+            "dir": tmp_path,
+            "non_utf8": tmp_path / "non-utf8.json",
+            "z4": tmp_path / "z4.json",
+        }
+        paths["non_utf8"].write_bytes(b'\xff\xfe{"kind": "magma"}')
+        paths["z4"].write_text(to_json(z4.magma))
+        code, _, err = run_cli([a.format(**paths) for a in args])
+        assert code == 2 and len(err.splitlines()) == 1 and "Traceback" not in err, err
+
     def test_hypothesis_failure_exits_1_named(self):
         _, doc, _ = run_cli(["make", "ring", "--zmod", "6"])
         code, _, err = run_cli(["stable", "-", "/dev/null"], stdin_text=doc)
