@@ -14,6 +14,7 @@ from .errors import HypothesisNotMet, InternalCheckError
 from .magma import OrderedMagma, distinguished_sets, is_cyclic_element, residual
 from .nucleus import (
     MonotoneMap,
+    _on_carrier,
     enumerate_nuclei,
     is_nucleus,
     nuclei_meet,
@@ -172,7 +173,8 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
 
 
 def v(q: OrderedMagma, a: int, strategy: str = "all") -> MonotoneMap:
-    """Coarsest nucleus fixing a; all applicable strategies computed and compared."""
+    """Coarsest nucleus fixing a.  With strategy "all", every applicable
+    strategy is computed and compared, once per carrier object and element."""
     strategies = {
         "lin": v_lin,
         "rs": v_rs,
@@ -180,20 +182,26 @@ def v(q: OrderedMagma, a: int, strategy: str = "all") -> MonotoneMap:
         "units": v_units,
     }
     if strategy != "all":
-        out = strategies[strategy](q, a)
-    else:
-        results: Dict[str, MonotoneMap] = {}
-        for name, fn in strategies.items():
-            try:
-                results[name] = fn(q, a)
-            except HypothesisNotMet:
-                continue
-        if not results:
-            raise HypothesisNotMet("no divisorial strategy applies to this carrier")
-        tables = {s.table for s in results.values()}
-        if len(tables) > 1:
-            raise InternalCheckError(f"divisorial strategies disagree: {results}")
-        out = next(iter(results.values()))
+        return _checked_v(q, a, strategies[strategy](q, a))
+    return _on_carrier(q, ("v", a), _v_all, a, strategies)
+
+
+def _v_all(q: OrderedMagma, a: int, strategies: dict) -> MonotoneMap:
+    results: Dict[str, MonotoneMap] = {}
+    for name, fn in strategies.items():
+        try:
+            results[name] = fn(q, a)
+        except HypothesisNotMet:
+            continue
+    if not results:
+        raise HypothesisNotMet("no divisorial strategy applies to this carrier")
+    tables = {s.table for s in results.values()}
+    if len(tables) > 1:
+        raise InternalCheckError(f"divisorial strategies disagree: {results}")
+    return _checked_v(q, a, next(iter(results.values())))
+
+
+def _checked_v(q: OrderedMagma, a: int, out: MonotoneMap) -> MonotoneMap:
     if not is_nucleus(q, out):
         raise InternalCheckError("divisorial closure failed the nucleus check")
     if out.table[a] != a:

@@ -8,8 +8,8 @@ construction with the naive filter available as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -97,34 +97,35 @@ class MonotoneMap:
                 out |= 1 << x
         return out
 
-    @cached_property
+    @property
     def is_expansive(self) -> bool:
         p = self.poset
         return all(p.leq(x, t) for x, t in enumerate(self.table))
 
-    @cached_property
+    @property
     def is_order_preserving(self) -> bool:
         p = self.poset
         return all(
             p.leq(self.table[x], self.table[y]) for x in range(p.n) for y in bits(p.up[x])
         )
 
-    @cached_property
+    @property
     def is_idempotent(self) -> bool:
         return all(self.table[t] == t for t in self.table)
 
-    @cached_property
+    @property
     def is_preclosure(self) -> bool:
         return self.is_expansive and self.is_order_preserving
 
 
 def is_closure(s: MonotoneMap) -> bool:
     """Expansive + order-preserving + idempotent, cross-checked against the
-    single axiom: x <= y* iff x* <= y* for all x, y."""
-    cached = s.__dict__.get("_closure_flag")
-    if cached is not None:
-        return cached
-    p = s.poset
+    single axiom: x <= y* iff x* <= y* for all x, y.  Decided once per poset
+    object and table."""
+    return _on_carrier(s.poset, ("closure", s.table), _decide_closure, s)
+
+
+def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
     three_part = s.is_expansive and s.is_order_preserving and s.is_idempotent
     single = all(
         p.leq(x, s.table[y]) == p.leq(s.table[x], s.table[y])
@@ -132,8 +133,10 @@ def is_closure(s: MonotoneMap) -> bool:
         for y in range(p.n)
     )
     if three_part != single:
-        raise InternalCheckError("closure characterizations disagree")
-    s.__dict__["_closure_flag"] = three_part
+        raise InternalCheckError(
+            f"closure characterizations disagree on {_label(s.carrier)} at {s.table}: "
+            f"three-part {three_part}, single axiom {single}"
+        )
     return three_part
 
 
@@ -186,30 +189,39 @@ def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, b
 
 
 def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
-    """Closure with x*y* <= (xy)*, all equivalent characterizations compared."""
-    if s.carrier is m:
-        cached = s.__dict__.get("_nucleus_flag")
-        if cached is not None:
-            return cached
+    """Closure with x*y* <= (xy)*, all equivalent characterizations compared.
+    Decided once per carrier object and table."""
+    return _on_carrier(m, ("nucleus", s.table), _decide_nucleus, s)
+
+
+def _decide_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     c1, c2, c3 = _nucleus_conditions(m, s)
     if not (c1 == c2 == c3):
-        raise InternalCheckError("nucleus characterizations disagree")
-    if m.unit is not None or _on_carrier(m, "_one_sided_unital", _one_sided_unital):
+        raise InternalCheckError(
+            f"nucleus characterizations disagree on {_label(m)} at {s.table}: {(c1, c2, c3)}"
+        )
+    if m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital):
         u2, u3 = _unital_selfmap_conditions(m, s)
         if not (c1 == u2 == u3):
-            raise InternalCheckError("unital single-axiom nucleus forms disagree")
-    if s.carrier is m:
-        s.__dict__["_nucleus_flag"] = c1
+            raise InternalCheckError(
+                f"unital single-axiom nucleus forms disagree on {_label(m)} at {s.table}: "
+                f"{(c1, u2, u3)}"
+            )
     return c1
 
 
-def _on_carrier(carrier, key: str, build):
-    """build(carrier), computed once per carrier object and kept on it.  A call
-    that raises stores nothing, so the next call raises again."""
-    cached = carrier.__dict__.get(key)
-    if cached is None:
-        cached = carrier.__dict__[key] = build(carrier)
-    return cached
+def _on_carrier(carrier, key: tuple, build, *args):
+    """build(carrier, *args), computed once per carrier object and key and kept
+    in one dict on the carrier.  A call that raises stores nothing, so the next
+    call raises again."""
+    memo = carrier.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build(carrier, *args)
+    return memo[key]
+
+
+def _label(carrier) -> str:
+    return getattr(carrier, "name", "") or repr(carrier)
 
 
 def _one_sided_unital(m: OrderedMagma) -> bool:
@@ -375,7 +387,7 @@ def enumerate_closures(carrier) -> List[MonotoneMap]:
     The 2**n walk over candidate images runs once per carrier, up to
     ENUMERATION_CAP elements; every call returns a fresh list.
     """
-    return list(_on_carrier(carrier, "_closures", _closures_by_images))
+    return list(_on_carrier(carrier, ("closures",), _closures_by_images))
 
 
 def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
@@ -427,7 +439,7 @@ def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
     residual-stable images) must select exactly the closures that pass
     is_nucleus; otherwise only the is_nucleus filter runs.
     """
-    return list(_on_carrier(m, "_nuclei", _nuclei_two_routes))
+    return list(_on_carrier(m, ("nuclei",), _nuclei_two_routes))
 
 
 def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
@@ -435,9 +447,14 @@ def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     filtered = [s for s in closures if is_nucleus(m, s)]
     prof = m.profile
     if prof.bounded_complete and prof.near_residuated:
-        by_images = _nuclei_by_image_sets(m, closures)
-        if [s.table for s in by_images] != [s.table for s in filtered]:
-            raise InternalCheckError("image-set and filter nucleus enumerations disagree")
+        by_images = {s.table for s in _nuclei_by_image_sets(m, closures)}
+        by_filter = {s.table for s in filtered}
+        if by_images != by_filter:
+            raise InternalCheckError(
+                f"image-set and filter nucleus enumerations disagree on {_label(m)}: "
+                f"image-set only {sorted(by_images - by_filter)}, "
+                f"filter only {sorted(by_filter - by_images)}"
+            )
     return tuple(filtered)
 
 
@@ -478,14 +495,18 @@ class QuotientMagma:
     nucleus: MonotoneMap
     members: tuple            # parent ids of the image, ascending
     magma: OrderedMagma       # the image with star-multiplication
-    to_parent: tuple          # quotient id -> parent id
-    to_quotient: dict         # parent image id -> quotient id
+    to_quotient: MappingProxyType  # parent image id -> quotient id, read-only
 
 
 def quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
-    """The image M* under star-multiplication, with the inherited structure asserted."""
+    """The image M* under star-multiplication, with the inherited structure
+    asserted; built once per carrier object and nucleus table."""
     if not is_nucleus(m, s):
         raise HypothesisNotMet("quotient requires a nucleus")
+    return _on_carrier(m, ("quotient", s.table), _build_quotient, s)
+
+
+def _build_quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
     p = m.poset
     members = tuple(sorted(set(s.table)))
     index = {x: i for i, x in enumerate(members)}
@@ -495,7 +516,7 @@ def quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
     _assert_corestriction_sup_preserving(m, s, members, index, sub)
     _assert_profile_inheritance(m, q)
     _assert_quotient_residuals(m, s)
-    return QuotientMagma(m, s, members, q, members, index)
+    return QuotientMagma(m, s, members, q, MappingProxyType(index))
 
 
 def _assert_corestriction_sup_preserving(m, s, members, index, sub):
@@ -762,6 +783,11 @@ class NucleusLattice:
 
 
 def nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
+    """N(M), built once per carrier object."""
+    return _on_carrier(m, ("lattice",), _build_nucleus_lattice)
+
+
+def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
     maps = tuple(enumerate_nuclei(m))
     k = len(maps)
     p = m.poset
@@ -778,15 +804,20 @@ def nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
             row.append(v)
         mul.append(row)
     magma = OrderedMagma(lat, mul, name=f"N({m.name})" if m.name else "N(M)")
-    # The lattice join must agree with the common-fixed-point join formula.
+    # The lattice join must agree with the common-fixed-point join formula;
+    # the join table is symmetric, so each unordered pair is compared once.
     if m.profile.near_prequantale or (
         m.profile.bounded_complete and m.profile.near_residuated and p.top is not None
     ):
         for i in range(k):
-            for j in range(k):
+            for j in range(i, k):
                 joined = nuclei_join(m, [maps[i], maps[j]])
                 if joined.table != maps[mul[i][j]].table:
-                    raise InternalCheckError("N(M) join table disagrees with the join formula")
+                    raise InternalCheckError(
+                        f"N(M) join table disagrees with the join formula on {_label(m)}: "
+                        f"{maps[i].table} v {maps[j].table} is {joined.table} by the "
+                        f"formula, {maps[mul[i][j]].table} by the table"
+                    )
     return NucleusLattice(m, maps, magma)
 
 
@@ -830,10 +861,6 @@ def _assert_level_structure(lat: NucleusLattice):
     rmask = r_set_mask(nm)
     if rmask != nm.poset.universe:
         raise InternalCheckError("N(M) != R(N(M))")
-    for i in range(nm.n):
-        for j in range(nm.n):
-            if nm.op(i, j) != nm.poset.join(i, j):
-                raise InternalCheckError("multiplication on N(M) is not the join")
 
 
 def _d_embedding_is_iso(lower: NucleusLattice, upper: NucleusLattice) -> bool:

@@ -29,10 +29,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 @dataclass(frozen=True)
 class PosetFlags:
     """Order-theoretic classification of one carrier."""
@@ -164,15 +160,19 @@ class FinitePoset:
         return i != j and self.leq(i, j)
 
     def check_ids(self, xs: Iterable[int]):
+        """Every id must be an int (not a bool) in range(n)."""
+        n = self.n
         for x in xs:
-            if not (0 <= x < self.n):
-                raise StructureError(f"element id {x} foreign to carrier of size {self.n}")
+            if type(x) is not int:
+                raise StructureError(f"element id {x!r} is not an integer")
+            if not (0 <= x < n):
+                raise StructureError(f"element id {x} foreign to carrier of size {n}")
 
     def mask_of(self, xs: Iterable[int]) -> int:
+        xs = tuple(xs)
+        self.check_ids(xs)
         mask = 0
         for x in xs:
-            if not (0 <= x < self.n):
-                raise StructureError(f"element id {x} foreign to carrier of size {self.n}")
             mask |= 1 << x
         return mask
 
@@ -346,41 +346,6 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset(n={self.n})"
-
-    def isomorphic_to(self, other: "FinitePoset") -> Optional[dict]:
-        """Search for an order isomorphism; returns the mapping or None."""
-        if self.n != other.n:
-            return None
-        n = self.n
-        mine = sorted(range(n), key=lambda i: (bit_count(self.up[i]), bit_count(self.down[i])))
-        profile = lambda p, i: (bit_count(p.up[i]), bit_count(p.down[i]))
-        candidates = [
-            [j for j in range(n) if profile(other, j) == profile(self, i)] for i in range(n)
-        ]
-        assign: dict = {}
-        used = set()
-
-        def ok(i, j):
-            for i2, j2 in assign.items():
-                if self.leq(i, i2) != other.leq(j, j2) or self.leq(i2, i) != other.leq(j2, j):
-                    return False
-            return True
-
-        def backtrack(k):
-            if k == n:
-                return True
-            i = mine[k]
-            for j in candidates[i]:
-                if j not in used and ok(i, j):
-                    assign[i] = j
-                    used.add(j)
-                    if backtrack(k + 1):
-                        return True
-                    del assign[i]
-                    used.discard(j)
-            return False
-
-        return dict(assign) if backtrack(0) else None
 
 
 def ub_scan_sup(p: FinitePoset, xs: Iterable[int]) -> Optional[int]:

@@ -116,8 +116,10 @@ def load_magma(doc: dict) -> Union[OrderedMagma, LazyCarrier]:
     magma = OrderedMagma(poset, _require(doc, "mul"), name=doc.get("name", ""))
     for key in ("unit", "annihilator"):
         declared = doc.get(key)
-        if declared is not None and declared != getattr(magma, key):
-            raise StructureError(f"declared {key} disagrees with the table")
+        if declared is not None:
+            poset.check_ids([declared])
+            if declared != getattr(magma, key):
+                raise StructureError(f"declared {key} disagrees with the table")
     return magma
 
 

@@ -303,12 +303,11 @@ def _check_cmc(m: OrderedMagma):
         if prof.near_prequantale or (
             prof.bounded_complete and prof.near_residuated and m.poset.top is not None
         ):
+            # nuclei_join raises unless the join image is the intersection
+            # of the fixed points.
             for i, s in enumerate(maps):
                 for t in maps[i:]:
-                    joined = nuclei_join(m, [s, t])
-                    common = s.fixed_mask() & t.fixed_mask()
-                    if joined.image_mask() != common:
-                        return _fail("join image is not the fixed-point intersection")
+                    nuclei_join(m, [s, t])
     except (InternalCheckError, HypothesisNotMet) as exc:
         return _fail(str(exc))
     return _ok(f"{len(maps)} nuclei")
@@ -391,7 +390,7 @@ def _check_structure2(m: OrderedMagma):
     if not m.profile.near_sup_magma or not _small(m, 10):
         return _skip("needs a small near sup-magma")
     try:
-        nucleus_lattice(m)  # asserts N=R(N) and mult = join internally via the tower helpers
+        nucleus_lattice(m)  # multiplication is the join by construction
     except (InternalCheckError, HypothesisNotMet) as exc:
         return _fail(str(exc))
     return _ok()
@@ -524,19 +523,16 @@ def _check_stabletheorem(m: OrderedMagma):
         return _skip("carrier too large")
     maps = enumerate_nuclei(m)
     try:
-        stable_maps = []
+        stable = {s.table: is_stable(m, s) for s in maps}
+        stable_maps = [s for s in maps if stable[s.table]]
         for s in maps:
             bar = stable_closure(m, s)
-            verdict = is_stable(m, s)
-            if verdict:
-                stable_maps.append(s)
-            below = [t for t in maps if t <= s and is_stable(m, t)]
-            if any(not (t <= bar) for t in below):
+            if any(t <= s and not (t <= bar) for t in stable_maps):
                 return _fail("stable closure is not the coarsest stable nucleus below")
         for i, s in enumerate(stable_maps):
             for t in stable_maps[i:]:
-                if not is_stable(m, nuclei_meet(m, [s, t])):
-                    return _fail("meet of stable nuclei is not stable")
+                if not stable.get(nuclei_meet(m, [s, t]).table):
+                    return _fail("meet of stable nuclei is not a stable nucleus")
     except HypothesisNotMet as exc:
         return _skip(str(exc))
     except InternalCheckError as exc:

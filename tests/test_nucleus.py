@@ -1,6 +1,7 @@
 import pytest
 
-from quantic.errors import HypothesisNotMet
+from quantic import nucleus
+from quantic.errors import HypothesisNotMet, InternalCheckError
 from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import (
     MonotoneMap,
@@ -396,3 +397,30 @@ def test_mutating_a_returned_list_leaves_the_next_call_alone(z4, enumerate_maps)
     first.reverse()
     first.append(MonotoneMap.identity(m))
     assert [s.table for s in enumerate_maps(m)] == tables
+
+
+def test_a_disagreeing_verdict_is_not_kept(z4, monkeypatch):
+    monkeypatch.setattr(nucleus, "_nucleus_conditions", lambda m, s: (True, False, True))
+    m = load_magma(magma_doc(z4.magma))
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="nucleus characterizations disagree"):
+            is_nucleus(m, MonotoneMap.identity(m))
+
+
+def test_a_verdict_stays_on_its_own_carrier(z4, monkeypatch):
+    doc = magma_doc(z4.magma)
+    first, second = load_magma(doc), load_magma(doc)
+    assert first == second and is_nucleus(first, MonotoneMap.identity(first))
+    monkeypatch.setattr(nucleus, "_nucleus_conditions", lambda m, s: (True, False, True))
+    assert is_nucleus(first, MonotoneMap.identity(first))
+    with pytest.raises(InternalCheckError):
+        is_nucleus(second, MonotoneMap.identity(second))
+
+
+def test_a_quotient_is_built_once_and_read_only(z4):
+    m = load_magma(magma_doc(z4.magma))
+    s = MonotoneMap(m, (1, 1, 2))
+    q = quotient(m, s)
+    assert quotient(m, MonotoneMap(m, s.table)) is q
+    with pytest.raises(TypeError):
+        q.to_quotient[0] = 0

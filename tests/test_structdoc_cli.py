@@ -212,21 +212,36 @@ class TestCli:
             ["make", "module-system-lattice", "--group", "Zq"],
             ["make", "ring", "--poly", "2,x^a"],
             ["make", "ring", "--poly", "2,"],
+            ["classify", "{mul_str}"],
+            ["classify", "{mul_float}"],
+            ["star-f", "{diamond}", "{float_map}"],
+            ["classify", "{float_unit}"],
         ],
         ids=[
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
-            "unknown-group", "bad-exponent", "empty-poly",
+            "unknown-group", "bad-exponent", "empty-poly", "string-product",
+            "float-product", "float-assign", "float-unit",
         ],
     )
-    def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, args):
+    def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, corpus, args):
         paths = {
-            "missing": tmp_path / "missing.json",
-            "dir": tmp_path,
-            "non_utf8": tmp_path / "non-utf8.json",
-            "z4": tmp_path / "z4.json",
+            name: tmp_path / f"{name}.json"
+            for name in (
+                "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit"
+            )
         }
+        paths["dir"] = tmp_path
         paths["non_utf8"].write_bytes(b'\xff\xfe{"kind": "magma"}')
         paths["z4"].write_text(to_json(z4.magma))
+        for name, entry in (("mul_str", "a"), ("mul_float", 0.0)):
+            doc = magma_doc(z4.magma)
+            doc["mul"][0][0] = entry
+            paths[name].write_text(json.dumps(doc))
+        doc = magma_doc(z4.magma)
+        doc["unit"] = float(doc["unit"])
+        paths["float_unit"].write_text(json.dumps(doc))
+        paths["diamond"].write_text(to_json(corpus["diamond-join"]))
+        paths["float_map"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [0.0, 1, 2, 3]}))
         code, _, err = run_cli([a.format(**paths) for a in args])
         assert code == 2 and len(err.splitlines()) == 1 and "Traceback" not in err, err
 

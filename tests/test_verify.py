@@ -1,10 +1,13 @@
 """The proposition-keyed matrix must hold with zero failures across the corpus."""
 
+from collections import Counter
+
 import pytest
 
-from quantic import cli, nucleus
+from quantic import cli, divisorial, nucleus
 from quantic.corpus import standard_corpus
 from quantic.errors import InternalCheckError
+from quantic.nucleus import MonotoneMap
 from quantic.rings import FiniteRing, ring_ideal_lattice
 from quantic.structdoc import to_json
 from quantic.verify import check_names, run_all
@@ -48,9 +51,54 @@ def test_run_all_walks_the_closure_candidates_once(monkeypatch):
     assert len(walked) == 1 and walked[0] is m
 
 
+def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
+    decided, quotients, divisorial_runs = [], [], []
+
+    def counting(target, name, log):
+        original = getattr(target, name)
+
+        def counted(carrier, arg):
+            log.append((carrier, arg))
+            return original(carrier, arg)
+
+        monkeypatch.setattr(target, name, counted)
+
+    counting(nucleus, "_unital_selfmap_conditions", decided)
+    counting(nucleus, "_build_quotient", quotients)
+    counting(divisorial, "v_lin", divisorial_runs)
+    run_all(m)
+    # The log holds every carrier it names, so no id is reused while it lives.
+    per_table = Counter((id(carrier), s.table) for carrier, s in decided)
+    assert per_table and max(per_table.values()) == 1
+    nuclei = sorted(s.table for s in nucleus.enumerate_nuclei(m))
+    assert sorted(s.table for carrier, s in quotients if carrier is m) == nuclei
+    assert sorted(a for carrier, a in divisorial_runs if carrier is m) == list(range(m.n))
+
+
 def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(nucleus, "_nuclei_by_image_sets", lambda m, closures: closures[:1])
+    # Each disagreement message names the carrier and the offending tables.
+    identity = MonotoneMap.identity
+    for target, name, replacement, call, witness in (
+        (nucleus, "_nuclei_by_image_sets", lambda m, closures: closures[:1],
+         nucleus.enumerate_nuclei, "filter only [(1, 1, 2), (2, 2, 2)]"),
+        (MonotoneMap, "is_idempotent", property(lambda s: False),
+         lambda m: nucleus.is_closure(identity(m)), "(0, 1, 2)"),
+        (nucleus, "_nucleus_conditions", lambda m, s: (True, False, True),
+         lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
+        (nucleus, "_unital_selfmap_conditions", lambda m, s: (False, False),
+         lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
+        (nucleus, "nuclei_join", lambda m, gamma: identity(m),
+         nucleus.nucleus_lattice, "(0, 1, 2) v (1, 1, 2)"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(target, name, replacement)
+            with pytest.raises(InternalCheckError, match="disagree") as info:
+                call(ring_ideal_lattice(FiniteRing.zmod(4)).magma)
+        assert "I(Z/4)" in str(info.value) and witness in str(info.value), info.value
+
     m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
+    monkeypatch.setattr(nucleus, "_nuclei_by_image_sets", lambda m, closures: closures[:1])
     for _ in range(3):
         with pytest.raises(InternalCheckError, match="disagree"):
             nucleus.enumerate_nuclei(m)
