@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, StructureError
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, subset_walk
 
 
 @dataclass(frozen=True)
@@ -275,6 +276,16 @@ class OrderedMagma:
         return out
 
 
+def row_getters(rows: Sequence[Sequence[int]]) -> list:
+    """get[y](row) == tuple(row[z] for z in rows[y]), in one C call: a table
+    composed with another one row at a time."""
+    out = []
+    for r in rows:
+        get = itemgetter(*r)
+        out.append(get if len(r) > 1 else lambda seq, get=get: (get(seq),))
+    return out
+
+
 def residual(m: OrderedMagma, x: int, a: int) -> Residual:
     """Left and right residuals, read from the carrier's residual table; lazy
     carriers answer through their residual rule when they carry one."""
@@ -292,22 +303,26 @@ def residual(m: OrderedMagma, x: int, a: int) -> Residual:
 
 def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
     """Whether a(sup X) == sup(aX) and (sup X)a == sup(Xa) for every nonempty X,
-    and for every X, whose sup exists; one exhaustive pass over the subsets."""
-    p = m.poset
+    and for every X, whose sup exists; one exhaustive walk over the subsets,
+    carrying the upper bounds of the 2n translated sets aX and Xa."""
+    p, n, mul = m.poset, m.n, m.mul
+    up = p.up
+    cols = [
+        tuple(up[mul[a][x]] for a in range(n)) + tuple(up[mul[x][a]] for a in range(n))
+        for x in range(n)
+    ]
+    targets = [
+        tuple(mul[a][s] for a in range(n)) + tuple(mul[s][a] for a in range(n)) for s in range(n)
+    ]
     every = True
-    for mask in range(1 << m.n):
-        s = p.sup_mask(mask)
+    for mask, ub, images in subset_walk(p, cols, (p.universe,) * (2 * n)):
+        s = p.least_of(ub)
         if s is None:
             continue
-        for a in range(m.n):
-            if (
-                p.sup_mask(m.complex_mul_mask(1 << a, mask)) != m.op(a, s)
-                or p.sup_mask(m.complex_mul_mask(mask, 1 << a)) != m.op(s, a)
-            ):
-                if mask:
-                    return False, False
-                every = False
-                break
+        if not all(map(p.is_least, targets[s], images)):
+            if mask:
+                return False, False
+            every = False
     return True, every
 
 
@@ -334,12 +349,9 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     pf = p.flags
     n = m.n
 
-    associative = all(
-        m.op(m.op(x, y), z) == m.op(x, m.op(y, z))
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
+    mul, through = m.mul, row_getters(m.mul)
+    # (xy)z == x(yz) for every z at once: row xy against row y read through row x.
+    associative = all(mul[xy] == through[y](mx) for mx in mul for y, xy in enumerate(mx))
     commutative = all(m.op(x, y) == m.op(y, x) for x in range(n) for y in range(n))
     unital = m.unit is not None
     with_annihilator = m.annihilator is not None
@@ -551,15 +563,12 @@ class MagmaMorphism:
         sp, tp = self.source.poset, self.target.poset
         if sp.n > EXHAUSTIVE_CAP:
             raise CarrierTooLarge("morphism sup-check is exponential in the source carrier")
-        start = 1 if nonempty_only else 0
-        for mask in range(start, 1 << sp.n):
-            s = sp.sup_mask(mask)
-            if s is None:
+        cols = [(tp.up[v],) for v in self.table]
+        for mask, ub, (image_ub,) in subset_walk(sp, cols, (tp.universe,)):
+            if nonempty_only and not mask:
                 continue
-            fmask = 0
-            for x in bits(mask):
-                fmask |= 1 << self.table[x]
-            if tp.sup_mask(fmask) != self.table[s]:
+            s = sp.least_of(ub)
+            if s is not None and not tp.is_least(self.table[s], image_ub):
                 return False
         return True
 

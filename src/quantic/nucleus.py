@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, subset_walk
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
@@ -72,8 +72,8 @@ class MonotoneMap:
         return hash(self.table)
 
     def __le__(self, other: "MonotoneMap") -> bool:
-        p = self.poset
-        return all(p.leq(a, b) for a, b in zip(self.table, other.table))
+        up = self.poset.up
+        return all(up[a] >> b & 1 for a, b in zip(self.table, other.table))
 
     def __repr__(self):
         return f"MonotoneMap{self.table}"
@@ -99,15 +99,13 @@ class MonotoneMap:
 
     @property
     def is_expansive(self) -> bool:
-        p = self.poset
-        return all(p.leq(x, t) for x, t in enumerate(self.table))
+        up = self.poset.up
+        return all(up[x] >> tx & 1 for x, tx in enumerate(self.table))
 
     @property
     def is_order_preserving(self) -> bool:
-        p = self.poset
-        return all(
-            p.leq(self.table[x], self.table[y]) for x in range(p.n) for y in bits(p.up[x])
-        )
+        up, t = self.poset.up, self.table
+        return all(up[tx] >> t[y] & 1 for x, tx in enumerate(t) for y in bits(up[x]))
 
     @property
     def is_idempotent(self) -> bool:
@@ -127,11 +125,7 @@ def is_closure(s: MonotoneMap) -> bool:
 
 def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
     three_part = s.is_expansive and s.is_order_preserving and s.is_idempotent
-    single = all(
-        p.leq(x, s.table[y]) == p.leq(s.table[x], s.table[y])
-        for x in range(p.n)
-        for y in range(p.n)
-    )
+    single = _closure_single_axiom(p, s.table)
     if three_part != single:
         raise InternalCheckError(
             f"closure characterizations disagree on {_label(s.carrier)} at {s.table}: "
@@ -140,50 +134,67 @@ def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
     return three_part
 
 
+def _closure_single_axiom(p: FinitePoset, t: Sequence[int]) -> bool:
+    """x <= y* iff x* <= y*, for every y at once: {y : x <= y*} == {y : x* <= y*}."""
+    pre = _preimages(p, t)
+    return all(pre[x] == pre[tx] for x, tx in enumerate(t))
+
+
+def _preimages(p: FinitePoset, t: Sequence[int]) -> list:
+    """pre[u] = {z : u <= t[z]} as a mask, for every element u."""
+    pre = [0] * p.n
+    for z, tz in enumerate(t):
+        for u in bits(p.down[tz]):
+            pre[u] |= 1 << z
+    return pre
+
+
 def _mult_compat(m: OrderedMagma, s: MonotoneMap) -> bool:
-    p, t = m.poset, s.table
+    """x* y* <= (xy)* for all x, y."""
+    up, mul, t = m.poset.up, m.mul, s.table
     return all(
-        p.leq(m.op(t[x], t[y]), t[m.op(x, y)]) for x in range(m.n) for y in range(m.n)
+        up[mul[tx][ty]] >> t[xy] & 1
+        for x, tx in enumerate(t)
+        for xy, ty in zip(mul[x], t)
     )
 
 
 def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bool]:
     """The three equivalent conditions, each including the closure premise."""
-    p, t = m.poset, s.table
+    up, mul, t = m.poset.up, m.mul, s.table
     closed = is_closure(s)
     c1 = closed and _mult_compat(m, s)
+    # (x* y*)* == (xy)*, one row of y at a time.
     c2 = closed and all(
-        t[m.op(t[x], t[y])] == t[m.op(x, y)] for x in range(m.n) for y in range(m.n)
+        [t[mul[tx][ty]] for ty in t] == [t[xy] for xy in mul[x]]
+        for x, tx in enumerate(t)
     )
     c3 = closed and all(
-        p.leq(m.op(x, t[y]), t[m.op(x, y)]) and p.leq(m.op(t[x], y), t[m.op(x, y)])
-        for x in range(m.n)
-        for y in range(m.n)
+        up[mul[x][ty]] >> t[mul[x][y]] & 1 and up[mul[tx][y]] >> t[mul[x][y]] & 1
+        for x, tx in enumerate(t)
+        for y, ty in enumerate(t)
     )
     return c1, c2, c3
 
 
 def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
-    """The two single-axiom forms valid for arbitrary self-maps of unital carriers."""
-    p, t, n = m.poset, s.table, m.n
-    cond2 = True
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                a = p.leq(m.op(x, y), t[z])
-                if a != p.leq(m.op(x, t[y]), t[z]) or a != p.leq(m.op(t[x], y), t[z]):
-                    cond2 = False
-                    break
-            if not cond2:
-                break
-        if not cond2:
-            break
-    cond3 = all(p.leq(x, t[x]) for x in range(n)) and all(
-        p.leq(m.op(t[x], t[y]), t[z])
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-        if p.leq(m.op(x, y), t[z])
+    """The two single-axiom forms valid for arbitrary self-maps of unital carriers.
+
+    Each quantifies over z through pre[u] = {z : u <= z*}: form 2 says
+    pre[xy] == pre[x y*] == pre[x* y] and form 3 says x <= x* and
+    pre[xy] <= pre[x* y*], for all x, y.
+    """
+    t = s.table
+    pre = _preimages(m.poset, t)
+    # prod[x][y] = pre[xy]
+    prod = [list(map(pre.__getitem__, row)) for row in m.mul]
+    cond2 = all(
+        prod[x] == prod[tx] == list(map(prod[x].__getitem__, t)) for x, tx in enumerate(t)
+    )
+    cond3 = all(pre[x] >> x & 1 for x in range(m.n)) and all(
+        not below & ~prod[tx][ty]
+        for x, tx in enumerate(t)
+        for below, ty in zip(prod[x], t)
     )
     return cond2, cond3
 
@@ -513,26 +524,28 @@ def _build_quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
     sub = p.restrict(members)
     mul = [[index[s.table[m.op(x, y)]] for y in members] for x in members]
     q = OrderedMagma(sub, mul, name=f"{m.name}^*" if m.name else "quotient")
-    _assert_corestriction_sup_preserving(m, s, members, index, sub)
+    _assert_corestriction_sup_preserving(m, s)
     _assert_profile_inheritance(m, q)
     _assert_quotient_residuals(m, s)
     return QuotientMagma(m, s, members, q, MappingProxyType(index))
 
 
-def _assert_corestriction_sup_preserving(m, s, members, index, sub):
-    p = m.poset
+def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
+    """s(sup X) is the sup of s(X) within the image, for every X whose sup
+    exists: every subset up to EXHAUSTIVE_CAP elements, pairs above it."""
+    p, t = m.poset, s.table
+    up, image = p.up, s.image_mask()
     if p.n > EXHAUSTIVE_CAP:
-        subsets = [1 << x | 1 << y for x in range(p.n) for y in range(p.n)]
+        walk = (
+            (None, up[x] & up[y], (image & up[t[x]] & up[t[y]],))
+            for x in range(p.n)
+            for y in range(x, p.n)
+        )
     else:
-        subsets = list(range(1 << p.n))
-    for mask in subsets:
-        v = p.sup_mask(mask)
-        if v is None:
-            continue
-        img = 0
-        for x in bits(mask):
-            img |= 1 << index[s.table[x]]
-        if sub.sup_mask(img) != index[s.table[v]]:
+        walk = subset_walk(p, [(up[tx],) for tx in t], (image,))
+    for _, ub, (image_ub,) in walk:
+        v = p.least_of(ub)
+        if v is not None and not p.is_least(t[v], image_ub):
             raise InternalCheckError("corestriction of the nucleus is not sup-preserving")
 
 
@@ -791,18 +804,11 @@ def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
     maps = tuple(enumerate_nuclei(m))
     k = len(maps)
     p = m.poset
-    leq_rows = [[maps[i] <= maps[j] for j in range(k)] for i in range(k)]
-    lat = FinitePoset(leq_rows, [f"n{i}" for i in range(k)])
-    mul = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            v = lat.join(i, j)
-            if v is None:
-                # Guaranteed to exist when m is near sup-complete; refuse otherwise.
-                raise HypothesisNotMet("N(M) is not a join semilattice for this carrier")
-            row.append(v)
-        mul.append(row)
+    lat = FinitePoset.from_up_masks(pointwise_order(p, maps), [f"n{i}" for i in range(k)])
+    mul = lat.join_table
+    if any(None in row for row in mul):
+        # Guaranteed to exist when m is near sup-complete; refuse otherwise.
+        raise HypothesisNotMet("N(M) is not a join semilattice for this carrier")
     magma = OrderedMagma(lat, mul, name=f"N({m.name})" if m.name else "N(M)")
     # The lattice join must agree with the common-fixed-point join formula;
     # the join table is symmetric, so each unordered pair is compared once.
@@ -819,6 +825,22 @@ def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
                         f"formula, {maps[mul[i][j]].table} by the table"
                     )
     return NucleusLattice(m, maps, magma)
+
+
+def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
+    """above[i] = mask of the j with maps[i] <= maps[j] pointwise.
+
+    Each map packs into two n*n-bit ints, U(s) = sum of up[s(x)] << xn and
+    P(t) = sum of 1 << (xn + t(x)); then s <= t iff P(t) & ~U(s) == 0, one
+    big-int operation per pair.
+    """
+    n, up = p.n, p.up
+    points = [sum(1 << (x * n + tx) for x, tx in enumerate(t.table)) for t in maps]
+    above = []
+    for s in maps:
+        outside = ~sum(up[sx] << (x * n) for x, sx in enumerate(s.table))
+        above.append(sum(1 << j for j, pt in enumerate(points) if not pt & outside))
+    return above
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
@@ -27,6 +28,15 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def transpose(rows: Sequence[int], n: int) -> list:
+    """The transposed relation: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * n
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,19 +87,11 @@ class FinitePoset:
             up.append(mask)
         self.n = n
         self.up = tuple(up)
-        self.down = tuple(self._transpose(up, n))
+        self.down = tuple(transpose(up, n))
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise StructureError("labels length does not match carrier size")
         self._validate()
-
-    @staticmethod
-    def _transpose(up: Sequence[int], n: int):
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        return down
 
     def _validate(self):
         n, up = self.n, self.up
@@ -218,11 +220,35 @@ class FinitePoset:
     def inf(self, xs: Iterable[int]) -> Optional[int]:
         return self.inf_mask(self.mask_of(xs))
 
+    def is_least(self, w: int, mask: int) -> bool:
+        """Whether w is the least element of the subset mask."""
+        return bool(mask >> w & 1) and not mask & ~self.up[w]
+
     def join(self, i: int, j: int) -> Optional[int]:
-        return self.least_of(self.up[i] & self.up[j])
+        return self.join_table[i][j]
 
     def meet(self, i: int, j: int) -> Optional[int]:
-        return self.greatest_of(self.down[i] & self.down[j])
+        return self.meet_table[i][j]
+
+    @cached_property
+    def join_table(self) -> tuple:
+        """join_table[i][j] is the join of i and j, or None; built once per poset."""
+        up = self.up
+        return self._symmetric_table(lambda i, j: self.least_of(up[i] & up[j]))
+
+    @cached_property
+    def meet_table(self) -> tuple:
+        """meet_table[i][j] is the meet of i and j, or None; built once per poset."""
+        down = self.down
+        return self._symmetric_table(lambda i, j: self.greatest_of(down[i] & down[j]))
+
+    def _symmetric_table(self, entry) -> tuple:
+        n = self.n
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = entry(i, j)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def bottom(self) -> Optional[int]:
@@ -284,9 +310,9 @@ class FinitePoset:
 
     @cached_property
     def flags(self) -> PosetFlags:
-        n = self.n
-        join_semi = all(self.join(i, j) is not None for i in range(n) for j in range(i, n))
-        meet_semi = all(self.meet(i, j) is not None for i in range(n) for j in range(i, n))
+        n, joins = self.n, self.join_table
+        join_semi = all(None not in row for row in joins)
+        meet_semi = all(None not in row for row in self.meet_table)
         has_top = self.top is not None
         has_bottom = self.bottom is not None
         # On finite carriers every nonempty subset is finite, so pairwise joins
@@ -295,13 +321,18 @@ class FinitePoset:
         near_sup = join_semi and (has_top or n == 0)
         complete = near_sup and has_bottom
         bounded_complete = all(
-            self.join(i, j) is not None
+            joins[i][j] is not None
             for i in range(n)
             for j in range(i, n)
             if self.up[i] & self.up[j]
         )
         if n <= EXHAUSTIVE_CAP:
-            self._cross_validate_flags(complete, near_sup, bounded_complete)
+            scan = self._flag_scan()
+            if scan != (complete, near_sup, bounded_complete):
+                raise InternalCheckError(
+                    "pairwise and exhaustive poset classification disagree: "
+                    f"pair={(complete, near_sup, bounded_complete)} scan={scan}"
+                )
         return PosetFlags(
             complete=complete,
             near_sup_complete=near_sup,
@@ -316,25 +347,20 @@ class FinitePoset:
             algebraic=True,
         )
 
-    def _cross_validate_flags(self, complete, near_sup, bounded_complete):
-        """Exhaustive subset scan against the pairwise answers."""
+    def _flag_scan(self) -> tuple:
+        """(complete, near sup-complete, bounded complete) decided by one walk
+        over every subset, independently of the pairwise joins."""
         scan_complete = True
         scan_near = True
         scan_bc = True
-        for mask in range(1 << self.n):
-            has_sup = self.sup_mask(mask) is not None
-            if not has_sup:
+        for mask, ub, _ in subset_walk(self):
+            if self.least_of(ub) is None:
                 scan_complete = False
                 if mask:
                     scan_near = False
-                    if self.upper_bounds(mask):
+                    if ub:
                         scan_bc = False
-        if (scan_complete, scan_near, scan_bc) != (complete, near_sup, bounded_complete):
-            raise InternalCheckError(
-                "pairwise and exhaustive poset classification disagree: "
-                f"pair={(complete, near_sup, bounded_complete)} "
-                f"scan={(scan_complete, scan_near, scan_bc)}"
-            )
+        return scan_complete, scan_near, scan_bc
 
     # -- misc ----------------------------------------------------------------
 
@@ -346,6 +372,30 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset(n={self.n})"
+
+
+def subset_walk(p: FinitePoset, cols: Optional[Sequence[tuple]] = None, start: tuple = ()):
+    """Every subset X of p, depth first, each reached from X minus its largest
+    element; yields (X, ub, images) with ub the upper-bound mask of X.
+
+    For maps f_1..f_k, pass cols[x] = (up-set of f_1(x), ..., up-set of
+    f_k(x)) and start = (universe of f_1's target, ...): then images[i] is
+    the upper-bound mask of f_i(X), carried as ub is, by one AND per step.
+    The stack holds |X| + 1 frames, and no list of the 2**n subsets is built.
+    """
+    n, up = p.n, p.up
+    if cols is None:
+        cols = [()] * n
+    root = (0, p.universe, list(start))
+    yield root
+    stack = [(*root, 0)]
+    while stack:
+        mask, ub, images, x = stack.pop()
+        if x < n:
+            stack.append((mask, ub, images, x + 1))
+            child = (mask | 1 << x, ub & up[x], list(map(and_, images, cols[x])))
+            yield child
+            stack.append((*child, x + 1))
 
 
 def ub_scan_sup(p: FinitePoset, xs: Iterable[int]) -> Optional[int]:

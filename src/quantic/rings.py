@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
-from .magma import OrderedMagma
+from .magma import OrderedMagma, row_getters
 from .nucleus import MonotoneMap, closure_from_preclosure, is_nucleus
 from .poset import FinitePoset, bits
 
@@ -42,15 +42,17 @@ class FiniteRing:
             for y in range(n):
                 if add[x][y] != add[y][x] or mul[x][y] != mul[y][x]:
                     raise StructureError("ring is not commutative")
-        for x in range(n):
+        # Each law for every z at once, as a row: (x+y)+z against x+(y+z) is
+        # add[x+y] against add[y] read through add[x], and likewise below.
+        plus, times = row_getters(add), row_getters(mul)
+        for ax, mx, by_x in zip(add, mul, times):
             for y in range(n):
-                for z in range(n):
-                    if add[add[x][y]][z] != add[x][add[y][z]]:
-                        raise StructureError("addition not associative")
-                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                        raise StructureError("multiplication not associative")
-                    if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
-                        raise StructureError("distributivity fails")
+                if add[ax[y]] != plus[y](ax):
+                    raise StructureError("addition not associative")
+                if mul[mx[y]] != times[y](mx):
+                    raise StructureError("multiplication not associative")
+                if plus[y](mx) != by_x(add[mx[y]]):
+                    raise StructureError("distributivity fails")
 
     def _negatives(self):
         neg = [None] * self.n
@@ -182,27 +184,23 @@ class RingIdealLattice:
 
 
 def _additive_span(ring: FiniteRing, gens_mask: int) -> int:
+    """The additive subgroup generated by gens_mask, one generator at a time:
+    span + <g> is the union of the translates of span by 0, g, 2g, ... up to
+    the first multiple of g already in span."""
+    add = ring.add
+    members = [ring.zero]
     span = 1 << ring.zero
-    frontier = [ring.zero]
-    members = {ring.zero}
     for g in bits(gens_mask):
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
-    changed = True
-    while changed:
-        changed = False
-        cur = list(members)
-        for x in cur:
-            for y in cur:
-                s = ring.add[x][y]
-                if s not in members:
-                    members.add(s)
-                    changed = True
-    out = 0
-    for x in members:
-        out |= 1 << x
-    return out
+        if span >> g & 1:
+            continue
+        base, shift = list(members), g
+        while not span >> shift & 1:
+            coset = [add[x][shift] for x in base]
+            members.extend(coset)
+            for x in coset:
+                span |= 1 << x
+            shift = add[shift][g]
+    return span
 
 
 def _ideal_generated(ring: FiniteRing, gens_mask: int) -> int:
@@ -217,26 +215,24 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     """All ideals by closing (0) under one-generator extensions; the lattice is
     a multiplicative lattice with unit the whole ring and annihilator the zero
     ideal."""
+    # The ideal generated by base and x is base + Rx, so each ideal is
+    # extended by the distinct principal ideals only.
+    principal = [_ideal_generated(ring, 1 << x) for x in range(ring.n)]
     zero_ideal = 1 << ring.zero
     found = {zero_ideal}
     frontier = [zero_ideal]
     while frontier:
         base = frontier.pop()
-        for x in range(ring.n):
-            if (base >> x) & 1:
-                continue
-            grown = _ideal_generated(ring, base | (1 << x))
-            if grown not in found:
-                found.add(grown)
-                frontier.append(grown)
+        for rx in set(principal):
+            if rx & ~base:
+                grown = _additive_span(ring, base | rx)
+                if grown not in found:
+                    found.add(grown)
+                    frontier.append(grown)
     ideals = tuple(sorted(found))
     index = {m: i for i, m in enumerate(ideals)}
-    k = len(ideals)
     leq_rows = [[(a & ~b) == 0 for b in ideals] for a in ideals]
-    labels = []
-    for m in ideals:
-        gens = _minimal_generating_label(ring, m)
-        labels.append(gens)
+    labels = [_minimal_generating_label(ring, principal, m) for m in ideals]
     poset = FinitePoset(leq_rows, labels)
     mul = []
     for a in ideals:
@@ -256,10 +252,10 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     return RingIdealLattice(ring, ideals, magma, index)
 
 
-def _minimal_generating_label(ring: FiniteRing, mask: int) -> str:
+def _minimal_generating_label(ring: FiniteRing, principal: list, mask: int) -> str:
     members = list(bits(mask))
     for g in members:
-        if _ideal_generated(ring, 1 << g) == mask:
+        if principal[g] == mask:
             return f"({ring.element_names[g]})"
     return "(" + ",".join(ring.element_names[x] for x in members if x != ring.zero) + ")"
 

@@ -186,6 +186,37 @@ class TestRings:
         with pytest.raises(StructureError):
             FiniteRing([[0, 1], [1, 0]], [[0, 0], [1, 0]], 0, 1)
 
+    @pytest.mark.parametrize(
+        "add, mul, message",
+        [
+            (
+                [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
+                [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+                "addition not associative",
+            ),
+            (
+                [[(i + j) % 4 for j in range(4)] for i in range(4)],
+                [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 0]],
+                "multiplication not associative",
+            ),
+            (
+                [[(i + j) % 3 for j in range(3)] for i in range(3)],
+                [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+                "distributivity fails",
+            ),
+            (
+                [[(i + j) % 3 for j in range(3)] for i in range(3)],
+                [[0, 0, 0], [0, 1, 2], [1, 2, 1]],
+                "not commutative",
+            ),
+        ],
+        ids=["additive-associativity", "multiplicative-associativity", "distributivity",
+             "commutativity"],
+    )
+    def test_each_ring_law_is_checked(self, add, mul, message):
+        with pytest.raises(StructureError, match=message):
+            FiniteRing(add, mul, 0, 1)
+
     def test_radical_examples(self, rings):
         rad4 = radical_operation(rings["z4"])
         assert rad4.table == (1, 1, 2)
