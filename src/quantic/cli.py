@@ -8,6 +8,7 @@ deterministic text or JSON to stdout, and exits 1 when a hypothesis fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -374,7 +375,9 @@ def cmd_verify_all(args) -> int:
 # -- wiring -------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     top = argparse.ArgumentParser(prog="quantic", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -385,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     mk.add_argument("--group", help="Z1, Z2, Z3, Z4, V4")
     mk.add_argument("--magma", help="base magma document for powerset")
     mk.add_argument("--drop-empty", action="store_true")
-    mk.set_defaults(fn=cmd_make)
 
     def with_json(p):
         p.add_argument("--json", action="store_true")
@@ -393,63 +395,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = with_json(sub.add_parser("classify", help="full classification profile"))
     c.add_argument("file")
-    c.set_defaults(fn=cmd_classify)
 
     n = with_json(sub.add_parser("nuclei", help="enumerate all nuclei"))
     n.add_argument("file")
-    n.set_defaults(fn=cmd_nuclei)
 
     nl = with_json(sub.add_parser("nucleus-lattice", help="N(M) as a lattice"))
     nl.add_argument("file")
     nl.add_argument("--dot", action="store_true", help="emit the Hasse diagram")
-    nl.set_defaults(fn=cmd_nucleus_lattice)
 
     sf = with_json(sub.add_parser("star-f", help="largest finitary nucleus below"))
     sf.add_argument("magma", nargs="?")
     sf.add_argument("nucleus", help="map document, or a shipped name with --carrier")
     sf.add_argument("--carrier", choices=sorted(LAZY_CARRIERS))
-    sf.set_defaults(fn=cmd_star_f)
 
     st = with_json(sub.add_parser("stable", help="coarsest stable nucleus below"))
     st.add_argument("magma")
     st.add_argument("nucleus")
-    st.set_defaults(fn=cmd_stable)
 
     vv = with_json(sub.add_parser("v", help="divisorial closure of an element"))
     vv.add_argument("magma")
     vv.add_argument("element", type=int)
     vv.add_argument("--strategy", default="all", choices=["lin", "rs", "residual", "units", "all"])
-    vv.set_defaults(fn=cmd_v)
 
     si = with_json(sub.add_parser("simple", help="simplicity via three routes"))
     si.add_argument("file")
-    si.set_defaults(fn=cmd_simple)
 
     di = sub.add_parser("idl", help="ideal completion document")
     di.add_argument("file")
-    di.set_defaults(fn=cmd_idl)
 
     rt = with_json(sub.add_parser("roundtrip", help="representation round trips"))
     rt.add_argument("file")
-    rt.set_defaults(fn=cmd_roundtrip)
 
     tw = with_json(sub.add_parser("tower", help="iterated nucleus lattices"))
     tw.add_argument("file")
     tw.add_argument("--depth", type=int, default=2)
-    tw.set_defaults(fn=cmd_tower)
 
     va = with_json(sub.add_parser("verify-all", help="proposition-keyed verification matrix"))
     va.add_argument("file")
-    va.set_defaults(fn=cmd_verify_all)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The shared parser names the command; its function is looked up at call
+    # time, so a replaced cmd_* function is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (StructureError,) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return MALFORMED_EXIT

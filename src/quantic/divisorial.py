@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import HypothesisNotMet, InternalCheckError
-from .magma import OrderedMagma, distinguished_sets, is_cyclic_element, residual
+from .magma import (
+    OrderedMagma,
+    distinguished_sets,
+    generated_monoid,
+    is_cyclic_element,
+    residual,
+)
 from .nucleus import (
     MonotoneMap,
     _on_carrier,
@@ -48,24 +54,16 @@ def is_cyclic(m: OrderedMagma, a: int) -> CyclicityReport:
 
 
 def lin_monoid(m: OrderedMagma, cap: int = 100_000) -> List[tuple]:
-    """The monoid generated by left and right translations, saturated to a fixpoint."""
-    n = m.n
-    identity = tuple(range(n))
-    gens = m.translations()
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                h = tuple(g[f[x]] for x in range(n))
-                if h not in seen:
-                    seen.add(h)
-                    new.append(h)
-                    if len(seen) > cap:
-                        raise InternalCheckError("translation monoid saturation blew the cap")
-        frontier = new
-    return sorted(seen)
+    """The monoid generated by left and right translations, saturated to a
+    fixpoint; built once per carrier object, every call returns a fresh list."""
+    monoid = _on_carrier(m, ("lin",), _translation_monoid, cap)
+    if len(monoid) > cap:
+        raise InternalCheckError("translation monoid saturation blew the cap")
+    return list(monoid)
+
+
+def _translation_monoid(m: OrderedMagma, cap: int) -> Tuple[tuple, ...]:
+    return tuple(sorted(generated_monoid(m.n, m.translations(), cap)))
 
 
 def v_lin(q: OrderedMagma, a: int) -> MonotoneMap:

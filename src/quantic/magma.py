@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, StructureError
@@ -279,11 +279,31 @@ class OrderedMagma:
 def row_getters(rows: Sequence[Sequence[int]]) -> list:
     """get[y](row) == tuple(row[z] for z in rows[y]), in one C call: a table
     composed with another one row at a time."""
-    out = []
-    for r in rows:
-        get = itemgetter(*r)
-        out.append(get if len(r) > 1 else lambda seq, get=get: (get(seq),))
-    return out
+    return [
+        itemgetter(*r) if len(r) > 1 else lambda seq, r=tuple(r): tuple(seq[z] for z in r)
+        for r in rows
+    ]
+
+
+def generated_monoid(n: int, gens: Sequence[tuple], cap: Optional[int] = None) -> set:
+    """The self-maps of range(n) generated by gens under composition, saturated
+    to a fixpoint.  Each frontier map f reads every generator g through one
+    row getter, giving h = g o f; more than cap maps is an internal error."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for through in row_getters(frontier):
+            for g in gens:
+                h = through(g)
+                if h not in seen:
+                    seen.add(h)
+                    new.append(h)
+                    if cap is not None and len(seen) > cap:
+                        raise InternalCheckError("monoid saturation blew the cap")
+        frontier = new
+    return seen
 
 
 def residual(m: OrderedMagma, x: int, a: int) -> Residual:
@@ -327,18 +347,18 @@ def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
 
 
 def _distributes_over_finite_nonempty(m: OrderedMagma) -> bool:
-    """Multiplicative-semilattice law a(x v y) = ax v ay, (x v y)a = xa v ya."""
+    """Multiplicative-semilattice law a(x v y) = ax v ay, (x v y)a = xa v ya,
+    for every a at once: row (column) x v y against the joins of rows
+    (columns) x and y, read through the join table."""
     p = m.poset
     if not p.flags.join_semilattice:
         return False
-    for a in range(m.n):
-        row = m.mul[a]
-        for x in range(m.n):
+    join = p.join_table
+    for lines in ([list(row) for row in m.mul], [list(col) for col in zip(*m.mul)]):
+        for x, line in enumerate(lines):
+            joins_with = [join[u] for u in line]
             for y in range(x, m.n):
-                j = p.join(x, y)
-                if row[j] != p.join(row[x], row[y]):
-                    return False
-                if m.op(j, a) != p.join(m.op(x, a), m.op(y, a)):
+                if lines[join[x][y]] != list(map(getitem, joins_with, lines[y])):
                     return False
     return True
 

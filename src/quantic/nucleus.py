@@ -141,11 +141,20 @@ def _closure_single_axiom(p: FinitePoset, t: Sequence[int]) -> bool:
 
 
 def _preimages(p: FinitePoset, t: Sequence[int]) -> list:
-    """pre[u] = {z : u <= t[z]} as a mask, for every element u."""
+    """pre[u] = {z : u <= t[z]} as a mask, for every element u.
+
+    One nucleus decision reads the masks of its table twice, in the closure
+    single axiom and in the unital forms, so the last masks built stay on the
+    poset; callers only read them.
+    """
+    last = p.__dict__.get("_last_preimages")
+    if last is not None and last[0] == t:
+        return last[1]
     pre = [0] * p.n
     for z, tz in enumerate(t):
         for u in bits(p.down[tz]):
             pre[u] |= 1 << z
+    p._last_preimages = (t, pre)
     return pre
 
 
@@ -161,7 +170,7 @@ def _mult_compat(m: OrderedMagma, s: MonotoneMap) -> bool:
 
 def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bool]:
     """The three equivalent conditions, each including the closure premise."""
-    up, mul, t = m.poset.up, m.mul, s.table
+    mul, t = m.mul, s.table
     closed = is_closure(s)
     c1 = closed and _mult_compat(m, s)
     # (x* y*)* == (xy)*, one row of y at a time.
@@ -169,12 +178,18 @@ def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bo
         [t[mul[tx][ty]] for ty in t] == [t[xy] for xy in mul[x]]
         for x, tx in enumerate(t)
     )
-    c3 = closed and all(
-        up[mul[x][ty]] >> t[mul[x][y]] & 1 and up[mul[tx][y]] >> t[mul[x][y]] & 1
-        for x, tx in enumerate(t)
-        for y, ty in enumerate(t)
-    )
+    c3 = closed and _one_sided_compat(m, t)
     return c1, c2, c3
+
+
+def _one_sided_compat(m: OrderedMagma, t: Sequence[int]) -> bool:
+    """x y* <= (xy)* and x* y <= (xy)* for all x, y."""
+    up, mul = m.poset.up, m.mul
+    return all(
+        up[mul[x][ty]] >> t[xy] & 1 and up[mul[tx][y]] >> t[xy] & 1
+        for x, tx in enumerate(t)
+        for y, (ty, xy) in enumerate(zip(t, mul[x]))
+    )
 
 
 def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
@@ -299,13 +314,7 @@ def closure_from_preclosure(s: MonotoneMap) -> MonotoneMap:
     if isinstance(s.carrier, OrderedMagma):
         m = s.carrier
         if m.profile.near_residuated:
-            t = s.table
-            mult_ok = all(
-                p.leq(m.op(x, t[y]), t[m.op(x, y)]) and p.leq(m.op(t[x], y), t[m.op(x, y)])
-                for x in range(m.n)
-                for y in range(m.n)
-            )
-            if mult_ok and not is_nucleus(m, star):
+            if _one_sided_compat(m, s.table) and not is_nucleus(m, star):
                 raise InternalCheckError("multiplicative preclosure hull failed nucleus check")
     return star
 
@@ -811,20 +820,50 @@ def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
         raise HypothesisNotMet("N(M) is not a join semilattice for this carrier")
     magma = OrderedMagma(lat, mul, name=f"N({m.name})" if m.name else "N(M)")
     # The lattice join must agree with the common-fixed-point join formula;
-    # the join table is symmetric, so each unordered pair is compared once.
-    if m.profile.near_prequantale or (
-        m.profile.bounded_complete and m.profile.near_residuated and p.top is not None
-    ):
+    # both tables are symmetric, so each unordered pair is compared once.
+    if join_formula_applies(m):
+        joins = nuclei_join_table(m)
         for i in range(k):
             for j in range(i, k):
-                joined = nuclei_join(m, [maps[i], maps[j]])
-                if joined.table != maps[mul[i][j]].table:
+                if joins[i][j] != mul[i][j]:
                     raise InternalCheckError(
                         f"N(M) join table disagrees with the join formula on {_label(m)}: "
-                        f"{maps[i].table} v {maps[j].table} is {joined.table} by the "
-                        f"formula, {maps[mul[i][j]].table} by the table"
+                        f"{maps[i].table} v {maps[j].table} is {maps[joins[i][j]].table} by "
+                        f"the formula, {maps[mul[i][j]].table} by the table"
                     )
     return NucleusLattice(m, maps, magma)
+
+
+def join_formula_applies(m: OrderedMagma) -> bool:
+    """Whether nuclei_join answers for every pair of nuclei without a bound: on
+    a near prequantale, or a bounded-complete near-residuated carrier with a top."""
+    prof = m.profile
+    return prof.near_prequantale or (
+        prof.bounded_complete and prof.near_residuated and m.poset.top is not None
+    )
+
+
+def nuclei_join_table(m: OrderedMagma) -> list:
+    """joins[i][j] is the position in enumerate_nuclei(m) of the join of nuclei
+    i and j, by the join formula (nuclei_join) run once per unordered pair;
+    built once per carrier object, and read, never changed, by its callers."""
+    return _on_carrier(m, ("joins",), _build_join_table)
+
+
+def _build_join_table(m: OrderedMagma) -> list:
+    maps = enumerate_nuclei(m)
+    index = {s.table: i for i, s in enumerate(maps)}
+    joins = [[0] * len(maps) for _ in maps]
+    for i, s in enumerate(maps):
+        for j in range(i, len(maps)):
+            joined = nuclei_join(m, [s, maps[j]]).table
+            if joined not in index:
+                raise InternalCheckError(
+                    f"join of nuclei on {_label(m)} is not an enumerated nucleus: "
+                    f"{s.table} v {maps[j].table} is {joined}"
+                )
+            joins[i][j] = joins[j][i] = index[joined]
+    return joins
 
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
@@ -918,10 +957,28 @@ def composition_join_check(
 ) -> CompositionJoinVerdict:
     """Certify s1 v s2 as an n-fold alternating composition when one order of
     alternation is coarser than the other; bound exhaustion is not a refutation."""
+    found = certified_composition(m, s1, s2, bound)
+    if found is None:
+        return CompositionJoinVerdict(False, None, None, None)
+    n, cand = found
+    try:
+        matches = nuclei_join(m, [s1, s2]).table == cand.table
+    except HypothesisNotMet:
+        matches = None
+    if matches is False:
+        raise InternalCheckError("certified composition disagrees with the join")
+    return CompositionJoinVerdict(True, n, cand, matches)
+
+
+def certified_composition(
+    m: OrderedMagma, s1: MonotoneMap, s2: MonotoneMap, bound: int
+) -> Optional[Tuple[int, MonotoneMap]]:
+    """The least n <= bound at which one order of the n-fold alternating
+    composition of s1 and s2 is coarser than the other, with that composition
+    (a nucleus); None when the bound runs out."""
     for s in (s1, s2):
         if not is_nucleus(m, s):
             raise HypothesisNotMet("composition_join_check requires nuclei")
-    p = m.poset
 
     def alternating(first: MonotoneMap, second: MonotoneMap, n: int) -> MonotoneMap:
         # n-fold composition applying `first` first: ... o second o first
@@ -941,12 +998,5 @@ def composition_join_check(
         if cand is not None:
             if not is_nucleus(m, cand):
                 raise InternalCheckError("certified composition is not a nucleus")
-            matches = None
-            try:
-                matches = nuclei_join(m, [s1, s2]).table == cand.table
-            except HypothesisNotMet:
-                matches = None
-            if matches is False:
-                raise InternalCheckError("certified composition disagrees with the join")
-            return CompositionJoinVerdict(True, n, cand, matches)
-    return CompositionJoinVerdict(False, None, None, None)
+            return n, cand
+    return None

@@ -35,19 +35,22 @@ from .magma import (
     OrderedMagma,
     adjoin_annihilator,
     distinguished_sets,
+    generated_monoid,
     is_sup_spanning,
 )
 from .nucleus import (
     ENUMERATION_CAP,
     MonotoneMap,
-    composition_join_check,
+    _on_carrier,
+    certified_composition,
     closure_from_preclosure,
     d_map,
     enumerate_closures,
     enumerate_nuclei,
     is_closure,
     is_nucleus,
-    nuclei_join,
+    join_formula_applies,
+    nuclei_join_table,
     nuclei_meet,
     nucleus_lattice,
     nucleus_of_morphism,
@@ -98,11 +101,15 @@ def _small(m: OrderedMagma, cap: int = ENUMERATION_CAP) -> bool:
     return m.n <= cap
 
 
-def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS):
+def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
     rng = random.Random(SEED + m.n)
     n = m.n
-    for _ in range(k):
-        yield MonotoneMap(m, tuple(rng.randrange(n) for _ in range(n)))
+    return tuple(MonotoneMap(m, tuple(rng.randrange(n) for _ in range(n))) for _ in range(k))
+
+
+def _sample_maps(m: OrderedMagma) -> tuple:
+    """The seeded sample of closureprop1 and closureprop1a, drawn once per carrier object."""
+    return _on_carrier(m, ("sample",), _random_maps)
 
 
 @register("closureprop1")
@@ -112,7 +119,7 @@ def _check_closureprop1(m: OrderedMagma):
     if not _small(m):
         return _skip("carrier too large")
     try:
-        for s in _random_maps(m):
+        for s in _sample_maps(m):
             is_nucleus(m, s)
         for s in enumerate_closures(m):
             is_nucleus(m, s)
@@ -128,7 +135,7 @@ def _check_closureprop1a(m: OrderedMagma):
     if not _small(m):
         return _skip("carrier too large")
     try:
-        for s in _random_maps(m):
+        for s in _sample_maps(m):
             is_nucleus(m, s)
     except InternalCheckError as exc:
         return _fail(str(exc))
@@ -262,13 +269,10 @@ def _check_preclosurelemma(m: OrderedMagma):
         return _skip("needs a bounded-above small carrier")
     p = m.poset
     rng = random.Random(SEED)
+    ups = [list(bits(up)) for up in p.up]
     produced = 0
     for _ in range(200):
-        table = []
-        for x in range(m.n):
-            ups = list(bits(p.up[x]))
-            table.append(rng.choice(ups))
-        s = MonotoneMap(m, table)
+        s = MonotoneMap(m, [rng.choice(above) for above in ups])
         if not s.is_order_preserving:
             continue
         produced += 1
@@ -286,13 +290,14 @@ def _check_preclosurelemma(m: OrderedMagma):
 def _check_cmc(m: OrderedMagma):
     if not _small(m):
         return _skip("carrier too large")
-    prof = m.profile
     try:
         maps = enumerate_nuclei(m)
     except CarrierTooLarge:
         return _skip("carrier too large")
-    # below[i]: the nuclei below maps[i], as a mask over the enumeration.
-    below = transpose(pointwise_order(m.poset, maps), len(maps))
+    # above[i] / below[i]: the nuclei above / below maps[i], as masks over
+    # the enumeration.
+    above = pointwise_order(m.poset, maps)
+    below = transpose(above, len(maps))
     index = {s.table: i for i, s in enumerate(maps)}
     try:
         for i, s in enumerate(maps):
@@ -304,14 +309,15 @@ def _check_cmc(m: OrderedMagma):
                     return _fail("pointwise meet is not an enumerated nucleus")
                 if below[i] & below[j] & ~below[index[met.table]]:
                     return _fail("pointwise meet is not the N(M) meet")
-        if prof.near_prequantale or (
-            prof.bounded_complete and prof.near_residuated and m.poset.top is not None
-        ):
-            # nuclei_join raises unless the join image is the intersection
-            # of the fixed points.
-            for i, s in enumerate(maps):
-                for t in maps[i:]:
-                    nuclei_join(m, [s, t])
+        if join_formula_applies(m):
+            # The join formula raises unless the join image is the
+            # intersection of the fixed points; its join must be the N(M) join.
+            joins = nuclei_join_table(m)
+            for i in range(len(maps)):
+                for j in range(i, len(maps)):
+                    bounds = above[i] & above[j]
+                    if not bounds >> joins[i][j] & 1 or bounds & ~above[joins[i][j]]:
+                        return _fail("join formula is not the N(M) join")
     except (InternalCheckError, HypothesisNotMet) as exc:
         return _fail(str(exc))
     return _ok(f"{len(maps)} nuclei")
@@ -333,16 +339,17 @@ def _check_complemmacor(m: OrderedMagma):
     if not _small(m):
         return _skip("carrier too large")
     maps = enumerate_nuclei(m)
+    joins = nuclei_join_table(m) if join_formula_applies(m) else None
     certified = 0
     # Swapping s and t swaps the two alternating compositions the check
     # compares, so (s, t) and (t, s) share one verdict and s != t counts twice.
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
-            verdict = composition_join_check(m, s, maps[j], bound=6)
-            if verdict.certified:
+            found = certified_composition(m, s, maps[j], bound=6)
+            if found is not None:
                 certified += 1 if i == j else 2
-                if verdict.matches_join is False:
-                    return _fail("certified composition join mismatch")
+                if joins is not None and found[1].table != maps[joins[i][j]].table:
+                    return _fail("certified composition disagrees with the join")
     return _ok(f"{certified} certified pairs")
 
 
@@ -452,23 +459,13 @@ def _check_nf(m: OrderedMagma):
         return _skip("needs a small near prequantale")
     p = m.poset
     maps = enumerate_nuclei(m)
+    joins = nuclei_join_table(m)
     for i, s in enumerate(maps):
-        for t in maps[i:]:
-            joined = nuclei_join(m, [s, t])
-            monoid = {tuple(range(m.n))}
-            frontier = [tuple(range(m.n))]
-            while frontier:
-                nxt = []
-                for f in frontier:
-                    for g in (s.table, t.table):
-                        h = tuple(g[f[x]] for x in range(m.n))
-                        if h not in monoid:
-                            monoid.add(h)
-                            nxt.append(h)
-                frontier = nxt
+        for j in range(i, len(maps)):
+            joined = maps[joins[i][j]].table
+            monoid = generated_monoid(m.n, (s.table, maps[j].table))
             for x in range(m.n):
-                orbit = [f[x] for f in monoid]
-                if p.sup(orbit) != joined.table[x]:
+                if p.sup([f[x] for f in monoid]) != joined[x]:
                     return _fail("composition-monoid supremum misses the join")
     return _ok()
 

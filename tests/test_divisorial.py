@@ -65,6 +65,25 @@ class TestDivisorialClosure:
         assert set(fns) == sandwiches
 
 
+    def test_translation_monoid_is_built_once_per_carrier(self, monkeypatch):
+        from quantic import divisorial
+        from quantic.rings import FiniteRing, ring_ideal_lattice
+
+        m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
+        built, build = [], divisorial._translation_monoid
+        monkeypatch.setattr(
+            divisorial, "_translation_monoid", lambda q, cap: built.append(q) or build(q, cap)
+        )
+        for a in range(m.n):
+            v(m, a, strategy="all")
+        assert built == [m]
+        first = lin_monoid(m)
+        expected = list(first)
+        first.reverse()
+        first.append(tuple(range(m.n)))
+        assert lin_monoid(m) == expected == sorted(expected) and built == [m]
+
+
 class TestDecomposition:
     def test_identity_decomposes(self, z4):
         m = z4.magma

@@ -183,8 +183,17 @@ class TestRings:
         assert lat.magma.n == 4 and all(p.leq(i, j) or p.leq(j, i) for i in range(4) for j in range(4))
 
     def test_noncommutative_rejected(self):
-        with pytest.raises(StructureError):
-            FiniteRing([[0, 1], [1, 0]], [[0, 0], [1, 0]], 0, 1)
+        # Upper-triangular 2x2 matrices over F_2, element (a, b, d) at index
+        # 4a + 2b + d: a ring with one, commutative only in its addition.
+        elems = [(a, b, d) for a in (0, 1) for b in (0, 1) for d in (0, 1)]
+        index = {e: i for i, e in enumerate(elems)}
+        add = [[index[tuple(u ^ w for u, w in zip(x, y))] for y in elems] for x in elems]
+        mul = [
+            [index[(x[0] & y[0], (x[0] & y[1]) ^ (x[1] & y[2]), x[2] & y[2])] for y in elems]
+            for x in elems
+        ]
+        with pytest.raises(StructureError, match="not commutative"):
+            FiniteRing(add, mul, index[(0, 0, 0)], index[(1, 0, 1)])
 
     @pytest.mark.parametrize(
         "add, mul, message",

@@ -1,9 +1,9 @@
-"""The mask kernels of the proof obligations against the loops they replaced.
+"""The mask and row kernels of the proof obligations against the loops they replaced.
 
-Each oracle below is the per-triple or per-subset loop that decided the
-obligation before it was decided over whole bitmasks.  The kernels must give
-the same answer on every input, closures or not, on the carriers below and on
-random ordered magmas.
+Each oracle below is the per-triple, per-subset or per-map loop that decided
+the obligation before it was decided over whole bitmasks or table rows.  The
+kernels must give the same answer on every input, closures or not, on the
+carriers below and on random ordered magmas.
 """
 
 from itertools import product
@@ -13,8 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quantic import nucleus
+from quantic.divisorial import lin_monoid
 from quantic.errors import InternalCheckError
-from quantic.magma import MagmaMorphism, OrderedMagma, _translations_preserve_existing_sups
+from quantic.magma import (
+    MagmaMorphism,
+    OrderedMagma,
+    _distributes_over_finite_nonempty,
+    _translations_preserve_existing_sups,
+)
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
 from quantic.poset import FinitePoset, bits
 
@@ -131,6 +137,42 @@ def preserves_sups_loop(f, nonempty_only):
     return True
 
 
+def distributes_loop(m):
+    """The multiplicative-semilattice law, one (a, x, y) triple at a time."""
+    p = m.poset
+    if not p.flags.join_semilattice:
+        return False
+    for a in range(m.n):
+        row = m.mul[a]
+        for x in range(m.n):
+            for y in range(x, m.n):
+                j = p.join(x, y)
+                if row[j] != p.join(row[x], row[y]):
+                    return False
+                if m.op(j, a) != p.join(m.op(x, a), m.op(y, a)):
+                    return False
+    return True
+
+
+def lin_monoid_loop(m):
+    """The translation monoid, each composition g o f built element by element."""
+    n = m.n
+    identity = tuple(range(n))
+    gens = m.translations()
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = tuple(g[f[x]] for x in range(n))
+                if h not in seen:
+                    seen.add(h)
+                    new.append(h)
+        frontier = new
+    return sorted(seen)
+
+
 # -- comparison helpers ----------------------------------------------------------------
 
 
@@ -141,6 +183,16 @@ def assert_map_kernels_match(m, t):
     assert (s.is_expansive and s.is_order_preserving and s.is_idempotent) == three_part_loop(p, t)
     assert nucleus._nucleus_conditions(m, s) == nucleus_conditions_loop(m, t), t
     assert nucleus._unital_selfmap_conditions(m, s) == unital_conditions_loop(m, t), t
+
+
+def assert_row_laws_match(m, seen=None):
+    """The row-wise law and the itemgetter monoid against their loops; adds
+    each law answer to seen."""
+    law = _distributes_over_finite_nonempty(m)
+    assert law == distributes_loop(m), (m.name, m.mul)
+    assert lin_monoid(m) == lin_monoid_loop(m), (m.name, m.mul)
+    if seen is not None:
+        seen.add(law)
 
 
 def corestriction_kernel(m, t):
@@ -246,6 +298,27 @@ def test_subset_scans_match_the_loops_on_the_three_element_sweep():
     assert (False, False) in seen["translations"] and (True, True) in seen["translations"]
 
 
+def test_row_laws_match_the_loops(corpus):
+    seen = set()
+    for m in scan_carriers(corpus).values():
+        assert_row_laws_match(m, seen)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("pname", sorted(three_element_posets()))
+def test_row_laws_match_the_loops_on_the_three_element_sweep(pname):
+    # Every 10th magma of the antichain's 19683, every magma of the others.
+    magmas = compatible_magmas(three_element_posets()[pname])
+    if pname == "antichain":
+        magmas = magmas[::10]
+    seen = set()
+    for m in magmas:
+        assert_row_laws_match(m, seen)
+    # Only the chain and the wedge are join semilattices, and on a chain
+    # every order-compatible product distributes over max.
+    assert seen == {"chain": {True}, "wedge": {True, False}}.get(pname, {False})
+
+
 def test_join_and_meet_tables_match_least_of(corpus):
     posets = [m.poset for m in scan_carriers(corpus).values()]
     posets += [p for p in three_element_posets().values()]
@@ -312,6 +385,7 @@ def test_kernels_equal_the_loops_on_random_ordered_magmas(m, data):
     for t in tables:
         assert_map_kernels_match(m, t)
     assert_scans_match(m, tables)
+    assert_row_laws_match(m)
     try:
         m.profile
         enumerate_nuclei(m)

@@ -18,6 +18,7 @@ from quantic.nucleus import (
     is_nucleus,
     is_strict_nucleus,
     nuclei_join,
+    nuclei_join_table,
     nuclei_meet,
     nucleus_lattice,
     nucleus_of_morphism,
@@ -160,10 +161,12 @@ class TestMeetJoin:
         for name in ["ideals-z6", "powerset-z2", "modsys-z2"]:
             m = corpus[name]
             maps = enumerate_nuclei(m)
-            for s in maps:
-                for t in maps:
+            joins = nuclei_join_table(m)
+            for s, row in zip(maps, joins):
+                for t, k in zip(maps, row):
                     j = nuclei_join(m, [s, t])
                     assert j.image_mask() == s.fixed_mask() & t.fixed_mask()
+                    assert maps[k].table == j.table
 
     def test_join_refused_without_hypotheses(self):
         # 2-element antichain with trivial (left-zero) multiplication: no joins.

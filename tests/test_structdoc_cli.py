@@ -197,6 +197,35 @@ class TestCli:
         code, out, _ = run_cli(["nuclei", "-", "--json"], stdin_text=doc)
         assert code == 0 and json.loads(out)["count"] == 3
 
+    def test_main_answers_a_sequence_of_calls_in_one_process(self, tmp_path, z4, capsys):
+        from quantic import cli
+
+        path = tmp_path / "z4.json"
+        path.write_text(to_json(z4.magma))
+        calls = [
+            ["classify", str(path)],
+            ["classify", str(path), "--no-such-flag"],  # an argparse error
+            ["nuclei", str(path), "--json"],
+            ["nuclei", str(path)],
+        ]
+        codes = []
+        for args in calls:
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse rejects its input this way
+                code = exc.code
+            out = capsys.readouterr().out
+            expected_code, expected_out, _ = run_cli(args)
+            assert (code, out) == (expected_code, expected_out), args
+            codes.append(code)
+        # --json stays with its own call: the last one prints text.
+        assert codes == [0, 2, 0, 0] and out.startswith("3 nuclei")
+        assert cli.build_parser() is cli.build_parser()
+        # Importing the CLI builds no parser; the first main call does.
+        probe = "import quantic.cli as c; print(c.build_parser.cache_info().currsize)"
+        fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert fresh.stdout.strip() == "0", fresh.stderr
+
     def test_malformed_input_exits_2(self):
         code, _, err = run_cli(["classify", "-"], stdin_text="{broken")
         assert code == 2 and "malformed" in err

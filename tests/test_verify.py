@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from quantic import cli, divisorial, nucleus
+from quantic import cli, divisorial, nucleus, verify
 from quantic.corpus import standard_corpus
 from quantic.errors import InternalCheckError
 from quantic.nucleus import MonotoneMap
@@ -74,6 +74,36 @@ def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypa
     nuclei = sorted(s.table for s in nucleus.enumerate_nuclei(m))
     assert sorted(s.table for carrier, s in quotients if carrier is m) == nuclei
     assert sorted(a for carrier, a in divisorial_runs if carrier is m) == list(range(m.n))
+
+
+def test_closureprop1_rows_share_the_seeded_sample(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
+    seen = {}
+    for row in ("closureprop1", "closureprop1a"):
+        tables = seen[row] = []
+        monkeypatch.setattr(
+            verify, "is_nucleus",
+            lambda m, s, tables=tables: tables.append(s.table) or nucleus.is_nucleus(m, s),
+        )
+        run_all(m, names=[row])
+    sample = [s.table for s in verify._random_maps(m)]
+    assert len(sample) == verify.SAMPLE_MAPS
+    assert seen["closureprop1a"] == sample == seen["closureprop1"][: len(sample)]
+    assert verify._sample_maps(m) is verify._sample_maps(m)
+
+
+def test_run_all_runs_the_join_formula_once_per_pair_of_nuclei(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
+    calls = []
+    join = nucleus.nuclei_join
+    monkeypatch.setattr(
+        nucleus, "nuclei_join", lambda m, gamma, bound=None: calls.append(1) or join(m, gamma, bound)
+    )
+    results = run_all(m)
+    k = len(nucleus.enumerate_nuclei(m))
+    # CMC, structure2, complemmacor and Nf all read the join, and pass.
+    assert {r.name for r in results if r.status == "pass"} >= {"CMC", "structure2", "complemmacor", "Nf"}
+    assert k > 2 and 0 < len(calls) <= k * (k + 1) // 2
 
 
 def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, tmp_path, capsys):
