@@ -25,10 +25,14 @@ from .errors import (
 from .finitary import is_finitary, star_f
 from .idl import idl, roundtrip_checks
 from .instances import (
-    FiniteMagmaDesc,
+    chain_nucleus,
+    cyclic_group,
+    klein_four,
     module_system_lattice,
     powerset_prequantale,
+    trivial_monoid,
     upsets_quantale,
+    upsets_shipped_maps,
 )
 from .lazy import LazyCarrier, RuleMap
 from .magma import OrderedMagma
@@ -105,8 +109,7 @@ def cmd_make(args) -> int:
         if not args.magma:
             raise StructureError("make powerset needs --magma FILE")
         base = _load_finite_magma(args.magma)
-        desc = FiniteMagmaDesc.from_table(base.poset.labels, base.mul)
-        print(to_json(powerset_prequantale(desc, drop_empty=args.drop_empty).magma))
+        print(to_json(powerset_prequantale(base, drop_empty=args.drop_empty).magma))
         return 0
     if args.what == "upsets":
         print(to_json(upsets_quantale()))
@@ -148,14 +151,14 @@ def _parse_poly_spec(spec: str):
     return p, out, poly
 
 
-def _parse_group(name: str) -> FiniteMagmaDesc:
+def _parse_group(name: str) -> OrderedMagma:
     label = name.strip().upper()
     if label in ("Z1", "1", "TRIVIAL"):
-        return FiniteMagmaDesc.trivial_monoid()
-    if label.startswith("Z") and label[1:].isdigit():
-        return FiniteMagmaDesc.cyclic_group(int(label[1:]))
+        return trivial_monoid()
+    if label.startswith("Z") and label[1:].isdecimal():
+        return cyclic_group(int(label[1:]))
     if label in ("V4", "KLEIN"):
-        return FiniteMagmaDesc.klein_four()
+        return klein_four()
     raise StructureError(f"unknown group {name!r}")
 
 
@@ -267,24 +270,12 @@ def cmd_star_f(args) -> int:
 
 
 def _named_lazy_nucleus(carrier, name: str) -> RuleMap:
-    from .instances import upsets_shipped_maps
-    from .lazy import INF, chain_rule_map
-
-    if carrier.name == "upsets-nat":
-        shipped = upsets_shipped_maps(carrier)
-        if name in shipped:
-            return shipped[name]
-        raise StructureError(f"unknown upsets nucleus {name!r}; try one of {sorted(shipped)}")
     if carrier.name == "chain-omega":
-        if name == "e":
-            return chain_rule_map("e", lambda x: INF)
-        if name == "d":
-            return chain_rule_map("d", lambda x: x)
-        if name.startswith("d"):
-            k = int(name[1:])
-            return chain_rule_map(name, lambda x, k=k: max(x, k))
-        raise StructureError("chain nuclei: d, e, or dK for a natural K")
-    raise StructureError(f"no shipped nuclei for {carrier.name}")
+        return chain_nucleus(name)
+    shipped = upsets_shipped_maps(carrier)
+    if name in shipped:
+        return shipped[name]
+    raise StructureError(f"unknown upsets nucleus {name!r}; try one of {sorted(shipped)}")
 
 
 def cmd_stable(args) -> int:

@@ -6,10 +6,13 @@ from functools import lru_cache
 from typing import Dict
 
 from .instances import (
-    FiniteMagmaDesc,
+    cyclic_group,
     ideal_system_lattice,
+    left_zero,
     module_system_lattice,
+    nonassociative_pair,
     powerset_prequantale,
+    trivial_monoid,
     zchain_with_both_ends,
     zchain_with_top,
 )
@@ -31,15 +34,11 @@ def standard_corpus() -> Dict[str, OrderedMagma]:
     """At least a dozen ordered magmas spanning the classification zoo."""
     diamond = FinitePoset.diamond()
     corpus: Dict[str, OrderedMagma] = {
-        "powerset-z2": powerset_prequantale(FiniteMagmaDesc.cyclic_group(2)).magma,
-        "powerset-z2-ne": powerset_prequantale(
-            FiniteMagmaDesc.cyclic_group(2), drop_empty=True
-        ).magma,
-        "powerset-leftzero": powerset_prequantale(FiniteMagmaDesc.left_zero(2)).magma,
-        "powerset-leftzero-ne": powerset_prequantale(
-            FiniteMagmaDesc.left_zero(2), drop_empty=True
-        ).magma,
-        "powerset-nonassoc": powerset_prequantale(FiniteMagmaDesc.nonassociative_pair()).magma,
+        "powerset-z2": powerset_prequantale(cyclic_group(2)).magma,
+        "powerset-z2-ne": powerset_prequantale(cyclic_group(2), drop_empty=True).magma,
+        "powerset-leftzero": powerset_prequantale(left_zero(2)).magma,
+        "powerset-leftzero-ne": powerset_prequantale(left_zero(2), drop_empty=True).magma,
+        "powerset-nonassoc": powerset_prequantale(nonassociative_pair()).magma,
         "ideals-z2": ring_ideal_lattice(FiniteRing.zmod(2)).magma,
         "ideals-z4": ring_ideal_lattice(FiniteRing.zmod(4)).magma,
         "ideals-z6": ring_ideal_lattice(FiniteRing.zmod(6)).magma,
@@ -52,8 +51,8 @@ def standard_corpus() -> Dict[str, OrderedMagma]:
         "diamond-meet": _lattice_magma(diamond, "meet", "diamond-meet"),
         "chain3-join": _lattice_magma(FinitePoset.chain(3), "join", "chain3-join"),
         "chain4-meet": _lattice_magma(FinitePoset.chain(4), "meet", "chain4-meet"),
-        "modsys-z2": module_system_lattice(FiniteMagmaDesc.cyclic_group(2)).magma,
-        "idealsys-trivial": ideal_system_lattice(FiniteMagmaDesc.trivial_monoid()).magma,
+        "modsys-z2": module_system_lattice(cyclic_group(2)).magma,
+        "idealsys-trivial": ideal_system_lattice(trivial_monoid()).magma,
         "zchain-inf": zchain_with_top(1),
         "zchain-biinf": zchain_with_both_ends(1),
     }

@@ -1,8 +1,8 @@
 """Divisorial closure v(a), its finitary and stable companions, and simplicity.
 
 Every strategy with satisfied hypotheses is computed and the results are
-compared; strategy disagreement is an internal error because the agreement is
-a theorem.
+compared; strategy disagreement is an internal error, naming the carrier and
+its size, because the agreement is a theorem.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import HypothesisNotMet, InternalCheckError
+from .errors import HypothesisNotMet
 from .magma import (
     OrderedMagma,
     distinguished_sets,
@@ -20,12 +20,16 @@ from .magma import (
 )
 from .nucleus import (
     MonotoneMap,
+    _broken,
     _on_carrier,
     enumerate_nuclei,
     is_nucleus,
     nuclei_meet,
 )
 from .finitary import star_f
+
+# More translation-monoid maps than this is an internal error.
+LIN_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -38,32 +42,24 @@ def is_cyclic(m: OrderedMagma, a: int) -> CyclicityReport:
     """xy <= a implies yx <= a, cross-checked via residual symmetry when available."""
     ok, witness = is_cyclic_element(m, a)
     if m.profile.near_residuated:
-        p = m.poset
-        symmetric = True
-        for x in range(m.n):
-            r = residual(m, a, x)
-            if (r.left is None) != (r.right is None) or r.left != r.right:
-                symmetric = False
-                break
+        symmetric = all(r.left == r.right for r in (residual(m, a, x) for x in range(m.n)))
         if symmetric != ok:
-            raise InternalCheckError("cyclicity characterizations disagree")
+            raise _broken(m, "cyclicity characterizations disagree")
     return CyclicityReport(ok, witness)
 
 
 # -- divisorial closure -------------------------------------------------------
 
 
-def lin_monoid(m: OrderedMagma, cap: int = 100_000) -> List[tuple]:
+def lin_monoid(m: OrderedMagma) -> List[tuple]:
     """The monoid generated by left and right translations, saturated to a
-    fixpoint; built once per carrier object, every call returns a fresh list."""
-    monoid = _on_carrier(m, ("lin",), _translation_monoid, cap)
-    if len(monoid) > cap:
-        raise InternalCheckError("translation monoid saturation blew the cap")
-    return list(monoid)
+    fixpoint under LIN_CAP maps; built once per carrier object, every call
+    returns a fresh list."""
+    return list(_on_carrier(m, ("lin",), _translation_monoid))
 
 
-def _translation_monoid(m: OrderedMagma, cap: int) -> Tuple[tuple, ...]:
-    return tuple(sorted(generated_monoid(m.n, m.translations(), cap)))
+def _translation_monoid(m: OrderedMagma) -> Tuple[tuple, ...]:
+    return tuple(sorted(generated_monoid(m.n, m.translations(), LIN_CAP)))
 
 
 def v_lin(q: OrderedMagma, a: int) -> MonotoneMap:
@@ -81,14 +77,22 @@ def v_lin(q: OrderedMagma, a: int) -> MonotoneMap:
             if p.leq(f[x], a):
                 mask |= 1 << idx
         constrained.append(mask)
+    return MonotoneMap(q, _sups_of_supersets(q, constrained, "Lin-strategy"))
+
+
+def _sups_of_supersets(q: OrderedMagma, constrained: list, strategy: str) -> list:
+    """x -> sup{y : constrained[y] contains constrained[x]}, for every x."""
     table = []
-    for x in range(n):
-        ys = [y for y in range(n) if not (constrained[x] & ~constrained[y])]
-        v = p.sup(ys)
+    for cx in constrained:
+        ys = 0
+        for y, cy in enumerate(constrained):
+            if not cx & ~cy:
+                ys |= 1 << y
+        v = q.poset.sup_mask(ys)
         if v is None:
-            raise InternalCheckError("Lin-strategy supremum missing on a near prequantale")
+            raise _broken(q, f"{strategy} supremum missing")
         table.append(v)
-    return MonotoneMap(q, table)
+    return table
 
 
 def v_rs(q: OrderedMagma, a: int) -> MonotoneMap:
@@ -100,18 +104,14 @@ def v_rs(q: OrderedMagma, a: int) -> MonotoneMap:
     n = q.n
     constrained = []
     for x in range(n):
-        pairs = frozenset(
-            (r, s) for r in range(n) for s in range(n) if p.leq(q.op(q.op(r, x), s), a)
-        )
-        constrained.append(pairs)
-    table = []
-    for x in range(n):
-        ys = [y for y in range(n) if constrained[x] <= constrained[y]]
-        v = p.sup(ys)
-        if v is None:
-            raise InternalCheckError("sandwich-strategy supremum missing")
-        table.append(v)
-    return MonotoneMap(q, table)
+        # Bit r*n + s is set when r x s <= a.
+        mask = 0
+        for r in range(n):
+            for s in range(n):
+                if p.leq(q.op(q.op(r, x), s), a):
+                    mask |= 1 << (r * n + s)
+        constrained.append(mask)
+    return MonotoneMap(q, _sups_of_supersets(q, constrained, "sandwich-strategy"))
 
 
 def v_residual(q: OrderedMagma, a: int) -> MonotoneMap:
@@ -138,7 +138,7 @@ def v_residual(q: OrderedMagma, a: int) -> MonotoneMap:
             continue
         back = residual(q, a, over_x.left)
         if back.left is None:
-            raise InternalCheckError("a/(a/x) missing although a/x exists")
+            raise _broken(q, "a/(a/x) missing although a/x exists")
         table.append(back.left)
     return MonotoneMap(q, table)
 
@@ -163,9 +163,12 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
             if p.leq(x, q.op(q.op(u, a), v))
         ]
         # The empty infimum is the top of the carrier.
-        w = p.inf(sandwiches) if sandwiches else p.top
+        mask = 0
+        for w in sandwiches:
+            mask |= 1 << w
+        w = p.inf_mask(mask) if sandwiches else p.top
         if w is None:
-            raise InternalCheckError("unit-sandwich infimum missing")
+            raise _broken(q, "unit-sandwich infimum missing")
         table.append(w)
     return MonotoneMap(q, table)
 
@@ -195,15 +198,15 @@ def _v_all(q: OrderedMagma, a: int, strategies: dict) -> MonotoneMap:
         raise HypothesisNotMet("no divisorial strategy applies to this carrier")
     tables = {s.table for s in results.values()}
     if len(tables) > 1:
-        raise InternalCheckError(f"divisorial strategies disagree: {results}")
+        raise _broken(q, f"divisorial strategies disagree: {results}")
     return _checked_v(q, a, next(iter(results.values())))
 
 
 def _checked_v(q: OrderedMagma, a: int, out: MonotoneMap) -> MonotoneMap:
     if not is_nucleus(q, out):
-        raise InternalCheckError("divisorial closure failed the nucleus check")
+        raise _broken(q, "divisorial closure failed the nucleus check")
     if out.table[a] != a:
-        raise InternalCheckError("divisorial closure does not fix its element")
+        raise _broken(q, "divisorial closure does not fix its element")
     return out
 
 
@@ -214,7 +217,7 @@ def divisorial_decomposition(q: OrderedMagma, s: MonotoneMap) -> list:
     fixed = sorted(set(s.table))
     met = nuclei_meet(q, [v(q, a) for a in fixed])
     if met.table != s.table:
-        raise InternalCheckError("meet of divisorial closures over the image missed the nucleus")
+        raise _broken(q, "meet of divisorial closures over the image missed the nucleus")
     return fixed
 
 
@@ -258,7 +261,7 @@ def is_simple(q: OrderedMagma) -> SimplicityReport:
         routes["double-residual"] = ok
     verdicts = set(routes.values())
     if len(verdicts) > 1:
-        raise InternalCheckError(f"simplicity routes disagree: {routes}")
+        raise _broken(q, f"simplicity routes disagree: {routes}")
     return SimplicityReport(routes["nucleus-count"], routes)
 
 
@@ -268,12 +271,6 @@ def is_simple(q: OrderedMagma) -> SimplicityReport:
 @dataclass(frozen=True)
 class GVSet:
     members: tuple
-
-    def mask(self) -> int:
-        out = 0
-        for x in self.members:
-            out |= 1 << x
-        return out
 
 
 def gv_elements(m: OrderedMagma, s: MonotoneMap) -> GVSet:
@@ -291,13 +288,13 @@ def gv_elements(m: OrderedMagma, s: MonotoneMap) -> GVSet:
     for x in members:
         for y in members:
             if m.op(x, y) not in mem:
-                raise InternalCheckError("GV set is not a submagma")
+                raise _broken(m, "GV set is not a submagma")
             j = p.join(x, y)
             if j is not None and j not in mem:
-                raise InternalCheckError("GV set is not closed under existing sups")
+                raise _broken(m, "GV set is not closed under existing sups")
             w = p.meet(x, y)
             if w is not None and w not in mem:
-                raise InternalCheckError("GV set is not closed under finite infs")
+                raise _broken(m, "GV set is not closed under finite infs")
     return GVSet(members)
 
 
@@ -334,25 +331,24 @@ def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     _stable_hypotheses(q)
     if not is_nucleus(q, s):
         raise HypothesisNotMet("stable_closure requires a nucleus")
-    p = q.poset
     gv = gv_elements(q, s)
     table = []
     for x in range(q.n):
-        parts = []
+        parts = 0
         for z in gv.members:
             r = residual(q, x, z).left
             if r is None:
-                raise InternalCheckError("x/z missing for a GV element z <= 1")
-            parts.append(r)
-        w = p.sup(parts)
+                raise _broken(q, "x/z missing for a GV element z <= 1")
+            parts |= 1 << r
+        w = q.poset.sup_mask(parts)
         if w is None:
-            raise InternalCheckError("stable-closure supremum missing")
+            raise _broken(q, "stable-closure supremum missing")
         table.append(w)
     out = MonotoneMap(q, table)
     if not is_nucleus(q, out):
-        raise InternalCheckError("stable closure failed the nucleus check")
+        raise _broken(q, "stable closure failed the nucleus check")
     if not out <= s:
-        raise InternalCheckError("stable closure is not finer than its nucleus")
+        raise _broken(q, "stable closure is not finer than its nucleus")
     return out
 
 
@@ -363,32 +359,21 @@ def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
         raise HypothesisNotMet("is_stable requires a nucleus")
     p, t = q.poset, s.table
     one = q.unit
-
-    def meets_distribute() -> bool:
-        for x in range(q.n):
-            for y in range(q.n):
-                w = p.meet(x, y)
-                if w is None:
-                    continue
-                img = p.meet(t[x], t[y])
-                if img is None or t[w] != img:
-                    return False
-        return True
-
-    def residuals_transport() -> bool:
-        for x in range(q.n):
-            for tc in range(q.n):
-                xt = residual(q, x, tc).left
-                if xt is None:
-                    continue
-                lhs = t[xt]
-                rhs = residual(q, t[x], tc).left
-                if lhs != rhs:
-                    return False
-        return True
-
-    cond1 = meets_distribute() and residuals_transport()
-    cond2 = residuals_transport() and all(
+    meets = p.meet_table
+    # (x ^ y)* == x* ^ y* wherever x ^ y exists, and (x/c)* == x*/c.
+    distribute = all(
+        w is None or meets[t[x]][t[y]] == t[w]
+        for x, row in enumerate(meets)
+        for y, w in enumerate(row)
+    )
+    transport = all(
+        t[xc] == residual(q, t[x], c).left
+        for x in range(q.n)
+        for c in range(q.n)
+        if (xc := residual(q, x, c).left) is not None
+    )
+    cond1 = distribute and transport
+    cond2 = transport and all(
         t[p.meet(x, one)] == p.meet(t[x], t[one]) for x in range(q.n)
     )
     cond3 = all(
@@ -399,28 +384,17 @@ def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
     )
     cond4 = stable_closure(q, s).table == s.table
     if not (cond1 == cond2 == cond3 == cond4):
-        raise InternalCheckError(
-            f"stability conditions disagree: {(cond1, cond2, cond3, cond4)}"
-        )
+        raise _broken(q, f"stability conditions disagree: {(cond1, cond2, cond3, cond4)}")
     return cond4
 
 
 def star_w(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
-    """Compact-GV formula; on finite carriers this is the stable closure itself."""
+    """Compact-GV formula: the stable closure of the finitary companion, which
+    on finite carriers is the stable closure of s itself."""
     _stable_hypotheses(q)
     if not q.profile.coherent:
         raise HypothesisNotMet("star_w needs a coherent carrier")
-    via_formula = stable_closure(q, star_f(q, s))
-    gv = gv_elements(q, s)
-    p = q.poset
-    table = []
-    for x in range(q.n):
-        parts = [residual(q, x, z).left for z in gv.members]
-        table.append(p.sup(parts))
-    direct = MonotoneMap(q, table)
-    if direct.table != via_formula.table:
-        raise InternalCheckError("star_w routes disagree on a finite carrier")
-    return via_formula
+    return stable_closure(q, star_f(q, s))
 
 
 def t_of(q: OrderedMagma, a: int) -> MonotoneMap:
@@ -432,7 +406,7 @@ def v_bar(q: OrderedMagma, a: int) -> MonotoneMap:
     """Coarsest stable nucleus fixing a."""
     out = stable_closure(q, v(q, a))
     if out.table[a] != a:
-        raise InternalCheckError("stable divisorial closure does not fix its element")
+        raise _broken(q, "stable divisorial closure does not fix its element")
     return out
 
 

@@ -13,6 +13,7 @@ from .errors import (
     UndecidableFamily,
 )
 from .lazy import (
+    SAMPLE_SIZE,
     ChainOmega,
     FiniteFamily,
     LazyCarrier,
@@ -24,6 +25,7 @@ from .lazy import (
 )
 from .magma import OrderedMagma
 from .nucleus import MonotoneMap, is_nucleus, quotient
+from .poset import bits
 
 
 @dataclass(frozen=True)
@@ -62,16 +64,17 @@ def is_finitary(s: Union[MonotoneMap, RuleMap]) -> FinitaryReport:
     )
 
 
-def star_f(q, s, sample_size: int = 12):
+def star_f(q, s):
     """The largest finitary nucleus below s on a precoherent semiprequantale.
 
     x -> sup of { y* : y compact, y <= x }.  On finite carriers every element
     is compact so the companion is s itself; the formula is still evaluated
-    once as a consistency assertion.
+    once as a consistency assertion.  On lazy carriers the companion is
+    certified on SAMPLE_SIZE sampled elements.
     """
     if isinstance(q, OrderedMagma):
         return _star_f_finite(q, s)
-    return _star_f_lazy(q, s, sample_size)
+    return _star_f_lazy(q, s)
 
 
 def _star_f_finite(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
@@ -79,10 +82,12 @@ def _star_f_finite(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
         raise HypothesisNotMet("star_f needs a precoherent carrier")
     if not is_nucleus(q, s):
         raise HypothesisNotMet("star_f requires a nucleus")
-    p = q.poset
-    for x in range(q.n):
-        fiber = p.mask_of([s.table[y] for y in range(q.n) if p.leq(y, x)])
-        if p.sup_mask(fiber) != s.table[x]:
+    p, t = q.poset, s.table
+    for x, tx in enumerate(t):
+        fiber = 0
+        for y in bits(p.down[x]):
+            fiber |= 1 << t[y]
+        if p.sup_mask(fiber) != tx:
             raise InternalCheckError("finitary companion formula broke on a finite carrier")
     return s
 
@@ -100,7 +105,7 @@ def _compacts_below(carrier: LazyCarrier, x):
     raise UndecidableFamily(f"no compact approximation on {carrier.name}")
 
 
-def _star_f_lazy(carrier: LazyCarrier, s: RuleMap, sample_size: int) -> RuleMap:
+def _star_f_lazy(carrier: LazyCarrier, s: RuleMap) -> RuleMap:
     if not (
         carrier.declared_profile.get("precoherent")
         and carrier.declared_profile.get("semiprequantale")
@@ -115,8 +120,8 @@ def _star_f_lazy(carrier: LazyCarrier, s: RuleMap, sample_size: int) -> RuleMap:
             return carrier.sup(FiniteFamily.of([s(y) for y in family.members]))
         return map_family_sup(carrier, s, family)
 
-    out = RuleMap(carrier, f"{s.name}_f", companion, sample_size)
-    for x in carrier.sample(sample_size):
+    out = RuleMap(carrier, f"{s.name}_f", companion)
+    for x in carrier.sample(SAMPLE_SIZE):
         fx = out(x)
         if not carrier.leq(fx, s(x)):
             raise InternalCheckError("finitary companion exceeded the original nucleus")

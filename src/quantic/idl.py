@@ -163,16 +163,10 @@ def down_map_on_powerset(m: OrderedMagma):
 
 def verify_morphism_ms(g: MagmaMorphism):
     """Morphism of multiplicative semilattices: magma hom preserving finite
-    nonempty sups."""
+    nonempty sups.  On finite carriers, where every element is compact, this
+    is also the morphism condition of precoherent near prequantales."""
     if not (g.is_order_preserving() and g.is_magma_hom() and g.preserves_sups(True)):
         raise NotAMorphism("not a morphism of multiplicative semilattices")
-
-
-def verify_morphism_pnp(f: MagmaMorphism):
-    """Morphism of precoherent near prequantales: near-sup-preserving magma hom
-    carrying compacts to compacts (trivial on finite carriers)."""
-    if not (f.is_order_preserving() and f.is_magma_hom() and f.preserves_sups(True)):
-        raise NotAMorphism("not a morphism of near prequantales")
 
 
 def idl_of_morphism(g: MagmaMorphism) -> MagmaMorphism:
@@ -188,13 +182,13 @@ def idl_of_morphism(g: MagmaMorphism) -> MagmaMorphism:
             image |= 1 << g.table[x]
         table.append(tgt_index[down_closure_mask(g.target.poset, image)])
     out = MagmaMorphism(src.magma, tgt.magma, table)
-    verify_morphism_pnp(out)
+    verify_morphism_ms(out)
     return out
 
 
 def k_of_morphism(f: MagmaMorphism) -> MagmaMorphism:
     """K(f): the same table restricted to compacts; identity on finite carriers."""
-    verify_morphism_pnp(f)
+    verify_morphism_ms(f)
     out = MagmaMorphism(k_functor(f.source), k_functor(f.target), f.table)
     verify_morphism_ms(out)
     return out

@@ -8,88 +8,52 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
-from .lazy import UpsetsNat, upsets_ideal_map, upsets_saturation_map
+from .lazy import INF, RuleMap, UpsetsNat, chain_rule_map, upsets_ideal_map, upsets_saturation_map
 from .magma import OrderedMagma, adjoin_annihilator
-from .nucleus import MonotoneMap, is_nucleus, transportable_mask
+from .nucleus import MonotoneMap, is_closure, is_nucleus, transportable_mask
 from .poset import FinitePoset, bits
 
 POWERSET_BASE_CAP = 5
 SYSTEM_BASE_CAP = 4
 
 
-@dataclass(frozen=True)
-class FiniteMagmaDesc:
-    """A plain finite magma: labels, a table, and flags verified from the table."""
+def plain_magma(labels: Sequence[str], table: Sequence[Sequence[int]]) -> OrderedMagma:
+    """A plain finite magma: an ordered magma on the antichain, whose profile
+    derives associativity, commutativity and the unit from the table."""
+    return OrderedMagma(FinitePoset.antichain(len(labels), labels), table)
 
-    labels: tuple
-    table: tuple
-    associative: bool
-    commutative: bool
-    unital: bool
-    unit: Optional[int]
 
-    @classmethod
-    def from_table(cls, labels: Sequence[str], table: Sequence[Sequence[int]]) -> "FiniteMagmaDesc":
-        n = len(labels)
-        if len(table) != n or any(len(r) != n for r in table):
-            raise StructureError("magma table shape mismatch")
-        tt = tuple(tuple(r) for r in table)
-        for r in tt:
-            for v in r:
-                if not (0 <= v < n):
-                    raise StructureError("magma table value out of range")
-        assoc = all(
-            tt[tt[x][y]][z] == tt[x][tt[y][z]] for x in range(n) for y in range(n) for z in range(n)
-        )
-        comm = all(tt[x][y] == tt[y][x] for x in range(n) for y in range(n))
-        unit = next(
-            (u for u in range(n) if all(tt[u][x] == x and tt[x][u] == x for x in range(n))),
-            None,
-        )
-        return cls(tuple(labels), tt, assoc, comm, unit is not None, unit)
+def is_group(g: OrderedMagma) -> bool:
+    """Associative and unital, with every element invertible on the right."""
+    return g.unit is not None and all(g.unit in row for row in g.mul) and g.profile.associative
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
-    def is_group(self) -> bool:
-        if not (self.associative and self.unital):
-            return False
-        return all(
-            any(self.table[x][y] == self.unit for y in range(self.n)) for x in range(self.n)
-        )
+def cyclic_group(n: int) -> OrderedMagma:
+    return plain_magma(
+        [f"g{i}" if i else "1" for i in range(n)], [[(i + j) % n for j in range(n)] for i in range(n)]
+    )
 
-    @classmethod
-    def cyclic_group(cls, n: int) -> "FiniteMagmaDesc":
-        return cls.from_table(
-            [f"g{i}" if i else "1" for i in range(n)],
-            [[(i + j) % n for j in range(n)] for i in range(n)],
-        )
 
-    @classmethod
-    def klein_four(cls) -> "FiniteMagmaDesc":
-        return cls.from_table(
-            ["1", "a", "b", "ab"],
-            [[i ^ j for j in range(4)] for i in range(4)],
-        )
+def klein_four() -> OrderedMagma:
+    return plain_magma(["1", "a", "b", "ab"], [[i ^ j for j in range(4)] for i in range(4)])
 
-    @classmethod
-    def left_zero(cls, n: int = 2) -> "FiniteMagmaDesc":
-        return cls.from_table([f"m{i}" for i in range(n)], [[i] * n for i in range(n)])
 
-    @classmethod
-    def trivial_monoid(cls) -> "FiniteMagmaDesc":
-        return cls.from_table(["1"], [[0]])
+def left_zero(n: int = 2) -> OrderedMagma:
+    return plain_magma([f"m{i}" for i in range(n)], [[i] * n for i in range(n)])
 
-    @classmethod
-    def two_element_monoid(cls) -> "FiniteMagmaDesc":
-        # {1, a} with a*a = a
-        return cls.from_table(["1", "a"], [[0, 1], [1, 1]])
 
-    @classmethod
-    def nonassociative_pair(cls) -> "FiniteMagmaDesc":
-        # a*a = b, all other products collapse; associativity fails at (a,a,a).
-        return cls.from_table(["a", "b"], [[1, 0], [1, 1]])
+def trivial_monoid() -> OrderedMagma:
+    return plain_magma(["1"], [[0]])
+
+
+def two_element_monoid() -> OrderedMagma:
+    # {1, a} with a*a = a
+    return plain_magma(["1", "a"], [[0, 1], [1, 1]])
+
+
+def nonassociative_pair() -> OrderedMagma:
+    # a*a = b, all other products collapse; associativity fails at (a,a,a).
+    return plain_magma(["a", "b"], [[1, 0], [1, 1]])
 
 
 # -- power-set carriers ----------------------------------------------------------
@@ -99,28 +63,22 @@ class FiniteMagmaDesc:
 class PowersetCarrier:
     """A power-set ordered magma plus the subset bookkeeping for its elements."""
 
-    desc: FiniteMagmaDesc
-    element_masks: tuple       # carrier element id -> subset mask over desc
+    base: OrderedMagma         # its order is ignored
+    element_masks: tuple       # carrier element id -> subset mask over the base
     mask_index: dict
     magma: OrderedMagma
 
-    def mask_of(self, symbols: Iterable[int]) -> int:
-        out = 0
-        for s in symbols:
-            out |= 1 << s
-        return out
-
     def element_of(self, symbols: Iterable[int]) -> int:
-        return self.mask_index[self.mask_of(symbols)]
+        return self.mask_index[self.base.poset.mask_of(symbols)]
 
 
-def _powerset_carrier(desc: FiniteMagmaDesc, drop_empty: bool, name: str) -> PowersetCarrier:
-    k = desc.n
-    masks = [m for m in range(1 << k) if m or not drop_empty]
-    masks.sort()
+def _powerset_carrier(base: OrderedMagma, drop_empty: bool, name: str) -> PowersetCarrier:
+    if base.n > POWERSET_BASE_CAP:
+        raise CarrierTooLarge(f"power-set base capped at {POWERSET_BASE_CAP}")
+    masks = [m for m in range(1 << base.n) if m or not drop_empty]
     index = {m: i for i, m in enumerate(masks)}
     leq = [[(a & ~b) == 0 for b in masks] for a in masks]
-    labels = ["{" + ",".join(desc.labels[s] for s in bits(m)) + "}" for m in masks]
+    labels = ["{" + ",".join(base.poset.labels[s] for s in bits(m)) + "}" for m in masks]
     poset = FinitePoset(leq, labels)
     mul = []
     for a in masks:
@@ -129,19 +87,18 @@ def _powerset_carrier(desc: FiniteMagmaDesc, drop_empty: bool, name: str) -> Pow
             prod = 0
             for x in bits(a):
                 for y in bits(b):
-                    prod |= 1 << desc.table[x][y]
+                    prod |= 1 << base.mul[x][y]
             row.append(index[prod])
         mul.append(row)
     magma = OrderedMagma(poset, mul, name=name)
-    return PowersetCarrier(desc, tuple(masks), index, magma)
+    return PowersetCarrier(base, tuple(masks), index, magma)
 
 
-def powerset_prequantale(desc: FiniteMagmaDesc, drop_empty: bool = False) -> PowersetCarrier:
-    """2^M (or 2^M minus the empty set) under complex multiplication."""
-    if desc.n > POWERSET_BASE_CAP:
-        raise CarrierTooLarge(f"power-set base capped at {POWERSET_BASE_CAP}")
-    name = f"2^{{{desc.n}}}-{{}}" if drop_empty else f"2^{{{desc.n}}}"
-    carrier = _powerset_carrier(desc, drop_empty, name)
+def powerset_prequantale(base: OrderedMagma, drop_empty: bool = False) -> PowersetCarrier:
+    """2^M (or 2^M minus the empty set) under complex multiplication; the
+    order of M is ignored."""
+    name = f"2^{{{base.n}}}-{{}}" if drop_empty else f"2^{{{base.n}}}"
+    carrier = _powerset_carrier(base, drop_empty, name)
     prof = carrier.magma.profile
     if drop_empty:
         if not prof.near_prequantale or prof.with_annihilator:
@@ -149,17 +106,14 @@ def powerset_prequantale(desc: FiniteMagmaDesc, drop_empty: bool = False) -> Pow
     else:
         if not prof.prequantale:
             raise InternalCheckError("2^M must be a prequantale")
-        if prof.quantale != desc.associative:
+        if prof.quantale != base.profile.associative:
             raise InternalCheckError("2^M is a quantale exactly when M is a semigroup")
     return carrier
 
 
 def powerset_of_magma_elements(m: OrderedMagma, drop_empty: bool) -> PowersetCarrier:
     """Power set of the elements of an existing ordered magma (ignoring its order)."""
-    desc = FiniteMagmaDesc.from_table(m.poset.labels, m.mul)
-    if desc.n > POWERSET_BASE_CAP:
-        raise CarrierTooLarge(f"power-set base capped at {POWERSET_BASE_CAP}")
-    return _powerset_carrier(desc, drop_empty, f"2^[{m.name}]")
+    return _powerset_carrier(m, drop_empty, f"2^[{m.name}]")
 
 
 # -- module systems and ideal systems ----------------------------------------------
@@ -172,7 +126,7 @@ class SetSystemCarrier:
     Symbol 0 is the absorbing zero; base element i sits at symbol i + 1.
     """
 
-    base: FiniteMagmaDesc
+    base: OrderedMagma
     symbols: tuple
     symbol_mul: tuple
     carrier: PowersetCarrier
@@ -198,35 +152,35 @@ class SetSystemCarrier:
         return self.carrier.mask_index[out]
 
 
-def _with_zero(desc: FiniteMagmaDesc) -> Tuple[tuple, tuple]:
-    symbols = ("0",) + tuple(desc.labels)
+def _with_zero(base: OrderedMagma) -> Tuple[tuple, tuple]:
+    symbols = ("0",) + tuple(base.poset.labels)
     k = len(symbols)
     mul = [[0] * k for _ in range(k)]
-    for i in range(desc.n):
-        for j in range(desc.n):
-            mul[i + 1][j + 1] = desc.table[i][j] + 1
+    for i in range(base.n):
+        for j in range(base.n):
+            mul[i + 1][j + 1] = base.mul[i][j] + 1
     return symbols, tuple(tuple(r) for r in mul)
 
 
-def _set_system(desc: FiniteMagmaDesc, name: str) -> SetSystemCarrier:
-    if desc.n > SYSTEM_BASE_CAP:
+def _set_system(base: OrderedMagma, name: str) -> SetSystemCarrier:
+    if base.n > SYSTEM_BASE_CAP:
         raise CarrierTooLarge(f"system base capped at {SYSTEM_BASE_CAP}")
-    symbols, symbol_mul = _with_zero(desc)
-    zero_desc = FiniteMagmaDesc.from_table(symbols, symbol_mul)
-    carrier = _powerset_carrier(zero_desc, drop_empty=False, name=name)
+    symbols, symbol_mul = _with_zero(base)
+    carrier = _powerset_carrier(plain_magma(symbols, symbol_mul), drop_empty=False, name=name)
     if not carrier.magma.profile.multiplicative_lattice:
         raise InternalCheckError("2^(M_0) must be a multiplicative lattice")
-    return SetSystemCarrier(desc, symbols, symbol_mul, carrier)
+    return SetSystemCarrier(base, symbols, symbol_mul, carrier)
 
 
-def module_system_lattice(group: FiniteMagmaDesc) -> SetSystemCarrier:
-    if not group.is_group() or not group.commutative:
+def module_system_lattice(group: OrderedMagma) -> SetSystemCarrier:
+    if not is_group(group) or not group.profile.commutative:
         raise HypothesisNotMet("module systems live over finite abelian groups")
     return _set_system(group, f"2^(G0:{group.n})")
 
 
-def ideal_system_lattice(monoid: FiniteMagmaDesc) -> SetSystemCarrier:
-    if not (monoid.associative and monoid.commutative and monoid.unital):
+def ideal_system_lattice(monoid: OrderedMagma) -> SetSystemCarrier:
+    prof = monoid.profile
+    if not (prof.associative and prof.commutative and prof.unital):
         raise HypothesisNotMet("ideal systems live over commutative monoids")
     return _set_system(monoid, f"2^(M0:{monoid.n})")
 
@@ -240,7 +194,7 @@ def module_system_conditions(sys: SetSystemCarrier, r: MonotoneMap) -> dict:
     m = sys.magma
     p = m.poset
     t = r.table
-    closure = r.is_expansive and r.is_order_preserving and r.is_idempotent
+    closure = is_closure(r)
 
     def translations_transport() -> bool:
         return all(
@@ -274,21 +228,16 @@ def is_module_system(sys: SetSystemCarrier, r: MonotoneMap) -> bool:
     conds = module_system_conditions(sys, r)
     if len(set(conds.values())) > 1:
         raise InternalCheckError(f"module-system conditions disagree: {conds}")
-    nucleus_route = is_nucleus(sys.magma, r) if is_closure_safe(r) else False
-    if nucleus_route != conds["translations"]:
+    if is_nucleus(sys.magma, r) != conds["translations"]:
         raise InternalCheckError("module systems must be the nuclei fixing the zero rule")
     return conds["translations"]
-
-
-def is_closure_safe(r: MonotoneMap) -> bool:
-    return r.is_expansive and r.is_order_preserving and r.is_idempotent
 
 
 def weak_ideal_system_conditions(sys: SetSystemCarrier, r: MonotoneMap) -> dict:
     m = sys.magma
     p = m.poset
     t = r.table
-    closure = is_closure_safe(r)
+    closure = is_closure(r)
     k = len(sys.symbols)
     # Raw definition: 0 in r(empty), c M_0 inside r({c}), c r(X) inside r(cX).
     zero_in_empty = p.leq(sys.zero_singleton, t[sys.empty_set])
@@ -383,3 +332,16 @@ def upsets_shipped_maps(carrier: Optional[UpsetsNat] = None) -> dict:
         "monoid-ideal": upsets_ideal_map(c),
         "submonoid-saturation": upsets_saturation_map(c),
     }
+
+
+def chain_nucleus(name: str) -> RuleMap:
+    """The shipped chain-omega nuclei: d (identity), e (constant top) and dK,
+    x -> max(x, K), for a natural K."""
+    if name == "d":
+        return chain_rule_map("d", lambda x: x)
+    if name == "e":
+        return chain_rule_map("e", lambda x: INF)
+    if name[:1] == "d" and name[1:].isdecimal():
+        k = int(name[1:])
+        return chain_rule_map(name, lambda x: max(x, k))
+    raise StructureError("chain nuclei: d, e, or dK for a natural K")

@@ -23,6 +23,8 @@ from .errors import (
 )
 
 INF = float("inf")
+# Rule maps are certified on this many sampled elements.
+SAMPLE_SIZE = 12
 
 
 # -- family descriptors --------------------------------------------------------
@@ -358,7 +360,7 @@ class LazyCarrier:
     def op(self, x, y):
         raise NotImplementedError
 
-    def sample(self, k: int = 12) -> list:
+    def sample(self, k: int = SAMPLE_SIZE) -> list:
         raise NotImplementedError
 
     def directed_family_samples(self) -> list:
@@ -373,19 +375,6 @@ class ChainOmega(LazyCarrier):
     """
 
     name = "chain-omega"
-    declared_poset_flags = dict(
-        complete=True,
-        near_sup_complete=True,
-        bounded_complete=True,
-        dcpo=True,
-        bdcpo=True,
-        bounded_above=True,
-        bounded_below=True,
-        join_semilattice=True,
-        meet_semilattice=True,
-        lattice=True,
-        algebraic=True,
-    )
     declared_profile = dict(
         sup_magma=True,
         near_sup_magma=True,
@@ -437,14 +426,7 @@ class ChainOmega(LazyCarrier):
             return INF
         raise UndecidableFamily(f"chain-omega cannot take the sup of {family!r}")
 
-    def inf(self, family):
-        if isinstance(family, FiniteFamily) and family.members:
-            return min(self.check(x) for x in family.members)
-        if isinstance(family, TailFamily):
-            return family.start
-        raise UndecidableFamily(f"chain-omega cannot take the inf of {family!r}")
-
-    def sample(self, k: int = 12) -> list:
+    def sample(self, k: int = SAMPLE_SIZE) -> list:
         return list(range(k - 1)) + [INF]
 
     def directed_family_samples(self) -> list:
@@ -467,19 +449,6 @@ class UpsetsNat(LazyCarrier):
     """
 
     name = "upsets-nat"
-    declared_poset_flags = dict(
-        complete=True,
-        near_sup_complete=True,
-        bounded_complete=True,
-        dcpo=True,
-        bdcpo=True,
-        bounded_above=True,
-        bounded_below=True,
-        join_semilattice=True,
-        meet_semilattice=True,
-        lattice=True,
-        algebraic=True,
-    )
     declared_profile = dict(
         sup_magma=True,
         near_sup_magma=True,
@@ -535,7 +504,7 @@ class UpsetsNat(LazyCarrier):
         whole carrier as residual)."""
         return self.check(x).residual_by(self.check(a))
 
-    def sample(self, k: int = 12) -> list:
+    def sample(self, k: int = SAMPLE_SIZE) -> list:
         out = [
             UPSet.empty(),
             UPSet.from_finite([0]),
@@ -590,11 +559,11 @@ class RuleMap:
 
     kind = "lazy"
 
-    def __init__(self, carrier: LazyCarrier, name: str, fn: Callable, sample_size: int = 12):
+    def __init__(self, carrier: LazyCarrier, name: str, fn: Callable):
         self.carrier = carrier
         self.name = name
         self.fn = fn
-        self.certificate = self._certify(sample_size)
+        self.certificate = self._certify(SAMPLE_SIZE)
 
     def __call__(self, x):
         return self.fn(x)

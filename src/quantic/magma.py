@@ -439,28 +439,21 @@ def check_profile_implications(profile: ClassificationProfile, name: str = ""):
                     )
 
 
-def is_scott_topological(m) -> bool:
-    """Finite directed sets have maxima, so order-compatibility already decides
-    this; lazy carriers answer from their declared continuity flag."""
-    if isinstance(m, OrderedMagma):
-        return True
-    return bool(m.declared_profile.get("scott_topological", False))
-
-
 def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
     """xy = sup{ay : a in Sigma, a <= x} = sup{xb : b in Sigma, b <= y} for all x, y."""
-    p = m.poset
-    smask = p.mask_of(sigma)
-    for x in range(m.n):
-        below_x = smask & p.down[x]
-        for y in range(m.n):
-            below_y = smask & p.down[y]
-            target = m.op(x, y)
-            left = p.mask_of([m.op(a, y) for a in bits(below_x)])
-            if p.sup_mask(left) != target:
-                return False
-            right = p.mask_of([m.op(x, b) for b in bits(below_y)])
-            if p.sup_mask(right) != target:
+    p, mul = m.poset, m.mul
+    smask = 0
+    for a in sigma:
+        smask |= 1 << a
+    for x, row in enumerate(mul):
+        below_x = list(bits(smask & p.down[x]))
+        for y, target in enumerate(row):
+            left = right = 0
+            for a in below_x:
+                left |= 1 << mul[a][y]
+            for b in bits(smask & p.down[y]):
+                right |= 1 << row[b]
+            if p.sup_mask(left) != target or p.sup_mask(right) != target:
                 return False
     return True
 
@@ -529,17 +522,6 @@ def adjoin_annihilator(m: OrderedMagma, label: str = "0") -> OrderedMagma:
     return OrderedMagma(poset, mul, name=f"{m.name}+0" if m.name else "adjoin0")
 
 
-def adjoin_top(m: OrderedMagma, label: str = "inf") -> OrderedMagma:
-    """M with a new absorbing top adjoined."""
-    n = m.n
-    rows = [[m.leq(i, j) for j in range(n)] + [True] for i in range(n)]
-    rows.append([False] * n + [True])
-    poset = FinitePoset(rows, list(m.poset.labels) + [label])
-    mul = [[m.op(i, j) for j in range(n)] + [n] for i in range(n)]
-    mul.append([n] * (n + 1))
-    return OrderedMagma(poset, mul, name=f"{m.name}+top" if m.name else "adjointop")
-
-
 # -- morphisms ----------------------------------------------------------------
 
 
@@ -556,12 +538,6 @@ class MagmaMorphism:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-    def image_mask(self) -> int:
-        out = 0
-        for t in self.table:
-            out |= 1 << t
-        return out
 
     def is_order_preserving(self) -> bool:
         s, t = self.source.poset, self.target.poset

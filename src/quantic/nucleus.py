@@ -1,8 +1,14 @@
 """Closure operations and nuclei on finite carriers.
 
 Predicates cross-check every equivalent characterization they implement and
-raise InternalCheckError on disagreement; enumeration runs the image-set
-construction with the naive filter available as an independent oracle.
+raise InternalCheckError, naming the carrier and its size, on disagreement;
+enumeration runs the image-set construction with the naive filter available
+as an independent oracle.
+
+Ids are checked where they enter: MonotoneMap checks its table, and the
+public functions that take maps rely on that.  Inside the module, tables
+derived from a carrier's own tables are composed as tuples and read as
+bitmasks without a second check.
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ from .errors import (
     NoUnit,
     StructureError,
 )
-from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
+from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, subset_walk
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
+# certified_composition tries alternating compositions up to this length.
+COMPOSITION_BOUND = 6
 
 
 def poset_of(carrier) -> FinitePoset:
@@ -72,14 +80,10 @@ class MonotoneMap:
         return hash(self.table)
 
     def __le__(self, other: "MonotoneMap") -> bool:
-        up = self.poset.up
-        return all(up[a] >> b & 1 for a, b in zip(self.table, other.table))
+        return _below(self.poset.up, self.table, other.table)
 
     def __repr__(self):
         return f"MonotoneMap{self.table}"
-
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        return MonotoneMap(self.carrier, tuple(self.table[x] for x in inner.table))
 
     def image_mask(self) -> int:
         out = 0
@@ -116,6 +120,11 @@ class MonotoneMap:
         return self.is_expansive and self.is_order_preserving
 
 
+def _below(up: Sequence[int], s: Sequence[int], t: Sequence[int]) -> bool:
+    """Whether the table s is pointwise below the table t."""
+    return all(up[a] >> b & 1 for a, b in zip(s, t))
+
+
 def is_closure(s: MonotoneMap) -> bool:
     """Expansive + order-preserving + idempotent, cross-checked against the
     single axiom: x <= y* iff x* <= y* for all x, y.  Decided once per poset
@@ -124,7 +133,7 @@ def is_closure(s: MonotoneMap) -> bool:
 
 
 def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
-    three_part = s.is_expansive and s.is_order_preserving and s.is_idempotent
+    three_part = s.is_preclosure and s.is_idempotent
     single = _closure_single_axiom(p, s.table)
     if three_part != single:
         raise InternalCheckError(
@@ -247,7 +256,13 @@ def _on_carrier(carrier, key: tuple, build, *args):
 
 
 def _label(carrier) -> str:
-    return getattr(carrier, "name", "") or repr(carrier)
+    """The carrier's name, or its type when it has none, and its size."""
+    name = getattr(carrier, "name", "") or type(carrier).__name__
+    return f"{name} ({poset_of(carrier).n} elements)"
+
+
+def _broken(carrier, what: str) -> InternalCheckError:
+    return InternalCheckError(f"{what} on {_label(carrier)}")
 
 
 def _one_sided_unital(m: OrderedMagma) -> bool:
@@ -299,23 +314,19 @@ def closure_from_preclosure(s: MonotoneMap) -> MonotoneMap:
             break
         table = new
     else:
-        raise InternalCheckError("preclosure iteration failed to stabilize")
+        raise _broken(s.carrier, "preclosure iteration failed to stabilize")
     star = MonotoneMap(s.carrier, table)
     if not is_closure(star):
         raise HypothesisNotMet(
             "preclosure is not bounded above by a closure operation on this carrier"
         )
-    fix = s.fixed_mask()
-    for x in range(p.n):
-        fiber = fix & p.up[x]
-        least = p.least_of(fiber)
-        if least is None or least != table[x]:
-            raise InternalCheckError("fixpoint iteration disagrees with infimum formula")
+    if _least_above(p, s.fixed_mask()) != table:
+        raise _broken(s.carrier, "fixpoint iteration disagrees with infimum formula")
     if isinstance(s.carrier, OrderedMagma):
         m = s.carrier
         if m.profile.near_residuated:
             if _one_sided_compat(m, s.table) and not is_nucleus(m, star):
-                raise InternalCheckError("multiplicative preclosure hull failed nucleus check")
+                raise _broken(m, "multiplicative preclosure hull failed nucleus check")
     return star
 
 
@@ -332,20 +343,22 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
         if not is_nucleus(m, s):
             raise HypothesisNotMet("nuclei_meet requires nuclei")
     table = []
-    for x in range(m.n):
-        fiber = p.mask_of([s.table[x] for s in maps])
+    for x, column in enumerate(zip(*(s.table for s in maps))):
+        fiber = 0
+        for sx in column:
+            fiber |= 1 << sx
         v = p.inf_mask(fiber)
         if v is None:
             raise HypothesisNotMet(f"missing infimum for the fibers over element {x}")
         table.append(v)
     out = MonotoneMap(m, table)
     if not is_nucleus(m, out):
-        raise InternalCheckError("pointwise meet of nuclei is not a nucleus")
+        raise _broken(m, "pointwise meet of nuclei is not a nucleus")
     union_images = 0
     for s in maps:
         union_images |= s.image_mask()
     if union_images & ~out.image_mask():
-        raise InternalCheckError("meet image does not contain the union of images")
+        raise _broken(m, "meet image does not contain the union of images")
     return out
 
 
@@ -382,17 +395,14 @@ def nuclei_join(
     common = p.universe
     for s in maps:
         common &= s.fixed_mask()
-    table = []
-    for x in range(m.n):
-        least = p.least_of(common & p.up[x])
-        if least is None:
-            raise InternalCheckError("common fixed points fail the closure-system property")
-        table.append(least)
+    table = _least_above(p, common)
+    if table is None:
+        raise _broken(m, "common fixed points fail the closure-system property")
     out = MonotoneMap(m, table)
     if not is_nucleus(m, out):
-        raise InternalCheckError("join of nuclei is not a nucleus")
+        raise _broken(m, "join of nuclei is not a nucleus")
     if out.image_mask() != common:
-        raise InternalCheckError("join image is not the intersection of images")
+        raise _broken(m, "join image is not the intersection of images")
     return out
 
 
@@ -413,28 +423,32 @@ def enumerate_closures(carrier) -> List[MonotoneMap]:
 def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
     p = poset_of(carrier)
     if p.n > ENUMERATION_CAP:
-        raise CarrierTooLarge(f"closure enumeration capped at {ENUMERATION_CAP} elements")
+        raise CarrierTooLarge(
+            f"closure enumeration capped at {ENUMERATION_CAP} elements, refused on {_label(carrier)}"
+        )
     required = 0
     for mx in p.maximal_elements():
         required |= 1 << mx
     out = []
-    up = p.up
     for c in range(1 << p.n):
-        if (c & required) != required:
-            continue
-        table = []
-        for x in range(p.n):
-            fiber = c & up[x]
-            if not fiber:
-                break
-            least = p.least_of(fiber)
-            if least is None:
-                break
-            table.append(least)
-        else:
-            out.append(MonotoneMap(carrier, tuple(table)))
+        if c & required == required:
+            table = _least_above(p, c)
+            if table is not None:
+                out.append(MonotoneMap(carrier, table))
     out.sort(key=lambda s: s.table)
     return tuple(out)
+
+
+def _least_above(p: FinitePoset, c: int) -> Optional[list]:
+    """x -> the least element of the subset c above x, for every x: the
+    closure whose image is c; None when some x has no such least element."""
+    table = []
+    for upx in p.up:
+        least = p.least_of(c & upx)
+        if least is None:
+            return None
+        table.append(least)
+    return table
 
 
 def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
@@ -445,7 +459,7 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
     out = []
     for table in product(range(p.n), repeat=p.n):
         s = MonotoneMap(carrier, table)
-        if s.is_expansive and s.is_order_preserving and s.is_idempotent:
+        if _decide_closure(p, s):
             out.append(s)
     out.sort(key=lambda s: s.table)
     return out
@@ -555,7 +569,7 @@ def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
     for _, ub, (image_ub,) in walk:
         v = p.least_of(ub)
         if v is not None and not p.is_least(t[v], image_ub):
-            raise InternalCheckError("corestriction of the nucleus is not sup-preserving")
+            raise _broken(m, "corestriction of the nucleus is not sup-preserving")
 
 
 def _assert_profile_inheritance(m: OrderedMagma, q: OrderedMagma):
@@ -571,10 +585,10 @@ def _assert_profile_inheritance(m: OrderedMagma, q: OrderedMagma):
     pm, pq = m.profile, q.profile
     for flag in inherited:
         if getattr(pm, flag) and not getattr(pq, flag):
-            raise InternalCheckError(f"quotient failed to inherit {flag}")
+            raise _broken(m, f"quotient failed to inherit {flag}")
     for flag in ("quantale", "near_quantale", "multiplicative_lattice", "near_multiplicative_lattice"):
         if getattr(pm, flag) and not getattr(pq, flag):
-            raise InternalCheckError(f"quotient failed to inherit {flag}")
+            raise _broken(m, f"quotient failed to inherit {flag}")
 
 
 def _assert_quotient_residuals(m: OrderedMagma, s: MonotoneMap):
@@ -588,7 +602,7 @@ def _assert_quotient_residuals(m: OrderedMagma, s: MonotoneMap):
         for y in range(m.n):
             r = at[x][y].left
             if r is not None and (t[r] != r or at[x][t[y]].left != r):
-                raise InternalCheckError("quotient residual formula failed")
+                raise _broken(m, "quotient residual formula failed")
 
 
 def nucleus_of_morphism(f: MagmaMorphism) -> MonotoneMap:
@@ -598,23 +612,24 @@ def nucleus_of_morphism(f: MagmaMorphism) -> MonotoneMap:
         raise HypothesisNotMet("nucleus_of_morphism needs a near-sup-preserving magma hom")
     if not src.profile.near_prequantale:
         raise HypothesisNotMet("nucleus_of_morphism needs a near prequantale source")
-    p = src.poset
+    fibers: dict = {}
+    for y, fy in enumerate(f.table):
+        fibers[fy] = fibers.get(fy, 0) | 1 << y
     table = []
-    for x in range(src.n):
-        fiber = p.mask_of([y for y in range(src.n) if f.table[y] == f.table[x]])
-        v = p.sup_mask(fiber)
+    for fx in f.table:
+        v = src.poset.sup_mask(fibers[fx])
         if v is None:
-            raise InternalCheckError("fiber supremum missing on a near prequantale")
+            raise _broken(src, "fiber supremum missing on a near prequantale")
         table.append(v)
     s = MonotoneMap(src, table)
     if not is_nucleus(src, s):
-        raise InternalCheckError("morphism-induced map failed the nucleus check")
+        raise _broken(src, "morphism-induced map failed the nucleus check")
     for x in range(src.n):
         if f.table[s.table[x]] != f.table[x]:
-            raise InternalCheckError("morphism does not factor through its nucleus")
+            raise _broken(src, "morphism does not factor through its nucleus")
     members = sorted(set(s.table))
     if len(set(f.table[x] for x in members)) != len(members):
-        raise InternalCheckError("morphism restricted to the image is not injective")
+        raise _broken(src, "morphism restricted to the image is not injective")
     _assert_image_iso(f, s, members)
     return s
 
@@ -626,11 +641,11 @@ def _assert_image_iso(f: MagmaMorphism, s: MonotoneMap, members):
         for y in members:
             star_prod = s.table[src.op(x, y)]
             if f.table[star_prod] != tgt.op(f.table[x], f.table[y]):
-                raise InternalCheckError("image of nucleus not isomorphic to morphism image")
+                raise _broken(src, "image of nucleus not isomorphic to morphism image")
     for x in members:
         for y in members:
             if src.leq(x, y) != tgt.leq(f.table[x], f.table[y]):
-                raise InternalCheckError("image correspondence is not an order isomorphism")
+                raise _broken(src, "image correspondence is not an order isomorphism")
 
 
 # -- induced nuclei ---------------------------------------------------------------
@@ -647,10 +662,7 @@ class Submagma:
     @classmethod
     def of(cls, parent: OrderedMagma, members: Iterable[int]) -> "Submagma":
         mem = tuple(sorted(set(members)))
-        parent.poset.check_ids(mem)
-        mmask = 0
-        for x in mem:
-            mmask |= 1 << x
+        mmask = parent.poset.mask_of(mem)
         if parent.submagma_closure(mmask) != mmask:
             raise StructureError("subset is not closed under multiplication")
         index = {x: i for i, x in enumerate(mem)}
@@ -673,27 +685,22 @@ def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
     for y in range(m.n):
         if all(p.leq(star_on_parent[z], y) for z in n_sub.members if p.leq(z, y)):
             good |= 1 << y
-    table = []
-    for x in range(m.n):
-        v = p.least_of(good & p.up[x])
-        if v is None:
-            raise InternalCheckError("induced-nucleus fiber has no least element")
-        table.append(v)
+    table = _least_above(p, good)
+    if table is None:
+        raise _broken(m, "induced-nucleus fiber has no least element")
     out = MonotoneMap(m, table)
     if not is_nucleus(m, out):
-        raise InternalCheckError("induced lower map failed the nucleus check")
+        raise _broken(m, "induced lower map failed the nucleus check")
     for z in n_sub.members:
         if out.table[z] != star_on_parent[z]:
-            raise InternalCheckError("induced lower nucleus does not restrict to the input")
+            raise _broken(m, "induced lower nucleus does not restrict to the input")
     return out
 
 
 def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneMap:
     """Coarsest nucleus restricting to s on a saturated downward-closed submagma."""
     p = m.poset
-    mmask = 0
-    for x in n_sub.members:
-        mmask |= 1 << x
+    mmask = sum(1 << x for x in n_sub.members)
     if not p.is_downward_closed(mmask):
         raise HypothesisNotMet("submagma is not downward closed")
     ann = m.annihilator
@@ -720,7 +727,7 @@ def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
             table.append(top)
     out = MonotoneMap(m, table)
     if not is_nucleus(m, out):
-        raise InternalCheckError("induced upper map failed the nucleus check")
+        raise _broken(m, "induced upper map failed the nucleus check")
     return out
 
 
@@ -746,7 +753,7 @@ def d_map(m: OrderedMagma, a: int) -> MonotoneMap:
         raise HypothesisNotMet("d_map needs an idempotent element above the unit")
     s = MonotoneMap(m, tuple(m.op(x, a) for x in range(m.n)))
     if not is_strict_nucleus(m, s):
-        raise InternalCheckError("translation by an idempotent above 1 must be a strict nucleus")
+        raise _broken(m, "translation by an idempotent above 1 must be a strict nucleus")
     return s
 
 
@@ -758,7 +765,7 @@ def unit_part(m: OrderedMagma, s: MonotoneMap) -> int:
         raise HypothesisNotMet("unit_part requires a nucleus")
     v = s.table[m.unit]
     if not ((r_set_mask(m) >> v) & 1):
-        raise InternalCheckError("1* left R(M)")
+        raise _broken(m, "1* left R(M)")
     return v
 
 
@@ -775,22 +782,22 @@ def one_bracket(q: OrderedMagma, x: int) -> int:
         if cur in powers:
             break
         powers.add(cur)
-    v = p.sup(powers)
+    v = p.sup_mask(sum(1 << y for y in powers))
     if v is None:
-        raise InternalCheckError("power supremum missing on a near-sup-complete carrier")
+        raise _broken(q, "power supremum missing on a near-sup-complete carrier")
     rmask = r_set_mask(q)
     fiber = rmask & p.up[x]
     if p.least_of(fiber) != v:
-        raise InternalCheckError("1[x] is not the least idempotent above the unit and x")
+        raise _broken(q, "1[x] is not the least idempotent above the unit and x")
     return v
 
 
 def one_bracket_map(q: OrderedMagma) -> MonotoneMap:
     s = MonotoneMap(q, tuple(one_bracket(q, x) for x in range(q.n)))
     if not is_closure(s):
-        raise InternalCheckError("1[-] failed the closure check")
+        raise _broken(q, "1[-] failed the closure check")
     if s.image_mask() != r_set_mask(q):
-        raise InternalCheckError("image of 1[-] is not R(Q)")
+        raise _broken(q, "image of 1[-] is not R(Q)")
     return s
 
 
@@ -847,23 +854,29 @@ def nuclei_join_table(m: OrderedMagma) -> list:
     """joins[i][j] is the position in enumerate_nuclei(m) of the join of nuclei
     i and j, by the join formula (nuclei_join) run once per unordered pair;
     built once per carrier object, and read, never changed, by its callers."""
-    return _on_carrier(m, ("joins",), _build_join_table)
+    return _on_carrier(m, ("joins",), _pair_table, nuclei_join)
 
 
-def _build_join_table(m: OrderedMagma) -> list:
+def nuclei_meet_table(m: OrderedMagma) -> list:
+    """meets[i][j] is the position in enumerate_nuclei(m) of the pointwise
+    meet (nuclei_meet) of nuclei i and j; built and read like the join table."""
+    return _on_carrier(m, ("meets",), _pair_table, nuclei_meet)
+
+
+def _pair_table(m: OrderedMagma, combine) -> list:
     maps = enumerate_nuclei(m)
     index = {s.table: i for i, s in enumerate(maps)}
-    joins = [[0] * len(maps) for _ in maps]
+    out = [[0] * len(maps) for _ in maps]
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
-            joined = nuclei_join(m, [s, maps[j]]).table
-            if joined not in index:
+            got = combine(m, [s, maps[j]]).table
+            if got not in index:
                 raise InternalCheckError(
-                    f"join of nuclei on {_label(m)} is not an enumerated nucleus: "
-                    f"{s.table} v {maps[j].table} is {joined}"
+                    f"{combine.__name__} of two nuclei on {_label(m)} is not enumerated: "
+                    f"{s.table}, {maps[j].table} give {got}"
                 )
-            joins[i][j] = joins[j][i] = index[joined]
-    return joins
+            out[i][j] = out[j][i] = index[got]
+    return out
 
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
@@ -900,7 +913,9 @@ def nucleus_tower(m: OrderedMagma, depth: int = 2) -> TowerReport:
     current = m
     for _ in range(depth):
         if current.n > ENUMERATION_CAP:
-            raise CarrierTooLarge("tower level exceeds the enumeration cap")
+            raise CarrierTooLarge(
+                f"tower level capped at {ENUMERATION_CAP} elements, refused on {_label(current)}"
+            )
         lat = nucleus_lattice(current)
         levels.append(lat)
         _assert_level_structure(lat)
@@ -918,10 +933,10 @@ def _assert_level_structure(lat: NucleusLattice):
         return
     prof = nm.profile
     if not prof.near_multiplicative_lattice:
-        raise InternalCheckError("N(M) is not a near multiplicative lattice under join")
+        raise _broken(nm, "N(M) is not a near multiplicative lattice under join")
     rmask = r_set_mask(nm)
     if rmask != nm.poset.universe:
-        raise InternalCheckError("N(M) != R(N(M))")
+        raise _broken(nm, "N(M) != R(N(M))")
 
 
 def _d_embedding_is_iso(lower: NucleusLattice, upper: NucleusLattice) -> bool:
@@ -935,68 +950,34 @@ def _d_embedding_is_iso(lower: NucleusLattice, upper: NucleusLattice) -> bool:
     upper_tables = {s.table for s in upper.maps}
     for t in images:
         if t not in upper_tables:
-            raise InternalCheckError("d_a is not a nucleus on the next tower level")
+            raise _broken(nm, "d_a is not a nucleus on the next tower level")
     if len(set(images)) != nm.n:
-        raise InternalCheckError("d_- embedding is not injective")
+        raise _broken(nm, "d_- embedding is not injective")
     return len(upper.maps) == nm.n
 
 
 # -- composition joins -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositionJoinVerdict:
-    certified: bool
-    n: Optional[int]
-    composition: Optional[MonotoneMap]
-    matches_join: Optional[bool]
-
-
-def composition_join_check(
-    m: OrderedMagma, s1: MonotoneMap, s2: MonotoneMap, bound: int = 8
-) -> CompositionJoinVerdict:
-    """Certify s1 v s2 as an n-fold alternating composition when one order of
-    alternation is coarser than the other; bound exhaustion is not a refutation."""
-    found = certified_composition(m, s1, s2, bound)
-    if found is None:
-        return CompositionJoinVerdict(False, None, None, None)
-    n, cand = found
-    try:
-        matches = nuclei_join(m, [s1, s2]).table == cand.table
-    except HypothesisNotMet:
-        matches = None
-    if matches is False:
-        raise InternalCheckError("certified composition disagrees with the join")
-    return CompositionJoinVerdict(True, n, cand, matches)
-
-
 def certified_composition(
-    m: OrderedMagma, s1: MonotoneMap, s2: MonotoneMap, bound: int
+    m: OrderedMagma, s1: MonotoneMap, s2: MonotoneMap
 ) -> Optional[Tuple[int, MonotoneMap]]:
-    """The least n <= bound at which one order of the n-fold alternating
-    composition of s1 and s2 is coarser than the other, with that composition
-    (a nucleus); None when the bound runs out."""
+    """The least n <= COMPOSITION_BOUND at which one order of the n-fold
+    alternating composition of s1 and s2 is coarser than the other, with that
+    composition (a nucleus); None when the bound runs out."""
     for s in (s1, s2):
         if not is_nucleus(m, s):
-            raise HypothesisNotMet("composition_join_check requires nuclei")
-
-    def alternating(first: MonotoneMap, second: MonotoneMap, n: int) -> MonotoneMap:
-        # n-fold composition applying `first` first: ... o second o first
-        out = MonotoneMap.identity(m)
-        for i in range(n):
-            out = (first if i % 2 == 0 else second).compose(out)
-        return out
-
-    for n in range(1, bound + 1):
-        a = alternating(s2, s1, n)   # ... o s2 o s1 o s2 reading right to left
-        b = alternating(s1, s2, n)
-        cand = None
-        if b <= a:
-            cand = a
-        elif a <= b:
-            cand = b
+            raise HypothesisNotMet("certified_composition requires nuclei")
+    up = m.poset.up
+    # a applies s2 first and b applies s1 first; after1(f) is f o s1.
+    after1, after2 = row_getters([s1.table, s2.table])
+    a, b = s2.table, s1.table
+    for n in range(1, COMPOSITION_BOUND + 1):
+        cand = a if _below(up, b, a) else b if _below(up, a, b) else None
         if cand is not None:
-            if not is_nucleus(m, cand):
-                raise InternalCheckError("certified composition is not a nucleus")
-            return n, cand
+            out = MonotoneMap(m, cand)
+            if not is_nucleus(m, out):
+                raise _broken(m, "certified composition is not a nucleus")
+            return n, out
+        a, b = after2(b), after1(a)
     return None

@@ -436,17 +436,12 @@ def tight_closure_preclosure(lat: RingIdealLattice) -> MonotoneMap:
 
 def tight_closure_star(lat: RingIdealLattice) -> MonotoneMap:
     """The idempotent hull of T: the semiprime operation whose fixed ideals are
-    exactly the tightly closed ones.  On a finite (hence Noetherian) ring the
-    hull coincides with T itself; both facts are asserted."""
+    exactly the tightly closed ones (closure_from_preclosure asserts the least
+    tightly closed ideal above each ideal).  On a finite (hence Noetherian)
+    ring the hull coincides with T itself; both facts are asserted."""
     t = tight_closure_preclosure(lat)
     star = closure_from_preclosure(t)
     m = lat.magma
-    closed = [i for i in range(m.n) if t.table[i] == i]
-    for i in range(m.n):
-        fiber = [j for j in closed if m.leq(i, j)]
-        expected = m.poset.inf(fiber)
-        if expected != star.table[i]:
-            raise InternalCheckError("star disagrees with the scan of tightly closed ideals")
     if star.table != t.table:
         raise InternalCheckError("on a finite ring T must already be idempotent")
     if not is_nucleus(m, star):

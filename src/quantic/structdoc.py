@@ -2,6 +2,11 @@
 
 Documents round-trip losslessly; constructors re-validate everything on load
 and reject malformed input with the offending axiom named.
+
+Documents are where ids enter the library.  The loaders check the shape of
+every list they read and raise StructureError otherwise; the public
+constructors they call (FinitePoset, OrderedMagma, MonotoneMap,
+MagmaMorphism) check every id once.  Nothing downstream re-checks them.
 """
 
 from __future__ import annotations
@@ -88,19 +93,32 @@ def to_json(obj) -> str:
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise StructureError("a document must be a JSON object")
     if key not in doc:
         raise StructureError(f"document is missing the key {key!r}")
     return doc[key]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise StructureError(f"{what} must be a list")
+    return value
+
+
+def _matrix(value, what: str) -> list:
+    for row in _list(value, what):
+        _list(row, f"every row of {what}")
+    return value
+
+
 def load_poset(doc: dict) -> FinitePoset:
     if _require(doc, "kind") != "poset":
         raise StructureError("expected a poset document")
-    leq = _require(doc, "leq")
     labels = doc.get("elements")
-    if not isinstance(leq, list):
-        raise StructureError("leq must be a matrix")
-    return FinitePoset(leq, labels)
+    if labels is not None:
+        _list(labels, "elements")
+    return FinitePoset(_matrix(_require(doc, "leq"), "leq"), labels)
 
 
 def load_magma(doc: dict) -> Union[OrderedMagma, LazyCarrier]:
@@ -113,7 +131,7 @@ def load_magma(doc: dict) -> Union[OrderedMagma, LazyCarrier]:
     if kind != "magma":
         raise StructureError("expected a magma document")
     poset = load_poset(_require(doc, "poset"))
-    magma = OrderedMagma(poset, _require(doc, "mul"), name=doc.get("name", ""))
+    magma = OrderedMagma(poset, _matrix(_require(doc, "mul"), "mul"), name=doc.get("name", ""))
     for key in ("unit", "annihilator"):
         declared = doc.get(key)
         if declared is not None:
@@ -132,14 +150,14 @@ def load_map(doc: dict) -> MonotoneMap:
         carrier = load_poset(doc["poset"])
     else:
         raise StructureError("map document needs a magma or poset carrier")
-    return MonotoneMap(carrier, _require(doc, "assign"))
+    return load_map_on(doc, carrier)
 
 
 def load_map_on(doc: dict, carrier) -> MonotoneMap:
     """Load just the assignment of a map document onto an existing carrier."""
     if _require(doc, "kind") != "map":
         raise StructureError("expected a map document")
-    return MonotoneMap(carrier, _require(doc, "assign"))
+    return MonotoneMap(carrier, _list(_require(doc, "assign"), "assign"))
 
 
 def load_morphism(doc: dict) -> MagmaMorphism:
@@ -147,7 +165,7 @@ def load_morphism(doc: dict) -> MagmaMorphism:
         raise StructureError("expected a morphism document")
     src = load_magma(_require(doc, "source"))
     tgt = load_magma(_require(doc, "target"))
-    return MagmaMorphism(src, tgt, _require(doc, "assign"))
+    return MagmaMorphism(src, tgt, _list(_require(doc, "assign"), "assign"))
 
 
 def load_any(doc: dict):

@@ -22,11 +22,13 @@ from quantic.errors import HypothesisNotMet
 from quantic.finitary import star_f, verify_klattice
 from quantic.idl import idl_of_morphism, k_of_morphism, roundtrip_checks
 from quantic.instances import (
-    FiniteMagmaDesc,
+    cyclic_group,
     ideal_system_lattice,
     is_module_system,
     module_system_conditions,
     module_system_lattice,
+    trivial_monoid,
+    two_element_monoid,
     weak_ideal_system_conditions,
 )
 from quantic.lazy import (
@@ -258,8 +260,8 @@ def test_criterion_7_representation_suite(corpus):
 
 def test_criterion_8_module_and_ideal_systems():
     groups = {
-        "trivial": FiniteMagmaDesc.trivial_monoid(),
-        "z2": FiniteMagmaDesc.cyclic_group(2),
+        "trivial": trivial_monoid(),
+        "z2": cyclic_group(2),
     }
     counts = {}
     for label, g in groups.items():
@@ -282,8 +284,8 @@ def test_criterion_8_module_and_ideal_systems():
     # and monotonicity then pins the unique system on the trivial group, so
     # the exhaustive filter yields 1 there (and 2 over Z/2).
     assert counts == {"trivial": 1, "z2": 2}
-    for label, mon in [("trivial", FiniteMagmaDesc.trivial_monoid()),
-                       ("two-element", FiniteMagmaDesc.two_element_monoid())]:
+    for label, mon in [("trivial", trivial_monoid()),
+                       ("two-element", two_element_monoid())]:
         sys = ideal_system_lattice(mon)
         m = sys.magma
         rng = random.Random(88)

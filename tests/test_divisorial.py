@@ -65,6 +65,17 @@ class TestDivisorialClosure:
         assert set(fns) == sandwiches
 
 
+    def test_a_strategy_disagreement_names_the_carrier_and_its_size(self, z4, monkeypatch):
+        from quantic import divisorial
+        from quantic.errors import InternalCheckError
+        from quantic.structdoc import load_magma, magma_doc
+
+        m = load_magma(magma_doc(z4.magma))
+        monkeypatch.setattr(divisorial, "v_lin", lambda q, a: MonotoneMap.top_map(q))
+        with pytest.raises(InternalCheckError, match="divisorial strategies disagree") as info:
+            v(m, 0)
+        assert "on I(Z/4) (3 elements)" in str(info.value), info.value
+
     def test_translation_monoid_is_built_once_per_carrier(self, monkeypatch):
         from quantic import divisorial
         from quantic.rings import FiniteRing, ring_ideal_lattice
@@ -72,7 +83,7 @@ class TestDivisorialClosure:
         m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
         built, build = [], divisorial._translation_monoid
         monkeypatch.setattr(
-            divisorial, "_translation_monoid", lambda q, cap: built.append(q) or build(q, cap)
+            divisorial, "_translation_monoid", lambda q: built.append(q) or build(q)
         )
         for a in range(m.n):
             v(m, a, strategy="all")

@@ -4,14 +4,21 @@ import pytest
 
 from quantic.errors import CarrierTooLarge, HypothesisNotMet, StructureError
 from quantic.instances import (
-    FiniteMagmaDesc,
+    cyclic_group,
     ideal_system_lattice,
     is_ideal_system,
     is_module_system,
+    is_group,
     is_weak_ideal_system,
+    klein_four,
+    left_zero,
     module_system_conditions,
     module_system_lattice,
+    nonassociative_pair,
+    plain_magma,
     powerset_prequantale,
+    trivial_monoid,
+    two_element_monoid,
     upsets_quantale,
     upsets_shipped_maps,
     weak_ideal_system_conditions,
@@ -35,36 +42,36 @@ from quantic.rings import (
 
 class TestMagmaDescriptions:
     def test_flags_verified(self):
-        d = FiniteMagmaDesc.cyclic_group(3)
-        assert d.associative and d.commutative and d.unital and d.is_group()
-        lz = FiniteMagmaDesc.left_zero(2)
+        d = cyclic_group(3).profile
+        assert d.associative and d.commutative and d.unital and is_group(cyclic_group(3))
+        lz = left_zero(2).profile
         assert lz.associative and not lz.commutative and not lz.unital
-        na = FiniteMagmaDesc.nonassociative_pair()
-        assert not na.associative
+        assert not nonassociative_pair().profile.associative
+        assert not is_group(two_element_monoid())
 
     def test_bad_table_rejected(self):
         with pytest.raises(StructureError):
-            FiniteMagmaDesc.from_table(["a"], [[3]])
+            plain_magma(["a"], [[3]])
 
 
 class TestPowerset:
     def test_group_powerset_is_coherent_quantale(self):
-        c = powerset_prequantale(FiniteMagmaDesc.cyclic_group(2))
+        c = powerset_prequantale(cyclic_group(2))
         prof = c.magma.profile
         assert prof.quantale and prof.coherent and prof.precoherent and prof.commutative
 
     def test_drop_empty_kills_annihilator(self):
-        c = powerset_prequantale(FiniteMagmaDesc.cyclic_group(2), drop_empty=True)
+        c = powerset_prequantale(cyclic_group(2), drop_empty=True)
         assert c.magma.annihilator is None and c.magma.profile.near_prequantale
 
     def test_size_cap(self):
         with pytest.raises(CarrierTooLarge):
-            powerset_prequantale(FiniteMagmaDesc.cyclic_group(6))
+            powerset_prequantale(cyclic_group(6))
 
 
 class TestModuleSystems:
     def test_smallest_module_system(self):
-        for g in [FiniteMagmaDesc.trivial_monoid(), FiniteMagmaDesc.cyclic_group(2)]:
+        for g in [trivial_monoid(), cyclic_group(2)]:
             sys = module_system_lattice(g)
             m = sys.magma
             table = []
@@ -75,12 +82,12 @@ class TestModuleSystems:
             assert is_module_system(sys, r)
 
     def test_zero_rule_violation_is_false(self):
-        sys = module_system_lattice(FiniteMagmaDesc.trivial_monoid())
+        sys = module_system_lattice(trivial_monoid())
         e = MonotoneMap.top_map(sys.magma)
         assert not is_module_system(sys, e)
 
     def test_larger_groups_construct_and_carry_the_smallest_system(self):
-        for g in [FiniteMagmaDesc.cyclic_group(3), FiniteMagmaDesc.klein_four()]:
+        for g in [cyclic_group(3), klein_four()]:
             sys = module_system_lattice(g)
             m = sys.magma
             assert m.n == 1 << (g.n + 1)
@@ -92,11 +99,11 @@ class TestModuleSystems:
 
     def test_base_cap(self):
         with pytest.raises(CarrierTooLarge):
-            module_system_lattice(FiniteMagmaDesc.cyclic_group(5))
+            module_system_lattice(cyclic_group(5))
 
     def test_non_group_rejected(self):
         with pytest.raises(HypothesisNotMet):
-            module_system_lattice(FiniteMagmaDesc.two_element_monoid())
+            module_system_lattice(two_element_monoid())
 
     def test_exhaustive_counts(self):
         # The zero rule plus idempotence forces r({0}) = {0}, and monotonicity
@@ -104,7 +111,7 @@ class TestModuleSystems:
         # count of two double-counts the top collapse, which breaks
         # idempotence once the zero rule holds.
         counts = {}
-        for label, g in [("trivial", FiniteMagmaDesc.trivial_monoid()), ("z2", FiniteMagmaDesc.cyclic_group(2))]:
+        for label, g in [("trivial", trivial_monoid()), ("z2", cyclic_group(2))]:
             sys = module_system_lattice(g)
             counts[label] = sum(
                 1
@@ -115,7 +122,7 @@ class TestModuleSystems:
 
     @pytest.mark.parametrize("gname", ["trivial", "z2"])
     def test_four_conditions_agree_on_random_maps(self, gname):
-        g = FiniteMagmaDesc.trivial_monoid() if gname == "trivial" else FiniteMagmaDesc.cyclic_group(2)
+        g = trivial_monoid() if gname == "trivial" else cyclic_group(2)
         sys = module_system_lattice(g)
         m = sys.magma
         rng = random.Random(42)
@@ -130,7 +137,7 @@ class TestModuleSystems:
 
 class TestIdealSystems:
     def test_generated_ideal_system(self):
-        mon = FiniteMagmaDesc.two_element_monoid()
+        mon = two_element_monoid()
         sys = ideal_system_lattice(mon)
         m = sys.magma
         k = len(sys.symbols)
@@ -147,19 +154,19 @@ class TestIdealSystems:
         assert is_weak_ideal_system(sys, r)
 
     def test_identity_is_not_weak(self):
-        sys = ideal_system_lattice(FiniteMagmaDesc.trivial_monoid())
+        sys = ideal_system_lattice(trivial_monoid())
         assert not is_weak_ideal_system(sys, MonotoneMap.identity(sys.magma))
 
     def test_counts(self):
         expected = {"trivial": (2, 1), "two": (4, 1)}
-        for label, mon in [("trivial", FiniteMagmaDesc.trivial_monoid()), ("two", FiniteMagmaDesc.two_element_monoid())]:
+        for label, mon in [("trivial", trivial_monoid()), ("two", two_element_monoid())]:
             sys = ideal_system_lattice(mon)
             weak = [r for r in enumerate_nuclei(sys.magma) if is_weak_ideal_system(sys, r)]
             full = [r for r in weak if is_ideal_system(sys, r)]
             assert (len(weak), len(full)) == expected[label]
 
     def test_characterizations_agree_on_random_maps(self):
-        sys = ideal_system_lattice(FiniteMagmaDesc.trivial_monoid())
+        sys = ideal_system_lattice(trivial_monoid())
         m = sys.magma
         rng = random.Random(9)
         for _ in range(1500):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quantic import nucleus
 from quantic.divisorial import lin_monoid
-from quantic.errors import InternalCheckError
+from quantic.errors import HypothesisNotMet, InternalCheckError
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
@@ -23,6 +23,7 @@ from quantic.magma import (
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
 from quantic.poset import FinitePoset, bits
+from quantic.rings import FiniteRing, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
@@ -174,6 +175,31 @@ def lin_monoid_loop(m):
 
 
 # -- comparison helpers ----------------------------------------------------------------
+
+
+def alternating_loop(first, second, n):
+    """The n-fold alternating composition applying first first, one plain
+    table composition at a time."""
+    out = tuple(range(len(first)))
+    for i in range(n):
+        f = first if i % 2 == 0 else second
+        out = tuple(f[x] for x in out)
+    return out
+
+
+def certified_composition_loop(m, s1, s2, bound):
+    p = m.poset
+
+    def below(u, w):
+        return all(p.leq(x, y) for x, y in zip(u, w))
+
+    for n in range(1, bound + 1):
+        a, b = alternating_loop(s2, s1, n), alternating_loop(s1, s2, n)
+        if below(b, a):
+            return n, a
+        if below(a, b):
+            return n, b
+    return None
 
 
 def assert_map_kernels_match(m, t):
@@ -341,6 +367,40 @@ def test_pointwise_order_matches_the_elementwise_comparison(corpus):
             for j, t in enumerate(maps):
                 expected = all(p.leq(a, b) for a, b in zip(s.table, t.table))
                 assert bool(above[i] >> j & 1) == expected == (s <= t)
+
+
+def pair_carriers(corpus):
+    return {**corpus, "ideals-z60": ring_ideal_lattice(FiniteRing.zmod(60)).magma}
+
+
+def test_meet_table_matches_nuclei_meet_on_every_pair(corpus):
+    for name, m in pair_carriers(corpus).items():
+        maps = enumerate_nuclei(m)
+        try:
+            meets = nucleus.nuclei_meet_table(m)
+        except HypothesisNotMet:
+            with pytest.raises(HypothesisNotMet):
+                [nucleus.nuclei_meet(m, [s, t]) for s in maps for t in maps]
+            continue
+        for i, s in enumerate(maps):
+            for j, t in enumerate(maps):
+                assert maps[meets[i][j]].table == nucleus.nuclei_meet(m, [s, t]).table, name
+
+
+def test_certified_composition_matches_plain_tables(corpus):
+    certified = 0
+    for name, m in pair_carriers(corpus).items():
+        maps = enumerate_nuclei(m)
+        for s in maps:
+            for t in maps:
+                found = nucleus.certified_composition(m, s, t)
+                expected = certified_composition_loop(
+                    m, s.table, t.table, nucleus.COMPOSITION_BOUND
+                )
+                assert (found and (found[0], found[1].table)) == expected, (name, s, t)
+                certified += found is not None and found[0] > 1
+    # Some pairs need more than one alternation.
+    assert certified
 
 
 # -- random ordered magmas --------------------------------------------------------------

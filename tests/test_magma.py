@@ -1,12 +1,11 @@
 import pytest
 
 from quantic.errors import StructureError
-from quantic.instances import FiniteMagmaDesc, powerset_prequantale
+from quantic.instances import nonassociative_pair, powerset_prequantale
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
     adjoin_annihilator,
-    adjoin_top,
     check_profile_implications,
     distinguished_sets,
     is_cyclic_element,
@@ -41,7 +40,7 @@ class TestClassification:
         assert prof.near_prequantale and not prof.prequantale and not prof.with_annihilator
 
     def test_powerset_quantale_iff_base_semigroup(self):
-        na = powerset_prequantale(FiniteMagmaDesc.nonassociative_pair()).magma
+        na = powerset_prequantale(nonassociative_pair()).magma
         assert na.profile.prequantale and not na.profile.quantale
 
     def test_join_chain_is_not_residuated(self):
@@ -134,11 +133,6 @@ class TestAdjoin:
         m = corpus["powerset-z2-ne"]
         m0 = adjoin_annihilator(m)
         assert m0.profile.prequantale and m0.annihilator == m.n
-
-    def test_adjoin_top_absorbs(self, z4):
-        m = adjoin_top(z4.magma)
-        t = m.poset.top
-        assert all(m.op(x, t) == t and m.op(t, x) == t for x in range(m.n))
 
 
 class TestCyclicity:

@@ -6,7 +6,7 @@ from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import (
     MonotoneMap,
     Submagma,
-    composition_join_check,
+    certified_composition,
     closure_from_preclosure,
     d_map,
     enumerate_closures,
@@ -361,14 +361,15 @@ class TestCompositionJoin:
     def test_equal_nuclei_certify_at_one(self, z4):
         m = z4.magma
         rad = MonotoneMap(m, (1, 1, 2))
-        verdict = composition_join_check(m, rad, rad)
-        assert verdict.certified and verdict.n == 1 and verdict.composition.table == rad.table
+        n, composition = certified_composition(m, rad, rad)
+        assert n == 1 and composition.table == rad.table == nuclei_join(m, [rad, rad]).table
 
     def test_identity_absorbs(self, z4):
         m = z4.magma
         rad = MonotoneMap(m, (1, 1, 2))
-        verdict = composition_join_check(m, MonotoneMap.identity(m), rad)
-        assert verdict.certified and verdict.n == 1 and verdict.composition.table == rad.table
+        n, composition = certified_composition(m, MonotoneMap.identity(m), rad)
+        assert n == 1 and composition.table == rad.table
+        assert composition.table == nuclei_join(m, [MonotoneMap.identity(m), rad]).table
 
     def test_incomparable_module_systems(self, corpus):
         m = corpus["modsys-z2"]
@@ -377,10 +378,13 @@ class TestCompositionJoin:
             (s, t) for s in maps for t in maps if not (s <= t) and not (t <= s)
         ]
         assert incomparable
+        certified = 0
         for s, t in incomparable[:6]:
-            verdict = composition_join_check(m, s, t, bound=8)
-            if verdict.certified:
-                assert verdict.matches_join
+            found = certified_composition(m, s, t)
+            if found is not None:
+                certified += 1
+                assert found[1].table == nuclei_join(m, [s, t]).table
+        assert certified
 
 
 def test_enumeration_deterministic(z4):

@@ -5,9 +5,9 @@ import pytest
 from quantic.divisorial import v, v_lin, v_units
 from quantic.errors import UndecidableFamily
 from quantic.idl import down_closure_mask, idl
-from quantic.instances import FiniteMagmaDesc, powerset_prequantale
+from quantic.instances import cyclic_group, powerset_prequantale
 from quantic.lazy import ChainOmega
-from quantic.magma import is_scott_topological, residual
+from quantic.magma import residual
 from quantic.nucleus import closure_from_preclosure, enumerate_nuclei
 from quantic.poset import bits
 from quantic.rings import (
@@ -34,7 +34,7 @@ def test_tight_closure_hull_on_deeper_chain():
 
 
 def test_unit_sandwich_strategy_on_z3_powerset():
-    carrier = powerset_prequantale(FiniteMagmaDesc.cyclic_group(3), drop_empty=True)
+    carrier = powerset_prequantale(cyclic_group(3), drop_empty=True)
     m = carrier.magma
     one = carrier.element_of([0])
     via_units = v_units(m, one)
@@ -70,7 +70,7 @@ def test_every_finite_ideal_is_sup_of_principal_ideals(corpus):
 
 def test_lazy_guards():
     chain = ChainOmega()
-    assert is_scott_topological(chain)
+    assert chain.declared_profile["scott_topological"]
     # The chain rule answers when the defining set is nonempty and declines
     # otherwise; a carrier without any rule is undecidable.
     r = residual(chain, 1, 2)

@@ -245,18 +245,26 @@ class TestCli:
             ["classify", "{mul_float}"],
             ["star-f", "{diamond}", "{float_map}"],
             ["classify", "{float_unit}"],
+            ["star-f", "{z4}", "{int_assign}"],
+            ["classify", "{int_mul}"],
+            ["classify", "{int_leq_rows}"],
+            ["classify", "{int_elements}"],
+            ["classify", "{int_poset}"],
+            ["star-f", "--carrier", "chain-omega", "dx"],
         ],
         ids=[
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
             "unknown-group", "bad-exponent", "empty-poly", "string-product",
-            "float-product", "float-assign", "float-unit",
+            "float-product", "float-assign", "float-unit", "int-assign", "int-mul",
+            "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name",
         ],
     )
     def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, corpus, args):
         paths = {
             name: tmp_path / f"{name}.json"
             for name in (
-                "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit"
+                "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit",
+                "int_assign", "int_mul", "int_leq_rows", "int_elements", "int_poset",
             )
         }
         paths["dir"] = tmp_path
@@ -271,8 +279,24 @@ class TestCli:
         paths["float_unit"].write_text(json.dumps(doc))
         paths["diamond"].write_text(to_json(corpus["diamond-join"]))
         paths["float_map"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [0.0, 1, 2, 3]}))
+        paths["int_assign"].write_text(json.dumps({"kind": "map", "assign": 5}))
+        for name, edit in (
+            ("int_mul", lambda d: d.update(mul=7)),
+            ("int_leq_rows", lambda d: d["poset"].update(leq=[1, 2, 3])),
+            ("int_elements", lambda d: d["poset"].update(elements=5)),
+            ("int_poset", lambda d: d.update(poset=5)),
+        ):
+            doc = magma_doc(z4.magma)
+            edit(doc)
+            paths[name].write_text(json.dumps(doc))
         code, _, err = run_cli([a.format(**paths) for a in args])
         assert code == 2 and len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+    def test_refusal_over_the_enumeration_cap_names_the_carrier_and_its_size(self):
+        _, doc, _ = run_cli(["make", "module-system-lattice", "--group", "Z4"])
+        code, out, err = run_cli(["nuclei", "-"], stdin_text=doc)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "capped at 16 elements" in err and "2^(G0:4) (32 elements)" in err, err
 
     def test_hypothesis_failure_exits_1_named(self):
         _, doc, _ = run_cli(["make", "ring", "--zmod", "6"])

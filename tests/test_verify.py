@@ -106,6 +106,35 @@ def test_run_all_runs_the_join_formula_once_per_pair_of_nuclei(monkeypatch):
     assert k > 2 and 0 < len(calls) <= k * (k + 1) // 2
 
 
+def test_cmc_and_stabletheorem_read_one_meet_table(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
+    calls = []
+    meet = nucleus.nuclei_meet
+    monkeypatch.setattr(nucleus, "nuclei_meet", lambda m, gamma: calls.append(1) or meet(m, gamma))
+    statuses = {r.name: r.status for r in run_all(m, names=["CMC", "stabletheorem"])}
+    k = len(nucleus.enumerate_nuclei(m))
+    assert statuses == {"CMC": "pass", "stabletheorem": "pass"}
+    assert k > 2 and len(calls) == k * (k + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "wrong_meet",
+    [
+        # An enumerated nucleus that is not below the second argument when
+        # the two are incomparable.
+        lambda m, gamma: gamma[0],
+        # A common lower bound that is not the greatest one.
+        lambda m, gamma: MonotoneMap.identity(m),
+    ],
+    ids=["first-argument", "identity"],
+)
+def test_cmc_fails_on_a_meet_that_is_not_the_n_m_meet(monkeypatch, wrong_meet):
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    monkeypatch.setattr(nucleus, "nuclei_meet", wrong_meet)
+    (row,) = run_all(m, names=["CMC"])
+    assert row.status == "fail" and row.detail == "pointwise meet is not the N(M) meet"
+
+
 def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, tmp_path, capsys):
     # Each disagreement message names the carrier and the offending tables.
     identity = MonotoneMap.identity
