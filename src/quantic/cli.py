@@ -26,6 +26,7 @@ from .finitary import is_finitary, star_f
 from .idl import idl, roundtrip_checks
 from .instances import (
     chain_nucleus,
+    check_system_base,
     cyclic_group,
     klein_four,
     module_system_lattice,
@@ -156,7 +157,9 @@ def _parse_group(name: str) -> OrderedMagma:
     if label in ("Z1", "1", "TRIVIAL"):
         return trivial_monoid()
     if label.startswith("Z") and label[1:].isdecimal():
-        return cyclic_group(int(label[1:]))
+        n = int(label[1:])
+        check_system_base(n)
+        return cyclic_group(n)
     if label in ("V4", "KLEIN"):
         return klein_four()
     raise StructureError(f"unknown group {name!r}")

@@ -306,6 +306,10 @@ def _stable_hypotheses(q: OrderedMagma):
             "stable-closure evaluation is partial on lazy carriers: the family "
             "{x/z : z GV} is not describable there"
         )
+    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
+
+
+def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
     prof = q.profile
     if not prof.near_multiplicative_lattice:
         raise HypothesisNotMet("stability needs a near multiplicative lattice")
@@ -324,11 +328,17 @@ def _stable_hypotheses(q: OrderedMagma):
     for x in range(q.n):
         if p.meet(x, q.unit) is None:
             raise HypothesisNotMet(f"x ^ 1 missing for element {x}")
+    return True
 
 
 def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
-    """The coarsest stable nucleus below s: x -> sup{ x/z : z GV }."""
+    """The coarsest stable nucleus below s: x -> sup{ x/z : z GV }, built
+    once per carrier object and nucleus table."""
     _stable_hypotheses(q)
+    return _on_carrier(q, ("stable_closure", s.table), _build_stable_closure, s)
+
+
+def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     if not is_nucleus(q, s):
         raise HypothesisNotMet("stable_closure requires a nucleus")
     gv = gv_elements(q, s)
@@ -353,8 +363,13 @@ def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
 
 
 def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
-    """All four equivalent stability conditions evaluated and compared."""
+    """All four equivalent stability conditions evaluated and compared, once
+    per carrier object and nucleus table."""
     _stable_hypotheses(q)
+    return _on_carrier(q, ("stable", s.table), _decide_stable, s)
+
+
+def _decide_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
     if not is_nucleus(q, s):
         raise HypothesisNotMet("is_stable requires a nucleus")
     p, t = q.poset, s.table

@@ -162,9 +162,15 @@ def _with_zero(base: OrderedMagma) -> Tuple[tuple, tuple]:
     return symbols, tuple(tuple(r) for r in mul)
 
 
+def check_system_base(n: int):
+    """Refuse a system base of n elements over SYSTEM_BASE_CAP; callers that
+    build the base themselves ask before building it."""
+    if n > SYSTEM_BASE_CAP:
+        raise CarrierTooLarge(f"system base capped at {SYSTEM_BASE_CAP}, got {n} elements")
+
+
 def _set_system(base: OrderedMagma, name: str) -> SetSystemCarrier:
-    if base.n > SYSTEM_BASE_CAP:
-        raise CarrierTooLarge(f"system base capped at {SYSTEM_BASE_CAP}")
+    check_system_base(base.n)
     symbols, symbol_mul = _with_zero(base)
     carrier = _powerset_carrier(plain_magma(symbols, symbol_mul), drop_empty=False, name=name)
     if not carrier.magma.profile.multiplicative_lattice:

@@ -1,4 +1,13 @@
-"""Finite commutative rings, their ideal lattices, radical and tight closure."""
+"""Finite commutative rings, their ideal lattices, radical and tight closure.
+
+A ring keeps its addition and multiplication tables as rows of bytes, one
+byte per element, which RING_SIZE_CAP = 256 allows.  The ring laws are
+decided on every triple (x, y, z), one row over z at a time: a table row
+read through another row is ``row.translate(other + pad)`` with
+``pad = bytes(256 - n)``, and the two sides of a law are compared as bytes.
+A failed law names the ring, its size and the triple, with z the first
+element where the two rows differ.
+"""
 
 from __future__ import annotations
 
@@ -10,60 +19,96 @@ from .magma import OrderedMagma, row_getters
 from .nucleus import MonotoneMap, closure_from_preclosure, is_nucleus
 from .poset import FinitePoset, bits
 
+# Every element is one byte, and a table row padded with zeros to 256 bytes
+# is a bytes.translate table: the byte-row law check needs n <= 256.
 RING_SIZE_CAP = 256
+_BIT = [1 << x for x in range(RING_SIZE_CAP)]
+
+
+def _label(name: str, n) -> str:
+    """A ring's name and size, n elements, as error messages give them."""
+    return f"{name or 'ring'} ({n} elements)"
+
+
+def _check_size(n: int, label: str):
+    if n > RING_SIZE_CAP:
+        raise HypothesisNotMet(f"ring size capped at {RING_SIZE_CAP} on {label}")
+
+
+def _through(row: bytes) -> bytes:
+    """The bytes.translate table that maps z to row[z]."""
+    return row.ljust(256, b"\0")
 
 
 class FiniteRing:
-    """A finite commutative unital ring with dense addition/multiplication tables."""
+    """A finite commutative unital ring with dense addition/multiplication
+    tables, each a tuple of bytes rows."""
 
     def __init__(self, add, mul, zero: int, one: int, name: str = "", element_names=None):
-        self.n = len(add)
-        if self.n > RING_SIZE_CAP:
-            raise HypothesisNotMet(f"ring size capped at {RING_SIZE_CAP}")
-        self.add = tuple(tuple(r) for r in add)
-        self.mul = tuple(tuple(r) for r in mul)
+        self.n = n = len(add)
+        self.name = name
+        _check_size(n, self.label)
+        try:
+            self.add = tuple(bytes(list(r)) for r in add)
+            self.mul = tuple(bytes(list(r)) for r in mul)
+            rows = self.add + self.mul
+            shaped = len(rows) == 2 * n and all(len(r) == n and max(r) < n for r in rows)
+        except (TypeError, ValueError):
+            shaped = False
+        if not (shaped and 0 <= zero < n and 0 <= one < n):
+            raise self._malformed("ring needs n x n tables, a zero and a one in 0..n-1")
         self.zero = zero
         self.one = one
-        self.name = name
         self.element_names = (
-            tuple(element_names) if element_names else tuple(str(i) for i in range(self.n))
+            tuple(element_names) if element_names else tuple(str(i) for i in range(n))
         )
         self._validate()
         self.neg = self._negatives()
         self.characteristic = self._characteristic()
 
+    @property
+    def label(self) -> str:
+        return _label(self.name, self.n)
+
+    def _malformed(self, what: str, at: str = "") -> StructureError:
+        return StructureError(f"{what} on {self.label}{at}")
+
     def _validate(self):
         n, add, mul, zero, one = self.n, self.add, self.mul, self.zero, self.one
+        # Column x of a table is its flat form read with stride n.
+        flat_add, flat_mul = b"".join(add), b"".join(mul)
         for x in range(n):
             if add[zero][x] != x or mul[one][x] != x:
-                raise StructureError("zero or one fails its law")
+                raise self._malformed("zero or one fails its law", f" at x = {x}")
             if mul[zero][x] != zero:
-                raise StructureError("zero is not absorbing")
-            for y in range(n):
-                if add[x][y] != add[y][x] or mul[x][y] != mul[y][x]:
-                    raise StructureError("ring is not commutative")
-        # Each law for every z at once, as a row: (x+y)+z against x+(y+z) is
-        # add[x+y] against add[y] read through add[x], and likewise below.
-        plus, times = row_getters(add), row_getters(mul)
-        for ax, mx, by_x in zip(add, mul, times):
-            for y in range(n):
-                if add[ax[y]] != plus[y](ax):
-                    raise StructureError("addition not associative")
-                if mul[mx[y]] != times[y](mx):
-                    raise StructureError("multiplication not associative")
-                if plus[y](mx) != by_x(add[mx[y]]):
-                    raise StructureError("distributivity fails")
+                raise self._malformed("zero is not absorbing", f" at x = {x}")
+            if add[x] != flat_add[x::n] or mul[x] != flat_mul[x::n]:
+                y = min(_first_difference(add[x], flat_add[x::n]),
+                        _first_difference(mul[x], flat_mul[x::n]))
+                raise self._malformed("ring is not commutative", f" at (x, y) = ({x}, {y})")
+        # Each law for every z at once, as a row: (x+y)+z is the row add[x+y],
+        # x+(y+z) is add[y] read through add[x], and likewise below.
+        through_add = [_through(r) for r in add]
+        through_mul = [_through(r) for r in mul]
+        for x, (ax, mx, by_ax, by_mx) in enumerate(zip(add, mul, through_add, through_mul)):
+            for y, (ay, my, s, p) in enumerate(zip(add, mul, ax, mx)):
+                if (lhs := add[s]) != (rhs := ay.translate(by_ax)):
+                    raise self._law_fails("addition not associative", x, y, lhs, rhs)
+                if (lhs := mul[p]) != (rhs := my.translate(by_mx)):
+                    raise self._law_fails("multiplication not associative", x, y, lhs, rhs)
+                # x(y+z) against xy+xz: add[y] read through mul[x], against
+                # mul[x] read through add[xy].
+                if (lhs := ay.translate(by_mx)) != (rhs := mx.translate(through_add[p])):
+                    raise self._law_fails("distributivity fails", x, y, lhs, rhs)
+
+    def _law_fails(self, law: str, x: int, y: int, lhs: bytes, rhs: bytes) -> StructureError:
+        return self._malformed(law, f" at (x, y, z) = ({x}, {y}, {_first_difference(lhs, rhs)})")
 
     def _negatives(self):
-        neg = [None] * self.n
-        for x in range(self.n):
-            for y in range(self.n):
-                if self.add[x][y] == self.zero:
-                    neg[x] = y
-                    break
-            if neg[x] is None:
-                raise StructureError("additive inverse missing")
-        return tuple(neg)
+        neg = tuple(row.find(self.zero) for row in self.add)
+        if -1 in neg:
+            raise self._malformed("additive inverse missing", f" at x = {neg.index(-1)}")
+        return neg
 
     def _characteristic(self) -> int:
         c, acc = 1, self.one
@@ -71,7 +116,7 @@ class FiniteRing:
             acc = self.add[acc][self.one]
             c += 1
             if c > self.n + 1:
-                raise InternalCheckError("characteristic exceeded ring size")
+                raise _broken(self, "characteristic exceeded ring size")
         return c
 
     def __repr__(self):
@@ -81,63 +126,57 @@ class FiniteRing:
 
     @classmethod
     def zmod(cls, n: int) -> "FiniteRing":
+        name = f"Z/{n}"
         if n < 1:
-            raise StructureError("modulus must be positive")
-        add = [[(i + j) % n for j in range(n)] for i in range(n)]
-        mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-        return cls(add, mul, 0, 1 % n, name=f"Z/{n}")
+            raise StructureError(f"modulus must be positive on {name}")
+        _check_size(n, _label(name, n))
+        add = [bytes(range(i, n)) + bytes(range(i)) for i in range(n)]
+        mul = [bytes([i * j % n for j in range(n)]) for i in range(n)]
+        return cls(add, mul, 0, 1 % n, name=name)
 
     @classmethod
     def poly_quotient(cls, p: int, modulus: Sequence[int], name: str = "") -> "FiniteRing":
-        """F_p[x]/(f) for a monic f given by its coefficient list, low degree first."""
-        if not _is_prime(p):
-            raise StructureError("coefficient field needs a prime order")
-        if not modulus or modulus[-1] % p != 1:
-            raise StructureError("modulus must be monic with its leading coefficient 1")
+        """F_p[x]/(f) for a monic f given by its coefficient list, low degree first.
+
+        Element i is the polynomial whose coefficients are the base-p digits
+        of i, constant term lowest, so i = d + p*j is d + x*j.  The tables are
+        built by linearity: a+b adds the low digits and then the rest, and
+        a*b = d*a + x*(a*j), one lookup per entry."""
+        name = name or f"F_{p}[x]/(f)"
         deg = len(modulus) - 1
+        label = _label(name, f"{p}^{deg}") if deg >= 1 else name
+        if not _is_prime(p):
+            raise StructureError(f"coefficient field needs a prime order on {label}")
+        if not modulus or modulus[-1] % p != 1:
+            raise StructureError(f"modulus must be monic with its leading coefficient 1 on {label}")
         if deg < 1:
-            raise StructureError("modulus must have positive degree")
+            raise StructureError(f"modulus must have positive degree on {label}")
         size = p ** deg
-        if size > RING_SIZE_CAP:
-            raise HypothesisNotMet(f"ring size capped at {RING_SIZE_CAP}")
+        _check_size(size, label)
 
-        def decode(i):
-            out = []
-            for _ in range(deg):
-                out.append(i % p)
-                i //= p
-            return out
+        add = [list(range(size))]
+        for a in range(1, size):
+            low, rest = a % p, add[a // p]
+            add.append([(low + b % p) % p + p * rest[b // p] for b in range(size)])
+        # scale[d][a] = d*a, and x*a moves every digit up one place and turns
+        # the top digit t into t*x^deg = t*(x^deg - f).
+        scale = [[0] * size]
+        for _ in range(1, p):
+            scale.append([add[s][a] for a, s in enumerate(scale[-1])])
+        top = p ** (deg - 1)
+        reduced = sum((-c % p) * p ** i for i, c in enumerate(modulus[:deg]))
+        times_x = [add[p * (a % top)][scale[a // top][reduced]] for a in range(size)]
+        mul = []
+        for a in range(size):
+            row = [0] * size
+            for b in range(1, size):
+                row[b] = add[scale[b % p][a]][times_x[row[b // p]]]
+            mul.append(row)
 
-        def encode(cs):
-            acc = 0
-            for c in reversed(cs[:deg]):
-                acc = acc * p + (c % p)
-            return acc
-
-        def poly_add(a, b):
-            return [(x + y) % p for x, y in zip(a, b)]
-
-        def poly_mul(a, b):
-            out = [0] * (2 * deg)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = (out[i + j] + x * y) % p
-            for k in range(2 * deg - 1, deg - 1, -1):
-                c = out[k]
-                if c:
-                    out[k] = 0
-                    for j in range(deg + 1):
-                        out[k - deg + j] = (out[k - deg + j] - c * modulus[j]) % p
-            return out[:deg]
-
-        elems = [decode(i) for i in range(size)]
-        add = [[encode(poly_add(a, b)) for b in elems] for a in elems]
-        mul = [[encode(poly_mul(a, b)) for b in elems] for a in elems]
-
-        def render(cs):
+        def render(i):
             parts = []
-            for d, c in enumerate(cs):
+            for d in range(deg):
+                c, i = i % p, i // p
                 if not c:
                     continue
                 if d == 0:
@@ -147,14 +186,16 @@ class FiniteRing:
                     parts.append(f"{lead}x" + (f"^{d}" if d > 1 else ""))
             return "+".join(parts) or "0"
 
-        return cls(
-            add,
-            mul,
-            0,
-            encode([1] + [0] * (deg - 1)),
-            name=name or f"F_{p}[x]/(f)",
-            element_names=[render(e) for e in elems],
-        )
+        return cls(add, mul, 0, 1, name=name, element_names=[render(i) for i in range(size)])
+
+
+def _first_difference(a: bytes, b: bytes) -> int:
+    """The first index where a and b differ, or len(a) if they agree."""
+    return next((i for i, (u, w) in enumerate(zip(a, b)) if u != w), len(a))
+
+
+def _broken(ring: FiniteRing, what: str, at: str = "") -> InternalCheckError:
+    return InternalCheckError(f"{what} on {ring.label}{at}")
 
 
 def _is_prime(n: int) -> bool:
@@ -183,32 +224,35 @@ class RingIdealLattice:
         return self.ring.characteristic
 
 
-def _additive_span(ring: FiniteRing, gens_mask: int) -> int:
-    """The additive subgroup generated by gens_mask, one generator at a time:
-    span + <g> is the union of the translates of span by 0, g, 2g, ... up to
-    the first multiple of g already in span."""
+def _additive_span(ring: FiniteRing, gens) -> int:
+    """The additive subgroup generated by the elements gens, one generator at a
+    time: span + <g> is the union of the translates of span by 0, g, 2g, ...
+    up to the first multiple of g already in span.  The translates are
+    disjoint, so the mask is the sum of their bits."""
     add = ring.add
-    members = [ring.zero]
-    span = 1 << ring.zero
-    for g in bits(gens_mask):
-        if span >> g & 1:
+    members = bytes([ring.zero])
+    span = {ring.zero}
+    for g in gens:
+        if g in span:
             continue
-        base, shift = list(members), g
-        while not span >> shift & 1:
-            coset = [add[x][shift] for x in base]
-            members.extend(coset)
-            for x in coset:
-                span |= 1 << x
+        base, shift = members, g
+        while shift not in span:
+            coset = base.translate(_through(add[shift]))
+            members += coset
+            span.update(coset)
             shift = add[shift][g]
-    return span
+    return _mask(members)
 
 
-def _ideal_generated(ring: FiniteRing, gens_mask: int) -> int:
-    scaled = 0
-    for g in bits(gens_mask):
-        for r in range(ring.n):
-            scaled |= 1 << ring.mul[r][g]
-    return _additive_span(ring, scaled)
+def _mask(distinct) -> int:
+    """The bitmask of distinct elements."""
+    return sum(map(_BIT.__getitem__, distinct))
+
+
+def _ideal_generated(ring: FiniteRing, gens) -> int:
+    """The additive span of Rg over the generators g; Rg is row g of the
+    multiplication table, which is commutative."""
+    return _additive_span(ring, set().union(*(ring.mul[g] for g in gens)))
 
 
 def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
@@ -216,8 +260,9 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     a multiplicative lattice with unit the whole ring and annihilator the zero
     ideal."""
     # The ideal generated by base and x is base + Rx, so each ideal is
-    # extended by the distinct principal ideals only.
-    principal = [_ideal_generated(ring, 1 << x) for x in range(ring.n)]
+    # extended by the distinct principal ideals only.  Rx is row x of the
+    # multiplication table, already an additive subgroup by distributivity.
+    principal = [_mask(set(row)) for row in ring.mul]
     zero_ideal = 1 << ring.zero
     found = {zero_ideal}
     frontier = [zero_ideal]
@@ -225,7 +270,7 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
         base = frontier.pop()
         for rx in set(principal):
             if rx & ~base:
-                grown = _additive_span(ring, base | rx)
+                grown = _additive_span(ring, bits(base | rx))
                 if grown not in found:
                     found.add(grown)
                     frontier.append(grown)
@@ -234,21 +279,19 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     leq_rows = [[(a & ~b) == 0 for b in ideals] for a in ideals]
     labels = [_minimal_generating_label(ring, principal, m) for m in ideals]
     poset = FinitePoset(leq_rows, labels)
+    # I*J is the additive span of { xy : x in I, y in J }; the products of
+    # one x are row x of the multiplication table read at the members of J.
+    members = [list(bits(m)) for m in ideals]
+    read_at = row_getters(members)
     mul = []
-    for a in ideals:
-        row = []
-        for b in ideals:
-            prods = 0
-            for x in bits(a):
-                for y in bits(b):
-                    prods |= 1 << ring.mul[x][y]
-            row.append(index[_additive_span(ring, prods)])
-        mul.append(row)
+    for a in members:
+        rows = [ring.mul[x] for x in a]
+        mul.append([index[_additive_span(ring, set().union(*map(read, rows)))] for read in read_at])
     magma = OrderedMagma(poset, mul, name=f"I({ring.name})" if ring.name else "I(R)")
     if not magma.profile.multiplicative_lattice:
-        raise InternalCheckError("an ideal lattice must be a multiplicative lattice")
+        raise _broken(ring, "an ideal lattice must be a multiplicative lattice")
     if magma.unit != index[(1 << ring.n) - 1] or magma.annihilator != index[zero_ideal]:
-        raise InternalCheckError("unit or annihilator of the ideal lattice misplaced")
+        raise _broken(ring, "unit or annihilator of the ideal lattice misplaced")
     return RingIdealLattice(ring, ideals, magma, index)
 
 
@@ -276,11 +319,11 @@ def radical_operation(lat: RingIdealLattice) -> MonotoneMap:
                     break
                 acc = ring.mul[acc][x]
         if rad not in lat.index:
-            raise InternalCheckError("radical of an ideal is not an ideal")
+            raise _broken(ring, "radical of an ideal is not an ideal", f" at ideal {i}")
         table.append(lat.index[rad])
     s = MonotoneMap(lat.magma, table)
     if not is_nucleus(lat.magma, s):
-        raise InternalCheckError("the radical operation must be a nucleus")
+        raise _broken(ring, "the radical operation must be a nucleus")
     return s
 
 
@@ -384,10 +427,7 @@ def frobenius_power_ideal(lat: RingIdealLattice, i: int, e: int) -> int:
     ring = lat.ring
     p = base_prime(ring)
     q = p ** e
-    image = 0
-    for x in bits(lat.ideals[i]):
-        image |= 1 << _ring_pow(ring, x, q)
-    return _ideal_generated(ring, image)
+    return _ideal_generated(ring, {_ring_pow(ring, x, q) for x in bits(lat.ideals[i])})
 
 
 def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int:
@@ -401,7 +441,7 @@ def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int
         exps = [pre]
     regulars = list(bits(regular_elements_mask(lat)))
     if not regulars:
-        raise InternalCheckError("the regular locus of a finite ring cannot be empty")
+        raise _broken(ring, "the regular locus of a finite ring cannot be empty")
     bracket = {e: frobenius_power_ideal(lat, i, e) for e in exps}
     members = 0
     for x in range(ring.n):
@@ -412,25 +452,25 @@ def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int
                 members |= 1 << x
                 break
     if members not in lat.index:
-        raise InternalCheckError("I^T is not an ideal")
+        raise _broken(ring, "I^T is not an ideal", f" at ideal {i}")
     out = lat.index[members]
     if extra_period == 0:
         widened = tight_closure_T(lat, i, extra_period=period)
         if widened != out:
-            raise InternalCheckError("tight closure is unstable under a longer exponent window")
+            raise _broken(ring, "tight closure is unstable under a longer exponent window")
     return out
 
 
 def tight_closure_preclosure(lat: RingIdealLattice) -> MonotoneMap:
     t = MonotoneMap(lat.magma, tuple(tight_closure_T(lat, i) for i in range(lat.magma.n)))
     if not t.is_preclosure:
-        raise InternalCheckError("tight closure T must be a preclosure")
+        raise _broken(lat.ring, "tight closure T must be a preclosure")
     m = lat.magma
     p = m.poset
     for i in range(m.n):
         for j in range(m.n):
             if not p.leq(m.op(i, t.table[j]), t.table[m.op(i, j)]):
-                raise InternalCheckError("tight closure fails I J^T <= (I J)^T")
+                raise _broken(lat.ring, "tight closure fails I J^T <= (I J)^T", f" at (I, J) = ({i}, {j})")
     return t
 
 
@@ -443,7 +483,7 @@ def tight_closure_star(lat: RingIdealLattice) -> MonotoneMap:
     star = closure_from_preclosure(t)
     m = lat.magma
     if star.table != t.table:
-        raise InternalCheckError("on a finite ring T must already be idempotent")
+        raise _broken(lat.ring, "on a finite ring T must already be idempotent")
     if not is_nucleus(m, star):
-        raise InternalCheckError("tight closure star must be a semiprime operation")
+        raise _broken(lat.ring, "tight closure star must be a semiprime operation")
     return star

@@ -6,20 +6,25 @@ kernels must give the same answer on every input, closures or not, on the
 carriers below and on random ordered magmas.
 """
 
+import random
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quantic import nucleus
+from quantic import cli, nucleus
+from quantic.cli import _parse_poly_spec
 from quantic.divisorial import lin_monoid
-from quantic.errors import HypothesisNotMet, InternalCheckError
+from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
     _distributes_over_finite_nonempty,
     _translations_preserve_existing_sups,
+    row_getters,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
 from quantic.poset import FinitePoset, bits
@@ -401,6 +406,191 @@ def test_certified_composition_matches_plain_tables(corpus):
                 certified += found is not None and found[0] > 1
     # Some pairs need more than one alternation.
     assert certified
+
+
+# -- the rings layer --------------------------------------------------------------------
+
+
+def ring_laws_loop(add, mul, zero, one):
+    """The first failing ring law as (law, witness), or None: the tuple-row
+    check the byte rows replaced, with the witness z the first element where
+    the two rows of the failing law differ."""
+    n = len(add)
+    add = tuple(tuple(r) for r in add)
+    mul = tuple(tuple(r) for r in mul)
+    for x in range(n):
+        if add[zero][x] != x or mul[one][x] != x:
+            return "zero or one fails its law", f"x = {x}"
+        if mul[zero][x] != zero:
+            return "zero is not absorbing", f"x = {x}"
+        for y in range(n):
+            if add[x][y] != add[y][x] or mul[x][y] != mul[y][x]:
+                return "ring is not commutative", f"(x, y) = ({x}, {y})"
+    plus, times = row_getters(add), row_getters(mul)
+    for x, (ax, mx, by_x) in enumerate(zip(add, mul, times)):
+        for y in range(n):
+            for law, lhs, rhs in (
+                ("addition not associative", add[ax[y]], plus[y](ax)),
+                ("multiplication not associative", mul[mx[y]], times[y](mx)),
+                ("distributivity fails", plus[y](mx), by_x(add[mx[y]])),
+            ):
+                if lhs != rhs:
+                    z = next(z for z in range(n) if lhs[z] != rhs[z])
+                    return law, f"(x, y, z) = ({x}, {y}, {z})"
+    for x in range(n):
+        if zero not in add[x]:
+            return "additive inverse missing", f"x = {x}"
+    return None
+
+
+def corrupted_tables(add, mul, seed, count):
+    """count seeded corruptions of a ring's tables (zero 0, one 1): a changed
+    entry of either table, mirrored or not, or either table relabelled by
+    swapping two elements other than 0 and 1, which keeps that table a
+    commutative monoid and breaks distributivity."""
+    rng = random.Random(seed)
+    n = len(add)
+    for _ in range(count):
+        tables = [[list(r) for r in add], [list(r) for r in mul]]
+        t = tables[rng.randrange(2)]
+        kind = rng.choice(("entry", "mirrored", "mirrored", "relabel"))
+        if kind == "relabel" and n > 3:
+            a, b = rng.sample(range(2, n), 2)
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            t[:] = [[swap[t[swap[x]][swap[y]]] for y in range(n)] for x in range(n)]
+        else:
+            x, y = rng.randrange(n), rng.randrange(n)
+            t[x][y] = rng.randrange(n)
+            if kind != "entry":
+                t[y][x] = t[x][y]
+        yield tables
+
+
+def poly_mul_loop(p, modulus, a, b):
+    """a*b in F_p[x]/(f) by schoolbook multiplication and reduction, on
+    coefficient lists, low degree first."""
+    deg = len(modulus) - 1
+    out = [0] * (2 * deg)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    for k in range(2 * deg - 1, deg - 1, -1):
+        c = out[k]
+        if c:
+            for j in range(deg + 1):
+                out[k - deg + j] = (out[k - deg + j] - c * modulus[j]) % p
+    return out[:deg]
+
+
+def digits(i, p, deg):
+    return [i // p ** d % p for d in range(deg)]
+
+
+def ideal_product_loop(ring, a, b):
+    """I*J by the definition: the additive closure of the products xy."""
+    prods = {ring.mul[x][y] for x in bits(a) for y in bits(b)}
+    span, frontier = {ring.zero}, [ring.zero]
+    while frontier:
+        s = frontier.pop()
+        for g in prods:
+            t = ring.add[s][g]
+            if t not in span:
+                span.add(t)
+                frontier.append(t)
+    return sum(1 << x for x in span)
+
+
+# Every --poly spec the benchmark runs, and two larger ones.
+POLY_SPECS = (
+    "2,x^4", "3,x^3", "2,x^6+x^5+x^4+x^3",
+    "2,x^2", "2,x^2+1", "3,x^2", "3,x^2+x+1", "5,x^2", "5,x^2+2x+1",
+    "3,x^4+x+2", "5,x^3+x+1",
+)
+
+
+def poly_ring(spec):
+    p, coeffs, pretty = _parse_poly_spec(spec)
+    return FiniteRing.poly_quotient(p, coeffs, name=f"F_{p}[x]/({pretty})")
+
+
+def test_ring_validation_matches_the_tuple_rows_on_corrupted_tables():
+    seen = Counter()
+    rings = [FiniteRing.zmod(n) for n in (6, 8, 12, 30)]
+    rings.append(FiniteRing.poly_quotient(2, [0, 0, 0, 0, 1], name="F2[x]/(x^4)"))
+    for ring in rings:
+        for add, mul in corrupted_tables(ring.add, ring.mul, f"rings:{ring.name}", 70):
+            expected = ring_laws_loop(add, mul, 0, 1)
+            seen[expected and expected[0]] += 1
+            if expected is None:
+                assert FiniteRing(add, mul, 0, 1).n == ring.n
+                continue
+            with pytest.raises(StructureError) as info:
+                FiniteRing(add, mul, 0, 1, name=ring.name)
+            law, at = expected
+            assert str(info.value) == f"{law} on {ring.name} ({ring.n} elements) at {at}"
+    # Each law is the first to fail somewhere, and some corruptions are rings.
+    assert set(seen) >= {
+        None,
+        "zero or one fails its law",
+        "zero is not absorbing",
+        "ring is not commutative",
+        "addition not associative",
+        "multiplication not associative",
+        "distributivity fails",
+    }, seen
+
+
+def test_ring_tables_need_entries_in_range():
+    add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    mul = [[(i * j) % 3 for j in range(3)] for i in range(3)]
+    for bad_add, bad_mul, zero in (
+        (add, [r[:] for r in mul[:2]], 0),
+        (add, [[0, 0, 0], [0, 1, 2], [0, 2, 3]], 0),
+        (add, [[0, 0, 0], [0, 1, 2], [0, 2, -1]], 0),
+        (add, [[0, 0, 0], [0, 1, 2], [0, 2]], 0),
+        (add, [0, 1, 2], 0),
+        (add, mul, 3),
+    ):
+        with pytest.raises(StructureError, match=r"on ring \(3 elements\)"):
+            FiniteRing(bad_add, bad_mul, zero, 1)
+
+
+def test_ideal_products_match_the_element_pairs():
+    rings = [FiniteRing.zmod(n) for n in range(1, 61)] + [poly_ring(s) for s in POLY_SPECS]
+    for ring in rings:
+        lat = ring_ideal_lattice(ring)
+        for i, a in enumerate(lat.ideals):
+            for j, b in enumerate(lat.ideals):
+                assert lat.ideals[lat.magma.mul[i][j]] == ideal_product_loop(ring, a, b), ring
+
+
+def test_poly_tables_match_schoolbook_arithmetic():
+    for spec in POLY_SPECS:
+        p, coeffs, _ = _parse_poly_spec(spec)
+        ring = poly_ring(spec)
+        deg = len(coeffs) - 1
+        elems = [digits(i, p, deg) for i in range(ring.n)]
+        for a, da in enumerate(elems):
+            for b, db in enumerate(elems):
+                assert digits(ring.add[a][b], p, deg) == [(u + w) % p for u, w in zip(da, db)]
+                assert digits(ring.mul[a][b], p, deg) == poly_mul_loop(p, coeffs, da, db), spec
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["make", "ring", "--zmod", "100000"],
+        ["make", "module-system-lattice", "--group", "Z3000"],
+    ],
+)
+def test_over_cap_bases_are_refused_before_any_table(args, capsys):
+    start = time.perf_counter()
+    code = cli.main(args)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1 and elapsed < 0.1
+    assert len(err.splitlines()) == 1 and "capped at" in err and "Traceback" not in err
 
 
 # -- random ordered magmas --------------------------------------------------------------
