@@ -13,7 +13,7 @@ from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, StructureError
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, subset_walk
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, subset_walk, translate_table
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,17 @@ class OrderedMagma:
         return classify(self)
 
     @cached_property
+    def byte_rows(self) -> tuple:
+        """(rows, tables, flat): the rows of mul as bytes, each padded to 256
+        bytes as a bytes.translate table, and the whole table as n*n bytes."""
+        rows = tuple(map(bytes, self.mul))
+        return rows, tuple(map(translate_table, rows)), b"".join(rows)
+
+    @cached_property
     def residuals(self) -> ResidualTable:
         """The residual table; each entry is checked against the adjunction as it is built."""
         p, n, mul = self.poset, self.n, self.mul
+        greatest = p.principal_down
         residuated = near = True
         rows = []
         for x in range(n):
@@ -235,16 +243,23 @@ class OrderedMagma:
                         left_set |= 1 << z
                     if (below_x >> mul[a][z]) & 1:
                         right_set |= 1 << z
-                left, right = p.greatest_of(left_set), p.greatest_of(right_set)
+                # Both defining sets are down-sets, the product being monotone.
+                left, right = greatest.get(left_set), greatest.get(right_set)
                 for defining, r in ((left_set, left), (right_set, right)):
                     if not defining:
                         residuated = False
                     elif r is None:
                         residuated = near = False
                 if left is not None and not p.leq(mul[left][a], x):
-                    raise InternalCheckError("residual adjunction violated on the left")
+                    raise InternalCheckError(
+                        f"residual adjunction violated on the left on {carrier_label(self)}: "
+                        f"(x, a, residual) = {(x, a, left)}"
+                    )
                 if right is not None and not p.leq(mul[a][right], x):
-                    raise InternalCheckError("residual adjunction violated on the right")
+                    raise InternalCheckError(
+                        f"residual adjunction violated on the right on {carrier_label(self)}: "
+                        f"(x, a, residual) = {(x, a, right)}"
+                    )
                 row.append(Residual(left, right))
             rows.append(tuple(row))
         return ResidualTable(tuple(rows), residuated, near)
@@ -323,44 +338,59 @@ def residual(m: OrderedMagma, x: int, a: int) -> Residual:
 
 def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
     """Whether a(sup X) == sup(aX) and (sup X)a == sup(Xa) for every nonempty X,
-    and for every X, whose sup exists; one exhaustive walk over the subsets,
-    carrying the upper bounds of the 2n translated sets aX and Xa."""
-    p, n, mul = m.poset, m.n, m.mul
-    up = p.up
-    cols = [
-        tuple(up[mul[a][x]] for a in range(n)) + tuple(up[mul[x][a]] for a in range(n))
-        for x in range(n)
-    ]
-    targets = [
-        tuple(mul[a][s] for a in range(n)) + tuple(mul[s][a] for a in range(n)) for s in range(n)
-    ]
+    and for every X, whose sup exists; one exhaustive walk over the subsets."""
     every = True
-    for mask, ub, images in subset_walk(p, cols, (p.universe,) * (2 * n)):
-        s = p.least_of(ub)
-        if s is None:
-            continue
-        if not all(map(p.is_least, targets[s], images)):
-            if mask:
-                return False, False
-            every = False
+    for mask in _translation_failures(m):
+        if mask:
+            return False, False
+        every = False
     return True, every
 
 
+def _translation_failures(m: OrderedMagma):
+    """Every subset X, in walk order, whose sup s exists and some translation
+    of which misses it: a s != sup(aX) or s a != sup(Xa).  The walk carries
+    the upper bounds of the 2n sets aX and Xa.  Each is an up-set, so it is
+    up[a s] exactly when a s is the sup, and the list cols[s] of those 2n
+    masks decides every translation in one comparison."""
+    p, n, mul = m.poset, m.n, m.mul
+    up, least = p.up, p.principal_up
+    cols = [[up[mul[a][x]] for a in range(n)] + [up[mul[x][a]] for a in range(n)] for x in range(n)]
+    for mask, ub, images in subset_walk(p, cols, (p.universe,) * (2 * n)):
+        s = least.get(ub)
+        if s is not None and images != cols[s]:
+            yield mask
+
+
 def _distributes_over_finite_nonempty(m: OrderedMagma) -> bool:
-    """Multiplicative-semilattice law a(x v y) = ax v ay, (x v y)a = xa v ya,
-    for every a at once: row (column) x v y against the joins of rows
+    """Multiplicative-semilattice law a(x v y) = ax v ay, (x v y)a = xa v ya."""
+    return m.poset.flags.join_semilattice and next(_law_failures(m), None) is None
+
+
+def _law_failures(m: OrderedMagma):
+    """Every pair (x, y) of a join semilattice breaking the law for some a, by
+    rows then columns: row (column) x v y against the joins of rows
     (columns) x and y, read through the join table."""
-    p = m.poset
-    if not p.flags.join_semilattice:
-        return False
-    join = p.join_table
+    join = m.poset.join_table
+    # Lists, not tuples: CPython keeps freed short tuples on a free list, and
+    # n^2 of them per carrier raised the peak memory of a run.
     for lines in ([list(row) for row in m.mul], [list(col) for col in zip(*m.mul)]):
         for x, line in enumerate(lines):
             joins_with = [join[u] for u in line]
             for y in range(x, m.n):
                 if lines[join[x][y]] != list(map(getitem, joins_with, lines[y])):
-                    return False
-    return True
+                    yield x, y
+
+
+def _parting_subset(m: OrderedMagma, scan_np: bool, near_prequantale: bool) -> list:
+    """Where the translation scan and the pairwise law part ways: the first
+    nonempty subset the scan fails when only the law holds, the first pair
+    the law fails when only the scan holds, else the empty set."""
+    if near_prequantale and not scan_np:
+        return next((list(bits(mask)) for mask in _translation_failures(m) if mask), [])
+    if scan_np and not near_prequantale:
+        return list(next(_law_failures(m), ()))
+    return []
 
 
 def classify(m: OrderedMagma) -> ClassificationProfile:
@@ -391,17 +421,21 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     # magmas, so a mismatch is a library bug.
     if near_prequantale != (pf.near_sup_complete and near_residuated):
         raise InternalCheckError(
-            f"near-prequantale characterizations disagree on {m.name or m}"
+            f"near-prequantale characterizations disagree on {m.name or m} ({n} elements)"
         )
     if prequantale != (pf.complete and residuated):
-        raise InternalCheckError(f"prequantale characterizations disagree on {m.name or m}")
+        raise InternalCheckError(
+            f"prequantale characterizations disagree on {m.name or m} ({n} elements)"
+        )
     if n <= EXHAUSTIVE_CAP:
         scan_np, scan_all = (
             _translations_preserve_existing_sups(m) if pf.near_sup_complete else (False, False)
         )
         if scan_np != near_prequantale or (pf.complete and scan_all) != prequantale:
             raise InternalCheckError(
-                f"subset-scan classification disagrees with pairwise on {m.name or m}"
+                f"subset-scan classification disagrees with pairwise on {m.name or m} "
+                f"({n} elements), first parting subset "
+                f"{_parting_subset(m, scan_np, near_prequantale)}"
             )
 
     profile = ClassificationProfile(
@@ -560,11 +594,13 @@ class MagmaMorphism:
         if sp.n > EXHAUSTIVE_CAP:
             raise CarrierTooLarge("morphism sup-check is exponential in the source carrier")
         cols = [(tp.up[v],) for v in self.table]
+        least = sp.principal_up
         for mask, ub, (image_ub,) in subset_walk(sp, cols, (tp.universe,)):
             if nonempty_only and not mask:
                 continue
-            s = sp.least_of(ub)
-            if s is not None and not tp.is_least(self.table[s], image_ub):
+            # Both masks are up-sets: f(s) is the sup of f(X) when image_ub is up[f(s)].
+            s = least.get(ub)
+            if s is not None and image_ub != tp.up[self.table[s]]:
                 return False
         return True
 

@@ -9,12 +9,24 @@ Ids are checked where they enter: MonotoneMap checks its table, and the
 public functions that take maps rely on that.  Inside the module, tables
 derived from a carrier's own tables are composed as tuples and read as
 bitmasks without a second check.
+
+Closures and nuclei are decided over byte rows.  Carriers have at most
+ENUM_CAP = 64 <= 256 elements, so a table t is the bytes T = bytes(t), and
+_pad(T), T padded to 256 bytes, is a bytes.translate table:
+row.translate(_pad(T)) applies t to every entry of row in one C call.  One
+decision builds the n*n byte tables x*y*, x y*, x* y and
+(xy)* = mul.translate(_pad(T)).  An equation is one bytes comparison, and an
+order condition reads one byte of the 0/1 order rows up_rows[a] per pair.
+The pre-image rows pre[u] = {z : u <= z*} are T.translate(up_rows[u]).
+Every decision still computes the three-part and single-axiom closure forms,
+c1, c2, c3 and, on unital carriers, both unital forms, and compares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import and_, getitem
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -27,6 +39,7 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, subset_walk
+from .poset import carrier_label as _label, translate_table as _pad
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
@@ -102,22 +115,13 @@ class MonotoneMap:
         return out
 
     @property
-    def is_expansive(self) -> bool:
-        up = self.poset.up
-        return all(up[x] >> tx & 1 for x, tx in enumerate(self.table))
-
-    @property
     def is_order_preserving(self) -> bool:
-        up, t = self.poset.up, self.table
-        return all(up[tx] >> t[y] & 1 for x, tx in enumerate(t) for y in bits(up[x]))
-
-    @property
-    def is_idempotent(self) -> bool:
-        return all(self.table[t] == t for t in self.table)
+        return _order_preserving(self.poset, bytes(self.table))
 
     @property
     def is_preclosure(self) -> bool:
-        return self.is_expansive and self.is_order_preserving
+        t = bytes(self.table)
+        return _expansive(self.poset, t) and _order_preserving(self.poset, t)
 
 
 def _below(up: Sequence[int], s: Sequence[int], t: Sequence[int]) -> bool:
@@ -133,8 +137,9 @@ def is_closure(s: MonotoneMap) -> bool:
 
 
 def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
-    three_part = s.is_preclosure and s.is_idempotent
-    single = _closure_single_axiom(p, s.table)
+    t = bytes(s.table)
+    three_part = _three_part(p, t)
+    single = _closure_single_axiom(p, t)
     if three_part != single:
         raise InternalCheckError(
             f"closure characterizations disagree on {_label(s.carrier)} at {s.table}: "
@@ -143,84 +148,91 @@ def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
     return three_part
 
 
-def _closure_single_axiom(p: FinitePoset, t: Sequence[int]) -> bool:
-    """x <= y* iff x* <= y*, for every y at once: {y : x <= y*} == {y : x* <= y*}."""
-    pre = _preimages(p, t)
-    return all(pre[x] == pre[tx] for x, tx in enumerate(t))
+# -- byte-row kernels (see the module docstring); t is a table as bytes ---------
 
 
-def _preimages(p: FinitePoset, t: Sequence[int]) -> list:
-    """pre[u] = {z : u <= t[z]} as a mask, for every element u.
-
-    One nucleus decision reads the masks of its table twice, in the closure
-    single axiom and in the unital forms, so the last masks built stay on the
-    poset; callers only read them.
-    """
-    last = p.__dict__.get("_last_preimages")
-    if last is not None and last[0] == t:
-        return last[1]
-    pre = [0] * p.n
-    for z, tz in enumerate(t):
-        for u in bits(p.down[tz]):
-            pre[u] |= 1 << z
-    p._last_preimages = (t, pre)
-    return pre
+def _all_below(p: FinitePoset, lo: bytes, hi: bytes) -> bool:
+    """lo[i] <= hi[i] for every i."""
+    return all(map(getitem, map(p.up_rows.__getitem__, lo), hi))
 
 
-def _mult_compat(m: OrderedMagma, s: MonotoneMap) -> bool:
-    """x* y* <= (xy)* for all x, y."""
-    up, mul, t = m.poset.up, m.mul, s.table
-    return all(
-        up[mul[tx][ty]] >> t[xy] & 1
-        for x, tx in enumerate(t)
-        for xy, ty in zip(mul[x], t)
+def _expansive(p: FinitePoset, t: bytes) -> bool:
+    return all(map(getitem, p.up_rows, t))
+
+
+def _order_preserving(p: FinitePoset, t: bytes) -> bool:
+    """t(x) <= t(y) over the stored pairs x < y."""
+    lo, hi = p.order_pairs
+    table = _pad(t)
+    return _all_below(p, lo.translate(table), hi.translate(table))
+
+
+def _three_part(p: FinitePoset, t: bytes) -> bool:
+    """Expansive, order-preserving and idempotent."""
+    return _expansive(p, t) and _order_preserving(p, t) and t.translate(_pad(t)) == t
+
+
+def _preimage_rows(p: FinitePoset, t: bytes) -> list:
+    """pre[u] = {z : u <= t(z)} as a 0/1 byte row over z, for every u."""
+    return [t.translate(row) for row in p.up_rows]
+
+
+def _closure_single_axiom(p: FinitePoset, t: bytes) -> bool:
+    """x <= y* iff x* <= y*, for every y at once: pre[x] == pre[x*]."""
+    pre = _preimage_rows(p, t)
+    return pre == [pre[tx] for tx in t]
+
+
+def _products(m: OrderedMagma, t: bytes) -> tuple:
+    """(xy)*, x y*, x* y and x* y*, each an n*n byte table with row x first."""
+    rows, tables, flat = m.byte_rows
+    return (
+        flat.translate(_pad(t)),
+        b"".join(map(t.translate, tables)),
+        b"".join(map(rows.__getitem__, t)),
+        b"".join(map(t.translate, map(tables.__getitem__, t))),
     )
+
+
+def _one_sided_compat(p: FinitePoset, star: bytes, x_ts: bytes, t_xs: bytes) -> bool:
+    """x y* <= (xy)* and x* y <= (xy)* for all x, y."""
+    return _all_below(p, x_ts, star) and _all_below(p, t_xs, star)
 
 
 def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bool]:
-    """The three equivalent conditions, each including the closure premise."""
-    mul, t = m.mul, s.table
-    closed = is_closure(s)
-    c1 = closed and _mult_compat(m, s)
-    # (x* y*)* == (xy)*, one row of y at a time.
-    c2 = closed and all(
-        [t[mul[tx][ty]] for ty in t] == [t[xy] for xy in mul[x]]
-        for x, tx in enumerate(t)
-    )
-    c3 = closed and _one_sided_compat(m, t)
-    return c1, c2, c3
-
-
-def _one_sided_compat(m: OrderedMagma, t: Sequence[int]) -> bool:
-    """x y* <= (xy)* and x* y <= (xy)* for all x, y."""
-    up, mul = m.poset.up, m.mul
-    return all(
-        up[mul[x][ty]] >> t[xy] & 1 and up[mul[tx][y]] >> t[xy] & 1
-        for x, tx in enumerate(t)
-        for y, (ty, xy) in enumerate(zip(t, mul[x]))
+    """The three equivalent conditions, each including the closure premise:
+    c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)*, c3 the one-sided forms."""
+    if not is_closure(s):
+        return False, False, False
+    t = bytes(s.table)
+    star, x_ts, t_xs, tt = _products(m, t)
+    p = m.poset
+    return (
+        _all_below(p, tt, star),
+        tt.translate(_pad(t)) == star,
+        _one_sided_compat(p, star, x_ts, t_xs),
     )
 
 
 def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
     """The two single-axiom forms valid for arbitrary self-maps of unital carriers.
 
-    Each quantifies over z through pre[u] = {z : u <= z*}: form 2 says
-    pre[xy] == pre[x y*] == pre[x* y] and form 3 says x <= x* and
-    pre[xy] <= pre[x* y*], for all x, y.
+    Each quantifies over z through the rows pre[u] = {z : u <= z*}: form 2
+    says pre[xy] == pre[x y*] == pre[x* y], comparing the tables through the
+    first u with each row, and form 3 says x <= x* and pre[xy] <= pre[x* y*],
+    reading the rows as masks, for all x, y.
     """
-    t = s.table
-    pre = _preimages(m.poset, t)
-    # prod[x][y] = pre[xy]
-    prod = [list(map(pre.__getitem__, row)) for row in m.mul]
-    cond2 = all(
-        prod[x] == prod[tx] == list(map(prod[x].__getitem__, t)) for x, tx in enumerate(t)
-    )
-    cond3 = all(pre[x] >> x & 1 for x in range(m.n)) and all(
-        not below & ~prod[tx][ty]
-        for x, tx in enumerate(t)
-        for below, ty in zip(prod[x], t)
-    )
-    return cond2, cond3
+    t = bytes(s.table)
+    pre = _preimage_rows(m.poset, t)
+    _, x_ts, t_xs, tt = _products(m, t)
+    flat = m.byte_rows[2]
+    first: dict = {}
+    same = _pad(bytes([first.setdefault(row, u) for u, row in enumerate(pre)]))
+    form2 = flat.translate(same) == x_ts.translate(same) == t_xs.translate(same)
+    mask = [int.from_bytes(row, "little") for row in pre].__getitem__
+    below = list(map(mask, flat))
+    form3 = all(map(getitem, pre, range(m.n))) and below == list(map(and_, below, map(mask, tt)))
+    return form2, form3
 
 
 def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
@@ -255,12 +267,6 @@ def _on_carrier(carrier, key: tuple, build, *args):
     return memo[key]
 
 
-def _label(carrier) -> str:
-    """The carrier's name, or its type when it has none, and its size."""
-    name = getattr(carrier, "name", "") or type(carrier).__name__
-    return f"{name} ({poset_of(carrier).n} elements)"
-
-
 def _broken(carrier, what: str) -> InternalCheckError:
     return InternalCheckError(f"{what} on {_label(carrier)}")
 
@@ -273,23 +279,23 @@ def _one_sided_unital(m: OrderedMagma) -> bool:
 
 
 def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
-    t = s.table
-    return is_nucleus(m, s) and all(
-        m.op(t[x], t[y]) == t[m.op(x, y)] for x in range(m.n) for y in range(m.n)
-    )
+    """A nucleus with x* y* == (xy)* for all x, y."""
+    if not is_nucleus(m, s):
+        return False
+    star, _, _, tt = _products(m, bytes(s.table))
+    return tt == star
 
 
 def transportable_mask(m: OrderedMagma, s: MonotoneMap) -> int:
-    """T*(M): elements a with (ax)* = a x* and (xa)* = x* a for all x."""
-    t = s.table
-    out = 0
-    for a in range(m.n):
-        if all(
-            t[m.op(a, x)] == m.op(a, t[x]) and t[m.op(x, a)] == m.op(t[x], a)
-            for x in range(m.n)
-        ):
-            out |= 1 << a
-    return out
+    """T*(M): elements a with (ax)* = a x* and (xa)* = x* a for all x, that
+    is row a of (xy)* equal to row a of x y*, and column a to column a of x* y."""
+    n = m.n
+    star, x_ts, t_xs, _ = _products(m, bytes(s.table))
+    return sum(
+        1 << a
+        for a in range(n)
+        if star[a * n : a * n + n] == x_ts[a * n : a * n + n] and star[a::n] == t_xs[a::n]
+    )
 
 
 # -- preclosure fixpoint ------------------------------------------------------
@@ -325,7 +331,8 @@ def closure_from_preclosure(s: MonotoneMap) -> MonotoneMap:
     if isinstance(s.carrier, OrderedMagma):
         m = s.carrier
         if m.profile.near_residuated:
-            if _one_sided_compat(m, s.table) and not is_nucleus(m, star):
+            hull, x_ts, t_xs, _ = _products(m, bytes(s.table))
+            if _one_sided_compat(p, hull, x_ts, t_xs) and not is_nucleus(m, star):
                 raise _broken(m, "multiplicative preclosure hull failed nucleus check")
     return star
 
@@ -342,12 +349,13 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     for s in maps:
         if not is_nucleus(m, s):
             raise HypothesisNotMet("nuclei_meet requires nuclei")
+    down, greatest = p.down, p.principal_down
     table = []
     for x, column in enumerate(zip(*(s.table for s in maps))):
-        fiber = 0
+        lower = p.universe
         for sx in column:
-            fiber |= 1 << sx
-        v = p.inf_mask(fiber)
+            lower &= down[sx]
+        v = greatest.get(lower)
         if v is None:
             raise HypothesisNotMet(f"missing infimum for the fibers over element {x}")
         table.append(v)
@@ -567,7 +575,7 @@ def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
     else:
         walk = subset_walk(p, [(up[tx],) for tx in t], (image,))
     for _, ub, (image_ub,) in walk:
-        v = p.least_of(ub)
+        v = p.principal_up.get(ub)
         if v is not None and not p.is_least(t[v], image_ub):
             raise _broken(m, "corestriction of the nucleus is not sup-preserving")
 

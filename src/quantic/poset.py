@@ -3,6 +3,18 @@
 Carriers are capped at 64 elements so that every up-set and down-set fits in a
 single machine word; all downstream algorithms (classification, nucleus
 enumeration) reduce to bitmask arithmetic on these masks.
+
+Suprema are read from principal filters.  The upper bounds of any subset form
+an up-set, and an up-set has a least element w exactly when it equals up[w]:
+if w is least, the set lies in up[w], and up[w] lies in the set because it is
+up-closed and holds w.  So one dict lookup in {up[x]: x} finds the supremum
+of a subset, or shows there is none, and dually {down[x]: x} finds infima.
+The join and meet tables and the subset scans read the same lookups;
+least_of stays for masks that need not be up-closed.
+
+The cap also lets an id be one byte: the 0/1 rows of the order and the pairs
+x < y are kept as bytes, so the nucleus kernels decide order conditions and
+compose tables with bytes.translate, one C call per row.
 """
 
 from __future__ import annotations
@@ -14,7 +26,9 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
 
-# Hard cap for carriers that feed enumeration algorithms.
+# Hard cap for carriers that feed enumeration algorithms.  ENUM_CAP <= 256, so
+# every id is one byte and a table t of ids padded to 256 bytes is a
+# bytes.translate table: row.translate(t + pad) composes t after row.
 ENUM_CAP = 64
 # 2**n subset scans (exhaustive cross-validation) are only run up to this size;
 # beyond it the pairwise characterizations, which are equivalent on finite
@@ -28,6 +42,17 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def translate_table(row: bytes) -> bytes:
+    """row padded with zeros to the 256 bytes of a bytes.translate table."""
+    return row.ljust(256, b"\0")
+
+
+def carrier_label(carrier) -> str:
+    """The carrier's name, or its type when it has none, and its size."""
+    name = getattr(carrier, "name", "") or type(carrier).__name__
+    return f"{name} ({carrier.n} elements)"
 
 
 def transpose(rows: Sequence[int], n: int) -> list:
@@ -207,12 +232,34 @@ class FinitePoset:
             acc &= self.down[x]
         return acc
 
+    @cached_property
+    def principal_up(self) -> dict:
+        """{up[x]: x}: the least element of an up-set, looked up."""
+        return {u: x for x, u in enumerate(self.up)}
+
+    @cached_property
+    def principal_down(self) -> dict:
+        """{down[x]: x}: the greatest element of a down-set, looked up."""
+        return {d: x for x, d in enumerate(self.down)}
+
+    @cached_property
+    def up_rows(self) -> tuple:
+        """up_rows[a][b] is 1 when a <= b, else 0: up[a] as 256 bytes, so a row
+        is also a translate table mapping b to whether a <= b."""
+        return tuple(translate_table(bytes(u >> b & 1 for b in range(self.n))) for u in self.up)
+
+    @cached_property
+    def order_pairs(self) -> tuple:
+        """(lo, hi): every pair x < y, as two byte strings."""
+        pairs = [(x, y) for x in range(self.n) for y in bits(self.up[x] & ~(1 << x))]
+        return bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
+
     def sup_mask(self, mask: int) -> Optional[int]:
         """Least upper bound of the subset mask, or None if it does not exist."""
-        return self.least_of(self.upper_bounds(mask))
+        return self.principal_up.get(self.upper_bounds(mask))
 
     def inf_mask(self, mask: int) -> Optional[int]:
-        return self.greatest_of(self.lower_bounds(mask))
+        return self.principal_down.get(self.lower_bounds(mask))
 
     def sup(self, xs: Iterable[int]) -> Optional[int]:
         return self.sup_mask(self.mask_of(xs))
@@ -233,14 +280,14 @@ class FinitePoset:
     @cached_property
     def join_table(self) -> tuple:
         """join_table[i][j] is the join of i and j, or None; built once per poset."""
-        up = self.up
-        return self._symmetric_table(lambda i, j: self.least_of(up[i] & up[j]))
+        up, least = self.up, self.principal_up
+        return self._symmetric_table(lambda i, j: least.get(up[i] & up[j]))
 
     @cached_property
     def meet_table(self) -> tuple:
         """meet_table[i][j] is the meet of i and j, or None; built once per poset."""
-        down = self.down
-        return self._symmetric_table(lambda i, j: self.greatest_of(down[i] & down[j]))
+        down, greatest = self.down, self.principal_down
+        return self._symmetric_table(lambda i, j: greatest.get(down[i] & down[j]))
 
     def _symmetric_table(self, entry) -> tuple:
         n = self.n
@@ -252,11 +299,11 @@ class FinitePoset:
 
     @cached_property
     def bottom(self) -> Optional[int]:
-        return self.least_of(self.universe)
+        return self.principal_up.get(self.universe)
 
     @cached_property
     def top(self) -> Optional[int]:
-        return self.greatest_of(self.universe)
+        return self.principal_down.get(self.universe)
 
     def is_directed_mask(self, mask: int) -> bool:
         """The empty set is not directed; pairs suffice on finite carriers."""
@@ -327,11 +374,14 @@ class FinitePoset:
             if self.up[i] & self.up[j]
         )
         if n <= EXHAUSTIVE_CAP:
+            pair = (complete, near_sup, bounded_complete)
             scan = self._flag_scan()
-            if scan != (complete, near_sup, bounded_complete):
+            if scan != pair:
+                k = next(k for k in range(3) if scan[k] != pair[k])
                 raise InternalCheckError(
                     "pairwise and exhaustive poset classification disagree: "
-                    f"pair={(complete, near_sup, bounded_complete)} scan={scan}"
+                    f"pair={pair} scan={scan} on {carrier_label(self)}, first parting "
+                    f"subset {self._parting_subset(k, scan[k])}"
                 )
         return PosetFlags(
             complete=complete,
@@ -347,20 +397,39 @@ class FinitePoset:
             algebraic=True,
         )
 
+    def _subsets_without_sup(self):
+        """(X, ub) for every subset X with no supremum, in walk order."""
+        least = self.principal_up
+        return ((mask, ub) for mask, ub, _ in subset_walk(self) if ub not in least)
+
     def _flag_scan(self) -> tuple:
         """(complete, near sup-complete, bounded complete) decided by one walk
         over every subset, independently of the pairwise joins."""
         scan_complete = True
         scan_near = True
         scan_bc = True
-        for mask, ub, _ in subset_walk(self):
-            if self.least_of(ub) is None:
-                scan_complete = False
-                if mask:
-                    scan_near = False
-                    if ub:
-                        scan_bc = False
+        for mask, ub in self._subsets_without_sup():
+            scan_complete = False
+            if mask:
+                scan_near = False
+                if ub:
+                    scan_bc = False
         return scan_complete, scan_near, scan_bc
+
+    def _parting_subset(self, k: int, scan_holds: bool) -> list:
+        """A subset without a supremum in the class of flag k (0: every
+        subset, 1: nonempty ones, 2: nonempty ones bounded above), found by
+        the route that denies the flag: the walk unless scan_holds, else the
+        pairwise joins, a missing top or a missing bottom."""
+        if not scan_holds:
+            for mask, ub in self._subsets_without_sup():
+                if k == 0 or mask and (k == 1 or ub):
+                    return list(bits(mask))
+        for i, row in enumerate(self.join_table):
+            for j in range(i, self.n):
+                if row[j] is None and (k < 2 or self.up[i] & self.up[j]):
+                    return [i, j]
+        return [] if k == 0 and self.top is not None else list(range(self.n))
 
     # -- misc ----------------------------------------------------------------
 

@@ -22,6 +22,11 @@ from .poset import FinitePoset, bits
 # Every element is one byte, and a table row padded with zeros to 256 bytes
 # is a bytes.translate table: the byte-row law check needs n <= 256.
 RING_SIZE_CAP = 256
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# PRIME_TEST_BOUND (about 3.3e24, Sorenson and Webster 2015).  A coefficient
+# field of order at least the bound is over RING_SIZE_CAP on its own.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 _BIT = [1 << x for x in range(RING_SIZE_CAP)]
 
 
@@ -145,6 +150,8 @@ class FiniteRing:
         name = name or f"F_{p}[x]/(f)"
         deg = len(modulus) - 1
         label = _label(name, f"{p}^{deg}") if deg >= 1 else name
+        if p >= PRIME_TEST_BOUND:
+            _check_size(p, label)
         if not _is_prime(p):
             raise StructureError(f"coefficient field needs a prime order on {label}")
         if not modulus or modulus[-1] % p != 1:
@@ -199,13 +206,23 @@ def _broken(ring: FiniteRing, what: str, at: str = "") -> InternalCheckError:
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        for _ in range(r):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 

@@ -9,6 +9,7 @@ carriers below and on random ordered magmas.
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -27,8 +28,8 @@ from quantic.magma import (
     row_getters,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
-from quantic.poset import FinitePoset, bits
-from quantic.rings import FiniteRing, ring_ideal_lattice
+from quantic.poset import FinitePoset, bits, ub_scan_sup
+from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
@@ -38,6 +39,13 @@ from test_exhaustive_small import compatible_magmas, three_element_posets
 
 def closure_single_axiom_loop(p, t):
     return all(p.leq(x, t[y]) == p.leq(t[x], t[y]) for x in range(p.n) for y in range(p.n))
+
+
+def preclosure_loop(p, t):
+    n = p.n
+    return all(p.leq(x, t[x]) for x in range(n)) and all(
+        p.leq(t[x], t[y]) for x in range(n) for y in range(n) if p.leq(x, y)
+    )
 
 
 def three_part_loop(p, t):
@@ -62,6 +70,24 @@ def nucleus_conditions_loop(m, t):
     return c1, c2, c3
 
 
+def strict_loop(m, t):
+    n = m.n
+    return nucleus_conditions_loop(m, t)[0] and all(
+        m.op(t[x], t[y]) == t[m.op(x, y)] for x in range(n) for y in range(n)
+    )
+
+
+def transportable_loop(m, t):
+    n = m.n
+    return sum(
+        1 << a
+        for a in range(n)
+        if all(
+            t[m.op(a, x)] == m.op(a, t[x]) and t[m.op(x, a)] == m.op(t[x], a) for x in range(n)
+        )
+    )
+
+
 def unital_conditions_loop(m, t):
     p, n = m.poset, m.n
     cond2 = all(
@@ -80,10 +106,17 @@ def unital_conditions_loop(m, t):
     return cond2, cond3
 
 
+@lru_cache(maxsize=1 << 16)
+def sup_loop(p, mask):
+    """The sup by a scan of the upper bounds, never by a lookup; equal posets
+    share entries, the sup depending only on the order."""
+    return ub_scan_sup(p, bits(mask))
+
+
 def flag_scan_loop(p):
     complete = near = bounded = True
     for mask in range(1 << p.n):
-        if p.sup_mask(mask) is None:
+        if sup_loop(p, mask) is None:
             complete = False
             if mask:
                 near = False
@@ -96,13 +129,13 @@ def translations_loop(m):
     p = m.poset
     every = True
     for mask in range(1 << m.n):
-        s = p.sup_mask(mask)
+        s = sup_loop(p, mask)
         if s is None:
             continue
         for a in range(m.n):
             if (
-                p.sup_mask(m.complex_mul_mask(1 << a, mask)) != m.op(a, s)
-                or p.sup_mask(m.complex_mul_mask(mask, 1 << a)) != m.op(s, a)
+                sup_loop(p, m.complex_mul_mask(1 << a, mask)) != m.op(a, s)
+                or sup_loop(p, m.complex_mul_mask(mask, 1 << a)) != m.op(s, a)
             ):
                 if mask:
                     return False, False
@@ -118,13 +151,13 @@ def corestriction_loop(m, t):
     index = {x: i for i, x in enumerate(members)}
     sub = p.restrict(members)
     for mask in range(1 << p.n):
-        v = p.sup_mask(mask)
+        v = sup_loop(p, mask)
         if v is None:
             continue
         img = 0
         for x in bits(mask):
             img |= 1 << index[t[x]]
-        if sub.sup_mask(img) != index[t[v]]:
+        if sup_loop(sub, img) != index[t[v]]:
             return False
     return True
 
@@ -132,13 +165,13 @@ def corestriction_loop(m, t):
 def preserves_sups_loop(f, nonempty_only):
     sp, tp = f.source.poset, f.target.poset
     for mask in range(1 if nonempty_only else 0, 1 << sp.n):
-        s = sp.sup_mask(mask)
+        s = sup_loop(sp, mask)
         if s is None:
             continue
         fmask = 0
         for x in bits(mask):
             fmask |= 1 << f.table[x]
-        if tp.sup_mask(fmask) != f.table[s]:
+        if sup_loop(tp, fmask) != f.table[s]:
             return False
     return True
 
@@ -208,12 +241,19 @@ def certified_composition_loop(m, s1, s2, bound):
 
 
 def assert_map_kernels_match(m, t):
-    p = m.poset
-    assert nucleus._closure_single_axiom(p, t) == closure_single_axiom_loop(p, t), t
+    """Every byte-row decision on the table t against its loop."""
+    p, row = m.poset, bytes(t)
+    assert nucleus._closure_single_axiom(p, row) == closure_single_axiom_loop(p, t), t
+    assert nucleus._three_part(p, row) == three_part_loop(p, t), t
     s = MonotoneMap(m, t)
-    assert (s.is_expansive and s.is_order_preserving and s.is_idempotent) == three_part_loop(p, t)
+    assert s.is_preclosure == preclosure_loop(p, t), t
+    assert s.is_order_preserving == all(
+        p.leq(t[x], t[y]) for x in range(p.n) for y in range(p.n) if p.leq(x, y)
+    ), t
     assert nucleus._nucleus_conditions(m, s) == nucleus_conditions_loop(m, t), t
     assert nucleus._unital_selfmap_conditions(m, s) == unital_conditions_loop(m, t), t
+    assert nucleus.is_strict_nucleus(m, s) == strict_loop(m, t), t
+    assert nucleus.transportable_mask(m, s) == transportable_loop(m, t), t
 
 
 def assert_row_laws_match(m, seen=None):
@@ -302,6 +342,39 @@ def test_map_kernels_match_the_loops_on_the_three_element_sweep(pname):
             assert_map_kernels_match(m, t)
 
 
+@pytest.mark.parametrize(
+    "row1, star11, verdicts",
+    [
+        # 1 * 1 read as 1 in the rows x* y is read from: only c3 fails.
+        ((0, 1, 1), 0, (True, True, False)),
+        # (1 * 1)* read as 1: x*y* stays below (xy)* but is not equal, so
+        # only c2 fails.
+        ((0, 0, 1), 1, (True, False, True)),
+        # Both, with 1 * 0 read as 2: c2 and c3 fail while c1 holds.
+        ((2, 0, 1), 1, (True, False, False)),
+    ],
+)
+def test_each_nucleus_condition_is_decided_and_compared(row1, star11, verdicts):
+    # The identity on I(Z/4) (mul rows 000, 001, 012) decided over byte rows
+    # that no longer agree with each other: each corruption leaves a
+    # different condition standing alone, so none may be skipped.
+    m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
+    rows, tables, flat = m.byte_rows
+    m.byte_rows = (rows[:1] + (bytes(row1),) + rows[2:], tables, flat[:4] + bytes([star11]) + flat[5:])
+    with pytest.raises(InternalCheckError, match="nucleus characterizations disagree") as info:
+        nucleus.is_nucleus(m, MonotoneMap.identity(m))
+    assert str(info.value).endswith(f"on I(Z/4) (3 elements) at (0, 1, 2): {verdicts}")
+
+
+@pytest.mark.parametrize("forms", [(False, True), (True, False)])
+def test_each_unital_form_is_compared(monkeypatch, forms):
+    m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
+    monkeypatch.setattr(nucleus, "_unital_selfmap_conditions", lambda m, s: forms)
+    with pytest.raises(InternalCheckError, match="unital single-axiom nucleus forms disagree") as info:
+        nucleus.is_nucleus(m, MonotoneMap.identity(m))
+    assert str(info.value).endswith(f"on I(Z/4) (3 elements) at (0, 1, 2): {(True, *forms)}")
+
+
 def test_subset_scans_match_the_loops(corpus):
     seen = {}
     for m in scan_carriers(corpus).values():
@@ -359,6 +432,33 @@ def test_join_and_meet_tables_match_least_of(corpus):
                 assert p.join_table[i][j] == p.least_of(p.up[i] & p.up[j])
                 assert p.meet_table[i][j] == p.greatest_of(p.down[i] & p.down[j])
                 assert p.join(i, j) == p.join_table[i][j] and p.meet(i, j) == p.meet_table[i][j]
+
+
+def naturally_labelled_posets(n):
+    """Every poset on range(n) in which index order is a linear extension:
+    one of each isomorphism class, and more."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for choice in range(1 << len(pairs)):
+        up = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if choice >> k & 1:
+                up[i] |= 1 << j
+        if all(not up[j] & ~up[i] for i in range(n) for j in bits(up[i])):
+            yield FinitePoset.from_up_masks(up)
+
+
+def test_principal_filter_lookups_match_least_of_on_every_subset():
+    counts = Counter()
+    for n in range(1, 6):
+        for p in naturally_labelled_posets(n):
+            counts[n] += 1
+            for mask in range(1 << n):
+                sup = p.sup_mask(mask)
+                assert sup == p.least_of(p.upper_bounds(mask)) == sup_loop(p, mask), (p.up, mask)
+                assert p.inf_mask(mask) == p.greatest_of(p.lower_bounds(mask)), (p.up, mask)
+            assert p.top == p.greatest_of(p.universe) and p.bottom == p.least_of(p.universe)
+    # The naturally labelled posets on up to five elements (OEIS A006455).
+    assert [counts[n] for n in range(1, 6)] == [1, 2, 7, 40, 357]
 
 
 def test_pointwise_order_matches_the_elementwise_comparison(corpus):
@@ -582,6 +682,10 @@ def test_poly_tables_match_schoolbook_arithmetic():
     [
         ["make", "ring", "--zmod", "100000"],
         ["make", "module-system-lattice", "--group", "Z3000"],
+        # A prime far over the cap, and an order at the bound of the
+        # primality test, refused by the cap without deciding primality.
+        ["make", "ring", "--poly", "1000000000000000003,x"],
+        ["make", "ring", "--poly", f"{PRIME_TEST_BOUND},x"],
     ],
 )
 def test_over_cap_bases_are_refused_before_any_table(args, capsys):
@@ -591,6 +695,25 @@ def test_over_cap_bases_are_refused_before_any_table(args, capsys):
     err = capsys.readouterr().err
     assert code == 1 and elapsed < 0.1
     assert len(err.splitlines()) == 1 and "capped at" in err and "Traceback" not in err
+
+
+def trial_division_loop(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_matches_trial_division_and_rejects_strong_pseudoprimes():
+    assert all(_is_prime(n) == trial_division_loop(n) for n in range(-3, 100_000))
+    # Strong pseudoprimes to every base up to 2, 7, 23 and 37 in turn; the
+    # last needs the base 41.
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    assert _is_prime(1000000000000000003) and _is_prime(2 ** 61 - 1)
+
+
+def test_a_composite_order_below_the_bound_is_malformed_before_the_cap(capsys):
+    assert cli.main(["make", "ring", "--poly", "318665857834031151167461,x"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "prime order" in err
 
 
 # -- random ordered magmas --------------------------------------------------------------

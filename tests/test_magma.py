@@ -1,6 +1,7 @@
 import pytest
 
-from quantic.errors import StructureError
+from quantic import magma
+from quantic.errors import InternalCheckError, StructureError
 from quantic.instances import nonassociative_pair, powerset_prequantale
 from quantic.magma import (
     MagmaMorphism,
@@ -170,3 +171,27 @@ class TestMorphism:
         flipped = MagmaMorphism(two, two, [1, 0])
         assert not flipped.is_magma_hom()
         assert not flipped.is_order_preserving()
+
+
+def test_scan_disagreement_names_the_carrier_its_size_and_the_pair_the_law_fails(monkeypatch):
+    # On the diamond 0 < a, b < 1, the product 1 * 1 = 1 and 0 otherwise
+    # breaks (a v b) 1 = a 1 v b 1; a scan that finds no failure parts ways
+    # with the law at {a, b}.
+    p = FinitePoset.diamond()
+    m = OrderedMagma(p, [[3 if x == y == 3 else 0 for y in range(4)] for x in range(4)], name="spike")
+    monkeypatch.setattr(magma, "_translation_failures", lambda m: iter(()))
+    with pytest.raises(InternalCheckError, match="subset-scan classification disagrees") as info:
+        m.profile
+    assert "spike (4 elements)" in str(info.value)
+    assert "first parting subset [1, 2]" in str(info.value)
+
+
+def test_a_broken_residual_names_the_carrier_its_size_and_the_triple():
+    # A lookup that sends down[0] to 2 makes 2 the residual 0/1 on the
+    # chain 0 < 1 < 2 under min, and 2 * 1 = 1 is not below 0.
+    p = FinitePoset.chain(3)
+    p.principal_down = {p.down[0]: 2, p.down[1]: 1, p.down[2]: 2}
+    m = OrderedMagma(p, [[min(x, y) for y in range(3)] for x in range(3)], name="chain3")
+    with pytest.raises(InternalCheckError, match="residual adjunction violated on the left") as info:
+        m.residuals
+    assert "chain3 (3 elements): (x, a, residual) = (0, 1, 2)" in str(info.value)

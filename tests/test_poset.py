@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantic.errors import StructureError
+from quantic.errors import InternalCheckError, StructureError
 from quantic.poset import FinitePoset, ub_scan_sup
 
 
@@ -134,3 +134,24 @@ class TestClassification:
         b = FinitePoset.powerset(3)
         assert b.flags.complete and b.flags.lattice
         assert b.bottom == 0 and b.top == 7
+
+
+def test_flag_disagreement_names_the_poset_its_size_and_the_scan_subset():
+    # A lookup that forgets up[1] makes the scan miss the sup of {0, 1}
+    # while the pairwise joins, built before, still find every join.
+    p = FinitePoset.chain(3)
+    p.join_table, p.top, p.bottom
+    p.principal_up = {p.up[0]: 0, p.up[2]: 2}
+    with pytest.raises(InternalCheckError, match="pairwise and exhaustive poset classification disagree") as info:
+        p.flags
+    assert "FinitePoset (3 elements)" in str(info.value)
+    assert "first parting subset [0, 1]" in str(info.value)
+
+
+def test_flag_disagreement_names_the_pair_the_joins_miss(monkeypatch):
+    # The bowtie (0, 1 < 2, 3): {0, 1} has two minimal upper bounds.
+    p = FinitePoset.from_covers([[2, 3], [2, 3], [], []])
+    monkeypatch.setattr(FinitePoset, "_flag_scan", lambda self: (True, True, True))
+    with pytest.raises(InternalCheckError, match="FinitePoset \\(4 elements\\)") as info:
+        p.flags
+    assert "first parting subset [0, 1]" in str(info.value)

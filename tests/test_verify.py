@@ -141,7 +141,7 @@ def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, 
     for target, name, replacement, call, witness in (
         (nucleus, "_nuclei_by_image_sets", lambda m, closures: closures[:1],
          nucleus.enumerate_nuclei, "filter only [(1, 1, 2), (2, 2, 2)]"),
-        (MonotoneMap, "is_idempotent", property(lambda s: False),
+        (nucleus, "_three_part", lambda p, t: False,
          lambda m: nucleus.is_closure(identity(m)), "(0, 1, 2)"),
         (nucleus, "_nucleus_conditions", lambda m, s: (True, False, True),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
