@@ -263,6 +263,8 @@ def cmd_star_f(args) -> int:
         _emit(args, {"carrier": carrier.name, "nucleus": rule.name,
                      "finitary": report.is_finitary, "note": report.note}, lines)
         return 0
+    if args.magma is None:
+        raise StructureError("star-f needs a magma document, or --carrier with a shipped nucleus")
     m = _load_finite_magma(args.magma)
     s = _load_map_for(m, args.nucleus)
     companion = star_f(m, s)

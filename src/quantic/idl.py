@@ -9,7 +9,7 @@ from typing import List
 from .errors import HypothesisNotMet, InternalCheckError, NotAMorphism
 from .magma import MagmaMorphism, OrderedMagma
 from .nucleus import MonotoneMap
-from .poset import FinitePoset, bits
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits
 
 
 def down_closure_mask(p: FinitePoset, xmask: int) -> int:
@@ -41,7 +41,7 @@ def down_closure(m_or_p, xs) -> list:
     p = m_or_p.poset if isinstance(m_or_p, OrderedMagma) else m_or_p
     xmask = p.mask_of(xs)
     mask = down_closure_mask(p, xmask)
-    if p.n <= 14:
+    if p.n <= EXHAUSTIVE_CAP:
         containing = [i for i in _ideal_masks(p) if not (xmask & ~i)]
         if mask not in containing or any(mask & ~i for i in containing):
             raise InternalCheckError("down closure is not the smallest containing ideal")

@@ -11,7 +11,7 @@ from .errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, Struc
 from .lazy import INF, RuleMap, UpsetsNat, chain_rule_map, upsets_ideal_map, upsets_saturation_map
 from .magma import OrderedMagma, adjoin_annihilator
 from .nucleus import MonotoneMap, is_closure, is_nucleus, transportable_mask
-from .poset import FinitePoset, bits
+from .poset import FinitePoset, bits, carrier_label
 
 POWERSET_BASE_CAP = 5
 SYSTEM_BASE_CAP = 4
@@ -74,7 +74,9 @@ class PowersetCarrier:
 
 def _powerset_carrier(base: OrderedMagma, drop_empty: bool, name: str) -> PowersetCarrier:
     if base.n > POWERSET_BASE_CAP:
-        raise CarrierTooLarge(f"power-set base capped at {POWERSET_BASE_CAP}")
+        raise CarrierTooLarge(
+            f"power-set base capped at {POWERSET_BASE_CAP} elements, refused on {carrier_label(base)}"
+        )
     masks = [m for m in range(1 << base.n) if m or not drop_empty]
     index = {m: i for i, m in enumerate(masks)}
     leq = [[(a & ~b) == 0 for b in masks] for a in masks]

@@ -12,8 +12,9 @@ from functools import cached_property
 from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import InternalCheckError, StructureError
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, subset_walk, translate_table
+from .errors import CarrierTooLarge, InternalCheckError, StructureError
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
+from .poset import subset_walk, translate_table
 
 
 @dataclass(frozen=True)
@@ -155,21 +156,27 @@ class OrderedMagma:
         self.annihilator = self._find_annihilator()
 
     def _validate_compat(self):
-        p, mul, n = self.poset, self.mul, self.poset.n
-        for x in range(n):
-            for x2 in bits(p.up[x]):
-                rx, rx2 = mul[x], mul[x2]
-                for y in range(n):
-                    if not p.leq(rx[y], rx2[y]):
-                        raise StructureError(
-                            f"multiplication not order-compatible: {x} <= {x2} "
-                            f"but not {rx[y]} <= {rx2[y]} (right factor {y})"
-                        )
-                    if not p.leq(mul[y][x], mul[y][x2]):
-                        raise StructureError(
-                            f"multiplication not order-compatible: {x} <= {x2} "
-                            f"but not {mul[y][x]} <= {mul[y][x2]} (left factor {y})"
-                        )
+        """Each column x -> xy and each row x -> yx of the product preserves
+        the order.  A failure names the first broken (x, x2, y) in the order
+        of the pairs x < x2, then y, the column (right factor y) first."""
+        p, n = self.poset, self.n
+        rows = list(map(bytes, self.mul))
+        flat = b"".join(rows)
+        lines = [flat[y::n] for y in range(n)] + rows
+        if all(order_preserving(p, line) for line in lines):
+            return
+        x, x2, y, side = next(
+            (x, x2, y, side)
+            for x, x2 in zip(*p.order_pairs)
+            for y in range(n)
+            for side in (0, 1)
+            if not p.leq(lines[side * n + y][x], lines[side * n + y][x2])
+        )
+        line = lines[side * n + y]
+        raise StructureError(
+            f"multiplication not order-compatible: {x} <= {x2} "
+            f"but not {line[x]} <= {line[x2]} ({('right', 'left')[side]} factor {y})"
+        )
 
     def _find_unit(self) -> Optional[int]:
         for u in range(self.poset.n):
@@ -523,13 +530,7 @@ def _is_poset_automorphism(p: FinitePoset, table) -> bool:
     inv = [0] * p.n
     for i, t in enumerate(table):
         inv[t] = i
-    for i in range(p.n):
-        for j in bits(p.up[i]):
-            if not p.leq(table[i], table[j]):
-                return False
-            if not p.leq(inv[i], inv[j]):
-                return False
-    return True
+    return order_preserving(p, bytes(table)) and order_preserving(p, bytes(inv))
 
 
 def is_cyclic_element(m: OrderedMagma, a: int):
@@ -574,10 +575,7 @@ class MagmaMorphism:
         return self.table[x]
 
     def is_order_preserving(self) -> bool:
-        s, t = self.source.poset, self.target.poset
-        return all(
-            t.leq(self.table[i], self.table[j]) for i in range(s.n) for j in bits(s.up[i])
-        )
+        return order_preserving(self.source.poset, bytes(self.table), self.target.poset)
 
     def is_magma_hom(self) -> bool:
         return all(
@@ -588,11 +586,12 @@ class MagmaMorphism:
 
     def preserves_sups(self, nonempty_only: bool) -> bool:
         """Exhaustive check that f(sup X) = sup f(X) whenever sup X exists."""
-        from .errors import CarrierTooLarge
-
         sp, tp = self.source.poset, self.target.poset
         if sp.n > EXHAUSTIVE_CAP:
-            raise CarrierTooLarge("morphism sup-check is exponential in the source carrier")
+            raise CarrierTooLarge(
+                f"morphism sup-check capped at {EXHAUSTIVE_CAP} elements, "
+                f"refused on {carrier_label(self.source)}"
+            )
         cols = [(tp.up[v],) for v in self.table]
         least = sp.principal_up
         for mask, ub, (image_ub,) in subset_walk(sp, cols, (tp.universe,)):

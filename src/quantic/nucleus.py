@@ -38,11 +38,13 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, subset_walk
+from .poset import EXHAUSTIVE_CAP, FinitePoset, all_below, bits, order_preserving, subset_walk
 from .poset import carrier_label as _label, translate_table as _pad
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
+# The brute-force closure oracle filters all n**n self-maps, up to this many.
+BRUTEFORCE_CAP = 5_000_000
 # certified_composition tries alternating compositions up to this length.
 COMPOSITION_BOUND = 6
 
@@ -93,7 +95,7 @@ class MonotoneMap:
         return hash(self.table)
 
     def __le__(self, other: "MonotoneMap") -> bool:
-        return _below(self.poset.up, self.table, other.table)
+        return all_below(self.poset, self.table, other.table)
 
     def __repr__(self):
         return f"MonotoneMap{self.table}"
@@ -116,17 +118,12 @@ class MonotoneMap:
 
     @property
     def is_order_preserving(self) -> bool:
-        return _order_preserving(self.poset, bytes(self.table))
+        return order_preserving(self.poset, bytes(self.table))
 
     @property
     def is_preclosure(self) -> bool:
         t = bytes(self.table)
-        return _expansive(self.poset, t) and _order_preserving(self.poset, t)
-
-
-def _below(up: Sequence[int], s: Sequence[int], t: Sequence[int]) -> bool:
-    """Whether the table s is pointwise below the table t."""
-    return all(up[a] >> b & 1 for a, b in zip(s, t))
+        return _expansive(self.poset, t) and order_preserving(self.poset, t)
 
 
 def is_closure(s: MonotoneMap) -> bool:
@@ -151,25 +148,13 @@ def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
 # -- byte-row kernels (see the module docstring); t is a table as bytes ---------
 
 
-def _all_below(p: FinitePoset, lo: bytes, hi: bytes) -> bool:
-    """lo[i] <= hi[i] for every i."""
-    return all(map(getitem, map(p.up_rows.__getitem__, lo), hi))
-
-
 def _expansive(p: FinitePoset, t: bytes) -> bool:
     return all(map(getitem, p.up_rows, t))
 
 
-def _order_preserving(p: FinitePoset, t: bytes) -> bool:
-    """t(x) <= t(y) over the stored pairs x < y."""
-    lo, hi = p.order_pairs
-    table = _pad(t)
-    return _all_below(p, lo.translate(table), hi.translate(table))
-
-
 def _three_part(p: FinitePoset, t: bytes) -> bool:
     """Expansive, order-preserving and idempotent."""
-    return _expansive(p, t) and _order_preserving(p, t) and t.translate(_pad(t)) == t
+    return _expansive(p, t) and order_preserving(p, t) and t.translate(_pad(t)) == t
 
 
 def _preimage_rows(p: FinitePoset, t: bytes) -> list:
@@ -196,7 +181,7 @@ def _products(m: OrderedMagma, t: bytes) -> tuple:
 
 def _one_sided_compat(p: FinitePoset, star: bytes, x_ts: bytes, t_xs: bytes) -> bool:
     """x y* <= (xy)* and x* y <= (xy)* for all x, y."""
-    return _all_below(p, x_ts, star) and _all_below(p, t_xs, star)
+    return all_below(p, x_ts, star) and all_below(p, t_xs, star)
 
 
 def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bool]:
@@ -208,7 +193,7 @@ def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bo
     star, x_ts, t_xs, tt = _products(m, t)
     p = m.poset
     return (
-        _all_below(p, tt, star),
+        all_below(p, tt, star),
         tt.translate(_pad(t)) == star,
         _one_sided_compat(p, star, x_ts, t_xs),
     )
@@ -462,8 +447,11 @@ def _least_above(p: FinitePoset, c: int) -> Optional[list]:
 def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
     """Independent oracle: filter all self-maps.  Exponential, tiny carriers only."""
     p = poset_of(carrier)
-    if p.n ** p.n > 5_000_000:
-        raise CarrierTooLarge("brute-force closure enumeration is n**n")
+    if p.n ** p.n > BRUTEFORCE_CAP:
+        raise CarrierTooLarge(
+            f"brute-force closure enumeration capped at {BRUTEFORCE_CAP} self-maps, "
+            f"refused on {_label(carrier)}, which has {p.n ** p.n}"
+        )
     out = []
     for table in product(range(p.n), repeat=p.n):
         s = MonotoneMap(carrier, table)
@@ -912,7 +900,8 @@ class TowerReport:
 
 
 def nucleus_tower(m: OrderedMagma, depth: int = 2) -> TowerReport:
-    """N(M), N(N(M)), ... with the structure theorems asserted at each level."""
+    """N(M), N(N(M)), ... with the structure theorems asserted at each level;
+    a level over ENUMERATION_CAP elements is refused by its enumeration."""
     if depth < 1:
         raise StructureError(f"tower depth must be at least 1, got {depth}")
     if not m.profile.near_sup_magma:
@@ -920,10 +909,6 @@ def nucleus_tower(m: OrderedMagma, depth: int = 2) -> TowerReport:
     levels = []
     current = m
     for _ in range(depth):
-        if current.n > ENUMERATION_CAP:
-            raise CarrierTooLarge(
-                f"tower level capped at {ENUMERATION_CAP} elements, refused on {_label(current)}"
-            )
         lat = nucleus_lattice(current)
         levels.append(lat)
         _assert_level_structure(lat)
@@ -976,12 +961,12 @@ def certified_composition(
     for s in (s1, s2):
         if not is_nucleus(m, s):
             raise HypothesisNotMet("certified_composition requires nuclei")
-    up = m.poset.up
+    p = m.poset
     # a applies s2 first and b applies s1 first; after1(f) is f o s1.
     after1, after2 = row_getters([s1.table, s2.table])
     a, b = s2.table, s1.table
     for n in range(1, COMPOSITION_BOUND + 1):
-        cand = a if _below(up, b, a) else b if _below(up, a, b) else None
+        cand = a if all_below(p, b, a) else b if all_below(p, a, b) else None
         if cand is not None:
             out = MonotoneMap(m, cand)
             if not is_nucleus(m, out):

@@ -14,14 +14,16 @@ least_of stays for masks that need not be up-closed.
 
 The cap also lets an id be one byte: the 0/1 rows of the order and the pairs
 x < y are kept as bytes, so the nucleus kernels decide order conditions and
-compose tables with bytes.translate, one C call per row.
+compose tables with bytes.translate, one C call per row.  all_below and
+order_preserving are the one order kernel: maps, morphisms, automorphism
+tests and the order-compatibility of a product are decided through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_
+from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
@@ -47,6 +49,19 @@ def bits(mask: int):
 def translate_table(row: bytes) -> bytes:
     """row padded with zeros to the 256 bytes of a bytes.translate table."""
     return row.ljust(256, b"\0")
+
+
+def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
+    """lo[i] <= hi[i] in p for every i, for two id sequences (bytes or tuples,
+    such as two map tables): one byte of the order rows per pair."""
+    return all(map(getitem, map(p.up_rows.__getitem__, lo), hi))
+
+
+def order_preserving(p: "FinitePoset", t: bytes, target: Optional["FinitePoset"] = None) -> bool:
+    """t(x) <= t(y) in target (p itself by default) over the stored pairs x < y of p."""
+    lo, hi = p.order_pairs
+    table = translate_table(t)
+    return all_below(p if target is None else target, lo.translate(table), hi.translate(table))
 
 
 def carrier_label(carrier) -> str:
@@ -100,7 +115,7 @@ class FinitePoset:
     def __init__(self, leq_rows: Sequence[Sequence[bool]], labels: Optional[Sequence[str]] = None):
         n = len(leq_rows)
         if n > ENUM_CAP:
-            raise CarrierTooLarge(f"poset has {n} elements, cap is {ENUM_CAP}")
+            raise CarrierTooLarge(f"poset capped at {ENUM_CAP} elements, got {n} elements")
         up = []
         for i, row in enumerate(leq_rows):
             if len(row) != n:

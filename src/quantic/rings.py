@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
 from .magma import OrderedMagma, row_getters
 from .nucleus import MonotoneMap, closure_from_preclosure, is_nucleus
-from .poset import FinitePoset, bits
+from .poset import FinitePoset, bits, translate_table
 
 # Every element is one byte, and a table row padded with zeros to 256 bytes
 # is a bytes.translate table: the byte-row law check needs n <= 256.
@@ -38,11 +38,6 @@ def _label(name: str, n) -> str:
 def _check_size(n: int, label: str):
     if n > RING_SIZE_CAP:
         raise HypothesisNotMet(f"ring size capped at {RING_SIZE_CAP} on {label}")
-
-
-def _through(row: bytes) -> bytes:
-    """The bytes.translate table that maps z to row[z]."""
-    return row.ljust(256, b"\0")
 
 
 class FiniteRing:
@@ -93,8 +88,8 @@ class FiniteRing:
                 raise self._malformed("ring is not commutative", f" at (x, y) = ({x}, {y})")
         # Each law for every z at once, as a row: (x+y)+z is the row add[x+y],
         # x+(y+z) is add[y] read through add[x], and likewise below.
-        through_add = [_through(r) for r in add]
-        through_mul = [_through(r) for r in mul]
+        through_add = [translate_table(r) for r in add]
+        through_mul = [translate_table(r) for r in mul]
         for x, (ax, mx, by_ax, by_mx) in enumerate(zip(add, mul, through_add, through_mul)):
             for y, (ay, my, s, p) in enumerate(zip(add, mul, ax, mx)):
                 if (lhs := add[s]) != (rhs := ay.translate(by_ax)):
@@ -254,7 +249,7 @@ def _additive_span(ring: FiniteRing, gens) -> int:
             continue
         base, shift = members, g
         while shift not in span:
-            coset = base.translate(_through(add[shift]))
+            coset = base.translate(translate_table(add[shift]))
             members += coset
             span.update(coset)
             shift = add[shift][g]

@@ -116,8 +116,8 @@ def load_poset(doc: dict) -> FinitePoset:
     if _require(doc, "kind") != "poset":
         raise StructureError("expected a poset document")
     labels = doc.get("elements")
-    if labels is not None:
-        _list(labels, "elements")
+    if labels is not None and not all(isinstance(x, str) for x in _list(labels, "elements")):
+        raise StructureError("every element label must be a string")
     return FinitePoset(_matrix(_require(doc, "leq"), "leq"), labels)
 
 

@@ -5,6 +5,12 @@ reports pass, fail, or skip (hypotheses not met / carrier too large).  The CLI
 command verify-all prints the whole matrix; the test suite runs it across the
 corpus.  Names follow the result labels used throughout the library's design
 notes so a failure localizes immediately.
+
+A row skips with its own text when its hypotheses fail.  The operation that
+costs too much refuses the carrier's size: a row enumerates closures or
+nuclei first, or calls _refuse_above, and the CarrierTooLarge message, which
+names the cap and the carrier, is the skip detail.  run_all alone turns an
+exception into a verdict (InternalCheckError and HypothesisNotMet: FAIL).
 """
 
 from __future__ import annotations
@@ -56,13 +62,16 @@ from .nucleus import (
     nucleus_of_morphism,
     one_bracket_map,
     pointwise_order,
+    quotient,
     r_set_mask,
     transportable_mask,
     unit_part,
 )
-from .poset import bits, transpose
+from .poset import bits, carrier_label, transpose
 
 SAMPLE_MAPS = 400
+# structure2 and maintheorem build N(M) and the ideal completion up to this size.
+COMPLETION_ROW_CAP = 10
 SEED = 1251
 
 
@@ -97,8 +106,9 @@ def _fail(detail: str) -> Tuple[str, str]:
     return "fail", detail
 
 
-def _small(m: OrderedMagma, cap: int = ENUMERATION_CAP) -> bool:
-    return m.n <= cap
+def _refuse_above(m: OrderedMagma, cap: int, row: str):
+    if m.n > cap:
+        raise CarrierTooLarge(f"{row} capped at {cap} elements, refused on {carrier_label(m)}")
 
 
 def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
@@ -116,15 +126,11 @@ def _sample_maps(m: OrderedMagma) -> tuple:
 def _check_closureprop1(m: OrderedMagma):
     """The three nucleus conditions agree on closures; is_nucleus cross-checks
     them internally, so running it over samples and closures is the proof."""
-    if not _small(m):
-        return _skip("carrier too large")
-    try:
-        for s in _sample_maps(m):
-            is_nucleus(m, s)
-        for s in enumerate_closures(m):
-            is_nucleus(m, s)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    closures = enumerate_closures(m)
+    for s in _sample_maps(m):
+        is_nucleus(m, s)
+    for s in closures:
+        is_nucleus(m, s)
     return _ok("random sample plus all closures")
 
 
@@ -132,13 +138,9 @@ def _check_closureprop1(m: OrderedMagma):
 def _check_closureprop1a(m: OrderedMagma):
     if m.unit is None:
         return _skip("needs a unital carrier")
-    if not _small(m):
-        return _skip("carrier too large")
-    try:
-        for s in _sample_maps(m):
-            is_nucleus(m, s)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    _refuse_above(m, ENUMERATION_CAP, "closureprop1a")
+    for s in _sample_maps(m):
+        is_nucleus(m, s)
     return _ok("single-axiom forms agree on the random sample")
 
 
@@ -158,11 +160,10 @@ def _spanning_subset(m: OrderedMagma):
 
 @register("closureprop2")
 def _check_closureprop2(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
+    closures = enumerate_closures(m)
     p = m.poset
     sigma = _spanning_subset(m)
-    for s in enumerate_closures(m):
+    for s in closures:
         direct = is_nucleus(m, s)
         via_sigma = all(
             p.leq(m.op(a, s.table[x]), s.table[m.op(a, x)])
@@ -177,10 +178,9 @@ def _check_closureprop2(m: OrderedMagma):
 
 @register("closureprop3")
 def _check_closureprop3(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
+    maps = enumerate_nuclei(m)
     inv = distinguished_sets(m).invertible
-    for s in enumerate_nuclei(m):
+    for s in maps:
         tmask = transportable_mask(m, s)
         if any(not ((tmask >> u) & 1) for u in inv):
             return _fail(f"invertible element not transportable through {s.table}")
@@ -189,8 +189,6 @@ def _check_closureprop3(m: OrderedMagma):
 
 @register("joinspan")
 def _check_joinspan(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
     for s in enumerate_closures(m):
         tmask = transportable_mask(m, s)
         if is_sup_spanning(m, list(bits(tmask))) and not is_nucleus(m, s):
@@ -208,8 +206,6 @@ def _check_quantales(m: OrderedMagma):
 
 @register("nearprequantales")
 def _check_nearprequantales(m: OrderedMagma):
-    if m.n + 1 > 64:
-        return _skip("carrier too large")
     with_zero = adjoin_annihilator(m)
     if m.profile.near_prequantale != with_zero.profile.prequantale:
         return _fail("M near prequantale must match M+0 prequantale")
@@ -218,12 +214,9 @@ def _check_nearprequantales(m: OrderedMagma):
 
 @register("starlemma")
 def _check_starlemma(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
-    from .nucleus import quotient
-
+    maps = enumerate_nuclei(m)
     pf = m.poset.flags
-    for s in enumerate_nuclei(m):
+    for s in maps:
         q = quotient(m, s)  # asserts sup-preserving corestriction internally
         qf = q.magma.poset.flags
         for flag in ("complete", "near_sup_complete", "bounded_complete",
@@ -235,24 +228,15 @@ def _check_starlemma(m: OrderedMagma):
 
 @register("CSTstar")
 def _check_cststar(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
-    from .nucleus import quotient
-
-    try:
-        for s in enumerate_nuclei(m):
-            quotient(m, s)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    for s in enumerate_nuclei(m):
+        quotient(m, s)
     return _ok()
 
 
 @register("supremark")
 def _check_supremark(m: OrderedMagma):
-    if not m.profile.near_prequantale or not _small(m):
+    if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
-    from .nucleus import quotient
-
     for s in enumerate_nuclei(m):
         q = quotient(m, s)
         table = [q.to_quotient[s.table[x]] for x in range(m.n)]
@@ -265,8 +249,9 @@ def _check_supremark(m: OrderedMagma):
 
 @register("preclosurelemma")
 def _check_preclosurelemma(m: OrderedMagma):
-    if m.poset.top is None or not _small(m):
+    if m.poset.top is None:
         return _skip("needs a bounded-above small carrier")
+    _refuse_above(m, ENUMERATION_CAP, "preclosurelemma")
     rng = random.Random(SEED)
     ups = [list(bits(up)) for up in m.poset.up]
     produced = 0
@@ -282,54 +267,39 @@ def _check_preclosurelemma(m: OrderedMagma):
 
 @register("CMC")
 def _check_cmc(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
-    try:
-        maps = enumerate_nuclei(m)
-    except CarrierTooLarge:
-        return _skip("carrier too large")
+    maps = enumerate_nuclei(m)
     # above[i] / below[i]: the nuclei above / below maps[i], as masks over
     # the enumeration.
     above = pointwise_order(m.poset, maps)
     below = transpose(above, len(maps))
-    try:
-        # The meet table raises unless each pointwise infimum is an
-        # enumerated nucleus; it must be the meet within the N(M) order.
-        meets = nuclei_meet_table(m)
+    # The meet table raises unless each pointwise infimum is an enumerated
+    # nucleus; it must be the meet within the N(M) order.
+    meets = nuclei_meet_table(m)
+    for i in range(len(maps)):
+        for j in range(i, len(maps)):
+            bounds = below[i] & below[j]
+            if not bounds >> meets[i][j] & 1 or bounds & ~below[meets[i][j]]:
+                return _fail("pointwise meet is not the N(M) meet")
+    if join_formula_applies(m):
+        # The join formula raises unless the join image is the intersection
+        # of the fixed points; its join must be the N(M) join.
+        joins = nuclei_join_table(m)
         for i in range(len(maps)):
             for j in range(i, len(maps)):
-                bounds = below[i] & below[j]
-                if not bounds >> meets[i][j] & 1 or bounds & ~below[meets[i][j]]:
-                    return _fail("pointwise meet is not the N(M) meet")
-        if join_formula_applies(m):
-            # The join formula raises unless the join image is the
-            # intersection of the fixed points; its join must be the N(M) join.
-            joins = nuclei_join_table(m)
-            for i in range(len(maps)):
-                for j in range(i, len(maps)):
-                    bounds = above[i] & above[j]
-                    if not bounds >> joins[i][j] & 1 or bounds & ~above[joins[i][j]]:
-                        return _fail("join formula is not the N(M) join")
-    except (InternalCheckError, HypothesisNotMet) as exc:
-        return _fail(str(exc))
+                bounds = above[i] & above[j]
+                if not bounds >> joins[i][j] & 1 or bounds & ~above[joins[i][j]]:
+                    return _fail("join formula is not the N(M) join")
     return _ok(f"{len(maps)} nuclei")
 
 
 @register("characterizingclosures")
 def _check_characterizing(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
-    try:
-        enumerate_nuclei(m)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    enumerate_nuclei(m)
     return _ok("image-set route agrees with the filter route")
 
 
 @register("complemmacor")
 def _check_complemmacor(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
     maps = enumerate_nuclei(m)
     joins = nuclei_join_table(m) if join_formula_applies(m) else None
     certified = 0
@@ -348,11 +318,11 @@ def _check_complemmacor(m: OrderedMagma):
 @register("dalpha")
 def _check_dalpha(m: OrderedMagma):
     prof = m.profile
-    if not (prof.commutative and prof.associative and prof.unital) or not _small(m):
+    if not (prof.commutative and prof.associative and prof.unital):
         return _skip("needs a small ordered commutative monoid")
+    maps = enumerate_nuclei(m)
     p = m.poset
     rmask = r_set_mask(m)
-    maps = enumerate_nuclei(m)
     for a in bits(rmask):
         da = d_map(m, a)
         if unit_part(m, da) != a:
@@ -386,12 +356,10 @@ def _check_rmlemma(m: OrderedMagma):
 
 @register("structure2")
 def _check_structure2(m: OrderedMagma):
-    if not m.profile.near_sup_magma or not _small(m, 10):
+    if not m.profile.near_sup_magma:
         return _skip("needs a small near sup-magma")
-    try:
-        nucleus_lattice(m)  # multiplication is the join by construction
-    except (InternalCheckError, HypothesisNotMet) as exc:
-        return _fail(str(exc))
+    _refuse_above(m, COMPLETION_ROW_CAP, "structure2")
+    nucleus_lattice(m)  # multiplication is the join by construction
     return _ok()
 
 
@@ -417,16 +385,12 @@ def _check_onebracket(m: OrderedMagma):
     prof = m.profile
     if not (prof.unital and prof.associative and prof.near_prequantale):
         return _skip("needs a unital near quantale")
-    try:
-        s = one_bracket_map(m)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
-    return _ok(f"image size {len(s.image())}")
+    return _ok(f"image size {len(one_bracket_map(m).image())}")
 
 
 @register("klattice")
 def _check_klattice(m: OrderedMagma):
-    if not m.profile.semiprequantale or not _small(m):
+    if not m.profile.semiprequantale:
         return _skip("needs a small precoherent semiprequantale")
     for s in enumerate_nuclei(m):
         sf = star_f(m, s)
@@ -441,10 +405,10 @@ def _check_klattice(m: OrderedMagma):
 @register("Nf")
 def _check_nf(m: OrderedMagma):
     """Joins of (finitary) nuclei match the supremum over the composition monoid."""
-    if not m.profile.near_prequantale or not _small(m):
+    if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
-    sup_mask = m.poset.sup_mask
     maps = enumerate_nuclei(m)
+    sup_mask = m.poset.sup_mask
     joins = nuclei_join_table(m)
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
@@ -474,18 +438,16 @@ def _check_downarrow(m: OrderedMagma):
 
 @register("maintheorem")
 def _check_maintheorem(m: OrderedMagma):
-    if not m.profile.multiplicative_semilattice or not _small(m, 10):
+    if not m.profile.multiplicative_semilattice:
         return _skip("needs a small multiplicative semilattice")
-    try:
-        roundtrip_checks(m)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    _refuse_above(m, COMPLETION_ROW_CAP, "maintheorem")
+    roundtrip_checks(m)
     return _ok("both round trips are isomorphisms")
 
 
 @register("divprop")
 def _check_divprop(m: OrderedMagma):
-    if not m.profile.near_prequantale or not _small(m):
+    if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
     maps = enumerate_nuclei(m)
     for s in maps:
@@ -500,19 +462,14 @@ def _check_divprop(m: OrderedMagma):
 
 @register("simpleprequantales")
 def _check_simple(m: OrderedMagma):
-    if not m.profile.near_prequantale or not _small(m):
+    if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
-    try:
-        rep = is_simple(m)
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    rep = is_simple(m)
     return _ok(f"simple={rep.simple} via {sorted(rep.routes)}")
 
 
 @register("stabletheorem")
 def _check_stabletheorem(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
     maps = enumerate_nuclei(m)
     try:
         stable = [is_stable(m, s) for s in maps]
@@ -527,36 +484,29 @@ def _check_stabletheorem(m: OrderedMagma):
             return _fail("meet of stable nuclei is not a stable nucleus")
     except HypothesisNotMet as exc:
         return _skip(str(exc))
-    except InternalCheckError as exc:
-        return _fail(str(exc))
     return _ok(f"{len(stable_maps)} stable among {len(maps)}")
 
 
 @register("stablecor")
 def _check_stablecor(m: OrderedMagma):
-    if not _small(m):
-        return _skip("carrier too large")
+    maps = enumerate_nuclei(m)
     try:
-        for s in enumerate_nuclei(m):
+        for s in maps:
             w = star_w(m, s)
             if w.table != stable_closure(m, s).table:
                 return _fail("star_w differs from the stable closure on a finite carrier")
     except HypothesisNotMet as exc:
         return _skip(str(exc))
-    except InternalCheckError as exc:
-        return _fail(str(exc))
     return _ok()
 
 
 @register("vstrategies")
 def _check_vstrategies(m: OrderedMagma):
-    if not m.profile.near_prequantale or not _small(m):
+    if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
-    try:
-        for a in range(m.n):
-            v(m, a, strategy="all")
-    except InternalCheckError as exc:
-        return _fail(str(exc))
+    _refuse_above(m, ENUMERATION_CAP, "vstrategies")
+    for a in range(m.n):
+        v(m, a, strategy="all")
     return _ok("all applicable strategies agreed on every element")
 
 

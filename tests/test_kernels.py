@@ -23,12 +23,13 @@ from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
+    _is_poset_automorphism,
     _distributes_over_finite_nonempty,
     _translations_preserve_existing_sups,
     row_getters,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
-from quantic.poset import FinitePoset, bits, ub_scan_sup
+from quantic.poset import FinitePoset, bits, order_preserving, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
@@ -240,6 +241,46 @@ def certified_composition_loop(m, s1, s2, bound):
     return None
 
 
+def compat_failure_loop(p, mul):
+    """The element-by-element order-compatibility check: the message of its
+    first failure, or None."""
+    n = p.n
+    for x in range(n):
+        for x2 in bits(p.up[x]):
+            for y in range(n):
+                for a, b, side in ((mul[x][y], mul[x2][y], "right"), (mul[y][x], mul[y][x2], "left")):
+                    if not p.leq(a, b):
+                        return (
+                            f"multiplication not order-compatible: {x} <= {x2} "
+                            f"but not {a} <= {b} ({side} factor {y})"
+                        )
+    return None
+
+
+def compat_kernel(p, mul):
+    try:
+        OrderedMagma(p, mul)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def order_preserving_loop(p, t, target):
+    return all(target.leq(t[x], t[y]) for x in range(p.n) for y in range(p.n) if p.leq(x, y))
+
+
+def automorphism_loop(p, t):
+    if len(set(t)) != p.n:
+        return False
+    inv = [t.index(x) for x in range(p.n)]
+    return order_preserving_loop(p, t, p) and order_preserving_loop(p, inv, p)
+
+
+@lru_cache(maxsize=None)
+def dual(p):
+    return p.dual()
+
+
 def assert_map_kernels_match(m, t):
     """Every byte-row decision on the table t against its loop."""
     p, row = m.poset, bytes(t)
@@ -247,9 +288,9 @@ def assert_map_kernels_match(m, t):
     assert nucleus._three_part(p, row) == three_part_loop(p, t), t
     s = MonotoneMap(m, t)
     assert s.is_preclosure == preclosure_loop(p, t), t
-    assert s.is_order_preserving == all(
-        p.leq(t[x], t[y]) for x in range(p.n) for y in range(p.n) if p.leq(x, y)
-    ), t
+    assert s.is_order_preserving == order_preserving_loop(p, t, p), t
+    assert order_preserving(p, row, dual(p)) == order_preserving_loop(p, t, dual(p)), t
+    assert _is_poset_automorphism(p, t) == automorphism_loop(p, t), t
     assert nucleus._nucleus_conditions(m, s) == nucleus_conditions_loop(m, t), t
     assert nucleus._unital_selfmap_conditions(m, s) == unital_conditions_loop(m, t), t
     assert nucleus.is_strict_nucleus(m, s) == strict_loop(m, t), t
@@ -445,6 +486,35 @@ def naturally_labelled_posets(n):
                 up[i] |= 1 << j
         if all(not up[j] & ~up[i] for i in range(n) for j in bits(up[i])):
             yield FinitePoset.from_up_masks(up)
+
+
+@pytest.mark.parametrize("pname", sorted(three_element_posets()))
+def test_compatibility_check_matches_the_loop_on_every_three_element_table(pname):
+    p = three_element_posets()[pname]
+    failures = 0
+    for flat in product(range(3), repeat=9):
+        mul = [flat[0:3], flat[3:6], flat[6:9]]
+        expected = compat_failure_loop(p, mul)
+        assert compat_kernel(p, mul) == expected, mul
+        failures += expected is not None
+    assert failures or pname == "antichain"
+
+
+def test_compatibility_check_matches_the_loop_on_corrupted_tables():
+    # Each poset gets a compatible constant table with one entry changed,
+    # which breaks compatibility at many different triples, and random tables.
+    rng = random.Random(5)
+    witnesses = set()
+    for n in (4, 5):
+        for p in naturally_labelled_posets(n):
+            for _ in range(6):
+                mul = [[rng.randrange(n)] * n for _ in range(n)]
+                mul[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                for table in (mul, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]):
+                    expected = compat_failure_loop(p, table)
+                    assert compat_kernel(p, table) == expected, (p.up, table)
+                    witnesses.add(expected)
+    assert len(witnesses) > 100
 
 
 def test_principal_filter_lookups_match_least_of_on_every_subset():

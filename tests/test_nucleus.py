@@ -353,7 +353,7 @@ class TestTower:
     def test_overgrown_level_raises(self, corpus):
         from quantic.errors import CarrierTooLarge
 
-        with pytest.raises(CarrierTooLarge, match="tower level"):
+        with pytest.raises(CarrierTooLarge, match="capped at 16"):
             nucleus_tower(corpus["diamond-join"], depth=3)
 
 

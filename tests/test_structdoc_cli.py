@@ -251,12 +251,15 @@ class TestCli:
             ["classify", "{int_elements}"],
             ["classify", "{int_poset}"],
             ["star-f", "--carrier", "chain-omega", "dx"],
+            ["star-f", "{z4}"],
+            ["nuclei", "{int_labels}"],
         ],
         ids=[
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
             "unknown-group", "bad-exponent", "empty-poly", "string-product",
             "float-product", "float-assign", "float-unit", "int-assign", "int-mul",
             "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name",
+            "star-f-without-magma", "int-labels",
         ],
     )
     def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, corpus, args):
@@ -264,7 +267,7 @@ class TestCli:
             name: tmp_path / f"{name}.json"
             for name in (
                 "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit",
-                "int_assign", "int_mul", "int_leq_rows", "int_elements", "int_poset",
+                "int_assign", "int_mul", "int_leq_rows", "int_elements", "int_poset", "int_labels",
             )
         }
         paths["dir"] = tmp_path
@@ -285,6 +288,7 @@ class TestCli:
             ("int_leq_rows", lambda d: d["poset"].update(leq=[1, 2, 3])),
             ("int_elements", lambda d: d["poset"].update(elements=5)),
             ("int_poset", lambda d: d.update(poset=5)),
+            ("int_labels", lambda d: d["poset"].update(elements=list(range(len(d["mul"]))))),
         ):
             doc = magma_doc(z4.magma)
             edit(doc)

@@ -6,8 +6,11 @@ import pytest
 
 from quantic import cli, divisorial, nucleus, verify
 from quantic.corpus import standard_corpus
-from quantic.errors import InternalCheckError
+from quantic.errors import CarrierTooLarge, InternalCheckError
+from quantic.instances import check_system_base, cyclic_group, module_system_lattice, powerset_prequantale
+from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import MonotoneMap
+from quantic.poset import FinitePoset
 from quantic.rings import FiniteRing, ring_ideal_lattice
 from quantic.structdoc import to_json
 from quantic.verify import check_names, run_all
@@ -166,3 +169,78 @@ def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, 
     assert cli.main(["verify-all", str(doc)]) == 1
     rows = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:])
     assert {name for name, mark in rows.items() if mark == "FAIL"} == NUCLEUS_ROWS
+
+
+# The rows that start by enumerating closures or nuclei, whose size skip is
+# the enumeration's refusal.
+ENUMERATION_ROWS = {
+    "closureprop1", "closureprop2", "closureprop3", "joinspan", "starlemma", "CSTstar",
+    "supremark", "CMC", "characterizingclosures", "complemmacor", "dalpha", "klattice",
+    "Nf", "divprop", "simpleprequantales", "stabletheorem", "stablecor",
+}
+
+
+def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
+    m = module_system_lattice(cyclic_group(4)).magma
+    decided = []
+    monkeypatch.setattr(nucleus, "_decide_nucleus", lambda m, s: decided.append(s) or True)
+    results = {r.name: r for r in run_all(m)}
+    passed = {"quantales", "nearprequantales", "RMlemma", "1compact", "onebracket"}
+    assert {name for name, r in results.items() if r.status == "pass"} == passed
+    assert all(r.status == "skip" for name, r in results.items() if name not in passed)
+    assert len(results) == 28 and ENUMERATION_ROWS < set(results)
+    for name in ENUMERATION_ROWS:
+        detail = results[name].detail
+        assert "capped at 16 elements" in detail and "(32 elements)" in detail, (name, detail)
+    # The rows whose cost is not an enumeration refuse at their own cap.
+    for name, cap in (("closureprop1a", 16), ("preclosurelemma", 16), ("vstrategies", 16),
+                      ("structure2", 10), ("maintheorem", 10)):
+        assert results[name].detail == f"{name} capped at {cap} elements, refused on 2^(G0:4) (32 elements)"
+    assert decided == []
+    # An enumeration row is refused before it does any other work.
+    other_work = []
+    for name in ("_sample_maps", "_spanning_subset", "distinguished_sets", "r_set_mask"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: other_work.append(name))
+    assert {r.status for r in run_all(m, names=sorted(ENUMERATION_ROWS))} == {"skip"}
+    assert other_work == []
+
+
+def test_run_all_alone_turns_an_exception_into_a_fail(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
+
+    def broken(m):
+        raise InternalCheckError("simplicity routes disagree on I(Z/4) (3 elements)")
+
+    monkeypatch.setattr(verify, "is_simple", broken)
+    (row,) = run_all(m, names=["simpleprequantales"])
+    assert row.status == "fail"
+    assert row.detail == "InternalCheckError: simplicity routes disagree on I(Z/4) (3 elements)"
+
+
+@pytest.mark.parametrize(
+    "refuse, cap, carrier",
+    [
+        (lambda: nucleus.enumerate_closures(module_system_lattice(cyclic_group(4)).magma),
+         "capped at 16 elements", "2^(G0:4) (32 elements)"),
+        (lambda: nucleus.nucleus_tower(standard_corpus()["diamond-join"], depth=3),
+         "capped at 16 elements", "N(N(diamond-join)) (37 elements)"),
+        (lambda: nucleus.enumerate_closures_bruteforce(FinitePoset.chain(9)),
+         "capped at 5000000 self-maps", "FinitePoset (9 elements), which has 387420489"),
+        (lambda: MagmaMorphism(*[ring_ideal_lattice(FiniteRing.zmod(210)).magma] * 2,
+                               range(16)).preserves_sups(True),
+         "capped at 14 elements", "I(Z/210) (16 elements)"),
+        (lambda: powerset_prequantale(cyclic_group(6)),
+         "capped at 5 elements", "OrderedMagma (6 elements)"),
+        (lambda: check_system_base(5), "capped at 4", "got 5 elements"),
+        (lambda: FinitePoset.chain(65), "capped at 64 elements", "got 65 elements"),
+        (lambda: verify._check_structure2(OrderedMagma(
+            FinitePoset.chain(12), [[min(x, y) for y in range(12)] for x in range(12)], "chain12-meet")),
+         "structure2 capped at 10 elements", "chain12-meet (12 elements)"),
+    ],
+    ids=["enumeration", "tower-level", "bruteforce", "morphism-sups", "powerset-base",
+         "system-base", "poset", "verify-row"],
+)
+def test_every_size_refusal_names_its_cap_and_the_carrier_size(refuse, cap, carrier):
+    with pytest.raises(CarrierTooLarge) as info:
+        refuse()
+    assert cap in str(info.value) and carrier in str(info.value), info.value
