@@ -25,17 +25,14 @@ from .errors import (
 from .finitary import is_finitary, star_f
 from .idl import idl, roundtrip_checks
 from .instances import (
-    chain_nucleus,
     check_system_base,
     cyclic_group,
     klein_four,
     module_system_lattice,
     powerset_prequantale,
     trivial_monoid,
-    upsets_quantale,
-    upsets_shipped_maps,
 )
-from .lazy import LazyCarrier, RuleMap
+from .lazy import LazyCarrier
 from .magma import OrderedMagma
 from .nucleus import (
     enumerate_nuclei,
@@ -113,7 +110,7 @@ def cmd_make(args) -> int:
         print(to_json(powerset_prequantale(base, drop_empty=args.drop_empty).magma))
         return 0
     if args.what == "upsets":
-        print(to_json(upsets_quantale()))
+        print(to_json(LAZY_CARRIERS["upsets-nat"]()))
         return 0
     raise StructureError(f"unknown make target {args.what!r}")
 
@@ -249,10 +246,8 @@ def _dot_of(m: OrderedMagma) -> str:
 
 def cmd_star_f(args) -> int:
     if args.carrier:
-        if args.carrier not in LAZY_CARRIERS:
-            raise StructureError(f"unknown lazy carrier {args.carrier!r}")
         carrier = LAZY_CARRIERS[args.carrier]()
-        rule = _named_lazy_nucleus(carrier, args.nucleus)
+        rule = carrier.rule_map(args.nucleus)
         companion = star_f(carrier, rule)
         report = is_finitary(companion)
         sample = carrier.sample(6)
@@ -272,15 +267,6 @@ def cmd_star_f(args) -> int:
     lines = [f"star_f assign={list(companion.table)}", f"finitary: {report.is_finitary} ({report.note})"]
     _emit(args, {"assign": list(companion.table), "finitary": report.is_finitary}, lines)
     return 0
-
-
-def _named_lazy_nucleus(carrier, name: str) -> RuleMap:
-    if carrier.name == "chain-omega":
-        return chain_nucleus(name)
-    shipped = upsets_shipped_maps(carrier)
-    if name in shipped:
-        return shipped[name]
-    raise StructureError(f"unknown upsets nucleus {name!r}; try one of {sorted(shipped)}")
 
 
 def cmd_stable(args) -> int:

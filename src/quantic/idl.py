@@ -165,7 +165,7 @@ def verify_morphism_ms(g: MagmaMorphism):
     """Morphism of multiplicative semilattices: magma hom preserving finite
     nonempty sups.  On finite carriers, where every element is compact, this
     is also the morphism condition of precoherent near prequantales."""
-    if not (g.is_order_preserving() and g.is_magma_hom() and g.preserves_sups(True)):
+    if not (g.is_order_preserving() and g.is_magma_hom() and g.preserves_sups()):
         raise NotAMorphism("not a morphism of multiplicative semilattices")
 
 

@@ -1,14 +1,13 @@
 """The concrete worlds: power-set prequantales, module systems on finite
 abelian groups, weak ideal systems on finite commutative monoids, ring ideal
-lattices, chain examples, and the lazy carriers."""
+lattices and chain examples."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
-from .lazy import INF, RuleMap, UpsetsNat, chain_rule_map, upsets_ideal_map, upsets_saturation_map
 from .magma import OrderedMagma, adjoin_annihilator
 from .nucleus import MonotoneMap, is_closure, is_nucleus, transportable_mask
 from .poset import FinitePoset, bits, carrier_label
@@ -329,27 +328,3 @@ def zchain_with_both_ends(n: int = 1) -> OrderedMagma:
     """The same surrogate with an annihilator adjoined below."""
     return adjoin_annihilator(zchain_with_top(n), label="-inf")
 
-
-def upsets_quantale() -> UpsetsNat:
-    return UpsetsNat()
-
-
-def upsets_shipped_maps(carrier: Optional[UpsetsNat] = None) -> dict:
-    c = carrier or UpsetsNat()
-    return {
-        "monoid-ideal": upsets_ideal_map(c),
-        "submonoid-saturation": upsets_saturation_map(c),
-    }
-
-
-def chain_nucleus(name: str) -> RuleMap:
-    """The shipped chain-omega nuclei: d (identity), e (constant top) and dK,
-    x -> max(x, K), for a natural K."""
-    if name == "d":
-        return chain_rule_map("d", lambda x: x)
-    if name == "e":
-        return chain_rule_map("e", lambda x: INF)
-    if name[:1] == "d" and name[1:].isdecimal():
-        k = int(name[1:])
-        return chain_rule_map(name, lambda x: max(x, k))
-    raise StructureError("chain nuclei: d, e, or dK for a natural K")

@@ -12,8 +12,9 @@ classification flags; nothing is guessed beyond the declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from math import gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     InternalCheckError,
@@ -21,6 +22,7 @@ from .errors import (
     StructureError,
     UndecidableFamily,
 )
+from .poset import bits as set_bits
 
 INF = float("inf")
 # Rule maps are certified on this many sampled elements.
@@ -28,6 +30,9 @@ SAMPLE_SIZE = 12
 
 
 # -- family descriptors --------------------------------------------------------
+#
+# Each family walks its own members in order; a carrier decides what the
+# walk is worth (its sup, its image sup).
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,9 @@ class FiniteFamily:
     def of(cls, xs: Iterable) -> "FiniteFamily":
         return cls(tuple(xs))
 
+    def walk(self) -> Iterator:
+        return iter(self.members)
+
 
 @dataclass(frozen=True)
 class TailFamily:
@@ -45,12 +53,18 @@ class TailFamily:
 
     start: int
 
+    def walk(self) -> Iterator:
+        return count(self.start)
+
 
 @dataclass(frozen=True)
 class TruncationFamily:
     """The directed family of finite truncations S intersect [0, n] of an UPSet."""
 
     limit: "UPSet"
+
+    def walk(self) -> Iterator:
+        return (UpsetsNat.truncate(self.limit, n) for n in count())
 
 
 # -- eventually periodic subsets of the naturals ---------------------------------
@@ -62,44 +76,54 @@ class UPSet:
     n is a member iff n < threshold and bit n of head is set, or n >= threshold
     and n % period is in residues.  Canonical means the period is minimal and
     the threshold is as small as possible, so structural equality is set
-    equality.
+    equality.  The constructor and from_bits both put a set in this form
+    through _settle.
     """
 
-    __slots__ = ("head", "threshold", "period", "residues")
+    # cycle has bit i set iff threshold + i is a member, for i < period.
+    __slots__ = ("head", "threshold", "period", "residues", "cycle")
 
     def __init__(self, head: int, threshold: int, period: int, residues: Iterable[int]):
-        if period <= 0 or threshold < 0:
-            raise StructureError("UPSet needs period >= 1 and threshold >= 0")
-        res = frozenset(r % period for r in residues)
-        head &= (1 << threshold) - 1
-        head, threshold, period, res = self._canonicalize(head, threshold, period, res)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "residues", res)
+        _check_shape(threshold, period)
+        bits = head & ((1 << threshold) - 1)
+        for r in residues:
+            bits |= 1 << (threshold + (r - threshold) % period)
+        self._settle(bits, threshold, period)
+
+    @classmethod
+    def from_bits(cls, bits: int, threshold: int, period: int) -> "UPSet":
+        """The set whose members below threshold + period are the set bits of
+        bits, periodic from threshold on."""
+        _check_shape(threshold, period)
+        out = cls.__new__(cls)
+        out._settle(bits, threshold, period)
+        return out
+
+    def _settle(self, bits: int, threshold: int, period: int):
+        full = (1 << period) - 1
+        cycle = (bits >> threshold) & full
+        # Minimal period: the least divisor d of period such that the cycle
+        # is unchanged by rotating it d places.
+        for d in range(1, period + 1):
+            if period % d == 0 and cycle == ((cycle >> d) | (cycle << (period - d))) & full:
+                period, cycle = d, cycle & ((1 << d) - 1)
+                break
+        # Minimal threshold: one past the last n below it where membership of n
+        # and of n + period differ.
+        bits = bits & ((1 << threshold) - 1) | cycle << threshold
+        threshold = ((bits ^ (bits >> period)) & ((1 << threshold) - 1)).bit_length()
+        cycle = (bits >> threshold) & ((1 << period) - 1)
+        for field, value in (
+            ("head", bits & ((1 << threshold) - 1)),
+            ("threshold", threshold),
+            ("period", period),
+            ("cycle", cycle),
+            ("residues", frozenset((threshold + i) % period for i in set_bits(cycle))),
+        ):
+            object.__setattr__(self, field, value)
 
     def __setattr__(self, *a):
         raise AttributeError("UPSet is immutable")
-
-    @staticmethod
-    def _canonicalize(head: int, threshold: int, period: int, residues: frozenset):
-        # Minimal period: smallest divisor whose residue pattern repeats.
-        pattern = [r in residues for r in range(period)]
-        for d in range(1, period + 1):
-            if period % d == 0 and all(pattern[i] == pattern[i % d] for i in range(period)):
-                period = d
-                residues = frozenset(i for i in range(d) if pattern[i])
-                break
-        # Minimal threshold: absorb head bits that already follow the pattern.
-        while threshold > 0:
-            n = threshold - 1
-            in_head = bool((head >> n) & 1)
-            in_tail = (n % period) in residues
-            if in_head != in_tail:
-                break
-            threshold = n
-            head &= (1 << threshold) - 1
-        return head, threshold, period, residues
 
     # -- constructors -----------------------------------------------------------
 
@@ -113,14 +137,12 @@ class UPSet:
 
     @classmethod
     def from_finite(cls, xs: Iterable[int]) -> "UPSet":
-        xs = sorted(set(xs))
-        if any(x < 0 for x in xs):
-            raise StructureError("UPSet members must be naturals")
-        head = 0
+        bits = 0
         for x in xs:
-            head |= 1 << x
-        t = xs[-1] + 1 if xs else 0
-        return cls(head, t, 1, ())
+            if x < 0:
+                raise StructureError("UPSet members must be naturals")
+            bits |= 1 << x
+        return cls.from_bits(bits, bits.bit_length(), 1)
 
     @classmethod
     def tail(cls, start: int) -> "UPSet":
@@ -139,24 +161,24 @@ class UPSet:
             return False
         if n < self.threshold:
             return bool((self.head >> n) & 1)
-        return (n % self.period) in self.residues
+        return bool((self.cycle >> ((n - self.threshold) % self.period)) & 1)
 
     def expand(self, horizon: int) -> int:
         """Membership bitmask for [0, horizon)."""
-        out = self.head & ((1 << min(self.threshold, horizon)) - 1)
-        for n in range(self.threshold, horizon):
-            if (n % self.period) in self.residues:
-                out |= 1 << n
-        return out
+        tail, width = self.cycle, self.period
+        while self.threshold + width < horizon:
+            tail |= tail << width
+            width *= 2
+        return (self.head | tail << self.threshold) & ((1 << horizon) - 1)
 
     def elements_below(self, horizon: int) -> list:
-        return [n for n in range(horizon) if n in self]
+        return list(set_bits(self.expand(horizon)))
 
     def is_empty(self) -> bool:
-        return self.head == 0 and not self.residues
+        return self.head == 0 and not self.cycle
 
     def is_finite(self) -> bool:
-        return not self.residues
+        return not self.cycle
 
     def finite_elements(self) -> list:
         if not self.is_finite():
@@ -164,25 +186,17 @@ class UPSet:
         return self.elements_below(self.threshold)
 
     def min(self) -> Optional[int]:
-        if self.head:
-            return (self.head & -self.head).bit_length() - 1
-        if self.residues:
-            for n in range(self.threshold, self.threshold + self.period):
-                if (n % self.period) in self.residues:
-                    return n
-        return None
+        bits = self.expand(self.threshold + self.period)
+        return (bits & -bits).bit_length() - 1 if bits else None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, UPSet)
-            and self.head == other.head
-            and self.threshold == other.threshold
-            and self.period == other.period
-            and self.residues == other.residues
-        )
+        return isinstance(other, UPSet) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.head, self.threshold, self.period, self.residues))
+        return hash(self._key())
+
+    def _key(self):
+        return self.head, self.threshold, self.period, self.cycle
 
     def __repr__(self):
         if self.is_finite():
@@ -194,34 +208,24 @@ class UPSet:
 
     # -- boolean algebra -----------------------------------------------------------
 
-    def _aligned(self, other: "UPSet"):
-        period = _lcm(self.period, other.period)
+    def _window(self, other: "UPSet"):
+        """A common threshold and period, and both sets' bits below their sum."""
         threshold = max(self.threshold, other.threshold)
-        return period, threshold
+        period = _lcm(self.period, other.period)
+        horizon = threshold + period
+        return threshold, period, self.expand(horizon), other.expand(horizon)
 
     def union(self, other: "UPSet") -> "UPSet":
-        period, threshold = self._aligned(other)
-        head = self.expand(threshold) | other.expand(threshold)
-        # Residue classes mod period, decided on representatives >= threshold.
-        reps = []
-        for r in range(period):
-            n = threshold + ((r - threshold) % period)
-            if n in self or n in other:
-                reps.append(n % period)
-        return UPSet(head, threshold, period, reps)
+        threshold, period, a, b = self._window(other)
+        return UPSet.from_bits(a | b, threshold, period)
 
     def intersection(self, other: "UPSet") -> "UPSet":
-        period, threshold = self._aligned(other)
-        head = self.expand(threshold) & other.expand(threshold)
-        reps = []
-        for r in range(period):
-            n = threshold + ((r - threshold) % period)
-            if n in self and n in other:
-                reps.append(n % period)
-        return UPSet(head, threshold, period, reps)
+        threshold, period, a, b = self._window(other)
+        return UPSet.from_bits(a & b, threshold, period)
 
     def issubset(self, other: "UPSet") -> bool:
-        return self.intersection(other) == self
+        _, _, a, b = self._window(other)
+        return not a & ~b
 
     # -- Minkowski sum ---------------------------------------------------------------
 
@@ -241,21 +245,16 @@ class UPSet:
             + period
         )
         horizon = stable + 2 * period + 8
-        a_bits = self.expand(horizon)
         b_bits = other.expand(horizon)
         out = 0
-        mask = (1 << horizon) - 1
-        rest = a_bits
-        while rest:
-            low = rest & -rest
-            out |= (b_bits << (low.bit_length() - 1)) & mask
-            rest ^= low
+        for shift in set_bits(self.expand(horizon)):
+            out |= b_bits << shift
+        out &= (1 << horizon) - 1
         if (out >> stable) & ((1 << period) - 1) != (out >> (stable + period)) & (
             (1 << period) - 1
         ):
             raise InternalCheckError("Minkowski sum missed its periodicity bound")
-        residues = [n % period for n in range(stable, stable + period) if (out >> n) & 1]
-        result = UPSet(out & ((1 << stable) - 1), stable, period, residues)
+        result = UPSet.from_bits(out, stable, period)
         if result.expand(horizon) != out:
             raise InternalCheckError("Minkowski normal form does not reproduce the sum")
         return result
@@ -277,21 +276,12 @@ class UPSet:
             return UPSet.naturals()
         period = _lcm(self.period, other.period)
         alpha_horizon = self.threshold + other.threshold + 2 * period + 8
-        alphas = other.elements_below(alpha_horizon)
-
-        def member(n: int) -> bool:
-            return all((n + a) in self for a in alphas)
-
-        head = 0
-        for n in range(self.threshold):
-            if member(n):
-                head |= 1 << n
-        residues = [
-            n % self.period
-            for n in range(self.threshold, self.threshold + self.period)
-            if member(n)
-        ]
-        out = UPSet(head, self.threshold, self.period, residues)
+        window = self.threshold + self.period
+        below = self.expand(window + alpha_horizon)
+        members = (1 << window) - 1
+        for alpha in set_bits(other.expand(alpha_horizon)):
+            members &= below >> alpha
+        out = UPSet.from_bits(members, self.threshold, self.period)
         if not out.minkowski(other).issubset(self):
             raise InternalCheckError("residual violates its defining inequality")
         return out
@@ -318,18 +308,15 @@ class UPSet:
         frobenius_bound = (m // max(g, 1)) ** 2 + m
         stable = g * frobenius_bound + m + self.period + 8
         horizon = stable + 2 * max(g, 1) + 8
-        gens = [x for x in self.elements_below(horizon) if x > 0]
+        mask = (1 << horizon) - 1
         reach = 1  # bit n set iff n is a sum of generators
-        for n in range(1, horizon):
-            for x in gens:
-                if x > n:
-                    break
-                if (reach >> (n - x)) & 1:
-                    reach |= 1 << n
-                    break
-        period = max(g, 1)
-        residues = [n % period for n in range(stable, stable + period) if (reach >> n) & 1]
-        out = UPSet(reach & ((1 << stable) - 1), stable, period, residues)
+        for x in self.elements_below(horizon):
+            # Close under adding x: shifts by x, 2x, 4x, ... cover every multiple.
+            step = x
+            while 0 < step < horizon:
+                reach |= (reach << step) & mask
+                step *= 2
+        out = UPSet.from_bits(reach, stable, max(g, 1))
         if out.expand(horizon) != reach:
             raise InternalCheckError("submonoid normal form does not reproduce the sweep")
         return out
@@ -339,14 +326,23 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def _check_shape(threshold: int, period: int):
+    if period <= 0 or threshold < 0:
+        raise StructureError("UPSet needs period >= 1 and threshold >= 0")
+
+
 # -- lazy carrier protocol ---------------------------------------------------------
 
 
 class LazyCarrier:
-    """Shared interface: order oracle, describable sups, compactness, declared flags."""
+    """Shared interface: order oracle, describable sups, compactness, declared
+    flags, and the carrier's own compact approximations, image suprema and
+    shipped rule maps."""
 
     kind = "lazy"
     name = "lazy"
+    # Names of the rule maps the carrier ships; run_all_lazy checks each.
+    shipped: tuple = ()
 
     def leq(self, x, y) -> bool:
         raise NotImplementedError
@@ -364,6 +360,21 @@ class LazyCarrier:
         raise NotImplementedError
 
     def directed_family_samples(self) -> list:
+        raise NotImplementedError
+
+    def compacts_below(self, x):
+        """A describable directed family of compact elements with sup x."""
+        raise NotImplementedError
+
+    def image_sup(self, rule: "RuleMap", family, budget: int):
+        """Supremum of the image of the carrier's infinite directed family."""
+        raise NotImplementedError
+
+    def rule_map(self, name: str) -> "RuleMap":
+        raise NotImplementedError
+
+    def residual(self, x, a):
+        """The largest z with z * a <= x, or None where there is none."""
         raise NotImplementedError
 
 
@@ -396,6 +407,7 @@ class ChainOmega(LazyCarrier):
     top = INF
     bottom = 0
     unit = 0
+    shipped = ("d", "e", "d3")
 
     def check(self, x):
         if x is INF:
@@ -431,6 +443,32 @@ class ChainOmega(LazyCarrier):
 
     def directed_family_samples(self) -> list:
         return [TailFamily(0), TailFamily(5), FiniteFamily.of([0, 3, 7])]
+
+    def compacts_below(self, x):
+        return FiniteFamily.of([x]) if self.is_compact(x) else TailFamily(0)
+
+    def image_sup(self, rule: "RuleMap", family, budget: int):
+        """Expansive rules have unbounded image along a tail, so the sup is
+        top; otherwise detect stabilization at top."""
+        if not isinstance(family, TailFamily):
+            raise UndecidableFamily(f"no image-sup rule for {family!r} on {self.name}")
+        members = list(islice(family.walk(), budget))
+        values = [rule(n) for n in members]
+        if INF in values or all(self.leq(n, v) for n, v in zip(members, values)):
+            return INF
+        raise IterationBudgetExceeded("tail image sup did not resolve in budget")
+
+    def rule_map(self, name: str) -> "RuleMap":
+        """The shipped nuclei: d (identity), e (constant top) and dK,
+        x -> max(x, K), for a natural K."""
+        if name == "d":
+            return RuleMap(self, name, lambda x: x)
+        if name == "e":
+            return RuleMap(self, name, lambda x: INF)
+        if name[:1] == "d" and name[1:].isdecimal():
+            k = int(name[1:])
+            return RuleMap(self, name, lambda x: max(x, k))
+        raise StructureError("chain nuclei: d, e, or dK for a natural K")
 
     def residual(self, x, a):
         """Largest z with z v a <= x: x itself when a <= x, otherwise nothing
@@ -471,6 +509,12 @@ class UpsetsNat(LazyCarrier):
     bottom = UPSet.empty()
     unit = UPSet.from_finite([0])
     annihilator = UPSet.empty()
+    # monoid-ideal: X -> the monoid ideal generated by X, a strict nucleus.
+    # submonoid-saturation: X -> the submonoid generated by X, a finitary
+    # closure but not a nucleus for the Minkowski multiplication: 2 lies in
+    # sat({2}) + sat({3}) and not in sat({2} + {3}) = sat({5}).
+    rules = {"monoid-ideal": UPSet.up_closure, "submonoid-saturation": UPSet.generated_submonoid}
+    shipped = tuple(rules)
 
     def check(self, x) -> UPSet:
         if not isinstance(x, UPSet):
@@ -496,8 +540,43 @@ class UpsetsNat(LazyCarrier):
             return family.limit
         raise UndecidableFamily(f"upsets-nat cannot take the sup of {family!r}")
 
-    def truncate(self, x: UPSet, n: int) -> UPSet:
-        return x.intersection(UPSet.from_finite(range(n + 1))) if n >= 0 else UPSet.empty()
+    @staticmethod
+    def truncate(x: UPSet, n: int) -> UPSet:
+        return UPSet.from_bits(x.expand(n + 1), n + 1, 1)
+
+    def compacts_below(self, x):
+        return FiniteFamily.of([x]) if self.is_compact(x) else TruncationFamily(x)
+
+    def image_sup(self, rule: "RuleMap", family, budget: int):
+        """The value at which the images of the truncations stabilize, looked
+        up again 16 truncations later; or the limit, when the rule fixes every
+        truncation it saw."""
+        if not isinstance(family, TruncationFamily):
+            raise UndecidableFamily(f"no image-sup rule for {family!r} on {self.name}")
+        limit = family.limit
+        prev = None
+        stable = 0
+        self_similar = True
+        for n, trunc in zip(range(budget), family.walk()):
+            cur = rule(trunc)
+            self_similar = self_similar and cur == trunc
+            if cur == prev:
+                stable += 1
+                if stable >= 4 and rule(self.truncate(limit, n + 16)) == cur:
+                    return cur
+            else:
+                stable = 0
+            prev = cur
+        far = self.truncate(limit, budget + 16)
+        if self_similar and rule(far) == far:
+            # The image family is the truncation family itself, whose sup is known.
+            return limit
+        raise IterationBudgetExceeded("truncation image sup did not stabilize in budget")
+
+    def rule_map(self, name: str) -> "RuleMap":
+        if name not in self.rules:
+            raise StructureError(f"unknown upsets nucleus {name!r}; try one of {sorted(self.rules)}")
+        return RuleMap(self, name, self.rules[name])
 
     def residual(self, x: UPSet, a: UPSet) -> UPSet:
         """The carrier is residuated: x/a always exists (the empty set has the
@@ -585,66 +664,17 @@ class RuleMap:
         return Certificate(exp, mono, idem, mult, len(xs))
 
 
-def chain_rule_map(name: str, fn: Callable) -> RuleMap:
-    return RuleMap(ChainOmega(), name, fn)
-
-
-def upsets_ideal_map(carrier: Optional[UpsetsNat] = None) -> RuleMap:
-    """X -> monoid ideal generated by X; a strict nucleus on the Minkowski carrier."""
-    return RuleMap(carrier or UpsetsNat(), "monoid-ideal", lambda x: x.up_closure())
-
-
-def upsets_saturation_map(carrier: Optional[UpsetsNat] = None) -> RuleMap:
-    """X -> submonoid generated by X.
-
-    A finitary closure operation on the carrier, but not a nucleus for the
-    Minkowski multiplication: 2 lies in sat({2}) + sat({3}) and not in
-    sat({2} + {3}) = sat({5}).
-    """
-    return RuleMap(carrier or UpsetsNat(), "submonoid-saturation", lambda x: x.generated_submonoid())
-
-
 # -- lazy finitary machinery -----------------------------------------------------------
 
 
 def map_family_sup(carrier: LazyCarrier, rule: RuleMap, family, budget: int = 64):
     """Supremum of the image of a directed describable family under a rule map.
 
-    Monotone rules send directed families to directed families; the image
-    supremum is detected by stabilization of the evaluations along the family,
-    with the budget failure reported rather than guessed.
+    Monotone rules send directed families to directed families; a finite
+    family's image sup is taken directly, and an infinite family's is detected
+    by the carrier from the evaluations along the family, with the budget
+    failure reported rather than guessed.
     """
     if isinstance(family, FiniteFamily):
         return carrier.sup(FiniteFamily.of([rule(x) for x in family.members]))
-    if isinstance(carrier, ChainOmega) and isinstance(family, TailFamily):
-        # Expansive rules have unbounded image along a tail, so the sup is top;
-        # otherwise detect stabilization at top.
-        values = [rule(n) for n in range(family.start, family.start + budget)]
-        if INF in values:
-            return INF
-        if all(carrier.leq(n, v) for n, v in zip(range(family.start, family.start + budget), values)):
-            return INF
-        raise IterationBudgetExceeded("tail image sup did not resolve in budget")
-    if isinstance(carrier, UpsetsNat) and isinstance(family, TruncationFamily):
-        limit = family.limit
-        prev = None
-        stable = 0
-        self_similar = True
-        for n in range(budget):
-            trunc = carrier.truncate(limit, n)
-            cur = rule(trunc)
-            self_similar = self_similar and cur == trunc
-            if cur == prev:
-                stable += 1
-                if stable >= 4 and rule(carrier.truncate(limit, n + 16)) == cur:
-                    return cur
-            else:
-                stable = 0
-            prev = cur
-        if self_similar and rule(carrier.truncate(limit, budget + 16)) == carrier.truncate(
-            limit, budget + 16
-        ):
-            # The image family is the truncation family itself, whose sup is known.
-            return limit
-        raise IterationBudgetExceeded("truncation image sup did not stabilize in budget")
-    raise UndecidableFamily(f"no image-sup rule for {family!r} on {carrier.name}")
+    return carrier.image_sup(rule, family, budget)

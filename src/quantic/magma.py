@@ -329,17 +329,7 @@ def generated_monoid(n: int, gens: Sequence[tuple], cap: Optional[int] = None) -
 
 
 def residual(m: OrderedMagma, x: int, a: int) -> Residual:
-    """Left and right residuals, read from the carrier's residual table; lazy
-    carriers answer through their residual rule when they carry one."""
-    if not isinstance(m, OrderedMagma):
-        rule = getattr(m, "residual", None)
-        if rule is None:
-            from .errors import UndecidableFamily
-
-            raise UndecidableFamily("residuals on lazy carriers need a residual rule")
-        value = rule(x, a)
-        # Both shipped lazy carriers are commutative.
-        return Residual(value, value)
+    """Left and right residuals, read from the carrier's residual table."""
     return m.residuals.at[x][a]
 
 
@@ -584,8 +574,9 @@ class MagmaMorphism:
             for y in range(self.source.n)
         )
 
-    def preserves_sups(self, nonempty_only: bool) -> bool:
-        """Exhaustive check that f(sup X) = sup f(X) whenever sup X exists."""
+    def preserves_sups(self) -> bool:
+        """Exhaustive check that f(sup X) = sup f(X) for every nonempty X whose
+        sup exists."""
         sp, tp = self.source.poset, self.target.poset
         if sp.n > EXHAUSTIVE_CAP:
             raise CarrierTooLarge(
@@ -595,11 +586,9 @@ class MagmaMorphism:
         cols = [(tp.up[v],) for v in self.table]
         least = sp.principal_up
         for mask, ub, (image_ub,) in subset_walk(sp, cols, (tp.universe,)):
-            if nonempty_only and not mask:
-                continue
             # Both masks are up-sets: f(s) is the sup of f(X) when image_ub is up[f(s)].
             s = least.get(ub)
-            if s is not None and image_ub != tp.up[self.table[s]]:
+            if mask and s is not None and image_ub != tp.up[self.table[s]]:
                 return False
         return True
 

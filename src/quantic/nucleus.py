@@ -38,7 +38,7 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
-from .poset import EXHAUSTIVE_CAP, FinitePoset, all_below, bits, order_preserving, subset_walk
+from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, order_preserving, subset_walk
 from .poset import carrier_label as _label, translate_table as _pad
 
 # Image-set enumeration walks all 2**n candidate subsets.
@@ -355,33 +355,19 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     return out
 
 
-def nuclei_join(
-    m: OrderedMagma,
-    gamma: Iterable[MonotoneMap],
-    bound: Optional[MonotoneMap] = None,
-) -> MonotoneMap:
+def nuclei_join(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     """Join as closure of the common fixed points.
 
-    Guaranteed to be a nucleus when m is a near prequantale, or when m is
-    bounded complete and near residuated with the family bounded above (a
-    top map suffices; otherwise a witnessing coarser nucleus must be passed
-    as `bound`); outside those hypotheses the operation refuses.
+    Guaranteed to be a nucleus where join_formula_applies; elsewhere the
+    operation refuses.
     """
     maps = list(gamma)
     p = m.poset
-    prof = m.profile
-    if not prof.near_prequantale:
-        if not (prof.bounded_complete and prof.near_residuated):
-            raise HypothesisNotMet(
-                "join of nuclei needs a near prequantale, or a bounded-complete "
-                "near-residuated carrier with the family bounded above"
-            )
-        if p.top is None:
-            if bound is None or not is_nucleus(m, bound) or not all(s <= bound for s in maps):
-                raise HypothesisNotMet(
-                    "family not witnessed bounded above in N(M); pass a coarser "
-                    "nucleus as the bound"
-                )
+    if not join_formula_applies(m):
+        raise HypothesisNotMet(
+            "join of nuclei needs a near prequantale, or a bounded-complete "
+            "near-residuated carrier with a top"
+        )
     for s in maps:
         if not is_nucleus(m, s):
             raise HypothesisNotMet("nuclei_join requires nuclei")
@@ -604,7 +590,7 @@ def _assert_quotient_residuals(m: OrderedMagma, s: MonotoneMap):
 def nucleus_of_morphism(f: MagmaMorphism) -> MonotoneMap:
     """The unique nucleus splitting a near-sup-preserving surjection-onto-image."""
     src = f.source
-    if not (f.is_order_preserving() and f.is_magma_hom() and f.preserves_sups(True)):
+    if not (f.is_order_preserving() and f.is_magma_hom() and f.preserves_sups()):
         raise HypothesisNotMet("nucleus_of_morphism needs a near-sup-preserving magma hom")
     if not src.profile.near_prequantale:
         raise HypothesisNotMet("nucleus_of_morphism needs a near prequantale source")
@@ -815,13 +801,18 @@ def nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
 def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
     maps = tuple(enumerate_nuclei(m))
     k = len(maps)
-    p = m.poset
-    lat = FinitePoset.from_up_masks(pointwise_order(p, maps), [f"n{i}" for i in range(k)])
+    name = f"N({m.name})" if m.name else "N(M)"
+    if k > ENUM_CAP:
+        raise CarrierTooLarge(
+            f"N(M) capped at {ENUM_CAP} nuclei, refused on {name}: "
+            f"{_label(m)} has {k} nuclei"
+        )
+    lat = FinitePoset.from_up_masks(pointwise_order(m.poset, maps), [f"n{i}" for i in range(k)])
     mul = lat.join_table
     if any(None in row for row in mul):
         # Guaranteed to exist when m is near sup-complete; refuse otherwise.
         raise HypothesisNotMet("N(M) is not a join semilattice for this carrier")
-    magma = OrderedMagma(lat, mul, name=f"N({m.name})" if m.name else "N(M)")
+    magma = OrderedMagma(lat, mul, name=name)
     # The lattice join must agree with the common-fixed-point join formula;
     # both tables are symmetric, so each unordered pair is compared once.
     if join_formula_applies(m):
@@ -838,8 +829,8 @@ def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
 
 
 def join_formula_applies(m: OrderedMagma) -> bool:
-    """Whether nuclei_join answers for every pair of nuclei without a bound: on
-    a near prequantale, or a bounded-complete near-residuated carrier with a top."""
+    """Whether nuclei_join answers: on a near prequantale, or a bounded-complete
+    near-residuated carrier with a top (the top map bounds every family)."""
     prof = m.profile
     return prof.near_prequantale or (
         prof.bounded_complete and prof.near_residuated and m.poset.top is not None

@@ -35,8 +35,7 @@ from .errors import (
 )
 from .finitary import is_finitary, star_f, verify_klattice
 from .idl import down_map_on_powerset, idl, roundtrip_checks
-from .instances import POWERSET_BASE_CAP, chain_nucleus, upsets_shipped_maps
-from .lazy import ChainOmega, UpsetsNat
+from .instances import POWERSET_BASE_CAP
 from .magma import (
     MagmaMorphism,
     OrderedMagma,
@@ -536,14 +535,8 @@ def run_all_lazy(carrier) -> List[CheckResult]:
     """The applicable suites for a lazy carrier: certification bundles for the
     shipped rule maps, finitary reports, the compact-identity spot check, and
     the residual adjunction on sampled pairs."""
-    if isinstance(carrier, UpsetsNat):
-        shipped = list(upsets_shipped_maps(carrier).values())
-        nuclei = [r for r in shipped if r.certificate.nucleus_witnessed]
-    elif isinstance(carrier, ChainOmega):
-        shipped = nuclei = [chain_nucleus(name) for name in ("d", "e", "d3")]
-    else:
-        return [CheckResult("certification", "skip", f"unknown carrier {carrier!r}")]
-
+    shipped = [carrier.rule_map(name) for name in carrier.shipped]
+    nuclei = [r for r in shipped if r.certificate.nucleus_witnessed]
     out = []
     bad = [r.name for r in shipped if not r.certificate.closure_witnessed]
     out.append(
@@ -572,25 +565,21 @@ def run_all_lazy(carrier) -> List[CheckResult]:
         except (HypothesisNotMet, UndecidableFamily) as exc:  # pragma: no cover
             klattice_detail.append(f"{r.name}:skip({exc})")
     out.append(CheckResult("klattice", klattice_status, " ".join(klattice_detail)))
-    rule = getattr(carrier, "residual", None)
-    if rule is None:
-        out.append(CheckResult("residual-adjunction", "skip", "no residual rule"))
-    else:
-        xs = carrier.sample(8)
-        failures = 0
-        for x in xs:
-            for a in xs:
-                w = rule(x, a)
-                if w is None:
-                    continue
-                for z in xs:
-                    if carrier.leq(carrier.op(z, a), x) != carrier.leq(z, w):
-                        failures += 1
-        out.append(
-            CheckResult(
-                "residual-adjunction",
-                "fail" if failures else "pass",
-                f"{failures} adjunction failures on the sample grid",
-            )
+    xs = carrier.sample(8)
+    failures = 0
+    for x in xs:
+        for a in xs:
+            w = carrier.residual(x, a)
+            if w is None:
+                continue
+            for z in xs:
+                if carrier.leq(carrier.op(z, a), x) != carrier.leq(z, w):
+                    failures += 1
+    out.append(
+        CheckResult(
+            "residual-adjunction",
+            "fail" if failures else "pass",
+            f"{failures} adjunction failures on the sample grid",
         )
+    )
     return out

@@ -2,14 +2,7 @@ import pytest
 
 from quantic.errors import HypothesisNotMet
 from quantic.finitary import is_finitary, star_f, verify_klattice
-from quantic.lazy import (
-    INF,
-    ChainOmega,
-    UpsetsNat,
-    chain_rule_map,
-    upsets_ideal_map,
-    upsets_saturation_map,
-)
+from quantic.lazy import INF, ChainOmega, UpsetsNat
 from quantic.nucleus import MonotoneMap, enumerate_nuclei
 
 
@@ -19,16 +12,16 @@ class TestFinitaryPredicate:
         assert rep.is_finitary and rep.exhaustive and "maxima" in rep.note
 
     def test_chain_closures_pass_on_exposed_families(self):
-        for rule in [chain_rule_map("e", lambda x: INF), chain_rule_map("d", lambda x: x)]:
+        for rule in [ChainOmega().rule_map("e"), ChainOmega().rule_map("d")]:
             rep = is_finitary(rule)
             assert rep.is_finitary and not rep.exhaustive
 
     def test_upsets_ideal_map_finitary(self):
-        rep = is_finitary(upsets_ideal_map())
+        rep = is_finitary(UpsetsNat().rule_map("monoid-ideal"))
         assert rep.is_finitary and "no violation" in rep.note
 
     def test_upsets_saturation_finitary_on_schemas(self):
-        rep = is_finitary(upsets_saturation_map())
+        rep = is_finitary(UpsetsNat().rule_map("submonoid-saturation"))
         assert rep.is_finitary
 
     def test_non_finitary_rule_yields_a_witness(self):
@@ -54,13 +47,13 @@ class TestStarF:
 
     def test_chain_top_collapse(self):
         c = ChainOmega()
-        e = chain_rule_map("e", lambda x: INF)
+        e = c.rule_map("e")
         ef = star_f(c, e)
         assert ef(0) is INF and ef(INF) is INF
 
     def test_chain_companion_bounds_and_compact_agreement(self):
         c = ChainOmega()
-        hoist = chain_rule_map("d5", lambda x: max(x, 5))
+        hoist = c.rule_map("d5")
         sf = star_f(c, hoist)
         for x in c.sample(12):
             assert c.leq(sf(x), hoist(x))
@@ -70,7 +63,7 @@ class TestStarF:
 
     def test_upsets_ideal_system_already_finitary(self):
         u = UpsetsNat()
-        rule = upsets_ideal_map(u)
+        rule = u.rule_map("monoid-ideal")
         sf = star_f(u, rule)
         for x in u.sample(10):
             assert sf(x) == rule(x)
@@ -78,7 +71,7 @@ class TestStarF:
     def test_rejects_non_nucleus_rule(self):
         u = UpsetsNat()
         with pytest.raises(HypothesisNotMet):
-            star_f(u, upsets_saturation_map(u))
+            star_f(u, u.rule_map("submonoid-saturation"))
 
 
 class TestKLattice:
@@ -90,5 +83,5 @@ class TestKLattice:
 
     def test_upsets_ideal_system(self):
         u = UpsetsNat()
-        verdict = verify_klattice(u, upsets_ideal_map(u))
+        verdict = verify_klattice(u, u.rule_map("monoid-ideal"))
         assert verdict.holds and not verdict.exhaustive

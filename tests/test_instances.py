@@ -19,13 +19,11 @@ from quantic.instances import (
     powerset_prequantale,
     trivial_monoid,
     two_element_monoid,
-    upsets_quantale,
-    upsets_shipped_maps,
     weak_ideal_system_conditions,
     zchain_with_both_ends,
     zchain_with_top,
 )
-from quantic.lazy import UPSet, TruncationFamily
+from quantic.lazy import UPSet, TruncationFamily, UpsetsNat
 from quantic.nucleus import MonotoneMap, enumerate_nuclei, is_nucleus
 from quantic.rings import (
     FiniteRing,
@@ -309,22 +307,22 @@ class TestChains:
 
 class TestUpsetsQuantale:
     def test_minkowski_example(self):
-        u = upsets_quantale()
+        u = UpsetsNat()
         a = UPSet.from_finite([2, 3])
         assert u.op(a, a) == UPSet.from_finite([4, 5, 6])
 
     def test_ideal_generated_example(self):
-        maps = upsets_shipped_maps()
-        assert maps["monoid-ideal"](UPSet.from_finite([2, 3])) == UPSet.tail(2)
+        ideal = UpsetsNat().rule_map("monoid-ideal")
+        assert ideal(UPSet.from_finite([2, 3])) == UPSet.tail(2)
 
     def test_sup_of_truncations(self):
-        u = upsets_quantale()
+        u = UpsetsNat()
         gen = UPSet.from_finite([2, 3]).generated_submonoid()
         assert u.sup(TruncationFamily(gen)) == gen
         assert gen.period == 1 and gen.threshold == 2
 
     def test_declared_profile_spot_checks(self):
-        u = upsets_quantale()
+        u = UpsetsNat()
         assert u.declared_profile["prequantale"] and u.declared_profile["precoherent"]
         xs = u.sample(8)
         for a in xs:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,7 @@ from quantic.lazy import (
     TruncationFamily,
     UPSet,
     UpsetsNat,
-    chain_rule_map,
     map_family_sup,
-    upsets_ideal_map,
-    upsets_saturation_map,
 )
 
 
@@ -92,6 +91,10 @@ class TestUPSetAlgebra:
         for n in range(60):
             assert (n in u) == ((n in a) or (n in b))
             assert (n in i) == ((n in a) and (n in b))
+            assert UpsetsNat().truncate(a, n) == UPSet.from_finite(k for k in range(n + 1) if k in a)
+        # Past their larger threshold both sets repeat with the lcm of their
+        # periods, at most 10 + 20 < 60 here, so [0, 60) decides inclusion.
+        assert a.issubset(b) == all(n in b for n in range(60) if n in a)
 
     def test_ideal_generated(self):
         assert UPSet.from_finite([2, 3]).up_closure() == UPSet.tail(2)
@@ -108,6 +111,15 @@ class TestUPSetAlgebra:
         g = a.generated_submonoid()
         assert a.issubset(g) and 0 in g
         assert g.generated_submonoid() == g
+
+
+def test_family_walks_yield_their_members_in_order():
+    assert list(FiniteFamily.of([0, 3, 7]).walk()) == [0, 3, 7]
+    assert list(islice(TailFamily(5).walk(), 4)) == [5, 6, 7, 8]
+    limit = UPSet.arithmetic(1, 3).union(UPSet.from_finite([0]))
+    assert list(islice(TruncationFamily(limit).walk(), 12)) == [
+        UPSet.from_finite(k for k in range(n + 1) if k in limit) for n in range(12)
+    ]
 
 
 class TestChainCarrier:
@@ -127,8 +139,8 @@ class TestChainCarrier:
         assert c.op(3, 5) == 5 and c.op(4, INF) is INF
 
     def test_rule_map_certificates(self):
-        hoist = chain_rule_map("d3", lambda x: max(x, 3))
-        assert hoist.certificate.nucleus_witnessed
+        hoist = ChainOmega().rule_map("d3")
+        assert hoist.certificate.nucleus_witnessed and hoist(1) == 3 and hoist(INF) is INF
 
 
 class TestUpsetsCarrier:
@@ -147,16 +159,16 @@ class TestUpsetsCarrier:
         assert not u.is_compact(UPSet.tail(0))
 
     def test_ideal_map_is_witnessed_strict_nucleus(self):
-        cert = upsets_ideal_map().certificate
+        cert = UpsetsNat().rule_map("monoid-ideal").certificate
         assert cert.nucleus_witnessed
 
     def test_saturation_is_closure_but_not_nucleus(self):
-        cert = upsets_saturation_map().certificate
+        cert = UpsetsNat().rule_map("submonoid-saturation").certificate
         assert cert.closure_witnessed and not cert.multiplicative
 
     def test_image_family_sup(self):
         u = UpsetsNat()
-        rule = upsets_ideal_map(u)
+        rule = u.rule_map("monoid-ideal")
         tw = UPSet.arithmetic(2, 3)
         assert map_family_sup(u, rule, TruncationFamily(tw)) == rule(tw)
 
@@ -192,13 +204,3 @@ class TestLazyResiduals:
         assert evens.residual_by(UPSet.from_finite([1])) == UPSet.arithmetic(1, 2)
         assert UPSet.empty().residual_by(UPSet.from_finite([1])).is_empty()
         assert evens.residual_by(UPSet.empty()) == UPSet.naturals()
-
-    def test_magma_level_dispatch(self):
-        from quantic.magma import residual
-
-        u = UpsetsNat()
-        r = residual(u, UPSet.tail(4), UPSet.from_finite([1]))
-        assert r.left == r.right == UPSet.tail(3)
-        c = ChainOmega()
-        r = residual(c, 7, 2)
-        assert r.left == r.right == 7

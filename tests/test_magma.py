@@ -163,7 +163,7 @@ class TestMorphism:
         two = join_magma(FinitePoset.chain(2))
         three = join_magma(FinitePoset.chain(3))
         f = MagmaMorphism(two, three, [0, 2])
-        assert f.is_order_preserving() and f.is_magma_hom() and f.preserves_sups(True)
+        assert f.is_order_preserving() and f.is_magma_hom() and f.preserves_sups()
 
     def test_non_hom_detected(self):
         two = join_magma(FinitePoset.chain(2))

@@ -6,8 +6,7 @@ from quantic.divisorial import v, v_lin, v_units
 from quantic.errors import UndecidableFamily
 from quantic.idl import down_closure_mask, idl
 from quantic.instances import cyclic_group, powerset_prequantale
-from quantic.lazy import ChainOmega
-from quantic.magma import residual
+from quantic.lazy import ChainOmega, TruncationFamily, UPSet, map_family_sup
 from quantic.nucleus import closure_from_preclosure, enumerate_nuclei
 from quantic.poset import bits
 from quantic.rings import (
@@ -72,16 +71,11 @@ def test_lazy_guards():
     chain = ChainOmega()
     assert chain.declared_profile["scott_topological"]
     # The chain rule answers when the defining set is nonempty and declines
-    # otherwise; a carrier without any rule is undecidable.
-    r = residual(chain, 1, 2)
-    assert r.left is None and r.right is None
-    assert residual(chain, 2, 1).left == 2
-
-    class Bare(ChainOmega):
-        residual = None
-
+    # otherwise; a family the carrier has no image-sup rule for is undecidable.
+    assert chain.residual(1, 2) is None
+    assert chain.residual(2, 1) == 2
     with pytest.raises(UndecidableFamily):
-        residual(Bare(), 1, 2)
+        map_family_sup(chain, chain.rule_map("d"), TruncationFamily(UPSet.naturals()))
 
 
 def test_nonassociative_powerset_nucleus_count(corpus):

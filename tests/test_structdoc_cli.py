@@ -251,6 +251,7 @@ class TestCli:
             ["classify", "{int_elements}"],
             ["classify", "{int_poset}"],
             ["star-f", "--carrier", "chain-omega", "dx"],
+            ["star-f", "--carrier", "upsets-nat", "nope"],
             ["star-f", "{z4}"],
             ["nuclei", "{int_labels}"],
         ],
@@ -258,7 +259,7 @@ class TestCli:
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
             "unknown-group", "bad-exponent", "empty-poly", "string-product",
             "float-product", "float-assign", "float-unit", "int-assign", "int-mul",
-            "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name",
+            "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name", "upsets-nucleus-name",
             "star-f-without-magma", "int-labels",
         ],
     )

@@ -100,7 +100,7 @@ def test_run_all_runs_the_join_formula_once_per_pair_of_nuclei(monkeypatch):
     calls = []
     join = nucleus.nuclei_join
     monkeypatch.setattr(
-        nucleus, "nuclei_join", lambda m, gamma, bound=None: calls.append(1) or join(m, gamma, bound)
+        nucleus, "nuclei_join", lambda m, gamma: calls.append(1) or join(m, gamma)
     )
     results = run_all(m)
     k = len(nucleus.enumerate_nuclei(m))
@@ -227,7 +227,7 @@ def test_run_all_alone_turns_an_exception_into_a_fail(monkeypatch):
         (lambda: nucleus.enumerate_closures_bruteforce(FinitePoset.chain(9)),
          "capped at 5000000 self-maps", "FinitePoset (9 elements), which has 387420489"),
         (lambda: MagmaMorphism(*[ring_ideal_lattice(FiniteRing.zmod(210)).magma] * 2,
-                               range(16)).preserves_sups(True),
+                               range(16)).preserves_sups(),
          "capped at 14 elements", "I(Z/210) (16 elements)"),
         (lambda: powerset_prequantale(cyclic_group(6)),
          "capped at 5 elements", "OrderedMagma (6 elements)"),
@@ -236,9 +236,12 @@ def test_run_all_alone_turns_an_exception_into_a_fail(monkeypatch):
         (lambda: verify._check_structure2(OrderedMagma(
             FinitePoset.chain(12), [[min(x, y) for y in range(12)] for x in range(12)], "chain12-meet")),
          "structure2 capped at 10 elements", "chain12-meet (12 elements)"),
+        (lambda: nucleus.nucleus_lattice(OrderedMagma(
+            FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], "chain9-meet")),
+         "capped at 64 nuclei", "N(chain9-meet): chain9-meet (9 elements) has 256 nuclei"),
     ],
     ids=["enumeration", "tower-level", "bruteforce", "morphism-sups", "powerset-base",
-         "system-base", "poset", "verify-row"],
+         "system-base", "poset", "verify-row", "nucleus-lattice"],
 )
 def test_every_size_refusal_names_its_cap_and_the_carrier_size(refuse, cap, carrier):
     with pytest.raises(CarrierTooLarge) as info:
