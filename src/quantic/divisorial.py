@@ -243,22 +243,13 @@ def is_simple(q: OrderedMagma) -> SimplicityReport:
         v(q, a).table == tuple(range(q.n)) for a in range(q.n) if a != top
     )
     if q.profile.near_multiplicative_lattice:
-        ok = True
-        for x in range(q.n):
-            for y in range(q.n):
-                if x == top or y == top:
-                    continue
-                r1 = residual(q, x, y).left
-                if r1 is None:
-                    ok = False
-                    break
-                r2 = residual(q, x, r1).left
-                if r2 != y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        routes["double-residual"] = ok
+        # x/(x/y) == y for all x, y below the top.
+        routes["double-residual"] = all(
+            (r := residual(q, x, y).left) is not None and residual(q, x, r).left == y
+            for x in range(q.n)
+            for y in range(q.n)
+            if top not in (x, y)
+        )
     verdicts = set(routes.values())
     if len(verdicts) > 1:
         raise _broken(q, f"simplicity routes disagree: {routes}")
@@ -298,17 +289,6 @@ def gv_elements(m: OrderedMagma, s: MonotoneMap) -> GVSet:
     return GVSet(members)
 
 
-def _stable_hypotheses(q: OrderedMagma):
-    if not isinstance(q, OrderedMagma):
-        # The GV residual family need not be describable on a lazy carrier, so
-        # the stable machinery reports partiality instead of guessing.
-        raise HypothesisNotMet(
-            "stable-closure evaluation is partial on lazy carriers: the family "
-            "{x/z : z GV} is not describable there"
-        )
-    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
-
-
 def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
     prof = q.profile
     if not prof.near_multiplicative_lattice:
@@ -334,7 +314,7 @@ def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
 def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     """The coarsest stable nucleus below s: x -> sup{ x/z : z GV }, built
     once per carrier object and nucleus table."""
-    _stable_hypotheses(q)
+    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
     return _on_carrier(q, ("stable_closure", s.table), _build_stable_closure, s)
 
 
@@ -365,7 +345,7 @@ def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
 def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
     """All four equivalent stability conditions evaluated and compared, once
     per carrier object and nucleus table."""
-    _stable_hypotheses(q)
+    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
     return _on_carrier(q, ("stable", s.table), _decide_stable, s)
 
 
@@ -406,7 +386,7 @@ def _decide_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
 def star_w(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     """Compact-GV formula: the stable closure of the finitary companion, which
     on finite carriers is the stable closure of s itself."""
-    _stable_hypotheses(q)
+    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
     if not q.profile.coherent:
         raise HypothesisNotMet("star_w needs a coherent carrier")
     return stable_closure(q, star_f(q, s))

@@ -634,6 +634,10 @@ class RuleMap:
     Construction runs the mandatory self-certification bundle on a sample of
     describable elements; claims about being a closure or nucleus are only
     ever witnessed on those samples, never asserted globally.
+
+    The rule must be a pure function of its argument: each value fn(x) is
+    computed once per map and kept, keyed by the element and its type, so
+    that equal elements of different types (1 and True) never share a value.
     """
 
     kind = "lazy"
@@ -642,25 +646,25 @@ class RuleMap:
         self.carrier = carrier
         self.name = name
         self.fn = fn
+        self._values: dict = {}
         self.certificate = self._certify(SAMPLE_SIZE)
 
     def __call__(self, x):
-        return self.fn(x)
+        values, key = self._values, (type(x), x)
+        if key not in values:
+            values[key] = self.fn(x)
+        return values[key]
 
     def __repr__(self):
         return f"RuleMap({self.carrier.name}:{self.name})"
 
     def _certify(self, k: int) -> Certificate:
-        c = self.carrier
+        c, f = self.carrier, self
         xs = c.sample(k)
-        exp = all(c.leq(x, self.fn(x)) for x in xs)
-        mono = all(
-            c.leq(self.fn(x), self.fn(y)) for x in xs for y in xs if c.leq(x, y)
-        )
-        idem = all(self.fn(self.fn(x)) == self.fn(x) for x in xs)
-        mult = all(
-            c.leq(c.op(self.fn(x), self.fn(y)), self.fn(c.op(x, y))) for x in xs for y in xs
-        )
+        exp = all(c.leq(x, f(x)) for x in xs)
+        mono = all(c.leq(f(x), f(y)) for x in xs for y in xs if c.leq(x, y))
+        idem = all(f(f(x)) == f(x) for x in xs)
+        mult = all(c.leq(c.op(f(x), f(y)), f(c.op(x, y))) for x in xs for y in xs)
         return Certificate(exp, mono, idem, mult, len(xs))
 
 

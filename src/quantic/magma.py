@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
-from .poset import subset_walk, translate_table
+from .poset import mask_row, subset_walk, translate_table
 
 
 @dataclass(frozen=True)
@@ -235,28 +235,32 @@ class OrderedMagma:
 
     @cached_property
     def residuals(self) -> ResidualTable:
-        """The residual table; each entry is checked against the adjunction as it is built."""
+        """The residual table; each entry is checked against the adjunction as it is built.
+
+        The defining set {z : z*a <= x} is column a of the product translated
+        through the 0/1 row of down[x], one bytes.translate, and {z : a*z <= x}
+        is row a translated likewise.  Both are down-sets, the product being
+        monotone, so their greatest elements are read from principal_down,
+        keyed by row.
+        """
         p, n, mul = self.poset, self.n, self.mul
-        greatest = p.principal_down
+        greatest = {mask_row(d, n): x for d, x in p.principal_down.items()}
+        below = [translate_table(mask_row(d, n)) for d in p.down]
+        rows = tuple(map(bytes, mul))
+        flat = b"".join(rows)
+        cols = [flat[a::n] for a in range(n)]
+        empty = bytes(n)
         residuated = near = True
-        rows = []
+        out = []
         for x in range(n):
-            below_x = p.down[x]
             row = []
             for a in range(n):
-                left_set = right_set = 0
-                for z in range(n):
-                    if (below_x >> mul[z][a]) & 1:
-                        left_set |= 1 << z
-                    if (below_x >> mul[a][z]) & 1:
-                        right_set |= 1 << z
-                # Both defining sets are down-sets, the product being monotone.
+                left_set, right_set = cols[a].translate(below[x]), rows[a].translate(below[x])
                 left, right = greatest.get(left_set), greatest.get(right_set)
-                for defining, r in ((left_set, left), (right_set, right)):
-                    if not defining:
-                        residuated = False
-                    elif r is None:
-                        residuated = near = False
+                if left is None or right is None:
+                    residuated = False
+                    for defining, r in ((left_set, left), (right_set, right)):
+                        near = near and (r is not None or defining == empty)
                 if left is not None and not p.leq(mul[left][a], x):
                     raise InternalCheckError(
                         f"residual adjunction violated on the left on {carrier_label(self)}: "
@@ -268,8 +272,8 @@ class OrderedMagma:
                         f"(x, a, residual) = {(x, a, right)}"
                     )
                 row.append(Residual(left, right))
-            rows.append(tuple(row))
-        return ResidualTable(tuple(rows), residuated, near)
+            out.append(tuple(row))
+        return ResidualTable(tuple(out), residuated, near)
 
     def complex_mul_mask(self, xmask: int, ymask: int) -> int:
         """Elementwise product set XY as a mask."""

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, order_preserving, subset_walk
-from .poset import carrier_label as _label, translate_table as _pad
+from .poset import carrier_label as _label, mask_row, translate_table as _pad
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
@@ -475,31 +475,49 @@ def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
 
 
 def _nuclei_by_image_sets(m: OrderedMagma, closures: List[MonotoneMap]) -> List[MonotoneMap]:
-    p = m.poset
+    meets, residuals = _meet_rows(m.poset), _residual_masks(m)
+    images = ((s, s.image_mask()) for s in closures)
+    return [s for s, c in images if _meet_closed(meets, c) and _residual_stable(residuals, c)]
+
+
+def _meet_rows(p: FinitePoset) -> List[bytes]:
+    """meet_rows[a][b]: the meet of a and b; a itself where they have no common
+    lower bound (no condition), and 255, outside every subset, where they have
+    one but no meet."""
     return [
-        s for s in closures if _meet_closed(p, s.image_mask()) and _residual_stable(m, s.image_mask())
+        bytes(
+            w if w is not None else 255 if p.down[a] & p.down[b] else a
+            for b, w in enumerate(p.meet_table[a])
+        )
+        for a in range(p.n)
     ]
 
 
-def _meet_closed(p: FinitePoset, c: int) -> bool:
-    elems = list(bits(c))
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            if p.down[a] & p.down[b]:
-                w = p.meet(a, b)
-                if w is None or not ((c >> w) & 1):
-                    return False
-    return True
+def _meet_closed(meet_rows: List[bytes], c: int) -> bool:
+    """Every two members of c with a common lower bound have a meet in c.
+
+    Row a of the meet rows translated through the 0/1 row of c marks the b
+    whose entry lies in c; read as a mask, it must cover c, one test per
+    member a.
+    """
+    row = mask_row(c, len(meet_rows))
+    inside, members = _pad(row), int.from_bytes(row, "little")
+    return not any(
+        members & ~int.from_bytes(meet_rows[a].translate(inside), "little") for a in bits(c)
+    )
 
 
-def _residual_stable(m: OrderedMagma, c: int) -> bool:
-    at = m.residuals.at
-    for x in bits(c):
-        for r in at[x]:
-            for side in (r.left, r.right):
-                if side is not None and not ((c >> side) & 1):
-                    return False
-    return True
+def _residual_masks(m: OrderedMagma) -> List[int]:
+    """residual_masks[x]: every residual x/a and a\\x there is, as a mask."""
+    return [
+        sum({1 << side for r in row for side in (r.left, r.right) if side is not None})
+        for row in m.residuals.at
+    ]
+
+
+def _residual_stable(residual_masks: List[int], c: int) -> bool:
+    """Every residual of a member of c by any element lies in c."""
+    return not any(residual_masks[x] & ~c for x in bits(c))
 
 
 # -- quotients -------------------------------------------------------------------

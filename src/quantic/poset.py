@@ -51,6 +51,15 @@ def translate_table(row: bytes) -> bytes:
     return row.ljust(256, b"\0")
 
 
+# _BYTE_BITS[b]: the eight bits of the byte b, lowest first, as 0/1 bytes.
+_BYTE_BITS = tuple(bytes(b >> i & 1 for i in range(8)) for b in range(256))
+
+
+def mask_row(mask: int, n: int) -> bytes:
+    """Bit z of mask as byte z, for z < n <= ENUM_CAP: the 0/1 row of a subset."""
+    return b"".join(map(_BYTE_BITS.__getitem__, mask.to_bytes(8, "little")))[:n]
+
+
 def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
     """lo[i] <= hi[i] in p for every i, for two id sequences (bytes or tuples,
     such as two map tables): one byte of the order rows per pair."""
@@ -261,7 +270,7 @@ class FinitePoset:
     def up_rows(self) -> tuple:
         """up_rows[a][b] is 1 when a <= b, else 0: up[a] as 256 bytes, so a row
         is also a translate table mapping b to whether a <= b."""
-        return tuple(translate_table(bytes(u >> b & 1 for b in range(self.n))) for u in self.up)
+        return tuple(translate_table(mask_row(u, self.n)) for u in self.up)
 
     @cached_property
     def order_pairs(self) -> tuple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .divisorial import (
     divisorial_decomposition,
@@ -110,10 +110,26 @@ def _refuse_above(m: OrderedMagma, cap: int, row: str):
         raise CarrierTooLarge(f"{row} capped at {cap} elements, refused on {carrier_label(m)}")
 
 
+def _draws(rng: random.Random, sizes: Iterable[int]) -> list:
+    """One draw from range(n) for each n >= 1 in sizes, in order.
+
+    This is the stream rng.randrange(n) gives: each draw takes
+    getrandbits(n.bit_length()) until the value is below n, as randrange
+    does, without its argument handling.  rng.choice(seq) is seq[draw]."""
+    getrandbits, out = rng.getrandbits, []
+    for n in sizes:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
-    rng = random.Random(SEED + m.n)
-    n = m.n
-    return tuple(MonotoneMap(m, tuple(rng.randrange(n) for _ in range(n))) for _ in range(k))
+    """k seeded self-maps, their entries the stream of rng.randrange(n)."""
+    rng, n = random.Random(SEED + m.n), m.n
+    return tuple(MonotoneMap(m, tuple(_draws(rng, [n] * n))) for _ in range(k))
 
 
 def _sample_maps(m: OrderedMagma) -> tuple:
@@ -255,7 +271,7 @@ def _check_preclosurelemma(m: OrderedMagma):
     ups = [list(bits(up)) for up in m.poset.up]
     produced = 0
     for _ in range(200):
-        s = MonotoneMap(m, [rng.choice(above) for above in ups])
+        s = MonotoneMap(m, [above[i] for above, i in zip(ups, _draws(rng, map(len, ups)))])
         if s.is_order_preserving:
             # The hull is checked to be a closure and to match the
             # least-fixed-point-above formula as it is built.
@@ -531,34 +547,26 @@ def check_names() -> List[str]:
 # -- lazy carriers ----------------------------------------------------------------
 
 
+def _row(name: str, faults, detail: str) -> CheckResult:
+    """A lazy-carrier row: FAIL when there are faults."""
+    return CheckResult(name, "fail" if faults else "pass", detail)
+
+
 def run_all_lazy(carrier) -> List[CheckResult]:
     """The applicable suites for a lazy carrier: certification bundles for the
     shipped rule maps, finitary reports, the compact-identity spot check, and
     the residual adjunction on sampled pairs."""
     shipped = [carrier.rule_map(name) for name in carrier.shipped]
-    nuclei = [r for r in shipped if r.certificate.nucleus_witnessed]
-    out = []
     bad = [r.name for r in shipped if not r.certificate.closure_witnessed]
-    out.append(
-        CheckResult(
-            "certification",
-            "fail" if bad else "pass",
-            f"uncertified: {bad}" if bad else f"{len(shipped)} rule maps certified",
-        )
-    )
+    certified = f"{len(shipped)} rule maps certified"
+    out = [_row("certification", bad, f"uncertified: {bad}" if bad else certified)]
     broken = [r.name for r in shipped if not is_finitary(r).is_finitary]
-    out.append(
-        CheckResult(
-            "finitary",
-            "fail" if broken else "pass",
-            f"violations: {broken}" if broken else "no violation on declared families",
-        )
-    )
+    no_violation = "no violation on declared families"
+    out.append(_row("finitary", broken, f"violations: {broken}" if broken else no_violation))
     klattice_status, klattice_detail = "pass", []
-    for r in nuclei:
+    for r in [r for r in shipped if r.certificate.nucleus_witnessed]:
         try:
-            companion = star_f(carrier, r)
-            verdict = verify_klattice(carrier, companion)
+            verdict = verify_klattice(carrier, star_f(carrier, r))
             if not verdict.holds:
                 klattice_status = "fail"
             klattice_detail.append(f"{r.name}:{verdict.holds}")
@@ -566,20 +574,13 @@ def run_all_lazy(carrier) -> List[CheckResult]:
             klattice_detail.append(f"{r.name}:skip({exc})")
     out.append(CheckResult("klattice", klattice_status, " ".join(klattice_detail)))
     xs = carrier.sample(8)
-    failures = 0
-    for x in xs:
-        for a in xs:
-            w = carrier.residual(x, a)
-            if w is None:
-                continue
-            for z in xs:
-                if carrier.leq(carrier.op(z, a), x) != carrier.leq(z, w):
-                    failures += 1
-    out.append(
-        CheckResult(
-            "residual-adjunction",
-            "fail" if failures else "pass",
-            f"{failures} adjunction failures on the sample grid",
-        )
+    failures = sum(
+        carrier.leq(carrier.op(z, a), x) != carrier.leq(z, w)
+        for x in xs
+        for a in xs
+        if (w := carrier.residual(x, a)) is not None
+        for z in xs
     )
+    grid = f"{failures} adjunction failures on the sample grid"
+    out.append(_row("residual-adjunction", failures, grid))
     return out

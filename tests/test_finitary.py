@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from quantic.errors import HypothesisNotMet
 from quantic.finitary import is_finitary, star_f, verify_klattice
-from quantic.lazy import INF, ChainOmega, UpsetsNat
+from quantic.lazy import INF, Certificate, ChainOmega, UpsetsNat
 from quantic.nucleus import MonotoneMap, enumerate_nuclei
 
 
@@ -33,7 +35,7 @@ class TestFinitaryPredicate:
         blow = RuleMap(
             u, "blow-up-infinite", lambda x: x if x.is_finite() else UPSet.naturals()
         )
-        assert blow.certificate.closure_witnessed
+        assert blow.certificate == Certificate(True, True, True, True, 12)
         rep = is_finitary(blow)
         assert not rep.is_finitary and rep.witness is not None
 
@@ -67,6 +69,24 @@ class TestStarF:
         sf = star_f(u, rule)
         for x in u.sample(10):
             assert sf(x) == rule(x)
+
+    @pytest.mark.parametrize("carrier, name", [(UpsetsNat(), "monoid-ideal"), (ChainOmega(), "d3")])
+    def test_companion_takes_each_image_sup_once(self, monkeypatch, carrier, name):
+        # The companion's values are kept, so the sup over the compacts below
+        # an infinite element is taken once, however often certification and
+        # the companion checks ask for it.
+        calls = Counter()
+        image_sup = carrier.image_sup
+
+        def counting(rule, family, budget):
+            calls[rule.name, family] += 1
+            return image_sup(rule, family, budget)
+
+        monkeypatch.setattr(carrier, "image_sup", counting)
+        companion = star_f(carrier, carrier.rule_map(name))
+        for x in carrier.sample():
+            companion(x)
+        assert calls and set(calls.values()) == {1}
 
     def test_rejects_non_nucleus_rule(self):
         u = UpsetsNat()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quantic import cli, nucleus
+from quantic import cli, nucleus, verify
 from quantic.cli import _parse_poly_spec
 from quantic.divisorial import lin_monoid
 from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
@@ -575,6 +575,149 @@ def test_certified_composition_matches_plain_tables(corpus):
     assert certified
 
 
+# -- residuals, nucleus image sets and seeded draws --------------------------------------
+
+
+def residuals_loop(m):
+    """Every defining set {z : z*a <= x} and {z : a*z <= x} scanned over z
+    as a mask, its greatest element looked up in principal_down."""
+    p, n, mul = m.poset, m.n, m.mul
+    residuated = near = True
+    at = []
+    for x in range(n):
+        row = []
+        for a in range(n):
+            left_set = right_set = 0
+            for z in range(n):
+                if (p.down[x] >> mul[z][a]) & 1:
+                    left_set |= 1 << z
+                if (p.down[x] >> mul[a][z]) & 1:
+                    right_set |= 1 << z
+            left, right = p.principal_down.get(left_set), p.principal_down.get(right_set)
+            for defining, r in ((left_set, left), (right_set, right)):
+                if not defining:
+                    residuated = False
+                elif r is None:
+                    residuated = near = False
+            row.append((left, right))
+        at.append(row)
+    return at, residuated, near
+
+
+def meet_closed_loop(p, c):
+    elems = list(bits(c))
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            if p.down[a] & p.down[b]:
+                w = p.meet(a, b)
+                if w is None or not ((c >> w) & 1):
+                    return False
+    return True
+
+
+def residual_stable_loop(m, c):
+    for x in bits(c):
+        for r in m.residuals.at[x]:
+            for side in (r.left, r.right):
+                if side is not None and not ((c >> side) & 1):
+                    return False
+    return True
+
+
+def two_element_magmas():
+    out = []
+    for p in (FinitePoset.antichain(2), FinitePoset.chain(2)):
+        for flat in product(range(2), repeat=4):
+            try:
+                out.append(OrderedMagma(p, [flat[:2], flat[2:]]))
+            except StructureError:
+                pass
+    return out
+
+
+def image_candidates(m):
+    """Every subset of a small carrier, every closure image of a larger one."""
+    return range(1 << m.n) if m.n <= 4 else [s.image_mask() for s in enumerate_closures(m)]
+
+
+def assert_meet_kernel_matches(p, images, seen):
+    meet_rows = nucleus._meet_rows(p)
+    for c in images:
+        closed = nucleus._meet_closed(meet_rows, c)
+        assert closed == meet_closed_loop(p, c), (p, c)
+        seen.add(("meet-closed", closed))
+
+
+def assert_residual_kernels_match(m, images, seen):
+    table = m.residuals
+    at = [[(r.left, r.right) for r in row] for row in table.at]
+    assert (at, table.residuated, table.near_residuated) == residuals_loop(m), m.name
+    seen.add(("residuated", table.residuated, table.near_residuated))
+    residual_masks = nucleus._residual_masks(m)
+    for c in images:
+        stable = nucleus._residual_stable(residual_masks, c)
+        assert stable == residual_stable_loop(m, c), (m.name, c)
+        seen.add(("residual-stable", stable))
+
+
+EVERY_OUTCOME = {
+    ("residuated", True, True),
+    ("residuated", False, True),
+    ("residuated", False, False),
+    ("meet-closed", True),
+    ("meet-closed", False),
+    ("residual-stable", True),
+    ("residual-stable", False),
+}
+
+
+def test_residual_and_image_set_kernels_match_the_loops_on_the_corpus(corpus):
+    seen = set()
+    for m in scan_carriers(corpus).values():
+        images = image_candidates(m)
+        assert_meet_kernel_matches(m.poset, images, seen)
+        assert_residual_kernels_match(m, images, seen)
+    assert seen == EVERY_OUTCOME
+
+
+def test_residual_and_image_set_kernels_match_the_loops_on_every_small_magma():
+    # Every compatible magma over the 2- and 3-element posets; the meet test
+    # depends on the poset alone.
+    by_poset = {}
+    for m in two_element_magmas():
+        by_poset.setdefault(m.poset, []).append(m)
+    for p in three_element_posets().values():
+        by_poset[p] = compatible_magmas(p)
+    seen = set()
+    for p, magmas in by_poset.items():
+        images = range(1 << p.n)
+        assert_meet_kernel_matches(p, images, seen)
+        for m in magmas:
+            assert_residual_kernels_match(m, images, seen)
+    assert seen == EVERY_OUTCOME
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1251, 2**40 + 3, "corpus-sweep"])
+def test_seeded_draws_are_the_randrange_and_choice_stream(seed):
+    # A Python whose randrange or choice draws differently fails here, rather
+    # than silently changing every seeded sample.
+    sizes = [n for n in range(1, 65) for _ in range(4)]
+    rng, ours = random.Random(seed), random.Random(seed)
+    assert verify._draws(ours, sizes) == [rng.randrange(n) for n in sizes]
+    seqs = [list(range(n, 3 * n)) for n in sizes]
+    assert [seq[i] for seq, i in zip(seqs, verify._draws(ours, map(len, seqs)))] == [
+        rng.choice(seq) for seq in seqs
+    ]
+    assert ours.getstate() == rng.getstate()
+
+
+def test_sampled_maps_are_the_randrange_tables(corpus):
+    for m in corpus.values():
+        rng = random.Random(verify.SEED + m.n)
+        expected = [tuple(rng.randrange(m.n) for _ in range(m.n)) for _ in range(verify.SAMPLE_MAPS)]
+        assert [s.table for s in verify._random_maps(m)] == expected, m.name
+
+
 # -- the rings layer --------------------------------------------------------------------
 
 
@@ -826,6 +969,9 @@ def test_kernels_equal_the_loops_on_random_ordered_magmas(m, data):
         assert_map_kernels_match(m, t)
     assert_scans_match(m, tables)
     assert_row_laws_match(m)
+    images = image_candidates(m)
+    assert_meet_kernel_matches(m.poset, images, set())
+    assert_residual_kernels_match(m, images, set())
     try:
         m.profile
         enumerate_nuclei(m)

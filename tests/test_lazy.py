@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -8,7 +9,9 @@ from quantic.errors import StructureError, UndecidableFamily
 from quantic.lazy import (
     INF,
     ChainOmega,
+    Certificate,
     FiniteFamily,
+    RuleMap,
     TailFamily,
     TruncationFamily,
     UPSet,
@@ -204,3 +207,78 @@ class TestLazyResiduals:
         assert evens.residual_by(UPSet.from_finite([1])) == UPSet.arithmetic(1, 2)
         assert UPSet.empty().residual_by(UPSet.from_finite([1])).is_empty()
         assert evens.residual_by(UPSet.empty()) == UPSet.naturals()
+
+
+class TestRuleMapValues:
+    def test_certification_evaluates_the_rule_once_per_distinct_element(self):
+        calls = Counter()
+
+        def rule(x):
+            calls[x] += 1
+            return x.up_closure()
+
+        u = UpsetsNat()
+        ideal = RuleMap(u, "counted-monoid-ideal", rule)
+        assert ideal.certificate.nucleus_witnessed
+        # The 12 samples, their products and the values of both.
+        assert len(calls) > 12 and set(calls.values()) == {1}
+        for x in u.sample():
+            ideal(x)
+        assert set(calls.values()) == {1}
+
+    def test_equal_elements_of_different_types_keep_their_own_values(self):
+        identity = RuleMap(ChainOmega(), "identity", lambda x: x)
+        assert identity(1) == identity(True) == 1
+        assert type(identity(1)) is int and type(identity(True)) is bool
+
+    def test_a_rule_that_raises_stores_nothing(self):
+        calls = Counter()
+
+        def rule(x):
+            calls[x] += 1
+            if x == 99:
+                raise StructureError("no value at 99")
+            return x
+
+        d = RuleMap(ChainOmega(), "partial", rule)
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                d(99)
+        assert calls[99] == 2
+
+    @pytest.mark.parametrize(
+        "carrier, name, certificate",
+        [
+            (ChainOmega(), "d", (True, True, True, True)),
+            (ChainOmega(), "e", (True, True, True, True)),
+            (ChainOmega(), "d3", (True, True, True, True)),
+            (UpsetsNat(), "monoid-ideal", (True, True, True, True)),
+            (UpsetsNat(), "submonoid-saturation", (True, True, True, False)),
+        ],
+    )
+    def test_shipped_certificates(self, carrier, name, certificate):
+        assert carrier.rule_map(name).certificate == Certificate(*certificate, 12)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: 9 if x == 10 else x,  # not expansive at 10
+            lambda x: INF if x == 3 else x,  # not monotone: 3 <= 4 but 3* > 4*
+            lambda x: x if x is INF else x + 1,  # not idempotent
+            lambda x: x if x is INF or x % 2 == 0 else x + 1,  # a nucleus
+            lambda x: x if x is INF or x < 5 else INF,  # a nucleus
+        ],
+    )
+    def test_certificates_match_the_four_properties_decided_on_the_bare_rule(self, fn):
+        # Each property is still decided on every sample pair: a rule that
+        # breaks one property at one element or pair is caught.
+        c = ChainOmega()
+        xs = c.sample()
+        expected = Certificate(
+            all(c.leq(x, fn(x)) for x in xs),
+            all(c.leq(fn(x), fn(y)) for x in xs for y in xs if c.leq(x, y)),
+            all(fn(fn(x)) == fn(x) for x in xs),
+            all(c.leq(c.op(fn(x), fn(y)), fn(c.op(x, y))) for x in xs for y in xs),
+            len(xs),
+        )
+        assert RuleMap(c, "rule", fn).certificate == expected
