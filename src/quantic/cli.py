@@ -68,13 +68,11 @@ def _load_finite_magma(path: str) -> OrderedMagma:
     return obj
 
 
-def _load_map_for(magma, path: str):
+def _load_map_for(magma: OrderedMagma, path: str):
     doc = read_doc(path)
-    if isinstance(magma, OrderedMagma):
-        if doc.get("kind") != "map":
-            raise StructureError("expected a map document")
-        return load_map_on(doc, magma)
-    raise HypothesisNotMet("map documents bind to finite carriers")
+    if doc.get("kind") != "map":
+        raise StructureError("expected a map document")
+    return load_map_on(doc, magma)
 
 
 def _emit(args, payload: dict, text_lines):

@@ -297,14 +297,15 @@ def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
         raise HypothesisNotMet("stability needs a precoherent carrier")
     p = q.poset
     # Every compact (= every element, finite carrier) must be residuated and
-    # x ^ 1 must exist throughout.
-    for t in range(q.n):
-        for x in range(q.n):
-            r = residual(q, x, t)
-            if r.left is None or r.right is None:
-                raise HypothesisNotMet(
-                    f"compact element {t} is not residuated at {x}"
-                )
+    # x ^ 1 must exist throughout; the scan only names the first witness.
+    if not q.residuals.residuated:
+        t, x = next(
+            (t, x)
+            for t in range(q.n)
+            for x in range(q.n)
+            if None in ((r := residual(q, x, t)).left, r.right)
+        )
+        raise HypothesisNotMet(f"compact element {t} is not residuated at {x}")
     for x in range(q.n):
         if p.meet(x, q.unit) is None:
             raise HypothesisNotMet(f"x ^ 1 missing for element {x}")

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, order_preserving, subset_walk
-from .poset import carrier_label as _label, mask_row, translate_table as _pad
+from .poset import carrier_label as _label, translate_table as _pad
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
@@ -450,10 +450,20 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
 def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
     """All nuclei on m, computed once per carrier; every call returns a fresh list.
 
-    Both routes filter the one closure enumeration.  On bounded-complete
-    near-residuated carriers the image-set criterion (meet-closed,
-    residual-stable images) must select exactly the closures that pass
-    is_nucleus; otherwise only the is_nucleus filter runs.
+    Both routes filter the one closure enumeration.  On near-residuated
+    carriers the image-set criterion, images that hold every residual of
+    their members, must select exactly the closures that pass is_nucleus;
+    otherwise only the is_nucleus filter runs.
+
+    Write x/a for the largest z with z a <= x, and a\\x for the largest z
+    with a z <= x.  (=>) Let s be a nucleus, x = x* and r = a\\x.  Then
+    a r* <= (a r)* <= x, so r* <= r and r is in the image; x/a likewise.
+    (<=) Let the image be residual-closed and w = (a y)*.  Then y lies in
+    {z : a z <= w}, so a\\w exists (near residuation) and is in the image.
+    So y* <= a\\w and a y* <= w; symmetrically x* y <= (x y)*.  This is c3,
+    and c3 with the closure gives a nucleus.  No meet test is needed: a
+    closure image holds every meet that exists, since w = a ^ b gives
+    w* <= a* = a and w* <= b, so w* = w.
     """
     return list(_on_carrier(m, ("nuclei",), _nuclei_two_routes))
 
@@ -461,8 +471,7 @@ def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
 def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     closures = enumerate_closures(m)
     filtered = [s for s in closures if is_nucleus(m, s)]
-    prof = m.profile
-    if prof.bounded_complete and prof.near_residuated:
+    if m.profile.near_residuated:
         by_images = {s.table for s in _nuclei_by_image_sets(m, closures)}
         by_filter = {s.table for s in filtered}
         if by_images != by_filter:
@@ -475,36 +484,9 @@ def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
 
 
 def _nuclei_by_image_sets(m: OrderedMagma, closures: List[MonotoneMap]) -> List[MonotoneMap]:
-    meets, residuals = _meet_rows(m.poset), _residual_masks(m)
-    images = ((s, s.image_mask()) for s in closures)
-    return [s for s, c in images if _meet_closed(meets, c) and _residual_stable(residuals, c)]
-
-
-def _meet_rows(p: FinitePoset) -> List[bytes]:
-    """meet_rows[a][b]: the meet of a and b; a itself where they have no common
-    lower bound (no condition), and 255, outside every subset, where they have
-    one but no meet."""
-    return [
-        bytes(
-            w if w is not None else 255 if p.down[a] & p.down[b] else a
-            for b, w in enumerate(p.meet_table[a])
-        )
-        for a in range(p.n)
-    ]
-
-
-def _meet_closed(meet_rows: List[bytes], c: int) -> bool:
-    """Every two members of c with a common lower bound have a meet in c.
-
-    Row a of the meet rows translated through the 0/1 row of c marks the b
-    whose entry lies in c; read as a mask, it must cover c, one test per
-    member a.
-    """
-    row = mask_row(c, len(meet_rows))
-    inside, members = _pad(row), int.from_bytes(row, "little")
-    return not any(
-        members & ~int.from_bytes(meet_rows[a].translate(inside), "little") for a in bits(c)
-    )
+    """The closures whose image holds every residual of its members."""
+    residuals = _residual_masks(m)
+    return [s for s in closures if _residual_stable(residuals, s.image_mask())]
 
 
 def _residual_masks(m: OrderedMagma) -> List[int]:
@@ -654,9 +636,8 @@ def _assert_image_iso(f: MagmaMorphism, s: MonotoneMap, members):
 @dataclass(frozen=True)
 class Submagma:
     parent: OrderedMagma
-    members: tuple
+    members: tuple            # parent ids, ascending; member i is sub id i
     magma: OrderedMagma
-    to_parent: tuple
     to_sub: dict
 
     @classmethod
@@ -668,7 +649,7 @@ class Submagma:
         index = {x: i for i, x in enumerate(mem)}
         sub = parent.poset.restrict(mem)
         mul = [[index[parent.op(x, y)] for y in mem] for x in mem]
-        return cls(parent, mem, OrderedMagma(sub, mul), mem, index)
+        return cls(parent, mem, OrderedMagma(sub, mul), index)
 
 
 def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneMap:
@@ -680,7 +661,7 @@ def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
     if not is_nucleus(n_sub.magma, s):
         raise HypothesisNotMet("induced_lower requires a nucleus on the submagma")
     p = m.poset
-    star_on_parent = {x: n_sub.to_parent[s.table[n_sub.to_sub[x]]] for x in n_sub.members}
+    star_on_parent = {x: n_sub.members[s.table[n_sub.to_sub[x]]] for x in n_sub.members}
     good = 0
     for y in range(m.n):
         if all(p.leq(star_on_parent[z], y) for z in n_sub.members if p.leq(z, y)):
@@ -722,7 +703,7 @@ def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
     table = []
     for x in range(m.n):
         if (mmask >> x) & 1:
-            table.append(n_sub.to_parent[s.table[n_sub.to_sub[x]]])
+            table.append(n_sub.members[s.table[n_sub.to_sub[x]]])
         else:
             table.append(top)
     out = MonotoneMap(m, table)

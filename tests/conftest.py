@@ -1,6 +1,8 @@
 import pytest
 
 from quantic.corpus import ring_corpus, standard_corpus
+from quantic.magma import OrderedMagma
+from quantic.poset import FinitePoset
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +18,12 @@ def rings():
 @pytest.fixture(scope="session")
 def z4(rings):
     return rings["z4"]
+
+
+@pytest.fixture
+def bowtie1_left():
+    """The bowtie 0, 1 < 2, 3 with a top 4 added, under left projection
+    x*y = x: near residuated but not bounded complete; a fresh carrier per
+    test."""
+    p = FinitePoset.from_covers([[2, 3], [2, 3], [4], [4], []])
+    return OrderedMagma(p, [[x] * 5 for x in range(5)], name="bowtie1-left")

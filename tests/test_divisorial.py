@@ -20,7 +20,10 @@ from quantic.divisorial import (
 )
 from quantic.errors import HypothesisNotMet
 from quantic.instances import zchain_with_both_ends, zchain_with_top
+from quantic.magma import residual
 from quantic.nucleus import MonotoneMap, enumerate_nuclei, nuclei_meet
+
+from test_exhaustive_small import compatible_magmas, three_element_posets
 
 
 class TestDivisorialClosure:
@@ -189,6 +192,26 @@ class TestStable:
         # residuated, so the stable machinery must refuse.
         with pytest.raises(HypothesisNotMet):
             is_stable(corpus["chain3-join"], MonotoneMap.identity(corpus["chain3-join"]))
+
+    def test_a_refusal_for_residuation_names_the_first_missing_residual(self):
+        refused = 0
+        for pname in ("chain", "wedge"):
+            for m in compatible_magmas(three_element_posets()[pname]):
+                missing = [
+                    (t, x)
+                    for t in range(m.n)
+                    for x in range(m.n)
+                    if None in (residual(m, x, t).left, residual(m, x, t).right)
+                ]
+                try:
+                    is_stable(m, MonotoneMap.identity(m))
+                except HypothesisNotMet as exc:
+                    if str(exc).startswith("compact element"):
+                        assert str(exc) == "compact element %d is not residuated at %d" % missing[0]
+                        refused += 1
+                else:
+                    assert not missing, m.mul
+        assert refused == 9
 
 
 class TestCompanions:

@@ -248,7 +248,7 @@ class TestInduced:
             extensions = [
                 t
                 for t in enumerate_nuclei(m)
-                if all(t.table[sub.to_parent[i]] == sub.to_parent[s.table[i]] for i in range(sub.magma.n))
+                if all(t.table[sub.members[i]] == sub.members[s.table[i]] for i in range(sub.magma.n))
             ]
             assert out.table in {t.table for t in extensions}
             assert all(out <= t for t in extensions)

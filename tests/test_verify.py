@@ -138,6 +138,15 @@ def test_cmc_fails_on_a_meet_that_is_not_the_n_m_meet(monkeypatch, wrong_meet):
     assert row.status == "fail" and row.detail == "pointwise meet is not the N(M) meet"
 
 
+def test_cmc_skips_where_the_pointwise_meet_of_two_nuclei_is_missing(bowtie1_left, tmp_path, capsys):
+    doc = tmp_path / "bowtie1-left.json"
+    doc.write_text(to_json(bowtie1_left))
+    assert cli.main(["verify-all", str(doc)]) == 0
+    rows = [line.split(None, 2) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert ["CMC", "skip", "(missing infimum for the fibers over element 1)"] in rows
+    assert "FAIL" not in {row[1] for row in rows}
+
+
 def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, tmp_path, capsys):
     # Each disagreement message names the carrier and the offending tables.
     identity = MonotoneMap.identity
