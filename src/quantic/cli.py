@@ -68,13 +68,6 @@ def _load_finite_magma(path: str) -> OrderedMagma:
     return obj
 
 
-def _load_map_for(magma: OrderedMagma, path: str):
-    doc = read_doc(path)
-    if doc.get("kind") != "map":
-        raise StructureError("expected a map document")
-    return load_map_on(doc, magma)
-
-
 def _emit(args, payload: dict, text_lines):
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -259,7 +252,7 @@ def cmd_star_f(args) -> int:
     if args.magma is None:
         raise StructureError("star-f needs a magma document, or --carrier with a shipped nucleus")
     m = _load_finite_magma(args.magma)
-    s = _load_map_for(m, args.nucleus)
+    s = load_map_on(read_doc(args.nucleus), m)
     companion = star_f(m, s)
     report = is_finitary(companion)
     lines = [f"star_f assign={list(companion.table)}", f"finitary: {report.is_finitary} ({report.note})"]
@@ -269,7 +262,7 @@ def cmd_star_f(args) -> int:
 
 def cmd_stable(args) -> int:
     m = _load_finite_magma(args.magma)
-    s = _load_map_for(m, args.nucleus)
+    s = load_map_on(read_doc(args.nucleus), m)
     bar = stable_closure(m, s)
     stable = is_stable(m, s)
     lines = [f"stable closure assign={list(bar.table)}", f"is_stable: {str(stable).lower()}"]

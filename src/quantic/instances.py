@@ -81,16 +81,7 @@ def _powerset_carrier(base: OrderedMagma, drop_empty: bool, name: str) -> Powers
     leq = [[(a & ~b) == 0 for b in masks] for a in masks]
     labels = ["{" + ",".join(base.poset.labels[s] for s in bits(m)) + "}" for m in masks]
     poset = FinitePoset(leq, labels)
-    mul = []
-    for a in masks:
-        row = []
-        for b in masks:
-            prod = 0
-            for x in bits(a):
-                for y in bits(b):
-                    prod |= 1 << base.mul[x][y]
-            row.append(index[prod])
-        mul.append(row)
+    mul = [[index[base.complex_mul_mask(a, b)] for b in masks] for a in masks]
     magma = OrderedMagma(poset, mul, name=name)
     return PowersetCarrier(base, tuple(masks), index, magma)
 
@@ -147,10 +138,7 @@ class SetSystemCarrier:
     def translate(self, c: int, element: int) -> int:
         """The element cX for a symbol c."""
         mask = self.carrier.element_masks[element]
-        out = 0
-        for s in bits(mask):
-            out |= 1 << self.symbol_mul[c][s]
-        return self.carrier.mask_index[out]
+        return self.carrier.mask_index[self.carrier.base.complex_mul_mask(1 << c, mask)]
 
 
 def _with_zero(base: OrderedMagma) -> Tuple[tuple, tuple]:

@@ -339,7 +339,6 @@ class LazyCarrier:
     flags, and the carrier's own compact approximations, image suprema and
     shipped rule maps."""
 
-    kind = "lazy"
     name = "lazy"
     # Names of the rule maps the carrier ships; run_all_lazy checks each.
     shipped: tuple = ()
@@ -639,8 +638,6 @@ class RuleMap:
     computed once per map and kept, keyed by the element and its type, so
     that equal elements of different types (1 and True) never share a value.
     """
-
-    kind = "lazy"
 
     def __init__(self, carrier: LazyCarrier, name: str, fn: Callable):
         self.carrier = carrier

@@ -140,8 +140,6 @@ class OrderedMagma:
     structures cannot carry stale flags.
     """
 
-    kind = "finite"
-
     def __init__(self, poset: FinitePoset, mul: Sequence[Sequence[int]], name: str = ""):
         n = poset.n
         if len(mul) != n or any(len(row) != n for row in mul):
@@ -149,7 +147,12 @@ class OrderedMagma:
         for row in mul:
             poset.check_ids(row)
         self.poset = poset
-        self.mul = tuple(tuple(row) for row in mul)
+        # The product, built here only: ids fit in a byte (n <= ENUM_CAP), so
+        # mul[x] is row x as bytes, flat is the n*n table with row x first
+        # and cols[y] is column y, x -> xy.
+        self.mul = tuple(map(bytes, mul))
+        self.flat = b"".join(self.mul)
+        self.cols = tuple(self.flat[y::n] for y in range(n))
         self.name = name
         self._validate_compat()
         self.unit = self._find_unit()
@@ -160,9 +163,7 @@ class OrderedMagma:
         the order.  A failure names the first broken (x, x2, y) in the order
         of the pairs x < x2, then y, the column (right factor y) first."""
         p, n = self.poset, self.n
-        rows = list(map(bytes, self.mul))
-        flat = b"".join(rows)
-        lines = [flat[y::n] for y in range(n)] + rows
+        lines = self.cols + self.mul
         if all(order_preserving(p, line) for line in lines):
             return
         x, x2, y, side = next(
@@ -179,16 +180,12 @@ class OrderedMagma:
         )
 
     def _find_unit(self) -> Optional[int]:
-        for u in range(self.poset.n):
-            if all(self.mul[u][x] == x and self.mul[x][u] == x for x in range(self.poset.n)):
-                return u
-        return None
+        identity = bytes(range(self.n))
+        return next((u for u in range(self.n) if self.mul[u] == self.cols[u] == identity), None)
 
     def _find_annihilator(self) -> Optional[int]:
         b = self.poset.bottom
-        if b is None:
-            return None
-        if all(self.mul[b][x] == b and self.mul[x][b] == b for x in range(self.poset.n)):
+        if b is not None and self.mul[b] == self.cols[b] == bytes([b]) * self.n:
             return b
         return None
 
@@ -227,11 +224,9 @@ class OrderedMagma:
         return classify(self)
 
     @cached_property
-    def byte_rows(self) -> tuple:
-        """(rows, tables, flat): the rows of mul as bytes, each padded to 256
-        bytes as a bytes.translate table, and the whole table as n*n bytes."""
-        rows = tuple(map(bytes, self.mul))
-        return rows, tuple(map(translate_table, rows)), b"".join(rows)
+    def row_tables(self) -> tuple:
+        """Each row of mul padded to 256 bytes: row x as a bytes.translate table."""
+        return tuple(map(translate_table, self.mul))
 
     @cached_property
     def residuals(self) -> ResidualTable:
@@ -243,19 +238,16 @@ class OrderedMagma:
         monotone, so their greatest elements are read from principal_down,
         keyed by row.
         """
-        p, n, mul = self.poset, self.n, self.mul
+        p, n, mul, cols = self.poset, self.n, self.mul, self.cols
         greatest = {mask_row(d, n): x for d, x in p.principal_down.items()}
         below = [translate_table(mask_row(d, n)) for d in p.down]
-        rows = tuple(map(bytes, mul))
-        flat = b"".join(rows)
-        cols = [flat[a::n] for a in range(n)]
         empty = bytes(n)
         residuated = near = True
         out = []
         for x in range(n):
             row = []
             for a in range(n):
-                left_set, right_set = cols[a].translate(below[x]), rows[a].translate(below[x])
+                left_set, right_set = cols[a].translate(below[x]), mul[a].translate(below[x])
                 left, right = greatest.get(left_set), greatest.get(right_set)
                 if left is None or right is None:
                     residuated = False
@@ -293,13 +285,8 @@ class OrderedMagma:
             mask = grown
 
     def translations(self):
-        """All left and right translation tables L_a, R_a."""
-        n = self.n
-        out = []
-        for a in range(n):
-            out.append(tuple(self.mul[a][x] for x in range(n)))
-            out.append(tuple(self.mul[x][a] for x in range(n)))
-        return out
+        """All left and right translation tables L_a, R_a, as byte rows."""
+        return [line for pair in zip(self.mul, self.cols) for line in pair]
 
 
 def row_getters(rows: Sequence[Sequence[int]]) -> list:
@@ -375,7 +362,7 @@ def _law_failures(m: OrderedMagma):
     join = m.poset.join_table
     # Lists, not tuples: CPython keeps freed short tuples on a free list, and
     # n^2 of them per carrier raised the peak memory of a run.
-    for lines in ([list(row) for row in m.mul], [list(col) for col in zip(*m.mul)]):
+    for lines in ([list(row) for row in m.mul], [list(col) for col in m.cols]):
         for x, line in enumerate(lines):
             joins_with = [join[u] for u in line]
             for y in range(x, m.n):
@@ -400,10 +387,12 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     pf = p.flags
     n = m.n
 
-    mul, through = m.mul, row_getters(m.mul)
+    mul = m.mul
     # (xy)z == x(yz) for every z at once: row xy against row y read through row x.
-    associative = all(mul[xy] == through[y](mx) for mx in mul for y, xy in enumerate(mx))
-    commutative = all(m.op(x, y) == m.op(y, x) for x in range(n) for y in range(n))
+    associative = all(
+        mul[xy] == mul[y].translate(tx) for mx, tx in zip(mul, m.row_tables) for y, xy in enumerate(mx)
+    )
+    commutative = mul == m.cols
     unital = m.unit is not None
     with_annihilator = m.annihilator is not None
 
@@ -496,12 +485,9 @@ def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
 def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
     """U(M), Inv(M), Idem(M), R(M) and whether K(M) is a submagma."""
     p, n = m.poset, m.n
-    units = []
-    for u in range(n):
-        lt = tuple(m.op(u, x) for x in range(n))
-        rt = tuple(m.op(x, u) for x in range(n))
-        if _is_poset_automorphism(p, lt) and _is_poset_automorphism(p, rt):
-            units.append(u)
+    units = [
+        u for u in range(n) if _is_poset_automorphism(p, m.mul[u]) and _is_poset_automorphism(p, m.cols[u])
+    ]
     invertible = []
     for u in range(n):
         for v in range(n):

@@ -15,8 +15,9 @@ ENUM_CAP = 64 <= 256 elements, so a table t is the bytes T = bytes(t), and
 _pad(T), T padded to 256 bytes, is a bytes.translate table:
 row.translate(_pad(T)) applies t to every entry of row in one C call.  One
 decision builds the n*n byte tables x*y*, x y*, x* y and
-(xy)* = mul.translate(_pad(T)).  An equation is one bytes comparison, and an
-order condition reads one byte of the 0/1 order rows up_rows[a] per pair.
+(xy)* = m.flat.translate(_pad(T)) from the carrier's own product rows.  An
+equation is one bytes comparison, and an order condition reads one byte of
+the 0/1 order rows up_rows[a] per pair.
 The pre-image rows pre[u] = {z : u <= z*} are T.translate(up_rows[u]).
 Every decision still computes the three-part and single-axiom closure forms,
 c1, c2, c3 and, on unital carriers, both unital forms, and compares them.
@@ -59,8 +60,6 @@ class MonotoneMap:
     Equality and ordering are pointwise on tables; instances are immutable and
     hashable so nucleus lattices can be built on top of them.
     """
-
-    kind = "finite"
 
     def __init__(self, carrier, table: Sequence[int]):
         p = poset_of(carrier)
@@ -170,11 +169,11 @@ def _closure_single_axiom(p: FinitePoset, t: bytes) -> bool:
 
 def _products(m: OrderedMagma, t: bytes) -> tuple:
     """(xy)*, x y*, x* y and x* y*, each an n*n byte table with row x first."""
-    rows, tables, flat = m.byte_rows
+    tables = m.row_tables
     return (
-        flat.translate(_pad(t)),
+        m.flat.translate(_pad(t)),
         b"".join(map(t.translate, tables)),
-        b"".join(map(rows.__getitem__, t)),
+        b"".join(map(m.mul.__getitem__, t)),
         b"".join(map(t.translate, map(tables.__getitem__, t))),
     )
 
@@ -210,7 +209,7 @@ def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, b
     t = bytes(s.table)
     pre = _preimage_rows(m.poset, t)
     _, x_ts, t_xs, tt = _products(m, t)
-    flat = m.byte_rows[2]
+    flat = m.flat
     first: dict = {}
     same = _pad(bytes([first.setdefault(row, u) for u, row in enumerate(pre)]))
     form2 = flat.translate(same) == x_ts.translate(same) == t_xs.translate(same)
@@ -257,10 +256,8 @@ def _broken(carrier, what: str) -> InternalCheckError:
 
 
 def _one_sided_unital(m: OrderedMagma) -> bool:
-    n = m.n
-    return any(all(m.op(u, x) == x for x in range(n)) for u in range(n)) or any(
-        all(m.op(x, u) == x for x in range(n)) for u in range(n)
-    )
+    identity = bytes(range(m.n))
+    return identity in m.mul or identity in m.cols
 
 
 def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:

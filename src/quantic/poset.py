@@ -117,8 +117,6 @@ class FinitePoset:
     failure.
     """
 
-    kind = "finite"
-
     __slots__ = ("n", "up", "down", "labels", "__dict__")
 
     def __init__(self, leq_rows: Sequence[Sequence[bool]], labels: Optional[Sequence[str]] = None):

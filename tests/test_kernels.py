@@ -26,6 +26,7 @@ from quantic.magma import (
     _is_poset_automorphism,
     _distributes_over_finite_nonempty,
     _translations_preserve_existing_sups,
+    distinguished_sets,
     row_getters,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
@@ -213,6 +214,26 @@ def lin_monoid_loop(m):
     return sorted(seen)
 
 
+def product_facts_loop(m):
+    """Unit, annihilator, one-sided unit, associativity, commutativity, the
+    units U(M) and the translations L_a, R_a, one product at a time."""
+    p, op, els = m.poset, m.op, range(m.n)
+    unit = next((u for u in els if all(op(u, x) == x == op(x, u) for x in els)), None)
+    b = p.bottom
+    annihilator = b if b is not None and all(op(b, x) == b == op(x, b) for x in els) else None
+    one_sided = any(all(op(u, x) == x for x in els) or all(op(x, u) == x for x in els) for u in els)
+    associative = all(op(op(x, y), z) == op(x, op(y, z)) for x in els for y in els for z in els)
+    commutative = all(op(x, y) == op(y, x) for x in els for y in els)
+    translations = [
+        t for a in els for t in (tuple(op(a, x) for x in els), tuple(op(x, a) for x in els))
+    ]
+    units = tuple(
+        u for u in els
+        if automorphism_loop(p, translations[2 * u]) and automorphism_loop(p, translations[2 * u + 1])
+    )
+    return unit, annihilator, one_sided, associative, commutative, units, translations
+
+
 # -- comparison helpers ----------------------------------------------------------------
 
 
@@ -298,13 +319,31 @@ def assert_map_kernels_match(m, t):
 
 
 def assert_row_laws_match(m, seen=None):
-    """The row-wise law and the itemgetter monoid against their loops; adds
-    each law answer to seen."""
+    """The product's byte rows, the facts decided by whole-row comparisons,
+    the row-wise law and the itemgetter monoid against their loops; adds each
+    law answer to seen and returns the loop's product facts."""
+    n = m.n
+    assert len(m.mul) == len(m.cols) == n and len(m.flat) == n * n, m.name
+    assert all(
+        m.mul[x][y] == m.cols[y][x] == m.flat[x * n + y] == m.op(x, y) for x in range(n) for y in range(n)
+    ), (m.name, m.mul)
+    facts = product_facts_loop(m)
+    kernels = (
+        m.unit,
+        m.annihilator,
+        nucleus._one_sided_unital(m),
+        m.profile.associative,
+        m.profile.commutative,
+        distinguished_sets(m).units,
+        list(map(tuple, m.translations())),
+    )
+    assert kernels == facts, (m.name, m.mul)
     law = _distributes_over_finite_nonempty(m)
     assert law == distributes_loop(m), (m.name, m.mul)
     assert lin_monoid(m) == lin_monoid_loop(m), (m.name, m.mul)
     if seen is not None:
         seen.add(law)
+    return facts
 
 
 def corestriction_kernel(m, t):
@@ -397,8 +436,10 @@ def test_each_nucleus_condition_is_decided_and_compared(row1, star11, verdicts):
     # that no longer agree with each other: each corruption leaves a
     # different condition standing alone, so none may be skipped.
     m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
-    rows, tables, flat = m.byte_rows
-    m.byte_rows = (rows[:1] + (bytes(row1),) + rows[2:], tables, flat[:4] + bytes([star11]) + flat[5:])
+    # The translate tables are built from the true rows and kept.
+    assert m.row_tables[1][:3] == bytes([0, 0, 1])
+    m.mul = m.mul[:1] + (bytes(row1),) + m.mul[2:]
+    m.flat = m.flat[:4] + bytes([star11]) + m.flat[5:]
     with pytest.raises(InternalCheckError, match="nucleus characterizations disagree") as info:
         nucleus.is_nucleus(m, MonotoneMap.identity(m))
     assert str(info.value).endswith(f"on I(Z/4) (3 elements) at (0, 1, 2): {verdicts}")
@@ -440,11 +481,24 @@ def test_subset_scans_match_the_loops_on_the_three_element_sweep():
     assert (False, False) in seen["translations"] and (True, True) in seen["translations"]
 
 
+def answered_facts(facts):
+    """The answers each product fact took over facts: whether there is a
+    unit, an annihilator, a one-sided unit, associativity, commutativity and
+    whether U(M) is nonempty."""
+    return [
+        {f[0] is not None for f in facts},
+        {f[1] is not None for f in facts},
+        *({f[i] for f in facts} for i in (2, 3, 4)),
+        {bool(f[5]) for f in facts},
+    ]
+
+
 def test_row_laws_match_the_loops(corpus):
     seen = set()
-    for m in scan_carriers(corpus).values():
-        assert_row_laws_match(m, seen)
+    facts = [assert_row_laws_match(m, seen) for m in scan_carriers(corpus).values()]
     assert seen == {True, False}
+    # Every product fact takes both answers here, so no comparison is vacuous.
+    assert answered_facts(facts) == [{True, False}] * 6
 
 
 @pytest.mark.parametrize("pname", sorted(three_element_posets()))
@@ -454,11 +508,14 @@ def test_row_laws_match_the_loops_on_the_three_element_sweep(pname):
     if pname == "antichain":
         magmas = magmas[::10]
     seen = set()
-    for m in magmas:
-        assert_row_laws_match(m, seen)
+    facts = [assert_row_laws_match(m, seen) for m in magmas]
     # Only the chain and the wedge are join semilattices, and on a chain
     # every order-compatible product distributes over max.
     assert seen == {"chain": {True}, "wedge": {True, False}}.get(pname, {False})
+    if pname == "antichain":
+        # The antichain has no bottom, hence no annihilator; every other
+        # product fact takes both answers.
+        assert answered_facts(facts) == [{True, False}, {False}] + [{True, False}] * 4
 
 
 def test_join_and_meet_tables_match_least_of(corpus):

@@ -254,13 +254,15 @@ class TestCli:
             ["star-f", "--carrier", "upsets-nat", "nope"],
             ["star-f", "{z4}"],
             ["nuclei", "{int_labels}"],
+            ["stable", "{z4}", "{kindless_map}"],
+            ["star-f", "{z4}", "{kindless_map}"],
         ],
         ids=[
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
             "unknown-group", "bad-exponent", "empty-poly", "string-product",
             "float-product", "float-assign", "float-unit", "int-assign", "int-mul",
             "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name", "upsets-nucleus-name",
-            "star-f-without-magma", "int-labels",
+            "star-f-without-magma", "int-labels", "stable-kindless-map", "star-f-kindless-map",
         ],
     )
     def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, corpus, args):
@@ -269,6 +271,7 @@ class TestCli:
             for name in (
                 "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit",
                 "int_assign", "int_mul", "int_leq_rows", "int_elements", "int_poset", "int_labels",
+                "kindless_map",
             )
         }
         paths["dir"] = tmp_path
@@ -284,6 +287,7 @@ class TestCli:
         paths["diamond"].write_text(to_json(corpus["diamond-join"]))
         paths["float_map"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [0.0, 1, 2, 3]}))
         paths["int_assign"].write_text(json.dumps({"kind": "map", "assign": 5}))
+        paths["kindless_map"].write_text(json.dumps({"format": 1, "assign": [0, 1, 2]}))
         for name, edit in (
             ("int_mul", lambda d: d.update(mul=7)),
             ("int_leq_rows", lambda d: d["poset"].update(leq=[1, 2, 3])),

@@ -147,6 +147,17 @@ def test_cmc_skips_where_the_pointwise_meet_of_two_nuclei_is_missing(bowtie1_lef
     assert "FAIL" not in {row[1] for row in rows}
 
 
+def test_characterizingclosures_skips_where_only_the_filter_route_runs():
+    # The constant-0 magma on the three-element antichain is not near
+    # residuated: {z : z*a <= 0} is the whole antichain, which has no
+    # greatest element.  So the image-set route never runs and nothing is
+    # compared.
+    m = OrderedMagma(FinitePoset.antichain(3), [[0] * 3 for _ in range(3)], name="antichain-zero")
+    assert not m.profile.near_residuated
+    row = next(r for r in run_all(m) if r.name == "characterizingclosures")
+    assert (row.status, row.detail) == ("skip", "needs a near-residuated carrier; the filter route ran alone")
+
+
 def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, tmp_path, capsys):
     # Each disagreement message names the carrier and the offending tables.
     identity = MonotoneMap.identity
