@@ -27,6 +27,7 @@ from .nucleus import (
     nuclei_meet,
 )
 from .finitary import star_f
+from .poset import id_mask
 
 # More translation-monoid maps than this is an internal error.
 LIN_CAP = 100_000
@@ -51,15 +52,15 @@ def is_cyclic(m: OrderedMagma, a: int) -> CyclicityReport:
 # -- divisorial closure -------------------------------------------------------
 
 
-def lin_monoid(m: OrderedMagma) -> List[tuple]:
+def lin_monoid(m: OrderedMagma) -> List[bytes]:
     """The monoid generated by left and right translations, saturated to a
     fixpoint under LIN_CAP maps; built once per carrier object, every call
     returns a fresh list."""
     return list(_on_carrier(m, ("lin",), _translation_monoid))
 
 
-def _translation_monoid(m: OrderedMagma) -> Tuple[tuple, ...]:
-    return tuple(sorted(generated_monoid(m.n, m.translations(), LIN_CAP)))
+def _translation_monoid(m: OrderedMagma) -> Tuple[bytes, ...]:
+    return tuple(sorted(generated_monoid(m, m.translations(), LIN_CAP)))
 
 
 def v_lin(q: OrderedMagma, a: int) -> MonotoneMap:
@@ -84,11 +85,7 @@ def _sups_of_supersets(q: OrderedMagma, constrained: list, strategy: str) -> lis
     """x -> sup{y : constrained[y] contains constrained[x]}, for every x."""
     table = []
     for cx in constrained:
-        ys = 0
-        for y, cy in enumerate(constrained):
-            if not cx & ~cy:
-                ys |= 1 << y
-        v = q.poset.sup_mask(ys)
+        v = q.poset.sup_mask(id_mask(y for y, cy in enumerate(constrained) if not cx & ~cy))
         if v is None:
             raise _broken(q, f"{strategy} supremum missing")
         table.append(v)
@@ -163,10 +160,7 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
             if p.leq(x, q.op(q.op(u, a), v))
         ]
         # The empty infimum is the top of the carrier.
-        mask = 0
-        for w in sandwiches:
-            mask |= 1 << w
-        w = p.inf_mask(mask) if sandwiches else p.top
+        w = p.inf_mask(id_mask(sandwiches)) if sandwiches else p.top
         if w is None:
             raise _broken(q, "unit-sandwich infimum missing")
         table.append(w)
@@ -239,9 +233,8 @@ def is_simple(q: OrderedMagma) -> SimplicityReport:
     nuclei = enumerate_nuclei(q)
     routes["nucleus-count"] = len(nuclei) <= 2
     top = p.top
-    routes["divisorial"] = all(
-        v(q, a).table == tuple(range(q.n)) for a in range(q.n) if a != top
-    )
+    identity = MonotoneMap.identity(q)
+    routes["divisorial"] = all(v(q, a) == identity for a in range(q.n) if a != top)
     if q.profile.near_multiplicative_lattice:
         # x/(x/y) == y for all x, y below the top.
         routes["double-residual"] = all(
@@ -325,13 +318,10 @@ def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     gv = gv_elements(q, s)
     table = []
     for x in range(q.n):
-        parts = 0
-        for z in gv.members:
-            r = residual(q, x, z).left
-            if r is None:
-                raise _broken(q, "x/z missing for a GV element z <= 1")
-            parts |= 1 << r
-        w = q.poset.sup_mask(parts)
+        parts = [residual(q, x, z).left for z in gv.members]
+        if None in parts:
+            raise _broken(q, "x/z missing for a GV element z <= 1")
+        w = q.poset.sup_mask(id_mask(parts))
         if w is None:
             raise _broken(q, "stable-closure supremum missing")
         table.append(w)

@@ -16,7 +16,7 @@ from .errors import (
 from .lazy import SAMPLE_SIZE, LazyCarrier, RuleMap, map_family_sup
 from .magma import OrderedMagma
 from .nucleus import MonotoneMap, is_nucleus, quotient
-from .poset import bits
+from .poset import bits, id_mask
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,7 @@ def _star_f_finite(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
         raise HypothesisNotMet("star_f requires a nucleus")
     p, t = q.poset, s.table
     for x, tx in enumerate(t):
-        fiber = 0
-        for y in bits(p.down[x]):
-            fiber |= 1 << t[y]
-        if p.sup_mask(fiber) != tx:
+        if p.sup_mask(id_mask(t[y] for y in bits(p.down[x]))) != tx:
             raise InternalCheckError("finitary companion formula broke on a finite carrier")
     return s
 

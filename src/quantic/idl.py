@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .errors import HypothesisNotMet, InternalCheckError, NotAMorphism
+from .errors import HypothesisNotMet, NotAMorphism
 from .magma import MagmaMorphism, OrderedMagma
 from .nucleus import MonotoneMap
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, broken, id_mask
 
 
 def down_closure_mask(p: FinitePoset, xmask: int) -> int:
@@ -44,7 +44,7 @@ def down_closure(m_or_p, xs) -> list:
     if p.n <= EXHAUSTIVE_CAP:
         containing = [i for i in _ideal_masks(p) if not (xmask & ~i)]
         if mask not in containing or any(mask & ~i for i in containing):
-            raise InternalCheckError("down closure is not the smallest containing ideal")
+            raise broken(m_or_p, "down closure is not the smallest containing ideal")
     return list(bits(mask))
 
 
@@ -87,9 +87,9 @@ def idl(m: OrderedMagma) -> IdealCompletion:
     magma = OrderedMagma(lat, mul, name=f"Idl({m.name})" if m.name else "Idl")
     qprof = magma.profile
     if not (qprof.near_prequantale and qprof.precoherent):
-        raise InternalCheckError("ideal completion is not a precoherent near prequantale")
+        raise broken(m, "ideal completion is not a precoherent near prequantale")
     if prof.prequantic_semilattice and not qprof.prequantale:
-        raise InternalCheckError("ideal completion of a prequantic semilattice must be a prequantale")
+        raise broken(m, "ideal completion of a prequantic semilattice must be a prequantale")
     principal = tuple(index[p.down[x]] for x in range(p.n))
     return IdealCompletion(m, masks, magma, principal)
 
@@ -100,7 +100,7 @@ def k_functor(q: OrderedMagma) -> OrderedMagma:
         raise HypothesisNotMet("the compact-part functor needs a precoherent carrier")
     out = OrderedMagma(q.poset, q.mul, name=f"K({q.name})" if q.name else "K")
     if not out.profile.multiplicative_semilattice:
-        raise InternalCheckError("compact part is not a multiplicative semilattice")
+        raise broken(q, "compact part is not a multiplicative semilattice")
     return out
 
 
@@ -119,31 +119,31 @@ def roundtrip_checks(m: OrderedMagma) -> RoundTripReport:
 
     fwd = {x: comp.principal[x] for x in range(m.n)}
     if len(set(fwd.values())) != m.n or len(fwd) != q.n:
-        raise InternalCheckError("principal-ideal map is not a bijection onto the ideals")
+        raise broken(m, "principal-ideal map is not a bijection onto the ideals")
     for x in range(m.n):
         for y in range(m.n):
             if p.leq(x, y) != q.leq(fwd[x], fwd[y]):
-                raise InternalCheckError("principal-ideal map is not an order isomorphism")
+                raise broken(m, "principal-ideal map is not an order isomorphism")
             if fwd[m.op(x, y)] != q.op(fwd[x], fwd[y]):
-                raise InternalCheckError("principal-ideal map is not a magma homomorphism")
+                raise broken(m, "principal-ideal map is not a magma homomorphism")
 
     bwd = {}
     for i, mask in enumerate(comp.ideal_masks):
         s = p.sup_mask(mask)
         if s is None:
-            raise InternalCheckError("an ideal of a finite semilattice lost its supremum")
+            raise broken(m, "an ideal of a finite semilattice lost its supremum")
         bwd[i] = s
     if sorted(bwd.values()) != list(range(m.n)):
-        raise InternalCheckError("supremum map is not a bijection back to the carrier")
+        raise broken(m, "supremum map is not a bijection back to the carrier")
     for i in range(q.n):
         for j in range(q.n):
             if q.leq(i, j) != p.leq(bwd[i], bwd[j]):
-                raise InternalCheckError("supremum map is not an order isomorphism")
+                raise broken(m, "supremum map is not an order isomorphism")
             if bwd[q.op(i, j)] != m.op(bwd[i], bwd[j]):
-                raise InternalCheckError("supremum map is not a magma homomorphism")
+                raise broken(m, "supremum map is not a magma homomorphism")
     for x in range(m.n):
         if bwd[fwd[x]] != x:
-            raise InternalCheckError("round trip is not the identity")
+            raise broken(m, "round trip is not the identity")
     return RoundTripReport(fwd, bwd)
 
 
@@ -177,9 +177,7 @@ def idl_of_morphism(g: MagmaMorphism) -> MagmaMorphism:
     tgt_index = {mask: i for i, mask in enumerate(tgt.ideal_masks)}
     table = []
     for mask in src.ideal_masks:
-        image = 0
-        for x in bits(mask):
-            image |= 1 << g.table[x]
+        image = id_mask(g.table[x] for x in bits(mask))
         table.append(tgt_index[down_closure_mask(g.target.poset, image)])
     out = MagmaMorphism(src.magma, tgt.magma, table)
     verify_morphism_ms(out)

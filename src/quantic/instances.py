@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-from .errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
+from .errors import CarrierTooLarge, HypothesisNotMet
 from .magma import OrderedMagma, adjoin_annihilator
 from .nucleus import MonotoneMap, is_closure, is_nucleus, transportable_mask
-from .poset import FinitePoset, bits, carrier_label
+from .poset import FinitePoset, bits, broken, carrier_label
 
 POWERSET_BASE_CAP = 5
 SYSTEM_BASE_CAP = 4
@@ -94,12 +94,12 @@ def powerset_prequantale(base: OrderedMagma, drop_empty: bool = False) -> Powers
     prof = carrier.magma.profile
     if drop_empty:
         if not prof.near_prequantale or prof.with_annihilator:
-            raise InternalCheckError("2^M minus the empty set must be a near prequantale")
+            raise broken(carrier.magma, "2^M minus the empty set must be a near prequantale")
     else:
         if not prof.prequantale:
-            raise InternalCheckError("2^M must be a prequantale")
+            raise broken(carrier.magma, "2^M must be a prequantale")
         if prof.quantale != base.profile.associative:
-            raise InternalCheckError("2^M is a quantale exactly when M is a semigroup")
+            raise broken(carrier.magma, "2^M is a quantale exactly when M is a semigroup")
     return carrier
 
 
@@ -163,7 +163,7 @@ def _set_system(base: OrderedMagma, name: str) -> SetSystemCarrier:
     symbols, symbol_mul = _with_zero(base)
     carrier = _powerset_carrier(plain_magma(symbols, symbol_mul), drop_empty=False, name=name)
     if not carrier.magma.profile.multiplicative_lattice:
-        raise InternalCheckError("2^(M_0) must be a multiplicative lattice")
+        raise broken(carrier.magma, "2^(M_0) must be a multiplicative lattice")
     return SetSystemCarrier(base, symbols, symbol_mul, carrier)
 
 
@@ -222,9 +222,9 @@ def is_module_system(sys: SetSystemCarrier, r: MonotoneMap) -> bool:
         return False
     conds = module_system_conditions(sys, r)
     if len(set(conds.values())) > 1:
-        raise InternalCheckError(f"module-system conditions disagree: {conds}")
+        raise broken(sys.magma, f"module-system conditions {conds} disagree")
     if is_nucleus(sys.magma, r) != conds["translations"]:
-        raise InternalCheckError("module systems must be the nuclei fixing the zero rule")
+        raise broken(sys.magma, "module systems must be the nuclei fixing the zero rule")
     return conds["translations"]
 
 
@@ -260,7 +260,7 @@ def weak_ideal_system_conditions(sys: SetSystemCarrier, r: MonotoneMap) -> dict:
 def is_weak_ideal_system(sys: SetSystemCarrier, r: MonotoneMap) -> bool:
     conds = weak_ideal_system_conditions(sys, r)
     if conds["raw"] != conds["nucleus"]:
-        raise InternalCheckError(f"weak-ideal-system characterizations disagree: {conds}")
+        raise broken(sys.magma, f"weak-ideal-system characterizations {conds} disagree")
     return conds["raw"]
 
 
@@ -276,7 +276,7 @@ def is_ideal_system(sys: SetSystemCarrier, r: MonotoneMap) -> bool:
     tmask = transportable_mask(sys.magma, r)
     via_transport = all((tmask >> s) & 1 for s in singles)
     if exact != via_transport:
-        raise InternalCheckError("ideal-system characterizations disagree")
+        raise broken(sys.magma, "ideal-system characterizations disagree")
     return exact
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
-from .poset import mask_row, subset_walk, translate_table
+from .poset import broken, id_mask, mask_row, subset_walk, translate_table
 
 
 @dataclass(frozen=True)
@@ -289,32 +289,25 @@ class OrderedMagma:
         return [line for pair in zip(self.mul, self.cols) for line in pair]
 
 
-def row_getters(rows: Sequence[Sequence[int]]) -> list:
-    """get[y](row) == tuple(row[z] for z in rows[y]), in one C call: a table
-    composed with another one row at a time."""
-    return [
-        itemgetter(*r) if len(r) > 1 else lambda seq, r=tuple(r): tuple(seq[z] for z in r)
-        for r in rows
-    ]
-
-
-def generated_monoid(n: int, gens: Sequence[tuple], cap: Optional[int] = None) -> set:
-    """The self-maps of range(n) generated by gens under composition, saturated
-    to a fixpoint.  Each frontier map f reads every generator g through one
-    row getter, giving h = g o f; more than cap maps is an internal error."""
-    identity = tuple(range(n))
+def generated_monoid(carrier, gens: Sequence[bytes], cap: Optional[int] = None) -> set:
+    """The self-maps of the carrier's ids generated by the tables gens under
+    composition, saturated to a fixpoint, as bytes tables.  Each frontier map
+    f is composed with every generator g, h = g o f = f.translate(g padded);
+    more than cap maps is an internal error."""
+    identity = bytes(range(carrier.n))
+    after = [translate_table(g) for g in gens]
     seen = {identity}
     frontier = [identity]
     while frontier:
         new = []
-        for through in row_getters(frontier):
-            for g in gens:
-                h = through(g)
+        for f in frontier:
+            for g in after:
+                h = f.translate(g)
                 if h not in seen:
                     seen.add(h)
                     new.append(h)
                     if cap is not None and len(seen) > cap:
-                        raise InternalCheckError("monoid saturation blew the cap")
+                        raise broken(carrier, "monoid saturation blew the cap")
         frontier = new
     return seen
 
@@ -410,22 +403,17 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     # Cross-validation: each equality below is a proposition about ordered
     # magmas, so a mismatch is a library bug.
     if near_prequantale != (pf.near_sup_complete and near_residuated):
-        raise InternalCheckError(
-            f"near-prequantale characterizations disagree on {m.name or m} ({n} elements)"
-        )
+        raise broken(m, "near-prequantale characterizations disagree")
     if prequantale != (pf.complete and residuated):
-        raise InternalCheckError(
-            f"prequantale characterizations disagree on {m.name or m} ({n} elements)"
-        )
+        raise broken(m, "prequantale characterizations disagree")
     if n <= EXHAUSTIVE_CAP:
         scan_np, scan_all = (
             _translations_preserve_existing_sups(m) if pf.near_sup_complete else (False, False)
         )
         if scan_np != near_prequantale or (pf.complete and scan_all) != prequantale:
             raise InternalCheckError(
-                f"subset-scan classification disagrees with pairwise on {m.name or m} "
-                f"({n} elements), first parting subset "
-                f"{_parting_subset(m, scan_np, near_prequantale)}"
+                f"subset-scan classification disagrees with pairwise on {carrier_label(m)}, "
+                f"first parting subset {_parting_subset(m, scan_np, near_prequantale)}"
             )
 
     profile = ClassificationProfile(
@@ -448,7 +436,7 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
         unital=unital,
         precoherent=True,
     )
-    check_profile_implications(profile, m.name)
+    check_profile_implications(profile, carrier_label(m))
     return profile
 
 
@@ -466,16 +454,14 @@ def check_profile_implications(profile: ClassificationProfile, name: str = ""):
 def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
     """xy = sup{ay : a in Sigma, a <= x} = sup{xb : b in Sigma, b <= y} for all x, y."""
     p, mul = m.poset, m.mul
-    smask = 0
-    for a in sigma:
-        smask |= 1 << a
+    smask = id_mask(sigma)
+    below = [list(bits(smask & down)) for down in p.down]
     for x, row in enumerate(mul):
-        below_x = list(bits(smask & p.down[x]))
         for y, target in enumerate(row):
             left = right = 0
-            for a in below_x:
+            for a in below[x]:
                 left |= 1 << mul[a][y]
-            for b in bits(smask & p.down[y]):
+            for b in below[y]:
                 right |= 1 << row[b]
             if p.sup_mask(left) != target or p.sup_mask(right) != target:
                 return False
@@ -497,7 +483,7 @@ def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
                 invertible.append(u)
                 break
     if not set(invertible) <= set(units):
-        raise InternalCheckError("Inv(M) not contained in U(M)")
+        raise broken(m, "Inv(M) not contained in U(M)")
     idem = [x for x in range(n) if m.op(x, x) == x]
     r_set = None if m.unit is None else tuple(x for x in idem if p.leq(m.unit, x))
     # Finite carriers: K(M) = M, trivially a submagma.
@@ -541,7 +527,8 @@ def adjoin_annihilator(m: OrderedMagma, label: str = "0") -> OrderedMagma:
 
 
 class MagmaMorphism:
-    """A verified structure-preserving map between two finite ordered magmas."""
+    """A verified structure-preserving map between two finite ordered magmas,
+    stored as a table of bytes, byte x the target id of the image of x."""
 
     def __init__(self, source: OrderedMagma, target: OrderedMagma, table: Sequence[int]):
         if len(table) != source.n:
@@ -549,13 +536,13 @@ class MagmaMorphism:
         target.poset.check_ids(table)
         self.source = source
         self.target = target
-        self.table = tuple(table)
+        self.table = bytes(table)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
 
     def is_order_preserving(self) -> bool:
-        return order_preserving(self.source.poset, bytes(self.table), self.target.poset)
+        return order_preserving(self.source.poset, self.table, self.target.poset)
 
     def is_magma_hom(self) -> bool:
         return all(
@@ -585,4 +572,5 @@ class MagmaMorphism:
     def compose(self, inner: "MagmaMorphism") -> "MagmaMorphism":
         if inner.target is not self.source and inner.target != self.source:
             raise StructureError("morphism composition mismatch")
-        return MagmaMorphism(inner.source, self.target, [self.table[x] for x in inner.table])
+        composed = inner.table.translate(translate_table(self.table))
+        return MagmaMorphism(inner.source, self.target, composed)

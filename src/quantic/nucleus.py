@@ -7,14 +7,14 @@ as an independent oracle.
 
 Ids are checked where they enter: MonotoneMap checks its table, and the
 public functions that take maps rely on that.  Inside the module, tables
-derived from a carrier's own tables are composed as tuples and read as
-bitmasks without a second check.
+derived from a carrier's own tables are composed and read as bitmasks
+without a second check.
 
-Closures and nuclei are decided over byte rows.  Carriers have at most
-ENUM_CAP = 64 <= 256 elements, so a table t is the bytes T = bytes(t), and
-_pad(T), T padded to 256 bytes, is a bytes.translate table:
-row.translate(_pad(T)) applies t to every entry of row in one C call.  One
-decision builds the n*n byte tables x*y*, x y*, x* y and
+A map table is bytes, one byte per id: carriers have at most
+ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
+a bytes.translate table, so row.translate(_pad(T)) applies T to every entry
+of row in one C call, and g o f is f.translate(_pad(g)).  One decision
+builds the n*n byte tables x*y*, x y*, x* y and
 (xy)* = m.flat.translate(_pad(T)) from the carrier's own product rows.  An
 equation is one bytes comparison, and an order condition reads one byte of
 the 0/1 order rows up_rows[a] per pair.
@@ -38,9 +38,9 @@ from .errors import (
     NoUnit,
     StructureError,
 )
-from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, row_getters
-from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, order_preserving, subset_walk
-from .poset import carrier_label as _label, translate_table as _pad
+from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
+from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask, order_preserving
+from .poset import broken as _broken, carrier_label as _label, subset_walk, translate_table as _pad
 
 # Image-set enumeration walks all 2**n candidate subsets.
 ENUMERATION_CAP = 16
@@ -55,7 +55,8 @@ def poset_of(carrier) -> FinitePoset:
 
 
 class MonotoneMap:
-    """A self-map of a finite carrier, stored as a dense table.
+    """A self-map of a finite carrier, stored as a dense table of bytes,
+    byte x the id of the image of x.
 
     Equality and ordering are pointwise on tables; instances are immutable and
     hashable so nucleus lattices can be built on top of them.
@@ -67,18 +68,18 @@ class MonotoneMap:
             raise StructureError("map table length does not match carrier")
         p.check_ids(table)
         self.carrier = carrier
-        self.table = tuple(table)
+        self.table = bytes(table)
 
     @classmethod
     def identity(cls, carrier) -> "MonotoneMap":
-        return cls(carrier, tuple(range(poset_of(carrier).n)))
+        return cls(carrier, range(poset_of(carrier).n))
 
     @classmethod
     def top_map(cls, carrier) -> "MonotoneMap":
         p = poset_of(carrier)
         if p.top is None:
             raise HypothesisNotMet("top map needs a bounded-above carrier")
-        return cls(carrier, tuple(p.top for _ in range(p.n)))
+        return cls(carrier, bytes([p.top]) * p.n)
 
     @property
     def poset(self) -> FinitePoset:
@@ -97,31 +98,24 @@ class MonotoneMap:
         return all_below(self.poset, self.table, other.table)
 
     def __repr__(self):
-        return f"MonotoneMap{self.table}"
+        return f"MonotoneMap{tuple(self.table)}"
 
     def image_mask(self) -> int:
-        out = 0
-        for t in self.table:
-            out |= 1 << t
-        return out
+        return id_mask(self.table)
 
     def image(self) -> list:
         return sorted(set(self.table))
 
     def fixed_mask(self) -> int:
-        out = 0
-        for x, t in enumerate(self.table):
-            if x == t:
-                out |= 1 << x
-        return out
+        return id_mask(x for x, t in enumerate(self.table) if x == t)
 
     @property
     def is_order_preserving(self) -> bool:
-        return order_preserving(self.poset, bytes(self.table))
+        return order_preserving(self.poset, self.table)
 
     @property
     def is_preclosure(self) -> bool:
-        t = bytes(self.table)
+        t = self.table
         return _expansive(self.poset, t) and order_preserving(self.poset, t)
 
 
@@ -133,18 +127,18 @@ def is_closure(s: MonotoneMap) -> bool:
 
 
 def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
-    t = bytes(s.table)
+    t = s.table
     three_part = _three_part(p, t)
     single = _closure_single_axiom(p, t)
     if three_part != single:
         raise InternalCheckError(
-            f"closure characterizations disagree on {_label(s.carrier)} at {s.table}: "
+            f"closure characterizations disagree on {_label(s.carrier)} at {tuple(s.table)}: "
             f"three-part {three_part}, single axiom {single}"
         )
     return three_part
 
 
-# -- byte-row kernels (see the module docstring); t is a table as bytes ---------
+# -- byte-row kernels (see the module docstring); t is a map table ---------------
 
 
 def _expansive(p: FinitePoset, t: bytes) -> bool:
@@ -188,7 +182,7 @@ def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bo
     c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)*, c3 the one-sided forms."""
     if not is_closure(s):
         return False, False, False
-    t = bytes(s.table)
+    t = s.table
     star, x_ts, t_xs, tt = _products(m, t)
     p = m.poset
     return (
@@ -206,7 +200,7 @@ def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, b
     first u with each row, and form 3 says x <= x* and pre[xy] <= pre[x* y*],
     reading the rows as masks, for all x, y.
     """
-    t = bytes(s.table)
+    t = s.table
     pre = _preimage_rows(m.poset, t)
     _, x_ts, t_xs, tt = _products(m, t)
     flat = m.flat
@@ -229,13 +223,13 @@ def _decide_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     c1, c2, c3 = _nucleus_conditions(m, s)
     if not (c1 == c2 == c3):
         raise InternalCheckError(
-            f"nucleus characterizations disagree on {_label(m)} at {s.table}: {(c1, c2, c3)}"
+            f"nucleus characterizations disagree on {_label(m)} at {tuple(s.table)}: {(c1, c2, c3)}"
         )
     if m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital):
         u2, u3 = _unital_selfmap_conditions(m, s)
         if not (c1 == u2 == u3):
             raise InternalCheckError(
-                f"unital single-axiom nucleus forms disagree on {_label(m)} at {s.table}: "
+                f"unital single-axiom nucleus forms disagree on {_label(m)} at {tuple(s.table)}: "
                 f"{(c1, u2, u3)}"
             )
     return c1
@@ -251,10 +245,6 @@ def _on_carrier(carrier, key: tuple, build, *args):
     return memo[key]
 
 
-def _broken(carrier, what: str) -> InternalCheckError:
-    return InternalCheckError(f"{what} on {_label(carrier)}")
-
-
 def _one_sided_unital(m: OrderedMagma) -> bool:
     identity = bytes(range(m.n))
     return identity in m.mul or identity in m.cols
@@ -264,7 +254,7 @@ def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     """A nucleus with x* y* == (xy)* for all x, y."""
     if not is_nucleus(m, s):
         return False
-    star, _, _, tt = _products(m, bytes(s.table))
+    star, _, _, tt = _products(m, s.table)
     return tt == star
 
 
@@ -272,7 +262,7 @@ def transportable_mask(m: OrderedMagma, s: MonotoneMap) -> int:
     """T*(M): elements a with (ax)* = a x* and (xa)* = x* a for all x, that
     is row a of (xy)* equal to row a of x y*, and column a to column a of x* y."""
     n = m.n
-    star, x_ts, t_xs, _ = _products(m, bytes(s.table))
+    star, x_ts, t_xs, _ = _products(m, s.table)
     return sum(
         1 << a
         for a in range(n)
@@ -295,9 +285,9 @@ def closure_from_preclosure(s: MonotoneMap) -> MonotoneMap:
     if not s.is_preclosure:
         raise HypothesisNotMet("closure_from_preclosure requires a preclosure")
     p = s.poset
-    table = list(s.table)
+    table, after = s.table, _pad(s.table)
     for _ in range(p.n + 1):
-        new = [s.table[x] for x in table]
+        new = table.translate(after)
         if new == table:
             break
         table = new
@@ -313,7 +303,7 @@ def closure_from_preclosure(s: MonotoneMap) -> MonotoneMap:
     if isinstance(s.carrier, OrderedMagma):
         m = s.carrier
         if m.profile.near_residuated:
-            hull, x_ts, t_xs, _ = _products(m, bytes(s.table))
+            hull, x_ts, t_xs, _ = _products(m, s.table)
             if _one_sided_compat(p, hull, x_ts, t_xs) and not is_nucleus(m, star):
                 raise _broken(m, "multiplicative preclosure hull failed nucleus check")
     return star
@@ -402,9 +392,7 @@ def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
         raise CarrierTooLarge(
             f"closure enumeration capped at {ENUMERATION_CAP} elements, refused on {_label(carrier)}"
         )
-    required = 0
-    for mx in p.maximal_elements():
-        required |= 1 << mx
+    required = id_mask(p.maximal_elements())
     out = []
     for c in range(1 << p.n):
         if c & required == required:
@@ -415,16 +403,17 @@ def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
     return tuple(out)
 
 
-def _least_above(p: FinitePoset, c: int) -> Optional[list]:
+def _least_above(p: FinitePoset, c: int) -> Optional[bytes]:
     """x -> the least element of the subset c above x, for every x: the
-    closure whose image is c; None when some x has no such least element."""
+    closure whose image is c, as a table; None when some x has no such least
+    element."""
     table = []
     for upx in p.up:
         least = p.least_of(c & upx)
         if least is None:
             return None
         table.append(least)
-    return table
+    return bytes(table)
 
 
 def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
@@ -474,8 +463,8 @@ def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
         if by_images != by_filter:
             raise InternalCheckError(
                 f"image-set and filter nucleus enumerations disagree on {_label(m)}: "
-                f"image-set only {sorted(by_images - by_filter)}, "
-                f"filter only {sorted(by_filter - by_images)}"
+                f"image-set only {sorted(map(tuple, by_images - by_filter))}, "
+                f"filter only {sorted(map(tuple, by_filter - by_images))}"
             )
     return tuple(filtered)
 
@@ -489,7 +478,7 @@ def _nuclei_by_image_sets(m: OrderedMagma, closures: List[MonotoneMap]) -> List[
 def _residual_masks(m: OrderedMagma) -> List[int]:
     """residual_masks[x]: every residual x/a and a\\x there is, as a mask."""
     return [
-        sum({1 << side for r in row for side in (r.left, r.right) if side is not None})
+        id_mask(side for r in row for side in (r.left, r.right) if side is not None)
         for row in m.residuals.at
     ]
 
@@ -659,10 +648,11 @@ def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
         raise HypothesisNotMet("induced_lower requires a nucleus on the submagma")
     p = m.poset
     star_on_parent = {x: n_sub.members[s.table[n_sub.to_sub[x]]] for x in n_sub.members}
-    good = 0
-    for y in range(m.n):
-        if all(p.leq(star_on_parent[z], y) for z in n_sub.members if p.leq(z, y)):
-            good |= 1 << y
+    good = id_mask(
+        y
+        for y in range(m.n)
+        if all(p.leq(star_on_parent[z], y) for z in n_sub.members if p.leq(z, y))
+    )
     table = _least_above(p, good)
     if table is None:
         raise _broken(m, "induced-nucleus fiber has no least element")
@@ -678,7 +668,7 @@ def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
 def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneMap:
     """Coarsest nucleus restricting to s on a saturated downward-closed submagma."""
     p = m.poset
-    mmask = sum(1 << x for x in n_sub.members)
+    mmask = id_mask(n_sub.members)
     if not p.is_downward_closed(mmask):
         raise HypothesisNotMet("submagma is not downward closed")
     ann = m.annihilator
@@ -715,11 +705,7 @@ def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
 def r_set_mask(m: OrderedMagma) -> int:
     if m.unit is None:
         raise NoUnit("R(M) needs a unit")
-    out = 0
-    for x in range(m.n):
-        if m.op(x, x) == x and m.leq(m.unit, x):
-            out |= 1 << x
-    return out
+    return id_mask(x for x in range(m.n) if m.op(x, x) == x and m.leq(m.unit, x))
 
 
 def d_map(m: OrderedMagma, a: int) -> MonotoneMap:
@@ -729,7 +715,7 @@ def d_map(m: OrderedMagma, a: int) -> MonotoneMap:
         raise HypothesisNotMet("d_map needs an ordered commutative monoid")
     if not ((r_set_mask(m) >> a) & 1):
         raise HypothesisNotMet("d_map needs an idempotent element above the unit")
-    s = MonotoneMap(m, tuple(m.op(x, a) for x in range(m.n)))
+    s = MonotoneMap(m, m.cols[a])
     if not is_strict_nucleus(m, s):
         raise _broken(m, "translation by an idempotent above 1 must be a strict nucleus")
     return s
@@ -760,7 +746,7 @@ def one_bracket(q: OrderedMagma, x: int) -> int:
         if cur in powers:
             break
         powers.add(cur)
-    v = p.sup_mask(sum(1 << y for y in powers))
+    v = p.sup_mask(id_mask(powers))
     if v is None:
         raise _broken(q, "power supremum missing on a near-sup-complete carrier")
     rmask = r_set_mask(q)
@@ -818,8 +804,9 @@ def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
                 if joins[i][j] != mul[i][j]:
                     raise InternalCheckError(
                         f"N(M) join table disagrees with the join formula on {_label(m)}: "
-                        f"{maps[i].table} v {maps[j].table} is {maps[joins[i][j]].table} by "
-                        f"the formula, {maps[mul[i][j]].table} by the table"
+                        f"{tuple(maps[i].table)} v {tuple(maps[j].table)} is "
+                        f"{tuple(maps[joins[i][j]].table)} by the formula, "
+                        f"{tuple(maps[mul[i][j]].table)} by the table"
                     )
     return NucleusLattice(m, maps, magma)
 
@@ -856,7 +843,7 @@ def _pair_table(m: OrderedMagma, combine) -> list:
             if got not in index:
                 raise InternalCheckError(
                     f"{combine.__name__} of two nuclei on {_label(m)} is not enumerated: "
-                    f"{s.table}, {maps[j].table} give {got}"
+                    f"{tuple(s.table)}, {tuple(maps[j].table)} give {tuple(got)}"
                 )
             out[i][j] = out[j][i] = index[got]
     return out
@@ -920,13 +907,10 @@ def _assert_level_structure(lat: NucleusLattice):
 
 
 def _d_embedding_is_iso(lower: NucleusLattice, upper: NucleusLattice) -> bool:
-    """d_-: N^n -> N^(n+1), a ->  (x -> x v a); iso exactly when surjective."""
+    """d_-: N^n -> N^(n+1), a ->  (x -> x v a); iso exactly when surjective.
+    The product of N^n is its join, so d_a is column a of the product."""
     nm = lower.magma
-    p = nm.poset
-    images = []
-    for a in range(nm.n):
-        table = tuple(p.join(x, a) for x in range(nm.n))
-        images.append(table)
+    images = nm.cols
     upper_tables = {s.table for s in upper.maps}
     for t in images:
         if t not in upper_tables:
@@ -949,9 +933,10 @@ def certified_composition(
         if not is_nucleus(m, s):
             raise HypothesisNotMet("certified_composition requires nuclei")
     p = m.poset
-    # a applies s2 first and b applies s1 first; after1(f) is f o s1.
-    after1, after2 = row_getters([s1.table, s2.table])
+    # a applies s2 first and b applies s1 first; each step applies the
+    # other map after each, g o a = a.translate(_pad(g)).
     a, b = s2.table, s1.table
+    then_a, then_b = _pad(s1.table), _pad(s2.table)
     for n in range(1, COMPOSITION_BOUND + 1):
         cand = a if all_below(p, b, a) else b if all_below(p, a, b) else None
         if cand is not None:
@@ -959,5 +944,5 @@ def certified_composition(
             if not is_nucleus(m, out):
                 raise _broken(m, "certified composition is not a nucleus")
             return n, out
-        a, b = after2(b), after1(a)
+        a, b, then_a, then_b = a.translate(then_a), b.translate(then_b), then_b, then_a
     return None

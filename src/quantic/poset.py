@@ -17,6 +17,7 @@ x < y are kept as bytes, so the nucleus kernels decide order conditions and
 compose tables with bytes.translate, one C call per row.  all_below and
 order_preserving are the one order kernel: maps, morphisms, automorphism
 tests and the order-compatibility of a product are decided through them.
+A set of ids becomes a bitmask through id_mask.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def translate_table(row: bytes) -> bytes:
     return row.ljust(256, b"\0")
 
 
+def id_mask(ids: Iterable[int]) -> int:
+    """The bitmask of the ids; an id may repeat."""
+    mask = 0
+    for x in ids:
+        mask |= 1 << x
+    return mask
+
+
 # _BYTE_BITS[b]: the eight bits of the byte b, lowest first, as 0/1 bytes.
 _BYTE_BITS = tuple(bytes(b >> i & 1 for i in range(8)) for b in range(256))
 
@@ -61,8 +70,8 @@ def mask_row(mask: int, n: int) -> bytes:
 
 
 def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
-    """lo[i] <= hi[i] in p for every i, for two id sequences (bytes or tuples,
-    such as two map tables): one byte of the order rows per pair."""
+    """lo[i] <= hi[i] in p for every i, for two id sequences (such as two map
+    tables): one byte of the order rows per pair."""
     return all(map(getitem, map(p.up_rows.__getitem__, lo), hi))
 
 
@@ -77,6 +86,11 @@ def carrier_label(carrier) -> str:
     """The carrier's name, or its type when it has none, and its size."""
     name = getattr(carrier, "name", "") or type(carrier).__name__
     return f"{name} ({carrier.n} elements)"
+
+
+def broken(carrier, what: str) -> InternalCheckError:
+    """An internal-check failure: what broke, on which carrier."""
+    return InternalCheckError(f"{what} on {carrier_label(carrier)}")
 
 
 def transpose(rows: Sequence[int], n: int) -> list:
@@ -220,10 +234,7 @@ class FinitePoset:
     def mask_of(self, xs: Iterable[int]) -> int:
         xs = tuple(xs)
         self.check_ids(xs)
-        mask = 0
-        for x in xs:
-            mask |= 1 << x
-        return mask
+        return id_mask(xs)
 
     @property
     def universe(self) -> int:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
-from .magma import OrderedMagma, row_getters
+from .magma import OrderedMagma
 from .nucleus import MonotoneMap, closure_from_preclosure, is_nucleus
-from .poset import FinitePoset, bits, translate_table
+from .poset import FinitePoset, bits, id_mask, translate_table
 
 # Every element is one byte, and a table row padded with zeros to 256 bytes
 # is a bytes.translate table: the byte-row law check needs n <= 256.
@@ -27,7 +27,6 @@ RING_SIZE_CAP = 256
 # field of order at least the bound is over RING_SIZE_CAP on its own.
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
-_BIT = [1 << x for x in range(RING_SIZE_CAP)]
 
 
 def _label(name: str, n) -> str:
@@ -239,8 +238,7 @@ class RingIdealLattice:
 def _additive_span(ring: FiniteRing, gens) -> int:
     """The additive subgroup generated by the elements gens, one generator at a
     time: span + <g> is the union of the translates of span by 0, g, 2g, ...
-    up to the first multiple of g already in span.  The translates are
-    disjoint, so the mask is the sum of their bits."""
+    up to the first multiple of g already in span."""
     add = ring.add
     members = bytes([ring.zero])
     span = {ring.zero}
@@ -253,12 +251,7 @@ def _additive_span(ring: FiniteRing, gens) -> int:
             members += coset
             span.update(coset)
             shift = add[shift][g]
-    return _mask(members)
-
-
-def _mask(distinct) -> int:
-    """The bitmask of distinct elements."""
-    return sum(map(_BIT.__getitem__, distinct))
+    return id_mask(span)
 
 
 def _ideal_generated(ring: FiniteRing, gens) -> int:
@@ -274,7 +267,7 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     # The ideal generated by base and x is base + Rx, so each ideal is
     # extended by the distinct principal ideals only.  Rx is row x of the
     # multiplication table, already an additive subgroup by distributivity.
-    principal = [_mask(set(row)) for row in ring.mul]
+    principal = [id_mask(row) for row in ring.mul]
     zero_ideal = 1 << ring.zero
     found = {zero_ideal}
     frontier = [zero_ideal]
@@ -292,13 +285,15 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     labels = [_minimal_generating_label(ring, principal, m) for m in ideals]
     poset = FinitePoset(leq_rows, labels)
     # I*J is the additive span of { xy : x in I, y in J }; the products of
-    # one x are row x of the multiplication table read at the members of J.
-    members = [list(bits(m)) for m in ideals]
-    read_at = row_getters(members)
+    # one x are the members of J read through row x of the multiplication
+    # table, one bytes.translate.
+    members = [bytes(bits(m)) for m in ideals]
+    through = [translate_table(row) for row in ring.mul]
     mul = []
     for a in members:
-        rows = [ring.mul[x] for x in a]
-        mul.append([index[_additive_span(ring, set().union(*map(read, rows)))] for read in read_at])
+        rows = [through[x] for x in a]
+        spans = (_additive_span(ring, set(b"".join(map(b.translate, rows)))) for b in members)
+        mul.append([index[span] for span in spans])
     magma = OrderedMagma(poset, mul, name=f"I({ring.name})" if ring.name else "I(R)")
     if not magma.profile.multiplicative_lattice:
         raise _broken(ring, "an ideal lattice must be a multiplicative lattice")

@@ -66,7 +66,7 @@ from .nucleus import (
     transportable_mask,
     unit_part,
 )
-from .poset import bits, carrier_label, transpose
+from .poset import bits, carrier_label, id_mask, transpose
 
 SAMPLE_MAPS = 400
 # structure2 and maintheorem build N(M) and the ideal completion up to this size.
@@ -187,7 +187,7 @@ def _check_closureprop2(m: OrderedMagma):
             for x in range(m.n)
         )
         if direct != via_sigma:
-            return _fail(f"sup-spanning criterion missed closure {s.table}")
+            return _fail(f"sup-spanning criterion missed closure {tuple(s.table)}")
     return _ok(f"sigma of size {len(sigma)}")
 
 
@@ -198,7 +198,7 @@ def _check_closureprop3(m: OrderedMagma):
     for s in maps:
         tmask = transportable_mask(m, s)
         if any(not ((tmask >> u) & 1) for u in inv):
-            return _fail(f"invertible element not transportable through {s.table}")
+            return _fail(f"invertible element not transportable through {tuple(s.table)}")
     return _ok(f"|Inv| = {len(inv)}")
 
 
@@ -207,7 +207,7 @@ def _check_joinspan(m: OrderedMagma):
     for s in enumerate_closures(m):
         tmask = transportable_mask(m, s)
         if is_sup_spanning(m, list(bits(tmask))) and not is_nucleus(m, s):
-            return _fail(f"closure {s.table} has sup-spanning transportables but no nucleus")
+            return _fail(f"closure {tuple(s.table)} has sup-spanning transportables but no nucleus")
     return _ok()
 
 
@@ -258,7 +258,7 @@ def _check_supremark(m: OrderedMagma):
         f = MagmaMorphism(m, q.magma, table)
         recovered = nucleus_of_morphism(f)
         if recovered.table != s.table:
-            return _fail(f"nucleus of its own corestriction is not itself: {s.table}")
+            return _fail(f"nucleus of its own corestriction is not itself: {tuple(s.table)}")
     return _ok()
 
 
@@ -434,12 +434,9 @@ def _check_nf(m: OrderedMagma):
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
             joined = maps[joins[i][j]].table
-            monoid = generated_monoid(m.n, (s.table, maps[j].table))
+            monoid = generated_monoid(m, (s.table, maps[j].table))
             for x, images in enumerate(zip(*monoid)):
-                mask = 0
-                for fx in images:
-                    mask |= 1 << fx
-                if sup_mask(mask) != joined[x]:
+                if sup_mask(id_mask(images)) != joined[x]:
                     return _fail("composition-monoid supremum misses the join")
     return _ok()
 

@@ -83,15 +83,15 @@ def test_criterion_2_nucleus_lattice_of_z4(z4):
     maps = enumerate_nuclei(m)
     assert [s.table for s in maps] == [s.table for s in oracle]
     d, radical, e = (0, 1, 2), (1, 1, 2), (2, 2, 2)
-    assert [s.table for s in maps] == [d, radical, e]
+    assert [tuple(s.table) for s in maps] == [d, radical, e]
     # the explicit 3-chain d < radical < e
-    by_table = {s.table: s for s in maps}
+    by_table = {tuple(s.table): s for s in maps}
     order = [d, radical, e]
     for i, a in enumerate(order):
         for j, b in enumerate(order):
             lo, hi = order[min(i, j)], order[max(i, j)]
-            assert nuclei_meet(m, [by_table[a], by_table[b]]).table == lo
-            assert nuclei_join(m, [by_table[a], by_table[b]]).table == hi
+            assert tuple(nuclei_meet(m, [by_table[a], by_table[b]]).table) == lo
+            assert tuple(nuclei_join(m, [by_table[a], by_table[b]]).table) == hi
     # every family: the join image is the intersection of images
     import itertools
 

@@ -33,8 +33,8 @@ class TestDivisorialClosure:
 
     def test_z4_radical_and_identity(self, z4):
         m = z4.magma
-        assert v(m, 1).table == (1, 1, 2)
-        assert v(m, 0).table == (0, 1, 2)
+        assert tuple(v(m, 1).table) == (1, 1, 2)
+        assert tuple(v(m, 0).table) == (0, 1, 2)
 
     def test_fixes_element_and_is_coarsest(self, corpus):
         for name in ["ideals-z6", "powerset-z2", "diamond-meet", "chain3-join"]:
@@ -65,7 +65,7 @@ class TestDivisorialClosure:
         sandwiches = {
             tuple(m.op(m.op(r, x), s) for x in range(m.n)) for r in range(m.n) for s in range(m.n)
         }
-        assert set(fns) == sandwiches
+        assert set(map(tuple, fns)) == sandwiches
 
 
     def test_a_strategy_disagreement_names_the_carrier_and_its_size(self, z4, monkeypatch):

@@ -117,7 +117,7 @@ class TestMorphismFunctors:
         two = join_magma(FinitePoset.chain(2), "two")
         g = MagmaMorphism(two, two, [0, 1])
         ig = idl_of_morphism(g)
-        assert ig.table == tuple(range(ig.source.n))
+        assert tuple(ig.table) == tuple(range(ig.source.n))
 
     def test_inclusion_induces_ideal_map(self):
         two, three, g = self.two_three()
@@ -152,3 +152,14 @@ class TestMorphismFunctors:
         broken = MagmaMorphism(two, three, [1, 0])
         with pytest.raises(NotAMorphism):
             verify_morphism_ms(broken)
+
+
+def test_internal_checks_name_the_carrier_and_its_size(monkeypatch):
+    from quantic import idl as idl_module
+    from quantic.errors import InternalCheckError
+
+    m = join_magma(FinitePoset.chain(3), name="chain3")
+    monkeypatch.setattr(idl_module, "down_closure_mask", lambda p, xmask: p.universe)
+    with pytest.raises(InternalCheckError, match="down closure is not the smallest") as info:
+        down_closure(m, [0])
+    assert "on chain3 (3 elements)" in str(info.value)

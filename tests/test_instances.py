@@ -233,9 +233,9 @@ class TestRings:
 
     def test_radical_examples(self, rings):
         rad4 = radical_operation(rings["z4"])
-        assert rad4.table == (1, 1, 2)
+        assert tuple(rad4.table) == (1, 1, 2)
         rad6 = radical_operation(rings["z6"])
-        assert rad6.table == tuple(range(4))
+        assert tuple(rad6.table) == tuple(range(4))
         for lat in rings.values():
             rad = radical_operation(lat)
             top = lat.magma.poset.top
@@ -333,3 +333,15 @@ class TestUpsetsQuantale:
         unit = UPSet.from_finite([0])
         assert all(u.op(unit, a) == a for a in xs)
         assert all(u.op(UPSet.empty(), a).is_empty() for a in xs)
+
+
+def test_internal_checks_name_the_carrier_and_its_size(monkeypatch):
+    from quantic import instances
+    from quantic.errors import InternalCheckError
+
+    sys = module_system_lattice(cyclic_group(2))
+    r = next(r for r in enumerate_nuclei(sys.magma) if r.table[sys.empty_set] == sys.zero_singleton)
+    monkeypatch.setattr(instances, "is_nucleus", lambda m, s: not is_nucleus(m, s))
+    with pytest.raises(InternalCheckError, match="module systems must be the nuclei") as info:
+        is_module_system(sys, r)
+    assert "on 2^(G0:2) (8 elements)" in str(info.value)

@@ -27,7 +27,6 @@ from quantic.magma import (
     _distributes_over_finite_nonempty,
     _translations_preserve_existing_sups,
     distinguished_sets,
-    row_getters,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
 from quantic.poset import FinitePoset, bits, order_preserving, ub_scan_sup
@@ -340,7 +339,7 @@ def assert_row_laws_match(m, seen=None):
     assert kernels == facts, (m.name, m.mul)
     law = _distributes_over_finite_nonempty(m)
     assert law == distributes_loop(m), (m.name, m.mul)
-    assert lin_monoid(m) == lin_monoid_loop(m), (m.name, m.mul)
+    assert [tuple(f) for f in lin_monoid(m)] == lin_monoid_loop(m), (m.name, m.mul)
     if seen is not None:
         seen.add(law)
     return facts
@@ -626,10 +625,42 @@ def test_certified_composition_matches_plain_tables(corpus):
                 expected = certified_composition_loop(
                     m, s.table, t.table, nucleus.COMPOSITION_BOUND
                 )
-                assert (found and (found[0], found[1].table)) == expected, (name, s, t)
+                assert (found and (found[0], tuple(found[1].table))) == expected, (name, s, t)
                 certified += found is not None and found[0] > 1
     # Some pairs need more than one alternation.
     assert certified
+
+
+def preclosure_hull_loop(t):
+    """Each element's orbit under t, followed one element at a time until it
+    stops: on a finite carrier the closure generated by the preclosure t."""
+    hull = []
+    for x in range(len(t)):
+        while t[x] != x:
+            x = t[x]
+        hull.append(x)
+    return tuple(hull)
+
+
+def test_composition_and_preclosure_hull_match_element_loops(corpus):
+    rng = random.Random(5)
+    moved = 0
+    for name, m in corpus.items():
+        n = m.n
+        for _ in range(20):
+            f, g = ([rng.randrange(n) for _ in range(n)] for _ in range(2))
+            composed = MagmaMorphism(m, m, g).compose(MagmaMorphism(m, m, f))
+            assert tuple(composed.table) == tuple(g[f[x]] for x in range(n)), name
+        closures = enumerate_closures(m)[:12]
+        for a in closures:
+            for b in closures:
+                # b o a is expansive and order preserving, so a preclosure.
+                pre = MonotoneMap(m, [b.table[a.table[x]] for x in range(n)])
+                hull = nucleus.closure_from_preclosure(pre)
+                assert tuple(hull.table) == preclosure_hull_loop(pre.table), (name, pre)
+                moved += hull != pre
+    # Some preclosures need more than one step.
+    assert moved
 
 
 # -- residuals, nucleus image sets and seeded draws --------------------------------------
@@ -794,7 +825,7 @@ def test_sampled_maps_are_the_randrange_tables(corpus):
     for m in corpus.values():
         rng = random.Random(verify.SEED + m.n)
         expected = [tuple(rng.randrange(m.n) for _ in range(m.n)) for _ in range(verify.SAMPLE_MAPS)]
-        assert [s.table for s in verify._random_maps(m)] == expected, m.name
+        assert [tuple(s.table) for s in verify._random_maps(m)] == expected, m.name
 
 
 # -- the rings layer --------------------------------------------------------------------
@@ -815,13 +846,17 @@ def ring_laws_loop(add, mul, zero, one):
         for y in range(n):
             if add[x][y] != add[y][x] or mul[x][y] != mul[y][x]:
                 return "ring is not commutative", f"(x, y) = ({x}, {y})"
-    plus, times = row_getters(add), row_getters(mul)
-    for x, (ax, mx, by_x) in enumerate(zip(add, mul, times)):
+
+    def read(row, at):
+        """row read at every entry of at: the composition row o at, as a tuple."""
+        return tuple(row[z] for z in at)
+
+    for x, (ax, mx) in enumerate(zip(add, mul)):
         for y in range(n):
             for law, lhs, rhs in (
-                ("addition not associative", add[ax[y]], plus[y](ax)),
-                ("multiplication not associative", mul[mx[y]], times[y](mx)),
-                ("distributivity fails", plus[y](mx), by_x(add[mx[y]])),
+                ("addition not associative", add[ax[y]], read(ax, add[y])),
+                ("multiplication not associative", mul[mx[y]], read(mx, mul[y])),
+                ("distributivity fails", read(mx, add[y]), read(add[mx[y]], mul[x])),
             ):
                 if lhs != rhs:
                     z = next(z for z in range(n) if lhs[z] != rhs[z])

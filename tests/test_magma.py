@@ -195,3 +195,16 @@ def test_a_broken_residual_names_the_carrier_its_size_and_the_triple():
     with pytest.raises(InternalCheckError, match="residual adjunction violated on the left") as info:
         m.residuals
     assert "chain3 (3 elements): (x, a, residual) = (0, 1, 2)" in str(info.value)
+
+
+def test_internal_checks_name_the_carrier_and_its_size(monkeypatch):
+    m = join_magma(FinitePoset.chain(3), name="chain3")
+    law = magma._distributes_over_finite_nonempty
+    monkeypatch.setattr(magma, "_distributes_over_finite_nonempty", lambda m: not law(m))
+    with pytest.raises(InternalCheckError, match="near-prequantale characterizations disagree") as info:
+        m.profile
+    assert "on chain3 (3 elements)" in str(info.value)
+    monkeypatch.undo()
+    with pytest.raises(InternalCheckError, match="monoid saturation blew the cap") as info:
+        magma.generated_monoid(m, m.translations(), cap=1)
+    assert "on chain3 (3 elements)" in str(info.value)

@@ -1,7 +1,7 @@
 import pytest
 
 from quantic import nucleus
-from quantic.errors import HypothesisNotMet, InternalCheckError
+from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
 from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import (
     MonotoneMap,
@@ -94,7 +94,7 @@ class TestPreclosureHull:
         m = join_magma(p)
         pre = MonotoneMap(m, (1, 2, 2, 3))
         star = closure_from_preclosure(pre)
-        assert star.table == (2, 2, 2, 3)
+        assert tuple(star.table) == (2, 2, 2, 3)
 
     def test_closure_fixed(self, z4):
         m = z4.magma
@@ -120,7 +120,7 @@ class TestEnumeration:
 
     def test_z4_nuclei(self, z4):
         maps = enumerate_nuclei(z4.magma)
-        assert [s.table for s in maps] == [(0, 1, 2), (1, 1, 2), (2, 2, 2)]
+        assert [tuple(s.table) for s in maps] == [(0, 1, 2), (1, 1, 2), (2, 2, 2)]
 
     def test_two_element_lattice(self, corpus):
         assert len(enumerate_nuclei(corpus["ideals-z2"])) == 2
@@ -234,7 +234,7 @@ class TestInduced:
         sub = Submagma.of(m, range(m.n))
         rad = MonotoneMap(sub.magma, (1, 1, 2))
         out = induced_lower(m, sub, rad)
-        assert out.table == (1, 1, 2)
+        assert tuple(out.table) == (1, 1, 2)
 
     def test_induced_lower_is_finest_extension(self, corpus):
         m = corpus["powerset-z2"]
@@ -257,7 +257,7 @@ class TestInduced:
         m = z4.magma
         sub = Submagma.of(m, range(m.n))
         rad = MonotoneMap(sub.magma, (1, 1, 2))
-        assert induced_upper(m, sub, rad).table == (1, 1, 2)
+        assert tuple(induced_upper(m, sub, rad).table) == (1, 1, 2)
 
     def test_induced_upper_rejects_unsaturated(self, corpus):
         m = corpus["modsys-z2"]  # 2^(G_0) for G = Z/2
@@ -284,7 +284,7 @@ class TestGalois:
     def test_three_chain_join_translation(self):
         m = join_magma(FinitePoset.chain(3))
         s = d_map(m, 1)
-        assert s.table == (1, 1, 2)
+        assert tuple(s.table) == (1, 1, 2)
 
     def test_powerset_group_d_map(self, corpus):
         m = corpus["powerset-z2"]
@@ -431,3 +431,69 @@ def test_a_quotient_is_built_once_and_read_only(z4):
     assert quotient(m, MonotoneMap(m, s.table)) is q
     with pytest.raises(TypeError):
         q.to_quotient[0] = 0
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "element id True is not an integer"),
+        (-1, "element id -1 foreign to carrier of size 3"),
+        (3, "element id 3 foreign to carrier of size 3"),
+        (256, "element id 256 foreign to carrier of size 3"),
+    ],
+    ids=["true", "minus-one", "n", "256"],
+)
+def test_map_and_morphism_tables_refuse_foreign_ids(z4, bad, message):
+    # bytes() alone would store True as 1 and raise ValueError on 256.
+    m = z4.magma
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        MonotoneMap(m, [bad, 1, 2])
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        MagmaMorphism(m, m, [0, bad, 2])
+
+
+def test_every_map_the_library_returns_is_one_byte_table(corpus, rings):
+    from quantic.divisorial import lin_monoid, stable_closure, v_lin, v_residual, v_rs, v_units
+    from quantic.finitary import star_f
+    from quantic.rings import radical_operation
+
+    seen = set()
+
+    def check(what, n, make):
+        try:
+            table = make()
+        except HypothesisNotMet:
+            return
+        table = getattr(table, "table", table)
+        assert type(table) is bytes and len(table) == n, what
+        seen.add(what)
+
+    strategies = (v_lin, v_rs, v_residual, v_units)
+    for name, m in corpus.items():
+        n = m.n
+        for s in enumerate_closures(m):
+            check("closure", n, lambda: s)
+        maps = enumerate_nuclei(m)
+        for s, t in zip(maps, maps[1:] + maps[:1]):
+            check("nucleus", n, lambda: s)
+            check("meet", n, lambda: nuclei_meet(m, [s, t]))
+            check("join", n, lambda: nuclei_join(m, [s, t]))
+            found = certified_composition(m, s, t)
+            if found is not None:
+                check("certified composition", n, lambda: found[1])
+            check("stable closure", n, lambda: stable_closure(m, s))
+            check("star_f", n, lambda: star_f(m, s))
+        for a in range(n):
+            for strategy in strategies:
+                check(strategy.__name__, n, lambda: strategy(m, a))
+        check("1[-]", n, lambda: one_bracket_map(m))
+        f = MagmaMorphism(m, m, range(n))
+        check("compose", n, lambda: f.compose(f))
+        for g in lin_monoid(m):
+            check("lin monoid", n, lambda: g)
+    for lat in rings.values():
+        check("radical", lat.magma.n, lambda: radical_operation(lat))
+    assert seen == {
+        "closure", "nucleus", "meet", "join", "certified composition", "stable closure",
+        "star_f", *(s.__name__ for s in strategies), "1[-]", "compose", "lin monoid", "radical",
+    }

@@ -256,6 +256,10 @@ class TestCli:
             ["nuclei", "{int_labels}"],
             ["stable", "{z4}", "{kindless_map}"],
             ["star-f", "{z4}", "{kindless_map}"],
+            ["stable", "{z4}", "{true_assign}"],
+            ["star-f", "{z4}", "{true_assign}"],
+            ["stable", "{z4}", "{big_assign}"],
+            ["star-f", "{z4}", "{big_assign}"],
         ],
         ids=[
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
@@ -263,6 +267,7 @@ class TestCli:
             "float-product", "float-assign", "float-unit", "int-assign", "int-mul",
             "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name", "upsets-nucleus-name",
             "star-f-without-magma", "int-labels", "stable-kindless-map", "star-f-kindless-map",
+            "stable-true-assign", "star-f-true-assign", "stable-300-assign", "star-f-300-assign",
         ],
     )
     def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, corpus, args):
@@ -271,7 +276,7 @@ class TestCli:
             for name in (
                 "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit",
                 "int_assign", "int_mul", "int_leq_rows", "int_elements", "int_poset", "int_labels",
-                "kindless_map",
+                "kindless_map", "true_assign", "big_assign",
             )
         }
         paths["dir"] = tmp_path
@@ -288,6 +293,8 @@ class TestCli:
         paths["float_map"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [0.0, 1, 2, 3]}))
         paths["int_assign"].write_text(json.dumps({"kind": "map", "assign": 5}))
         paths["kindless_map"].write_text(json.dumps({"format": 1, "assign": [0, 1, 2]}))
+        paths["true_assign"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [True, 1, 2]}))
+        paths["big_assign"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [300, 1, 2]}))
         for name, edit in (
             ("int_mul", lambda d: d.update(mul=7)),
             ("int_leq_rows", lambda d: d["poset"].update(leq=[1, 2, 3])),
