@@ -16,7 +16,7 @@ from .errors import (
 from .lazy import SAMPLE_SIZE, LazyCarrier, RuleMap, map_family_sup
 from .magma import OrderedMagma
 from .nucleus import MonotoneMap, is_nucleus, quotient
-from .poset import bits, id_mask
+from .poset import bits, broken, id_mask
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def _star_f_finite(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     p, t = q.poset, s.table
     for x, tx in enumerate(t):
         if p.sup_mask(id_mask(t[y] for y in bits(p.down[x]))) != tx:
-            raise InternalCheckError("finitary companion formula broke on a finite carrier")
+            raise broken(q, f"finitary companion formula broke at {q.label(x)}")
     return s
 
 
@@ -95,11 +95,14 @@ def _star_f_lazy(carrier: LazyCarrier, s: RuleMap) -> RuleMap:
     for x in carrier.sample(SAMPLE_SIZE):
         fx = out(x)
         if not carrier.leq(fx, s(x)):
-            raise InternalCheckError("finitary companion exceeded the original nucleus")
-        if carrier.is_compact(x) and fx != s(x):
-            raise InternalCheckError("finitary companion moved a compact element")
-        if out(fx) != fx:
-            raise InternalCheckError("finitary companion not idempotent on sample")
+            what = "exceeded the original nucleus"
+        elif carrier.is_compact(x) and fx != s(x):
+            what = "moved a compact element"
+        elif out(fx) != fx:
+            what = "not idempotent"
+        else:
+            continue
+        raise InternalCheckError(f"finitary companion {what} at {x!r} on {carrier.name}, nucleus {s.name}")
     return out
 
 

@@ -13,26 +13,15 @@ from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, broken, id_mask
 
 
 def down_closure_mask(p: FinitePoset, xmask: int) -> int:
-    """Smallest ideal (directed downset) containing xmask in a join semilattice:
-    everything under a finite join of members."""
+    """Smallest ideal (directed downset) containing xmask in a join semilattice.
+    On a finite carrier every ideal is principal, so this is the down-set of
+    the sup of xmask (of the least element when xmask is empty)."""
     if not p.flags.join_semilattice:
         raise HypothesisNotMet("down closure needs a join semilattice")
-    if not xmask:
-        b = p.bottom
-        if b is None:
-            raise HypothesisNotMet("empty input needs a least element")
-        return 1 << b
-    closed = xmask
-    while True:
-        grown = closed
-        for x in bits(closed):
-            grown |= p.down[x]
-            for y in bits(closed):
-                grown |= 1 << p.join(x, y)
-        if grown == closed:
-            break
-        closed = grown
-    return closed
+    s = p.sup_mask(xmask)
+    if s is None:
+        raise HypothesisNotMet("empty input needs a least element")
+    return p.down[s]
 
 
 def down_closure(m_or_p, xs) -> list:
@@ -71,19 +60,16 @@ def idl(m: OrderedMagma) -> IdealCompletion:
     if not prof.multiplicative_semilattice:
         raise HypothesisNotMet("ideal completion needs a multiplicative semilattice")
     p = m.poset
-    masks = tuple(sorted(_ideal_masks(p)))
+    # A finite directed set has a greatest element, so the ideals are the
+    # principal down-sets; the definitional scan re-derives them on small carriers.
+    masks = tuple(sorted(p.down))
+    if p.n <= EXHAUSTIVE_CAP and _ideal_masks(p) != list(masks):
+        raise broken(m, "the ideals are not the principal down-sets")
     index = {mask: i for i, mask in enumerate(masks)}
-    k = len(masks)
     leq_rows = [[(a & ~b) == 0 for b in masks] for a in masks]
     labels = ["{" + ",".join(p.labels[x] for x in bits(a)) + "}" for a in masks]
     lat = FinitePoset(leq_rows, labels)
-    mul = []
-    for a in masks:
-        row = []
-        for b in masks:
-            prod = m.complex_mul_mask(a, b)
-            row.append(index[down_closure_mask(p, prod)])
-        mul.append(row)
+    mul = [[index[down_closure_mask(p, m.complex_mul_mask(a, b))] for b in masks] for a in masks]
     magma = OrderedMagma(lat, mul, name=f"Idl({m.name})" if m.name else "Idl")
     qprof = magma.profile
     if not (qprof.near_prequantale and qprof.precoherent):
@@ -111,40 +97,24 @@ class RoundTripReport:
 
 
 def roundtrip_checks(m: OrderedMagma) -> RoundTripReport:
-    """Verify M ~ K(Idl(M)) via principal ideals and Q ~ Idl(K(Q)) via suprema,
-    as bijections preserving order and multiplication in both directions."""
+    """Verify M ~ K(Idl(M)) via principal ideals and Q ~ Idl(K(Q)) via suprema:
+    both maps preserve order and multiplication, and both composites are the
+    identity, so they are mutually inverse ordered-magma isomorphisms."""
     comp = idl(m)
     q = comp.magma
-    p = m.poset
-
-    fwd = {x: comp.principal[x] for x in range(m.n)}
-    if len(set(fwd.values())) != m.n or len(fwd) != q.n:
-        raise broken(m, "principal-ideal map is not a bijection onto the ideals")
-    for x in range(m.n):
-        for y in range(m.n):
-            if p.leq(x, y) != q.leq(fwd[x], fwd[y]):
-                raise broken(m, "principal-ideal map is not an order isomorphism")
-            if fwd[m.op(x, y)] != q.op(fwd[x], fwd[y]):
-                raise broken(m, "principal-ideal map is not a magma homomorphism")
-
-    bwd = {}
-    for i, mask in enumerate(comp.ideal_masks):
-        s = p.sup_mask(mask)
-        if s is None:
-            raise broken(m, "an ideal of a finite semilattice lost its supremum")
-        bwd[i] = s
-    if sorted(bwd.values()) != list(range(m.n)):
-        raise broken(m, "supremum map is not a bijection back to the carrier")
-    for i in range(q.n):
-        for j in range(q.n):
-            if q.leq(i, j) != p.leq(bwd[i], bwd[j]):
-                raise broken(m, "supremum map is not an order isomorphism")
-            if bwd[q.op(i, j)] != m.op(bwd[i], bwd[j]):
-                raise broken(m, "supremum map is not a magma homomorphism")
-    for x in range(m.n):
-        if bwd[fwd[x]] != x:
-            raise broken(m, "round trip is not the identity")
-    return RoundTripReport(fwd, bwd)
+    sups = [m.poset.sup_mask(mask) for mask in comp.ideal_masks]
+    if None in sups:
+        raise broken(m, "an ideal of a finite semilattice lost its supremum")
+    fwd = MagmaMorphism(m, q, comp.principal)
+    bwd = MagmaMorphism(q, m, sups)
+    for f, what in ((fwd, "principal-ideal map"), (bwd, "supremum map")):
+        if not f.is_order_preserving():
+            raise broken(m, f"{what} is not order preserving")
+        if not f.is_magma_hom():
+            raise broken(m, f"{what} is not a magma homomorphism")
+    if bwd.compose(fwd).table != bytes(range(m.n)) or fwd.compose(bwd).table != bytes(range(q.n)):
+        raise broken(m, "round trip is not the identity")
+    return RoundTripReport(dict(enumerate(fwd.table)), dict(enumerate(bwd.table)))
 
 
 def down_map_on_powerset(m: OrderedMagma):
@@ -153,11 +123,7 @@ def down_map_on_powerset(m: OrderedMagma):
     from .instances import powerset_of_magma_elements
 
     power = powerset_of_magma_elements(m, drop_empty=True)
-    p = m.poset
-    table = []
-    for source_mask in power.element_masks:
-        closed = down_closure_mask(p, source_mask)
-        table.append(power.mask_index[closed])
+    table = [power.mask_index[down_closure_mask(m.poset, mask)] for mask in power.element_masks]
     return power.magma, MonotoneMap(power.magma, table)
 
 

@@ -253,10 +253,10 @@ class UPSet:
         if (out >> stable) & ((1 << period) - 1) != (out >> (stable + period)) & (
             (1 << period) - 1
         ):
-            raise InternalCheckError("Minkowski sum missed its periodicity bound")
+            raise _upsets_broken("Minkowski sum missed its periodicity bound", self, other)
         result = UPSet.from_bits(out, stable, period)
         if result.expand(horizon) != out:
-            raise InternalCheckError("Minkowski normal form does not reproduce the sum")
+            raise _upsets_broken("Minkowski normal form does not reproduce the sum", self, other)
         return result
 
     def up_closure(self) -> "UPSet":
@@ -283,7 +283,7 @@ class UPSet:
             members &= below >> alpha
         out = UPSet.from_bits(members, self.threshold, self.period)
         if not out.minkowski(other).issubset(self):
-            raise InternalCheckError("residual violates its defining inequality")
+            raise _upsets_broken("residual violates its defining inequality", self, other)
         return out
 
     def generated_submonoid(self) -> "UPSet":
@@ -318,8 +318,13 @@ class UPSet:
                 step *= 2
         out = UPSet.from_bits(reach, stable, max(g, 1))
         if out.expand(horizon) != reach:
-            raise InternalCheckError("submonoid normal form does not reproduce the sweep")
+            raise _upsets_broken("submonoid normal form does not reproduce the sweep", self)
         return out
+
+
+def _upsets_broken(what: str, *operands: UPSet) -> InternalCheckError:
+    """An internal-check failure of upsets-nat arithmetic, naming its operands."""
+    return InternalCheckError(f"{what} on {UpsetsNat.name}: {', '.join(map(repr, operands))}")
 
 
 def _lcm(a: int, b: int) -> int:

@@ -105,3 +105,20 @@ class TestKLattice:
         u = UpsetsNat()
         verdict = verify_klattice(u, u.rule_map("monoid-ideal"))
         assert verdict.holds and not verdict.exhaustive
+
+
+def test_internal_checks_name_the_carrier(z4, monkeypatch):
+    from quantic import finitary
+    from quantic.errors import InternalCheckError
+
+    # The finite formula sees every image set as empty, so it gives the bottom.
+    with monkeypatch.context() as patched:
+        patched.setattr(finitary, "id_mask", lambda ids: 0)
+        with pytest.raises(InternalCheckError, match="formula broke at") as info:
+            star_f(z4.magma, MonotoneMap.identity(z4.magma))
+    assert "on I(Z/4) (3 elements)" in str(info.value)
+    # The lazy companion sends everything to the top, above d3 off the top.
+    monkeypatch.setattr(finitary, "map_family_sup", lambda carrier, s, family: INF)
+    with pytest.raises(InternalCheckError, match="exceeded the original nucleus") as info:
+        star_f(ChainOmega(), ChainOmega().rule_map("d3"))
+    assert "on chain-omega, nucleus d3" in str(info.value)

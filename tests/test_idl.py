@@ -163,3 +163,31 @@ def test_internal_checks_name_the_carrier_and_its_size(monkeypatch):
     with pytest.raises(InternalCheckError, match="down closure is not the smallest") as info:
         down_closure(m, [0])
     assert "on chain3 (3 elements)" in str(info.value)
+
+
+def test_ideal_scan_disagreement_names_the_carrier_and_its_size(monkeypatch):
+    # The ideals are the principal down-sets; the definitional scan must list
+    # exactly those, so an extra mask from it is an internal-check failure.
+    from quantic import idl as idl_module
+    from quantic.errors import InternalCheckError
+
+    m = join_magma(FinitePoset.diamond(), name="diamond")
+    scan = idl_module._ideal_masks
+    monkeypatch.setattr(idl_module, "_ideal_masks", lambda p: sorted(scan(p) + [0b0110]))
+    with pytest.raises(InternalCheckError, match="ideals are not the principal down-sets") as info:
+        idl(m)
+    assert "on diamond (4 elements)" in str(info.value)
+
+
+def test_over_the_scan_cap_the_ideals_are_the_principal_down_sets(monkeypatch):
+    # The module-system lattice of Z4 has 32 elements: the 2^32 scan is not run.
+    from quantic import idl as idl_module
+    from quantic.instances import cyclic_group, module_system_lattice
+
+    monkeypatch.setattr(idl_module, "_ideal_masks", lambda p: pytest.fail("scan ran over the cap"))
+    m = module_system_lattice(cyclic_group(4)).magma
+    comp = idl(m)
+    assert comp.ideal_masks == tuple(sorted(m.poset.down)) and comp.magma.n == 32
+    rep = roundtrip_checks(m)
+    assert rep.to_completion == {x: comp.principal[x] for x in range(32)}
+    assert sorted(rep.from_completion.values()) == list(range(32))

@@ -9,17 +9,19 @@ carriers below and on random ordered magmas.
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quantic import cli, nucleus, verify
+from quantic import cli, idl, nucleus, verify
 from quantic.cli import _parse_poly_spec
 from quantic.divisorial import lin_monoid
 from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
+from quantic.idl import down_closure_mask
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
@@ -29,7 +31,7 @@ from quantic.magma import (
     distinguished_sets,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
-from quantic.poset import FinitePoset, bits, order_preserving, ub_scan_sup
+from quantic.poset import FinitePoset, bits, carrier_label, id_mask, order_preserving, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
@@ -1038,6 +1040,109 @@ def test_a_composite_order_below_the_bound_is_malformed_before_the_cap(capsys):
     assert cli.main(["make", "ring", "--poly", "318665857834031151167461,x"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "prime order" in err
+
+
+# -- the ideal completion ---------------------------------------------------------------
+
+
+def down_closure_loop(p, xmask):
+    """The smallest ideal containing xmask as the join fixpoint: add the
+    down-set of every member and the join of every pair until nothing grows."""
+    if not xmask:
+        if p.bottom is None:
+            raise HypothesisNotMet("empty input needs a least element")
+        return 1 << p.bottom
+    closed = xmask
+    while True:
+        grown = closed
+        for x in bits(closed):
+            grown |= p.down[x]
+            for y in bits(closed):
+                grown |= 1 << p.join(x, y)
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def roundtrip_loop(m, comp):
+    """Both round trips by element loops: the principal-ideal map and the
+    supremum map are bijections that preserve and reflect order and
+    multiplication, and the supremum of each principal ideal is its element."""
+    p, q = m.poset, comp.magma
+    fwd = comp.principal
+    bwd = [p.sup_mask(mask) for mask in comp.ideal_masks]
+    if None in bwd or sorted(fwd) != list(range(q.n)) or sorted(bwd) != list(range(m.n)):
+        return False
+    return (
+        all(
+            p.leq(x, y) == q.leq(fwd[x], fwd[y]) and fwd[m.op(x, y)] == q.op(fwd[x], fwd[y])
+            for x, y in product(range(m.n), repeat=2)
+        )
+        and all(
+            q.leq(i, j) == p.leq(bwd[i], bwd[j]) and bwd[q.op(i, j)] == m.op(bwd[i], bwd[j])
+            for i, j in product(range(q.n), repeat=2)
+        )
+        and all(bwd[fwd[x]] == x for x in range(m.n))
+    )
+
+
+def test_down_closure_is_the_join_fixpoint_on_every_subset(corpus):
+    posets = [m.poset for m in corpus.values()] + list(three_element_posets().values())
+    seen = set()
+    for p in posets:
+        if not p.flags.join_semilattice:
+            seen.add("no joins")
+            with pytest.raises(HypothesisNotMet):
+                down_closure_mask(p, 1)
+            continue
+        for xmask in range(1 << p.n):
+            try:
+                expected = down_closure_loop(p, xmask)
+            except HypothesisNotMet:
+                seen.add("no bottom")
+                with pytest.raises(HypothesisNotMet):
+                    down_closure_mask(p, xmask)
+                continue
+            assert down_closure_mask(p, xmask) == expected, (p.up, xmask)
+            # Where the members' down-sets do not cover the closure, a join
+            # had to be taken.
+            seen.add(expected == id_mask(z for x in bits(xmask) for z in bits(p.down[x])))
+    assert seen == {"no joins", "no bottom", True, False}
+
+
+def completion_corruptions(comp):
+    """The completion, then copies with two principal ideals swapped, with
+    two ideal masks swapped, with the product replaced by the join, and with
+    the inclusion order replaced by the discrete order."""
+    yield comp
+    q = comp.magma
+    for x, y in combinations(range(q.n), 2):
+        for field in ("principal", "ideal_masks"):
+            table = list(getattr(comp, field))
+            table[x], table[y] = table[y], table[x]
+            yield replace(comp, **{field: tuple(table)})
+    yield replace(comp, magma=OrderedMagma(q.poset, q.poset.join_table, name=q.name))
+    yield replace(comp, magma=OrderedMagma(FinitePoset.antichain(q.n), q.mul, name=q.name))
+
+
+def test_roundtrip_checks_agree_with_the_element_loops(corpus, monkeypatch):
+    verdicts = set()
+    for m in corpus.values():
+        if not m.profile.multiplicative_semilattice:
+            continue
+        for comp in completion_corruptions(idl.idl(m)):
+            expected = roundtrip_loop(m, comp)
+            verdicts.add(expected)
+            with monkeypatch.context() as patched:
+                patched.setattr(idl, "idl", lambda m, comp=comp: comp)
+                if expected:
+                    idl.roundtrip_checks(m)
+                    continue
+                with pytest.raises(InternalCheckError) as info:
+                    idl.roundtrip_checks(m)
+            assert str(info.value).endswith(f" on {carrier_label(m)}")
+    # The join product is no corruption on a carrier whose product is its join.
+    assert verdicts == {True, False}
 
 
 # -- random ordered magmas --------------------------------------------------------------

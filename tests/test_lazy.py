@@ -282,3 +282,22 @@ class TestRuleMapValues:
             len(xs),
         )
         assert RuleMap(c, "rule", fn).certificate == expected
+
+
+@pytest.mark.parametrize(
+    "method, operands, patched, message",
+    [
+        ("minkowski", (UPSet.from_finite([1]), UPSet.tail(3)), "from_bits", "Minkowski normal form"),
+        ("residual_by", (UPSet.tail(3), UPSet.from_finite([1])), "minkowski", "residual violates"),
+        ("generated_submonoid", (UPSet.from_finite([2, 3]),), "from_bits", "submonoid normal form"),
+    ],
+)
+def test_internal_checks_name_the_carrier_and_the_operands(monkeypatch, method, operands, patched, message):
+    from quantic.errors import InternalCheckError
+
+    # Every set a broken kernel builds is the whole of N.
+    naturals = UPSet.naturals()
+    monkeypatch.setattr(UPSet, patched, lambda *args: naturals)
+    with pytest.raises(InternalCheckError, match=message) as info:
+        getattr(operands[0], method)(*operands[1:])
+    assert str(info.value).endswith("on upsets-nat: " + ", ".join(map(repr, operands)))

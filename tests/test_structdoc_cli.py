@@ -314,6 +314,18 @@ class TestCli:
         assert code == 1 and out == "" and "Traceback" not in err
         assert "capped at 16 elements" in err and "2^(G0:4) (32 elements)" in err, err
 
+    @pytest.mark.parametrize("group", ["Z4", "V4"])
+    def test_idl_and_roundtrip_answer_on_the_32_element_module_system_lattices(self, group):
+        _, doc, _ = run_cli(["make", "module-system-lattice", "--group", group])
+        code, out, err = run_cli(["idl", "-"], stdin_text=doc)
+        assert code == 0 and json.loads(out)["name"] == "Idl(2^(G0:4))", err
+        code, out, err = run_cli(["roundtrip", "-"], stdin_text=doc)
+        assert code == 0 and err == "", err
+        lines = out.splitlines()
+        assert lines[0] == "round trips verified; witnesses:"
+        assert lines[1].startswith("  to completion: ") and len(lines[1].split()[2:]) == 32
+        assert lines[2].startswith("  from completion: ") and len(lines[2].split()[2:]) == 32
+
     def test_hypothesis_failure_exits_1_named(self):
         _, doc, _ = run_cli(["make", "ring", "--zmod", "6"])
         code, _, err = run_cli(["stable", "-", "/dev/null"], stdin_text=doc)

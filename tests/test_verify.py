@@ -205,16 +205,17 @@ def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     decided = []
     monkeypatch.setattr(nucleus, "_decide_nucleus", lambda m, s: decided.append(s) or True)
     results = {r.name: r for r in run_all(m)}
-    passed = {"quantales", "nearprequantales", "RMlemma", "1compact", "onebracket"}
+    passed = {"quantales", "nearprequantales", "RMlemma", "1compact", "onebracket", "maintheorem"}
     assert {name for name, r in results.items() if r.status == "pass"} == passed
     assert all(r.status == "skip" for name, r in results.items() if name not in passed)
+    assert results["maintheorem"].detail == "both round trips are isomorphisms"
     assert len(results) == 28 and ENUMERATION_ROWS < set(results)
     for name in ENUMERATION_ROWS:
         detail = results[name].detail
         assert "capped at 16 elements" in detail and "(32 elements)" in detail, (name, detail)
     # The rows whose cost is not an enumeration refuse at their own cap.
     for name, cap in (("closureprop1a", 16), ("preclosurelemma", 16), ("vstrategies", 16),
-                      ("structure2", 10), ("maintheorem", 10)):
+                      ("structure2", 10)):
         assert results[name].detail == f"{name} capped at {cap} elements, refused on 2^(G0:4) (32 elements)"
     assert decided == []
     # An enumeration row is refused before it does any other work.
