@@ -1,8 +1,9 @@
 """Batch command-line interface.
 
 Every subcommand reads StructureDoc JSON (file path or - for stdin), writes
-deterministic text or JSON to stdout, and exits 1 when a hypothesis fails,
-2 on malformed input and 3 when an internal check fails.
+deterministic text or JSON to stdout, and exits 1 when a hypothesis fails
+or the reader closes stdout early, 2 on malformed input and 3 when an
+internal check fails.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .divisorial import is_simple, is_stable, stable_closure, v
@@ -415,7 +417,14 @@ def main(argv=None) -> int:
     # time, so a replaced cmd_* function is the one that runs.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # cannot raise again, as the SIGPIPE note of the Python docs does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (StructureError,) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return MALFORMED_EXIT

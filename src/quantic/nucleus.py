@@ -2,8 +2,8 @@
 
 Predicates cross-check every equivalent characterization they implement and
 raise InternalCheckError, naming the carrier and its size, on disagreement;
-enumeration runs the image-set construction with the naive filter available
-as an independent oracle.
+closure enumeration is a backtracking search that visits only closures, with
+the naive filter of all self-maps available as an independent oracle.
 
 Ids are checked where they enter: MonotoneMap checks its table, and the
 public functions that take maps rely on that.  Inside the module, tables
@@ -42,7 +42,9 @@ from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask, order_preserving
 from .poset import broken as _broken, carrier_label as _label, subset_walk, translate_table as _pad
 
-# Image-set enumeration walks all 2**n candidate subsets.
+# Closure enumeration refuses carriers over this many elements.  A closure
+# image holds every maximal element, so a carrier within the cap has at most
+# 2**(n - #maximal) <= 2**15 closures: the element cap bounds the count.
 ENUMERATION_CAP = 16
 # The brute-force closure oracle filters all n**n self-maps, up to this many.
 BRUTEFORCE_CAP = 5_000_000
@@ -376,12 +378,18 @@ def nuclei_join(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
 
 
 def enumerate_closures(carrier) -> List[MonotoneMap]:
-    """All closure operations, via candidate image sets.
+    """All closure operations, by a backtracking search over their images.
 
     A subset C is the image of a (unique) closure operation exactly when every
     fiber {a in C : a >= x} has a least element, and then x* is that element.
-    The 2**n walk over candidate images runs once per carrier, up to
-    ENUMERATION_CAP elements; every call returns a fresh list.
+    The search decides the elements by ascending |up[x]|, a reverse linear
+    extension, since x < y makes up[y] a proper subset of up[x].  Keeping x is
+    always allowed; leaving x out needs a least kept element above x, x*.
+    Every partial choice extends, by keeping every undecided element: up[x]
+    holds only x and elements decided before it, so the fiber of a decided x
+    never changes, and an undecided x is its own x*.  So the leaves are the
+    closures, each once, sorted by table.  The search runs once per carrier,
+    up to ENUMERATION_CAP elements; every call returns a fresh list.
     """
     return list(_on_carrier(carrier, ("closures",), _closures_by_images))
 
@@ -392,15 +400,18 @@ def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
         raise CarrierTooLarge(
             f"closure enumeration capped at {ENUMERATION_CAP} elements, refused on {_label(carrier)}"
         )
-    required = id_mask(p.maximal_elements())
-    out = []
-    for c in range(1 << p.n):
-        if c & required == required:
-            table = _least_above(p, c)
-            if table is not None:
-                out.append(MonotoneMap(carrier, table))
-    out.sort(key=lambda s: s.table)
-    return tuple(out)
+    order = sorted(range(p.n), key=lambda x: bin(p.up[x]).count("1"))
+    table, tables = bytearray(p.n), []
+    def extend(i: int, kept: int):
+        if i == p.n:
+            return tables.append(bytes(table))
+        x = order[i]
+        for star, rest in ((x, kept | 1 << x), (p.least_of(kept & p.up[x]), kept)):
+            if star is not None:
+                table[x] = star
+                extend(i + 1, rest)
+    extend(0, 0)
+    return tuple(MonotoneMap(carrier, t) for t in sorted(tables))
 
 
 def _least_above(p: FinitePoset, c: int) -> Optional[bytes]:

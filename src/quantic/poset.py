@@ -359,9 +359,6 @@ class FinitePoset:
                 return False
         return True
 
-    def maximal_elements(self) -> list:
-        return [i for i in range(self.n) if self.up[i] == (1 << i)]
-
     def covers(self, i: int) -> list:
         """Elements directly above i."""
         strict = self.up[i] & ~(1 << i)

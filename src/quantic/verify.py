@@ -153,7 +153,6 @@ def _check_closureprop1(m: OrderedMagma):
 def _check_closureprop1a(m: OrderedMagma):
     if m.unit is None:
         return _skip("needs a unital carrier")
-    _refuse_above(m, ENUMERATION_CAP, "closureprop1a")
     for s in _sample_maps(m):
         is_nucleus(m, s)
     return _ok("single-axiom forms agree on the random sample")
@@ -520,8 +519,7 @@ def _check_stablecor(m: OrderedMagma):
 @register("vstrategies")
 def _check_vstrategies(m: OrderedMagma):
     if not m.profile.near_prequantale:
-        return _skip("needs a small near prequantale")
-    _refuse_above(m, ENUMERATION_CAP, "vstrategies")
+        return _skip("needs a near prequantale")
     for a in range(m.n):
         v(m, a, strategy="all")
     return _ok("all applicable strategies agreed on every element")

@@ -22,6 +22,7 @@ from quantic.cli import _parse_poly_spec
 from quantic.divisorial import lin_monoid
 from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
 from quantic.idl import down_closure_mask
+from quantic.instances import cyclic_group, module_system_lattice
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
@@ -30,7 +31,7 @@ from quantic.magma import (
     _translations_preserve_existing_sups,
     distinguished_sets,
 )
-from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, pointwise_order
+from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
 from quantic.poset import FinitePoset, bits, carrier_label, id_mask, order_preserving, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
@@ -49,6 +50,20 @@ def preclosure_loop(p, t):
     return all(p.leq(x, t[x]) for x in range(n)) and all(
         p.leq(t[x], t[y]) for x in range(n) for y in range(n) if p.leq(x, y)
     )
+
+
+def closure_image_walk(p):
+    """The 2**n image walk enumerate_closures ran before its search: a subset
+    c holding every maximal element is a closure image when each x has a
+    least member of c above it, which is x*.  The tables, ascending."""
+    maximal = id_mask(x for x in range(p.n) if p.up[x] == 1 << x)
+    tables = []
+    for c in range(1 << p.n):
+        if c & maximal == maximal:
+            stars = [p.least_of(c & up) for up in p.up]
+            if None not in stars:
+                tables.append(bytes(stars))
+    return sorted(tables)
 
 
 def three_part_loop(p, t):
@@ -779,6 +794,55 @@ def test_every_closure_image_is_meet_closed():
                 assert meet_closed_loop(p, s.image_mask()), (p.up, s.table)
                 images += 1
     assert images == 1900
+
+
+def reversed_labels(p):
+    """p with id x renamed n - 1 - x: on a naturally labelled poset, id order
+    is then a linear extension only when p is an antichain."""
+    n = p.n
+    return FinitePoset.from_up_masks([id_mask(n - 1 - y for y in bits(p.up[n - 1 - x])) for x in range(n)])
+
+
+def assert_search_matches_the_walk(carrier):
+    p = nucleus.poset_of(carrier)
+    found = enumerate_closures(carrier)
+    assert [s.table for s in found] == closure_image_walk(p), p.up
+    # A closure image holds every maximal element.
+    maximal = sum(up == 1 << x for x, up in enumerate(p.up))
+    assert len(found) <= 2 ** (p.n - maximal)
+    assert all(map(is_closure, found))
+    return len(found)
+
+
+def test_closure_search_matches_the_image_walk_on_every_small_poset():
+    posets, closures = 0, Counter()
+    for n in range(1, 6):
+        for p in naturally_labelled_posets(n):
+            posets += 1
+            for q in (p, reversed_labels(p)):
+                closures[q is p] += assert_search_matches_the_walk(q)
+    assert posets == 407 and closures[True] == closures[False] == 1900
+
+
+CLOSURE_CARRIERS = {
+    "chain-12": lambda: FinitePoset.chain(12),
+    "chain-16": lambda: FinitePoset.chain(16),
+    "2^4": lambda: FinitePoset.powerset(4),
+    "I(Z/60)": lambda: ring_ideal_lattice(FiniteRing.zmod(60)).magma,
+    "I(Z/210)": lambda: ring_ideal_lattice(FiniteRing.zmod(210)).magma,
+    "Z3-lattice": lambda: module_system_lattice(cyclic_group(3)).magma,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CARRIERS))
+def test_closure_search_matches_the_image_walk_up_to_the_cap(name):
+    found = assert_search_matches_the_walk(CLOSURE_CARRIERS[name]())
+    assert name != "chain-16" or found == 2 ** 15
+
+
+def test_closure_search_matches_the_image_walk_on_the_corpus(corpus):
+    for m in corpus.values():
+        assert_search_matches_the_walk(m)
 
 
 def test_image_set_route_runs_and_agrees_where_bounded_completeness_fails(bowtie1_left, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -93,6 +94,21 @@ def run_cli(args, stdin_text=None):
 
 
 class TestCli:
+    def test_a_closed_stdout_exits_1_with_nothing_on_stderr(self):
+        _, doc, _ = run_cli(["make", "module-system-lattice", "--group", "V4"])
+        # With the read end closed before the child starts, every write to
+        # its stdout fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quantic.cli", "idl", "-"],
+                input=doc, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=240,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_make_ring_then_nuclei(self, tmp_path):
         code, doc, _ = run_cli(["make", "ring", "--zmod", "4"])
         assert code == 0

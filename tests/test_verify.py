@@ -202,10 +202,12 @@ ENUMERATION_ROWS = {
 
 def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     m = module_system_lattice(cyclic_group(4)).magma
-    decided = []
-    monkeypatch.setattr(nucleus, "_decide_nucleus", lambda m, s: decided.append(s) or True)
+    decide, decided = nucleus._decide_nucleus, []
+    monkeypatch.setattr(nucleus, "_decide_nucleus", lambda m, s: decided.append(s.table) or decide(m, s))
     results = {r.name: r for r in run_all(m)}
-    passed = {"quantales", "nearprequantales", "RMlemma", "1compact", "onebracket", "maintheorem"}
+    # closureprop1a and vstrategies enumerate nothing, so they run at any size.
+    passed = {"quantales", "nearprequantales", "RMlemma", "1compact", "onebracket", "maintheorem",
+              "closureprop1a", "vstrategies"}
     assert {name for name, r in results.items() if r.status == "pass"} == passed
     assert all(r.status == "skip" for name, r in results.items() if name not in passed)
     assert results["maintheorem"].detail == "both round trips are isomorphisms"
@@ -214,16 +216,18 @@ def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
         detail = results[name].detail
         assert "capped at 16 elements" in detail and "(32 elements)" in detail, (name, detail)
     # The rows whose cost is not an enumeration refuse at their own cap.
-    for name, cap in (("closureprop1a", 16), ("preclosurelemma", 16), ("vstrategies", 16),
-                      ("structure2", 10)):
+    for name, cap in (("preclosurelemma", 16), ("structure2", 10)):
         assert results[name].detail == f"{name} capped at {cap} elements, refused on 2^(G0:4) (32 elements)"
-    assert decided == []
-    # An enumeration row is refused before it does any other work.
-    other_work = []
+    # closureprop1a decides its whole seeded sample.
+    assert {s.table for s in verify._random_maps(m)} <= set(decided)
+    # An enumeration row is refused, on a fresh carrier, before it decides a
+    # nucleus or does any other work.
+    m, other_work = module_system_lattice(cyclic_group(4)).magma, []
+    decided.clear()
     for name in ("_sample_maps", "_spanning_subset", "distinguished_sets", "r_set_mask"):
         monkeypatch.setattr(verify, name, lambda *args, name=name: other_work.append(name))
     assert {r.status for r in run_all(m, names=sorted(ENUMERATION_ROWS))} == {"skip"}
-    assert other_work == []
+    assert other_work == [] and decided == []
 
 
 def test_run_all_alone_turns_an_exception_into_a_fail(monkeypatch):
