@@ -27,7 +27,7 @@ from .nucleus import (
     nuclei_meet,
 )
 from .finitary import star_f
-from .poset import id_mask
+from .poset import id_mask, mask_row, row_mask, translate_table
 
 # More translation-monoid maps than this is an internal error.
 LIN_CAP = 100_000
@@ -97,18 +97,14 @@ def v_rs(q: OrderedMagma, a: int) -> MonotoneMap:
     prof = q.profile
     if not (prof.unital and prof.associative and prof.near_prequantale):
         raise HypothesisNotMet("the sandwich strategy needs a unital near quantale")
-    p = q.poset
-    n = q.n
-    constrained = []
-    for x in range(n):
-        # Bit r*n + s is set when r x s <= a.
-        mask = 0
-        for r in range(n):
-            for s in range(n):
-                if p.leq(q.op(q.op(r, x), s), a):
-                    mask |= 1 << (r * n + s)
-        constrained.append(mask)
-    return MonotoneMap(q, _sups_of_supersets(q, constrained, "sandwich-strategy"))
+    return MonotoneMap(q, _sups_of_supersets(q, _sandwich_masks(q, a), "sandwich-strategy"))
+
+
+def _sandwich_masks(q: OrderedMagma, a: int) -> list:
+    """Bit r*n + s of masks[x] is set when r x s <= a: byte r*n + s of the
+    rows of r x, joined over r (column x), read through the 0/1 row of down[a]."""
+    below_a = translate_table(mask_row(q.poset.down[a], q.n))
+    return [row_mask(b"".join(map(q.mul.__getitem__, col)).translate(below_a)) for col in q.cols]
 
 
 def v_residual(q: OrderedMagma, a: int) -> MonotoneMap:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
-from .poset import broken, id_mask, mask_row, subset_walk, translate_table
+from .poset import broken, id_mask, lane_code, mask_row, subset_walk, translate_table
 
 
 @dataclass(frozen=True)
@@ -331,13 +331,14 @@ def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
 def _translation_failures(m: OrderedMagma):
     """Every subset X, in walk order, whose sup s exists and some translation
     of which misses it: a s != sup(aX) or s a != sup(Xa).  The walk carries
-    the upper bounds of the 2n sets aX and Xa.  Each is an up-set, so it is
-    up[a s] exactly when a s is the sup, and the list cols[s] of those 2n
-    masks decides every translation in one comparison."""
-    p, n, mul = m.poset, m.n, m.mul
-    up, least = p.up, p.principal_up
-    cols = [[up[mul[a][x]] for a in range(n)] + [up[mul[x][a]] for a in range(n)] for x in range(n)]
-    for mask, ub, images in subset_walk(p, cols, (p.universe,) * (2 * n)):
+    the upper bounds of the 2n sets aX and Xa, lane a and lane n + a of one
+    packed int.  Each is an up-set, so it is up[a s] exactly when a s is the
+    sup, and cols[s], the lane code of up[a s] and up[s a] over a, decides
+    every translation in one comparison."""
+    p, n = m.poset, m.n
+    least = p.principal_up
+    cols = [lane_code(p.up_lanes, m.cols[x] + m.mul[x]) for x in range(n)]
+    for mask, ub, images in subset_walk(p, cols, p.universe_code(2 * n)):
         s = least.get(ub)
         if s is not None and images != cols[s]:
             yield mask
@@ -560,9 +561,9 @@ class MagmaMorphism:
                 f"morphism sup-check capped at {EXHAUSTIVE_CAP} elements, "
                 f"refused on {carrier_label(self.source)}"
             )
-        cols = [(tp.up[v],) for v in self.table]
+        cols = [tp.up[v] for v in self.table]
         least = sp.principal_up
-        for mask, ub, (image_ub,) in subset_walk(sp, cols, (tp.universe,)):
+        for mask, ub, image_ub in subset_walk(sp, cols, tp.universe):
             # Both masks are up-sets: f(s) is the sup of f(X) when image_ub is up[f(s)].
             s = least.get(ub)
             if mask and s is not None and image_ub != tp.up[self.table[s]]:

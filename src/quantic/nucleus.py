@@ -15,9 +15,11 @@ ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
 a bytes.translate table, so row.translate(_pad(T)) applies T to every entry
 of row in one C call, and g o f is f.translate(_pad(g)).  One decision
 builds the n*n byte tables x*y*, x y*, x* y and
-(xy)* = m.flat.translate(_pad(T)) from the carrier's own product rows.  An
-equation is one bytes comparison, and an order condition reads one byte of
-the 0/1 order rows up_rows[a] per pair.
+(xy)* = m.flat.translate(_pad(T)) from the carrier's own product rows, once.
+An equation is one bytes comparison.  An order condition u <= w over all
+pairs rests on a <= b iff down[a] is a subset of down[b]: it is one AND of
+the lane codes of the two tables (poset.all_below), k = ceil(n/8) bytes a
+lane, at most 32 within the 256-id byte bound.
 The pre-image rows pre[u] = {z : u <= z*} are T.translate(up_rows[u]).
 Every decision still computes the three-part and single-axiom closure forms,
 c1, c2, c3 and, on unital carriers, both unital forms, and compares them.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import and_, getitem
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -39,7 +41,8 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
-from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask, order_preserving
+from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, byte_lanes, id_mask
+from .poset import lane_code, order_preserving, row_mask
 from .poset import broken as _broken, carrier_label as _label, subset_walk, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -175,66 +178,69 @@ def _products(m: OrderedMagma, t: bytes) -> tuple:
 
 
 def _one_sided_compat(p: FinitePoset, star: bytes, x_ts: bytes, t_xs: bytes) -> bool:
-    """x y* <= (xy)* and x* y <= (xy)* for all x, y."""
-    return all_below(p, x_ts, star) and all_below(p, t_xs, star)
+    """x y* <= (xy)* and x* y <= (xy)* for all x, y: both tables in one call."""
+    return all_below(p, x_ts + t_xs, star * 2)
 
 
-def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool, bool]:
+def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap, products: tuple) -> Tuple[bool, bool, bool]:
     """The three equivalent conditions, each including the closure premise:
-    c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)*, c3 the one-sided forms."""
+    c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)*, c3 the one-sided forms; products
+    is _products(m, s.table)."""
     if not is_closure(s):
         return False, False, False
-    t = s.table
-    star, x_ts, t_xs, tt = _products(m, t)
+    star, x_ts, t_xs, tt = products
     p = m.poset
     return (
         all_below(p, tt, star),
-        tt.translate(_pad(t)) == star,
+        tt.translate(_pad(s.table)) == star,
         _one_sided_compat(p, star, x_ts, t_xs),
     )
 
 
-def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
-    """The two single-axiom forms valid for arbitrary self-maps of unital carriers.
+def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap, products: tuple) -> Tuple[bool, bool]:
+    """The two single-axiom forms valid for arbitrary self-maps of unital
+    carriers; products is _products(m, s.table).
 
     Each quantifies over z through the rows pre[u] = {z : u <= z*}: form 2
     says pre[xy] == pre[x y*] == pre[x* y], comparing the tables through the
-    first u with each row, and form 3 says x <= x* and pre[xy] <= pre[x* y*],
-    reading the rows as masks, for all x, y.
+    first u with each row, and form 3 says x <= x* and pre[xy] within
+    pre[x* y*] for all x, y: one AND of lane codes over the masks of pre.
     """
     t = s.table
     pre = _preimage_rows(m.poset, t)
-    _, x_ts, t_xs, tt = _products(m, t)
+    _, x_ts, t_xs, tt = products
     flat = m.flat
     first: dict = {}
     same = _pad(bytes([first.setdefault(row, u) for u, row in enumerate(pre)]))
     form2 = flat.translate(same) == x_ts.translate(same) == t_xs.translate(same)
-    mask = [int.from_bytes(row, "little") for row in pre].__getitem__
-    below = list(map(mask, flat))
-    form3 = all(map(getitem, pre, range(m.n))) and below == list(map(and_, below, map(mask, tt)))
+    lanes = byte_lanes(map(row_mask, pre), m.n)
+    form3 = all(map(getitem, pre, range(m.n))) and not lane_code(lanes, flat) & ~lane_code(lanes, tt)
     return form2, form3
 
 
 def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     """Closure with x*y* <= (xy)*, all equivalent characterizations compared.
     Decided once per carrier object and table."""
-    return _on_carrier(m, ("nucleus", s.table), _decide_nucleus, s)
+    return _on_carrier(m, ("nucleus", s.table), _decide_nucleus, s)[0]
 
 
-def _decide_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
-    c1, c2, c3 = _nucleus_conditions(m, s)
+def _decide_nucleus(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
+    """(nucleus, strict nucleus), from one build of the product tables."""
+    products = _products(m, s.table)
+    c1, c2, c3 = _nucleus_conditions(m, s, products)
     if not (c1 == c2 == c3):
         raise InternalCheckError(
             f"nucleus characterizations disagree on {_label(m)} at {tuple(s.table)}: {(c1, c2, c3)}"
         )
     if m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital):
-        u2, u3 = _unital_selfmap_conditions(m, s)
+        u2, u3 = _unital_selfmap_conditions(m, s, products)
         if not (c1 == u2 == u3):
             raise InternalCheckError(
                 f"unital single-axiom nucleus forms disagree on {_label(m)} at {tuple(s.table)}: "
                 f"{(c1, u2, u3)}"
             )
-    return c1
+    star, _, _, tt = products
+    return c1, c1 and tt == star
 
 
 def _on_carrier(carrier, key: tuple, build, *args):
@@ -253,11 +259,9 @@ def _one_sided_unital(m: OrderedMagma) -> bool:
 
 
 def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
-    """A nucleus with x* y* == (xy)* for all x, y."""
-    if not is_nucleus(m, s):
-        return False
-    star, _, _, tt = _products(m, s.table)
-    return tt == star
+    """A nucleus with x* y* == (xy)* for all x, y; read from is_nucleus's
+    decision."""
+    return _on_carrier(m, ("nucleus", s.table), _decide_nucleus, s)[1]
 
 
 def transportable_mask(m: OrderedMagma, s: MonotoneMap) -> int:
@@ -539,13 +543,13 @@ def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
     up, image = p.up, s.image_mask()
     if p.n > EXHAUSTIVE_CAP:
         walk = (
-            (None, up[x] & up[y], (image & up[t[x]] & up[t[y]],))
+            (None, up[x] & up[y], image & up[t[x]] & up[t[y]])
             for x in range(p.n)
             for y in range(x, p.n)
         )
     else:
-        walk = subset_walk(p, [(up[tx],) for tx in t], (image,))
-    for _, ub, (image_ub,) in walk:
+        walk = subset_walk(p, [up[tx] for tx in t], image)
+    for _, ub, image_ub in walk:
         v = p.principal_up.get(ub)
         if v is not None and not p.is_least(t[v], image_ub):
             raise _broken(m, "corestriction of the nucleus is not sup-preserving")
@@ -861,19 +865,12 @@ def _pair_table(m: OrderedMagma, combine) -> list:
 
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
-    """above[i] = mask of the j with maps[i] <= maps[j] pointwise.
-
-    Each map packs into two n*n-bit ints, U(s) = sum of up[s(x)] << xn and
-    P(t) = sum of 1 << (xn + t(x)); then s <= t iff P(t) & ~U(s) == 0, one
-    big-int operation per pair.
-    """
-    n, up = p.n, p.up
-    points = [sum(1 << (x * n + tx) for x, tx in enumerate(t.table)) for t in maps]
-    above = []
-    for s in maps:
-        outside = ~sum(up[sx] << (x * n) for x, sx in enumerate(s.table))
-        above.append(sum(1 << j for j, pt in enumerate(points) if not pt & outside))
-    return above
+    """above[i] = mask of the j with maps[i] <= maps[j] pointwise: s <= t iff
+    lane_code(s) & ~lane_code(t) == 0 over p.down_lanes, one AND per pair."""
+    lanes = p.down_lanes
+    codes = [lane_code(lanes, s.table) for s in maps]
+    outside = [~code for code in codes]
+    return [id_mask(j for j, out in enumerate(outside) if not code & out) for code in codes]
 
 
 @dataclass(frozen=True)

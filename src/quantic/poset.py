@@ -13,18 +13,23 @@ The join and meet tables and the subset scans read the same lookups;
 least_of stays for masks that need not be up-closed.
 
 The cap also lets an id be one byte: the 0/1 rows of the order and the pairs
-x < y are kept as bytes, so the nucleus kernels decide order conditions and
-compose tables with bytes.translate, one C call per row.  all_below and
-order_preserving are the one order kernel: maps, morphisms, automorphism
-tests and the order-compatibility of a product are decided through them.
-A set of ids becomes a bitmask through id_mask.
+x < y are kept as bytes, so the nucleus kernels compose tables with
+bytes.translate, one C call per row.  Order conditions rest on a <= b iff
+down[a] is a subset of down[b] (Ait-Kaci, Boyer, Lincoln and Nasr, ACM
+TOPLAS 11(1), 1989).  The lane code of a table t writes down[t[i]] into
+lane i of one int, k = ceil(n/8) bytes a lane (at most 32 within the
+256-id byte bound): byte j of every lane is t translated through
+down_lanes[j].  So t <= u pointwise iff lane_code(t) & ~lane_code(u) == 0,
+one big-int AND for every pair at once.  all_below and order_preserving
+are the one order kernel: maps, morphisms, automorphism tests and the
+order-compatibility of a product are decided through them.  A set of ids
+becomes a bitmask through id_mask, and a 0/1 row through row_mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
@@ -69,10 +74,40 @@ def mask_row(mask: int, n: int) -> bytes:
     return b"".join(map(_BYTE_BITS.__getitem__, mask.to_bytes(8, "little")))[:n]
 
 
+# Byte 0 or 1 to the ASCII digit "0" or "1".
+_DIGITS = translate_table(b"01")
+
+
+def row_mask(row: bytes) -> int:
+    """The bitmask whose bit z is byte z of the 0/1 row, the inverse of
+    mask_row: the row read as binary digits, lowest bit last."""
+    return int(row.translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def byte_lanes(masks: Iterable[int], n: int) -> tuple:
+    """Byte j of every n-bit mask, masks[x] read at x, as a translate table,
+    for j < k = ceil(n/8): the tables lane_code writes lanes with."""
+    k = (n + 7) // 8
+    packed = b"".join(mask.to_bytes(k, "little") for mask in masks)
+    return tuple(translate_table(packed[j::k]) for j in range(k))
+
+
+def lane_code(tables: Sequence[bytes], t: bytes) -> int:
+    """One int holding masks[t[i]] in lane i, k = len(tables) bytes a lane,
+    for tables = byte_lanes(masks, n): k translates into a strided
+    bytearray, then one int.from_bytes."""
+    k = len(tables)
+    lanes = bytearray(len(t) * k)
+    for j, table in enumerate(tables):
+        lanes[j::k] = t.translate(table)
+    return int.from_bytes(lanes, "little")
+
+
 def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
     """lo[i] <= hi[i] in p for every i, for two id sequences (such as two map
-    tables): one byte of the order rows per pair."""
-    return all(map(getitem, map(p.up_rows.__getitem__, lo), hi))
+    tables): down[lo[i]] within down[hi[i]] in every lane, one AND."""
+    lanes = p.down_lanes
+    return not lane_code(lanes, lo) & ~lane_code(lanes, hi)
 
 
 def order_preserving(p: "FinitePoset", t: bytes, target: Optional["FinitePoset"] = None) -> bool:
@@ -282,6 +317,23 @@ class FinitePoset:
         return tuple(translate_table(mask_row(u, self.n)) for u in self.up)
 
     @cached_property
+    def down_lanes(self) -> tuple:
+        """byte_lanes of the down-sets: lane_code(down_lanes, t) holds
+        down[t[i]] in lane i."""
+        return byte_lanes(self.down, self.n)
+
+    @cached_property
+    def up_lanes(self) -> tuple:
+        """byte_lanes of the up-sets: lane_code(up_lanes, t) holds up[t[i]]
+        in lane i."""
+        return byte_lanes(self.up, self.n)
+
+    def universe_code(self, count: int) -> int:
+        """The universe in each of count lanes as wide as up_lanes': the
+        upper bounds of the empty set for count maps into this poset."""
+        return int.from_bytes(self.universe.to_bytes(len(self.up_lanes), "little") * count, "little")
+
+    @cached_property
     def order_pairs(self) -> tuple:
         """(lo, hi): every pair x < y, as two byte strings."""
         pairs = [(x, y) for x in range(self.n) for y in bits(self.up[x] & ~(1 << x))]
@@ -473,26 +525,32 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def subset_walk(p: FinitePoset, cols: Optional[Sequence[tuple]] = None, start: tuple = ()):
+def subset_walk(p: FinitePoset, cols: Optional[Sequence[int]] = None, start: int = 0):
     """Every subset X of p, depth first, each reached from X minus its largest
     element; yields (X, ub, images) with ub the upper-bound mask of X.
 
-    For maps f_1..f_k, pass cols[x] = (up-set of f_1(x), ..., up-set of
-    f_k(x)) and start = (universe of f_1's target, ...): then images[i] is
-    the upper-bound mask of f_i(X), carried as ub is, by one AND per step.
-    The stack holds |X| + 1 frames, and no list of the 2**n subsets is built.
+    For maps f_1..f_k, pass cols[x] the up-sets of f_1(x), ..., f_k(x) as
+    one packed int, lane i the up-set of f_i(x), and start the target's
+    universe in every lane: then lane i of images is the upper-bound mask of
+    f_i(X), carried as ub is, since the upper bounds of a set are the
+    intersection of the up-sets of its members.  Each step is one AND for
+    all the maps.  lane_code over the target's up_lanes packs cols[x], and
+    its universe_code(k) is start: the dual of the down-set code (a <= b iff
+    up[b] within up[a]), ceil(n/8) bytes a lane for a target of n elements,
+    at most 32 within the 256-id byte bound.  The stack holds |X| + 1 frames, and no list of the 2**n
+    subsets is built.
     """
     n, up = p.n, p.up
     if cols is None:
-        cols = [()] * n
-    root = (0, p.universe, list(start))
+        cols = [0] * n
+    root = (0, p.universe, start)
     yield root
     stack = [(*root, 0)]
     while stack:
         mask, ub, images, x = stack.pop()
         if x < n:
             stack.append((mask, ub, images, x + 1))
-            child = (mask | 1 << x, ub & up[x], list(map(and_, images, cols[x])))
+            child = (mask | 1 << x, ub & up[x], images & cols[x])
             yield child
             stack.append((*child, x + 1))
 

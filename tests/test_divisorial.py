@@ -1,6 +1,7 @@
 import pytest
 
 from quantic.divisorial import (
+    _sandwich_masks,
     divisorial_decomposition,
     gv_elements,
     is_cyclic,
@@ -19,11 +20,22 @@ from quantic.divisorial import (
     w_of,
 )
 from quantic.errors import HypothesisNotMet
-from quantic.instances import zchain_with_both_ends, zchain_with_top
-from quantic.magma import residual
+from quantic.instances import plain_magma, powerset_prequantale, zchain_with_both_ends, zchain_with_top
+from quantic.magma import OrderedMagma, residual
 from quantic.nucleus import MonotoneMap, enumerate_nuclei, nuclei_meet
+from quantic.poset import FinitePoset
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
+
+
+def sandwich_masks_loop(q, a):
+    """The sandwich strategy's masks one triple at a time: bit r*n + s of
+    masks[x] is set when r x s <= a."""
+    n = q.n
+    return [
+        sum(1 << (r * n + s) for r in range(n) for s in range(n) if q.leq(q.op(q.op(r, x), s), a))
+        for x in range(n)
+    ]
 
 
 class TestDivisorialClosure:
@@ -58,6 +70,27 @@ class TestDivisorialClosure:
                     except HypothesisNotMet:
                         continue
                 assert len(set(results.values())) == 1, (name, a, results)
+
+    def test_sandwich_masks_match_the_triple_loop(self, corpus):
+        # Every corpus carrier the sandwich strategy applies to, 2^5 under
+        # meet (32 elements, whose masks are 1024 bits wide), and the power
+        # set of {1, a, b} with a x = a and b x = b, whose product is not
+        # commutative, so r x s and x r s part.
+        p = FinitePoset.powerset(5)
+        bool5 = OrderedMagma(p, [[p.meet(x, y) for y in range(32)] for x in range(32)], name="bool5-meet")
+        left = powerset_prequantale(plain_magma(["1", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]])).magma
+        assert not left.profile.commutative
+        checked = []
+        for m in [*corpus.values(), bool5, left]:
+            try:
+                tables = [v_rs(m, a).table for a in range(m.n)]
+            except HypothesisNotMet:
+                continue
+            for a in range(m.n):
+                assert _sandwich_masks(m, a) == sandwich_masks_loop(m, a), (m.name, a)
+            assert tables == [v_lin(m, a).table for a in range(m.n)], m.name
+            checked.append(m.name)
+        assert len(checked) > 5 and {"bool5-meet", left.name} <= set(checked)
 
     def test_lin_monoid_of_monoid_is_sandwiches(self, z4):
         m = z4.magma

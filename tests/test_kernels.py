@@ -32,7 +32,8 @@ from quantic.magma import (
     distinguished_sets,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
-from quantic.poset import FinitePoset, bits, carrier_label, id_mask, order_preserving, ub_scan_sup
+from quantic.poset import FinitePoset, all_below, bits, carrier_label, id_mask, lane_code, order_preserving
+from quantic.poset import mask_row, row_mask, subset_walk, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
@@ -114,14 +115,18 @@ def unital_conditions_loop(m, t):
         for y in range(n)
         for z in range(n)
     )
-    cond3 = all(p.leq(x, t[x]) for x in range(n)) and all(
+    return cond2, unital_form3_loop(m, t)
+
+
+def unital_form3_loop(m, t):
+    p, n = m.poset, m.n
+    return all(p.leq(x, t[x]) for x in range(n)) and all(
         p.leq(m.op(t[x], t[y]), t[z])
         for x in range(n)
         for y in range(n)
         for z in range(n)
         if p.leq(m.op(x, y), t[z])
     )
-    return cond2, cond3
 
 
 @lru_cache(maxsize=1 << 16)
@@ -328,8 +333,9 @@ def assert_map_kernels_match(m, t):
     assert s.is_order_preserving == order_preserving_loop(p, t, p), t
     assert order_preserving(p, row, dual(p)) == order_preserving_loop(p, t, dual(p)), t
     assert _is_poset_automorphism(p, t) == automorphism_loop(p, t), t
-    assert nucleus._nucleus_conditions(m, s) == nucleus_conditions_loop(m, t), t
-    assert nucleus._unital_selfmap_conditions(m, s) == unital_conditions_loop(m, t), t
+    products = nucleus._products(m, row)
+    assert nucleus._nucleus_conditions(m, s, products) == nucleus_conditions_loop(m, t), t
+    assert nucleus._unital_selfmap_conditions(m, s, products) == unital_conditions_loop(m, t), t
     assert nucleus.is_strict_nucleus(m, s) == strict_loop(m, t), t
     assert nucleus.transportable_mask(m, s) == transportable_loop(m, t), t
 
@@ -464,7 +470,7 @@ def test_each_nucleus_condition_is_decided_and_compared(row1, star11, verdicts):
 @pytest.mark.parametrize("forms", [(False, True), (True, False)])
 def test_each_unital_form_is_compared(monkeypatch, forms):
     m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
-    monkeypatch.setattr(nucleus, "_unital_selfmap_conditions", lambda m, s: forms)
+    monkeypatch.setattr(nucleus, "_unital_selfmap_conditions", lambda m, s, products: forms)
     with pytest.raises(InternalCheckError, match="unital single-axiom nucleus forms disagree") as info:
         nucleus.is_nucleus(m, MonotoneMap.identity(m))
     assert str(info.value).endswith(f"on I(Z/4) (3 elements) at (0, 1, 2): {(True, *forms)}")
@@ -612,6 +618,154 @@ def test_pointwise_order_matches_the_elementwise_comparison(corpus):
             for j, t in enumerate(maps):
                 expected = all(p.leq(a, b) for a, b in zip(s.table, t.table))
                 assert bool(above[i] >> j & 1) == expected == (s <= t)
+
+
+# -- lane codes -------------------------------------------------------------------------
+
+# Every lane width k = ceil(n/8) from 1 to 8, each side of the byte edges.
+LANE_SIZES = (1, 7, 8, 9, 16, 17, 63, 64)
+
+
+def random_poset(rng, n):
+    """A random order on range(n): covers drawn along a shuffled linear
+    extension, so id order is not one."""
+    ext = rng.sample(range(n), n)
+    covers = [[] for _ in range(n)]
+    for i in range(n):
+        covers[ext[i]] = [ext[j] for j in range(i + 1, n) if rng.random() < 2.5 / n]
+    return FinitePoset.from_covers(covers)
+
+
+def lane_posets(rng, n):
+    # On a chain, down[n - 1] and down[n - 2] differ in bit n - 1 alone, the
+    # top bit of the last byte lane.
+    return [FinitePoset.chain(n), random_poset(rng, n), random_poset(rng, n)]
+
+
+def all_below_loop(p, lo, hi):
+    return all(p.leq(a, b) for a, b in zip(lo, hi))
+
+
+def lane_pairs(rng, p, length):
+    """(lo, hi) id tables: random, equal, and equal but for one pair a, b
+    with a not below b at the first or at the last position.  One pair is
+    random, the other the one whose down-sets differ at high ids only (on a
+    chain, n - 1 and n - 2)."""
+    n = p.n
+    out = [(bytes(rng.randrange(n) for _ in range(length)), bytes(rng.randrange(n) for _ in range(length)))]
+    apart = [(a, b) for a in range(n) for b in range(n) if not p.leq(a, b)]
+    if not apart:
+        return out
+
+    def lowest_difference(ab):
+        d = p.down[ab[0]] & ~p.down[ab[1]]
+        return (d & -d).bit_length()
+
+    for a, b in (max(apart, key=lowest_difference), rng.choice(apart)):
+        same = bytes(rng.randrange(n) for _ in range(length))
+        out.append((same, same))
+        for i in (0, length - 1):
+            lo, hi = bytearray(same), bytearray(same)
+            lo[i], hi[i] = a, b
+            out.append((bytes(lo), bytes(hi)))
+    return out
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_all_below_matches_the_pair_loop_at_every_lane_width(n):
+    rng = random.Random(n)
+    answers = set()
+    for p in lane_posets(rng, n):
+        for length in (1, n, n * n if n < 20 else 3 * n):
+            for lo, hi in lane_pairs(rng, p, length):
+                expected = all_below_loop(p, lo, hi)
+                assert all_below(p, lo, hi) == expected, (p.up, lo, hi)
+                answers.add(expected)
+    assert answers == ({True} if n == 1 else {True, False})
+
+
+def order_tables(rng, p):
+    """The identity, random tables, and the swaps of 0, 1 and of n - 2,
+    n - 1, which on a chain break order preservation only at the first pair
+    x < y or only at the last."""
+    n = p.n
+    ident = list(range(n))
+    tables = [bytes(ident)] + [bytes(rng.randrange(n) for _ in range(n)) for _ in range(6)]
+    if n >= 2:
+        for i in (0, n - 2):
+            t = list(ident)
+            t[i], t[i + 1] = t[i + 1], t[i]
+            tables.append(bytes(t))
+    return tables
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_order_preserving_matches_the_loop_at_every_lane_width(n):
+    rng = random.Random(100 + n)
+    answers = set()
+    for p in lane_posets(rng, n):
+        for t in order_tables(rng, p):
+            for target in (p, dual(p)):
+                expected = order_preserving_loop(p, t, target)
+                assert order_preserving(p, t, target) == expected, (p.up, t)
+                answers.add(expected)
+            assert MonotoneMap(p, t).is_order_preserving == order_preserving_loop(p, t, p)
+    assert answers == ({True} if n == 1 else {True, False})
+
+
+def left_projection(p):
+    """x y = x: order-compatible on every poset, with every element a right unit."""
+    return OrderedMagma(p, [[x] * p.n for x in range(p.n)], name="left-projection")
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_unital_form3_matches_the_loop_at_every_lane_width(n):
+    # The chain under meet has a unit and the left projections a right unit,
+    # so is_nucleus compares both unital forms on each.  The tables: two
+    # order tables and the order tables made expansive, x -> x where t(x) is
+    # not above x, four of them over 20 elements, where the loop takes n^3
+    # steps.
+    rng = random.Random(200 + n)
+    answers = set()
+    posets = lane_posets(rng, n)
+    carriers = [meet_lattice(posets[0], "chain-meet")] + [left_projection(p) for p in posets]
+    for m in carriers:
+        p = m.poset
+        tables = [bytes(tx if p.leq(x, tx) else x for x, tx in enumerate(t)) for t in order_tables(rng, p)]
+        for t in order_tables(rng, p)[:2] + tables[: 4 if n > 20 else None]:
+            s = MonotoneMap(m, t)
+            expected = unital_form3_loop(m, t)
+            assert nucleus._unital_selfmap_conditions(m, s, nucleus._products(m, t))[1] == expected, (m.name, t)
+            answers.add(expected)
+    assert True in answers and (n == 1 or False in answers)
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_row_mask_reads_bit_z_from_byte_z(n):
+    rng = random.Random(400 + n)
+    for mask in [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+        row = mask_row(mask, n)
+        assert row_mask(row) == mask == sum(1 << z for z in range(n) if row[z])
+
+
+@pytest.mark.parametrize("n", (9, 17, 64))
+def test_packed_subset_walk_matches_one_walk_per_map(n):
+    # Maps from a 6-element poset into targets whose up-sets take k = 2, 3
+    # and 8 bytes a lane; lane i of the packed images against the walk of
+    # map i alone, at every subset.
+    rng = random.Random(300 + n)
+    source = random_poset(rng, 6)
+    for target in lane_posets(rng, n):
+        maps = [bytes(rng.randrange(n) for _ in range(6)) for _ in range(5)]
+        lanes = target.up_lanes
+        width = 8 * len(lanes)
+        cols = [lane_code(lanes, bytes(f[x] for f in maps)) for x in range(6)]
+        packed = list(subset_walk(source, cols, target.universe_code(len(maps))))
+        assert len(packed) == 64
+        for i, f in enumerate(maps):
+            alone = list(subset_walk(source, [target.up[v] for v in f], target.universe))
+            assert [(mask, ub, images >> (i * width) & ((1 << width) - 1)) for mask, ub, images in packed] == alone
+        assert [images >> (len(maps) * width) for _, _, images in packed] == [0] * 64
 
 
 def pair_carriers(corpus):

@@ -61,9 +61,9 @@ def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypa
     def counting(target, name, log):
         original = getattr(target, name)
 
-        def counted(carrier, arg):
+        def counted(carrier, arg, *rest):
             log.append((carrier, arg))
-            return original(carrier, arg)
+            return original(carrier, arg, *rest)
 
         monkeypatch.setattr(target, name, counted)
 
@@ -166,9 +166,9 @@ def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, 
          nucleus.enumerate_nuclei, "filter only [(1, 1, 2), (2, 2, 2)]"),
         (nucleus, "_three_part", lambda p, t: False,
          lambda m: nucleus.is_closure(identity(m)), "(0, 1, 2)"),
-        (nucleus, "_nucleus_conditions", lambda m, s: (True, False, True),
+        (nucleus, "_nucleus_conditions", lambda m, s, products: (True, False, True),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
-        (nucleus, "_unital_selfmap_conditions", lambda m, s: (False, False),
+        (nucleus, "_unital_selfmap_conditions", lambda m, s, products: (False, False),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
         (nucleus, "nuclei_join", lambda m, gamma: identity(m),
          nucleus.nucleus_lattice, "(0, 1, 2) v (1, 1, 2)"),
