@@ -16,6 +16,7 @@ from .magma import (
     distinguished_sets,
     generated_monoid,
     is_cyclic_element,
+    is_sup_spanning,
     residual,
 )
 from .nucleus import (
@@ -141,10 +142,8 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
     prof = q.profile
     if not (prof.unital and prof.associative and prof.near_sup_magma):
         raise HypothesisNotMet("the unit-sandwich strategy needs a unital near sup-magma")
-    units = distinguished_sets(q).units
-    from .magma import is_sup_spanning
-
-    if not is_sup_spanning(q, units):
+    units, spanning = _on_carrier(q, ("units",), _units_and_spanning)
+    if not spanning:
         raise HypothesisNotMet("U(Q) is not sup-spanning")
     p = q.poset
     table = []
@@ -161,6 +160,12 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
             raise _broken(q, "unit-sandwich infimum missing")
         table.append(w)
     return MonotoneMap(q, table)
+
+
+def _units_and_spanning(q: OrderedMagma) -> Tuple[tuple, bool]:
+    """U(Q) and whether it is sup-spanning: both depend on q alone."""
+    units = distinguished_sets(q).units
+    return units, is_sup_spanning(q, units)
 
 
 def v(q: OrderedMagma, a: int, strategy: str = "all") -> MonotoneMap:

@@ -258,8 +258,12 @@ class FinitePoset:
         return i != j and self.leq(i, j)
 
     def check_ids(self, xs: Iterable[int]):
-        """Every id must be an int (not a bool) in range(n)."""
+        """Every id must be an int (not a bool) in range(n).  A bytes entry is
+        an int in 0..255, so one max decides bytes; where it fails, the loop
+        finds the first offender."""
         n = self.n
+        if isinstance(xs, bytes) and xs and max(xs) < n:
+            return
         for x in xs:
             if type(x) is not int:
                 raise StructureError(f"element id {x!r} is not an integer")

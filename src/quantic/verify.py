@@ -16,7 +16,9 @@ exception into a verdict (InternalCheckError and HypothesisNotMet: FAIL).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .divisorial import (
@@ -66,9 +68,11 @@ from .nucleus import (
     transportable_mask,
     unit_part,
 )
-from .poset import bits, carrier_label, id_mask, transpose
+from .poset import bits, carrier_label, id_mask, order_preserving, transpose
 
 SAMPLE_MAPS = 400
+# preclosurelemma draws this many seeded expansive maps.
+PRECLOSURE_DRAWS = 200
 # structure2 builds N(M) and its order up to this size.
 COMPLETION_ROW_CAP = 10
 SEED = 1251
@@ -127,9 +131,11 @@ def _draws(rng: random.Random, sizes: Iterable[int]) -> list:
 
 
 def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
-    """k seeded self-maps, their entries the stream of rng.randrange(n)."""
+    """k seeded self-maps, their entries the stream of rng.randrange(n),
+    drawn in one call and sliced into byte tables."""
     rng, n = random.Random(SEED + m.n), m.n
-    return tuple(MonotoneMap(m, tuple(_draws(rng, [n] * n))) for _ in range(k))
+    entries = bytes(_draws(rng, [n] * (n * k)))
+    return tuple(MonotoneMap(m, entries[i * n : i * n + n]) for i in range(k))
 
 
 def _sample_maps(m: OrderedMagma) -> tuple:
@@ -266,16 +272,20 @@ def _check_preclosurelemma(m: OrderedMagma):
     if m.poset.top is None:
         return _skip("needs a bounded-above small carrier")
     _refuse_above(m, ENUMERATION_CAP, "preclosurelemma")
-    rng = random.Random(SEED)
-    ups = [list(bits(up)) for up in m.poset.up]
+    # PRECLOSURE_DRAWS expansive maps, x* drawn from up[x]: one call draws
+    # them all, and equal draws share one decision.
+    ups, n = [bytes(bits(up)) for up in m.poset.up] * PRECLOSURE_DRAWS, m.n
+    picks = bytes(map(getitem, ups, _draws(random.Random(SEED), map(len, ups))))
+    draws = Counter(picks[i * n : i * n + n] for i in range(PRECLOSURE_DRAWS))
     produced = 0
-    for _ in range(200):
-        s = MonotoneMap(m, [above[i] for above, i in zip(ups, _draws(rng, map(len, ups)))])
-        if s.is_order_preserving:
+    for t, count in draws.items():
+        if order_preserving(m.poset, t):
             # The hull is checked to be a closure and to match the
             # least-fixed-point-above formula as it is built.
-            closure_from_preclosure(s)
-            produced += 1
+            closure_from_preclosure(MonotoneMap(m, t))
+            produced += count
+    if not produced:
+        return _skip(f"vacuous: 0 of {PRECLOSURE_DRAWS} seeded expansive maps were order-preserving")
     return _ok(f"{produced} random preclosures")
 
 

@@ -130,6 +130,25 @@ class TestDivisorialClosure:
         first.append(tuple(range(m.n)))
         assert lin_monoid(m) == expected == sorted(expected) and built == [m]
 
+    def test_unit_sandwich_units_are_found_once_per_carrier(self, monkeypatch):
+        from quantic import divisorial
+        from quantic.instances import cyclic_group
+        from quantic.rings import FiniteRing, ring_ideal_lattice
+
+        found, find = [], divisorial.distinguished_sets
+        monkeypatch.setattr(divisorial, "distinguished_sets", lambda q: found.append(q) or find(q))
+        # U(Q) spans the power set of a group, so every element answers; in
+        # I(Z/12) the only unit is the top, so every element is refused with
+        # the same text.
+        spans = powerset_prequantale(cyclic_group(3)).magma
+        tables = [v_units(spans, a).table for a in range(spans.n)]
+        assert tables == [v_lin(spans, a).table for a in range(spans.n)]
+        ring = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+        for a in range(ring.n):
+            with pytest.raises(HypothesisNotMet, match=r"^U\(Q\) is not sup-spanning$"):
+                v_units(ring, a)
+        assert found == [spans, ring]
+
 
 class TestDecomposition:
     def test_identity_decomposes(self, z4):

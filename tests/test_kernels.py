@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from quantic import cli, idl, nucleus, verify
 from quantic.cli import _parse_poly_spec
+from quantic.corpus import standard_corpus
 from quantic.divisorial import lin_monoid
 from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
 from quantic.idl import down_closure_mask
@@ -1046,6 +1047,133 @@ def test_sampled_maps_are_the_randrange_tables(corpus):
         rng = random.Random(verify.SEED + m.n)
         expected = [tuple(rng.randrange(m.n) for _ in range(m.n)) for _ in range(verify.SAMPLE_MAPS)]
         assert [tuple(s.table) for s in verify._random_maps(m)] == expected, m.name
+
+
+@pytest.mark.parametrize(
+    "offenders", [{0: "n"}, {-1: "n"}, {0: 255}, {-1: 255}, {1: 255, -1: "n"}, {1: "n", -1: 255}],
+    ids=["n-first", "n-last", "255-first", "255-last", "255-then-n", "n-then-255"],
+)
+def test_bytes_ids_are_refused_with_the_text_of_lists(offenders):
+    # check_ids decides bytes with one max; where that fails, the loop must
+    # name the same first offender as for a list.
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    n, table = m.n, [0] * m.n
+    for at, bad in offenders.items():
+        table[at] = n if bad == "n" else bad
+    first = next(x for x in table if x >= n)
+    rows = [list(row) for row in m.mul]
+    rows[2] = table
+    builds = {
+        "map": lambda wrap: MonotoneMap(m, wrap(table)),
+        "morphism": lambda wrap: MagmaMorphism(m, m, wrap(table)),
+        "magma rows": lambda wrap: OrderedMagma(m.poset, [wrap(row) for row in rows]),
+    }
+    for name, build in builds.items():
+        texts = []
+        for wrap in (list, bytes):
+            with pytest.raises(StructureError) as info:
+                build(wrap)
+            texts.append(str(info.value))
+        assert texts == [f"element id {first} foreign to carrier of size {n}"] * 2, name
+    assert MonotoneMap(m, bytes([n - 1] * n)).table == bytes([n - 1] * n)
+    assert OrderedMagma(m.poset, m.mul).mul == m.mul
+
+
+def preclosure_draw_loop(m):
+    """The preclosurelemma loop one draw at a time: per draw a MonotoneMap
+    with x* = rng.choice(up[x]), its order check and, when it passes, its
+    hull, compared with the hull followed element by element.  Returns the
+    count of order-preserving draws, their set of tables and the set of
+    their hull tables."""
+    rng = random.Random(verify.SEED)
+    ups = [list(bits(up)) for up in m.poset.up]
+    produced, tables, hulls = 0, set(), set()
+    for _ in range(verify.PRECLOSURE_DRAWS):
+        s = MonotoneMap(m, [rng.choice(above) for above in ups])
+        if s.is_order_preserving:
+            hull = nucleus.closure_from_preclosure(s)
+            assert tuple(hull.table) == preclosure_hull_loop(s.table), (m.name, s)
+            produced += 1
+            tables.add(s.table)
+            hulls.add(hull.table)
+    return produced, tables, hulls
+
+
+def meet_chain(n):
+    return OrderedMagma(FinitePoset.chain(n), [[min(x, y) for y in range(n)] for x in range(n)], f"chain{n}-meet")
+
+
+def preclosure_carriers():
+    """The corpus, ring ideal lattices, chain-9 and 2^4 under meet, each
+    built afresh."""
+    p = FinitePoset.powerset(4)
+    rings = [FiniteRing.zmod(n) for n in (4, 6, 8, 9, 12, 30, 60, 210)] + [
+        FiniteRing.poly_quotient(2, [0, 0, 1], name="F2[x]/(x^2)"),
+        FiniteRing.poly_quotient(2, [0, 0, 0, 1], name="F2[x]/(x^3)"),
+    ]
+    return {
+        **standard_corpus(),
+        **{f"I({r.name})": ring_ideal_lattice(r).magma for r in rings},
+        "chain9-meet": meet_chain(9),
+        "2^4-meet": OrderedMagma(p, [[p.meet(x, y) for y in range(16)] for x in range(16)], "2^4-meet"),
+    }
+
+
+def test_preclosure_row_counts_and_hulls_every_draw_as_the_draw_loop(monkeypatch):
+    # The row on one copy of each carrier, the loop on another, so neither
+    # reads the other's hulls.
+    rows, loops = preclosure_carriers(), preclosure_carriers()
+    hulls = []
+    hull_of = nucleus.closure_from_preclosure
+    monkeypatch.setattr(verify, "closure_from_preclosure", lambda s: hulls.append(hull_of(s).table))
+    counts, repeated = {}, []
+    for name, m in rows.items():
+        hulls.clear()
+        (row,) = verify.run_all(m, names=["preclosurelemma"])
+        produced, tables, expected = preclosure_draw_loop(loops[name])
+        counts[name] = produced
+        assert set(hulls) == expected, name
+        if produced:
+            assert (row.status, row.detail) == ("pass", f"{produced} random preclosures"), name
+        else:
+            detail = "vacuous: 0 of 200 seeded expansive maps were order-preserving"
+            assert (row.status, row.detail) == ("skip", detail), name
+        if produced > len(tables):
+            repeated.append(name)
+    assert counts["ideals-z12"] == 43 and counts["modsys-z2"] == 5
+    assert counts["I(Z/60)"] == counts["I(Z/210)"] == counts["2^4-meet"] == 0
+    assert counts["chain9-meet"] > 0
+    # Most carriers draw some order-preserving table more than once, so
+    # the count is of draws, not of distinct tables.
+    assert len(repeated) > len(counts) // 2, repeated
+
+
+def test_each_preclosure_hull_is_built_once_per_table_and_carrier_object(monkeypatch):
+    build, built = nucleus._build_hull, []
+    monkeypatch.setattr(nucleus, "_build_hull", lambda c, s: built.append((c, s.table)) or build(c, s))
+    for make in (lambda: ring_ideal_lattice(FiniteRing.zmod(12)).magma, lambda: meet_chain(9)):
+        _, tables, _ = preclosure_draw_loop(make())
+        m = make()
+        # A second run on the same object builds nothing; a fresh object
+        # builds every table again.
+        for carrier, expected in ((m, sorted(tables)), (m, []), (make(), sorted(tables))):
+            built.clear()
+            verify.run_all(carrier, names=["preclosurelemma"])
+            assert all(c is carrier for c, _ in built)
+            assert sorted(t for _, t in built) == expected
+    # On a bare poset too, and a call that raises stores nothing: the next
+    # call builds and raises again.
+    p, step = FinitePoset.chain(9), bytes([1, 2, 3, 4, 5, 6, 7, 8, 8])
+    built.clear()
+    hull = nucleus.closure_from_preclosure(MonotoneMap(p, step))
+    assert nucleus.closure_from_preclosure(MonotoneMap(p, step)) is hull
+    assert hull.table == bytes([8] * 9) and built == [(p, step)]
+    assert nucleus.closure_from_preclosure(MonotoneMap(FinitePoset.chain(9), step)) == hull
+    assert len(built) == 2
+    for _ in range(2):
+        with pytest.raises(HypothesisNotMet, match="requires a preclosure"):
+            nucleus.closure_from_preclosure(MonotoneMap(p, bytes(9)))
+    assert len(built) == 4
 
 
 # -- the rings layer --------------------------------------------------------------------
