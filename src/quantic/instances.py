@@ -45,11 +45,6 @@ def trivial_monoid() -> OrderedMagma:
     return plain_magma(["1"], [[0]])
 
 
-def two_element_monoid() -> OrderedMagma:
-    # {1, a} with a*a = a
-    return plain_magma(["1", "a"], [[0, 1], [1, 1]])
-
-
 def nonassociative_pair() -> OrderedMagma:
     # a*a = b, all other products collapse; associativity fails at (a,a,a).
     return plain_magma(["a", "b"], [[1, 0], [1, 1]])
@@ -81,9 +76,24 @@ def _powerset_carrier(base: OrderedMagma, drop_empty: bool, name: str) -> Powers
     leq = [[(a & ~b) == 0 for b in masks] for a in masks]
     labels = ["{" + ",".join(base.poset.labels[s] for s in bits(m)) + "}" for m in masks]
     poset = FinitePoset(leq, labels)
-    mul = [[index[base.complex_mul_mask(a, b)] for b in masks] for a in masks]
+    # x Y for every Y, one byte per Y (a product set has at most
+    # POWERSET_BASE_CAP bits), then XY for every X by OR-ing those packed rows.
+    rows = [int.from_bytes(bytes(_subset_unions([1 << z for z in row])), "little") for row in base.mul]
+    products = [xy.to_bytes(1 << base.n, "little") for xy in _subset_unions(rows)]
+    mul = [[index[products[a][b]] for b in masks] for a in masks]
     magma = OrderedMagma(poset, mul, name=name)
     return PowersetCarrier(base, tuple(masks), index, magma)
+
+
+def _subset_unions(singles: Sequence[int]) -> list:
+    """out[S] = the OR of singles[i] over the bits i of S, for every
+    S < 2**len(singles), by the lowest-bit recurrence: out[S] is
+    out[S without its lowest bit i] | singles[i]."""
+    out = [0]
+    for s in range(1, 1 << len(singles)):
+        low = s & -s
+        out.append(out[s ^ low] | singles[low.bit_length() - 1])
+    return out
 
 
 def powerset_prequantale(base: OrderedMagma, drop_empty: bool = False) -> PowersetCarrier:
@@ -300,15 +310,10 @@ def zchain_with_top(n: int = 1) -> OrderedMagma:
     def clamp(v: int) -> int:
         return max(-n, min(n, v))
 
-    mul = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == top or j == top:
-                row.append(top)
-            else:
-                row.append(vals.index(clamp(vals[i] + vals[j])))
-        mul.append(row)
+    mul = [
+        [top if top in (i, j) else vals.index(clamp(vals[i] + vals[j])) for j in range(size)]
+        for i in range(size)
+    ]
     return OrderedMagma(FinitePoset(leq, labels), mul, name=f"Z[{n}]+inf")
 
 

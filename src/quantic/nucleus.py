@@ -13,22 +13,29 @@ without a second check.
 A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
 a bytes.translate table, so row.translate(_pad(T)) applies T to every entry
-of row in one C call, and g o f is f.translate(_pad(g)).  One decision
-builds the n*n byte tables x*y*, x y*, x* y and
-(xy)* = m.flat.translate(_pad(T)) from the carrier's own product rows, once.
-An equation is one bytes comparison.  An order condition u <= w over all
-pairs rests on a <= b iff down[a] is a subset of down[b]: it is one AND of
-the lane codes of the two tables (poset.all_below), k = ceil(n/8) bytes a
-lane, at most 32 within the 256-id byte bound.
-The pre-image rows pre[u] = {z : u <= z*} are T.translate(up_rows[u]).
-Every decision still computes the three-part and single-axiom closure forms,
-c1, c2, c3 and, on unital carriers, both unital forms, and compares them.
+of row in one C call, and g o f is f.translate(_pad(g)).  An order condition
+u <= w over all pairs rests on a <= b iff down[a] is a subset of down[b]:
+it is one AND of the lane codes of the two sides (poset.all_below),
+k = ceil(n/8) bytes a lane.
+
+_decide_nuclei decides maps in batches of BATCH_MAPS tables, laid out map
+after map, with the n*n byte tables x*y*, x y*, x* y and (xy)* built from
+the carrier's product rows.  A condition with both sides read through a
+carrier table (expansive, order preservation, c1, c3, unital form 3) is one
+poset.lanes_within over the batch: map i holds segment i of the violations,
+its positions times k bytes, and passes when that segment is zero.
+Idempotence, c2, the single axiom's rows pre[u] = {z : u <= z*} =
+T.translate(up_rows[u]), unital form 2 and strictness translate through the
+map's own table, per map.  Form 3 reads pre[xy] within pre[x*y*] as
+up[xy] & Im(T) within up[x*y*].  Every map still gets the three-part and
+single-axiom closure forms, c1, c2, c3 and, on unital carriers, both unital
+forms, compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product, repeat
 from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -41,8 +48,8 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
-from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, byte_lanes, id_mask
-from .poset import lane_code, order_preserving, row_mask
+from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
+from .poset import lane_code, lanes_within, order_preserving
 from .poset import broken as _broken, carrier_label as _label, subset_walk, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -53,6 +60,9 @@ ENUMERATION_CAP = 16
 BRUTEFORCE_CAP = 5_000_000
 # certified_composition tries alternating compositions up to this length.
 COMPOSITION_BOUND = 6
+# Maps are decided in chunks of this many tables, which bounds the working
+# set of a batch: its product tables, preimage rows and lane codes.
+BATCH_MAPS = 64
 
 
 def poset_of(carrier) -> FinitePoset:
@@ -120,137 +130,159 @@ class MonotoneMap:
 
     @property
     def is_preclosure(self) -> bool:
-        t = self.table
-        return _expansive(self.poset, t) and order_preserving(self.poset, t)
+        p, t = self.poset, self.table
+        return all(map(getitem, p.up_rows, t)) and order_preserving(p, t)
 
 
 def is_closure(s: MonotoneMap) -> bool:
     """Expansive + order-preserving + idempotent, cross-checked against the
-    single axiom: x <= y* iff x* <= y* for all x, y.  Decided once per poset
-    object and table."""
-    return _on_carrier(s.poset, ("closure", s.table), _decide_closure, s)
+    single axiom: x <= y* iff x* <= y* for all x, y.  A batch of one, decided
+    once per poset object and table, as _decide_nuclei decides it."""
+    memo, key = _memo(s.poset), ("closure", s.table)
+    if key not in memo:
+        memo[key] = _closed(s.carrier, s.table, _closure_conditions(s.poset, [s.table])[0])
+    return memo[key]
 
 
-def _decide_closure(p: FinitePoset, s: MonotoneMap) -> bool:
-    t = s.table
-    three_part = _three_part(p, t)
-    single = _closure_single_axiom(p, t)
+def _closed(carrier, t: bytes, forms: tuple) -> bool:
+    """The closure verdict of t from its _closure_conditions, both forms compared."""
+    _, three_part, single = forms
     if three_part != single:
         raise InternalCheckError(
-            f"closure characterizations disagree on {_label(s.carrier)} at {tuple(s.table)}: "
+            f"closure characterizations disagree on {_label(carrier)} at {tuple(t)}: "
             f"three-part {three_part}, single axiom {single}"
         )
     return three_part
 
 
-# -- byte-row kernels (see the module docstring); t is a map table ---------------
+# -- batched decisions (see the module docstring) ------------------------------------
 
 
-def _expansive(p: FinitePoset, t: bytes) -> bool:
-    return all(map(getitem, p.up_rows, t))
+def _closure_conditions(p: FinitePoset, tables: Sequence[bytes]) -> list:
+    """(expansive, three-part form, single axiom pre[x] == pre[x*]) per table."""
+    count, lanes, rows = len(tables), p.down_lanes, p.up_rows
+    pads = list(map(_pad, tables))
+    lo, hi = (b"".join(map(side.translate, pads)) for side in p.order_pairs)
+    expansive = lanes_within(lanes, bytes(range(p.n)) * count, b"".join(tables), count)
+    monotone = lanes_within(lanes, lo, hi, count)
+    out = []
+    for t, pad, e, o in zip(tables, pads, expansive, monotone):
+        pre = list(map(t.translate, rows))
+        out.append((e, e and o and t.translate(pad) == t, pre == list(map(pre.__getitem__, t))))
+    return out
 
 
-def _three_part(p: FinitePoset, t: bytes) -> bool:
-    """Expansive, order-preserving and idempotent."""
-    return _expansive(p, t) and order_preserving(p, t) and t.translate(_pad(t)) == t
-
-
-def _preimage_rows(p: FinitePoset, t: bytes) -> list:
-    """pre[u] = {z : u <= t(z)} as a 0/1 byte row over z, for every u."""
-    return [t.translate(row) for row in p.up_rows]
-
-
-def _closure_single_axiom(p: FinitePoset, t: bytes) -> bool:
-    """x <= y* iff x* <= y*, for every y at once: pre[x] == pre[x*]."""
-    pre = _preimage_rows(p, t)
-    return pre == [pre[tx] for tx in t]
-
-
-def _products(m: OrderedMagma, t: bytes) -> tuple:
-    """(xy)*, x y*, x* y and x* y*, each an n*n byte table with row x first."""
-    tables = m.row_tables
+def _products(m: OrderedMagma, tables: Sequence[bytes]) -> tuple:
+    """(xy)*, x y*, x* y and x* y*: four lists of n*n byte tables, one per table."""
+    rows, mul = m.row_tables, m.mul
     return (
-        m.flat.translate(_pad(t)),
-        b"".join(map(t.translate, tables)),
-        b"".join(map(m.mul.__getitem__, t)),
-        b"".join(map(t.translate, map(tables.__getitem__, t))),
+        [m.flat.translate(_pad(t)) for t in tables],
+        [b"".join(map(t.translate, rows)) for t in tables],
+        [b"".join(map(mul.__getitem__, t)) for t in tables],
+        [b"".join(map(t.translate, map(rows.__getitem__, t))) for t in tables],
     )
 
 
-def _one_sided_compat(p: FinitePoset, star: bytes, x_ts: bytes, t_xs: bytes) -> bool:
-    """x y* <= (xy)* and x* y <= (xy)* for all x, y: both tables in one call."""
-    return all_below(p, x_ts + t_xs, star * 2)
-
-
-def _nucleus_conditions(m: OrderedMagma, s: MonotoneMap, products: tuple) -> Tuple[bool, bool, bool]:
-    """The three equivalent conditions, each including the closure premise:
-    c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)*, c3 the one-sided forms; products
-    is _products(m, s.table)."""
-    if not is_closure(s):
-        return False, False, False
+def _nucleus_conditions(m: OrderedMagma, tables, products: tuple, closed: Sequence[bool]) -> list:
+    """c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)* and c3 x y* <= (xy)* and
+    x* y <= (xy)* per table, each with the closure premise closed[i]:
+    c1 and c3 are one lanes_within, table i's x*y*, x y* and x* y against
+    its (xy)* in segments 3i, 3i + 1 and 3i + 2."""
     star, x_ts, t_xs, tt = products
-    p = m.poset
-    return (
-        all_below(p, tt, star),
-        tt.translate(_pad(s.table)) == star,
-        _one_sided_compat(p, star, x_ts, t_xs),
-    )
+    lo = b"".join(chain.from_iterable(zip(tt, x_ts, t_xs)))
+    seg = lanes_within(m.poset.down_lanes, lo, b"".join(s * 3 for s in star), 3 * len(tables))
+    return [
+        (c and a, c and u.translate(_pad(t)) == s, c and b and d)
+        for t, c, s, u, a, b, d in zip(tables, closed, star, tt, seg[0::3], seg[1::3], seg[2::3])
+    ]
 
 
-def _unital_selfmap_conditions(m: OrderedMagma, s: MonotoneMap, products: tuple) -> Tuple[bool, bool]:
-    """The two single-axiom forms valid for arbitrary self-maps of unital
-    carriers; products is _products(m, s.table).
+def _unital_selfmap_conditions(m: OrderedMagma, tables, products: tuple, expansive) -> list:
+    """(form 2, form 3) per table, the single-axiom forms valid for arbitrary
+    self-maps of unital carriers; expansive[i] says x <= x* for table i.
 
-    Each quantifies over z through the rows pre[u] = {z : u <= z*}: form 2
-    says pre[xy] == pre[x y*] == pre[x* y], comparing the tables through the
-    first u with each row, and form 3 says x <= x* and pre[xy] within
-    pre[x* y*] for all x, y: one AND of lane codes over the masks of pre.
+    Both quantify over z through pre[u] = {z : u <= z*} = t^-1(up[u]).
+    Form 2, pre[xy] == pre[x y*] == pre[x* y], compares the tables through
+    one u with each row.  Form 3 is x <= x* and pre[xy] within pre[x* y*].
+    For sets A and B, t^-1(A) lies within t^-1(B) iff A & Im(t) lies within
+    B: w = t(z) in A & Im(t) has z in t^-1(A), so w in B; and z in t^-1(A)
+    has t(z) in A & Im(t).  So form 3 is x <= x* and up[xy] & Im(t) within
+    up[x* y*]: one lanes_within over up_lanes, the image mask of table i in
+    every lane of its segment.
     """
-    t = s.table
-    pre = _preimage_rows(m.poset, t)
     _, x_ts, t_xs, tt = products
-    flat = m.flat
-    first: dict = {}
-    same = _pad(bytes([first.setdefault(row, u) for u, row in enumerate(pre)]))
-    form2 = flat.translate(same) == x_ts.translate(same) == t_xs.translate(same)
-    # Sampled maps are rarely expansive: build the lanes only when x <= x*.
-    form3 = all(map(getitem, pre, range(m.n)))
-    if form3:
-        lanes = byte_lanes(map(row_mask, pre), m.n)
-        form3 = not lane_code(lanes, flat) & ~lane_code(lanes, tt)
-    return form2, form3
+    flat, lanes, rows, n, count = m.flat, m.poset.up_lanes, m.poset.up_rows, m.n, len(tables)
+    images = (sum(map((1).__lshift__, set(t))).to_bytes(len(lanes), "little") for t in tables)
+    inside = int.from_bytes(b"".join(image * (n * n) for image in images), "little")
+    form3 = lanes_within(lanes, flat * count, b"".join(tt), count, inside)
+    out = []
+    for t, a, b, e, f in zip(tables, x_ts, t_xs, expansive, form3):
+        pre = list(map(t.translate, rows))
+        same = _pad(bytes(map(dict(zip(pre, range(n))).__getitem__, pre)))
+        out.append((flat.translate(same) == a.translate(same) == b.translate(same), e and f))
+    return out
 
 
 def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     """Closure with x*y* <= (xy)*, all equivalent characterizations compared.
-    Decided once per carrier object and table."""
-    return _on_carrier(m, ("nucleus", s.table), _decide_nucleus, s)[0]
+    A batch of one, decided once per carrier object and table; a family of
+    maps is decided faster handed to _decide_nuclei whole."""
+    return _nucleus_verdict(m, s)[0]
 
 
-def _decide_nucleus(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
-    """(nucleus, strict nucleus), from one build of the product tables."""
-    products = _products(m, s.table)
-    c1, c2, c3 = _nucleus_conditions(m, s, products)
-    if not (c1 == c2 == c3):
-        raise InternalCheckError(
-            f"nucleus characterizations disagree on {_label(m)} at {tuple(s.table)}: {(c1, c2, c3)}"
-        )
-    if m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital):
-        u2, u3 = _unital_selfmap_conditions(m, s, products)
-        if not (c1 == u2 == u3):
-            raise InternalCheckError(
-                f"unital single-axiom nucleus forms disagree on {_label(m)} at {tuple(s.table)}: "
-                f"{(c1, u2, u3)}"
-            )
-    star, _, _, tt = products
-    return c1, c1 and tt == star
+def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
+    """A nucleus with x* y* == (xy)* for all x, y; read from is_nucleus's decision."""
+    return _nucleus_verdict(m, s)[1]
+
+
+def _nucleus_verdict(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
+    memo, key = _memo(m), ("nucleus", s.table)
+    if key not in memo:
+        _decide_nuclei(m, [s])
+    return memo[key]
+
+
+def _decide_nuclei(m: OrderedMagma, maps: Iterable[MonotoneMap]):
+    """Decide each table of maps that m has not decided, BATCH_MAPS at a
+    time: (nucleus, strict) under ("nucleus", table) on m, the closure under
+    ("closure", table) on m.poset.  The first table in input order whose
+    characterizations disagree raises, and then no verdict of the call is
+    stored."""
+    memo, p = _memo(m), m.poset
+    todo = [t for t in dict.fromkeys(s.table for s in maps) if ("nucleus", t) not in memo]
+    unital = m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital)
+    nuclei, closures = {}, {}
+    for i in range(0, len(todo), BATCH_MAPS):
+        tables = todo[i : i + BATCH_MAPS]
+        forms = _closure_conditions(p, tables)
+        expansive = [f[0] for f in forms]
+        stars, _, _, tts = products = _products(m, tables)
+        conditions = _nucleus_conditions(m, tables, products, [f[1] for f in forms])
+        units = _unital_selfmap_conditions(m, tables, products, expansive) if unital else repeat(())
+        for t, f, (c1, c2, c3), u, star, tt in zip(tables, forms, conditions, units, stars, tts):
+            closures["closure", t] = _closed(m, t, f)
+            if not c1 == c2 == c3:
+                raise InternalCheckError(
+                    f"nucleus characterizations disagree on {_label(m)} at {tuple(t)}: {(c1, c2, c3)}"
+                )
+            if u and not c1 == u[0] == u[1]:
+                raise InternalCheckError(
+                    f"unital single-axiom nucleus forms disagree on {_label(m)} at {tuple(t)}: {(c1, *u)}"
+                )
+            nuclei["nucleus", t] = c1, c1 and tt == star
+    memo.update(nuclei)
+    _memo(p).update(closures)
+
+
+def _memo(carrier) -> dict:
+    return carrier.__dict__.setdefault("_memo", {})
 
 
 def _on_carrier(carrier, key: tuple, build, *args):
     """build(carrier, *args), computed once per carrier object and key and kept
     in one dict on the carrier.  A call that raises stores nothing, so the next
     call raises again."""
-    memo = carrier.__dict__.setdefault("_memo", {})
+    memo = _memo(carrier)
     if key not in memo:
         memo[key] = build(carrier, *args)
     return memo[key]
@@ -261,17 +293,11 @@ def _one_sided_unital(m: OrderedMagma) -> bool:
     return identity in m.mul or identity in m.cols
 
 
-def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
-    """A nucleus with x* y* == (xy)* for all x, y; read from is_nucleus's
-    decision."""
-    return _on_carrier(m, ("nucleus", s.table), _decide_nucleus, s)[1]
-
-
 def transportable_mask(m: OrderedMagma, s: MonotoneMap) -> int:
     """T*(M): elements a with (ax)* = a x* and (xa)* = x* a for all x, that
     is row a of (xy)* equal to row a of x y*, and column a to column a of x* y."""
     n = m.n
-    star, x_ts, t_xs, _ = _products(m, s.table)
+    (star,), (x_ts,), (t_xs,), _ = _products(m, [s.table])
     return sum(
         1 << a
         for a in range(n)
@@ -316,8 +342,8 @@ def _build_hull(carrier, s: MonotoneMap) -> MonotoneMap:
     if _least_above(p, s.fixed_mask()) != table:
         raise _broken(carrier, "fixpoint iteration disagrees with infimum formula")
     if isinstance(carrier, OrderedMagma) and carrier.profile.near_residuated:
-        hull, x_ts, t_xs, _ = _products(carrier, s.table)
-        if _one_sided_compat(p, hull, x_ts, t_xs) and not is_nucleus(carrier, star):
+        (hull,), (x_ts,), (t_xs,), _ = _products(carrier, [s.table])
+        if all_below(p, x_ts + t_xs, hull * 2) and not is_nucleus(carrier, star):
             raise _broken(carrier, "multiplicative preclosure hull failed nucleus check")
     return star
 
@@ -347,10 +373,7 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     out = MonotoneMap(m, table)
     if not is_nucleus(m, out):
         raise _broken(m, "pointwise meet of nuclei is not a nucleus")
-    union_images = 0
-    for s in maps:
-        union_images |= s.image_mask()
-    if union_images & ~out.image_mask():
+    if any(s.image_mask() & ~out.image_mask() for s in maps):
         raise _broken(m, "meet image does not contain the union of images")
     return out
 
@@ -429,13 +452,8 @@ def _least_above(p: FinitePoset, c: int) -> Optional[bytes]:
     """x -> the least element of the subset c above x, for every x: the
     closure whose image is c, as a table; None when some x has no such least
     element."""
-    table = []
-    for upx in p.up:
-        least = p.least_of(c & upx)
-        if least is None:
-            return None
-        table.append(least)
-    return bytes(table)
+    table = [p.least_of(c & upx) for upx in p.up]
+    return None if None in table else bytes(table)
 
 
 def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
@@ -446,12 +464,10 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
             f"brute-force closure enumeration capped at {BRUTEFORCE_CAP} self-maps, "
             f"refused on {_label(carrier)}, which has {p.n ** p.n}"
         )
-    out = []
-    for table in product(range(p.n), repeat=p.n):
-        s = MonotoneMap(carrier, table)
-        if _decide_closure(p, s):
-            out.append(s)
-    out.sort(key=lambda s: s.table)
+    tables, out = map(bytes, product(range(p.n), repeat=p.n)), []
+    while chunk := list(islice(tables, BATCH_MAPS)):
+        forms = _closure_conditions(p, chunk)
+        out += [MonotoneMap(carrier, t) for t, f in zip(chunk, forms) if _closed(carrier, t, f)]
     return out
 
 
@@ -478,6 +494,7 @@ def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
 
 def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     closures = enumerate_closures(m)
+    _decide_nuclei(m, closures)
     filtered = [s for s in closures if is_nucleus(m, s)]
     if m.profile.near_residuated:
         by_images = {s.table for s in _nuclei_by_image_sets(m, closures)}
@@ -563,20 +580,12 @@ def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
 
 
 def _assert_profile_inheritance(m: OrderedMagma, q: OrderedMagma):
-    inherited = (
-        "prequantale",
-        "near_prequantale",
-        "semiprequantale",
-        "multiplicative_semilattice",
-        "prequantic_semilattice",
-        "near_residuated",
-        "residuated",
-    )
     pm, pq = m.profile, q.profile
-    for flag in inherited:
-        if getattr(pm, flag) and not getattr(pq, flag):
-            raise _broken(m, f"quotient failed to inherit {flag}")
-    for flag in ("quantale", "near_quantale", "multiplicative_lattice", "near_multiplicative_lattice"):
+    for flag in (
+        "prequantale", "near_prequantale", "semiprequantale", "multiplicative_semilattice",
+        "prequantic_semilattice", "near_residuated", "residuated",
+        "quantale", "near_quantale", "multiplicative_lattice", "near_multiplicative_lattice",
+    ):
         if getattr(pm, flag) and not getattr(pq, flag):
             raise _broken(m, f"quotient failed to inherit {flag}")
 
@@ -586,9 +595,7 @@ def _assert_quotient_residuals(m: OrderedMagma, s: MonotoneMap):
     if not m.profile.near_residuated:
         return
     at, t = m.residuals.at, s.table
-    for x in range(m.n):
-        if t[x] != x:
-            continue
+    for x in bits(s.fixed_mask()):
         for y in range(m.n):
             r = at[x][y].left
             if r is not None and (t[r] != r or at[x][t[y]].left != r):
@@ -694,27 +701,15 @@ def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
     if not p.is_downward_closed(mmask):
         raise HypothesisNotMet("submagma is not downward closed")
     ann = m.annihilator
-    for x in range(m.n):
-        for y in range(m.n):
-            if x == ann or y == ann:
-                continue
-            if ((mmask >> m.op(x, y)) & 1) and not (
-                ((mmask >> x) & 1) and ((mmask >> y) & 1)
-            ):
-                raise HypothesisNotMet(
-                    f"subset is not saturated: {x}*{y} lands inside but the pair does not"
-                )
+    for x, y in product(range(m.n), repeat=2):
+        if ann not in (x, y) and mmask >> m.op(x, y) & 1 and not mmask >> x & mmask >> y & 1:
+            raise HypothesisNotMet(f"subset is not saturated: {x}*{y} lands inside but the pair does not")
     if not is_nucleus(n_sub.magma, s):
         raise HypothesisNotMet("induced_upper requires a nucleus on the submagma")
     top = p.top
     if top is None:
         raise HypothesisNotMet("induced_upper needs a bounded-above carrier")
-    table = []
-    for x in range(m.n):
-        if (mmask >> x) & 1:
-            table.append(n_sub.members[s.table[n_sub.to_sub[x]]])
-        else:
-            table.append(top)
+    table = [n_sub.members[s.table[n_sub.to_sub[x]]] if mmask >> x & 1 else top for x in range(m.n)]
     out = MonotoneMap(m, table)
     if not is_nucleus(m, out):
         raise _broken(m, "induced upper map failed the nucleus check")

@@ -110,6 +110,23 @@ def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
     return not lane_code(lanes, lo) & ~lane_code(lanes, hi)
 
 
+def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int, inside: int = -1) -> list:
+    """For each of count equal segments of the id strings lo and hi, whether
+    masks[lo[i]] & inside lies within masks[hi[i]] at every position i of
+    the segment, for lanes = byte_lanes(masks, n); over down_lanes that is
+    lo[i] <= hi[i].  One AND for all the segments: segment j is bytes j*w to
+    (j+1)*w of the violations, w = len(lo) // count positions of
+    len(lanes) bytes."""
+    width = len(lo) // count * len(lanes)
+    if not width:
+        return [True] * count
+    violations = lane_code(lanes, lo) & inside & ~lane_code(lanes, hi)
+    if count == 1:
+        return [not violations]
+    raw, zero = violations.to_bytes(width * count, "little"), bytes(width)
+    return [raw[j : j + width] == zero for j in range(0, len(raw), width)]
+
+
 def order_preserving(p: "FinitePoset", t: bytes, target: Optional["FinitePoset"] = None) -> bool:
     """t(x) <= t(y) in target (p itself by default) over the stored pairs x < y of p."""
     lo, hi = p.order_pairs
@@ -427,9 +444,6 @@ class FinitePoset:
     def compact_elements(self) -> list:
         """Every element of a finite poset is compact: directed sets have maxima."""
         return list(range(self.n))
-
-    def dual(self) -> "FinitePoset":
-        return FinitePoset.from_up_masks(self.down, self.labels)
 
     def restrict(self, members: Sequence[int]) -> "FinitePoset":
         """Induced subposet on the given (sorted, distinct) elements."""

@@ -12,6 +12,7 @@ element where the two rows differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence, Tuple
 
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
@@ -338,44 +339,25 @@ def radical_operation(lat: RingIdealLattice) -> MonotoneMap:
 
 
 def prime_ideal_ids(lat: RingIdealLattice) -> list:
-    ring = lat.ring
-    out = []
-    whole = (1 << ring.n) - 1
-    for i, mask in enumerate(lat.ideals):
-        if mask == whole:
-            continue
-        prime = True
-        for a in range(ring.n):
-            if (mask >> a) & 1:
-                continue
-            for b in range(ring.n):
-                if (mask >> b) & 1:
-                    continue
-                if (mask >> ring.mul[a][b]) & 1:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(i)
-    return out
+    """The proper ideals holding no product of two elements outside them."""
+    ring, whole = lat.ring, (1 << lat.ring.n) - 1
+    return [
+        i
+        for i, mask in enumerate(lat.ideals)
+        if mask != whole
+        and not any(mask >> ring.mul[a][b] & 1 for a, b in product(bits(whole & ~mask), repeat=2))
+    ]
 
 
 def minimal_prime_ids(lat: RingIdealLattice) -> list:
     primes = prime_ideal_ids(lat)
-    out = []
-    for i in primes:
-        if not any(j != i and lat.magma.leq(j, i) for j in primes):
-            out.append(i)
-    return out
+    return [i for i in primes if not any(j != i and lat.magma.leq(j, i) for j in primes)]
 
 
 def regular_elements_mask(lat: RingIdealLattice) -> int:
     """Complement of the union of the minimal primes."""
-    union = 0
-    for i in minimal_prime_ids(lat):
-        union |= lat.ideals[i]
-    return ((1 << lat.ring.n) - 1) & ~union
+    primes = minimal_prime_ids(lat)
+    return id_mask(x for x in range(lat.ring.n) if not any(lat.ideals[i] >> x & 1 for i in primes))
 
 
 def base_prime(ring: FiniteRing) -> int:

@@ -49,6 +49,7 @@ from .magma import (
 from .nucleus import (
     ENUMERATION_CAP,
     MonotoneMap,
+    _decide_nuclei,
     _on_carrier,
     certified_composition,
     closure_from_preclosure,
@@ -145,13 +146,11 @@ def _sample_maps(m: OrderedMagma) -> tuple:
 
 @register("closureprop1")
 def _check_closureprop1(m: OrderedMagma):
-    """The three nucleus conditions agree on closures; is_nucleus cross-checks
-    them internally, so running it over samples and closures is the proof."""
+    """The three nucleus conditions agree on closures; the nucleus decision
+    compares them on every map, so deciding the sample and the closures in
+    one batch is the proof."""
     closures = enumerate_closures(m)
-    for s in _sample_maps(m):
-        is_nucleus(m, s)
-    for s in closures:
-        is_nucleus(m, s)
+    _decide_nuclei(m, _sample_maps(m) + tuple(closures))
     return _ok("random sample plus all closures")
 
 
@@ -159,8 +158,7 @@ def _check_closureprop1(m: OrderedMagma):
 def _check_closureprop1a(m: OrderedMagma):
     if m.unit is None:
         return _skip("needs a unital carrier")
-    for s in _sample_maps(m):
-        is_nucleus(m, s)
+    _decide_nuclei(m, _sample_maps(m))
     return _ok("single-axiom forms agree on the random sample")
 
 
@@ -181,6 +179,7 @@ def _spanning_subset(m: OrderedMagma):
 @register("closureprop2")
 def _check_closureprop2(m: OrderedMagma):
     closures = enumerate_closures(m)
+    _decide_nuclei(m, closures)
     p = m.poset
     sigma = _spanning_subset(m)
     for s in closures:

@@ -1,8 +1,14 @@
 import pytest
 
 from quantic.corpus import ring_corpus, standard_corpus
+from quantic.instances import plain_magma
 from quantic.magma import OrderedMagma
 from quantic.poset import FinitePoset
+
+
+def two_element_monoid() -> OrderedMagma:
+    """{1, a} with a*a = a: a monoid that is not a group."""
+    return plain_magma(["1", "a"], [[0, 1], [1, 1]])
 
 
 @pytest.fixture(scope="session")

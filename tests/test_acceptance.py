@@ -28,7 +28,6 @@ from quantic.instances import (
     module_system_conditions,
     module_system_lattice,
     trivial_monoid,
-    two_element_monoid,
     weak_ideal_system_conditions,
 )
 from quantic.lazy import (
@@ -49,6 +48,8 @@ from quantic.nucleus import (
 )
 from quantic.poset import FinitePoset
 from quantic.rings import tight_closure_preclosure, tight_closure_star
+
+from conftest import two_element_monoid
 
 
 def report(line):

@@ -16,9 +16,9 @@ from quantic.instances import (
     module_system_lattice,
     nonassociative_pair,
     plain_magma,
+    powerset_of_magma_elements,
     powerset_prequantale,
     trivial_monoid,
-    two_element_monoid,
     weak_ideal_system_conditions,
     zchain_with_both_ends,
     zchain_with_top,
@@ -36,6 +36,8 @@ from quantic.rings import (
     tight_closure_preclosure,
     tight_closure_star,
 )
+
+from conftest import two_element_monoid
 
 
 class TestMagmaDescriptions:
@@ -65,6 +67,21 @@ class TestPowerset:
     def test_size_cap(self):
         with pytest.raises(CarrierTooLarge):
             powerset_prequantale(cyclic_group(6))
+
+    @pytest.mark.parametrize("drop_empty", [False, True])
+    def test_products_are_the_complex_products(self, drop_empty):
+        # Every product table on two elements, twenty seeded ones on three,
+        # and one each on four and five, the base cap.
+        rng = random.Random(19)
+        tables = [[[a, b], [c, d]] for a in range(2) for b in range(2) for c in range(2) for d in range(2)]
+        tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for n in (3,) * 20 + (4, 5)]
+        for table in tables:
+            base = plain_magma([f"m{i}" for i in range(len(table))], table)
+            c = powerset_of_magma_elements(base, drop_empty)
+            masks = c.element_masks
+            assert len(masks) == 2 ** base.n - drop_empty
+            expected = [[c.mask_index[base.complex_mul_mask(a, b)] for b in masks] for a in masks]
+            assert [list(row) for row in c.magma.mul] == expected, table
 
 
 class TestModuleSystems:

@@ -34,7 +34,7 @@ from quantic.magma import (
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
 from quantic.poset import FinitePoset, all_below, bits, carrier_label, id_mask, lane_code, order_preserving
-from quantic.poset import mask_row, row_mask, subset_walk, ub_scan_sup
+from quantic.poset import lanes_within, mask_row, row_mask, subset_walk, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
@@ -66,6 +66,10 @@ def closure_image_walk(p):
             if None not in stars:
                 tables.append(bytes(stars))
     return sorted(tables)
+
+
+def expansive_loop(p, t):
+    return all(p.leq(x, t[x]) for x in range(p.n))
 
 
 def three_part_loop(p, t):
@@ -321,24 +325,33 @@ def automorphism_loop(p, t):
 
 @lru_cache(maxsize=None)
 def dual(p):
-    return p.dual()
+    return FinitePoset.from_up_masks(p.down, p.labels)
 
 
-def assert_map_kernels_match(m, t):
-    """Every byte-row decision on the table t against its loop."""
-    p, row = m.poset, bytes(t)
-    assert nucleus._closure_single_axiom(p, row) == closure_single_axiom_loop(p, t), t
-    assert nucleus._three_part(p, row) == three_part_loop(p, t), t
-    s = MonotoneMap(m, t)
-    assert s.is_preclosure == preclosure_loop(p, t), t
-    assert s.is_order_preserving == order_preserving_loop(p, t, p), t
-    assert order_preserving(p, row, dual(p)) == order_preserving_loop(p, t, dual(p)), t
-    assert _is_poset_automorphism(p, t) == automorphism_loop(p, t), t
-    products = nucleus._products(m, row)
-    assert nucleus._nucleus_conditions(m, s, products) == nucleus_conditions_loop(m, t), t
-    assert nucleus._unital_selfmap_conditions(m, s, products) == unital_conditions_loop(m, t), t
-    assert nucleus.is_strict_nucleus(m, s) == strict_loop(m, t), t
-    assert nucleus.transportable_mask(m, s) == transportable_loop(m, t), t
+def assert_map_kernels_match(m, tables):
+    """Every byte-row decision on the tables against its loop, table by
+    table: the batched conditions over all the tables in one call each, and
+    the verdicts _decide_nuclei writes, deciding them in one batch on a fresh
+    copy of m."""
+    p, rows = m.poset, [bytes(t) for t in tables]
+    forms = nucleus._closure_conditions(p, rows)
+    products = nucleus._products(m, rows)
+    conditions = nucleus._nucleus_conditions(m, rows, products, [f[1] for f in forms])
+    unital = nucleus._unital_selfmap_conditions(m, rows, products, [f[0] for f in forms])
+    fresh = OrderedMagma(p, m.mul, name=m.name)
+    nucleus._decide_nuclei(fresh, [MonotoneMap(fresh, row) for row in rows])
+    for t, row, form, condition, forms2and3 in zip(tables, rows, forms, conditions, unital, strict=True):
+        assert form == (expansive_loop(p, t), three_part_loop(p, t), closure_single_axiom_loop(p, t)), t
+        assert condition == nucleus_conditions_loop(m, t), t
+        assert forms2and3 == unital_conditions_loop(m, t), t
+        assert fresh._memo["nucleus", row] == (condition[0], strict_loop(m, t)), t
+        assert p._memo["closure", row] == form[1], t
+        s = MonotoneMap(m, t)
+        assert s.is_preclosure == preclosure_loop(p, t), t
+        assert s.is_order_preserving == order_preserving_loop(p, t, p), t
+        assert order_preserving(p, row, dual(p)) == order_preserving_loop(p, t, dual(p)), t
+        assert _is_poset_automorphism(p, t) == automorphism_loop(p, t), t
+        assert nucleus.transportable_mask(m, s) == transportable_loop(m, t), t
 
 
 def assert_row_laws_match(m, seen=None):
@@ -426,8 +439,8 @@ def test_map_kernels_match_the_loops_on_every_self_map_of_the_small_corpus(corpu
     small = [m for m in corpus.values() if m.n <= 4]
     assert len(small) >= 15
     for m in small:
-        for t in product(range(m.n), repeat=m.n):
-            assert_map_kernels_match(m, t)
+        # Up to 4**4 = 256 tables in one batch.
+        assert_map_kernels_match(m, list(product(range(m.n), repeat=m.n)))
 
 
 @pytest.mark.parametrize("pname", sorted(three_element_posets()))
@@ -438,8 +451,7 @@ def test_map_kernels_match_the_loops_on_the_three_element_sweep(pname):
     if pname == "antichain":
         magmas = magmas[::40]
     for m in magmas:
-        for t in product(range(3), repeat=3):
-            assert_map_kernels_match(m, t)
+        assert_map_kernels_match(m, list(product(range(3), repeat=3)))
 
 
 @pytest.mark.parametrize(
@@ -471,7 +483,9 @@ def test_each_nucleus_condition_is_decided_and_compared(row1, star11, verdicts):
 @pytest.mark.parametrize("forms", [(False, True), (True, False)])
 def test_each_unital_form_is_compared(monkeypatch, forms):
     m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
-    monkeypatch.setattr(nucleus, "_unital_selfmap_conditions", lambda m, s, products: forms)
+    monkeypatch.setattr(
+        nucleus, "_unital_selfmap_conditions", lambda m, tables, products, expansive: [forms] * len(tables)
+    )
     with pytest.raises(InternalCheckError, match="unital single-axiom nucleus forms disagree") as info:
         nucleus.is_nucleus(m, MonotoneMap.identity(m))
     assert str(info.value).endswith(f"on I(Z/4) (3 elements) at (0, 1, 2): {(True, *forms)}")
@@ -733,12 +747,103 @@ def test_unital_form3_matches_the_loop_at_every_lane_width(n):
     for m in carriers:
         p = m.poset
         tables = [bytes(tx if p.leq(x, tx) else x for x, tx in enumerate(t)) for t in order_tables(rng, p)]
-        for t in order_tables(rng, p)[:2] + tables[: 4 if n > 20 else None]:
-            s = MonotoneMap(m, t)
+        tables = order_tables(rng, p)[:2] + tables[: 4 if n > 20 else None]
+        expansive = [form[0] for form in nucleus._closure_conditions(p, tables)]
+        forms = nucleus._unital_selfmap_conditions(m, tables, nucleus._products(m, tables), expansive)
+        for t, (_, form3) in zip(tables, forms, strict=True):
             expected = unital_form3_loop(m, t)
-            assert nucleus._unital_selfmap_conditions(m, s, nucleus._products(m, t))[1] == expected, (m.name, t)
+            assert form3 == expected, (m.name, t)
             answers.add(expected)
     assert True in answers and (n == 1 or False in answers)
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_lanes_within_reads_each_segment_at_every_lane_width(n):
+    # count segments of equal id strings, but for one pair a, b with a not
+    # below b at the last position of the first or of the last segment: only
+    # that segment fails, over the down lanes and, sides swapped, over the up
+    # lanes, and none fails with the pair's differing bits left out.
+    rng = random.Random(500 + n)
+    for p in lane_posets(rng, n):
+        apart = [(a, b) for a in range(n) for b in range(n) if not p.leq(a, b)]
+        for count in (1, 2, 5):
+            for length in (1, n):
+                same = bytes(rng.randrange(n) for _ in range(length * count))
+                assert lanes_within(p.down_lanes, same, same, count) == [True] * count
+                for a, b in apart[:1] + apart[-1:] + rng.sample(apart, min(2, len(apart))):
+                    apart_bits = p.down[a] & ~p.down[b]
+                    outside = ~int.from_bytes(apart_bits.to_bytes(len(p.down_lanes), "little") * len(same), "little")
+                    for j in {0, count - 1}:
+                        lo, hi = bytearray(same), bytearray(same)
+                        lo[(j + 1) * length - 1], hi[(j + 1) * length - 1] = a, b
+                        lo, hi = bytes(lo), bytes(hi)
+                        expected = [i != j for i in range(count)]
+                        assert lanes_within(p.down_lanes, lo, hi, count) == expected, (p.up, lo, hi)
+                        assert lanes_within(p.up_lanes, hi, lo, count) == expected, (p.up, lo, hi)
+                        assert lanes_within(p.down_lanes, lo, hi, count, outside) == [True] * count
+
+
+def chain_closures(rng, n, k):
+    """k distinct closures of the n-chain, each the least kept element above x
+    for a seeded set of kept elements holding the top."""
+    images = {(1 << (n - 1)) | rng.getrandbits(n - 1) for _ in range(4 * k)}
+    return [bytes(min(y for y in bits(c) if y >= x) for x in range(n)) for c in sorted(images)[:k]]
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_a_batch_reads_a_failure_at_the_last_position_of_its_first_or_last_table(n):
+    # On the n-chain under meet every closure is a strict nucleus.  The
+    # identity with n - 1 sent to n - 2 is order-preserving and idempotent
+    # but not expansive, at x = n - 1 only: the last position of its
+    # segment.  Put first or last in a batch of closures, it alone fails.
+    rng = random.Random(600 + n)
+    p = FinitePoset.chain(n)
+    closures = chain_closures(rng, n, 5)
+    assert len(closures) == min(5, 2 ** (n - 1))
+    if n == 1:
+        bad = []
+    else:
+        bad = [bytes(range(n - 1)) + bytes([n - 2])]
+        t = bad[0]
+        assert not expansive_loop(p, t) and order_preserving_loop(p, t, p) and bytes(t[x] for x in t) == t
+    for batch in (bad + closures, closures + bad):
+        m = meet_lattice(FinitePoset.chain(n), "chain-meet")
+        forms = nucleus._closure_conditions(m.poset, batch)
+        assert [f[0] for f in forms] == [t not in bad for t in batch]
+        nucleus._decide_nuclei(m, [MonotoneMap(m, t) for t in batch])
+        assert [m._memo["nucleus", t] for t in batch] == [(t not in bad,) * 2 for t in batch]
+        assert [m.poset._memo["closure", t] for t in batch] == [t not in bad for t in batch]
+        if n < 20:
+            assert_map_kernels_match(m, batch)
+
+
+@pytest.mark.parametrize("k, third", [(5, 2), (70, 66)], ids=["first-chunk", "second-chunk"])
+def test_a_batch_with_disagreeing_tables_names_the_first_and_stores_nothing(monkeypatch, k, third):
+    # c2 is flipped on the table at position third and on the last one; the
+    # second case puts both in the second chunk of BATCH_MAPS tables.
+    assert nucleus.BATCH_MAPS < 70
+    m = meet_lattice(FinitePoset.chain(8), "chain8-meet")
+    maps = enumerate_closures(m)[:k]
+    flipped = {maps[third].table, maps[-1].table}
+    conditions = nucleus._nucleus_conditions
+
+    def flip(m, tables, products, closed):
+        out = conditions(m, tables, products, closed)
+        return [(c1, c2 != (t in flipped), c3) for t, (c1, c2, c3) in zip(tables, out)]
+
+    monkeypatch.setattr(nucleus, "_nucleus_conditions", flip)
+    with pytest.raises(InternalCheckError) as info:
+        nucleus._decide_nuclei(m, maps)
+    assert str(info.value) == (
+        f"nucleus characterizations disagree on chain8-meet (8 elements) at {tuple(maps[third].table)}: "
+        "(True, False, True)"
+    )
+    kept = [key[0] for carrier in (m, m.poset) for key in carrier.__dict__.get("_memo", {})]
+    assert "nucleus" not in kept and "closure" not in kept
+    with pytest.raises(InternalCheckError, match="nucleus characterizations disagree"):
+        nucleus.is_nucleus(m, maps[third])
+    monkeypatch.undo()
+    assert all(nucleus.is_nucleus(m, s) for s in maps)
 
 
 @pytest.mark.parametrize("n", LANE_SIZES)
@@ -1537,8 +1642,7 @@ def test_kernels_equal_the_loops_on_random_ordered_magmas(m, data):
     n = m.n
     tables = [s.table for s in enumerate_closures(m)]
     tables += [tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))]
-    for t in tables:
-        assert_map_kernels_match(m, t)
+    assert_map_kernels_match(m, tables)
     assert_scans_match(m, tables)
     assert_row_laws_match(m)
     assert_residual_kernels_match(m, image_candidates(m), set())

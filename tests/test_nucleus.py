@@ -407,7 +407,9 @@ def test_mutating_a_returned_list_leaves_the_next_call_alone(z4, enumerate_maps)
 
 
 def test_a_disagreeing_verdict_is_not_kept(z4, monkeypatch):
-    monkeypatch.setattr(nucleus, "_nucleus_conditions", lambda m, s, products: (True, False, True))
+    monkeypatch.setattr(
+        nucleus, "_nucleus_conditions", lambda m, tables, products, closed: [(True, False, True)] * len(tables)
+    )
     m = load_magma(magma_doc(z4.magma))
     for _ in range(2):
         with pytest.raises(InternalCheckError, match="nucleus characterizations disagree"):
@@ -418,7 +420,9 @@ def test_a_verdict_stays_on_its_own_carrier(z4, monkeypatch):
     doc = magma_doc(z4.magma)
     first, second = load_magma(doc), load_magma(doc)
     assert first == second and is_nucleus(first, MonotoneMap.identity(first))
-    monkeypatch.setattr(nucleus, "_nucleus_conditions", lambda m, s, products: (True, False, True))
+    monkeypatch.setattr(
+        nucleus, "_nucleus_conditions", lambda m, tables, products, closed: [(True, False, True)] * len(tables)
+    )
     assert is_nucleus(first, MonotoneMap.identity(first))
     with pytest.raises(InternalCheckError):
         is_nucleus(second, MonotoneMap.identity(second))

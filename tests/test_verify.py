@@ -67,12 +67,16 @@ def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypa
 
         monkeypatch.setattr(target, name, counted)
 
-    counting(nucleus, "_unital_selfmap_conditions", decided)
+    unital = nucleus._unital_selfmap_conditions
+    monkeypatch.setattr(
+        nucleus, "_unital_selfmap_conditions",
+        lambda carrier, tables, *rest: decided.extend((carrier, t) for t in tables) or unital(carrier, tables, *rest),
+    )
     counting(nucleus, "_build_quotient", quotients)
     counting(divisorial, "v_lin", divisorial_runs)
     run_all(m)
     # The log holds every carrier it names, so no id is reused while it lives.
-    per_table = Counter((id(carrier), s.table) for carrier, s in decided)
+    per_table = Counter((id(carrier), t) for carrier, t in decided)
     assert per_table and max(per_table.values()) == 1
     nuclei = sorted(s.table for s in nucleus.enumerate_nuclei(m))
     assert sorted(s.table for carrier, s in quotients if carrier is m) == nuclei
@@ -85,8 +89,8 @@ def test_closureprop1_rows_share_the_seeded_sample(monkeypatch):
     for row in ("closureprop1", "closureprop1a"):
         tables = seen[row] = []
         monkeypatch.setattr(
-            verify, "is_nucleus",
-            lambda m, s, tables=tables: tables.append(s.table) or nucleus.is_nucleus(m, s),
+            verify, "_decide_nuclei",
+            lambda m, maps, tables=tables: tables.extend(s.table for s in maps) or nucleus._decide_nuclei(m, maps),
         )
         run_all(m, names=[row])
     sample = [s.table for s in verify._random_maps(m)]
@@ -164,11 +168,11 @@ def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, 
     for target, name, replacement, call, witness in (
         (nucleus, "_nuclei_by_image_sets", lambda m, closures: closures[:1],
          nucleus.enumerate_nuclei, "filter only [(1, 1, 2), (2, 2, 2)]"),
-        (nucleus, "_three_part", lambda p, t: False,
+        (nucleus, "_closure_conditions", lambda p, tables: [(True, False, True)] * len(tables),
          lambda m: nucleus.is_closure(identity(m)), "(0, 1, 2)"),
-        (nucleus, "_nucleus_conditions", lambda m, s, products: (True, False, True),
+        (nucleus, "_nucleus_conditions", lambda m, tables, products, closed: [(True, False, True)] * len(tables),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
-        (nucleus, "_unital_selfmap_conditions", lambda m, s, products: (False, False),
+        (nucleus, "_unital_selfmap_conditions", lambda m, tables, products, expansive: [(False, False)] * len(tables),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
         (nucleus, "nuclei_join", lambda m, gamma: identity(m),
          nucleus.nucleus_lattice, "(0, 1, 2) v (1, 1, 2)"),
@@ -202,8 +206,16 @@ ENUMERATION_ROWS = {
 
 def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     m = module_system_lattice(cyclic_group(4)).magma
-    decide, decided = nucleus._decide_nucleus, []
-    monkeypatch.setattr(nucleus, "_decide_nucleus", lambda m, s: decided.append(s.table) or decide(m, s))
+    decide, decided = nucleus._decide_nuclei, []
+
+    def counting(m, maps):
+        maps = list(maps)
+        decided.extend(s.table for s in maps)
+        return decide(m, maps)
+
+    # The verify rows hand their families to the batch kernel themselves.
+    monkeypatch.setattr(nucleus, "_decide_nuclei", counting)
+    monkeypatch.setattr(verify, "_decide_nuclei", counting)
     results = {r.name: r for r in run_all(m)}
     # closureprop1a and vstrategies enumerate nothing, so they run at any size.
     passed = {"quantales", "nearprequantales", "RMlemma", "1compact", "onebracket", "maintheorem",
