@@ -22,13 +22,14 @@ from .magma import (
 from .nucleus import (
     MonotoneMap,
     _broken,
+    _certified,
+    _nuclei_of,
     _on_carrier,
     enumerate_nuclei,
-    is_nucleus,
     nuclei_meet,
 )
 from .finitary import star_f
-from .poset import id_mask, mask_row, row_mask, translate_table
+from .poset import bits, id_mask, mask_row, row_mask, translate_table
 
 # More translation-monoid maps than this is an internal error.
 LIN_CAP = 100_000
@@ -198,8 +199,7 @@ def _v_all(q: OrderedMagma, a: int, strategies: dict) -> MonotoneMap:
 
 
 def _checked_v(q: OrderedMagma, a: int, out: MonotoneMap) -> MonotoneMap:
-    if not is_nucleus(q, out):
-        raise _broken(q, "divisorial closure failed the nucleus check")
+    out = _certified(q, out.table, "divisorial closure")
     if out.table[a] != a:
         raise _broken(q, "divisorial closure does not fix its element")
     return out
@@ -207,8 +207,7 @@ def _checked_v(q: OrderedMagma, a: int, out: MonotoneMap) -> MonotoneMap:
 
 def divisorial_decomposition(q: OrderedMagma, s: MonotoneMap) -> list:
     """Return the fixed elements of s and assert s = meet of their divisorial closures."""
-    if not is_nucleus(q, s):
-        raise HypothesisNotMet("divisorial decomposition requires a nucleus")
+    _nuclei_of(q, [s], "divisorial_decomposition")
     fixed = sorted(set(s.table))
     met = nuclei_meet(q, [v(q, a) for a in fixed])
     if met.table != s.table:
@@ -262,13 +261,10 @@ def gv_elements(m: OrderedMagma, s: MonotoneMap) -> GVSet:
     """{ z <= 1 : z* = 1* }; closure under multiplication is asserted."""
     if m.unit is None:
         raise HypothesisNotMet("GV elements need a unital carrier")
-    if not is_nucleus(m, s):
-        raise HypothesisNotMet("GV elements are defined for a nucleus")
+    _nuclei_of(m, [s], "gv_elements")
     p = m.poset
     one_star = s.table[m.unit]
-    members = tuple(
-        z for z in range(m.n) if p.leq(z, m.unit) and s.table[z] == one_star
-    )
+    members = tuple(z for z in bits(p.down[m.unit]) if s.table[z] == one_star)
     mem = set(members)
     for x in members:
         for y in members:
@@ -314,8 +310,7 @@ def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
 
 
 def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
-    if not is_nucleus(q, s):
-        raise HypothesisNotMet("stable_closure requires a nucleus")
+    _nuclei_of(q, [s], "stable_closure")
     gv = gv_elements(q, s)
     table = []
     for x in range(q.n):
@@ -326,9 +321,7 @@ def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
         if w is None:
             raise _broken(q, "stable-closure supremum missing")
         table.append(w)
-    out = MonotoneMap(q, table)
-    if not is_nucleus(q, out):
-        raise _broken(q, "stable closure failed the nucleus check")
+    out = _certified(q, table, "stable closure")
     if not out <= s:
         raise _broken(q, "stable closure is not finer than its nucleus")
     return out
@@ -342,8 +335,7 @@ def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
 
 
 def _decide_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
-    if not is_nucleus(q, s):
-        raise HypothesisNotMet("is_stable requires a nucleus")
+    _nuclei_of(q, [s], "is_stable")
     p, t = q.poset, s.table
     one = q.unit
     meets = p.meet_table

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .lazy import SAMPLE_SIZE, LazyCarrier, RuleMap, map_family_sup
 from .magma import OrderedMagma
-from .nucleus import MonotoneMap, is_nucleus, quotient
+from .nucleus import MonotoneMap, _nuclei_of, quotient
 from .poset import bits, broken, id_mask
 
 
@@ -71,8 +71,7 @@ def star_f(q, s):
 def _star_f_finite(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     if not q.profile.precoherent:
         raise HypothesisNotMet("star_f needs a precoherent carrier")
-    if not is_nucleus(q, s):
-        raise HypothesisNotMet("star_f requires a nucleus")
+    _nuclei_of(q, [s], "star_f")
     p, t = q.poset, s.table
     for x, tx in enumerate(t):
         if p.sup_mask(id_mask(t[y] for y in bits(p.down[x]))) != tx:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
-from .poset import broken, id_mask, lane_code, mask_row, subset_walk, translate_table
+from .poset import broken, id_mask, lane_code, mask_row, sup_misses, translate_table
 
 
 @dataclass(frozen=True)
@@ -330,18 +330,13 @@ def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
 
 def _translation_failures(m: OrderedMagma):
     """Every subset X, in walk order, whose sup s exists and some translation
-    of which misses it: a s != sup(aX) or s a != sup(Xa).  The walk carries
+    of which misses it: a s != sup(aX) or s a != sup(Xa).  sup_misses carries
     the upper bounds of the 2n sets aX and Xa, lane a and lane n + a of one
-    packed int.  Each is an up-set, so it is up[a s] exactly when a s is the
-    sup, and cols[s], the lane code of up[a s] and up[s a] over a, decides
-    every translation in one comparison."""
+    packed int, and cols[s], the lane code of up[a s] and up[s a] over a,
+    decides every translation in one comparison."""
     p, n = m.poset, m.n
-    least = p.principal_up
     cols = [lane_code(p.up_lanes, m.cols[x] + m.mul[x]) for x in range(n)]
-    for mask, ub, images in subset_walk(p, cols, p.universe_code(2 * n)):
-        s = least.get(ub)
-        if s is not None and images != cols[s]:
-            yield mask
+    return sup_misses(p, cols, p.universe_code(2 * n))
 
 
 def _distributes_over_finite_nonempty(m: OrderedMagma) -> bool:
@@ -554,21 +549,14 @@ class MagmaMorphism:
 
     def preserves_sups(self) -> bool:
         """Exhaustive check that f(sup X) = sup f(X) for every nonempty X whose
-        sup exists."""
+        sup exists: any() passes over the empty set's mask, 0."""
         sp, tp = self.source.poset, self.target.poset
         if sp.n > EXHAUSTIVE_CAP:
             raise CarrierTooLarge(
                 f"morphism sup-check capped at {EXHAUSTIVE_CAP} elements, "
                 f"refused on {carrier_label(self.source)}"
             )
-        cols = [tp.up[v] for v in self.table]
-        least = sp.principal_up
-        for mask, ub, image_ub in subset_walk(sp, cols, tp.universe):
-            # Both masks are up-sets: f(s) is the sup of f(X) when image_ub is up[f(s)].
-            s = least.get(ub)
-            if mask and s is not None and image_ub != tp.up[self.table[s]]:
-                return False
-        return True
+        return not any(sup_misses(sp, [tp.up[v] for v in self.table], tp.universe))
 
     def compose(self, inner: "MagmaMorphism") -> "MagmaMorphism":
         if inner.target is not self.source and inner.target != self.source:

@@ -5,10 +5,13 @@ raise InternalCheckError, naming the carrier and its size, on disagreement;
 closure enumeration is a backtracking search that visits only closures, with
 the naive filter of all self-maps available as an independent oracle.
 
-Ids are checked where they enter: MonotoneMap checks its table, and the
-public functions that take maps rely on that.  Inside the module, tables
-derived from a carrier's own tables are composed and read as bitmasks
-without a second check.
+Constructions check the nuclei they take through one precondition,
+_nuclei_of (HypothesisNotMet naming the operation), and the nucleus they
+return through one postcondition, _certified (InternalCheckError naming the
+carrier).  MonotoneMap checks its ids against its own carrier, and a
+decision refuses a table of another length, a map of another carrier, with
+StructureError, storing no verdict.  Tables derived from a carrier's own
+tables are composed and read as bitmasks without a second check.
 
 A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
@@ -50,7 +53,7 @@ from .errors import (
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
 from .poset import lane_code, lanes_within, order_preserving
-from .poset import broken as _broken, carrier_label as _label, subset_walk, translate_table as _pad
+from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
 # image holds every maximal element, so a carrier within the cap has at most
@@ -140,7 +143,7 @@ def is_closure(s: MonotoneMap) -> bool:
     once per poset object and table, as _decide_nuclei decides it."""
     memo, key = _memo(s.poset), ("closure", s.table)
     if key not in memo:
-        memo[key] = _closed(s.carrier, s.table, _closure_conditions(s.poset, [s.table])[0])
+        memo[key] = _closed(s.carrier, s.table, _closure_conditions(s.carrier, [s.table])[0])
     return memo[key]
 
 
@@ -158,8 +161,11 @@ def _closed(carrier, t: bytes, forms: tuple) -> bool:
 # -- batched decisions (see the module docstring) ------------------------------------
 
 
-def _closure_conditions(p: FinitePoset, tables: Sequence[bytes]) -> list:
-    """(expansive, three-part form, single axiom pre[x] == pre[x*]) per table."""
+def _closure_conditions(carrier, tables: Sequence[bytes]) -> list:
+    """(expansive, three-part form, single axiom pre[x] == pre[x*]) per table of n ids."""
+    p = poset_of(carrier)
+    if set(map(len, tables)) - {p.n}:
+        raise StructureError(f"map table length does not match {_label(carrier)}")
     count, lanes, rows = len(tables), p.down_lanes, p.up_rows
     pads = list(map(_pad, tables))
     lo, hi = (b"".join(map(side.translate, pads)) for side in p.order_pairs)
@@ -246,15 +252,15 @@ def _decide_nuclei(m: OrderedMagma, maps: Iterable[MonotoneMap]):
     """Decide each table of maps that m has not decided, BATCH_MAPS at a
     time: (nucleus, strict) under ("nucleus", table) on m, the closure under
     ("closure", table) on m.poset.  The first table in input order whose
-    characterizations disagree raises, and then no verdict of the call is
-    stored."""
-    memo, p = _memo(m), m.poset
+    characterizations disagree, or whose length is not m.n, raises, and then
+    no verdict of the call is stored."""
+    memo = _memo(m)
     todo = [t for t in dict.fromkeys(s.table for s in maps) if ("nucleus", t) not in memo]
-    unital = m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital)
     nuclei, closures = {}, {}
     for i in range(0, len(todo), BATCH_MAPS):
         tables = todo[i : i + BATCH_MAPS]
-        forms = _closure_conditions(p, tables)
+        forms = _closure_conditions(m, tables)
+        unital = m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital)
         expansive = [f[0] for f in forms]
         stars, _, _, tts = products = _products(m, tables)
         conditions = _nucleus_conditions(m, tables, products, [f[1] for f in forms])
@@ -271,7 +277,28 @@ def _decide_nuclei(m: OrderedMagma, maps: Iterable[MonotoneMap]):
                 )
             nuclei["nucleus", t] = c1, c1 and tt == star
     memo.update(nuclei)
-    _memo(p).update(closures)
+    _memo(m.poset).update(closures)
+
+
+def _nuclei_of(m: OrderedMagma, maps: Iterable[MonotoneMap], who: str) -> List[MonotoneMap]:
+    """The precondition: maps as a list, each a nucleus on m, else
+    HypothesisNotMet naming who.  Verdicts are read from the memo; the first
+    undecided map sends the list to _decide_nuclei."""
+    maps, memo = list(maps), _memo(m)
+    for s in maps:
+        if ("nucleus", s.table) not in memo:
+            _decide_nuclei(m, maps)
+        if not memo["nucleus", s.table][0]:
+            raise HypothesisNotMet(f"{who} requires a nucleus")
+    return maps
+
+
+def _certified(m: OrderedMagma, table: Sequence[int], what: str) -> MonotoneMap:
+    """The postcondition: table as a MonotoneMap on m, else InternalCheckError."""
+    out = MonotoneMap(m, table)
+    if not is_nucleus(m, out):
+        raise _broken(m, f"{what} is not a nucleus")
+    return out
 
 
 def _memo(carrier) -> dict:
@@ -353,13 +380,9 @@ def _build_hull(carrier, s: MonotoneMap) -> MonotoneMap:
 
 def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     """Pointwise infimum; the empty meet is the top map e."""
-    maps = list(gamma)
-    p = m.poset
+    maps, p = _nuclei_of(m, gamma, "nuclei_meet"), m.poset
     if not maps:
         return MonotoneMap.top_map(m)
-    for s in maps:
-        if not is_nucleus(m, s):
-            raise HypothesisNotMet("nuclei_meet requires nuclei")
     down, greatest = p.down, p.principal_down
     table = []
     for x, column in enumerate(zip(*(s.table for s in maps))):
@@ -370,9 +393,7 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
         if v is None:
             raise HypothesisNotMet(f"missing infimum for the fibers over element {x}")
         table.append(v)
-    out = MonotoneMap(m, table)
-    if not is_nucleus(m, out):
-        raise _broken(m, "pointwise meet of nuclei is not a nucleus")
+    out = _certified(m, table, "pointwise meet of nuclei")
     if any(s.image_mask() & ~out.image_mask() for s in maps):
         raise _broken(m, "meet image does not contain the union of images")
     return out
@@ -384,25 +405,20 @@ def nuclei_join(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     Guaranteed to be a nucleus where join_formula_applies; elsewhere the
     operation refuses.
     """
-    maps = list(gamma)
     p = m.poset
     if not join_formula_applies(m):
         raise HypothesisNotMet(
             "join of nuclei needs a near prequantale, or a bounded-complete "
             "near-residuated carrier with a top"
         )
-    for s in maps:
-        if not is_nucleus(m, s):
-            raise HypothesisNotMet("nuclei_join requires nuclei")
+    maps = _nuclei_of(m, gamma, "nuclei_join")
     common = p.universe
     for s in maps:
         common &= s.fixed_mask()
     table = _least_above(p, common)
     if table is None:
         raise _broken(m, "common fixed points fail the closure-system property")
-    out = MonotoneMap(m, table)
-    if not is_nucleus(m, out):
-        raise _broken(m, "join of nuclei is not a nucleus")
+    out = _certified(m, table, "join of nuclei")
     if out.image_mask() != common:
         raise _broken(m, "join image is not the intersection of images")
     return out
@@ -542,8 +558,7 @@ class QuotientMagma:
 def quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
     """The image M* under star-multiplication, with the inherited structure
     asserted; built once per carrier object and nucleus table."""
-    if not is_nucleus(m, s):
-        raise HypothesisNotMet("quotient requires a nucleus")
+    _nuclei_of(m, [s], "quotient")
     return _on_carrier(m, ("quotient", s.table), _build_quotient, s)
 
 
@@ -561,22 +576,23 @@ def _build_quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
 
 
 def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
-    """s(sup X) is the sup of s(X) within the image, for every X whose sup
-    exists: every subset up to EXHAUSTIVE_CAP elements, pairs above it."""
+    """s(sup X) is the sup of s(X) within the image I, for every X whose sup
+    v exists: every subset up to EXHAUSTIVE_CAP elements, pairs above it.
+    With cols[x] = up[t[x]] & I the walk carries U = I & ub(t(X)), an up-set
+    within I.  t[v] is least in U iff U = cols[v]: if so, U lies within
+    I & up[t[v]], which lies in U since U is up-closed within I and holds
+    t[v]; conversely t[v] is in I & up[t[v]] = U, below all of it."""
     p, t = m.poset, s.table
     up, image = p.up, s.image_mask()
+    cols = [up[tx] & image for tx in t]
     if p.n > EXHAUSTIVE_CAP:
-        walk = (
-            (None, up[x] & up[y], image & up[t[x]] & up[t[y]])
-            for x in range(p.n)
-            for y in range(x, p.n)
-        )
+        least = p.principal_up
+        sups = ((least.get(up[x] & up[y]), cols[x] & cols[y]) for x in range(p.n) for y in range(x, p.n))
+        missed = any(v is not None and ub != cols[v] for v, ub in sups)
     else:
-        walk = subset_walk(p, [up[tx] for tx in t], image)
-    for _, ub, image_ub in walk:
-        v = p.principal_up.get(ub)
-        if v is not None and not p.is_least(t[v], image_ub):
-            raise _broken(m, "corestriction of the nucleus is not sup-preserving")
+        missed = next(sup_misses(p, cols, image), None) is not None
+    if missed:
+        raise _broken(m, "corestriction of the nucleus is not sup-preserving")
 
 
 def _assert_profile_inheritance(m: OrderedMagma, q: OrderedMagma):
@@ -618,12 +634,9 @@ def nucleus_of_morphism(f: MagmaMorphism) -> MonotoneMap:
         if v is None:
             raise _broken(src, "fiber supremum missing on a near prequantale")
         table.append(v)
-    s = MonotoneMap(src, table)
-    if not is_nucleus(src, s):
-        raise _broken(src, "morphism-induced map failed the nucleus check")
-    for x in range(src.n):
-        if f.table[s.table[x]] != f.table[x]:
-            raise _broken(src, "morphism does not factor through its nucleus")
+    s = _certified(src, table, "morphism-induced map")
+    if s.table.translate(_pad(f.table)) != f.table:
+        raise _broken(src, "morphism does not factor through its nucleus")
     members = sorted(set(s.table))
     if len(set(f.table[x] for x in members)) != len(members):
         raise _broken(src, "morphism restricted to the image is not injective")
@@ -636,11 +649,8 @@ def _assert_image_iso(f: MagmaMorphism, s: MonotoneMap, members):
     src, tgt = f.source, f.target
     for x in members:
         for y in members:
-            star_prod = s.table[src.op(x, y)]
-            if f.table[star_prod] != tgt.op(f.table[x], f.table[y]):
+            if f.table[s.table[src.op(x, y)]] != tgt.op(f.table[x], f.table[y]):
                 raise _broken(src, "image of nucleus not isomorphic to morphism image")
-    for x in members:
-        for y in members:
             if src.leq(x, y) != tgt.leq(f.table[x], f.table[y]):
                 raise _broken(src, "image correspondence is not an order isomorphism")
 
@@ -673,8 +683,7 @@ def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
         raise HypothesisNotMet("induced_lower needs a near prequantale")
     if not is_sup_spanning(m, n_sub.members):
         raise HypothesisNotMet("submagma is not sup-spanning")
-    if not is_nucleus(n_sub.magma, s):
-        raise HypothesisNotMet("induced_lower requires a nucleus on the submagma")
+    _nuclei_of(n_sub.magma, [s], "induced_lower")
     p = m.poset
     star_on_parent = {x: n_sub.members[s.table[n_sub.to_sub[x]]] for x in n_sub.members}
     good = id_mask(
@@ -685,9 +694,7 @@ def induced_lower(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
     table = _least_above(p, good)
     if table is None:
         raise _broken(m, "induced-nucleus fiber has no least element")
-    out = MonotoneMap(m, table)
-    if not is_nucleus(m, out):
-        raise _broken(m, "induced lower map failed the nucleus check")
+    out = _certified(m, table, "induced lower map")
     for z in n_sub.members:
         if out.table[z] != star_on_parent[z]:
             raise _broken(m, "induced lower nucleus does not restrict to the input")
@@ -704,16 +711,12 @@ def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
     for x, y in product(range(m.n), repeat=2):
         if ann not in (x, y) and mmask >> m.op(x, y) & 1 and not mmask >> x & mmask >> y & 1:
             raise HypothesisNotMet(f"subset is not saturated: {x}*{y} lands inside but the pair does not")
-    if not is_nucleus(n_sub.magma, s):
-        raise HypothesisNotMet("induced_upper requires a nucleus on the submagma")
+    _nuclei_of(n_sub.magma, [s], "induced_upper")
     top = p.top
     if top is None:
         raise HypothesisNotMet("induced_upper needs a bounded-above carrier")
     table = [n_sub.members[s.table[n_sub.to_sub[x]]] if mmask >> x & 1 else top for x in range(m.n)]
-    out = MonotoneMap(m, table)
-    if not is_nucleus(m, out):
-        raise _broken(m, "induced upper map failed the nucleus check")
-    return out
+    return _certified(m, table, "induced upper map")
 
 
 # -- R(M), the Galois connection, and 1[x] ---------------------------------------
@@ -732,7 +735,7 @@ def d_map(m: OrderedMagma, a: int) -> MonotoneMap:
         raise HypothesisNotMet("d_map needs an ordered commutative monoid")
     if not ((r_set_mask(m) >> a) & 1):
         raise HypothesisNotMet("d_map needs an idempotent element above the unit")
-    s = MonotoneMap(m, m.cols[a])
+    s = _certified(m, m.cols[a], "translation by an idempotent above 1")
     if not is_strict_nucleus(m, s):
         raise _broken(m, "translation by an idempotent above 1 must be a strict nucleus")
     return s
@@ -742,8 +745,7 @@ def unit_part(m: OrderedMagma, s: MonotoneMap) -> int:
     """1* for a nucleus s; always lands in R(M)."""
     if m.unit is None:
         raise NoUnit("unit_part needs a unital carrier")
-    if not is_nucleus(m, s):
-        raise HypothesisNotMet("unit_part requires a nucleus")
+    _nuclei_of(m, [s], "unit_part")
     v = s.table[m.unit]
     if not ((r_set_mask(m) >> v) & 1):
         raise _broken(m, "1* left R(M)")
@@ -939,9 +941,7 @@ def certified_composition(
     """The least n <= COMPOSITION_BOUND at which one order of the n-fold
     alternating composition of s1 and s2 is coarser than the other, with that
     composition (a nucleus); None when the bound runs out."""
-    for s in (s1, s2):
-        if not is_nucleus(m, s):
-            raise HypothesisNotMet("certified_composition requires nuclei")
+    _nuclei_of(m, (s1, s2), "certified_composition")
     p = m.poset
     # a applies s2 first and b applies s1 first; each step applies the
     # other map after each, g o a = a.translate(_pad(g)).
@@ -950,9 +950,6 @@ def certified_composition(
     for n in range(1, COMPOSITION_BOUND + 1):
         cand = a if all_below(p, b, a) else b if all_below(p, a, b) else None
         if cand is not None:
-            out = MonotoneMap(m, cand)
-            if not is_nucleus(m, out):
-                raise _broken(m, "certified composition is not a nucleus")
-            return n, out
+            return n, _certified(m, cand, "certified composition")
         a, b, then_a, then_b = a.translate(then_a), b.translate(then_b), then_b, then_a
     return None

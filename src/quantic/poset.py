@@ -573,6 +573,18 @@ def subset_walk(p: FinitePoset, cols: Optional[Sequence[int]] = None, start: int
             stack.append((*child, x + 1))
 
 
+def sup_misses(p: FinitePoset, cols: Sequence[int], start: int):
+    """Every subset X, in walk order, whose sup s exists while the upper
+    bounds of its images, carried by subset_walk(p, cols, start), differ
+    from cols[s]: for cols[x] = up[f(x)], f(s) is sup f(X) exactly when the
+    up-set ub(f(X)) is up[f(s)].  The one sup-preservation walk."""
+    least = p.principal_up
+    for mask, ub, images in subset_walk(p, cols, start):
+        s = least.get(ub)
+        if s is not None and images != cols[s]:
+            yield mask
+
+
 def ub_scan_sup(p: FinitePoset, xs: Iterable[int]) -> Optional[int]:
     """Independent sup oracle: full scan of the upper-bound set for a least element."""
     members = list(xs)

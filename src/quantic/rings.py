@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
 from .magma import OrderedMagma
-from .nucleus import MonotoneMap, closure_from_preclosure, is_nucleus
+from .nucleus import MonotoneMap, _certified, closure_from_preclosure
 from .poset import FinitePoset, bits, id_mask, translate_table
 
 # Every element is one byte, and a table row padded with zeros to 256 bytes
@@ -329,10 +329,7 @@ def radical_operation(lat: RingIdealLattice) -> MonotoneMap:
         if rad not in lat.index:
             raise _broken(ring, "radical of an ideal is not an ideal", f" at ideal {i}")
         table.append(lat.index[rad])
-    s = MonotoneMap(lat.magma, table)
-    if not is_nucleus(lat.magma, s):
-        raise _broken(ring, "the radical operation must be a nucleus")
-    return s
+    return _certified(lat.magma, table, "the radical operation")
 
 
 # -- prime ideals and tight closure ------------------------------------------------
@@ -470,9 +467,6 @@ def tight_closure_star(lat: RingIdealLattice) -> MonotoneMap:
     ring the hull coincides with T itself; both facts are asserted."""
     t = tight_closure_preclosure(lat)
     star = closure_from_preclosure(t)
-    m = lat.magma
     if star.table != t.table:
         raise _broken(lat.ring, "on a finite ring T must already be idempotent")
-    if not is_nucleus(m, star):
-        raise _broken(lat.ring, "tight closure star must be a semiprime operation")
-    return star
+    return _certified(lat.magma, star.table, "tight closure star")

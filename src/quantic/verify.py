@@ -7,10 +7,11 @@ corpus.  Names follow the result labels used throughout the library's design
 notes so a failure localizes immediately.
 
 A row skips with its own text when its hypotheses fail.  The operation that
-costs too much refuses the carrier's size: a row enumerates closures or
-nuclei first, or calls _refuse_above, and the CarrierTooLarge message, which
-names the cap and the carrier, is the skip detail.  run_all alone turns an
-exception into a verdict (InternalCheckError and HypothesisNotMet: FAIL).
+costs too much refuses the carrier's size, once: a row that enumerates
+closures or nuclei does so first, and the CarrierTooLarge message, which
+names the cap and the carrier, is the skip detail.  downarrowlemma alone
+still reads another operation's cap, POWERSET_BASE_CAP.  run_all alone turns
+an exception into a verdict (InternalCheckError and HypothesisNotMet: FAIL).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .magma import (
     is_sup_spanning,
 )
 from .nucleus import (
-    ENUMERATION_CAP,
     MonotoneMap,
     _decide_nuclei,
     _on_carrier,
@@ -69,13 +69,11 @@ from .nucleus import (
     transportable_mask,
     unit_part,
 )
-from .poset import bits, carrier_label, id_mask, order_preserving, transpose
+from .poset import bits, id_mask, order_preserving, transpose
 
 SAMPLE_MAPS = 400
 # preclosurelemma draws this many seeded expansive maps.
 PRECLOSURE_DRAWS = 200
-# structure2 builds N(M) and its order up to this size.
-COMPLETION_ROW_CAP = 10
 SEED = 1251
 
 
@@ -108,11 +106,6 @@ def _ok(detail: str = "") -> Tuple[str, str]:
 
 def _fail(detail: str) -> Tuple[str, str]:
     return "fail", detail
-
-
-def _refuse_above(m: OrderedMagma, cap: int, row: str):
-    if m.n > cap:
-        raise CarrierTooLarge(f"{row} capped at {cap} elements, refused on {carrier_label(m)}")
 
 
 def _draws(rng: random.Random, sizes: Iterable[int]) -> list:
@@ -270,7 +263,6 @@ def _check_supremark(m: OrderedMagma):
 def _check_preclosurelemma(m: OrderedMagma):
     if m.poset.top is None:
         return _skip("needs a bounded-above small carrier")
-    _refuse_above(m, ENUMERATION_CAP, "preclosurelemma")
     # PRECLOSURE_DRAWS expansive maps, x* drawn from up[x]: one call draws
     # them all, and equal draws share one decision.
     ups, n = [bytes(bits(up)) for up in m.poset.up] * PRECLOSURE_DRAWS, m.n
@@ -387,7 +379,6 @@ def _check_rmlemma(m: OrderedMagma):
 def _check_structure2(m: OrderedMagma):
     if not m.profile.near_sup_magma:
         return _skip("needs a small near sup-magma")
-    _refuse_above(m, COMPLETION_ROW_CAP, "structure2")
     nucleus_lattice(m)  # multiplication is the join by construction
     return _ok()
 

@@ -34,7 +34,7 @@ from quantic.magma import (
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
 from quantic.poset import FinitePoset, all_below, bits, carrier_label, id_mask, lane_code, order_preserving
-from quantic.poset import lanes_within, mask_row, row_mask, subset_walk, ub_scan_sup
+from quantic.poset import lanes_within, mask_row, row_mask, subset_walk, sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
 from test_exhaustive_small import compatible_magmas, three_element_posets
@@ -872,6 +872,75 @@ def test_packed_subset_walk_matches_one_walk_per_map(n):
             alone = list(subset_walk(source, [target.up[v] for v in f], target.universe))
             assert [(mask, ub, images >> (i * width) & ((1 << width) - 1)) for mask, ub, images in packed] == alone
         assert [images >> (len(maps) * width) for _, _, images in packed] == [0] * 64
+
+
+def sup_misses_loop(p, f):
+    """Every subset X whose sup s exists and f(s) is not ub_scan_sup(f(X)),
+    ascending."""
+    return [
+        mask
+        for mask in range(1 << p.n)
+        if (s := sup_loop(p, mask)) is not None and sup_loop(p, id_mask(f[x] for x in bits(mask))) != f[s]
+    ]
+
+
+def monotone_tables(rng, p, count):
+    """The identity, every constant map and count random order-preserving
+    self-maps of p: t[x] drawn among the upper bounds of t(y) for y < x,
+    along a linear extension; a draw left with none is dropped."""
+    n = p.n
+    tables = [bytes(range(n))] + [bytes([c]) * n for c in range(n)]
+    extension = sorted(range(n), key=lambda x: bin(p.down[x]).count("1"))
+    for _ in range(count):
+        t = [0] * n
+        for x in extension:
+            allowed = list(bits(p.upper_bounds(id_mask(t[y] for y in bits(p.down[x] & ~(1 << x))))))
+            if not allowed:
+                break
+            t[x] = rng.choice(allowed)
+        else:
+            tables.append(bytes(t))
+    return tables
+
+
+def test_sup_misses_matches_the_ub_scan_oracle():
+    rng = random.Random(400)
+    posets = [m.poset for m in standard_corpus().values()]
+    posets += [random_poset(rng, n) for n in range(1, 9) for _ in range(3)]
+    posets += [FinitePoset.chain(8), FinitePoset.powerset(3)]
+    missed = kept = 0
+    for p in posets:
+        for t in monotone_tables(rng, p, 6):
+            assert order_preserving(p, t)
+            got = sorted(sup_misses(p, [p.up[v] for v in t], p.universe))
+            assert got == sup_misses_loop(p, t), (p, tuple(t))
+            missed, kept = missed + bool(got), kept + (not got)
+    # Both answers occur, so neither side of the comparison is vacuous.
+    assert missed > 50 and kept > 50
+
+
+def corestriction_tables(m):
+    """Every nucleus of m, and order-preserving maps that are not closures."""
+    maps = [s.table for s in enumerate_nuclei(m)]
+    return maps + [t for t in monotone_tables(random.Random(m.n), m.poset, 20) if not is_closure(MonotoneMap(m, t))]
+
+
+def test_the_corestriction_pairs_branch_agrees_with_the_walk(corpus, monkeypatch):
+    # On a finite join semilattice the binary sups give every nonempty sup,
+    # and an order-preserving t has t(bottom) least in its image, so the pairs
+    # branch above EXHAUSTIVE_CAP decides as the walk does.
+    carriers = [m for m in scan_carriers(corpus).values() if m.poset.flags.join_semilattice and m.n <= 14]
+    assert len(carriers) >= 20
+    seen = set()
+    for m in carriers:
+        for t in corestriction_tables(m):
+            walk = corestriction_kernel(m, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(nucleus, "EXHAUSTIVE_CAP", -1)
+                pairs = corestriction_kernel(m, t)
+            assert walk == pairs == corestriction_loop(m, t), (m.name, tuple(t))
+            seen.add(walk)
+    assert seen == {True, False}
 
 
 def pair_carriers(corpus):

@@ -1,6 +1,7 @@
 import pytest
 
 from quantic import nucleus
+from quantic.divisorial import divisorial_decomposition, gv_elements, is_stable, stable_closure, v
 from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
 from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import (
@@ -30,7 +31,9 @@ from quantic.nucleus import (
     transportable_mask,
     unit_part,
 )
-from quantic.poset import FinitePoset
+from quantic.finitary import star_f
+from quantic.poset import FinitePoset, carrier_label
+from quantic.rings import FiniteRing, radical_operation, ring_ideal_lattice
 from quantic.structdoc import load_magma, magma_doc
 
 
@@ -501,3 +504,136 @@ def test_every_map_the_library_returns_is_one_byte_table(corpus, rings):
         "closure", "nucleus", "meet", "join", "certified composition", "stable closure",
         "star_f", *(s.__name__ for s in strategies), "1[-]", "compose", "lin monoid", "radical",
     }
+
+
+# -- the nucleus contract and maps of another carrier -----------------------------
+
+
+def contract_carrier():
+    """I(Z/12): unital, residuated and precoherent, so every operation that
+    takes a nucleus reaches its precondition; 17 of its 23 closures are not
+    nuclei."""
+    return ring_ideal_lattice(FiniteRing.zmod(12)).magma
+
+
+def whole(m):
+    return Submagma.of(m, range(m.n))
+
+
+def on_whole(m, s):
+    return MonotoneMap(whole(m).magma, s.table)
+
+
+# Each operation whose precondition _nuclei_of states, the name it gives, and
+# a call handing it s; a family puts a nucleus before s.
+PRECONDITIONS = [
+    ("nuclei_meet", lambda m, s: nuclei_meet(m, [MonotoneMap.identity(m), s])),
+    ("nuclei_join", lambda m, s: nuclei_join(m, [MonotoneMap.identity(m), s])),
+    ("quotient", quotient),
+    ("induced_lower", lambda m, s: induced_lower(m, whole(m), on_whole(m, s))),
+    ("induced_upper", lambda m, s: induced_upper(m, whole(m), on_whole(m, s))),
+    ("unit_part", unit_part),
+    ("certified_composition", lambda m, s: certified_composition(m, MonotoneMap.identity(m), s)),
+    ("divisorial_decomposition", divisorial_decomposition),
+    ("gv_elements", gv_elements),
+    ("stable_closure", stable_closure),
+    ("is_stable", is_stable),
+    ("star_f", star_f),
+]
+
+
+@pytest.mark.parametrize("who, call", PRECONDITIONS, ids=[who for who, _ in PRECONDITIONS])
+def test_every_precondition_refuses_a_closure_that_is_not_a_nucleus(who, call):
+    m = contract_carrier()
+    bad = next(s for s in enumerate_closures(m) if not is_nucleus(m, s))
+    with pytest.raises(HypothesisNotMet) as info:
+        call(m, bad)
+    assert str(info.value) == f"{who} requires a nucleus"
+    # A map nothing has decided yet is decided by the precondition itself.
+    m = contract_carrier()
+    with pytest.raises(HypothesisNotMet, match=f"^{who} requires a nucleus$"):
+        call(m, MonotoneMap(m, bad.table))
+
+
+def test_a_precondition_reads_every_map_of_its_family():
+    m = contract_carrier()
+    bad = next(s for s in enumerate_closures(m) if not is_nucleus(m, s))
+    good = MonotoneMap.identity(m)
+    for call in (nuclei_meet, nuclei_join):
+        for family in ([good, good, bad], [bad, good]):
+            with pytest.raises(HypothesisNotMet):
+                call(m, family)
+    with pytest.raises(HypothesisNotMet):
+        certified_composition(m, bad, good)
+
+
+POSTCONDITIONS = {
+    "nuclei_meet": lambda m: nuclei_meet(m, [MonotoneMap.identity(m)] * 2),
+    "nuclei_join": lambda m: nuclei_join(m, [MonotoneMap.identity(m)] * 2),
+    "v": lambda m: v(m, 0),
+    "stable_closure": lambda m: stable_closure(m, MonotoneMap.identity(m)),
+    "radical_operation": lambda m: radical_operation(ring_ideal_lattice(FiniteRing.zmod(12))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSTCONDITIONS))
+def test_every_postcondition_raises_on_an_output_the_verdict_rejects(monkeypatch, name):
+    build = POSTCONDITIONS[name]
+    m = contract_carrier()
+    build(m)  # the unpatched construction answers
+    m = contract_carrier()
+    nucleus._decide_nuclei(m, [MonotoneMap.identity(m)])
+    # The preconditions read the stored verdicts; only the outputs are
+    # decided through is_nucleus, which now rejects every map.
+    monkeypatch.setattr(nucleus, "is_nucleus", lambda m, s: False)
+    with pytest.raises(InternalCheckError) as info:
+        build(m)
+    assert str(info.value).endswith(f"is not a nucleus on {carrier_label(m)}"), info.value
+
+
+def chain_meet(n):
+    return OrderedMagma(FinitePoset.chain(n), [[min(x, y) for y in range(n)] for x in range(n)], f"chain{n}-meet")
+
+
+def claimed_by(m, s):
+    """s claiming the carrier m: is_closure reads the carrier from the map,
+    so this is the one way a table of another length reaches it."""
+    out = object.__new__(MonotoneMap)
+    out.carrier, out.table = m, s.table
+    return out
+
+
+FOREIGN_CALLS = {
+    "is_nucleus": is_nucleus,
+    "is_strict_nucleus": is_strict_nucleus,
+    "is_closure": lambda m, s: is_closure(claimed_by(m, s)),
+    "quotient": quotient,
+    "nuclei_meet": lambda m, s: nuclei_meet(m, [MonotoneMap.identity(m), s]),
+    "stable_closure": stable_closure,
+    "star_f": star_f,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_CALLS))
+@pytest.mark.parametrize("size", [5, 7])
+def test_a_map_of_another_carrier_is_refused_and_decides_nothing(name, size):
+    call = FOREIGN_CALLS[name]
+    m = contract_carrier()
+    assert m.n == 6
+    call(m, MonotoneMap.identity(m))  # the carrier's own facts are memoized
+    foreign = MonotoneMap.identity(chain_meet(size))
+    before = dict(nucleus._memo(m)), dict(nucleus._memo(m.poset))
+    with pytest.raises(StructureError) as info:
+        call(m, foreign)
+    assert str(info.value) == f"map table length does not match {carrier_label(m)}"
+    assert (nucleus._memo(m), nucleus._memo(m.poset)) == before
+
+
+def test_a_foreign_map_raises_on_a_fresh_carrier_in_both_directions():
+    # The table of chain3 handed to chain4 and the reverse: a StructureError
+    # either way, where a False verdict or an IndexError came before.
+    small, big = chain_meet(3), chain_meet(4)
+    for m, other in ((big, small), (small, big)):
+        with pytest.raises(StructureError, match=f"does not match {m.name}"):
+            is_nucleus(m, MonotoneMap.identity(other))
+        assert nucleus._memo(m) == {} and nucleus._memo(m.poset) == {}
