@@ -3,7 +3,7 @@
 Every subcommand reads StructureDoc JSON (file path or - for stdin), writes
 deterministic text or JSON to stdout, and exits 1 when a hypothesis fails
 or the reader closes stdout early, 2 on malformed input and 3 when an
-internal check fails.
+internal check fails or any other exception is raised, with one stderr line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     HypothesisNotMet,
     NoUnit,
     NotAMorphism,
-    QuanticError,
     StructureError,
     UndecidableFamily,
 )
@@ -54,6 +53,7 @@ from .verify import run_all, run_all_lazy
 
 HYPOTHESIS_EXIT = 1
 MALFORMED_EXIT = 2
+INTERNAL_EXIT = 3
 
 
 def _load_magma_arg(path: str):
@@ -331,20 +331,15 @@ def cmd_tower(args) -> int:
 
 def cmd_verify_all(args) -> int:
     m = _load_magma_arg(args.file)
-    if isinstance(m, OrderedMagma):
-        results = run_all(m)
-    else:
-        results = run_all_lazy(m)
+    results = run_all(m) if isinstance(m, OrderedMagma) else run_all_lazy(m)
     lines = [f"verification matrix for {m.name or 'magma'}:"]
-    failed = False
     for r in results:
         mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}[r.status]
         detail = f"  ({r.detail})" if r.detail else ""
         lines.append(f"  {r.name:24s} {mark}{detail}")
-        failed = failed or r.status == "fail"
     payload = {r.name: {"status": r.status, "detail": r.detail} for r in results}
     _emit(args, payload, lines)
-    return 1 if failed else 0
+    return 1 if any(r.status == "fail" for r in results) else 0
 
 
 # -- wiring -------------------------------------------------------------------------
@@ -425,15 +420,22 @@ def main(argv=None) -> int:
         # cannot raise again, as the SIGPIPE note of the Python docs does.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (StructureError,) as exc:
+    except StructureError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return MALFORMED_EXIT
     except (HypothesisNotMet, NoUnit, NotAMorphism, UndecidableFamily, CarrierTooLarge) as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return HYPOTHESIS_EXIT
-    except QuanticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        # Name the innermost frame in this package; main's own frame is one.
+        tb, where = exc.__traceback__, ""
+        while tb is not None:
+            filename = tb.tb_frame.f_code.co_filename
+            if os.path.dirname(filename) == os.path.dirname(__file__):
+                where = f"quantic/{os.path.basename(filename)}:{tb.tb_lineno}"
+            tb = tb.tb_next
+        print(f"internal error in {args.command}: {type(exc).__name__} at {where}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

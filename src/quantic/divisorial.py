@@ -155,8 +155,8 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
             for v in units
             if p.leq(x, q.op(q.op(u, a), v))
         ]
-        # The empty infimum is the top of the carrier.
-        w = p.inf_mask(id_mask(sandwiches)) if sandwiches else p.top
+        # The empty infimum is the top of the carrier, None when there is none.
+        w = p.inf_mask(id_mask(sandwiches))
         if w is None:
             raise _broken(q, "unit-sandwich infimum missing")
         table.append(w)

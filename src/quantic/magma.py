@@ -12,7 +12,7 @@ from functools import cached_property
 from operator import getitem
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import CarrierTooLarge, InternalCheckError, StructureError
+from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
 from .poset import broken, id_mask, lane_code, mask_row, sup_misses, translate_table
 
@@ -481,9 +481,16 @@ def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
     if not set(invertible) <= set(units):
         raise broken(m, "Inv(M) not contained in U(M)")
     idem = [x for x in range(n) if m.op(x, x) == x]
-    r_set = None if m.unit is None else tuple(x for x in idem if p.leq(m.unit, x))
+    r_set = None if m.unit is None else tuple(bits(r_set_mask(m)))
     # Finite carriers: K(M) = M, trivially a submagma.
     return DistinguishedSets(tuple(units), tuple(invertible), tuple(idem), r_set, True)
+
+
+def r_set_mask(m: OrderedMagma) -> int:
+    """R(M), the idempotents above the unit, as a mask."""
+    if m.unit is None:
+        raise NoUnit("R(M) needs a unit")
+    return id_mask(x for x in range(m.n) if m.op(x, x) == x and m.leq(m.unit, x))
 
 
 def _is_poset_automorphism(p: FinitePoset, table) -> bool:

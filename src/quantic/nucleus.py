@@ -50,7 +50,7 @@ from .errors import (
     NoUnit,
     StructureError,
 )
-from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning
+from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
 from .poset import lane_code, lanes_within, order_preserving
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
@@ -161,11 +161,16 @@ def _closed(carrier, t: bytes, forms: tuple) -> bool:
 # -- batched decisions (see the module docstring) ------------------------------------
 
 
+def _check_lengths(carrier, tables: Sequence[bytes]):
+    """Refuse, with StructureError, a table that is not one id per element of carrier."""
+    if set(map(len, tables)) - {poset_of(carrier).n}:
+        raise StructureError(f"map table length does not match {_label(carrier)}")
+
+
 def _closure_conditions(carrier, tables: Sequence[bytes]) -> list:
     """(expansive, three-part form, single axiom pre[x] == pre[x*]) per table of n ids."""
     p = poset_of(carrier)
-    if set(map(len, tables)) - {p.n}:
-        raise StructureError(f"map table length does not match {_label(carrier)}")
+    _check_lengths(carrier, tables)
     count, lanes, rows = len(tables), p.down_lanes, p.up_rows
     pads = list(map(_pad, tables))
     lo, hi = (b"".join(map(side.translate, pads)) for side in p.order_pairs)
@@ -324,6 +329,7 @@ def transportable_mask(m: OrderedMagma, s: MonotoneMap) -> int:
     """T*(M): elements a with (ax)* = a x* and (xa)* = x* a for all x, that
     is row a of (xy)* equal to row a of x y*, and column a to column a of x* y."""
     n = m.n
+    _check_lengths(m, [s.table])
     (star,), (x_ts,), (t_xs,), _ = _products(m, [s.table])
     return sum(
         1 << a
@@ -383,13 +389,9 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     maps, p = _nuclei_of(m, gamma, "nuclei_meet"), m.poset
     if not maps:
         return MonotoneMap.top_map(m)
-    down, greatest = p.down, p.principal_down
     table = []
     for x, column in enumerate(zip(*(s.table for s in maps))):
-        lower = p.universe
-        for sx in column:
-            lower &= down[sx]
-        v = greatest.get(lower)
+        v = p.inf_mask(id_mask(column))
         if v is None:
             raise HypothesisNotMet(f"missing infimum for the fibers over element {x}")
         table.append(v)
@@ -720,12 +722,6 @@ def induced_upper(m: OrderedMagma, n_sub: Submagma, s: MonotoneMap) -> MonotoneM
 
 
 # -- R(M), the Galois connection, and 1[x] ---------------------------------------
-
-
-def r_set_mask(m: OrderedMagma) -> int:
-    if m.unit is None:
-        raise NoUnit("R(M) needs a unit")
-    return id_mask(x for x in range(m.n) if m.op(x, x) == x and m.leq(m.unit, x))
 
 
 def d_map(m: OrderedMagma, a: int) -> MonotoneMap:

@@ -271,9 +271,6 @@ class FinitePoset:
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def check_ids(self, xs: Iterable[int]):
         """Every id must be an int (not a bool) in range(n).  A bytes entry is
         an int in 0..255, so one max decides bytes; where it fails, the loop
@@ -373,10 +370,6 @@ class FinitePoset:
     def inf(self, xs: Iterable[int]) -> Optional[int]:
         return self.inf_mask(self.mask_of(xs))
 
-    def is_least(self, w: int, mask: int) -> bool:
-        """Whether w is the least element of the subset mask."""
-        return bool(mask >> w & 1) and not mask & ~self.up[w]
-
     def join(self, i: int, j: int) -> Optional[int]:
         return self.join_table[i][j]
 
@@ -435,11 +428,8 @@ class FinitePoset:
     def covers(self, i: int) -> list:
         """Elements directly above i."""
         strict = self.up[i] & ~(1 << i)
-        out = []
-        for j in bits(strict):
-            if not any(self.lt(i, k) and self.lt(k, j) for k in bits(strict)):
-                out.append(j)
-        return out
+        # j covers i when no other element strictly above i lies below j.
+        return [j for j in bits(strict) if strict & self.down[j] == 1 << j]
 
     def compact_elements(self) -> list:
         """Every element of a finite poset is compact: directed sets have maxima."""

@@ -611,6 +611,7 @@ FOREIGN_CALLS = {
     "nuclei_meet": lambda m, s: nuclei_meet(m, [MonotoneMap.identity(m), s]),
     "stable_closure": stable_closure,
     "star_f": star_f,
+    "transportable_mask": transportable_mask,
 }
 
 
@@ -631,9 +632,11 @@ def test_a_map_of_another_carrier_is_refused_and_decides_nothing(name, size):
 
 def test_a_foreign_map_raises_on_a_fresh_carrier_in_both_directions():
     # The table of chain3 handed to chain4 and the reverse: a StructureError
-    # either way, where a False verdict or an IndexError came before.
-    small, big = chain_meet(3), chain_meet(4)
-    for m, other in ((big, small), (small, big)):
-        with pytest.raises(StructureError, match=f"does not match {m.name}"):
-            is_nucleus(m, MonotoneMap.identity(other))
-        assert nucleus._memo(m) == {} and nucleus._memo(m.poset) == {}
+    # either way, where a False verdict, a mask of 0 or an IndexError came
+    # before.
+    for call in (is_nucleus, transportable_mask):
+        small, big = chain_meet(3), chain_meet(4)
+        for m, other in ((big, small), (small, big)):
+            with pytest.raises(StructureError, match=f"does not match {m.name}"):
+                call(m, MonotoneMap.identity(other))
+            assert nucleus._memo(m) == {} and nucleus._memo(m.poset) == {}

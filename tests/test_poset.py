@@ -114,6 +114,16 @@ class TestDirected:
             assert p.is_directed(xs + [u])
 
 
+@given(random_posets())
+@settings(max_examples=80, deadline=None)
+def test_covers_are_the_elements_directly_above(p):
+    for i in range(p.n):
+        above = [j for j in range(p.n) if j != i and p.leq(i, j)]
+        direct = [j for j in above if not any(k != j and p.leq(k, j) for k in above)]
+        assert p.covers(i) == direct, i
+    assert FinitePoset.diamond().covers(0) == [1, 2]
+
+
 class TestClassification:
     def test_diamond_flags(self):
         f = FinitePoset.diamond().flags

@@ -242,6 +242,22 @@ class TestCli:
         fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert fresh.stdout.strip() == "0", fresh.stderr
 
+    def test_an_unexpected_exception_exits_3_with_one_line(self, tmp_path, z4, monkeypatch, capsys):
+        from quantic import cli
+
+        path = tmp_path / "z4.json"
+        path.write_text(to_json(z4.magma))
+
+        def broken(m):
+            raise TypeError("planted in the command")
+
+        monkeypatch.setattr(cli, "enumerate_nuclei", broken)
+        assert cli.main(["nuclei", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("internal error in nuclei: TypeError at quantic/cli.py:"), err
+        assert err.rstrip().endswith(": planted in the command"), err
+
     def test_malformed_input_exits_2(self):
         code, _, err = run_cli(["classify", "-"], stdin_text="{broken")
         assert code == 2 and "malformed" in err

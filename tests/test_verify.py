@@ -6,14 +6,23 @@ import pytest
 
 from quantic import cli, divisorial, nucleus, verify
 from quantic.corpus import standard_corpus
-from quantic.errors import CarrierTooLarge, InternalCheckError
+from quantic.errors import (
+    CarrierTooLarge,
+    HypothesisNotMet,
+    InternalCheckError,
+    IterationBudgetExceeded,
+    NoUnit,
+    NotAMorphism,
+    StructureError,
+    UndecidableFamily,
+)
 from quantic.instances import check_system_base, cyclic_group, module_system_lattice, powerset_prequantale
 from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import MonotoneMap
 from quantic.poset import FinitePoset
 from quantic.rings import FiniteRing, ring_ideal_lattice
-from quantic.structdoc import to_json
-from quantic.verify import check_names, run_all
+from quantic.structdoc import LAZY_CARRIERS, to_json
+from quantic.verify import check_names, run_all, run_all_lazy
 
 # The rows that read the nucleus enumeration, all of which apply to I(Z/4).
 NUCLEUS_ROWS = {
@@ -243,6 +252,16 @@ def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     assert other_work == [] and decided == []
 
 
+# One exception of each kind a row can raise: every library class that is
+# not a size cap, and one from outside the library.
+PLANTED = [InternalCheckError, NoUnit, NotAMorphism, UndecidableFamily,
+           IterationBudgetExceeded, StructureError, HypothesisNotMet, TypeError]
+
+
+def verdicts(results):
+    return {r.name: (r.status, r.detail) for r in results}
+
+
 def test_run_all_alone_turns_an_exception_into_a_fail(monkeypatch):
     m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
 
@@ -253,6 +272,34 @@ def test_run_all_alone_turns_an_exception_into_a_fail(monkeypatch):
     (row,) = run_all(m, names=["simpleprequantales"])
     assert row.status == "fail"
     assert row.detail == "InternalCheckError: simplicity routes disagree on I(Z/4) (3 elements)"
+
+    # On a fresh I(Z/12), whatever the row raises is that row's FAIL, and the
+    # other 27 rows keep the verdicts they have unpatched.
+    monkeypatch.undo()
+    unpatched = verdicts(run_all(ring_ideal_lattice(FiniteRing.zmod(12)).magma))
+    assert len(unpatched) == 28 and unpatched["simpleprequantales"][0] == "pass"
+    for cls in PLANTED:
+        def planted(m, cls=cls):
+            raise cls("planted in the row")
+
+        monkeypatch.setattr(verify, "is_simple", planted)
+        got = verdicts(run_all(ring_ideal_lattice(FiniteRing.zmod(12)).magma))
+        expected = dict(unpatched, simpleprequantales=("fail", f"{cls.__name__}: planted in the row"))
+        assert got == expected, cls
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CARRIERS))
+def test_a_lazy_row_contains_its_own_exception(monkeypatch, name):
+    unpatched = verdicts(run_all_lazy(LAZY_CARRIERS[name]()))
+    assert list(unpatched) == ["certification", "finitary", "klattice", "residual-adjunction"]
+    assert {status for status, _ in unpatched.values()} == {"pass"}
+    for cls in PLANTED:
+        def planted(s, cls=cls):
+            raise cls("planted in the row")
+
+        monkeypatch.setattr(verify, "is_finitary", planted)
+        got = verdicts(run_all_lazy(LAZY_CARRIERS[name]()))
+        assert got == dict(unpatched, finitary=("fail", f"{cls.__name__}: planted in the row")), cls
 
 
 @pytest.mark.parametrize(
