@@ -369,10 +369,9 @@ def _decide_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
 
 def star_w(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     """Compact-GV formula: the stable closure of the finitary companion, which
-    on finite carriers is the stable closure of s itself."""
+    on finite carriers is the stable closure of s itself.  The stability gate
+    implies coherence: a near multiplicative lattice is unital."""
     _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
-    if not q.profile.coherent:
-        raise HypothesisNotMet("star_w needs a coherent carrier")
     return stable_closure(q, star_f(q, s))
 
 

@@ -130,7 +130,6 @@ class DistinguishedSets:
     invertible: tuple     # Inv(M)
     idempotents: tuple
     r_set: Optional[tuple]  # R(M) = idempotents >= 1, None when no unit
-    k_is_submagma: bool
 
 
 class OrderedMagma:
@@ -465,7 +464,7 @@ def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
 
 
 def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
-    """U(M), Inv(M), Idem(M), R(M) and whether K(M) is a submagma."""
+    """U(M), Inv(M), Idem(M) and R(M)."""
     p, n = m.poset, m.n
     units = [
         u for u in range(n) if _is_poset_automorphism(p, m.mul[u]) and _is_poset_automorphism(p, m.cols[u])
@@ -482,8 +481,7 @@ def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
         raise broken(m, "Inv(M) not contained in U(M)")
     idem = [x for x in range(n) if m.op(x, x) == x]
     r_set = None if m.unit is None else tuple(bits(r_set_mask(m)))
-    # Finite carriers: K(M) = M, trivially a submagma.
-    return DistinguishedSets(tuple(units), tuple(invertible), tuple(idem), r_set, True)
+    return DistinguishedSets(tuple(units), tuple(invertible), tuple(idem), r_set)
 
 
 def r_set_mask(m: OrderedMagma) -> int:

@@ -11,7 +11,9 @@ return through one postcondition, _certified (InternalCheckError naming the
 carrier).  MonotoneMap checks its ids against its own carrier, and a
 decision refuses a table of another length, a map of another carrier, with
 StructureError, storing no verdict.  Tables derived from a carrier's own
-tables are composed and read as bitmasks without a second check.
+tables are composed and read as bitmasks without a second check.  The meet
+and join tables of N(M) certify each entry as they store it: the greatest
+lower, resp. least upper, bound of its pair in nucleus_order(m).
 
 A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
@@ -52,7 +54,7 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
-from .poset import lane_code, lanes_within, order_preserving
+from .poset import lane_code, lanes_within, order_preserving, transpose
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -804,26 +806,15 @@ def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
             f"N(M) capped at {ENUM_CAP} nuclei, refused on {name}: "
             f"{_label(m)} has {k} nuclei"
         )
-    lat = FinitePoset.from_up_masks(pointwise_order(m.poset, maps), [f"n{i}" for i in range(k)])
+    _, above, _ = nucleus_order(m)
+    lat = FinitePoset.from_up_masks(above, [f"n{i}" for i in range(k)])
     mul = lat.join_table
     if any(None in row for row in mul):
         # Guaranteed to exist when m is near sup-complete; refuse otherwise.
         raise HypothesisNotMet("N(M) is not a join semilattice for this carrier")
-    magma = OrderedMagma(lat, mul, name=name)
-    # The lattice join must agree with the common-fixed-point join formula;
-    # both tables are symmetric, so each unordered pair is compared once.
     if join_formula_applies(m):
-        joins = nuclei_join_table(m)
-        for i in range(k):
-            for j in range(i, k):
-                if joins[i][j] != mul[i][j]:
-                    raise InternalCheckError(
-                        f"N(M) join table disagrees with the join formula on {_label(m)}: "
-                        f"{tuple(maps[i].table)} v {tuple(maps[j].table)} is "
-                        f"{tuple(maps[joins[i][j]].table)} by the formula, "
-                        f"{tuple(maps[mul[i][j]].table)} by the table"
-                    )
-    return NucleusLattice(m, maps, magma)
+        nuclei_join_table(m)  # certified against the order of lat as it is built
+    return NucleusLattice(m, maps, OrderedMagma(lat, mul, name=name))
 
 
 def join_formula_applies(m: OrderedMagma) -> bool:
@@ -839,29 +830,48 @@ def nuclei_join_table(m: OrderedMagma) -> list:
     """joins[i][j] is the position in enumerate_nuclei(m) of the join of nuclei
     i and j, by the join formula (nuclei_join) run once per unordered pair;
     built once per carrier object, and read, never changed, by its callers."""
-    return _on_carrier(m, ("joins",), _pair_table, nuclei_join)
+    return _on_carrier(m, ("joins",), _pair_table, nuclei_join, "v")
 
 
 def nuclei_meet_table(m: OrderedMagma) -> list:
     """meets[i][j] is the position in enumerate_nuclei(m) of the pointwise
     meet (nuclei_meet) of nuclei i and j; built and read like the join table."""
-    return _on_carrier(m, ("meets",), _pair_table, nuclei_meet)
+    return _on_carrier(m, ("meets",), _pair_table, nuclei_meet, "^")
 
 
-def _pair_table(m: OrderedMagma, combine) -> list:
+def _pair_table(m: OrderedMagma, combine, op: str) -> list:
+    """combine(m, [s, t]) once per unordered pair of nuclei i, j, certified as
+    it is stored: the result r must be enumerated, in bounds[i] & bounds[j]
+    and below (op "v", bounds the above masks of nucleus_order(m)) or above
+    (op "^", bounds the below masks) every member of that set."""
     maps = enumerate_nuclei(m)
-    index = {s.table: i for i, s in enumerate(maps)}
+    index, above, below = nucleus_order(m)
+    bounds = above if op == "v" else below
     out = [[0] * len(maps) for _ in maps]
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
             got = combine(m, [s, maps[j]]).table
-            if got not in index:
+            r, common = index.get(got), bounds[i] & bounds[j]
+            if r is None or not common >> r & 1 or common & ~bounds[r]:
                 raise InternalCheckError(
-                    f"{combine.__name__} of two nuclei on {_label(m)} is not enumerated: "
-                    f"{tuple(s.table)}, {tuple(maps[j].table)} give {tuple(got)}"
+                    f"{'join' if op == 'v' else 'meet'} table disagrees with the N(M) order on "
+                    f"{_label(m)}: {tuple(s.table)} {op} {tuple(maps[j].table)} gives {tuple(got)}"
                 )
-            out[i][j] = out[j][i] = index[got]
+            out[i][j] = out[j][i] = r
     return out
+
+
+def nucleus_order(m: OrderedMagma) -> tuple:
+    """(index, above, below): the position of each table in enumerate_nuclei(m)
+    and the masks of the nuclei above / below nucleus i pointwise, built once
+    per carrier object."""
+    return _on_carrier(m, ("order",), _nucleus_order)
+
+
+def _nucleus_order(m: OrderedMagma) -> tuple:
+    maps = enumerate_nuclei(m)
+    above = pointwise_order(m.poset, maps)
+    return {s.table: i for i, s in enumerate(maps)}, above, transpose(above, len(maps))
 
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:

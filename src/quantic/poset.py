@@ -170,9 +170,6 @@ class PosetFlags:
     lattice: bool
     algebraic: bool
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 class FinitePoset:
     """Immutable finite poset on elements 0..n-1.

@@ -148,7 +148,58 @@ def test_cmc_fails_on_a_meet_that_is_not_the_n_m_meet(monkeypatch, wrong_meet):
     m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
     monkeypatch.setattr(nucleus, "nuclei_meet", wrong_meet)
     (row,) = run_all(m, names=["CMC"])
-    assert row.status == "fail" and row.detail == "pointwise meet is not the N(M) meet"
+    # The meet table refuses the entry as it builds it, naming the carrier
+    # and the pair.
+    assert row.status == "fail" and row.detail.startswith("InternalCheckError: meet table disagrees")
+    assert "I(Z/12)" in row.detail and ") ^ (" in row.detail, row.detail
+
+
+def test_a_join_that_is_not_the_n_m_join_fails_its_table_and_every_row_reading_it(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    monkeypatch.setattr(nucleus, "nuclei_join", lambda m, gamma: gamma[0])
+    with pytest.raises(InternalCheckError, match="join table disagrees") as info:
+        nucleus.nuclei_join_table(m)
+    assert "I(Z/12)" in str(info.value) and ") v (" in str(info.value), info.value
+    readers = ["CMC", "structure2", "complemmacor", "Nf"]
+    results = run_all(m, names=readers)
+    assert [r.status for r in results] == ["fail"] * len(readers)
+    assert all(r.detail.startswith("InternalCheckError: join table disagrees") for r in results)
+
+
+def test_cmc_structure2_and_stablecor_share_one_order_of_the_nuclei(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
+    calls, order = [], nucleus.pointwise_order
+
+    def counting(p, maps):
+        calls.append(len(maps))
+        return order(p, maps)
+
+    # Every module that binds the name is counted, so no call goes unseen.
+    for module in (nucleus, verify):
+        if hasattr(module, "pointwise_order"):
+            monkeypatch.setattr(module, "pointwise_order", counting)
+    statuses = {r.name: r.status for r in run_all(m, names=["CMC", "structure2", "stablecor"])}
+    assert statuses == {"CMC": "pass", "structure2": "pass", "stablecor": "pass"}
+    assert calls == [len(nucleus.enumerate_nuclei(m))]
+
+
+def test_the_tower_refuses_n_m_over_the_cap_before_ordering_its_nuclei(monkeypatch):
+    m = OrderedMagma(FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], name="chain9-meet")
+    calls = []
+    monkeypatch.setattr(nucleus, "pointwise_order", lambda p, maps: calls.append(1))
+    with pytest.raises(CarrierTooLarge, match=r"N\(M\) capped at 64 nuclei, refused on N\(chain9-meet\)"):
+        nucleus.nucleus_tower(m, depth=2)
+    assert calls == []
+
+
+def test_stablecor_fails_when_star_w_is_not_the_largest_stable_nucleus_below(monkeypatch):
+    # With both routes returning their nucleus they agree, but a nucleus
+    # that is not stable is not the largest stable nucleus below itself.
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    for name in ("star_w", "stable_closure"):
+        monkeypatch.setattr(verify, name, lambda m, s: s)
+    (row,) = run_all(m, names=["stablecor"])
+    assert row.status == "fail" and row.detail.endswith("is not the largest stable nucleus below it"), row
 
 
 def test_cmc_skips_where_the_pointwise_meet_of_two_nuclei_is_missing(bowtie1_left, tmp_path, capsys):
