@@ -13,7 +13,7 @@ from operator import getitem
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving, order_preserving_each
 from .poset import broken, id_mask, lane_code, mask_row, sup_misses, translate_table
 
 
@@ -163,7 +163,7 @@ class OrderedMagma:
         of the pairs x < x2, then y, the column (right factor y) first."""
         p, n = self.poset, self.n
         lines = self.cols + self.mul
-        if all(order_preserving(p, line) for line in lines):
+        if all(order_preserving_each(p, lines)):
             return
         x, x2, y, side = next(
             (x, x2, y, side)

@@ -19,28 +19,46 @@ A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
 a bytes.translate table, so row.translate(_pad(T)) applies T to every entry
 of row in one C call, and g o f is f.translate(_pad(g)).  An order condition
-u <= w over all pairs rests on a <= b iff down[a] is a subset of down[b]:
-it is one AND of the lane codes of the two sides (poset.all_below),
-k = ceil(n/8) bytes a lane.
+u <= w over all pairs rests on a <= b iff down[a] is a subset of down[b],
+iff up[b] is a subset of up[a]: it is one AND of the lane codes of the two
+sides (poset.all_below), k = ceil(n/8) bytes a lane.
 
-_decide_nuclei decides maps in batches of BATCH_MAPS tables, laid out map
-after map, with the n*n byte tables x*y*, x y*, x* y and (xy)* built from
-the carrier's product rows.  A condition with both sides read through a
-carrier table (expansive, order preservation, c1, c3, unital form 3) is one
-poset.lanes_within over the batch: map i holds segment i of the violations,
-its positions times k bytes, and passes when that segment is zero.
-Idempotence, c2, the single axiom's rows pre[u] = {z : u <= z*} =
-T.translate(up_rows[u]), unital form 2 and strictness translate through the
-map's own table, per map.  Form 3 reads pre[xy] within pre[x*y*] as
-up[xy] & Im(T) within up[x*y*].  Every map still gets the three-part and
-single-axiom closure forms, c1, c2, c3 and, on unital carriers, both unital
-forms, compared.
+_decide_nuclei decides byte tables in chunks of BATCH_MAPS, each through
+one call of _chunk_verdicts.  The chunk is laid out table after table, and
+each condition is one AND or XOR of up-lane codes over it: table i holds
+segment i of the violations and passes when that segment is zero.  Each
+condition runs on the tables its premise leaves open:
+
+- every table: expansive, up[x*] within up[x], and the single axiom;
+- the expansive tables: order preservation (poset.order_preserving_each)
+  and idempotence, which with expansive make the three-part closure form;
+  on unital carriers also form 3, x <= x* and pre[xy] within pre[x* y*];
+- the closures: (xy)* and x* y*, then c1 x* y* <= (xy)*, c2
+  (x* y*)* = (xy)*, c3 x y* <= (xy)* and x* y <= (xy)*, and strictness
+  x* y* = (xy)*.  Each is "closure and ...", so every other table reads
+  False on each with no product built;
+- on unital carriers, every table: form 2, pre[xy] = pre[x y*] = pre[x* y].
+
+x y* and x* y are built once for the chunk, for every table on a unital
+carrier and for the closures otherwise, and form 2 and c3 share them.
+
+The single axiom and the unital forms quantify over z through
+pre[u] = {z : u <= z*} = t^-1(up[u]): the single axiom, x <= y* iff
+x* <= y*, is pre[x] = pre[x*] for every x.  For sets A and B, t^-1(A) lies
+within t^-1(B) iff A & Im t lies within B: w = t(z) in A & Im t has z in
+t^-1(A), so w in B; and z in t^-1(A) has t(z) in A & Im t.  With
+Im t = {y* : y}, pre[u] = pre[v] iff up[u] & Im t = up[v] & Im t.  So the
+single axiom is the XOR of the up lanes of x and x*, form 2 the XORs of
+those of xy with x y* and with x* y, and form 3 up[xy] & ~up[x* y*], each
+masked by the image mask of table i in every lane of its segment.  Every
+table still gets the three-part and single-axiom closure forms, c1, c2, c3
+and, on unital carriers, both unital forms, compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -54,7 +72,7 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
-from .poset import lane_code, lanes_within, order_preserving, transpose
+from .poset import lane_code, order_preserving, order_preserving_each, transpose, zero_segments
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -66,7 +84,7 @@ BRUTEFORCE_CAP = 5_000_000
 # certified_composition tries alternating compositions up to this length.
 COMPOSITION_BOUND = 6
 # Maps are decided in chunks of this many tables, which bounds the working
-# set of a batch: its product tables, preimage rows and lane codes.
+# set of a chunk: its product tables and lane codes.
 BATCH_MAPS = 64
 
 
@@ -141,17 +159,17 @@ class MonotoneMap:
 
 def is_closure(s: MonotoneMap) -> bool:
     """Expansive + order-preserving + idempotent, cross-checked against the
-    single axiom: x <= y* iff x* <= y* for all x, y.  A batch of one, decided
+    single axiom: x <= y* iff x* <= y* for all x, y.  A chunk of one, decided
     once per poset object and table, as _decide_nuclei decides it."""
     memo, key = _memo(s.poset), ("closure", s.table)
     if key not in memo:
-        memo[key] = _closed(s.carrier, s.table, _closure_conditions(s.carrier, [s.table])[0])
+        _check_lengths(s.carrier, [s.table])
+        memo[key] = _closed(s.carrier, s.table, *_chunk_verdicts(s.poset, [s.table])[0])
     return memo[key]
 
 
-def _closed(carrier, t: bytes, forms: tuple) -> bool:
-    """The closure verdict of t from its _closure_conditions, both forms compared."""
-    _, three_part, single = forms
+def _closed(carrier, t: bytes, three_part: bool, single: bool) -> bool:
+    """The closure verdict of t, its two forms compared."""
     if three_part != single:
         raise InternalCheckError(
             f"closure characterizations disagree on {_label(carrier)} at {tuple(t)}: "
@@ -160,7 +178,7 @@ def _closed(carrier, t: bytes, forms: tuple) -> bool:
     return three_part
 
 
-# -- batched decisions (see the module docstring) ------------------------------------
+# -- the chunk kernel (see the module docstring) -------------------------------------
 
 
 def _check_lengths(carrier, tables: Sequence[bytes]):
@@ -169,76 +187,84 @@ def _check_lengths(carrier, tables: Sequence[bytes]):
         raise StructureError(f"map table length does not match {_label(carrier)}")
 
 
-def _closure_conditions(carrier, tables: Sequence[bytes]) -> list:
-    """(expansive, three-part form, single axiom pre[x] == pre[x*]) per table of n ids."""
+def _chunk_verdicts(carrier, tables: Sequence[bytes]) -> list:
+    """The verdicts of each table of n ids, as one tuple a table: (three-part
+    closure, single axiom) on a poset; on an ordered magma also (c1, c2, c3,
+    strict) and, on a unital carrier, (form 2, form 3).  Every order
+    condition reads up lanes, w bytes a table of n ids."""
     p = poset_of(carrier)
     _check_lengths(carrier, tables)
-    count, lanes, rows = len(tables), p.down_lanes, p.up_rows
-    pads = list(map(_pad, tables))
-    lo, hi = (b"".join(map(side.translate, pads)) for side in p.order_pairs)
-    expansive = lanes_within(lanes, bytes(range(p.n)) * count, b"".join(tables), count)
-    monotone = lanes_within(lanes, lo, hi, count)
-    out = []
-    for t, pad, e, o in zip(tables, pads, expansive, monotone):
-        pre = list(map(t.translate, rows))
-        out.append((e, e and o and t.translate(pad) == t, pre == list(map(pre.__getitem__, t))))
-    return out
+    n, count, up = p.n, len(tables), p.up_lanes
+    w = n * len(up)
+    x_up, t_up = lane_code(up, bytes(range(n)) * count), lane_code(up, b"".join(tables))
+    expansive = zero_segments(t_up & ~x_up, count, w)
+    expanding = list(compress(range(count), expansive))
+    pads = {i: _pad(tables[i]) for i in expanding}
+    monotone = order_preserving_each(p, [tables[i] for i in expanding])
+    closures = [i for i, o in zip(expanding, monotone) if o and tables[i].translate(pads[i]) == tables[i]]
+    images = [sum(map((1).__lshift__, set(t))).to_bytes(len(up), "little") for t in tables]
+    single = zero_segments((x_up ^ t_up) & _spread(images, n), count, w)
+    closed = set(closures)
+    verdicts = [(i in closed, s) for i, s in enumerate(single)]
+    if not isinstance(carrier, OrderedMagma):
+        return verdicts
+    m, nn = carrier, n * n
+    unital = m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital)
+    # x y* and x* y for every table on a unital carrier (form 2), else for the closures (c3);
+    # x* y* for the expansive tables on a unital carrier (form 3), else for the closures.
+    sided = range(count) if unital else closures
+    wide = expanding if unital else closures
+    x_ts, t_xs = _sides(m, [tables[i] for i in sided])
+    tts = {i: b"".join(map(tables[i].translate, map(m.row_tables.__getitem__, tables[i]))) for i in wide}
+    xt_up, tx_up, tt_up = lane_code(up, x_ts), lane_code(up, t_xs), lane_code(up, b"".join(tts.values()))
+    nucleus = {}
+    if closures:
+        # The closures' segments: the whole chunk's codes when every table there is a closure.
+        c, tt = len(closures), [tts[i] for i in closures]
+        stars = [m.flat.translate(pads[i]) for i in closures]
+        tt_c = tt_up if c == len(wide) else lane_code(up, b"".join(tt))
+        if c == len(sided):
+            sides_c = xt_up & tx_up
+        else:
+            sides_c = lane_code(up, _picked(x_ts, nn, closures)) & lane_code(up, _picked(t_xs, nn, closures))
+        star_up = lane_code(up, b"".join(stars))
+        c1, c3 = zero_segments(star_up & ~tt_c, c, n * w), zero_segments(star_up & ~sides_c, c, n * w)
+        for i, u, star, a, b in zip(closures, tt, stars, c1, c3):
+            nucleus[i] = a, u.translate(pads[i]) == star, b, a and u == star
+    verdicts = [v + nucleus.get(i, (False,) * 4) for i, v in enumerate(verdicts)]
+    if not unital:
+        return verdicts
+    flat_up = lane_code(up, m.flat * count)
+    form2 = zero_segments(((flat_up ^ xt_up) | (flat_up ^ tx_up)) & _spread(images, nn), count, n * w)
+    inside = _spread([images[i] for i in wide], nn)
+    form3 = dict(zip(wide, zero_segments(flat_up & inside & ~tt_up, len(wide), n * w)))
+    return [v + (f2, form3.get(i, False)) for i, (v, f2) in enumerate(zip(verdicts, form2))]
 
 
-def _products(m: OrderedMagma, tables: Sequence[bytes]) -> tuple:
-    """(xy)*, x y*, x* y and x* y*: four lists of n*n byte tables, one per table."""
-    rows, mul = m.row_tables, m.mul
+def _sides(m: OrderedMagma, tables: Sequence[bytes]) -> tuple:
+    """x y* and x* y for each table, laid out table after table, n*n ids a
+    table: row x of x y* is the table read through row x of the product, and
+    row x of x* y is the product row of t(x)."""
+    each = chain.from_iterable(map(repeat, tables, repeat(m.n)))
     return (
-        [m.flat.translate(_pad(t)) for t in tables],
-        [b"".join(map(t.translate, rows)) for t in tables],
-        [b"".join(map(mul.__getitem__, t)) for t in tables],
-        [b"".join(map(t.translate, map(rows.__getitem__, t))) for t in tables],
+        b"".join(map(bytes.translate, each, m.row_tables * len(tables))),
+        b"".join(map(m.mul.__getitem__, b"".join(tables))),
     )
 
 
-def _nucleus_conditions(m: OrderedMagma, tables, products: tuple, closed: Sequence[bool]) -> list:
-    """c1 x*y* <= (xy)*, c2 (x*y*)* == (xy)* and c3 x y* <= (xy)* and
-    x* y <= (xy)* per table, each with the closure premise closed[i]:
-    c1 and c3 are one lanes_within, table i's x*y*, x y* and x* y against
-    its (xy)* in segments 3i, 3i + 1 and 3i + 2."""
-    star, x_ts, t_xs, tt = products
-    lo = b"".join(chain.from_iterable(zip(tt, x_ts, t_xs)))
-    seg = lanes_within(m.poset.down_lanes, lo, b"".join(s * 3 for s in star), 3 * len(tables))
-    return [
-        (c and a, c and u.translate(_pad(t)) == s, c and b and d)
-        for t, c, s, u, a, b, d in zip(tables, closed, star, tt, seg[0::3], seg[1::3], seg[2::3])
-    ]
+def _picked(joined: bytes, width: int, picked: Iterable[int]) -> bytes:
+    """The segments of joined, width bytes each, at the positions picked."""
+    return b"".join(joined[i * width : i * width + width] for i in picked)
 
 
-def _unital_selfmap_conditions(m: OrderedMagma, tables, products: tuple, expansive) -> list:
-    """(form 2, form 3) per table, the single-axiom forms valid for arbitrary
-    self-maps of unital carriers; expansive[i] says x <= x* for table i.
-
-    Both quantify over z through pre[u] = {z : u <= z*} = t^-1(up[u]).
-    Form 2, pre[xy] == pre[x y*] == pre[x* y], compares the tables through
-    one u with each row.  Form 3 is x <= x* and pre[xy] within pre[x* y*].
-    For sets A and B, t^-1(A) lies within t^-1(B) iff A & Im(t) lies within
-    B: w = t(z) in A & Im(t) has z in t^-1(A), so w in B; and z in t^-1(A)
-    has t(z) in A & Im(t).  So form 3 is x <= x* and up[xy] & Im(t) within
-    up[x* y*]: one lanes_within over up_lanes, the image mask of table i in
-    every lane of its segment.
-    """
-    _, x_ts, t_xs, tt = products
-    flat, lanes, rows, n, count = m.flat, m.poset.up_lanes, m.poset.up_rows, m.n, len(tables)
-    images = (sum(map((1).__lshift__, set(t))).to_bytes(len(lanes), "little") for t in tables)
-    inside = int.from_bytes(b"".join(image * (n * n) for image in images), "little")
-    form3 = lanes_within(lanes, flat * count, b"".join(tt), count, inside)
-    out = []
-    for t, a, b, e, f in zip(tables, x_ts, t_xs, expansive, form3):
-        pre = list(map(t.translate, rows))
-        same = _pad(bytes(map(dict(zip(pre, range(n))).__getitem__, pre)))
-        out.append((flat.translate(same) == a.translate(same) == b.translate(same), e and f))
-    return out
+def _spread(images: Sequence[bytes], width: int) -> int:
+    """Each image mask, as len(up_lanes) bytes, in width lanes in a row."""
+    return int.from_bytes(b"".join(map(bytes.__mul__, images, repeat(width))), "little")
 
 
 def is_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
     """Closure with x*y* <= (xy)*, all equivalent characterizations compared.
-    A batch of one, decided once per carrier object and table; a family of
+    A chunk of one, decided once per carrier object and table; a family of
     maps is decided faster handed to _decide_nuclei whole."""
     return _nucleus_verdict(m, s)[0]
 
@@ -251,38 +277,32 @@ def is_strict_nucleus(m: OrderedMagma, s: MonotoneMap) -> bool:
 def _nucleus_verdict(m: OrderedMagma, s: MonotoneMap) -> Tuple[bool, bool]:
     memo, key = _memo(m), ("nucleus", s.table)
     if key not in memo:
-        _decide_nuclei(m, [s])
+        _decide_nuclei(m, [s.table])
     return memo[key]
 
 
-def _decide_nuclei(m: OrderedMagma, maps: Iterable[MonotoneMap]):
-    """Decide each table of maps that m has not decided, BATCH_MAPS at a
-    time: (nucleus, strict) under ("nucleus", table) on m, the closure under
+def _decide_nuclei(m: OrderedMagma, tables: Iterable[bytes]):
+    """Decide each byte table that m has not decided, BATCH_MAPS at a time:
+    (nucleus, strict) under ("nucleus", table) on m, the closure under
     ("closure", table) on m.poset.  The first table in input order whose
     characterizations disagree, or whose length is not m.n, raises, and then
     no verdict of the call is stored."""
     memo = _memo(m)
-    todo = [t for t in dict.fromkeys(s.table for s in maps) if ("nucleus", t) not in memo]
+    todo = [t for t in dict.fromkeys(tables) if ("nucleus", t) not in memo]
     nuclei, closures = {}, {}
     for i in range(0, len(todo), BATCH_MAPS):
-        tables = todo[i : i + BATCH_MAPS]
-        forms = _closure_conditions(m, tables)
-        unital = m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital)
-        expansive = [f[0] for f in forms]
-        stars, _, _, tts = products = _products(m, tables)
-        conditions = _nucleus_conditions(m, tables, products, [f[1] for f in forms])
-        units = _unital_selfmap_conditions(m, tables, products, expansive) if unital else repeat(())
-        for t, f, (c1, c2, c3), u, star, tt in zip(tables, forms, conditions, units, stars, tts):
-            closures["closure", t] = _closed(m, t, f)
+        chunk = todo[i : i + BATCH_MAPS]
+        for t, (three_part, single, c1, c2, c3, strict, *forms) in zip(chunk, _chunk_verdicts(m, chunk)):
+            closures["closure", t] = _closed(m, t, three_part, single)
             if not c1 == c2 == c3:
                 raise InternalCheckError(
                     f"nucleus characterizations disagree on {_label(m)} at {tuple(t)}: {(c1, c2, c3)}"
                 )
-            if u and not c1 == u[0] == u[1]:
+            if forms and not c1 == forms[0] == forms[1]:
                 raise InternalCheckError(
-                    f"unital single-axiom nucleus forms disagree on {_label(m)} at {tuple(t)}: {(c1, *u)}"
+                    f"unital single-axiom nucleus forms disagree on {_label(m)} at {tuple(t)}: {(c1, *forms)}"
                 )
-            nuclei["nucleus", t] = c1, c1 and tt == star
+            nuclei["nucleus", t] = c1, strict
     memo.update(nuclei)
     _memo(m.poset).update(closures)
 
@@ -294,7 +314,7 @@ def _nuclei_of(m: OrderedMagma, maps: Iterable[MonotoneMap], who: str) -> List[M
     maps, memo = list(maps), _memo(m)
     for s in maps:
         if ("nucleus", s.table) not in memo:
-            _decide_nuclei(m, maps)
+            _decide_nuclei(m, [s.table for s in maps])
         if not memo["nucleus", s.table][0]:
             raise HypothesisNotMet(f"{who} requires a nucleus")
     return maps
@@ -332,7 +352,7 @@ def transportable_mask(m: OrderedMagma, s: MonotoneMap) -> int:
     is row a of (xy)* equal to row a of x y*, and column a to column a of x* y."""
     n = m.n
     _check_lengths(m, [s.table])
-    (star,), (x_ts,), (t_xs,), _ = _products(m, [s.table])
+    star, (x_ts, t_xs) = m.flat.translate(_pad(s.table)), _sides(m, [s.table])
     return sum(
         1 << a
         for a in range(n)
@@ -377,8 +397,8 @@ def _build_hull(carrier, s: MonotoneMap) -> MonotoneMap:
     if _least_above(p, s.fixed_mask()) != table:
         raise _broken(carrier, "fixpoint iteration disagrees with infimum formula")
     if isinstance(carrier, OrderedMagma) and carrier.profile.near_residuated:
-        (hull,), (x_ts,), (t_xs,), _ = _products(carrier, [s.table])
-        if all_below(p, x_ts + t_xs, hull * 2) and not is_nucleus(carrier, star):
+        x_ts, t_xs = _sides(carrier, [s.table])
+        if all_below(p, x_ts + t_xs, carrier.flat.translate(after) * 2) and not is_nucleus(carrier, star):
             raise _broken(carrier, "multiplicative preclosure hull failed nucleus check")
     return star
 
@@ -486,8 +506,8 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
         )
     tables, out = map(bytes, product(range(p.n), repeat=p.n)), []
     while chunk := list(islice(tables, BATCH_MAPS)):
-        forms = _closure_conditions(p, chunk)
-        out += [MonotoneMap(carrier, t) for t, f in zip(chunk, forms) if _closed(carrier, t, f)]
+        verdicts = _chunk_verdicts(p, chunk)
+        out += [MonotoneMap(carrier, t) for t, v in zip(chunk, verdicts) if _closed(carrier, t, *v)]
     return out
 
 
@@ -514,7 +534,7 @@ def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
 
 def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     closures = enumerate_closures(m)
-    _decide_nuclei(m, closures)
+    _decide_nuclei(m, [s.table for s in closures])
     filtered = [s for s in closures if is_nucleus(m, s)]
     if m.profile.near_residuated:
         by_images = {s.table for s in _nuclei_by_image_sets(m, closures)}

@@ -20,9 +20,10 @@ TOPLAS 11(1), 1989).  The lane code of a table t writes down[t[i]] into
 lane i of one int, k = ceil(n/8) bytes a lane (at most 32 within the
 256-id byte bound): byte j of every lane is t translated through
 down_lanes[j].  So t <= u pointwise iff lane_code(t) & ~lane_code(u) == 0,
-one big-int AND for every pair at once.  all_below and order_preserving
-are the one order kernel: maps, morphisms, automorphism tests and the
-order-compatibility of a product are decided through them.  A set of ids
+one big-int AND for every pair at once.  all_below and
+order_preserving_each are the one order kernel: maps, batches of maps,
+morphisms, automorphism tests and the order-compatibility of a product are
+decided through them.  A set of ids
 becomes a bitmask through id_mask, and a 0/1 row through row_mask.
 """
 
@@ -117,21 +118,32 @@ def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int, insid
     lo[i] <= hi[i].  One AND for all the segments: segment j is bytes j*w to
     (j+1)*w of the violations, w = len(lo) // count positions of
     len(lanes) bytes."""
-    width = len(lo) // count * len(lanes)
-    if not width:
+    if not lo:
         return [True] * count
-    violations = lane_code(lanes, lo) & inside & ~lane_code(lanes, hi)
+    width = len(lo) // count * len(lanes)
+    return zero_segments(lane_code(lanes, lo) & inside & ~lane_code(lanes, hi), count, width)
+
+
+def zero_segments(code: int, count: int, width: int) -> list:
+    """Whether each of count segments of width bytes of code, lowest first, is zero."""
     if count == 1:
-        return [not violations]
-    raw, zero = violations.to_bytes(width * count, "little"), bytes(width)
+        return [not code]
+    raw, zero = code.to_bytes(width * count, "little"), bytes(width)
     return [raw[j : j + width] == zero for j in range(0, len(raw), width)]
+
+
+def order_preserving_each(p: "FinitePoset", tables: Sequence[bytes], target: Optional["FinitePoset"] = None) -> list:
+    """Whether t(x) <= t(y) in target (p itself by default) over the stored
+    pairs x < y of p, for each table t: one lanes_within for all the tables."""
+    lo, hi = p.order_pairs
+    pads = list(map(translate_table, tables))
+    lanes = (p if target is None else target).down_lanes
+    return lanes_within(lanes, b"".join(map(lo.translate, pads)), b"".join(map(hi.translate, pads)), len(tables))
 
 
 def order_preserving(p: "FinitePoset", t: bytes, target: Optional["FinitePoset"] = None) -> bool:
     """t(x) <= t(y) in target (p itself by default) over the stored pairs x < y of p."""
-    lo, hi = p.order_pairs
-    table = translate_table(t)
-    return all_below(p if target is None else target, lo.translate(table), hi.translate(table))
+    return order_preserving_each(p, [t], target)[0]
 
 
 def carrier_label(carrier) -> str:

@@ -67,7 +67,7 @@ from .nucleus import (
     transportable_mask,
     unit_part,
 )
-from .poset import bits, id_mask, order_preserving
+from .poset import bits, id_mask, order_preserving_each
 
 SAMPLE_MAPS = 400
 # preclosurelemma draws this many seeded expansive maps.
@@ -125,15 +125,30 @@ def _draws(rng: random.Random, sizes: Iterable[int]) -> list:
 
 
 def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
-    """k seeded self-maps, their entries the stream of rng.randrange(n),
-    drawn in one call and sliced into byte tables."""
-    rng, n = random.Random(SEED + m.n), m.n
-    entries = bytes(_draws(rng, [n] * (n * k)))
-    return tuple(MonotoneMap(m, entries[i * n : i * n + n]) for i in range(k))
+    """k seeded byte tables, their entries the stream of rng.randrange(n),
+    drawn in one getrandbits call (a short stream is continued by the next)
+    and sliced table after table.
+
+    rng.randrange(n) takes one 32-bit word a try and keeps its top
+    b = n.bit_length() <= 7 bits (n <= ENUM_CAP), trying again while the
+    value is not below n.  getrandbits(32 * w) is the next w words, the
+    first lowest, so byte 4i + 3 is the top byte of word i: read through
+    v -> v >> (8 - b), with the bytes whose value is not below n deleted,
+    these bytes are the draws, in order."""
+    rng, n, need = random.Random(SEED + m.n), m.n, m.n * k
+    size = n.bit_length()
+    keep = bytes(v >> (8 - size) for v in range(256))
+    reject = bytes(v for v in range(256) if v >> (8 - size) >= n)
+    entries = b""
+    while len(entries) < need:
+        # A word is kept with chance n / 2**size >= 1/2: an eighth more words than expected.
+        words = ((need - len(entries)) << size) // n * 9 // 8 + 8
+        entries += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(keep, reject)
+    return tuple(entries[i * n : i * n + n] for i in range(k))
 
 
 def _sample_maps(m: OrderedMagma) -> tuple:
-    """The seeded sample of closureprop1 and closureprop1a, drawn once per carrier object."""
+    """The seeded sample of closureprop1 and closureprop1a as byte tables, drawn once per carrier object."""
     return _on_carrier(m, ("sample",), _random_maps)
 
 
@@ -141,9 +156,9 @@ def _sample_maps(m: OrderedMagma) -> tuple:
 def _check_closureprop1(m: OrderedMagma):
     """The three nucleus conditions agree on closures; the nucleus decision
     compares them on every map, so deciding the sample and the closures in
-    one batch is the proof."""
+    one call is the proof."""
     closures = enumerate_closures(m)
-    _decide_nuclei(m, _sample_maps(m) + tuple(closures))
+    _decide_nuclei(m, _sample_maps(m) + tuple(s.table for s in closures))
     return _ok("random sample plus all closures")
 
 
@@ -172,7 +187,7 @@ def _spanning_subset(m: OrderedMagma):
 @register("closureprop2")
 def _check_closureprop2(m: OrderedMagma):
     closures = enumerate_closures(m)
-    _decide_nuclei(m, closures)
+    _decide_nuclei(m, [s.table for s in closures])
     p = m.poset
     sigma = _spanning_subset(m)
     for s in closures:
@@ -269,12 +284,12 @@ def _check_preclosurelemma(m: OrderedMagma):
     picks = bytes(map(getitem, ups, _draws(random.Random(SEED), map(len, ups))))
     draws = Counter(picks[i * n : i * n + n] for i in range(PRECLOSURE_DRAWS))
     produced = 0
-    for t, count in draws.items():
-        if order_preserving(m.poset, t):
+    for t, monotone in zip(draws, order_preserving_each(m.poset, list(draws))):
+        if monotone:
             # The hull is checked to be a closure and to match the
             # least-fixed-point-above formula as it is built.
             closure_from_preclosure(MonotoneMap(m, t))
-            produced += count
+            produced += draws[t]
     if not produced:
         return _skip(f"vacuous: 0 of {PRECLOSURE_DRAWS} seeded expansive maps were order-preserving")
     return _ok(f"{produced} random preclosures")

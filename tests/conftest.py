@@ -1,5 +1,6 @@
 import pytest
 
+from quantic import nucleus
 from quantic.corpus import ring_corpus, standard_corpus
 from quantic.instances import plain_magma
 from quantic.magma import OrderedMagma
@@ -33,3 +34,22 @@ def bowtie1_left():
     test."""
     p = FinitePoset.from_covers([[2, 3], [2, 3], [4], [4], []])
     return OrderedMagma(p, [[x] * 5 for x in range(5)], name="bowtie1-left")
+
+
+# The positions of the verdicts in one tuple of nucleus._chunk_verdicts.
+VERDICTS = ("three_part", "single", "c1", "c2", "c3", "strict", "form2", "form3")
+
+
+def corrupted_kernel(name, value, only=None):
+    """A stand-in for nucleus._chunk_verdicts that reports value as the
+    verdict name (one of VERDICTS) of every table, or of the tables in only;
+    every other verdict is the kernel's own."""
+    kernel, at = nucleus._chunk_verdicts, VERDICTS.index(name)
+
+    def corrupted(carrier, tables):
+        return [
+            v[:at] + (value,) + v[at + 1 :] if len(v) > at and (only is None or t in only) else v
+            for t, v in zip(tables, kernel(carrier, tables))
+        ]
+
+    return corrupted

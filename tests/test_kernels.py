@@ -37,6 +37,7 @@ from quantic.poset import FinitePoset, all_below, bits, carrier_label, id_mask, 
 from quantic.poset import lanes_within, mask_row, row_mask, subset_walk, sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
+from conftest import corrupted_kernel
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
 
@@ -330,22 +331,23 @@ def dual(p):
 
 def assert_map_kernels_match(m, tables):
     """Every byte-row decision on the tables against its loop, table by
-    table: the batched conditions over all the tables in one call each, and
-    the verdicts _decide_nuclei writes, deciding them in one batch on a fresh
-    copy of m."""
+    table: the chunk kernel's verdicts over all the tables in one call, on
+    the poset and on the magma, and the verdicts _decide_nuclei writes,
+    deciding them in chunks on a fresh copy of m.  The tables may mix
+    closures, expansive non-closures and non-expansive maps, so each
+    condition is read where its premise holds and where it does not."""
     p, rows = m.poset, [bytes(t) for t in tables]
-    forms = nucleus._closure_conditions(p, rows)
-    products = nucleus._products(m, rows)
-    conditions = nucleus._nucleus_conditions(m, rows, products, [f[1] for f in forms])
-    unital = nucleus._unital_selfmap_conditions(m, rows, products, [f[0] for f in forms])
+    closures = nucleus._chunk_verdicts(p, rows)
+    verdicts = nucleus._chunk_verdicts(m, rows)
+    unital = m.unit is not None or nucleus._one_sided_unital(m)
     fresh = OrderedMagma(p, m.mul, name=m.name)
-    nucleus._decide_nuclei(fresh, [MonotoneMap(fresh, row) for row in rows])
-    for t, row, form, condition, forms2and3 in zip(tables, rows, forms, conditions, unital, strict=True):
-        assert form == (expansive_loop(p, t), three_part_loop(p, t), closure_single_axiom_loop(p, t)), t
-        assert condition == nucleus_conditions_loop(m, t), t
-        assert forms2and3 == unital_conditions_loop(m, t), t
-        assert fresh._memo["nucleus", row] == (condition[0], strict_loop(m, t)), t
-        assert p._memo["closure", row] == form[1], t
+    nucleus._decide_nuclei(fresh, rows)
+    for t, row, closure, verdict in zip(tables, rows, closures, verdicts, strict=True):
+        assert closure == verdict[:2] == (three_part_loop(p, t), closure_single_axiom_loop(p, t)), t
+        assert verdict[2:6] == (*nucleus_conditions_loop(m, t), strict_loop(m, t)), t
+        assert verdict[6:] == (unital_conditions_loop(m, t) if unital else ()), t
+        assert fresh._memo["nucleus", row] == (verdict[2], verdict[5]), t
+        assert p._memo["closure", row] == verdict[0], t
         s = MonotoneMap(m, t)
         assert s.is_preclosure == preclosure_loop(p, t), t
         assert s.is_order_preserving == order_preserving_loop(p, t, p), t
@@ -482,10 +484,10 @@ def test_each_nucleus_condition_is_decided_and_compared(row1, star11, verdicts):
 
 @pytest.mark.parametrize("forms", [(False, True), (True, False)])
 def test_each_unital_form_is_compared(monkeypatch, forms):
+    # The identity on I(Z/4) is a nucleus: the kernel reports one of its
+    # unital forms False, form 2 and then form 3.
     m = ring_ideal_lattice(FiniteRing.zmod(4)).magma
-    monkeypatch.setattr(
-        nucleus, "_unital_selfmap_conditions", lambda m, tables, products, expansive: [forms] * len(tables)
-    )
+    monkeypatch.setattr(nucleus, "_chunk_verdicts", corrupted_kernel("form3" if forms[0] else "form2", False))
     with pytest.raises(InternalCheckError, match="unital single-axiom nucleus forms disagree") as info:
         nucleus.is_nucleus(m, MonotoneMap.identity(m))
     assert str(info.value).endswith(f"on I(Z/4) (3 elements) at (0, 1, 2): {(True, *forms)}")
@@ -748,11 +750,9 @@ def test_unital_form3_matches_the_loop_at_every_lane_width(n):
         p = m.poset
         tables = [bytes(tx if p.leq(x, tx) else x for x, tx in enumerate(t)) for t in order_tables(rng, p)]
         tables = order_tables(rng, p)[:2] + tables[: 4 if n > 20 else None]
-        expansive = [form[0] for form in nucleus._closure_conditions(p, tables)]
-        forms = nucleus._unital_selfmap_conditions(m, tables, nucleus._products(m, tables), expansive)
-        for t, (_, form3) in zip(tables, forms, strict=True):
+        for t, verdict in zip(tables, nucleus._chunk_verdicts(m, tables), strict=True):
             expected = unital_form3_loop(m, t)
-            assert form3 == expected, (m.name, t)
+            assert verdict[7] == expected, (m.name, t)
             answers.add(expected)
     assert True in answers and (n == 1 or False in answers)
 
@@ -808,13 +808,52 @@ def test_a_batch_reads_a_failure_at_the_last_position_of_its_first_or_last_table
         assert not expansive_loop(p, t) and order_preserving_loop(p, t, p) and bytes(t[x] for x in t) == t
     for batch in (bad + closures, closures + bad):
         m = meet_lattice(FinitePoset.chain(n), "chain-meet")
-        forms = nucleus._closure_conditions(m.poset, batch)
-        assert [f[0] for f in forms] == [t not in bad for t in batch]
-        nucleus._decide_nuclei(m, [MonotoneMap(m, t) for t in batch])
+        verdicts = nucleus._chunk_verdicts(m.poset, batch)
+        assert [v[0] for v in verdicts] == [t not in bad for t in batch]
+        nucleus._decide_nuclei(m, batch)
         assert [m._memo["nucleus", t] for t in batch] == [(t not in bad,) * 2 for t in batch]
         assert [m.poset._memo["closure", t] for t in batch] == [t not in bad for t in batch]
         if n < 20:
             assert_map_kernels_match(m, batch)
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_the_image_restricted_forms_read_the_image_of_each_table_at_every_lane_width(n):
+    # On the n-chain under meet, whose top is its unit, t sends the bottom b
+    # to the element a above it and fixes the rest: a strict nucleus whose
+    # image misses b alone.  up[b] and up[a] differ at b only, so the single
+    # axiom at x = b, form 2 and form 3 (x*y* = a against xy = b at x = y =
+    # b) hold on Im t and fail on any mask that holds b.  The chain is
+    # labelled upwards, b = 0 in the first lane of t, and downwards, b = n - 1
+    # in its last.  t is decided first and then last in a chunk with the
+    # identity, whose image holds b, an expansive map that is not a closure
+    # (x to the element above it, the top fixed) and a map that is not
+    # expansive (constant b), so each closure's products are picked out of
+    # the chunk.
+    for p in (FinitePoset.chain(n), dual(FinitePoset.chain(n))):
+        m, ident = meet_lattice(p, "chain-meet"), bytes(range(n))
+        covers = (p.least_of(p.up[x] & ~(1 << x)) for x in range(n))
+        b, above = p.bottom, bytes(x if a is None else a for x, a in enumerate(covers))
+        if n == 1:
+            t, others = ident, []
+        else:
+            t = bytes(above[x] if x == b else x for x in range(n))
+            others = [ident, above, bytes([b]) * n]
+            assert not expansive_loop(p, others[2]) and expansive_loop(p, above) and not three_part_loop(p, above)
+            assert three_part_loop(p, t) and id_mask(t) == p.universe & ~(1 << b) and b in (0, n - 1)
+        expected = {t: (True,) * 8, ident: (True,) * 8}
+        for chunk in ([t] + others, others + [t]):
+            got = dict(zip(chunk, nucleus._chunk_verdicts(m, chunk)))
+            for table in chunk:
+                assert got[table] == expected.get(table, (False,) * 8), (n, b, chunk.index(table))
+                if n < 20:
+                    loops = (three_part_loop(p, table), closure_single_axiom_loop(p, table))
+                    loops += (*nucleus_conditions_loop(m, table), strict_loop(m, table))
+                    assert got[table] == loops + unital_conditions_loop(m, table), (n, b, table)
+            assert nucleus._chunk_verdicts(p, chunk) == [v[:2] for v in map(got.__getitem__, chunk)]
+            fresh = meet_lattice(p, "chain-meet")
+            nucleus._decide_nuclei(fresh, chunk)
+            assert fresh._memo["nucleus", t] == (True, True) and fresh.poset._memo["closure", t]
 
 
 @pytest.mark.parametrize("k, third", [(5, 2), (70, 66)], ids=["first-chunk", "second-chunk"])
@@ -825,15 +864,9 @@ def test_a_batch_with_disagreeing_tables_names_the_first_and_stores_nothing(monk
     m = meet_lattice(FinitePoset.chain(8), "chain8-meet")
     maps = enumerate_closures(m)[:k]
     flipped = {maps[third].table, maps[-1].table}
-    conditions = nucleus._nucleus_conditions
-
-    def flip(m, tables, products, closed):
-        out = conditions(m, tables, products, closed)
-        return [(c1, c2 != (t in flipped), c3) for t, (c1, c2, c3) in zip(tables, out)]
-
-    monkeypatch.setattr(nucleus, "_nucleus_conditions", flip)
+    monkeypatch.setattr(nucleus, "_chunk_verdicts", corrupted_kernel("c2", False, only=flipped))
     with pytest.raises(InternalCheckError) as info:
-        nucleus._decide_nuclei(m, maps)
+        nucleus._decide_nuclei(m, [s.table for s in maps])
     assert str(info.value) == (
         f"nucleus characterizations disagree on chain8-meet (8 elements) at {tuple(maps[third].table)}: "
         "(True, False, True)"
@@ -1220,7 +1253,7 @@ def test_sampled_maps_are_the_randrange_tables(corpus):
     for m in corpus.values():
         rng = random.Random(verify.SEED + m.n)
         expected = [tuple(rng.randrange(m.n) for _ in range(m.n)) for _ in range(verify.SAMPLE_MAPS)]
-        assert [tuple(s.table) for s in verify._random_maps(m)] == expected, m.name
+        assert [tuple(t) for t in verify._random_maps(m)] == expected, m.name
 
 
 @pytest.mark.parametrize(

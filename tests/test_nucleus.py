@@ -36,6 +36,8 @@ from quantic.poset import FinitePoset, carrier_label
 from quantic.rings import FiniteRing, radical_operation, ring_ideal_lattice
 from quantic.structdoc import load_magma, magma_doc
 
+from conftest import corrupted_kernel
+
 
 def join_magma(p, name=""):
     return OrderedMagma(p, [[p.join(i, j) for j in range(p.n)] for i in range(p.n)], name=name)
@@ -410,9 +412,7 @@ def test_mutating_a_returned_list_leaves_the_next_call_alone(z4, enumerate_maps)
 
 
 def test_a_disagreeing_verdict_is_not_kept(z4, monkeypatch):
-    monkeypatch.setattr(
-        nucleus, "_nucleus_conditions", lambda m, tables, products, closed: [(True, False, True)] * len(tables)
-    )
+    monkeypatch.setattr(nucleus, "_chunk_verdicts", corrupted_kernel("c2", False))
     m = load_magma(magma_doc(z4.magma))
     for _ in range(2):
         with pytest.raises(InternalCheckError, match="nucleus characterizations disagree"):
@@ -423,9 +423,7 @@ def test_a_verdict_stays_on_its_own_carrier(z4, monkeypatch):
     doc = magma_doc(z4.magma)
     first, second = load_magma(doc), load_magma(doc)
     assert first == second and is_nucleus(first, MonotoneMap.identity(first))
-    monkeypatch.setattr(
-        nucleus, "_nucleus_conditions", lambda m, tables, products, closed: [(True, False, True)] * len(tables)
-    )
+    monkeypatch.setattr(nucleus, "_chunk_verdicts", corrupted_kernel("c2", False))
     assert is_nucleus(first, MonotoneMap.identity(first))
     with pytest.raises(InternalCheckError):
         is_nucleus(second, MonotoneMap.identity(second))
@@ -582,7 +580,7 @@ def test_every_postcondition_raises_on_an_output_the_verdict_rejects(monkeypatch
     m = contract_carrier()
     build(m)  # the unpatched construction answers
     m = contract_carrier()
-    nucleus._decide_nuclei(m, [MonotoneMap.identity(m)])
+    nucleus._decide_nuclei(m, [MonotoneMap.identity(m).table])
     # The preconditions read the stored verdicts; only the outputs are
     # decided through is_nucleus, which now rejects every map.
     monkeypatch.setattr(nucleus, "is_nucleus", lambda m, s: False)

@@ -24,6 +24,8 @@ from quantic.rings import FiniteRing, ring_ideal_lattice
 from quantic.structdoc import LAZY_CARRIERS, to_json
 from quantic.verify import check_names, run_all, run_all_lazy
 
+from conftest import corrupted_kernel
+
 # The rows that read the nucleus enumeration, all of which apply to I(Z/4).
 NUCLEUS_ROWS = {
     "closureprop3", "starlemma", "CSTstar", "supremark", "CMC",
@@ -76,10 +78,10 @@ def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypa
 
         monkeypatch.setattr(target, name, counted)
 
-    unital = nucleus._unital_selfmap_conditions
+    kernel = nucleus._chunk_verdicts
     monkeypatch.setattr(
-        nucleus, "_unital_selfmap_conditions",
-        lambda carrier, tables, *rest: decided.extend((carrier, t) for t in tables) or unital(carrier, tables, *rest),
+        nucleus, "_chunk_verdicts",
+        lambda carrier, tables: decided.extend((carrier, t) for t in tables) or kernel(carrier, tables),
     )
     counting(nucleus, "_build_quotient", quotients)
     counting(divisorial, "v_lin", divisorial_runs)
@@ -99,10 +101,10 @@ def test_closureprop1_rows_share_the_seeded_sample(monkeypatch):
         tables = seen[row] = []
         monkeypatch.setattr(
             verify, "_decide_nuclei",
-            lambda m, maps, tables=tables: tables.extend(s.table for s in maps) or nucleus._decide_nuclei(m, maps),
+            lambda m, maps, tables=tables: tables.extend(maps) or nucleus._decide_nuclei(m, maps),
         )
         run_all(m, names=[row])
-    sample = [s.table for s in verify._random_maps(m)]
+    sample = list(verify._random_maps(m))
     assert len(sample) == verify.SAMPLE_MAPS
     assert seen["closureprop1a"] == sample == seen["closureprop1"][: len(sample)]
     assert verify._sample_maps(m) is verify._sample_maps(m)
@@ -228,11 +230,11 @@ def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, 
     for target, name, replacement, call, witness in (
         (nucleus, "_nuclei_by_image_sets", lambda m, closures: closures[:1],
          nucleus.enumerate_nuclei, "filter only [(1, 1, 2), (2, 2, 2)]"),
-        (nucleus, "_closure_conditions", lambda p, tables: [(True, False, True)] * len(tables),
+        (nucleus, "_chunk_verdicts", corrupted_kernel("single", False),
          lambda m: nucleus.is_closure(identity(m)), "(0, 1, 2)"),
-        (nucleus, "_nucleus_conditions", lambda m, tables, products, closed: [(True, False, True)] * len(tables),
+        (nucleus, "_chunk_verdicts", corrupted_kernel("c2", False),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
-        (nucleus, "_unital_selfmap_conditions", lambda m, tables, products, expansive: [(False, False)] * len(tables),
+        (nucleus, "_chunk_verdicts", corrupted_kernel("form2", False),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
         (nucleus, "nuclei_join", lambda m, gamma: identity(m),
          nucleus.nucleus_lattice, "(0, 1, 2) v (1, 1, 2)"),
@@ -268,10 +270,10 @@ def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     m = module_system_lattice(cyclic_group(4)).magma
     decide, decided = nucleus._decide_nuclei, []
 
-    def counting(m, maps):
-        maps = list(maps)
-        decided.extend(s.table for s in maps)
-        return decide(m, maps)
+    def counting(m, tables):
+        tables = list(tables)
+        decided.extend(tables)
+        return decide(m, tables)
 
     # The verify rows hand their families to the batch kernel themselves.
     monkeypatch.setattr(nucleus, "_decide_nuclei", counting)
@@ -292,7 +294,7 @@ def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     detail = results["preclosurelemma"].detail
     assert detail == "vacuous: 0 of 200 seeded expansive maps were order-preserving"
     # closureprop1a decides its whole seeded sample.
-    assert {s.table for s in verify._random_maps(m)} <= set(decided)
+    assert set(verify._random_maps(m)) <= set(decided)
     # An enumeration row is refused, on a fresh carrier, before it decides a
     # nucleus or does any other work.
     m, other_work = module_system_lattice(cyclic_group(4)).magma, []
