@@ -24,9 +24,9 @@ from .nucleus import (
     _broken,
     _certified,
     _nuclei_of,
-    _on_carrier,
     enumerate_nuclei,
     nuclei_meet,
+    per_carrier,
 )
 from .finitary import star_f
 from .poset import bits, id_mask, mask_row, row_mask, translate_table
@@ -54,14 +54,11 @@ def is_cyclic(m: OrderedMagma, a: int) -> CyclicityReport:
 # -- divisorial closure -------------------------------------------------------
 
 
-def lin_monoid(m: OrderedMagma) -> List[bytes]:
+@per_carrier
+def lin_monoid(m: OrderedMagma) -> Tuple[bytes, ...]:
     """The monoid generated by left and right translations, saturated to a
     fixpoint under LIN_CAP maps; built once per carrier object, every call
-    returns a fresh list."""
-    return list(_on_carrier(m, ("lin",), _translation_monoid))
-
-
-def _translation_monoid(m: OrderedMagma) -> Tuple[bytes, ...]:
+    returns the stored tuple."""
     return tuple(sorted(generated_monoid(m, m.translations(), LIN_CAP)))
 
 
@@ -143,7 +140,7 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
     prof = q.profile
     if not (prof.unital and prof.associative and prof.near_sup_magma):
         raise HypothesisNotMet("the unit-sandwich strategy needs a unital near sup-magma")
-    units, spanning = _on_carrier(q, ("units",), _units_and_spanning)
+    units, spanning = _units_and_spanning(q)
     if not spanning:
         raise HypothesisNotMet("U(Q) is not sup-spanning")
     p = q.poset
@@ -163,29 +160,28 @@ def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
     return MonotoneMap(q, table)
 
 
+@per_carrier
 def _units_and_spanning(q: OrderedMagma) -> Tuple[tuple, bool]:
     """U(Q) and whether it is sup-spanning: both depend on q alone."""
     units = distinguished_sets(q).units
     return units, is_sup_spanning(q, units)
 
 
+STRATEGIES = {"lin": v_lin, "rs": v_rs, "residual": v_residual, "units": v_units}
+
+
 def v(q: OrderedMagma, a: int, strategy: str = "all") -> MonotoneMap:
     """Coarsest nucleus fixing a.  With strategy "all", every applicable
     strategy is computed and compared, once per carrier object and element."""
-    strategies = {
-        "lin": v_lin,
-        "rs": v_rs,
-        "residual": v_residual,
-        "units": v_units,
-    }
     if strategy != "all":
-        return _checked_v(q, a, strategies[strategy](q, a))
-    return _on_carrier(q, ("v", a), _v_all, a, strategies)
+        return _checked_v(q, a, STRATEGIES[strategy](q, a))
+    return _v_all(q, a)
 
 
-def _v_all(q: OrderedMagma, a: int, strategies: dict) -> MonotoneMap:
+@per_carrier
+def _v_all(q: OrderedMagma, a: int) -> MonotoneMap:
     results: Dict[str, MonotoneMap] = {}
-    for name, fn in strategies.items():
+    for name, fn in STRATEGIES.items():
         try:
             results[name] = fn(q, a)
         except HypothesisNotMet:
@@ -279,6 +275,7 @@ def gv_elements(m: OrderedMagma, s: MonotoneMap) -> GVSet:
     return GVSet(members)
 
 
+@per_carrier
 def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
     prof = q.profile
     if not prof.near_multiplicative_lattice:
@@ -302,14 +299,11 @@ def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
     return True
 
 
+@per_carrier
 def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     """The coarsest stable nucleus below s: x -> sup{ x/z : z GV }, built
     once per carrier object and nucleus table."""
-    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
-    return _on_carrier(q, ("stable_closure", s.table), _build_stable_closure, s)
-
-
-def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
+    _decide_stable_hypotheses(q)
     _nuclei_of(q, [s], "stable_closure")
     gv = gv_elements(q, s)
     table = []
@@ -327,14 +321,11 @@ def _build_stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     return out
 
 
+@per_carrier
 def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
     """All four equivalent stability conditions evaluated and compared, once
     per carrier object and nucleus table."""
-    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
-    return _on_carrier(q, ("stable", s.table), _decide_stable, s)
-
-
-def _decide_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
+    _decide_stable_hypotheses(q)
     _nuclei_of(q, [s], "is_stable")
     p, t = q.poset, s.table
     one = q.unit
@@ -371,7 +362,7 @@ def star_w(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     """Compact-GV formula: the stable closure of the finitary companion, which
     on finite carriers is the stable closure of s itself.  The stability gate
     implies coherence: a near multiplicative lattice is unital."""
-    _on_carrier(q, ("stable_hypotheses",), _decide_stable_hypotheses)
+    _decide_stable_hypotheses(q)
     return stable_closure(q, star_f(q, s))
 
 

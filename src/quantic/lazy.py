@@ -340,46 +340,18 @@ def _check_shape(threshold: int, period: int):
 
 
 class LazyCarrier:
-    """Shared interface: order oracle, describable sups, compactness, declared
-    flags, and the carrier's own compact approximations, image suprema and
-    shipped rule maps."""
+    """Shared interface of the lazy carriers.  Each subclass declares its
+    flags in declared_profile and implements leq, op and is_compact; sup of
+    a describable family; residual(x, a), the largest z with z * a <= x, or
+    None; compacts_below(x), a describable directed family of compact
+    elements with sup x; image_sup(rule, family, budget), the sup of the
+    image of one of its infinite directed families; sample(k) and
+    directed_family_samples(), what rule maps are certified on; and
+    rule_map(name), a shipped rule map."""
 
     name = "lazy"
     # Names of the rule maps the carrier ships; run_all_lazy checks each.
     shipped: tuple = ()
-
-    def leq(self, x, y) -> bool:
-        raise NotImplementedError
-
-    def sup(self, family):
-        raise NotImplementedError
-
-    def is_compact(self, x) -> bool:
-        raise NotImplementedError
-
-    def op(self, x, y):
-        raise NotImplementedError
-
-    def sample(self, k: int = SAMPLE_SIZE) -> list:
-        raise NotImplementedError
-
-    def directed_family_samples(self) -> list:
-        raise NotImplementedError
-
-    def compacts_below(self, x):
-        """A describable directed family of compact elements with sup x."""
-        raise NotImplementedError
-
-    def image_sup(self, rule: "RuleMap", family, budget: int):
-        """Supremum of the image of the carrier's infinite directed family."""
-        raise NotImplementedError
-
-    def rule_map(self, name: str) -> "RuleMap":
-        raise NotImplementedError
-
-    def residual(self, x, a):
-        """The largest z with z * a <= x, or None where there is none."""
-        raise NotImplementedError
 
 
 class ChainOmega(LazyCarrier):

@@ -9,19 +9,27 @@ Constructions check the nuclei they take through one precondition,
 _nuclei_of (HypothesisNotMet naming the operation), and the nucleus they
 return through one postcondition, _certified (InternalCheckError naming the
 carrier).  MonotoneMap checks its ids against its own carrier, and a
-decision refuses a table of another length, a map of another carrier, with
-StructureError, storing no verdict.  Tables derived from a carrier's own
-tables are composed and read as bitmasks without a second check.  The meet
-and join tables of N(M) certify each entry as they store it: the greatest
-lower, resp. least upper, bound of its pair in nucleus_order(m).
+decision or a comparison refuses a table of another length, a map of another
+carrier, with StructureError, storing no verdict.  Tables derived from a
+carrier's own tables are composed and read as bitmasks without a second
+check.  The meet and join tables of N(M) certify each entry as they store it:
+the greatest lower, resp. least upper, bound of its pair in nucleus_order(m).
+
+One cache rule: each carrier object keeps one dict, its _memo.  A function
+decorated with per_carrier stores its result there under (function, *args),
+built on the first call and returned as stored after it; a build that raises
+stores nothing, so the next call raises again.  The same dict holds the
+verdicts that the chunks of _decide_nuclei write, ("nucleus", table) on a
+magma and ("closure", table) on its poset.  Stored results are tuples, or
+objects no caller changes.
 
 A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
 a bytes.translate table, so row.translate(_pad(T)) applies T to every entry
 of row in one C call, and g o f is f.translate(_pad(g)).  An order condition
-u <= w over all pairs rests on a <= b iff down[a] is a subset of down[b],
-iff up[b] is a subset of up[a]: it is one AND of the lane codes of the two
-sides (poset.all_below), k = ceil(n/8) bytes a lane.
+u <= w over all pairs rests on a <= b iff up[b] is a subset of up[a]: it is
+one AND of the up-lane codes of the two sides (poset.all_below),
+k = ceil(n/8) bytes a lane.
 
 _decide_nuclei decides byte tables in chunks of BATCH_MAPS, each through
 one call of _chunk_verdicts.  The chunk is laid out table after table, and
@@ -58,8 +66,9 @@ and, on unital carriers, both unital forms, compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, compress, islice, product, repeat
-from operator import getitem
+from operator import invert
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -133,6 +142,7 @@ class MonotoneMap:
         return hash(self.table)
 
     def __le__(self, other: "MonotoneMap") -> bool:
+        _check_lengths(self.carrier, [other.table])
         return all_below(self.poset, self.table, other.table)
 
     def __repr__(self):
@@ -154,7 +164,7 @@ class MonotoneMap:
     @property
     def is_preclosure(self) -> bool:
         p, t = self.poset, self.table
-        return all(map(getitem, p.up_rows, t)) and order_preserving(p, t)
+        return all_below(p, bytes(range(p.n)), t) and order_preserving(p, t)
 
 
 def is_closure(s: MonotoneMap) -> bool:
@@ -209,7 +219,7 @@ def _chunk_verdicts(carrier, tables: Sequence[bytes]) -> list:
     if not isinstance(carrier, OrderedMagma):
         return verdicts
     m, nn = carrier, n * n
-    unital = m.unit is not None or _on_carrier(m, ("one_sided_unital",), _one_sided_unital)
+    unital = m.unit is not None or _one_sided_unital(m)
     # x y* and x* y for every table on a unital carrier (form 2), else for the closures (c3);
     # x* y* for the expansive tables on a unital carrier (form 3), else for the closures.
     sided = range(count) if unital else closures
@@ -332,16 +342,22 @@ def _memo(carrier) -> dict:
     return carrier.__dict__.setdefault("_memo", {})
 
 
-def _on_carrier(carrier, key: tuple, build, *args):
-    """build(carrier, *args), computed once per carrier object and key and kept
-    in one dict on the carrier.  A call that raises stores nothing, so the next
-    call raises again."""
-    memo = _memo(carrier)
-    if key not in memo:
-        memo[key] = build(carrier, *args)
-    return memo[key]
+def per_carrier(build):
+    """build(carrier, *args), built once per carrier object and arguments and
+    stored in the carrier's memo under (build, *args).  A build that raises
+    stores nothing, so the next call raises again."""
+
+    @wraps(build)
+    def stored(carrier, *args):
+        memo, key = _memo(carrier), (build, *args)
+        if key not in memo:
+            memo[key] = build(carrier, *args)
+        return memo[key]
+
+    return stored
 
 
+@per_carrier
 def _one_sided_unital(m: OrderedMagma) -> bool:
     identity = bytes(range(m.n))
     return identity in m.mul or identity in m.cols
@@ -374,9 +390,10 @@ def closure_from_preclosure(s: MonotoneMap) -> MonotoneMap:
     and table: every check runs on a table's first call, and a call that
     raises stores nothing.
     """
-    return _on_carrier(s.carrier, ("hull", s.table), _build_hull, s)
+    return _build_hull(s.carrier, s)
 
 
+@per_carrier
 def _build_hull(carrier, s: MonotoneMap) -> MonotoneMap:
     if not s.is_preclosure:
         raise HypothesisNotMet("closure_from_preclosure requires a preclosure")
@@ -451,7 +468,8 @@ def nuclei_join(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_closures(carrier) -> List[MonotoneMap]:
+@per_carrier
+def enumerate_closures(carrier) -> Tuple[MonotoneMap, ...]:
     """All closure operations, by a backtracking search over their images.
 
     A subset C is the image of a (unique) closure operation exactly when every
@@ -463,12 +481,8 @@ def enumerate_closures(carrier) -> List[MonotoneMap]:
     holds only x and elements decided before it, so the fiber of a decided x
     never changes, and an undecided x is its own x*.  So the leaves are the
     closures, each once, sorted by table.  The search runs once per carrier,
-    up to ENUMERATION_CAP elements; every call returns a fresh list.
+    up to ENUMERATION_CAP elements; every call returns the stored tuple.
     """
-    return list(_on_carrier(carrier, ("closures",), _closures_by_images))
-
-
-def _closures_by_images(carrier) -> Tuple[MonotoneMap, ...]:
     p = poset_of(carrier)
     if p.n > ENUMERATION_CAP:
         raise CarrierTooLarge(
@@ -511,8 +525,9 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
     return out
 
 
-def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
-    """All nuclei on m, computed once per carrier; every call returns a fresh list.
+@per_carrier
+def enumerate_nuclei(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
+    """All nuclei on m, computed once per carrier; every call returns the stored tuple.
 
     Both routes filter the one closure enumeration.  On near-residuated
     carriers the image-set criterion, images that hold every residual of
@@ -529,10 +544,6 @@ def enumerate_nuclei(m: OrderedMagma) -> List[MonotoneMap]:
     closure image holds every meet that exists, since w = a ^ b gives
     w* <= a* = a and w* <= b, so w* = w.
     """
-    return list(_on_carrier(m, ("nuclei",), _nuclei_two_routes))
-
-
-def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     closures = enumerate_closures(m)
     _decide_nuclei(m, [s.table for s in closures])
     filtered = [s for s in closures if is_nucleus(m, s)]
@@ -548,7 +559,7 @@ def _nuclei_two_routes(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     return tuple(filtered)
 
 
-def _nuclei_by_image_sets(m: OrderedMagma, closures: List[MonotoneMap]) -> List[MonotoneMap]:
+def _nuclei_by_image_sets(m: OrderedMagma, closures: Sequence[MonotoneMap]) -> List[MonotoneMap]:
     """The closures whose image holds every residual of its members."""
     residuals = _residual_masks(m)
     return [s for s in closures if _residual_stable(residuals, s.image_mask())]
@@ -579,14 +590,11 @@ class QuotientMagma:
     to_quotient: MappingProxyType  # parent image id -> quotient id, read-only
 
 
+@per_carrier
 def quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
     """The image M* under star-multiplication, with the inherited structure
     asserted; built once per carrier object and nucleus table."""
     _nuclei_of(m, [s], "quotient")
-    return _on_carrier(m, ("quotient", s.table), _build_quotient, s)
-
-
-def _build_quotient(m: OrderedMagma, s: MonotoneMap) -> QuotientMagma:
     p = m.poset
     members = tuple(sorted(set(s.table)))
     index = {x: i for i, x in enumerate(members)}
@@ -812,13 +820,10 @@ class NucleusLattice:
     magma: OrderedMagma        # N(M) under pointwise order with join as multiplication
 
 
+@per_carrier
 def nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
     """N(M), built once per carrier object."""
-    return _on_carrier(m, ("lattice",), _build_nucleus_lattice)
-
-
-def _build_nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
-    maps = tuple(enumerate_nuclei(m))
+    maps = enumerate_nuclei(m)
     k = len(maps)
     name = f"N({m.name})" if m.name else "N(M)"
     if k > ENUM_CAP:
@@ -850,23 +855,25 @@ def nuclei_join_table(m: OrderedMagma) -> list:
     """joins[i][j] is the position in enumerate_nuclei(m) of the join of nuclei
     i and j, by the join formula (nuclei_join) run once per unordered pair;
     built once per carrier object, and read, never changed, by its callers."""
-    return _on_carrier(m, ("joins",), _pair_table, nuclei_join, "v")
+    return _pair_table(m, "v")
 
 
 def nuclei_meet_table(m: OrderedMagma) -> list:
     """meets[i][j] is the position in enumerate_nuclei(m) of the pointwise
     meet (nuclei_meet) of nuclei i and j; built and read like the join table."""
-    return _on_carrier(m, ("meets",), _pair_table, nuclei_meet, "^")
+    return _pair_table(m, "^")
 
 
-def _pair_table(m: OrderedMagma, combine, op: str) -> list:
-    """combine(m, [s, t]) once per unordered pair of nuclei i, j, certified as
-    it is stored: the result r must be enumerated, in bounds[i] & bounds[j]
-    and below (op "v", bounds the above masks of nucleus_order(m)) or above
-    (op "^", bounds the below masks) every member of that set."""
+@per_carrier
+def _pair_table(m: OrderedMagma, op: str) -> list:
+    """The join (op "v", nuclei_join) or meet (op "^", nuclei_meet) of each
+    unordered pair of nuclei i, j, certified as it is stored: the result r
+    must be enumerated, in bounds[i] & bounds[j] and below (op "v", bounds
+    the above masks of nucleus_order(m)) or above (op "^", bounds the below
+    masks) every member of that set."""
     maps = enumerate_nuclei(m)
     index, above, below = nucleus_order(m)
-    bounds = above if op == "v" else below
+    combine, bounds = (nuclei_join, above) if op == "v" else (nuclei_meet, below)
     out = [[0] * len(maps) for _ in maps]
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
@@ -881,14 +888,11 @@ def _pair_table(m: OrderedMagma, combine, op: str) -> list:
     return out
 
 
+@per_carrier
 def nucleus_order(m: OrderedMagma) -> tuple:
     """(index, above, below): the position of each table in enumerate_nuclei(m)
     and the masks of the nuclei above / below nucleus i pointwise, built once
     per carrier object."""
-    return _on_carrier(m, ("order",), _nucleus_order)
-
-
-def _nucleus_order(m: OrderedMagma) -> tuple:
     maps = enumerate_nuclei(m)
     above = pointwise_order(m.poset, maps)
     return {s.table: i for i, s in enumerate(maps)}, above, transpose(above, len(maps))
@@ -896,11 +900,10 @@ def _nucleus_order(m: OrderedMagma) -> tuple:
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
     """above[i] = mask of the j with maps[i] <= maps[j] pointwise: s <= t iff
-    lane_code(s) & ~lane_code(t) == 0 over p.down_lanes, one AND per pair."""
-    lanes = p.down_lanes
+    lane_code(t) & ~lane_code(s) == 0 over p.up_lanes, one AND per pair."""
+    lanes = p.up_lanes
     codes = [lane_code(lanes, s.table) for s in maps]
-    outside = [~code for code in codes]
-    return [id_mask(j for j, out in enumerate(outside) if not code & out) for code in codes]
+    return [id_mask(j for j, code in enumerate(codes) if not code & out) for out in map(invert, codes)]
 
 
 @dataclass(frozen=True)

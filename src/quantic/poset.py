@@ -15,16 +15,16 @@ least_of stays for masks that need not be up-closed.
 The cap also lets an id be one byte: the 0/1 rows of the order and the pairs
 x < y are kept as bytes, so the nucleus kernels compose tables with
 bytes.translate, one C call per row.  Order conditions rest on a <= b iff
-down[a] is a subset of down[b] (Ait-Kaci, Boyer, Lincoln and Nasr, ACM
-TOPLAS 11(1), 1989).  The lane code of a table t writes down[t[i]] into
-lane i of one int, k = ceil(n/8) bytes a lane (at most 32 within the
-256-id byte bound): byte j of every lane is t translated through
-down_lanes[j].  So t <= u pointwise iff lane_code(t) & ~lane_code(u) == 0,
-one big-int AND for every pair at once.  all_below and
-order_preserving_each are the one order kernel: maps, batches of maps,
-morphisms, automorphism tests and the order-compatibility of a product are
-decided through them.  A set of ids
-becomes a bitmask through id_mask, and a 0/1 row through row_mask.
+up[b] is a subset of up[a] (Ait-Kaci, Boyer, Lincoln and Nasr, ACM TOPLAS
+11(1), 1989).  The lane code of a table t writes up[t[i]] into lane i of
+one int, k = ceil(n/8) bytes a lane (at most 32 within the 256-id byte
+bound): byte j of every lane is t translated through up_lanes[j].  So
+t <= u pointwise iff lane_code(u) & ~lane_code(t) == 0, one big-int AND for
+every pair at once.  The up lanes are the one lane code: all_below and
+order_preserving_each decide maps, batches of maps, morphisms, automorphism
+tests and the order-compatibility of a product, the nucleus chunk kernel
+reads the same codes, and subset_walk carries them.  A set of ids becomes a
+bitmask through id_mask, and a 0/1 row through row_mask.
 """
 
 from __future__ import annotations
@@ -106,22 +106,22 @@ def lane_code(tables: Sequence[bytes], t: bytes) -> int:
 
 def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
     """lo[i] <= hi[i] in p for every i, for two id sequences (such as two map
-    tables): down[lo[i]] within down[hi[i]] in every lane, one AND."""
-    lanes = p.down_lanes
-    return not lane_code(lanes, lo) & ~lane_code(lanes, hi)
+    tables): up[hi[i]] within up[lo[i]] in every lane, one AND."""
+    lanes = p.up_lanes
+    return not lane_code(lanes, hi) & ~lane_code(lanes, lo)
 
 
-def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int, inside: int = -1) -> list:
+def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int) -> list:
     """For each of count equal segments of the id strings lo and hi, whether
-    masks[lo[i]] & inside lies within masks[hi[i]] at every position i of
-    the segment, for lanes = byte_lanes(masks, n); over down_lanes that is
-    lo[i] <= hi[i].  One AND for all the segments: segment j is bytes j*w to
+    masks[lo[i]] lies within masks[hi[i]] at every position i of the
+    segment, for lanes = byte_lanes(masks, n); over up_lanes that is
+    hi[i] <= lo[i].  One AND for all the segments: segment j is bytes j*w to
     (j+1)*w of the violations, w = len(lo) // count positions of
     len(lanes) bytes."""
     if not lo:
         return [True] * count
     width = len(lo) // count * len(lanes)
-    return zero_segments(lane_code(lanes, lo) & inside & ~lane_code(lanes, hi), count, width)
+    return zero_segments(lane_code(lanes, lo) & ~lane_code(lanes, hi), count, width)
 
 
 def zero_segments(code: int, count: int, width: int) -> list:
@@ -134,11 +134,12 @@ def zero_segments(code: int, count: int, width: int) -> list:
 
 def order_preserving_each(p: "FinitePoset", tables: Sequence[bytes], target: Optional["FinitePoset"] = None) -> list:
     """Whether t(x) <= t(y) in target (p itself by default) over the stored
-    pairs x < y of p, for each table t: one lanes_within for all the tables."""
+    pairs x < y of p, for each table t: one lanes_within for all the tables,
+    up[t(y)] within up[t(x)]."""
     lo, hi = p.order_pairs
     pads = list(map(translate_table, tables))
-    lanes = (p if target is None else target).down_lanes
-    return lanes_within(lanes, b"".join(map(lo.translate, pads)), b"".join(map(hi.translate, pads)), len(tables))
+    lanes = (p if target is None else target).up_lanes
+    return lanes_within(lanes, b"".join(map(hi.translate, pads)), b"".join(map(lo.translate, pads)), len(tables))
 
 
 def order_preserving(p: "FinitePoset", t: bytes, target: Optional["FinitePoset"] = None) -> bool:
@@ -338,21 +339,9 @@ class FinitePoset:
         return {d: x for x, d in enumerate(self.down)}
 
     @cached_property
-    def up_rows(self) -> tuple:
-        """up_rows[a][b] is 1 when a <= b, else 0: up[a] as 256 bytes, so a row
-        is also a translate table mapping b to whether a <= b."""
-        return tuple(translate_table(mask_row(u, self.n)) for u in self.up)
-
-    @cached_property
-    def down_lanes(self) -> tuple:
-        """byte_lanes of the down-sets: lane_code(down_lanes, t) holds
-        down[t[i]] in lane i."""
-        return byte_lanes(self.down, self.n)
-
-    @cached_property
     def up_lanes(self) -> tuple:
         """byte_lanes of the up-sets: lane_code(up_lanes, t) holds up[t[i]]
-        in lane i."""
+        in lane i, and a <= b iff up[b] lies within up[a]."""
         return byte_lanes(self.up, self.n)
 
     def universe_code(self, count: int) -> int:
@@ -552,10 +541,10 @@ def subset_walk(p: FinitePoset, cols: Optional[Sequence[int]] = None, start: int
     f_i(X), carried as ub is, since the upper bounds of a set are the
     intersection of the up-sets of its members.  Each step is one AND for
     all the maps.  lane_code over the target's up_lanes packs cols[x], and
-    its universe_code(k) is start: the dual of the down-set code (a <= b iff
-    up[b] within up[a]), ceil(n/8) bytes a lane for a target of n elements,
-    at most 32 within the 256-id byte bound.  The stack holds |X| + 1 frames, and no list of the 2**n
-    subsets is built.
+    its universe_code(k) is start: the one lane code, ceil(n/8) bytes a lane
+    for a target of n elements, at most 32 within the 256-id byte bound.
+    The stack holds |X| + 1 frames, and no list of the 2**n subsets is
+    built.
     """
     n, up = p.n, p.up
     if cols is None:

@@ -48,7 +48,6 @@ from .magma import (
 from .nucleus import (
     MonotoneMap,
     _decide_nuclei,
-    _on_carrier,
     certified_composition,
     closure_from_preclosure,
     d_map,
@@ -62,6 +61,7 @@ from .nucleus import (
     nucleus_of_morphism,
     nucleus_order,
     one_bracket_map,
+    per_carrier,
     quotient,
     r_set_mask,
     transportable_mask,
@@ -124,10 +124,12 @@ def _draws(rng: random.Random, sizes: Iterable[int]) -> list:
     return out
 
 
-def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
-    """k seeded byte tables, their entries the stream of rng.randrange(n),
-    drawn in one getrandbits call (a short stream is continued by the next)
-    and sliced table after table.
+@per_carrier
+def _random_maps(m: OrderedMagma) -> tuple:
+    """The seeded sample of closureprop1 and closureprop1a, drawn once per
+    carrier object: SAMPLE_MAPS byte tables, their entries the stream of
+    rng.randrange(n), drawn in one getrandbits call (a short stream is
+    continued by the next) and sliced table after table.
 
     rng.randrange(n) takes one 32-bit word a try and keeps its top
     b = n.bit_length() <= 7 bits (n <= ENUM_CAP), trying again while the
@@ -135,7 +137,7 @@ def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
     first lowest, so byte 4i + 3 is the top byte of word i: read through
     v -> v >> (8 - b), with the bytes whose value is not below n deleted,
     these bytes are the draws, in order."""
-    rng, n, need = random.Random(SEED + m.n), m.n, m.n * k
+    rng, n, need = random.Random(SEED + m.n), m.n, m.n * SAMPLE_MAPS
     size = n.bit_length()
     keep = bytes(v >> (8 - size) for v in range(256))
     reject = bytes(v for v in range(256) if v >> (8 - size) >= n)
@@ -144,12 +146,7 @@ def _random_maps(m: OrderedMagma, k: int = SAMPLE_MAPS) -> tuple:
         # A word is kept with chance n / 2**size >= 1/2: an eighth more words than expected.
         words = ((need - len(entries)) << size) // n * 9 // 8 + 8
         entries += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(keep, reject)
-    return tuple(entries[i * n : i * n + n] for i in range(k))
-
-
-def _sample_maps(m: OrderedMagma) -> tuple:
-    """The seeded sample of closureprop1 and closureprop1a as byte tables, drawn once per carrier object."""
-    return _on_carrier(m, ("sample",), _random_maps)
+    return tuple(entries[i * n : i * n + n] for i in range(SAMPLE_MAPS))
 
 
 @register("closureprop1")
@@ -158,7 +155,7 @@ def _check_closureprop1(m: OrderedMagma):
     compares them on every map, so deciding the sample and the closures in
     one call is the proof."""
     closures = enumerate_closures(m)
-    _decide_nuclei(m, _sample_maps(m) + tuple(s.table for s in closures))
+    _decide_nuclei(m, _random_maps(m) + tuple(s.table for s in closures))
     return _ok("random sample plus all closures")
 
 
@@ -166,7 +163,7 @@ def _check_closureprop1(m: OrderedMagma):
 def _check_closureprop1a(m: OrderedMagma):
     if m.unit is None:
         return _skip("needs a unital carrier")
-    _decide_nuclei(m, _sample_maps(m))
+    _decide_nuclei(m, _random_maps(m))
     return _ok("single-axiom forms agree on the random sample")
 
 

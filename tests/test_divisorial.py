@@ -107,7 +107,7 @@ class TestDivisorialClosure:
         from quantic.structdoc import load_magma, magma_doc
 
         m = load_magma(magma_doc(z4.magma))
-        monkeypatch.setattr(divisorial, "v_lin", lambda q, a: MonotoneMap.top_map(q))
+        monkeypatch.setitem(divisorial.STRATEGIES, "lin", lambda q, a: MonotoneMap.top_map(q))
         with pytest.raises(InternalCheckError, match="divisorial strategies disagree") as info:
             v(m, 0)
         assert "on I(Z/4) (3 elements)" in str(info.value), info.value
@@ -117,18 +117,17 @@ class TestDivisorialClosure:
         from quantic.rings import FiniteRing, ring_ideal_lattice
 
         m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
-        built, build = [], divisorial._translation_monoid
+        # Each build generates the monoid once.
+        built, generate = [], divisorial.generated_monoid
         monkeypatch.setattr(
-            divisorial, "_translation_monoid", lambda q: built.append(q) or build(q)
+            divisorial, "generated_monoid", lambda q, *args: built.append(q) or generate(q, *args)
         )
         for a in range(m.n):
             v(m, a, strategy="all")
         assert built == [m]
         first = lin_monoid(m)
-        expected = list(first)
-        first.reverse()
-        first.append(tuple(range(m.n)))
-        assert lin_monoid(m) == expected == sorted(expected) and built == [m]
+        assert type(first) is tuple and lin_monoid(m) is first
+        assert list(first) == sorted(first) and built == [m]
 
     def test_unit_sandwich_units_are_found_once_per_carrier(self, monkeypatch):
         from quantic import divisorial

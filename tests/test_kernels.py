@@ -33,7 +33,7 @@ from quantic.magma import (
     distinguished_sets,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
-from quantic.poset import FinitePoset, all_below, bits, carrier_label, id_mask, lane_code, order_preserving
+from quantic.poset import FinitePoset, all_below, bits, byte_lanes, carrier_label, id_mask, lane_code, order_preserving
 from quantic.poset import lanes_within, mask_row, row_mask, subset_walk, sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
@@ -761,26 +761,24 @@ def test_unital_form3_matches_the_loop_at_every_lane_width(n):
 def test_lanes_within_reads_each_segment_at_every_lane_width(n):
     # count segments of equal id strings, but for one pair a, b with a not
     # below b at the last position of the first or of the last segment: only
-    # that segment fails, over the down lanes and, sides swapped, over the up
-    # lanes, and none fails with the pair's differing bits left out.
+    # that segment fails, over lanes of the down-sets, built here, and, sides
+    # swapped, over the up lanes.
     rng = random.Random(500 + n)
     for p in lane_posets(rng, n):
         apart = [(a, b) for a in range(n) for b in range(n) if not p.leq(a, b)]
+        down_lanes = byte_lanes(p.down, n)
         for count in (1, 2, 5):
             for length in (1, n):
                 same = bytes(rng.randrange(n) for _ in range(length * count))
-                assert lanes_within(p.down_lanes, same, same, count) == [True] * count
+                assert lanes_within(down_lanes, same, same, count) == [True] * count
                 for a, b in apart[:1] + apart[-1:] + rng.sample(apart, min(2, len(apart))):
-                    apart_bits = p.down[a] & ~p.down[b]
-                    outside = ~int.from_bytes(apart_bits.to_bytes(len(p.down_lanes), "little") * len(same), "little")
                     for j in {0, count - 1}:
                         lo, hi = bytearray(same), bytearray(same)
                         lo[(j + 1) * length - 1], hi[(j + 1) * length - 1] = a, b
                         lo, hi = bytes(lo), bytes(hi)
                         expected = [i != j for i in range(count)]
-                        assert lanes_within(p.down_lanes, lo, hi, count) == expected, (p.up, lo, hi)
+                        assert lanes_within(down_lanes, lo, hi, count) == expected, (p.up, lo, hi)
                         assert lanes_within(p.up_lanes, hi, lo, count) == expected, (p.up, lo, hi)
-                        assert lanes_within(p.down_lanes, lo, hi, count, outside) == [True] * count
 
 
 def chain_closures(rng, n, k):
@@ -1356,8 +1354,11 @@ def test_preclosure_row_counts_and_hulls_every_draw_as_the_draw_loop(monkeypatch
 
 
 def test_each_preclosure_hull_is_built_once_per_table_and_carrier_object(monkeypatch):
-    build, built = nucleus._build_hull, []
-    monkeypatch.setattr(nucleus, "_build_hull", lambda c, s: built.append((c, s.table)) or build(c, s))
+    # Each build asks once, first, whether its map is a preclosure.
+    preclosure, built = MonotoneMap.is_preclosure, []
+    monkeypatch.setattr(
+        MonotoneMap, "is_preclosure", property(lambda s: built.append((s.carrier, s.table)) or preclosure.fget(s))
+    )
     for make in (lambda: ring_ideal_lattice(FiniteRing.zmod(12)).magma, lambda: meet_chain(9)):
         _, tables, _ = preclosure_draw_loop(make())
         m = make()

@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import quantic
 from quantic import nucleus
 from quantic.divisorial import divisorial_decomposition, gv_elements, is_stable, stable_closure, v
-from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
+from quantic.errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
+from quantic.instances import cyclic_group, module_system_lattice
 from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import (
     MonotoneMap,
@@ -402,13 +407,14 @@ def test_enumeration_deterministic(z4):
 
 
 @pytest.mark.parametrize("enumerate_maps", [enumerate_closures, enumerate_nuclei])
-def test_mutating_a_returned_list_leaves_the_next_call_alone(z4, enumerate_maps):
+def test_an_enumeration_returns_the_stored_tuple(z4, enumerate_maps):
+    # A tuple cannot be changed, so no caller can change the stored result.
     m = load_magma(magma_doc(z4.magma))
     first = enumerate_maps(m)
-    tables = [s.table for s in first]
-    first.reverse()
-    first.append(MonotoneMap.identity(m))
-    assert [s.table for s in enumerate_maps(m)] == tables
+    assert type(first) is tuple and enumerate_maps(m) is first
+    with pytest.raises(AttributeError):
+        first.append(MonotoneMap.identity(m))
+    assert enumerate_maps(m) == enumerate_maps(load_magma(magma_doc(z4.magma)))
 
 
 def test_a_disagreeing_verdict_is_not_kept(z4, monkeypatch):
@@ -610,6 +616,7 @@ FOREIGN_CALLS = {
     "stable_closure": stable_closure,
     "star_f": star_f,
     "transportable_mask": transportable_mask,
+    "MonotoneMap.__le__": lambda m, s: MonotoneMap.identity(m) <= s,
 }
 
 
@@ -630,11 +637,103 @@ def test_a_map_of_another_carrier_is_refused_and_decides_nothing(name, size):
 
 def test_a_foreign_map_raises_on_a_fresh_carrier_in_both_directions():
     # The table of chain3 handed to chain4 and the reverse: a StructureError
-    # either way, where a False verdict, a mask of 0 or an IndexError came
-    # before.
-    for call in (is_nucleus, transportable_mask):
+    # either way, where a False verdict, a mask of 0, an IndexError or, for
+    # <=, an answer came before.
+    for call in (is_nucleus, transportable_mask, lambda m, s: MonotoneMap.identity(m) <= s):
         small, big = chain_meet(3), chain_meet(4)
         for m, other in ((big, small), (small, big)):
             with pytest.raises(StructureError, match=f"does not match {m.name}"):
                 call(m, MonotoneMap.identity(other))
             assert nucleus._memo(m) == {} and nucleus._memo(m.poset) == {}
+
+
+# -- one cache rule: per_carrier ----------------------------------------------------
+
+
+def chain3_join():
+    """Not residuated, so the stability hypotheses fail."""
+    return OrderedMagma(FinitePoset.chain(3), [[max(x, y) for y in range(3)] for x in range(3)], "chain3-join")
+
+
+def antichain_constant():
+    """No sups and no unit: no divisorial strategy applies."""
+    return OrderedMagma(FinitePoset.antichain(2), [[0, 0], [0, 0]], "antichain2-zero")
+
+
+def over_the_cap():
+    return module_system_lattice(cyclic_group(4)).magma
+
+
+def identity_args(m):
+    return (MonotoneMap.identity(m),)
+
+
+def not_a_nucleus(m):
+    return (next(s for s in enumerate_closures(m) if not is_nucleus(m, s)),)
+
+
+def no_args(m):
+    return ()
+
+
+# Every per_carrier function: a carrier maker and the arguments it takes,
+# and, where the build can raise, a carrier maker, arguments and the error.
+CACHED = {
+    "quantic.nucleus._one_sided_unital": (contract_carrier, no_args, None),
+    "quantic.nucleus._build_hull": (
+        contract_carrier, identity_args, (contract_carrier, lambda m: (MonotoneMap(m, bytes(m.n)),), HypothesisNotMet),
+    ),
+    "quantic.nucleus.enumerate_closures": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
+    "quantic.nucleus.enumerate_nuclei": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
+    "quantic.nucleus.quotient": (contract_carrier, identity_args, (contract_carrier, not_a_nucleus, HypothesisNotMet)),
+    "quantic.nucleus.nucleus_lattice": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
+    "quantic.nucleus._pair_table": (contract_carrier, lambda m: ("v",), (over_the_cap, lambda m: ("^",), CarrierTooLarge)),
+    "quantic.nucleus.nucleus_order": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
+    "quantic.divisorial.lin_monoid": (contract_carrier, no_args, None),
+    "quantic.divisorial._units_and_spanning": (contract_carrier, no_args, None),
+    "quantic.divisorial._v_all": (contract_carrier, lambda m: (2,), (antichain_constant, lambda m: (0,), HypothesisNotMet)),
+    "quantic.divisorial._decide_stable_hypotheses": (contract_carrier, no_args, (chain3_join, no_args, HypothesisNotMet)),
+    "quantic.divisorial.stable_closure": (contract_carrier, identity_args, (chain3_join, identity_args, HypothesisNotMet)),
+    "quantic.divisorial.is_stable": (contract_carrier, identity_args, (chain3_join, identity_args, HypothesisNotMet)),
+    "quantic.verify._random_maps": (contract_carrier, no_args, None),
+}
+
+
+def per_carrier_functions() -> dict:
+    """Every function of the package that per_carrier made, by module and name."""
+    stored = nucleus.per_carrier(len).__code__
+    found = {}
+    for info in pkgutil.iter_modules(quantic.__path__):
+        for fn in vars(importlib.import_module(f"quantic.{info.name}")).values():
+            if getattr(fn, "__code__", None) is stored:
+                found[f"{fn.__module__}.{fn.__name__}"] = fn
+    return found
+
+
+def test_every_per_carrier_function_is_listed():
+    assert set(per_carrier_functions()) == set(CACHED)
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_each_per_carrier_result_is_built_once_per_carrier_object_and_arguments(name):
+    fn, (make, args, fails) = per_carrier_functions()[name], CACHED[name]
+    m = make()
+    memo, key = nucleus._memo(m), (fn.__wrapped__, *args(m))
+    first = fn(m, *args(m))
+    assert memo[key] is first
+    # The next call returns what is stored, without a build.
+    memo[key] = stored = object()
+    assert fn(m, *args(m)) is stored
+    # An equal carrier object builds its own.
+    other = make()
+    assert other == m and other is not m and nucleus._memo(other).get(key) is None
+    assert fn(other, *args(other)) == first
+    assert nucleus._memo(other)[key] == first
+    if fails is not None:
+        make, args, error = fails
+        m = make()
+        # A build that raises stores nothing, so the next call builds and raises again.
+        for _ in range(2):
+            with pytest.raises(error):
+                fn(m, *args(m))
+            assert (fn.__wrapped__, *args(m)) not in nucleus._memo(m)

@@ -1,5 +1,6 @@
 """The proposition-keyed matrix must hold with zero failures across the corpus."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -51,40 +52,40 @@ def test_every_registered_check_passes_somewhere(corpus):
     assert passed == set(check_names())
 
 
+def counting_builds(monkeypatch, fn) -> list:
+    """Put, in place of the per_carrier function fn in every quantic module
+    that binds it, fn with a build that logs (carrier, *args) before it
+    builds; returns the log."""
+    log, build = [], fn.__wrapped__
+
+    @nucleus.per_carrier
+    def counted(carrier, *args):
+        log.append((carrier, *args))
+        return build(carrier, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quantic") and vars(module).get(fn.__name__) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return log
+
+
 def test_run_all_walks_the_closure_candidates_once(monkeypatch):
     m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
-    walked = []
-    walk = nucleus._closures_by_images
-
-    def counting(carrier):
-        walked.append(carrier)
-        return walk(carrier)
-
-    monkeypatch.setattr(nucleus, "_closures_by_images", counting)
+    walked = counting_builds(monkeypatch, nucleus.enumerate_closures)
     run_all(m)
-    assert len(walked) == 1 and walked[0] is m
+    assert walked == [(m,)] and walked[0][0] is m
 
 
 def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypatch):
     m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
-    decided, quotients, divisorial_runs = [], [], []
-
-    def counting(target, name, log):
-        original = getattr(target, name)
-
-        def counted(carrier, arg, *rest):
-            log.append((carrier, arg))
-            return original(carrier, arg, *rest)
-
-        monkeypatch.setattr(target, name, counted)
-
+    decided = []
     kernel = nucleus._chunk_verdicts
     monkeypatch.setattr(
         nucleus, "_chunk_verdicts",
         lambda carrier, tables: decided.extend((carrier, t) for t in tables) or kernel(carrier, tables),
     )
-    counting(nucleus, "_build_quotient", quotients)
-    counting(divisorial, "v_lin", divisorial_runs)
+    quotients = counting_builds(monkeypatch, nucleus.quotient)
+    divisorial_runs = counting_builds(monkeypatch, divisorial._v_all)
     run_all(m)
     # The log holds every carrier it names, so no id is reused while it lives.
     per_table = Counter((id(carrier), t) for carrier, t in decided)
@@ -107,7 +108,7 @@ def test_closureprop1_rows_share_the_seeded_sample(monkeypatch):
     sample = list(verify._random_maps(m))
     assert len(sample) == verify.SAMPLE_MAPS
     assert seen["closureprop1a"] == sample == seen["closureprop1"][: len(sample)]
-    assert verify._sample_maps(m) is verify._sample_maps(m)
+    assert verify._random_maps(m) is verify._random_maps(m)
 
 
 def test_run_all_runs_the_join_formula_once_per_pair_of_nuclei(monkeypatch):
@@ -299,7 +300,7 @@ def test_over_cap_rows_skip_with_the_cap_and_the_carrier_size(monkeypatch):
     # nucleus or does any other work.
     m, other_work = module_system_lattice(cyclic_group(4)).magma, []
     decided.clear()
-    for name in ("_sample_maps", "_spanning_subset", "distinguished_sets", "r_set_mask"):
+    for name in ("_random_maps", "_spanning_subset", "distinguished_sets", "r_set_mask"):
         monkeypatch.setattr(verify, name, lambda *args, name=name: other_work.append(name))
     assert {r.status for r in run_all(m, names=sorted(ENUMERATION_ROWS))} == {"skip"}
     assert other_work == [] and decided == []
