@@ -4,12 +4,14 @@ checked as explicit round-trip isomorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, or_
 from typing import List
 
 from .errors import HypothesisNotMet, NotAMorphism
 from .magma import MagmaMorphism, OrderedMagma
 from .nucleus import MonotoneMap
-from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, broken, id_mask
+from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, broken, id_mask, subset_masks, subset_table
 
 
 def down_closure_mask(p: FinitePoset, xmask: int) -> int:
@@ -38,12 +40,14 @@ def down_closure(m_or_p, xs) -> list:
 
 
 def _ideal_masks(p: FinitePoset) -> List[int]:
-    """All ideals: nonempty, downward closed, directed."""
-    out = []
-    for mask in range(1, 1 << p.n):
-        if p.is_downward_closed(mask) and p.is_directed_mask(mask):
-            out.append(mask)
-    return out
+    """All ideals, ascending: nonempty, downward closed, directed.  The
+    down-closure table dc[X | 1<<x] = dc[X] | down[x] of subset_table has
+    the down-sets as its fixed points, and only they take the directedness
+    test."""
+    n, downsets = p.n, []
+    for masks, closures in zip(subset_masks(n), subset_table(n, 0, p.down, or_)):
+        downsets += compress(masks, map(eq, masks, closures))
+    return sorted(filter(p.is_directed_mask, downsets))
 
 
 @dataclass(frozen=True)

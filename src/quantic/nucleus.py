@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, compress, islice, product, repeat
-from operator import invert
+from operator import and_, eq, invert
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -81,7 +81,8 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
-from .poset import lane_code, order_preserving, order_preserving_each, transpose, zero_segments
+from .poset import lane_code, lane_segments, order_preserving, order_preserving_each, read_code, row_mask
+from .poset import transpose, zero_segments
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -116,6 +117,7 @@ class MonotoneMap:
         p.check_ids(table)
         self.carrier = carrier
         self.table = bytes(table)
+        self._image_mask = self._fixed_mask = None
 
     @classmethod
     def identity(cls, carrier) -> "MonotoneMap":
@@ -148,14 +150,20 @@ class MonotoneMap:
     def __repr__(self):
         return f"MonotoneMap{tuple(self.table)}"
 
+    # The image and fixed-point masks are built on the first call and kept:
+    # the table never changes.
     def image_mask(self) -> int:
-        return id_mask(self.table)
+        if self._image_mask is None:
+            self._image_mask = sum(map((1).__lshift__, set(self.table)))
+        return self._image_mask
 
     def image(self) -> list:
         return sorted(set(self.table))
 
     def fixed_mask(self) -> int:
-        return id_mask(x for x, t in enumerate(self.table) if x == t)
+        if self._fixed_mask is None:
+            self._fixed_mask = row_mask(bytes(map(eq, self.table, range(len(self.table)))))
+        return self._fixed_mask
 
     @property
     def is_order_preserving(self) -> bool:
@@ -206,7 +214,7 @@ def _chunk_verdicts(carrier, tables: Sequence[bytes]) -> list:
     _check_lengths(carrier, tables)
     n, count, up = p.n, len(tables), p.up_lanes
     w = n * len(up)
-    x_up, t_up = lane_code(up, bytes(range(n)) * count), lane_code(up, b"".join(tables))
+    x_up, t_up = read_code(p.identity_lanes * count), lane_code(up, b"".join(tables))
     expansive = zero_segments(t_up & ~x_up, count, w)
     expanding = list(compress(range(count), expansive))
     pads = {i: _pad(tables[i]) for i in expanding}
@@ -225,26 +233,29 @@ def _chunk_verdicts(carrier, tables: Sequence[bytes]) -> list:
     sided = range(count) if unital else closures
     wide = expanding if unital else closures
     x_ts, t_xs = _sides(m, [tables[i] for i in sided])
-    tts = {i: b"".join(map(tables[i].translate, map(m.row_tables.__getitem__, tables[i]))) for i in wide}
-    xt_up, tx_up, tt_up = lane_code(up, x_ts), lane_code(up, t_xs), lane_code(up, b"".join(tts.values()))
+    tts = [b"".join(map(tables[i].translate, map(m.row_tables.__getitem__, tables[i]))) for i in wide]
+    stars = [m.flat.translate(pads[i]) for i in closures]
+    # Every product string of the chunk through one lane_segments; the
+    # closures' segments are picked from the bytes, not coded again.
+    flat, xt, tx, tt, star = lane_segments(up, (m.flat, x_ts, t_xs, b"".join(tts), b"".join(stars)))
+    xt_up, tx_up, tt_up = read_code(xt), read_code(tx), read_code(tt)
     nucleus = {}
     if closures:
         # The closures' segments: the whole chunk's codes when every table there is a closure.
-        c, tt = len(closures), [tts[i] for i in closures]
-        stars = [m.flat.translate(pads[i]) for i in closures]
-        tt_c = tt_up if c == len(wide) else lane_code(up, b"".join(tt))
+        c, at = len(closures), [j for j, i in enumerate(wide) if i in closed]
+        tt_c = tt_up if c == len(wide) else read_code(_picked(tt, n * w, at))
         if c == len(sided):
             sides_c = xt_up & tx_up
         else:
-            sides_c = lane_code(up, _picked(x_ts, nn, closures)) & lane_code(up, _picked(t_xs, nn, closures))
-        star_up = lane_code(up, b"".join(stars))
+            sides_c = read_code(_picked(xt, n * w, closures)) & read_code(_picked(tx, n * w, closures))
+        star_up = read_code(star)
         c1, c3 = zero_segments(star_up & ~tt_c, c, n * w), zero_segments(star_up & ~sides_c, c, n * w)
-        for i, u, star, a, b in zip(closures, tt, stars, c1, c3):
-            nucleus[i] = a, u.translate(pads[i]) == star, b, a and u == star
+        for i, j, s, a, b in zip(closures, at, stars, c1, c3):
+            nucleus[i] = a, tts[j].translate(pads[i]) == s, b, a and tts[j] == s
     verdicts = [v + nucleus.get(i, (False,) * 4) for i, v in enumerate(verdicts)]
     if not unital:
         return verdicts
-    flat_up = lane_code(up, m.flat * count)
+    flat_up = read_code(bytes(flat) * count)
     form2 = zero_segments(((flat_up ^ xt_up) | (flat_up ^ tx_up)) & _spread(images, nn), count, n * w)
     inside = _spread([images[i] for i in wide], nn)
     form3 = dict(zip(wide, zero_segments(flat_up & inside & ~tt_up, len(wide), n * w)))
@@ -262,7 +273,7 @@ def _sides(m: OrderedMagma, tables: Sequence[bytes]) -> tuple:
     )
 
 
-def _picked(joined: bytes, width: int, picked: Iterable[int]) -> bytes:
+def _picked(joined, width: int, picked: Iterable[int]) -> bytes:
     """The segments of joined, width bytes each, at the positions picked."""
     return b"".join(joined[i * width : i * width + width] for i in picked)
 
@@ -428,12 +439,14 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     maps, p = _nuclei_of(m, gamma, "nuclei_meet"), m.poset
     if not maps:
         return MonotoneMap.top_map(m)
-    table = []
-    for x, column in enumerate(zip(*(s.table for s in maps))):
-        v = p.inf_mask(id_mask(column))
-        if v is None:
-            raise HypothesisNotMet(f"missing infimum for the fibers over element {x}")
-        table.append(v)
+    # The lower bounds of column x, the images of x, are the AND of their
+    # down-sets, and the infimum is the greatest of them, if any.
+    bounds = repeat(p.universe)
+    for s in maps:
+        bounds = list(map(and_, bounds, map(p.down.__getitem__, s.table)))
+    table = list(map(p.principal_down.get, bounds))
+    if None in table:
+        raise HypothesisNotMet(f"missing infimum for the fibers over element {table.index(None)}")
     out = _certified(m, table, "pointwise meet of nuclei")
     if any(s.image_mask() & ~out.image_mask() for s in maps):
         raise _broken(m, "meet image does not contain the union of images")
@@ -502,10 +515,11 @@ def enumerate_closures(carrier) -> Tuple[MonotoneMap, ...]:
     return tuple(MonotoneMap(carrier, t) for t in sorted(tables))
 
 
+@per_carrier
 def _least_above(p: FinitePoset, c: int) -> Optional[bytes]:
     """x -> the least element of the subset c above x, for every x: the
     closure whose image is c, as a table; None when some x has no such least
-    element."""
+    element.  Built once per poset object and mask."""
     table = [p.least_of(c & upx) for upx in p.up]
     return None if None in table else bytes(table)
 
@@ -622,7 +636,7 @@ def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
         sups = ((least.get(up[x] & up[y]), cols[x] & cols[y]) for x in range(p.n) for y in range(x, p.n))
         missed = any(v is not None and ub != cols[v] for v, ub in sups)
     else:
-        missed = next(sup_misses(p, cols, image), None) is not None
+        missed = bool(sup_misses(p, cols, image))
     if missed:
         raise _broken(m, "corestriction of the nucleus is not sup-preserving")
 
@@ -851,21 +865,21 @@ def join_formula_applies(m: OrderedMagma) -> bool:
     )
 
 
-def nuclei_join_table(m: OrderedMagma) -> list:
+def nuclei_join_table(m: OrderedMagma) -> tuple:
     """joins[i][j] is the position in enumerate_nuclei(m) of the join of nuclei
     i and j, by the join formula (nuclei_join) run once per unordered pair;
-    built once per carrier object, and read, never changed, by its callers."""
+    built once per carrier object, a tuple of tuples."""
     return _pair_table(m, "v")
 
 
-def nuclei_meet_table(m: OrderedMagma) -> list:
+def nuclei_meet_table(m: OrderedMagma) -> tuple:
     """meets[i][j] is the position in enumerate_nuclei(m) of the pointwise
     meet (nuclei_meet) of nuclei i and j; built and read like the join table."""
     return _pair_table(m, "^")
 
 
 @per_carrier
-def _pair_table(m: OrderedMagma, op: str) -> list:
+def _pair_table(m: OrderedMagma, op: str) -> tuple:
     """The join (op "v", nuclei_join) or meet (op "^", nuclei_meet) of each
     unordered pair of nuclei i, j, certified as it is stored: the result r
     must be enumerated, in bounds[i] & bounds[j] and below (op "v", bounds
@@ -885,17 +899,18 @@ def _pair_table(m: OrderedMagma, op: str) -> list:
                     f"{_label(m)}: {tuple(s.table)} {op} {tuple(maps[j].table)} gives {tuple(got)}"
                 )
             out[i][j] = out[j][i] = r
-    return out
+    return tuple(map(tuple, out))
 
 
 @per_carrier
 def nucleus_order(m: OrderedMagma) -> tuple:
-    """(index, above, below): the position of each table in enumerate_nuclei(m)
-    and the masks of the nuclei above / below nucleus i pointwise, built once
-    per carrier object."""
+    """(index, above, below): the position of each table in enumerate_nuclei(m),
+    a read-only mapping, and the masks of the nuclei above / below nucleus i
+    pointwise, two tuples; built once per carrier object."""
     maps = enumerate_nuclei(m)
     above = pointwise_order(m.poset, maps)
-    return {s.table: i for i, s in enumerate(maps)}, above, transpose(above, len(maps))
+    index = MappingProxyType({s.table: i for i, s in enumerate(maps)})
+    return index, tuple(above), tuple(transpose(above, len(maps)))
 
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:

@@ -30,7 +30,9 @@ bitmask through id_mask, and a 0/1 row through row_mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import compress, islice, repeat
+from operator import and_, ne, not_, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
@@ -43,6 +45,9 @@ ENUM_CAP = 64
 # beyond it the pairwise characterizations, which are equivalent on finite
 # carriers, stand alone.
 EXHAUSTIVE_CAP = 14
+# subset_table crosses each set of the first n - SUBSET_BLOCK elements with a
+# table over the last SUBSET_BLOCK: at most 2**SUBSET_BLOCK entries a list.
+SUBSET_BLOCK = 8
 
 
 def bits(mask: int):
@@ -93,22 +98,43 @@ def byte_lanes(masks: Iterable[int], n: int) -> tuple:
     return tuple(translate_table(packed[j::k]) for j in range(k))
 
 
-def lane_code(tables: Sequence[bytes], t: bytes) -> int:
-    """One int holding masks[t[i]] in lane i, k = len(tables) bytes a lane,
-    for tables = byte_lanes(masks, n): k translates into a strided
-    bytearray, then one int.from_bytes."""
+def _lanes(tables: Sequence[bytes], t: bytes) -> bytearray:
+    """masks[t[i]] in lane i, k = len(tables) bytes a lane, little-endian:
+    k translates into a strided bytearray."""
     k = len(tables)
     lanes = bytearray(len(t) * k)
     for j, table in enumerate(tables):
         lanes[j::k] = t.translate(table)
-    return int.from_bytes(lanes, "little")
+    return lanes
+
+
+def lane_code(tables: Sequence[bytes], t: bytes) -> int:
+    """One int holding masks[t[i]] in lane i, k = len(tables) bytes a lane,
+    for tables = byte_lanes(masks, n): the lanes, then one int.from_bytes."""
+    return int.from_bytes(_lanes(tables, t), "little")
+
+
+def lane_segments(tables: Sequence[bytes], strings: Sequence[bytes]) -> list:
+    """The bytes of lane_code(tables, s) for each id string s, as slices of
+    one strided bytearray: k translates of the strings' concatenation in
+    all, however many strings there are."""
+    k = len(tables)
+    view, out, at = memoryview(_lanes(tables, b"".join(strings))), [], 0
+    for s in strings:
+        out.append(view[at : at + len(s) * k])
+        at += len(s) * k
+    return out
+
+
+# The lane code whose bytes lane_segments gave.
+read_code = partial(int.from_bytes, byteorder="little")
 
 
 def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
     """lo[i] <= hi[i] in p for every i, for two id sequences (such as two map
     tables): up[hi[i]] within up[lo[i]] in every lane, one AND."""
-    lanes = p.up_lanes
-    return not lane_code(lanes, hi) & ~lane_code(lanes, lo)
+    low, high = map(read_code, lane_segments(p.up_lanes, (lo, hi)))
+    return not high & ~low
 
 
 def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int) -> list:
@@ -121,7 +147,8 @@ def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int) -> li
     if not lo:
         return [True] * count
     width = len(lo) // count * len(lanes)
-    return zero_segments(lane_code(lanes, lo) & ~lane_code(lanes, hi), count, width)
+    low, high = map(read_code, lane_segments(lanes, (lo, hi)))
+    return zero_segments(low & ~high, count, width)
 
 
 def zero_segments(code: int, count: int, width: int) -> list:
@@ -344,6 +371,12 @@ class FinitePoset:
         in lane i, and a <= b iff up[b] lies within up[a]."""
         return byte_lanes(self.up, self.n)
 
+    @cached_property
+    def identity_lanes(self) -> bytes:
+        """lane_code(up_lanes, range(n)) as bytes: up[x] in lane x."""
+        k = len(self.up_lanes)
+        return b"".join(u.to_bytes(k, "little") for u in self.up)
+
     def universe_code(self, count: int) -> int:
         """The universe in each of count lanes as wide as up_lanes': the
         upper bounds of the empty set for count maps into this poset."""
@@ -485,29 +518,24 @@ class FinitePoset:
             algebraic=True,
         )
 
-    def _subsets_without_sup(self):
-        """(X, ub) for every subset X with no supremum, in walk order."""
-        least = self.principal_up
-        return ((mask, ub) for mask, ub, _ in subset_walk(self) if ub not in least)
+    def _subsets_without_sup(self) -> list:
+        """(X, ub) for every subset X with no supremum, in walk order: the
+        upper-bound table of subset_table, read through principal_up."""
+        n, least, out = self.n, self.principal_up, []
+        for masks, ubs in zip(subset_masks(n), subset_table(n, self.universe, self.up)):
+            out += compress(zip(masks, ubs), map(not_, map(least.__contains__, ubs)))
+        return out
 
     def _flag_scan(self) -> tuple:
-        """(complete, near sup-complete, bounded complete) decided by one walk
-        over every subset, independently of the pairwise joins."""
-        scan_complete = True
-        scan_near = True
-        scan_bc = True
-        for mask, ub in self._subsets_without_sup():
-            scan_complete = False
-            if mask:
-                scan_near = False
-                if ub:
-                    scan_bc = False
-        return scan_complete, scan_near, scan_bc
+        """(complete, near sup-complete, bounded complete) decided from the
+        upper bounds of every subset, independently of the pairwise joins."""
+        misses = self._subsets_without_sup()
+        return not misses, not any(mask for mask, _ in misses), not any(mask and ub for mask, ub in misses)
 
     def _parting_subset(self, k: int, scan_holds: bool) -> list:
         """A subset without a supremum in the class of flag k (0: every
         subset, 1: nonempty ones, 2: nonempty ones bounded above), found by
-        the route that denies the flag: the walk unless scan_holds, else the
+        the route that denies the flag: the subset scan unless scan_holds, else the
         pairwise joins, a missing top or a missing bottom."""
         if not scan_holds:
             for mask, ub in self._subsets_without_sup():
@@ -531,46 +559,59 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def subset_walk(p: FinitePoset, cols: Optional[Sequence[int]] = None, start: int = 0):
-    """Every subset X of p, depth first, each reached from X minus its largest
-    element; yields (X, ub, images) with ub the upper-bound mask of X.
+def subset_table(n: int, start: int, cols: Sequence[int], op=and_):
+    """The table T over every subset X of range(n): T[{}] = start and
+    T[X | 1<<x] = op(T[X], cols[x]), for op and_ or or_ (so T[X] folds
+    cols over X, whatever order its members come in).  Yields lists whose
+    concatenation is T in walk order: lexicographic on sorted members, a set
+    before its extensions.
 
-    For maps f_1..f_k, pass cols[x] the up-sets of f_1(x), ..., f_k(x) as
-    one packed int, lane i the up-set of f_i(x), and start the target's
-    universe in every lane: then lane i of images is the upper-bound mask of
-    f_i(X), carried as ub is, since the upper bounds of a set are the
-    intersection of the up-sets of its members.  Each step is one AND for
-    all the maps.  lane_code over the target's up_lanes packs cols[x], and
-    its universe_code(k) is start: the one lane code, ceil(n/8) bytes a lane
-    for a target of n elements, at most 32 within the 256-id byte bound.
-    The stack holds |X| + 1 frames, and no list of the 2**n subsets is
-    built.
+    With tables by doubling, one map a step: over the elements x..n-1 the
+    walk is {}, then {x} joined to each set of the walk over x+1..n-1, then
+    the rest of that walk.  No list of the 2**n entries is held.  The walk
+    over the last SUBSET_BLOCK elements, the tail, is one such table, and a
+    set A of the other elements, the head, is crossed with all of it: the
+    block of A.  Its first entry, A itself, comes where the walk meets A;
+    the rest, A with a nonempty set of the tail, come after every extension
+    of A within the head.
+
+    For cols[x] = up[x] and start the universe, T[X] is the upper-bound mask
+    of X.  For maps f_1..f_k, cols[x] the up-sets of f_1(x), ..., f_k(x) as
+    one packed int (lane_code over the target's up_lanes) and start its
+    universe_code(k): lane i of T[X] is the upper-bound mask of f_i(X).
+    Each step is one AND for all the maps.
     """
-    n, up = p.n, p.up
-    if cols is None:
-        cols = [0] * n
-    root = (0, p.universe, start)
-    yield root
-    stack = [(*root, 0)]
-    while stack:
-        mask, ub, images, x = stack.pop()
-        if x < n:
-            stack.append((mask, ub, images, x + 1))
-            child = (mask | 1 << x, ub & up[x], images & cols[x])
-            yield child
-            stack.append((*child, x + 1))
+    head = max(n - SUBSET_BLOCK, 0)
+    tail = [start]
+    for x in reversed(range(head, n)):
+        tail = [start, *map(op, tail, repeat(cols[x])), *islice(tail, 1, None)]
+
+    def block(value: int, x: int):
+        crossed = list(map(op, tail, repeat(value)))
+        yield crossed[:1]
+        for y in range(x, head):
+            yield from block(op(value, cols[y]), y + 1)
+        yield crossed[1:]
+
+    return block(start, 0)
 
 
-def sup_misses(p: FinitePoset, cols: Sequence[int], start: int):
+def subset_masks(n: int):
+    """The masks of the subsets of range(n), in the segments of subset_table."""
+    return subset_table(n, 0, [1 << x for x in range(n)], or_)
+
+
+def sup_misses(p: FinitePoset, cols: Sequence[int], start: int) -> list:
     """Every subset X, in walk order, whose sup s exists while the upper
-    bounds of its images, carried by subset_walk(p, cols, start), differ
-    from cols[s]: for cols[x] = up[f(x)], f(s) is sup f(X) exactly when the
-    up-set ub(f(X)) is up[f(s)].  The one sup-preservation walk."""
-    least = p.principal_up
-    for mask, ub, images in subset_walk(p, cols, start):
-        s = least.get(ub)
-        if s is not None and images != cols[s]:
-            yield mask
+    bounds of its images, subset_table(p.n, start, cols), differ from
+    cols[s]: for cols[x] = up[f(x)], f(s) is sup f(X) exactly when the up-set
+    ub(f(X)) is up[f(s)].  The one sup-preservation scan: a subset with no
+    sup reads its own images back from the lookup, so it never misses."""
+    n, expected = p.n, dict(zip(p.up, cols))
+    out = []
+    for masks, ubs, images in zip(subset_masks(n), subset_table(n, p.universe, p.up), subset_table(n, start, cols)):
+        out += compress(masks, map(ne, map(expected.get, ubs, images), images))
+    return out
 
 
 def ub_scan_sup(p: FinitePoset, xs: Iterable[int]) -> Optional[int]:

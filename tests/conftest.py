@@ -53,3 +53,31 @@ def corrupted_kernel(name, value, only=None):
         ]
 
     return corrupted
+
+
+def subset_walk(p, cols=None, start=0):
+    """The per-subset oracle of poset.subset_table: every subset X of p,
+    depth first, each reached from X minus its largest element; yields
+    (X, ub, images) with ub the upper-bound mask of X and images the AND of
+    cols over X from start, one stack frame a subset.  So the walk order is
+    lexicographic on sorted members, a set before its extensions."""
+    n, up = p.n, p.up
+    if cols is None:
+        cols = [0] * n
+    root = (0, p.universe, start)
+    yield root
+    stack = [(*root, 0)]
+    while stack:
+        mask, ub, images, x = stack.pop()
+        if x < n:
+            stack.append((mask, ub, images, x + 1))
+            child = (mask | 1 << x, ub & up[x], images & cols[x])
+            yield child
+            stack.append((*child, x + 1))
+
+
+def sup_misses_walk(p, cols, start):
+    """The subset_walk oracle of poset.sup_misses: every X, in walk order,
+    whose sup s exists while the carried images differ from cols[s]."""
+    least = p.principal_up
+    return [mask for mask, ub, images in subset_walk(p, cols, start) if least.get(ub) is not None and images != cols[least[ub]]]

@@ -11,7 +11,8 @@ import time
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import or_
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,10 +35,11 @@ from quantic.magma import (
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
 from quantic.poset import FinitePoset, all_below, bits, byte_lanes, carrier_label, id_mask, lane_code, order_preserving
-from quantic.poset import lanes_within, mask_row, row_mask, subset_walk, sup_misses, ub_scan_sup
+from quantic.poset import EXHAUSTIVE_CAP, SUBSET_BLOCK, lanes_within, mask_row, row_mask, subset_masks, subset_table
+from quantic.poset import sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
-from conftest import corrupted_kernel
+from conftest import corrupted_kernel, subset_walk, sup_misses_walk
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
 
@@ -903,6 +905,69 @@ def test_packed_subset_walk_matches_one_walk_per_map(n):
             alone = list(subset_walk(source, [target.up[v] for v in f], target.universe))
             assert [(mask, ub, images >> (i * width) & ((1 << width) - 1)) for mask, ub, images in packed] == alone
         assert [images >> (len(maps) * width) for _, _, images in packed] == [0] * 64
+
+
+def flat(segments):
+    return list(chain.from_iterable(segments))
+
+
+def packed_families(rng, source):
+    """(cols, start, count) for families of 3 random maps from source into
+    targets whose up-sets take 1, 2, 3 and 8 bytes a lane, each packed as
+    sup_misses reads it; and the family of one order-preserving self-map."""
+    n = source.n
+    for size in (7, 9, 17, 64):
+        target = random_poset(rng, size)
+        maps = [bytes(rng.randrange(size) for _ in range(n)) for _ in range(3)]
+        cols = [lane_code(target.up_lanes, bytes(f[x] for f in maps)) for x in range(n)]
+        yield cols, target.universe_code(len(maps))
+    t = monotone_tables(rng, source, 1)[-1]
+    yield [source.up[v] for v in t], source.universe
+
+
+@pytest.mark.parametrize("n", range(EXHAUSTIVE_CAP + 1))
+def test_subset_tables_match_the_walk_at_every_size_up_to_the_cap(n):
+    # The masks, the upper bounds and the packed images of a map family, in
+    # the walk's order, against the per-subset walk, at every lane width.
+    rng = random.Random(500 + n)
+    for p in (random_poset(rng, n), FinitePoset.chain(n)):
+        for cols, start in packed_families(rng, p):
+            walk = list(subset_walk(p, cols, start))
+            tables = zip(flat(subset_masks(n)), flat(subset_table(n, p.universe, p.up)), flat(subset_table(n, start, cols)))
+            assert list(tables) == walk, (p.up, n)
+        # The down-closure table of _ideal_masks folds with OR.
+        closures = [id_mask(z for x in bits(mask) for z in bits(p.down[x])) for mask, _, _ in subset_walk(p)]
+        assert flat(subset_table(n, 0, p.down, or_)) == closures
+        # Each list holds at most one block of the tail.
+        assert max(map(len, subset_table(n, p.universe, p.up))) <= 1 << SUBSET_BLOCK
+
+
+@pytest.mark.parametrize("n", range(EXHAUSTIVE_CAP + 1))
+def test_the_scans_list_their_misses_in_walk_order(n):
+    # The subsets without a sup and the sup misses of map families, in the
+    # walk's order: the same lists, so the first parting subset is the
+    # walk's first.
+    rng = random.Random(600 + n)
+    unsorted = 0
+    for p in (random_poset(rng, n), random_poset(rng, n)):
+        without = [(mask, ub) for mask, ub, _ in subset_walk(p) if ub not in p.principal_up]
+        assert p._subsets_without_sup() == without
+        for cols, start in packed_families(rng, p):
+            misses = sup_misses(p, cols, start)
+            assert misses == sup_misses_walk(p, cols, start), (p.up, n)
+            unsorted += misses != sorted(misses)
+    # From four elements on, walk order is not mask order, and some list shows it.
+    assert unsorted > 0 or n < 4
+
+
+def test_ideal_masks_match_the_per_mask_definition(corpus):
+    rng = random.Random(700)
+    posets = [m.poset for m in corpus.values() if m.n <= EXHAUSTIVE_CAP]
+    posets += [random_poset(rng, n) for n in range(11) for _ in range(3)]
+    posets += [FinitePoset.antichain(6), FinitePoset.chain(EXHAUSTIVE_CAP), FinitePoset.powerset(3)]
+    for p in posets:
+        expected = [mask for mask in range(1, 1 << p.n) if p.is_downward_closed(mask) and p.is_directed_mask(mask)]
+        assert idl._ideal_masks(p) == expected, p.up
 
 
 def sup_misses_loop(p, f):

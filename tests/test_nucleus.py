@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import random
+from collections import Counter
 
 import pytest
 
@@ -37,7 +39,7 @@ from quantic.nucleus import (
     unit_part,
 )
 from quantic.finitary import star_f
-from quantic.poset import FinitePoset, carrier_label
+from quantic.poset import FinitePoset, carrier_label, id_mask
 from quantic.rings import FiniteRing, radical_operation, ring_ideal_lattice
 from quantic.structdoc import load_magma, magma_doc
 
@@ -689,6 +691,7 @@ CACHED = {
     "quantic.nucleus.nucleus_lattice": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
     "quantic.nucleus._pair_table": (contract_carrier, lambda m: ("v",), (over_the_cap, lambda m: ("^",), CarrierTooLarge)),
     "quantic.nucleus.nucleus_order": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
+    "quantic.nucleus._least_above": (lambda: contract_carrier().poset, lambda p: (p.universe,), None),
     "quantic.divisorial.lin_monoid": (contract_carrier, no_args, None),
     "quantic.divisorial._units_and_spanning": (contract_carrier, no_args, None),
     "quantic.divisorial._v_all": (contract_carrier, lambda m: (2,), (antichain_constant, lambda m: (0,), HypothesisNotMet)),
@@ -737,3 +740,83 @@ def test_each_per_carrier_result_is_built_once_per_carrier_object_and_arguments(
             with pytest.raises(error):
                 fn(m, *args(m))
             assert (fn.__wrapped__, *args(m)) not in nucleus._memo(m)
+
+
+# -- N(M)'s pair tables ---------------------------------------------------------------
+
+
+def fresh_copy(m):
+    """m on a new poset object and a new magma object: nothing stored on either."""
+    return OrderedMagma(FinitePoset.from_up_masks(m.poset.up, m.poset.labels), m.mul, name=m.name)
+
+
+@pytest.mark.parametrize("op", ["join", "meet"])
+@pytest.mark.parametrize("name", ["ideals-z12", "diamond-join", "powerset-z2"])
+def test_each_pair_table_runs_its_operation_once_per_unordered_pair(corpus, monkeypatch, op, name):
+    m = fresh_copy(corpus[name])
+    maps = enumerate_nuclei(m)
+    pairs, operation = Counter(), getattr(nucleus, f"nuclei_{op}")
+
+    def counting(m, gamma):
+        pairs[frozenset(s.table for s in gamma)] += 1
+        return operation(m, gamma)
+
+    monkeypatch.setattr(nucleus, f"nuclei_{op}", counting)
+    table = getattr(nucleus, f"nuclei_{op}_table")(m)
+    k = len(maps)
+    assert k > 2 and len(pairs) == k * (k + 1) // 2 and set(pairs.values()) == {1}
+    # The stored table is read back, with no call.
+    assert getattr(nucleus, f"nuclei_{op}_table")(m) is table and sum(pairs.values()) == k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("name", ["ideals-z12", "diamond-join", "powerset-z2"])
+def test_the_join_table_builds_one_least_above_table_per_common_fixed_set(corpus, monkeypatch, name):
+    m = fresh_copy(corpus[name])
+    maps = enumerate_nuclei(m)
+    p, looked_up = m.poset, []
+    least_of = p.least_of
+    monkeypatch.setattr(p, "least_of", lambda mask: looked_up.append(mask) or least_of(mask))
+    nuclei_join_table(m)
+    commons = {s.fixed_mask() & t.fixed_mask() for i, s in enumerate(maps) for t in maps[i:]}
+    stored = {key[1] for key in nucleus._memo(p) if key[0] is nucleus._least_above.__wrapped__}
+    # One build, n least_of lookups, per distinct set; fewer sets than pairs.
+    assert stored == commons and len(looked_up) == p.n * len(commons)
+    assert len(commons) < len(maps) * (len(maps) + 1) // 2
+
+
+def test_the_masks_kept_on_a_map_equal_the_recomputed_ones(corpus):
+    rng = random.Random(25)
+    checked, parted = 0, 0
+    for m in corpus.values():
+        maps = list(enumerate_closures(m)) if m.n <= nucleus.ENUMERATION_CAP else []
+        maps += [MonotoneMap(m, [rng.randrange(m.n) for _ in range(m.n)]) for _ in range(20)]
+        for s in maps:
+            for _ in range(2):
+                assert s.image_mask() == id_mask(s.table), (m.name, s)
+                assert s.fixed_mask() == id_mask(x for x, t in enumerate(s.table) if x == t), (m.name, s)
+            checked, parted = checked + 1, parted + (s.image_mask() != s.fixed_mask())
+    # The random maps keep an image that is not their fixed-point set.
+    assert checked > 500 and parted > 100
+
+
+def test_the_stored_n_m_tables_refuse_writes_and_keep_their_values():
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    joins, meets = nuclei_join_table(m), nucleus.nuclei_meet_table(m)
+    index, above, below = nucleus.nucleus_order(m)
+    before = [list(map(list, joins)), list(map(list, meets)), dict(index), list(above), list(below)]
+    assert joins[0][1] != 0
+    writes = [
+        lambda: joins[0].__setitem__(1, 0),
+        lambda: joins.__setitem__(0, joins[1]),
+        lambda: meets[0].__setitem__(1, 0),
+        lambda: index.__setitem__(bytes(m.n), 0),
+        lambda: index.pop(next(iter(index))),
+        lambda: above.__setitem__(0, 0),
+        lambda: below.__setitem__(0, 0),
+    ]
+    for write in writes:
+        with pytest.raises((TypeError, AttributeError)):
+            write()
+    joins, meets = nuclei_join_table(m), nucleus.nuclei_meet_table(m)
+    index, above, below = nucleus.nucleus_order(m)
+    assert [list(map(list, joins)), list(map(list, meets)), dict(index), list(above), list(below)] == before
