@@ -117,7 +117,6 @@ class MonotoneMap:
         p.check_ids(table)
         self.carrier = carrier
         self.table = bytes(table)
-        self._image_mask = self._fixed_mask = None
 
     @classmethod
     def identity(cls, carrier) -> "MonotoneMap":
@@ -152,6 +151,8 @@ class MonotoneMap:
 
     # The image and fixed-point masks are built on the first call and kept:
     # the table never changes.
+    _image_mask = _fixed_mask = None
+
     def image_mask(self) -> int:
         if self._image_mask is None:
             self._image_mask = sum(map((1).__lshift__, set(self.table)))

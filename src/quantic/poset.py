@@ -30,7 +30,7 @@ bitmask through id_mask, and a 0/1 row through row_mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import compress, islice, repeat
 from operator import and_, ne, not_, or_
 from typing import Iterable, Optional, Sequence
@@ -133,8 +133,8 @@ read_code = partial(int.from_bytes, byteorder="little")
 def all_below(p: "FinitePoset", lo: bytes, hi: bytes) -> bool:
     """lo[i] <= hi[i] in p for every i, for two id sequences (such as two map
     tables): up[hi[i]] within up[lo[i]] in every lane, one AND."""
-    low, high = map(read_code, lane_segments(p.up_lanes, (lo, hi)))
-    return not high & ~low
+    lanes = p.up_lanes
+    return not lane_code(lanes, hi) & ~lane_code(lanes, lo)
 
 
 def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int) -> list:
@@ -147,8 +147,7 @@ def lanes_within(lanes: Sequence[bytes], lo: bytes, hi: bytes, count: int) -> li
     if not lo:
         return [True] * count
     width = len(lo) // count * len(lanes)
-    low, high = map(read_code, lane_segments(lanes, (lo, hi)))
-    return zero_segments(low & ~high, count, width)
+    return zero_segments(lane_code(lanes, lo) & ~lane_code(lanes, hi), count, width)
 
 
 def zero_segments(code: int, count: int, width: int) -> list:
@@ -382,6 +381,15 @@ class FinitePoset:
         upper bounds of the empty set for count maps into this poset."""
         return int.from_bytes(self.universe.to_bytes(len(self.up_lanes), "little") * count, "little")
 
+    def bound_table(self):
+        """subset_table of the upper bounds: T[X] the upper-bound mask of X.
+        The tail's walk_table, at most 2**SUBSET_BLOCK entries, is kept."""
+        return subset_table(self.n, self.universe, self.up, tail=self._bound_tail)
+
+    @cached_property
+    def _bound_tail(self) -> list:
+        return walk_table(self.universe, self.up[max(self.n - SUBSET_BLOCK, 0) :])
+
     @cached_property
     def order_pairs(self) -> tuple:
         """(lo, hi): every pair x < y, as two byte strings."""
@@ -522,7 +530,7 @@ class FinitePoset:
         """(X, ub) for every subset X with no supremum, in walk order: the
         upper-bound table of subset_table, read through principal_up."""
         n, least, out = self.n, self.principal_up, []
-        for masks, ubs in zip(subset_masks(n), subset_table(n, self.universe, self.up)):
+        for masks, ubs in zip(subset_masks(n), self.bound_table()):
             out += compress(zip(masks, ubs), map(not_, map(least.__contains__, ubs)))
         return out
 
@@ -559,21 +567,31 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def subset_table(n: int, start: int, cols: Sequence[int], op=and_):
-    """The table T over every subset X of range(n): T[{}] = start and
-    T[X | 1<<x] = op(T[X], cols[x]), for op and_ or or_ (so T[X] folds
-    cols over X, whatever order its members come in).  Yields lists whose
-    concatenation is T in walk order: lexicographic on sorted members, a set
-    before its extensions.
+_SINGLES = tuple(1 << x for x in range(ENUM_CAP))
 
-    With tables by doubling, one map a step: over the elements x..n-1 the
-    walk is {}, then {x} joined to each set of the walk over x+1..n-1, then
-    the rest of that walk.  No list of the 2**n entries is held.  The walk
-    over the last SUBSET_BLOCK elements, the tail, is one such table, and a
-    set A of the other elements, the head, is crossed with all of it: the
-    block of A.  Its first entry, A itself, comes where the walk meets A;
-    the rest, A with a nonempty set of the tail, come after every extension
-    of A within the head.
+
+def walk_table(start: int, cols: Sequence[int], op=and_) -> list:
+    """The table T over every subset X of range(len(cols)) in walk order:
+    T[{}] = start and T[X | 1<<x] = op(T[X], cols[x]), for op and_ or or_
+    (so T[X] folds cols over X, whatever order its members come in).  By
+    doubling, one map an element: over the elements x..k-1 the walk is {},
+    then {x} joined to each set of the walk over x+1..k-1, then the rest of
+    that walk."""
+    walk = [start]
+    for c in reversed(cols):
+        walk[1:1] = map(op, walk, repeat(c))
+    return walk
+
+
+def subset_table(n: int, start: int, cols: Sequence[int], op=and_, tail: Optional[Sequence[int]] = None):
+    """The table of walk_table over every subset of range(n), as lists whose
+    concatenation is the table in walk order, and no list of the 2**n
+    entries held.  The last min(n, SUBSET_BLOCK) elements, the tail, take
+    one walk_table, or tail where the caller keeps it.  A set A of the other
+    elements, the head, is crossed with all of it: the block of A.  Its
+    first entry, A itself, comes where the walk meets A; the rest, A with a
+    nonempty set of the tail, come after every extension of A within the
+    head.
 
     For cols[x] = up[x] and start the universe, T[X] is the upper-bound mask
     of X.  For maps f_1..f_k, cols[x] the up-sets of f_1(x), ..., f_k(x) as
@@ -582,9 +600,10 @@ def subset_table(n: int, start: int, cols: Sequence[int], op=and_):
     Each step is one AND for all the maps.
     """
     head = max(n - SUBSET_BLOCK, 0)
-    tail = [start]
-    for x in reversed(range(head, n)):
-        tail = [start, *map(op, tail, repeat(cols[x])), *islice(tail, 1, None)]
+    if tail is None:
+        tail = walk_table(start, cols[head:n], op)
+    if not head:
+        return [tail]
 
     def block(value: int, x: int):
         crossed = list(map(op, tail, repeat(value)))
@@ -596,9 +615,15 @@ def subset_table(n: int, start: int, cols: Sequence[int], op=and_):
     return block(start, 0)
 
 
+@lru_cache(maxsize=None)
+def _mask_tail(n: int) -> list:
+    """The masks of the subsets of the last min(n, SUBSET_BLOCK) of n elements, in walk order."""
+    return walk_table(0, _SINGLES[max(n - SUBSET_BLOCK, 0) : n], or_)
+
+
 def subset_masks(n: int):
-    """The masks of the subsets of range(n), in the segments of subset_table."""
-    return subset_table(n, 0, [1 << x for x in range(n)], or_)
+    """The masks of the subsets of range(n), in the lists of subset_table."""
+    return subset_table(n, 0, _SINGLES, or_, _mask_tail(n))
 
 
 def sup_misses(p: FinitePoset, cols: Sequence[int], start: int) -> list:
@@ -609,7 +634,7 @@ def sup_misses(p: FinitePoset, cols: Sequence[int], start: int) -> list:
     sup reads its own images back from the lookup, so it never misses."""
     n, expected = p.n, dict(zip(p.up, cols))
     out = []
-    for masks, ubs, images in zip(subset_masks(n), subset_table(n, p.universe, p.up), subset_table(n, start, cols)):
+    for masks, ubs, images in zip(subset_masks(n), p.bound_table(), subset_table(n, start, cols)):
         out += compress(masks, map(ne, map(expected.get, ubs, images), images))
     return out
 
