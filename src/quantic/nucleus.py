@@ -12,16 +12,23 @@ carrier).  MonotoneMap checks its ids against its own carrier, and a
 decision or a comparison refuses a table of another length, a map of another
 carrier, with StructureError, storing no verdict.  Tables derived from a
 carrier's own tables are composed and read as bitmasks without a second
-check.  The meet and join tables of N(M) certify each entry as they store it:
-the greatest lower, resp. least upper, bound of its pair in nucleus_order(m).
+check.  The meet and join tables of N(M) run nuclei_meet, resp. nuclei_join,
+once per unordered pair and certify each entry as they store it: the
+greatest lower, resp. least upper, bound of its pair in nucleus_order(m).
+Inside each call the work is read from what is kept: a MonotoneMap builds
+its image and fixed-point masks on the first call, the join's least-above
+table is built once per poset and common fixed set (_least_above), and the
+pointwise meet ANDs the down-sets of each column across the family, one map
+a nucleus, then reads each infimum from principal_down.  The tables are
+stored as tuples of tuples, the order's index as a read-only mapping.
 
 One cache rule: each carrier object keeps one dict, its _memo.  A function
 decorated with per_carrier stores its result there under (function, *args),
 built on the first call and returned as stored after it; a build that raises
 stores nothing, so the next call raises again.  The same dict holds the
 verdicts that the chunks of _decide_nuclei write, ("nucleus", table) on a
-magma and ("closure", table) on its poset.  Stored results are tuples, or
-objects no caller changes.
+magma and ("closure", table) on its poset.  Stored results are tuples,
+read-only mappings, bytes, or objects no caller changes.
 
 A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
@@ -48,7 +55,10 @@ condition runs on the tables its premise leaves open:
 - on unital carriers, every table: form 2, pre[xy] = pre[x y*] = pre[x* y].
 
 x y* and x* y are built once for the chunk, for every table on a unital
-carrier and for the closures otherwise, and form 2 and c3 share them.
+carrier and for the closures otherwise, and form 2 and c3 share them.  The
+up lanes of the identity come from the poset (identity_lanes), and every
+product string of the chunk is lane-coded in one lane_segments pass, the
+closures' segments picked from its bytes.
 
 The single axiom and the unital forms quantify over z through
 pre[u] = {z : u <= z*} = t^-1(up[u]): the single axiom, x <= y* iff
@@ -442,14 +452,16 @@ def nuclei_meet(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
         return MonotoneMap.top_map(m)
     # The lower bounds of column x, the images of x, are the AND of their
     # down-sets, and the infimum is the greatest of them, if any.
-    bounds = repeat(p.universe)
-    for s in maps:
-        bounds = list(map(and_, bounds, map(p.down.__getitem__, s.table)))
+    down = p.down.__getitem__
+    bounds, images = list(map(down, maps[0].table)), maps[0].image_mask()
+    for s in maps[1:]:
+        bounds = list(map(and_, bounds, map(down, s.table)))
+        images |= s.image_mask()
     table = list(map(p.principal_down.get, bounds))
     if None in table:
         raise HypothesisNotMet(f"missing infimum for the fibers over element {table.index(None)}")
-    out = _certified(m, table, "pointwise meet of nuclei")
-    if any(s.image_mask() & ~out.image_mask() for s in maps):
+    out = _certified(m, bytes(table), "pointwise meet of nuclei")
+    if images & ~out.image_mask():
         raise _broken(m, "meet image does not contain the union of images")
     return out
 

@@ -23,15 +23,25 @@ t <= u pointwise iff lane_code(u) & ~lane_code(t) == 0, one big-int AND for
 every pair at once.  The up lanes are the one lane code: all_below and
 order_preserving_each decide maps, batches of maps, morphisms, automorphism
 tests and the order-compatibility of a product, the nucleus chunk kernel
-reads the same codes, and subset_walk carries them.  A set of ids becomes a
-bitmask through id_mask, and a 0/1 row through row_mask.
+reads the same codes, and lane_segments codes several id strings in one
+pass.  A set of ids becomes a bitmask through id_mask, and a 0/1 row
+through row_mask.
+
+The 2**n subset scans up to EXHAUSTIVE_CAP read tables built by doubling:
+the upper bounds ub[X | 1<<x] = ub[X] & up[x], the packed images of a map
+family carried the same way, and the down-closures of the ideal scan with
+OR.  subset_table builds them in blocks of at most 2**SUBSET_BLOCK
+entries, in walk order (lexicographic on sorted members, a set before its
+extensions), so a scan lists its misses, and names its first parting
+subset, in that order.  Sups are read from a block with one map of a dict
+lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import and_, ne, not_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -387,8 +397,8 @@ class FinitePoset:
         return subset_table(self.n, self.universe, self.up, tail=self._bound_tail)
 
     @cached_property
-    def _bound_tail(self) -> list:
-        return walk_table(self.universe, self.up[max(self.n - SUBSET_BLOCK, 0) :])
+    def _bound_tail(self) -> tuple:
+        return tuple(walk_table(self.universe, self.up[max(self.n - SUBSET_BLOCK, 0) :]))
 
     @cached_property
     def order_pairs(self) -> tuple:
@@ -543,8 +553,8 @@ class FinitePoset:
     def _parting_subset(self, k: int, scan_holds: bool) -> list:
         """A subset without a supremum in the class of flag k (0: every
         subset, 1: nonempty ones, 2: nonempty ones bounded above), found by
-        the route that denies the flag: the subset scan unless scan_holds, else the
-        pairwise joins, a missing top or a missing bottom."""
+        the route that denies the flag: the subset scan unless scan_holds,
+        else the pairwise joins, a missing top or a missing bottom."""
         if not scan_holds:
             for mask, ub in self._subsets_without_sup():
                 if k == 0 or mask and (k == 1 or ub):
@@ -584,8 +594,8 @@ def walk_table(start: int, cols: Sequence[int], op=and_) -> list:
 
 
 def subset_table(n: int, start: int, cols: Sequence[int], op=and_, tail: Optional[Sequence[int]] = None):
-    """The table of walk_table over every subset of range(n), as lists whose
-    concatenation is the table in walk order, and no list of the 2**n
+    """The table of walk_table over every subset of range(n), as sequences
+    whose concatenation is the table in walk order, and no list of the 2**n
     entries held.  The last min(n, SUBSET_BLOCK) elements, the tail, take
     one walk_table, or tail where the caller keeps it.  A set A of the other
     elements, the head, is crossed with all of it: the block of A.  Its
@@ -616,13 +626,13 @@ def subset_table(n: int, start: int, cols: Sequence[int], op=and_, tail: Optiona
 
 
 @lru_cache(maxsize=None)
-def _mask_tail(n: int) -> list:
-    """The masks of the subsets of the last min(n, SUBSET_BLOCK) of n elements, in walk order."""
-    return walk_table(0, _SINGLES[max(n - SUBSET_BLOCK, 0) : n], or_)
+def _mask_tail(n: int) -> tuple:
+    """The masks of the sets of the last min(n, SUBSET_BLOCK) of n elements, in walk order."""
+    return tuple(walk_table(0, _SINGLES[max(n - SUBSET_BLOCK, 0) : n], or_))
 
 
 def subset_masks(n: int):
-    """The masks of the subsets of range(n), in the lists of subset_table."""
+    """The masks of the subsets of range(n), in the sequences of subset_table."""
     return subset_table(n, 0, _SINGLES, or_, _mask_tail(n))
 
 
