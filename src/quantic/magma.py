@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving, order_preserving_each
-from .poset import broken, id_mask, lane_code, mask_row, sup_misses, translate_table
+from .poset import broken, id_mask, lane_segments, mask_row, read_code, sup_misses, translate_table
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def _translation_failures(m: OrderedMagma):
     packed int, and cols[s], the lane code of up[a s] and up[s a] over a,
     decides every translation in one comparison."""
     p, n = m.poset, m.n
-    cols = [lane_code(p.up_lanes, m.cols[x] + m.mul[x]) for x in range(n)]
+    cols = list(map(read_code, lane_segments(p.up_lanes, list(map(bytes.__add__, m.cols, m.mul)))))
     return sup_misses(p, cols, p.universe_code(2 * n))
 
 

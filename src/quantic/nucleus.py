@@ -928,9 +928,9 @@ def nucleus_order(m: OrderedMagma) -> tuple:
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
     """above[i] = mask of the j with maps[i] <= maps[j] pointwise: s <= t iff
-    lane_code(t) & ~lane_code(s) == 0 over p.up_lanes, one AND per pair."""
-    lanes = p.up_lanes
-    codes = [lane_code(lanes, s.table) for s in maps]
+    lane_code(t) & ~lane_code(s) == 0 over p.up_lanes, one AND per pair;
+    the codes come from one lane_segments pass."""
+    codes = list(map(read_code, lane_segments(p.up_lanes, [s.table for s in maps])))
     return [id_mask(j for j, code in enumerate(codes) if not code & out) for out in map(invert, codes)]
 
 

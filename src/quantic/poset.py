@@ -625,7 +625,7 @@ def subset_table(n: int, start: int, cols: Sequence[int], op=and_, tail: Optiona
     return block(start, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENUM_CAP + 1)
 def _mask_tail(n: int) -> tuple:
     """The masks of the sets of the last min(n, SUBSET_BLOCK) of n elements, in walk order."""
     return tuple(walk_table(0, _SINGLES[max(n - SUBSET_BLOCK, 0) : n], or_))
