@@ -91,8 +91,8 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
-from .poset import lane_code, lane_segments, order_preserving, order_preserving_each, read_code, row_mask
-from .poset import transpose, zero_segments
+from .poset import lane_code, lane_segments, order_preserving, order_preserving_each, read_code, transpose
+from .poset import zero_segments
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -117,8 +117,12 @@ class MonotoneMap:
     byte x the id of the image of x.
 
     Equality and ordering are pointwise on tables; instances are immutable and
-    hashable so nucleus lattices can be built on top of them.
+    hashable so nucleus lattices can be built on top of them.  The image and
+    fixed-point masks are built on the first call and kept: the table never
+    changes.
     """
+
+    __slots__ = ("carrier", "table", "_image_mask", "_fixed_mask")
 
     def __init__(self, carrier, table: Sequence[int]):
         p = poset_of(carrier)
@@ -127,6 +131,7 @@ class MonotoneMap:
         p.check_ids(table)
         self.carrier = carrier
         self.table = bytes(table)
+        self._image_mask = self._fixed_mask = None
 
     @classmethod
     def identity(cls, carrier) -> "MonotoneMap":
@@ -159,13 +164,9 @@ class MonotoneMap:
     def __repr__(self):
         return f"MonotoneMap{tuple(self.table)}"
 
-    # The image and fixed-point masks are built on the first call and kept:
-    # the table never changes.
-    _image_mask = _fixed_mask = None
-
     def image_mask(self) -> int:
         if self._image_mask is None:
-            self._image_mask = sum(map((1).__lshift__, set(self.table)))
+            self._image_mask = id_mask(self.table)
         return self._image_mask
 
     def image(self) -> list:
@@ -173,7 +174,8 @@ class MonotoneMap:
 
     def fixed_mask(self) -> int:
         if self._fixed_mask is None:
-            self._fixed_mask = row_mask(bytes(map(eq, self.table, range(len(self.table)))))
+            ids = range(len(self.table))
+            self._fixed_mask = id_mask(compress(ids, map(eq, self.table, ids)))
         return self._fixed_mask
 
     @property
@@ -231,7 +233,7 @@ def _chunk_verdicts(carrier, tables: Sequence[bytes]) -> list:
     pads = {i: _pad(tables[i]) for i in expanding}
     monotone = order_preserving_each(p, [tables[i] for i in expanding])
     closures = [i for i, o in zip(expanding, monotone) if o and tables[i].translate(pads[i]) == tables[i]]
-    images = [sum(map((1).__lshift__, set(t))).to_bytes(len(up), "little") for t in tables]
+    images = [id_mask(t).to_bytes(len(up), "little") for t in tables]
     single = zero_segments((x_up ^ t_up) & _spread(images, n), count, w)
     closed = set(closures)
     verdicts = [(i in closed, s) for i, s in enumerate(single)]
