@@ -15,12 +15,8 @@ carrier's own tables are composed and read as bitmasks without a second
 check.  The meet and join tables of N(M) run nuclei_meet, resp. nuclei_join,
 once per unordered pair and certify each entry as they store it: the
 greatest lower, resp. least upper, bound of its pair in nucleus_order(m).
-Inside each call the work is read from what is kept: a MonotoneMap builds
-its image and fixed-point masks on the first call, the join's least-above
-table is built once per poset and common fixed set (_least_above), and the
-pointwise meet ANDs the down-sets of each column across the family, one map
-a nucleus, then reads each infimum from principal_down.  The tables are
-stored as tuples of tuples, the order's index as a read-only mapping.
+Each call reads what is kept: the masks of each MonotoneMap and the
+least-above table of each common fixed set (_least_above).
 
 One cache rule: each carrier object keeps one dict, its _memo.  A function
 decorated with per_carrier stores its result there under (function, *args),

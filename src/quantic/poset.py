@@ -27,14 +27,9 @@ reads the same codes, and lane_segments codes several id strings in one
 pass.  A set of ids becomes a bitmask through id_mask, and a 0/1 row
 through row_mask.
 
-The 2**n subset scans up to EXHAUSTIVE_CAP read tables built by doubling:
-the upper bounds ub[X | 1<<x] = ub[X] & up[x], the packed images of a map
-family carried the same way, and the down-closures of the ideal scan with
-OR.  subset_table builds them in blocks of at most 2**SUBSET_BLOCK
-entries, in walk order (lexicographic on sorted members, a set before its
-extensions), so a scan lists its misses, and names its first parting
-subset, in that order.  Sups are read from a block with one map of a dict
-lookup.
+The 2**n subset scans up to EXHAUSTIVE_CAP read tables built by doubling
+(subset_table), such as the upper bounds ub[X | 1<<x] = ub[X] & up[x], in
+blocks and in walk order, so a scan lists its misses in that order.
 """
 
 from __future__ import annotations
@@ -55,8 +50,7 @@ ENUM_CAP = 64
 # beyond it the pairwise characterizations, which are equivalent on finite
 # carriers, stand alone.
 EXHAUSTIVE_CAP = 14
-# subset_table crosses each set of the first n - SUBSET_BLOCK elements with a
-# table over the last SUBSET_BLOCK: at most 2**SUBSET_BLOCK entries a list.
+# subset_table holds at most 2**SUBSET_BLOCK entries a block.
 SUBSET_BLOCK = 8
 
 
@@ -581,9 +575,9 @@ _SINGLES = tuple(1 << x for x in range(ENUM_CAP))
 
 
 def walk_table(start: int, cols: Sequence[int], op=and_) -> list:
-    """The table T over every subset X of range(len(cols)) in walk order:
-    T[{}] = start and T[X | 1<<x] = op(T[X], cols[x]), for op and_ or or_
-    (so T[X] folds cols over X, whatever order its members come in).  By
+    """The table T over every subset X of range(len(cols)): T[{}] = start and
+    T[X | 1<<x] = op(T[X], cols[x]), for op and_ or or_, in walk order
+    (lexicographic on sorted members, a set before its extensions).  By
     doubling, one map an element: over the elements x..k-1 the walk is {},
     then {x} joined to each set of the walk over x+1..k-1, then the rest of
     that walk."""
@@ -595,19 +589,18 @@ def walk_table(start: int, cols: Sequence[int], op=and_) -> list:
 
 def subset_table(n: int, start: int, cols: Sequence[int], op=and_, tail: Optional[Sequence[int]] = None):
     """The table of walk_table over every subset of range(n), as sequences
-    whose concatenation is the table in walk order, and no list of the 2**n
-    entries held.  The last min(n, SUBSET_BLOCK) elements, the tail, take
-    one walk_table, or tail where the caller keeps it.  A set A of the other
-    elements, the head, is crossed with all of it: the block of A.  Its
-    first entry, A itself, comes where the walk meets A; the rest, A with a
-    nonempty set of the tail, come after every extension of A within the
-    head.
+    whose concatenation is the table in walk order; no list of the 2**n
+    entries is held.  The last min(n, SUBSET_BLOCK) elements, the tail, take
+    one walk_table (tail, where the caller keeps it).  A set A of the other
+    elements, the head, is crossed with all of it: A itself comes where the
+    walk meets A, and A with a nonempty set of the tail after every
+    extension of A within the head.
 
     For cols[x] = up[x] and start the universe, T[X] is the upper-bound mask
-    of X.  For maps f_1..f_k, cols[x] the up-sets of f_1(x), ..., f_k(x) as
-    one packed int (lane_code over the target's up_lanes) and start its
-    universe_code(k): lane i of T[X] is the upper-bound mask of f_i(X).
-    Each step is one AND for all the maps.
+    of X.  For maps f_1..f_k, cols[x] packs the up-sets of f_1(x), ...,
+    f_k(x) (lane_code over the target's up_lanes) and start is its
+    universe_code(k): lane i of T[X] is the upper-bound mask of f_i(X), one
+    AND a step for all the maps.
     """
     head = max(n - SUBSET_BLOCK, 0)
     if tail is None:
