@@ -388,11 +388,10 @@ class FinitePoset:
     def bound_table(self):
         """subset_table of the upper bounds: T[X] the upper-bound mask of X.
         The tail's walk_table, at most 2**SUBSET_BLOCK entries, is kept."""
-        return subset_table(self.n, self.universe, self.up, tail=self._bound_tail)
-
-    @cached_property
-    def _bound_tail(self) -> tuple:
-        return tuple(walk_table(self.universe, self.up[max(self.n - SUBSET_BLOCK, 0) :]))
+        tail = self.__dict__.get("_bound_tail")
+        if tail is None:
+            tail = self.__dict__["_bound_tail"] = tuple(walk_table(self.universe, self.up[max(self.n - SUBSET_BLOCK, 0) :]))
+        return subset_table(self.n, self.universe, self.up, tail=tail)
 
     @cached_property
     def order_pairs(self) -> tuple:
@@ -542,7 +541,9 @@ class FinitePoset:
         """(complete, near sup-complete, bounded complete) decided from the
         upper bounds of every subset, independently of the pairwise joins."""
         misses = self._subsets_without_sup()
-        return not misses, not any(mask for mask, _ in misses), not any(mask and ub for mask, ub in misses)
+        if not misses:
+            return True, True, True
+        return False, not any(mask for mask, _ in misses), not any(mask and ub for mask, ub in misses)
 
     def _parting_subset(self, k: int, scan_holds: bool) -> list:
         """A subset without a supremum in the class of flag k (0: every

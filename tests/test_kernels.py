@@ -912,7 +912,7 @@ def flat(segments):
 
 
 def packed_families(rng, source):
-    """(cols, start, count) for families of 3 random maps from source into
+    """(cols, start) for families of 3 random maps from source into
     targets whose up-sets take 1, 2, 3 and 8 bytes a lane, each packed as
     sup_misses reads it; and the family of one order-preserving self-map."""
     n = source.n
