@@ -390,7 +390,8 @@ class FinitePoset:
         The tail's walk_table, at most 2**SUBSET_BLOCK entries, is kept."""
         tail = self.__dict__.get("_bound_tail")
         if tail is None:
-            tail = self.__dict__["_bound_tail"] = tuple(walk_table(self.universe, self.up[max(self.n - SUBSET_BLOCK, 0) :]))
+            head = max(self.n - SUBSET_BLOCK, 0)
+            tail = self.__dict__["_bound_tail"] = tuple(walk_table(self.universe, self.up[head:]))
         return subset_table(self.n, self.universe, self.up, tail=tail)
 
     @cached_property

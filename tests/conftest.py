@@ -80,4 +80,6 @@ def sup_misses_walk(p, cols, start):
     """The subset_walk oracle of poset.sup_misses: every X, in walk order,
     whose sup s exists while the carried images differ from cols[s]."""
     least = p.principal_up
-    return [mask for mask, ub, images in subset_walk(p, cols, start) if least.get(ub) is not None and images != cols[least[ub]]]
+    return [
+        mask for mask, ub, images in subset_walk(p, cols, start) if ub in least and images != cols[least[ub]]
+    ]

@@ -933,8 +933,8 @@ def test_subset_tables_match_the_walk_at_every_size_up_to_the_cap(n):
     for p in (random_poset(rng, n), FinitePoset.chain(n)):
         for cols, start in packed_families(rng, p):
             walk = list(subset_walk(p, cols, start))
-            tables = zip(flat(subset_masks(n)), flat(subset_table(n, p.universe, p.up)), flat(subset_table(n, start, cols)))
-            assert list(tables) == walk, (p.up, n)
+            tables = (subset_masks(n), subset_table(n, p.universe, p.up), subset_table(n, start, cols))
+            assert list(zip(*map(flat, tables))) == walk, (p.up, n)
         # The down-closure table of _ideal_masks folds with OR.
         closures = [id_mask(z for x in bits(mask) for z in bits(p.down[x])) for mask, _, _ in subset_walk(p)]
         assert flat(subset_table(n, 0, p.down, or_)) == closures
