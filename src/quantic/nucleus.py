@@ -52,9 +52,9 @@ condition runs on the tables its premise leaves open:
 
 x y* and x* y are built once for the chunk, for every table on a unital
 carrier and for the closures otherwise, and form 2 and c3 share them.  The
-up lanes of the identity come from the poset (identity_lanes), and every
-product string of the chunk is lane-coded in one lane_segments pass, the
-closures' segments picked from its bytes.
+tables and the identity are lane-coded in one lane_segments pass, every
+product string of the chunk in another, the closures' segments picked from
+its bytes.
 
 The single axiom and the unital forms quantify over z through
 pre[u] = {z : u <= z*} = t^-1(up[u]): the single axiom, x <= y* iff
@@ -87,7 +87,7 @@ from .errors import (
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
 from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
-from .poset import lane_code, lane_segments, order_preserving, order_preserving_each, read_code, transpose
+from .poset import lane_segments, order_preserving, order_preserving_each, read_code, transpose
 from .poset import zero_segments
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
@@ -223,7 +223,8 @@ def _chunk_verdicts(carrier, tables: Sequence[bytes]) -> list:
     _check_lengths(carrier, tables)
     n, count, up = p.n, len(tables), p.up_lanes
     w = n * len(up)
-    x_up, t_up = read_code(p.identity_lanes * count), lane_code(up, b"".join(tables))
+    x_lanes, t_lanes = lane_segments(up, (bytes(range(n)), b"".join(tables)))
+    x_up, t_up = read_code(bytes(x_lanes) * count), read_code(t_lanes)
     expansive = zero_segments(t_up & ~x_up, count, w)
     expanding = list(compress(range(count), expansive))
     pads = {i: _pad(tables[i]) for i in expanding}

@@ -374,12 +374,6 @@ class FinitePoset:
         in lane i, and a <= b iff up[b] lies within up[a]."""
         return byte_lanes(self.up, self.n)
 
-    @cached_property
-    def identity_lanes(self) -> bytes:
-        """lane_code(up_lanes, range(n)) as bytes: up[x] in lane x."""
-        k = len(self.up_lanes)
-        return b"".join(u.to_bytes(k, "little") for u in self.up)
-
     def universe_code(self, count: int) -> int:
         """The universe in each of count lanes as wide as up_lanes': the
         upper bounds of the empty set for count maps into this poset."""
