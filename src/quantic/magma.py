@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
+from itertools import compress, product
+from operator import ne
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
@@ -344,18 +345,18 @@ def _distributes_over_finite_nonempty(m: OrderedMagma) -> bool:
 
 
 def _law_failures(m: OrderedMagma):
-    """Every pair (x, y) of a join semilattice breaking the law for some a, by
-    rows then columns: row (column) x v y against the joins of rows
-    (columns) x and y, read through the join table."""
-    join = m.poset.join_table
-    # Lists, not tuples: CPython keeps freed short tuples on a free list, and
-    # n^2 of them per carrier raised the peak memory of a run.
-    for lines in ([list(row) for row in m.mul], [list(col) for col in m.cols]):
-        for x, line in enumerate(lines):
-            joins_with = [join[u] for u in line]
-            for y in range(x, m.n):
-                if lines[join[x][y]] != list(map(getitem, joins_with, lines[y])):
-                    yield x, y
+    """Every pair of ids x <= y of a join semilattice breaking the law for
+    some a, by rows then columns.  As up[u v w] = up[u] & up[w], line x v y
+    is the joins of lines x and y exactly when their up-lane codes have
+    code[join[x][y]] = code[x] & code[y]: one AND a pair."""
+    p, n = m.poset, m.n
+    codes = list(map(read_code, lane_segments(p.up_lanes, m.mul + m.cols)))
+    joins = [j for row in p.join_table for j in row]
+    for c in (codes[:n], codes[n:]):
+        joined, anded = [c[j] for j in joins], [u & w for u in c for w in c]
+        if joined != anded:
+            pairs = compress(product(range(n), repeat=2), map(ne, joined, anded))
+            yield from ((x, y) for x, y in pairs if x <= y)
 
 
 def _parting_subset(m: OrderedMagma, scan_np: bool, near_prequantale: bool) -> list:

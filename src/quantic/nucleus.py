@@ -12,11 +12,8 @@ carrier).  MonotoneMap checks its ids against its own carrier, and a
 decision or a comparison refuses a table of another length, a map of another
 carrier, with StructureError, storing no verdict.  Tables derived from a
 carrier's own tables are composed and read as bitmasks without a second
-check.  The meet and join tables of N(M) run nuclei_meet, resp. nuclei_join,
-once per unordered pair and certify each entry as they store it: the
-greatest lower, resp. least upper, bound of its pair in nucleus_order(m).
-Each call reads what is kept: the masks of each MonotoneMap and the
-least-above table of each common fixed set (_least_above).
+check.  The meet and join tables of N(M) decide each pair by an order
+route and a formula route, two lookups a whole row at a time (_pair_table).
 
 One cache rule: each carrier object keeps one dict, its _memo.  A function
 decorated with per_carrier stores its result there under (function, *args),
@@ -74,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, compress, islice, product, repeat
-from operator import and_, eq, invert
+from operator import and_, eq, invert, itemgetter
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -683,15 +680,10 @@ def nucleus_of_morphism(f: MagmaMorphism) -> MonotoneMap:
         raise HypothesisNotMet("nucleus_of_morphism needs a near-sup-preserving magma hom")
     if not src.profile.near_prequantale:
         raise HypothesisNotMet("nucleus_of_morphism needs a near prequantale source")
-    fibers: dict = {}
-    for y, fy in enumerate(f.table):
-        fibers[fy] = fibers.get(fy, 0) | 1 << y
-    table = []
-    for fx in f.table:
-        v = src.poset.sup_mask(fibers[fx])
-        if v is None:
-            raise _broken(src, "fiber supremum missing on a near prequantale")
-        table.append(v)
+    # x goes to the sup of its fiber, the ids y with f(y) = f(x).
+    table = [src.poset.sup_mask(id_mask(compress(range(src.n), map(fx.__eq__, f.table)))) for fx in f.table]
+    if None in table:
+        raise _broken(src, "fiber supremum missing on a near prequantale")
     s = _certified(src, table, "morphism-induced map")
     if s.table.translate(_pad(f.table)) != f.table:
         raise _broken(src, "morphism does not factor through its nucleus")
@@ -859,12 +851,10 @@ def nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
         )
     _, above, _ = nucleus_order(m)
     lat = FinitePoset.from_up_masks(above, [f"n{i}" for i in range(k)])
-    mul = lat.join_table
+    mul = nuclei_join_table(m) if join_formula_applies(m) else lat.join_table
     if any(None in row for row in mul):
         # Guaranteed to exist when m is near sup-complete; refuse otherwise.
         raise HypothesisNotMet("N(M) is not a join semilattice for this carrier")
-    if join_formula_applies(m):
-        nuclei_join_table(m)  # certified against the order of lat as it is built
     return NucleusLattice(m, maps, OrderedMagma(lat, mul, name=name))
 
 
@@ -878,40 +868,52 @@ def join_formula_applies(m: OrderedMagma) -> bool:
 
 
 def nuclei_join_table(m: OrderedMagma) -> tuple:
-    """joins[i][j] is the position in enumerate_nuclei(m) of the join of nuclei
-    i and j, by the join formula (nuclei_join) run once per unordered pair;
-    built once per carrier object, a tuple of tuples."""
+    """joins[i][j] is the position in enumerate_nuclei(m) of nuclei_join of
+    nuclei i and j; built once per carrier object, a tuple of tuples."""
     return _pair_table(m, "v")
 
 
 def nuclei_meet_table(m: OrderedMagma) -> tuple:
-    """meets[i][j] is the position in enumerate_nuclei(m) of the pointwise
-    meet (nuclei_meet) of nuclei i and j; built and read like the join table."""
+    """meets[i][j] is the position of nuclei_meet of nuclei i and j, likewise."""
     return _pair_table(m, "^")
 
 
 @per_carrier
 def _pair_table(m: OrderedMagma, op: str) -> tuple:
-    """The join (op "v", nuclei_join) or meet (op "^", nuclei_meet) of each
-    unordered pair of nuclei i, j, certified as it is stored: the result r
-    must be enumerated, in bounds[i] & bounds[j] and below (op "v", bounds
-    the above masks of nucleus_order(m)) or above (op "^", bounds the below
-    masks) every member of that set."""
+    """The join (op "v") or meet (op "^") of nuclei i and j, r, named alike by
+    two lookups: the bound in nucleus_order(m), above[r] = above[i] & above[j]
+    (below[r] = below[i] & below[j]), and nuclei_join's Fix r = Fix i & Fix j
+    (nuclei_meet's pointwise down[r(x)] = down[i(x)] & down[j(x)], an AND of
+    down-lane codes, with both images in r's).  The first pair where a route
+    fails runs the operation alone: it raises where it refuses, else the
+    table raises InternalCheckError naming the pair and the answer."""
     maps = enumerate_nuclei(m)
-    index, above, below = nucleus_order(m)
-    combine, bounds = (nuclei_join, above) if op == "v" else (nuclei_meet, below)
-    out = [[0] * len(maps) for _ in maps]
-    for i, s in enumerate(maps):
-        for j in range(i, len(maps)):
-            got = combine(m, [s, maps[j]]).table
-            r, common = index.get(got), bounds[i] & bounds[j]
-            if r is None or not common >> r & 1 or common & ~bounds[r]:
-                raise InternalCheckError(
-                    f"{'join' if op == 'v' else 'meet'} table disagrees with the N(M) order on "
-                    f"{_label(m)}: {tuple(s.table)} {op} {tuple(maps[j].table)} gives {tuple(got)}"
-                )
-            out[i][j] = out[j][i] = r
-    return tuple(map(tuple, out))
+    _, above, below = nucleus_order(m)
+    if op == "v":
+        bounds, codes = above, [s.fixed_mask() for s in maps]
+    else:
+        bounds, codes = below, list(map(read_code, lane_segments(m.poset.down_lanes, [s.table for s in maps])))
+    order = dict(zip(bounds, range(len(maps))))
+    # Where the join formula does not apply, nuclei_join refuses the first pair.
+    formula = dict(zip(codes, range(len(maps)))) if op == "^" or join_formula_applies(m) else {}
+    images = [s.image_mask() for s in maps]
+    outside, rows = list(map(invert, images)), []
+    for i, (b, c, image) in enumerate(zip(bounds, codes, images)):
+        row = list(map(order.get, map(b.__and__, bounds[i:])))
+        routed = list(map(formula.get, map(c.__and__, codes[i:])))
+        if None in row or row != routed or op == "^" and any(
+            map(and_, map(image.__or__, images[i:]), map(outside.__getitem__, row))
+        ):
+            j = next(j for j, r, t in zip(range(i, len(maps)), row, routed)
+                     if r is None or r != t or op == "^" and (image | images[j]) & outside[r])
+            got = (nuclei_join if op == "v" else nuclei_meet)(m, [maps[i], maps[j]]).table
+            raise InternalCheckError(
+                f"{'join' if op == 'v' else 'meet'} table disagrees with the N(M) order on "
+                f"{_label(m)}: {tuple(maps[i].table)} {op} {tuple(maps[j].table)} gives {tuple(got)}"
+            )
+        # Entry j < i of row i is entry i of row j.
+        rows.append(list(map(itemgetter(i), rows)) + row)
+    return tuple(map(tuple, rows))
 
 
 @per_carrier

@@ -374,6 +374,11 @@ class FinitePoset:
         in lane i, and a <= b iff up[b] lies within up[a]."""
         return byte_lanes(self.up, self.n)
 
+    @cached_property
+    def down_lanes(self) -> tuple:
+        """byte_lanes of the down-sets; a pointwise meet has the AND of the codes."""
+        return byte_lanes(self.down, self.n)
+
     def universe_code(self, count: int) -> int:
         """The universe in each of count lanes as wide as up_lanes': the
         upper bounds of the empty set for count maps into this poset."""
@@ -443,24 +448,15 @@ class FinitePoset:
 
     def is_directed_mask(self, mask: int) -> bool:
         """The empty set is not directed; pairs suffice on finite carriers."""
-        if not mask:
-            return False
         elems = list(bits(mask))
-        for a in elems:
-            for b in elems:
-                if b > a:
-                    if not (self.up[a] & self.up[b] & mask):
-                        return False
-        return True
+        pairs = ((a, b) for i, a in enumerate(elems) for b in elems[i + 1 :])
+        return bool(mask) and all(self.up[a] & self.up[b] & mask for a, b in pairs)
 
     def is_directed(self, xs: Iterable[int]) -> bool:
         return self.is_directed_mask(self.mask_of(xs))
 
     def is_downward_closed(self, mask: int) -> bool:
-        for x in bits(mask):
-            if self.down[x] & ~mask:
-                return False
-        return True
+        return not any(self.down[x] & ~mask for x in bits(mask))
 
     def covers(self, i: int) -> list:
         """Elements directly above i."""

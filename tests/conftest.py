@@ -1,3 +1,5 @@
+from operator import getitem
+
 import pytest
 
 from quantic import nucleus
@@ -83,3 +85,17 @@ def sup_misses_walk(p, cols, start):
     return [
         mask for mask, ub, images in subset_walk(p, cols, start) if ub in least and images != cols[least[ub]]
     ]
+
+
+def law_failures_by_lists(m):
+    """The list-comparing oracle of magma._law_failures: every pair (x, y),
+    x <= y as ids, of a join semilattice breaking the law for some a, by rows
+    then columns: row (column) x v y against the joins of rows (columns) x
+    and y, compared as lists."""
+    join = m.poset.join_table
+    for lines in ([list(row) for row in m.mul], [list(col) for col in m.cols]):
+        for x, line in enumerate(lines):
+            joins_with = [join[u] for u in line]
+            for y in range(x, m.n):
+                if lines[join[x][y]] != list(map(getitem, joins_with, lines[y])):
+                    yield x, y

@@ -30,6 +30,8 @@ from quantic.magma import (
     OrderedMagma,
     _is_poset_automorphism,
     _distributes_over_finite_nonempty,
+    _law_failures,
+    _parting_subset,
     _translations_preserve_existing_sups,
     distinguished_sets,
 )
@@ -39,7 +41,7 @@ from quantic.poset import EXHAUSTIVE_CAP, SUBSET_BLOCK, lanes_within, mask_row, 
 from quantic.poset import sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
-from conftest import corrupted_kernel, subset_walk, sup_misses_walk
+from conftest import corrupted_kernel, law_failures_by_lists, subset_walk, sup_misses_walk
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
 
@@ -1819,3 +1821,47 @@ def test_kernels_equal_the_loops_on_random_ordered_magmas(m, data):
         enumerate_nuclei(m)
     except InternalCheckError as exc:  # pragma: no cover - the property under test
         pytest.fail(f"InternalCheckError on {m.mul} over {m.poset.up}: {exc}")
+
+
+def union_closed_poset(rng, base, count):
+    """The union closure of count random subsets of a base-element set,
+    ordered by inclusion: a join semilattice whose join is the union.  Ids
+    go by size, then mask, a linear extension."""
+    family = {rng.randrange(1, 1 << base) for _ in range(count)}
+    while True:
+        grown = family | {a | b for a in family for b in family}
+        if grown == family:
+            break
+        family = grown
+    masks = sorted(family, key=lambda mask: (bin(mask).count("1"), mask))
+    return FinitePoset([[a | b == b for b in masks] for a in masks])
+
+
+def assert_law_scans_match(m):
+    """The lane-code law scan lists the list oracle's pairs in its order,
+    and the pair that _parting_subset names is the oracle's first."""
+    pairs = list(_law_failures(m))
+    assert pairs == list(law_failures_by_lists(m)), (m.name, m.mul, m.poset.up)
+    assert _parting_subset(m, True, False) == list(pairs[0] if pairs else ())
+    return pairs
+
+
+def test_the_law_scan_lists_the_pairs_of_the_list_oracle(corpus):
+    carriers = [m for m in corpus.values() if m.poset.flags.join_semilattice]
+    rng = random.Random(26)
+    for _ in range(80):
+        p = union_closed_poset(rng, rng.randint(2, 5), rng.randint(2, 5))
+        carriers.append(OrderedMagma(p, p.join_table, name="union-join"))
+        m = grown_magma(p, rng.choice)
+        if m is not None:
+            carriers.append(m)
+    held = Counter(not assert_law_scans_match(m) for m in carriers)
+    # Both verdicts occur, on the corpus and among the seeded magmas.
+    assert held[True] > 20 and held[False] > 20, held
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(m=ordered_magmas())
+def test_the_law_scan_lists_the_pairs_of_the_list_oracle_on_random_ordered_magmas(m):
+    if m.poset.flags.join_semilattice:
+        assert_law_scans_match(m)

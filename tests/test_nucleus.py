@@ -239,6 +239,25 @@ class TestMorphismNucleus:
         f = MagmaMorphism(m, one, [0, 0, 0])
         assert nucleus_of_morphism(f).table == MonotoneMap.top_map(m).table
 
+    @pytest.mark.parametrize(
+        "table, facts",
+        [
+            # 2Z * 2Z = 0 in Z/6, but 1 * 1 = 1 in I(Z/2).
+            ((0, 1, 1, 1), (True, False, True)),
+            # 2Z and 3Z go to 0, their sup Z to 1.
+            ((0, 0, 0, 1), (True, True, False)),
+        ],
+        ids=["not-a-hom", "misses-a-sup"],
+    )
+    def test_each_failed_hypothesis_is_refused(self, corpus, table, facts):
+        # An order-preserving map with one of the other two hypotheses
+        # failing, from the near prequantale I(Z/6) to I(Z/2).
+        f = MagmaMorphism(corpus["ideals-z6"], corpus["ideals-z2"], list(table))
+        assert f.source.profile.near_prequantale
+        assert (f.is_order_preserving(), f.is_magma_hom(), f.preserves_sups()) == facts
+        with pytest.raises(HypothesisNotMet, match="needs a near-sup-preserving magma hom"):
+            nucleus_of_morphism(f)
+
 
 class TestInduced:
     def test_induced_lower_whole_carrier(self, z4):
@@ -750,38 +769,79 @@ def fresh_copy(m):
     return OrderedMagma(FinitePoset.from_up_masks(m.poset.up, m.poset.labels), m.mul, name=m.name)
 
 
+def table_by_calls(m, op):
+    """The N(M) table of op ("join" or "meet") from one nuclei_join or
+    nuclei_meet call per unordered pair."""
+    maps, operation = enumerate_nuclei(m), getattr(nucleus, f"nuclei_{op}")
+    upper = [[maps.index(operation(m, [s, t])) for t in maps[i:]] for i, s in enumerate(maps)]
+    return tuple(tuple(upper[min(i, j)][abs(j - i)] for j in range(len(maps))) for i in range(len(maps)))
+
+
+def outcome(build, *args):
+    """build(*args), or the text of the HypothesisNotMet it raises."""
+    try:
+        return build(*args)
+    except HypothesisNotMet as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("op", ["join", "meet"])
 @pytest.mark.parametrize("name", ["ideals-z12", "diamond-join", "powerset-z2"])
-def test_each_pair_table_runs_its_operation_once_per_unordered_pair(corpus, monkeypatch, op, name):
+def test_each_pair_table_calls_its_operation_on_no_pair_where_the_routes_agree(corpus, monkeypatch, op, name):
     m = fresh_copy(corpus[name])
     maps = enumerate_nuclei(m)
-    pairs, operation = Counter(), getattr(nucleus, f"nuclei_{op}")
-
-    def counting(m, gamma):
-        pairs[frozenset(s.table for s in gamma)] += 1
-        return operation(m, gamma)
-
-    monkeypatch.setattr(nucleus, f"nuclei_{op}", counting)
+    calls, operation = [], getattr(nucleus, f"nuclei_{op}")
+    monkeypatch.setattr(nucleus, f"nuclei_{op}", lambda m, gamma: calls.append(gamma) or operation(m, gamma))
     table = getattr(nucleus, f"nuclei_{op}_table")(m)
-    k = len(maps)
-    assert k > 2 and len(pairs) == k * (k + 1) // 2 and set(pairs.values()) == {1}
-    # The stored table is read back, with no call.
-    assert getattr(nucleus, f"nuclei_{op}_table")(m) is table and sum(pairs.values()) == k * (k + 1) // 2
+    assert len(maps) > 2 and calls == []
+    monkeypatch.undo()
+    # Every entry is the operation's answer on its pair, and the stored
+    # table is read back.
+    assert table == table_by_calls(m, op)
+    assert getattr(nucleus, f"nuclei_{op}_table")(m) is table
 
 
 @pytest.mark.parametrize("name", ["ideals-z12", "diamond-join", "powerset-z2"])
-def test_the_join_table_builds_one_least_above_table_per_common_fixed_set(corpus, monkeypatch, name):
+def test_the_join_table_reads_the_common_fixed_set_with_no_least_above_table(corpus, monkeypatch, name):
     m = fresh_copy(corpus[name])
     maps = enumerate_nuclei(m)
     p, looked_up = m.poset, []
     least_of = p.least_of
     monkeypatch.setattr(p, "least_of", lambda mask: looked_up.append(mask) or least_of(mask))
-    nuclei_join_table(m)
-    commons = {s.fixed_mask() & t.fixed_mask() for i, s in enumerate(maps) for t in maps[i:]}
-    stored = {key[1] for key in nucleus._memo(p) if key[0] is nucleus._least_above.__wrapped__}
-    # One build, n least_of lookups, per distinct set; fewer sets than pairs.
-    assert stored == commons and len(looked_up) == p.n * len(commons)
-    assert len(commons) < len(maps) * (len(maps) + 1) // 2
+    joins, meets = nuclei_join_table(m), nucleus.nuclei_meet_table(m)
+    assert looked_up == [] and not any(key[0] is nucleus._least_above.__wrapped__ for key in nucleus._memo(p))
+    for i, s in enumerate(maps):
+        for j, t in enumerate(maps):
+            # The join's fixed set is the common fixed set; the meet is pointwise.
+            assert maps[joins[i][j]].fixed_mask() == s.fixed_mask() & t.fixed_mask()
+            assert maps[meets[i][j]].table == bytes(map(p.meet, s.table, t.table))
+
+
+def test_the_pair_tables_equal_one_call_per_pair(corpus, bowtie1_left):
+    carriers = [fresh_copy(m) for m in corpus.values() if m.n <= nucleus.ENUMERATION_CAP]
+    carriers += [ring_ideal_lattice(FiniteRing.zmod(60)).magma, nucleus_lattice(corpus["diamond-join"]).magma]
+    carriers.append(bowtie1_left)
+    refused = Counter()
+    for m in carriers:
+        for op in ("join", "meet"):
+            expected = outcome(table_by_calls, m, op)
+            assert outcome(getattr(nucleus, f"nuclei_{op}_table"), m) == expected, (m.name, op)
+            refused[op] += isinstance(expected, str)
+    assert len(enumerate_nuclei(carriers[-2])) == 37
+    # bowtie1-left has no join formula and a missing pointwise infimum.
+    assert refused == {"join": 1, "meet": 1}
+
+
+def test_the_pair_tables_of_chain9_under_meet_equal_the_operations_on_a_sample():
+    m = OrderedMagma(FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], name="chain9-meet")
+    maps = enumerate_nuclei(m)
+    joins, meets = nuclei_join_table(m), nucleus.nuclei_meet_table(m)
+    rng = random.Random(26)
+    assert len(maps) == 256
+    for _ in range(2000):
+        i, j = rng.randrange(256), rng.randrange(256)
+        s, t = maps[i], maps[j]
+        assert maps[joins[i][j]] == nuclei_join(m, [s, t]) and maps[meets[i][j]] == nuclei_meet(m, [s, t]), (i, j)
 
 
 def test_the_masks_kept_on_a_map_equal_the_recomputed_ones(corpus):

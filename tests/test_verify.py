@@ -20,7 +20,7 @@ from quantic.errors import (
 from quantic.instances import check_system_base, cyclic_group, module_system_lattice, powerset_prequantale
 from quantic.magma import MagmaMorphism, OrderedMagma
 from quantic.nucleus import MonotoneMap
-from quantic.poset import FinitePoset
+from quantic.poset import FinitePoset, bits
 from quantic.rings import FiniteRing, ring_ideal_lattice
 from quantic.structdoc import LAZY_CARRIERS, to_json
 from quantic.verify import check_names, run_all, run_all_lazy
@@ -111,18 +111,20 @@ def test_closureprop1_rows_share_the_seeded_sample(monkeypatch):
     assert verify._random_maps(m) is verify._random_maps(m)
 
 
-def test_run_all_runs_the_join_formula_once_per_pair_of_nuclei(monkeypatch):
+def test_run_all_runs_the_join_formula_on_no_pair_and_builds_each_pair_table_once(monkeypatch):
     m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
     calls = []
     join = nucleus.nuclei_join
     monkeypatch.setattr(
         nucleus, "nuclei_join", lambda m, gamma: calls.append(1) or join(m, gamma)
     )
+    tables = counting_builds(monkeypatch, nucleus._pair_table)
     results = run_all(m)
     k = len(nucleus.enumerate_nuclei(m))
     # CMC, structure2, complemmacor and Nf all read the join, and pass.
     assert {r.name for r in results if r.status == "pass"} >= {"CMC", "structure2", "complemmacor", "Nf"}
-    assert k > 2 and 0 < len(calls) <= k * (k + 1) // 2
+    # Both routes agree on every pair, so the table calls no join.
+    assert k > 2 and calls == [] and sorted(op for _, op in tables) == ["^", "v"]
 
 
 def test_cmc_and_stabletheorem_read_one_meet_table(monkeypatch):
@@ -130,43 +132,75 @@ def test_cmc_and_stabletheorem_read_one_meet_table(monkeypatch):
     calls = []
     meet = nucleus.nuclei_meet
     monkeypatch.setattr(nucleus, "nuclei_meet", lambda m, gamma: calls.append(1) or meet(m, gamma))
+    tables = counting_builds(monkeypatch, nucleus._pair_table)
     statuses = {r.name: r.status for r in run_all(m, names=["CMC", "stabletheorem"])}
     k = len(nucleus.enumerate_nuclei(m))
     assert statuses == {"CMC": "pass", "stabletheorem": "pass"}
-    assert k > 2 and len(calls) == k * (k + 1) // 2
+    assert k > 2 and calls == [] and tables == [(m, "^"), (m, "v")]
+
+
+def drop_a_cover(m, side):
+    """Store in m's memo the order of its nuclei with the last cover i < j
+    missing from the above masks (side "above") or the below masks (side
+    "below") alone.  On I(Z/12) that is nucleus 4 below the top map, and
+    nucleus 4 is not stable, so the stable rows' own order checks still pass."""
+    index, above, below = nucleus.nucleus_order(m)
+    covers = [(i, j) for i, a in enumerate(above) for j in bits(a) if j != i and bin(a & below[j]).count("1") == 2]
+    i, j = covers[-1]
+    above, below = list(above), list(below)
+    if side == "above":
+        above[i] &= ~(1 << j)
+    else:
+        below[j] &= ~(1 << i)
+    nucleus._memo(m)[(nucleus.nucleus_order.__wrapped__,)] = (index, tuple(above), tuple(below))
+
+
+def wrong_fixed_mask(m):
+    """Keep on nucleus 1 the fixed-point mask of nucleus 2."""
+    maps = nucleus.enumerate_nuclei(m)
+    maps[1]._fixed_mask = maps[2].fixed_mask()
+
+
+def assert_readers_fail_alike(m, readers, prefix, op) -> str:
+    """Every reader row FAILs with one detail, the prefix naming the carrier
+    and a pair; returns the detail."""
+    results = run_all(m, names=readers)
+    assert [r.status for r in results] == ["fail"] * len(readers), results
+    assert len({r.detail for r in results}) == 1, results
+    detail = results[0].detail
+    assert detail.startswith(f"InternalCheckError: {prefix} on I(Z/12) (6 elements): (") and f") {op} (" in detail, detail
+    return detail
 
 
 @pytest.mark.parametrize(
-    "wrong_meet",
+    "fault",
     [
-        # An enumerated nucleus that is not below the second argument when
-        # the two are incomparable.
-        lambda m, gamma: gamma[0],
-        # A common lower bound that is not the greatest one.
-        lambda m, gamma: MonotoneMap.identity(m),
+        # The pointwise-meet route reads up-lane codes: their AND is the
+        # pointwise join.
+        lambda m: m.poset.__dict__.__setitem__("down_lanes", m.poset.up_lanes),
+        # The order route misses one cover of the nuclei.
+        lambda m: drop_a_cover(m, "below"),
     ],
-    ids=["first-argument", "identity"],
+    ids=["down-code", "order-mask"],
 )
-def test_cmc_fails_on_a_meet_that_is_not_the_n_m_meet(monkeypatch, wrong_meet):
+def test_cmc_fails_on_a_meet_that_is_not_the_n_m_meet(fault):
     m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
-    monkeypatch.setattr(nucleus, "nuclei_meet", wrong_meet)
-    (row,) = run_all(m, names=["CMC"])
-    # The meet table refuses the entry as it builds it, naming the carrier
-    # and the pair.
-    assert row.status == "fail" and row.detail.startswith("InternalCheckError: meet table disagrees")
-    assert "I(Z/12)" in row.detail and ") ^ (" in row.detail, row.detail
+    fault(m)
+    # The meet table refuses the pair whose routes part, naming the carrier
+    # and the pair, in both rows that read it.
+    assert_readers_fail_alike(m, ["CMC", "stabletheorem"], "meet table disagrees with the N(M) order", "^")
 
 
-def test_a_join_that_is_not_the_n_m_join_fails_its_table_and_every_row_reading_it(monkeypatch):
+@pytest.mark.parametrize("fault", [wrong_fixed_mask, lambda m: drop_a_cover(m, "above")], ids=["fixed-mask", "order-mask"])
+def test_a_join_that_is_not_the_n_m_join_fails_its_table_and_every_row_reading_it(fault):
     m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
-    monkeypatch.setattr(nucleus, "nuclei_join", lambda m, gamma: gamma[0])
+    fault(m)
     with pytest.raises(InternalCheckError, match="join table disagrees") as info:
         nucleus.nuclei_join_table(m)
     assert "I(Z/12)" in str(info.value) and ") v (" in str(info.value), info.value
     readers = ["CMC", "structure2", "complemmacor", "Nf"]
-    results = run_all(m, names=readers)
-    assert [r.status for r in results] == ["fail"] * len(readers)
-    assert all(r.detail.startswith("InternalCheckError: join table disagrees") for r in results)
+    detail = assert_readers_fail_alike(m, readers, "join table disagrees with the N(M) order", "v")
+    assert detail == f"InternalCheckError: {info.value}"
 
 
 def test_cmc_structure2_and_stablecor_share_one_order_of_the_nuclei(monkeypatch):
@@ -237,7 +271,8 @@ def test_route_disagreement_fails_every_call_and_every_nucleus_row(monkeypatch, 
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
         (nucleus, "_chunk_verdicts", corrupted_kernel("form2", False),
          lambda m: nucleus.is_nucleus(m, identity(m)), "(0, 1, 2)"),
-        (nucleus, "nuclei_join", lambda m, gamma: identity(m),
+        (nucleus, "pointwise_order",
+         lambda p, maps, order=nucleus.pointwise_order: [a & ~2 if i == 0 else a for i, a in enumerate(order(p, maps))],
          nucleus.nucleus_lattice, "(0, 1, 2) v (1, 1, 2)"),
     ):
         with monkeypatch.context() as patched:
