@@ -274,8 +274,6 @@ def cmd_stable(args) -> int:
 
 def cmd_v(args) -> int:
     m = _load_finite_magma(args.magma)
-    if not (0 <= args.element < m.n):
-        raise StructureError(f"element {args.element} out of range")
     s = v(m, args.element, strategy=args.strategy)
     lines = [f"v({m.label(args.element)}) assign={list(s.table)}"]
     _emit(args, {"assign": list(s.table), "element": args.element}, lines)

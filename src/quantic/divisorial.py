@@ -2,13 +2,15 @@
 
 Every strategy with satisfied hypotheses is computed and the results are
 compared; strategy disagreement is an internal error, naming the carrier and
-its size, because the agreement is a theorem.
+its size, because the agreement is a theorem.  The Lin and sandwich
+strategies share one witness kernel, _sups_of_supersets; the double-residual
+and unit-sandwich strategies are independent of it and of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import HypothesisNotMet
 from .magma import (
@@ -64,24 +66,22 @@ def lin_monoid(m: OrderedMagma) -> Tuple[bytes, ...]:
 
 def v_lin(q: OrderedMagma, a: int) -> MonotoneMap:
     """General strategy on a near prequantale: y counts toward x's closure when
-    every generated translation sending x under a also sends y under a."""
+    every generated translation sending x under a also sends y under a.  The
+    witnesses are the maps of lin_monoid; column x holds f(x) for each."""
+    q.poset.check_ids([a])
     if not q.profile.near_prequantale:
         raise HypothesisNotMet("the Lin strategy needs a near prequantale")
-    p = q.poset
-    lin = lin_monoid(q)
-    n = q.n
-    constrained: List[int] = []
-    for x in range(n):
-        mask = 0
-        for idx, f in enumerate(lin):
-            if p.leq(f[x], a):
-                mask |= 1 << idx
-        constrained.append(mask)
-    return MonotoneMap(q, _sups_of_supersets(q, constrained, "Lin-strategy"))
+    flat, n = b"".join(lin_monoid(q)), q.n
+    return MonotoneMap(q, _sups_of_supersets(q, [flat[x::n] for x in range(n)], a, "Lin-strategy"))
 
 
-def _sups_of_supersets(q: OrderedMagma, constrained: list, strategy: str) -> list:
-    """x -> sup{y : constrained[y] contains constrained[x]}, for every x."""
+def _sups_of_supersets(q: OrderedMagma, columns: list, a: int, strategy: str) -> list:
+    """x -> sup{y : constrained[y] contains constrained[x]}, for every x, where
+    columns[x] holds w(x) for every witness w and bit i of constrained[x] is
+    set when witness i sends x under a: columns[x] read through the 0/1 row
+    of down[a]."""
+    below_a = translate_table(mask_row(q.poset.down[a], q.n))
+    constrained = [row_mask(col.translate(below_a)) for col in columns]
     table = []
     for cx in constrained:
         v = q.poset.sup_mask(id_mask(y for y, cy in enumerate(constrained) if not cx & ~cy))
@@ -92,22 +92,20 @@ def _sups_of_supersets(q: OrderedMagma, constrained: list, strategy: str) -> lis
 
 
 def v_rs(q: OrderedMagma, a: int) -> MonotoneMap:
-    """Sandwich strategy on a unital near quantale: quantify over r x s <= a."""
+    """Sandwich strategy on a unital near quantale: quantify over r x s <= a.
+    The witnesses are the pairs (r, s), r*n + s: column x is the rows of r x
+    joined over r."""
+    q.poset.check_ids([a])
     prof = q.profile
     if not (prof.unital and prof.associative and prof.near_prequantale):
         raise HypothesisNotMet("the sandwich strategy needs a unital near quantale")
-    return MonotoneMap(q, _sups_of_supersets(q, _sandwich_masks(q, a), "sandwich-strategy"))
-
-
-def _sandwich_masks(q: OrderedMagma, a: int) -> list:
-    """Bit r*n + s of masks[x] is set when r x s <= a: byte r*n + s of the
-    rows of r x, joined over r (column x), read through the 0/1 row of down[a]."""
-    below_a = translate_table(mask_row(q.poset.down[a], q.n))
-    return [row_mask(b"".join(map(q.mul.__getitem__, col)).translate(below_a)) for col in q.cols]
+    columns = [b"".join(map(q.mul.__getitem__, col)) for col in q.cols]
+    return MonotoneMap(q, _sups_of_supersets(q, columns, a, "sandwich-strategy"))
 
 
 def v_residual(q: OrderedMagma, a: int) -> MonotoneMap:
     """Double-residual strategy for a cyclic on a (near) residuated ordered monoid."""
+    q.poset.check_ids([a])
     prof = q.profile
     if not (prof.unital and prof.associative):
         raise HypothesisNotMet("the double-residual strategy needs an ordered monoid")
@@ -136,27 +134,21 @@ def v_residual(q: OrderedMagma, a: int) -> MonotoneMap:
 
 
 def v_units(q: OrderedMagma, a: int) -> MonotoneMap:
-    """Unit-sandwich strategy on an associative unital near U-lattice."""
+    """Unit-sandwich strategy on an associative unital near U-lattice: x ->
+    the infimum of the sandwiches u a v, u and v units, above x."""
+    q.poset.check_ids([a])
     prof = q.profile
     if not (prof.unital and prof.associative and prof.near_sup_magma):
         raise HypothesisNotMet("the unit-sandwich strategy needs a unital near sup-magma")
     units, spanning = _units_and_spanning(q)
     if not spanning:
         raise HypothesisNotMet("U(Q) is not sup-spanning")
-    p = q.poset
-    table = []
-    for x in range(q.n):
-        sandwiches = [
-            q.op(q.op(u, a), v)
-            for u in units
-            for v in units
-            if p.leq(x, q.op(q.op(u, a), v))
-        ]
-        # The empty infimum is the top of the carrier, None when there is none.
-        w = p.inf_mask(id_mask(sandwiches))
-        if w is None:
-            raise _broken(q, "unit-sandwich infimum missing")
-        table.append(w)
+    p, mul = q.poset, q.mul
+    sandwiches = id_mask(mul[mul[u][a]][w] for u in units for w in units)
+    # The empty infimum is the top of the carrier, None when there is none.
+    table = [p.inf_mask(sandwiches & up) for up in p.up]
+    if None in table:
+        raise _broken(q, "unit-sandwich infimum missing")
     return MonotoneMap(q, table)
 
 
@@ -172,7 +164,9 @@ STRATEGIES = {"lin": v_lin, "rs": v_rs, "residual": v_residual, "units": v_units
 
 def v(q: OrderedMagma, a: int, strategy: str = "all") -> MonotoneMap:
     """Coarsest nucleus fixing a.  With strategy "all", every applicable
-    strategy is computed and compared, once per carrier object and element."""
+    strategy is computed and compared, once per carrier object and element;
+    a foreign id is refused before the store is read."""
+    q.poset.check_ids([a])
     if strategy != "all":
         return _checked_v(q, a, STRATEGIES[strategy](q, a))
     return _v_all(q, a)

@@ -3,14 +3,16 @@
 Every class flag is decided by its defining condition and, on small carriers,
 cross-validated against an equivalent characterization; a disagreement raises
 InternalCheckError because the equivalences are theorems, not heuristics.
+The special subsets and morphisms read the shared kernels: whole byte rows
+composed by bytes.translate, and up-lane codes ANDed a line at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, product
-from operator import ne
+from operator import and_, ne
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
@@ -448,36 +450,46 @@ def check_profile_implications(profile: ClassificationProfile, name: str = ""):
 
 
 def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
-    """xy = sup{ay : a in Sigma, a <= x} = sup{xb : b in Sigma, b <= y} for all x, y."""
-    p, mul = m.poset, m.mul
-    smask = id_mask(sigma)
-    below = [list(bits(smask & down)) for down in p.down]
-    for x, row in enumerate(mul):
-        for y, target in enumerate(row):
-            left = right = 0
-            for a in below[x]:
-                left |= 1 << mul[a][y]
-            for b in below[y]:
-                right |= 1 << row[b]
-            if p.sup_mask(left) != target or p.sup_mask(right) != target:
-                return False
-    return True
+    """xy = sup{ay : a in Sigma, a <= x} = sup{xb : b in Sigma, b <= y} for all x, y.
+    Over the up-lane codes of the rows and columns (the layout of _law_failures),
+    line x is the joins of the lines in Sigma below x exactly when the AND of
+    their codes, from the universe, is the code of line x."""
+    p, n = m.poset, m.n
+    smask, start = id_mask(sigma), p.universe_code(n)
+    codes = list(map(read_code, lane_segments(p.up_lanes, m.mul + m.cols)))
+    return all(
+        reduce(and_, (c[a] for a in bits(smask & down)), start) == c[x]
+        for c in (codes[:n], codes[n:])
+        for x, down in enumerate(p.down)
+    )
 
 
 def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
-    """U(M), Inv(M), Idem(M) and R(M)."""
-    p, n = m.poset, m.n
-    units = [
-        u for u in range(n) if _is_poset_automorphism(p, m.mul[u]) and _is_poset_automorphism(p, m.cols[u])
+    """U(M), Inv(M), Idem(M) and R(M).  U(M): the ids whose row and column are
+    permutations that, with their inverses, preserve the order, four tables a
+    candidate in one order_preserving_each.  Inv(M): u has a v whose row and
+    column compose with u's both ways to the identity, one translate a side."""
+    p, n, mul, cols = m.poset, m.n, m.mul, m.cols
+    identity = bytes(range(n))
+    perms = [u for u in range(n) if len(set(mul[u])) == len(set(cols[u])) == n]
+    autos = [
+        t
+        for u in perms
+        for line in (mul[u], cols[u])
+        for t in (line, identity.translate(bytes.maketrans(line, identity)))
     ]
-    invertible = []
-    for u in range(n):
-        for v in range(n):
-            if all(m.op(v, m.op(u, x)) == x and m.op(u, m.op(v, x)) == x for x in range(n)) and all(
-                m.op(m.op(x, u), v) == x and m.op(m.op(x, v), u) == x for x in range(n)
-            ):
-                invertible.append(u)
-                break
+    kept = order_preserving_each(p, autos)
+    units = [u for i, u in enumerate(perms) if all(kept[4 * i : 4 * i + 4])]
+    rows, col_tables = m.row_tables, list(map(translate_table, cols))
+    invertible = [
+        u
+        for u in range(n)
+        if any(
+            mul[u].translate(rows[v]) == mul[v].translate(rows[u]) == identity
+            and cols[u].translate(col_tables[v]) == cols[v].translate(col_tables[u]) == identity
+            for v in range(n)
+        )
+    ]
     if not set(invertible) <= set(units):
         raise broken(m, "Inv(M) not contained in U(M)")
     idem = [x for x in range(n) if m.op(x, x) == x]
@@ -490,15 +502,6 @@ def r_set_mask(m: OrderedMagma) -> int:
     if m.unit is None:
         raise NoUnit("R(M) needs a unit")
     return id_mask(x for x in range(m.n) if m.op(x, x) == x and m.leq(m.unit, x))
-
-
-def _is_poset_automorphism(p: FinitePoset, table) -> bool:
-    if len(set(table)) != p.n:
-        return False
-    inv = [0] * p.n
-    for i, t in enumerate(table):
-        inv[t] = i
-    return order_preserving(p, bytes(table)) and order_preserving(p, bytes(inv))
 
 
 def is_cyclic_element(m: OrderedMagma, a: int):
@@ -547,11 +550,11 @@ class MagmaMorphism:
         return order_preserving(self.source.poset, self.table, self.target.poset)
 
     def is_magma_hom(self) -> bool:
-        return all(
-            self.table[self.source.op(x, y)] == self.target.op(self.table[x], self.table[y])
-            for x in range(self.source.n)
-            for y in range(self.source.n)
-        )
+        """f(xy) = f(x)f(y): row x of the source read through f against f
+        read through row f(x) of the target, one compare a row."""
+        f, rows = self.table, self.target.row_tables
+        pad = translate_table(f)
+        return all(row.translate(pad) == f.translate(rows[fx]) for row, fx in zip(self.source.mul, f))
 
     def preserves_sups(self) -> bool:
         """Exhaustive check that f(sup X) = sup f(X) for every nonempty X whose

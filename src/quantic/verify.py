@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from operator import getitem
+from functools import reduce
+from operator import and_, getitem
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .divisorial import (
@@ -67,7 +68,7 @@ from .nucleus import (
     transportable_mask,
     unit_part,
 )
-from .poset import bits, id_mask, order_preserving_each
+from .poset import bits, id_mask, lane_code, lane_segments, order_preserving_each, read_code
 
 SAMPLE_MAPS = 400
 # preclosurelemma draws this many seeded expansive maps.
@@ -380,12 +381,10 @@ def _check_structure2(m: OrderedMagma):
 
 @register("1compact")
 def _check_1compact(m: OrderedMagma):
-    ds = distinguished_sets(m)
-    kmask = m.poset.universe  # every element of a finite carrier is compact
-    for u in ds.units:
-        for k in range(m.n):
-            if not ((kmask >> m.op(u, k)) & 1) or not ((kmask >> m.op(k, u)) & 1):
-                return _fail("U(M)K(M) escaped K(M)")
+    ds, compact = distinguished_sets(m), m.poset.compact_elements()
+    kmask = id_mask(compact)
+    if id_mask(line[k] for u in ds.units for line in (m.mul[u], m.cols[u]) for k in compact) & ~kmask:
+        return _fail("U(M)K(M) escaped K(M)")
     if m.unit is not None:
         one_compact = bool((kmask >> m.unit) & 1)
         u_in_k = all((kmask >> u) & 1 for u in ds.units)
@@ -417,19 +416,20 @@ def _check_klattice(m: OrderedMagma):
 
 @register("Nf")
 def _check_nf(m: OrderedMagma):
-    """Joins of (finitary) nuclei match the supremum over the composition monoid."""
+    """Joins of (finitary) nuclei match the supremum over the composition
+    monoid: the AND of the up-lane codes of the monoid's maps, the upper
+    bounds of each element's images, is the code of the join."""
     if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
-    maps = enumerate_nuclei(m)
-    sup_mask = m.poset.sup_mask
+    p, maps = m.poset, enumerate_nuclei(m)
+    lanes, start = p.up_lanes, p.universe_code(m.n)
     joins = nuclei_join_table(m)
     for i, s in enumerate(maps):
         for j in range(i, len(maps)):
-            joined = maps[joins[i][j]].table
-            monoid = generated_monoid(m, (s.table, maps[j].table))
-            for x, images in enumerate(zip(*monoid)):
-                if sup_mask(id_mask(images)) != joined[x]:
-                    return _fail("composition-monoid supremum misses the join")
+            monoid = list(generated_monoid(m, (s.table, maps[j].table)))
+            bounds = reduce(and_, map(read_code, lane_segments(lanes, monoid)), start)
+            if bounds != lane_code(lanes, maps[joins[i][j]].table):
+                return _fail("composition-monoid supremum misses the join")
     return _ok()
 
 

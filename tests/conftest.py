@@ -2,11 +2,12 @@ from operator import getitem
 
 import pytest
 
-from quantic import nucleus
+from quantic import divisorial, nucleus
 from quantic.corpus import ring_corpus, standard_corpus
+from quantic.divisorial import lin_monoid
 from quantic.instances import plain_magma
-from quantic.magma import OrderedMagma
-from quantic.poset import FinitePoset
+from quantic.magma import OrderedMagma, generated_monoid
+from quantic.poset import FinitePoset, row_mask
 
 
 def two_element_monoid() -> OrderedMagma:
@@ -99,3 +100,128 @@ def law_failures_by_lists(m):
             for y in range(x, m.n):
                 if lines[join[x][y]] != list(map(getitem, joins_with, lines[y])):
                     yield x, y
+
+
+def invertible_loop(m):
+    """The product-at-a-time oracle of Inv(M) in magma.distinguished_sets:
+    u has a v with v(ux) = u(vx) = (xu)v = (xv)u = x for every x."""
+    op, els = m.op, range(m.n)
+    return tuple(
+        u
+        for u in els
+        if any(
+            all(op(v, op(u, x)) == x == op(u, op(v, x)) and op(op(x, u), v) == x == op(op(x, v), u) for x in els)
+            for v in els
+        )
+    )
+
+
+def sup_spanning_loop(m, sigma):
+    """The per-pair oracle of magma.is_sup_spanning: xy against the sups of
+    {ay : a in Sigma, a <= x} and {xb : b in Sigma, b <= y}, two sup_mask
+    calls a pair."""
+    p, mul = m.poset, m.mul
+    smask = sum(1 << a for a in set(sigma))
+    below = [[a for a in range(m.n) if smask >> a & 1 and p.leq(a, x)] for x in range(m.n)]
+    for x, row in enumerate(mul):
+        for y, target in enumerate(row):
+            left = right = 0
+            for a in below[x]:
+                left |= 1 << mul[a][y]
+            for b in below[y]:
+                right |= 1 << row[b]
+            if p.sup_mask(left) != target or p.sup_mask(right) != target:
+                return False
+    return True
+
+
+def magma_hom_loop(f):
+    """The per-pair oracle of MagmaMorphism.is_magma_hom: f(xy) = f(x)f(y),
+    one op call on each side a pair."""
+    n = f.source.n
+    return all(f(f.source.op(x, y)) == f.target.op(f(x), f(y)) for x in range(n) for y in range(n))
+
+
+def lin_masks_loop(q, a):
+    """The Lin strategy's constrained masks one map and element at a time:
+    bit i of masks[x] is set when the i-th map f of lin_monoid has f(x) <= a."""
+    p = q.poset
+    lin = lin_monoid(q)
+    return [sum(1 << i for i, f in enumerate(lin) if p.leq(f[x], a)) for x in range(q.n)]
+
+
+def sandwich_masks_loop(q, a):
+    """The sandwich strategy's masks one triple at a time: bit r*n + s of
+    masks[x] is set when r x s <= a."""
+    n = q.n
+    return [
+        sum(1 << (r * n + s) for r in range(n) for s in range(n) if q.leq(q.op(q.op(r, x), s), a))
+        for x in range(n)
+    ]
+
+
+def witness_masks(strategy, q, a):
+    """The constrained masks the witness kernel of the Lin or sandwich
+    strategy reads, recorded from its row_mask calls, one a column."""
+    masks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisorial, "row_mask", lambda row: masks.append(row_mask(row)) or masks[-1])
+        strategy(q, a)
+    return masks
+
+
+def v_units_loop(q, a):
+    """The unit-sandwich table one element at a time: x -> the infimum of the
+    sandwiches u a v above x, each product recomputed for each x; units from
+    the automorphism loop, spanning from sup_spanning_loop.  None where the
+    hypotheses of v_units fail."""
+    prof = q.profile
+    if not (prof.unital and prof.associative and prof.near_sup_magma):
+        return None
+    units = units_loop(q)
+    if not sup_spanning_loop(q, units):
+        return None
+    p, op, table = q.poset, q.op, []
+    for x in range(q.n):
+        sandwiches = [op(op(u, a), v) for u in units for v in units if p.leq(x, op(op(u, a), v))]
+        table.append(p.inf_mask(sum(1 << s for s in set(sandwiches))))
+    return table
+
+
+def units_loop(m):
+    """U(M) one product at a time: both translations of u are poset automorphisms."""
+    p, op, els = m.poset, m.op, range(m.n)
+    return tuple(
+        u
+        for u in els
+        if automorphism_loop(p, [op(u, x) for x in els]) and automorphism_loop(p, [op(x, u) for x in els])
+    )
+
+
+def order_preserving_loop(p, t, target):
+    return all(target.leq(t[x], t[y]) for x in range(p.n) for y in range(p.n) if p.leq(x, y))
+
+
+def automorphism_loop(p, t):
+    if len(set(t)) != p.n:
+        return False
+    inv = [t.index(x) for x in range(p.n)]
+    return order_preserving_loop(p, t, p) and order_preserving_loop(p, inv, p)
+
+
+def nf_loop(m):
+    """The per-element oracle of the Nf row: for each pair of nuclei, the sup
+    of every element's images under their composition monoid, one sup_mask
+    call an element, against the join; the row's (status, detail)."""
+    if not m.profile.near_prequantale:
+        return "skip", "needs a small near prequantale"
+    maps = nucleus.enumerate_nuclei(m)
+    joins = nucleus.nuclei_join_table(m)
+    for i, s in enumerate(maps):
+        for j in range(i, len(maps)):
+            joined = maps[joins[i][j]].table
+            monoid = generated_monoid(m, (s.table, maps[j].table))
+            for x, images in enumerate(zip(*monoid)):
+                if m.poset.sup_mask(sum(1 << y for y in set(images))) != joined[x]:
+                    return "fail", "composition-monoid supremum misses the join"
+    return "pass", ""

@@ -1,7 +1,8 @@
+import re
+
 import pytest
 
 from quantic.divisorial import (
-    _sandwich_masks,
     divisorial_decomposition,
     gv_elements,
     is_cyclic,
@@ -19,23 +20,14 @@ from quantic.divisorial import (
     v_units,
     w_of,
 )
-from quantic.errors import HypothesisNotMet
+from quantic.errors import HypothesisNotMet, StructureError
 from quantic.instances import plain_magma, powerset_prequantale, zchain_with_both_ends, zchain_with_top
 from quantic.magma import OrderedMagma, residual
 from quantic.nucleus import MonotoneMap, enumerate_nuclei, nuclei_meet
 from quantic.poset import FinitePoset
 
+from conftest import lin_masks_loop, sandwich_masks_loop, witness_masks
 from test_exhaustive_small import compatible_magmas, three_element_posets
-
-
-def sandwich_masks_loop(q, a):
-    """The sandwich strategy's masks one triple at a time: bit r*n + s of
-    masks[x] is set when r x s <= a."""
-    n = q.n
-    return [
-        sum(1 << (r * n + s) for r in range(n) for s in range(n) if q.leq(q.op(q.op(r, x), s), a))
-        for x in range(n)
-    ]
 
 
 class TestDivisorialClosure:
@@ -87,10 +79,31 @@ class TestDivisorialClosure:
             except HypothesisNotMet:
                 continue
             for a in range(m.n):
-                assert _sandwich_masks(m, a) == sandwich_masks_loop(m, a), (m.name, a)
+                assert witness_masks(v_rs, m, a) == sandwich_masks_loop(m, a), (m.name, a)
+                assert witness_masks(v_lin, m, a) == lin_masks_loop(m, a), (m.name, a)
             assert tables == [v_lin(m, a).table for a in range(m.n)], m.name
             checked.append(m.name)
         assert len(checked) > 5 and {"bool5-meet", left.name} <= set(checked)
+
+    @pytest.mark.parametrize(
+        "a, text",
+        [
+            (-1, "element id -1 foreign to carrier of size 6"),
+            (6, "element id 6 foreign to carrier of size 6"),
+            (True, "element id True is not an integer"),
+        ],
+    )
+    def test_every_strategy_refuses_a_foreign_element_id(self, corpus, a, text):
+        # v(1) is stored first, so an id equal to 1 as a key cannot read it;
+        # each strategy refuses the id before any hypothesis test, so the
+        # units strategy, whose hypotheses fail on I(Z/12), refuses it too.
+        m = corpus["ideals-z12"]
+        assert m.n == 6 and v(m, 1).table
+        strategies = [v_lin, v_rs, v_residual, v_units, v]
+        strategies += [lambda q, x, name=name: v(q, x, strategy=name) for name in ("lin", "rs", "residual", "units")]
+        for fn in strategies:
+            with pytest.raises(StructureError, match=f"^{re.escape(text)}$"):
+                fn(m, a)
 
     def test_lin_monoid_of_monoid_is_sandwiches(self, z4):
         m = z4.magma

@@ -21,27 +21,30 @@ from hypothesis import strategies as st
 from quantic import cli, idl, nucleus, verify
 from quantic.cli import _parse_poly_spec
 from quantic.corpus import standard_corpus
-from quantic.divisorial import lin_monoid
-from quantic.errors import HypothesisNotMet, InternalCheckError, StructureError
+from quantic.divisorial import lin_monoid, v_lin, v_rs, v_units
+from quantic.errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
 from quantic.idl import down_closure_mask
-from quantic.instances import cyclic_group, module_system_lattice
+from quantic.instances import cyclic_group, module_system_lattice, plain_magma, powerset_prequantale
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
-    _is_poset_automorphism,
     _distributes_over_finite_nonempty,
     _law_failures,
     _parting_subset,
     _translations_preserve_existing_sups,
     distinguished_sets,
+    is_sup_spanning,
 )
 from quantic.nucleus import MonotoneMap, enumerate_closures, enumerate_nuclei, is_closure, pointwise_order
 from quantic.poset import FinitePoset, all_below, bits, byte_lanes, carrier_label, id_mask, lane_code, order_preserving
+from quantic.poset import order_preserving_each, translate_table
 from quantic.poset import EXHAUSTIVE_CAP, SUBSET_BLOCK, lanes_within, mask_row, row_mask, subset_masks, subset_table
 from quantic.poset import sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
 
-from conftest import corrupted_kernel, law_failures_by_lists, subset_walk, sup_misses_walk
+from conftest import automorphism_loop, corrupted_kernel, invertible_loop, law_failures_by_lists, lin_masks_loop
+from conftest import magma_hom_loop, nf_loop, order_preserving_loop, sandwich_masks_loop, subset_walk
+from conftest import sup_misses_walk, sup_spanning_loop, units_loop, v_units_loop, witness_masks
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
 
@@ -247,7 +250,8 @@ def lin_monoid_loop(m):
 
 def product_facts_loop(m):
     """Unit, annihilator, one-sided unit, associativity, commutativity, the
-    units U(M) and the translations L_a, R_a, one product at a time."""
+    units U(M), the invertibles Inv(M) and the translations L_a, R_a, one
+    product at a time."""
     p, op, els = m.poset, m.op, range(m.n)
     unit = next((u for u in els if all(op(u, x) == x == op(x, u) for x in els)), None)
     b = p.bottom
@@ -262,7 +266,7 @@ def product_facts_loop(m):
         u for u in els
         if automorphism_loop(p, translations[2 * u]) and automorphism_loop(p, translations[2 * u + 1])
     )
-    return unit, annihilator, one_sided, associative, commutative, units, translations
+    return unit, annihilator, one_sided, associative, commutative, units, invertible_loop(m), translations
 
 
 # -- comparison helpers ----------------------------------------------------------------
@@ -317,17 +321,6 @@ def compat_kernel(p, mul):
     return None
 
 
-def order_preserving_loop(p, t, target):
-    return all(target.leq(t[x], t[y]) for x in range(p.n) for y in range(p.n) if p.leq(x, y))
-
-
-def automorphism_loop(p, t):
-    if len(set(t)) != p.n:
-        return False
-    inv = [t.index(x) for x in range(p.n)]
-    return order_preserving_loop(p, t, p) and order_preserving_loop(p, inv, p)
-
-
 @lru_cache(maxsize=None)
 def dual(p):
     return FinitePoset.from_up_masks(p.down, p.labels)
@@ -340,7 +333,7 @@ def assert_map_kernels_match(m, tables):
     deciding them in chunks on a fresh copy of m.  The tables may mix
     closures, expansive non-closures and non-expansive maps, so each
     condition is read where its premise holds and where it does not."""
-    p, rows = m.poset, [bytes(t) for t in tables]
+    p, rows, identity = m.poset, [bytes(t) for t in tables], bytes(range(m.n))
     closures = nucleus._chunk_verdicts(p, rows)
     verdicts = nucleus._chunk_verdicts(m, rows)
     unital = m.unit is not None or nucleus._one_sided_unital(m)
@@ -356,7 +349,13 @@ def assert_map_kernels_match(m, tables):
         assert s.is_preclosure == preclosure_loop(p, t), t
         assert s.is_order_preserving == order_preserving_loop(p, t, p), t
         assert order_preserving(p, row, dual(p)) == order_preserving_loop(p, t, dual(p)), t
-        assert _is_poset_automorphism(p, t) == automorphism_loop(p, t), t
+        # U(M)'s test of one line: a permutation that, with its inverse,
+        # preserves the order.
+        if len(set(row)) == p.n:
+            inverse = identity.translate(bytes.maketrans(row, identity))
+            assert row.translate(translate_table(inverse)) == identity, t
+        automorphism = len(set(row)) == p.n and all(order_preserving_each(p, [row, inverse]))
+        assert automorphism == automorphism_loop(p, t), t
         assert nucleus.transportable_mask(m, s) == transportable_loop(m, t), t
 
 
@@ -377,6 +376,7 @@ def assert_row_laws_match(m, seen=None):
         m.profile.associative,
         m.profile.commutative,
         distinguished_sets(m).units,
+        distinguished_sets(m).invertible,
         list(map(tuple, m.translations())),
     )
     assert kernels == facts, (m.name, m.mul)
@@ -527,12 +527,13 @@ def test_subset_scans_match_the_loops_on_the_three_element_sweep():
 def answered_facts(facts):
     """The answers each product fact took over facts: whether there is a
     unit, an annihilator, a one-sided unit, associativity, commutativity and
-    whether U(M) is nonempty."""
+    whether U(M) and Inv(M) are nonempty."""
     return [
         {f[0] is not None for f in facts},
         {f[1] is not None for f in facts},
         *({f[i] for f in facts} for i in (2, 3, 4)),
         {bool(f[5]) for f in facts},
+        {bool(f[6]) for f in facts},
     ]
 
 
@@ -541,7 +542,7 @@ def test_row_laws_match_the_loops(corpus):
     facts = [assert_row_laws_match(m, seen) for m in scan_carriers(corpus).values()]
     assert seen == {True, False}
     # Every product fact takes both answers here, so no comparison is vacuous.
-    assert answered_facts(facts) == [{True, False}] * 6
+    assert answered_facts(facts) == [{True, False}] * 7
 
 
 @pytest.mark.parametrize("pname", sorted(three_element_posets()))
@@ -558,7 +559,107 @@ def test_row_laws_match_the_loops_on_the_three_element_sweep(pname):
     if pname == "antichain":
         # The antichain has no bottom, hence no annihilator; every other
         # product fact takes both answers.
-        assert answered_facts(facts) == [{True, False}, {False}] + [{True, False}] * 4
+        assert answered_facts(facts) == [{True, False}, {False}] + [{True, False}] * 5
+
+
+def run_outcome(fn, *args):
+    """fn(*args), or the class and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_element_scans_match(m, sigmas, tables, seen=None):
+    """U(M), Inv(M), sup-spanning, magma homs, the witness masks of the Lin
+    and sandwich strategies of v, the unit-sandwich table and the Nf row
+    against their loops; adds to seen each sup-spanning and hom answer, the
+    name of each strategy that answered and the Nf row's status."""
+    ds = distinguished_sets(m)
+    assert (ds.units, ds.invertible) == (units_loop(m), invertible_loop(m)), m.name
+    answers = [(is_sup_spanning(m, sigma), sup_spanning_loop(m, sigma)) for sigma in sigmas]
+    for t in tables:
+        f = MagmaMorphism(m, m, t)
+        answers.append((f.is_magma_hom(), magma_hom_loop(f)))
+    seen = set() if seen is None else seen
+    for kernel, loop in answers:
+        assert kernel == loop, m.name
+        seen.add(kernel)
+    for a in range(m.n):
+        for strategy, loop in ((v_lin, lin_masks_loop), (v_rs, sandwich_masks_loop)):
+            masks = run_outcome(witness_masks, strategy, m, a)
+            if masks[0] is not HypothesisNotMet:
+                assert masks == loop(m, a), (m.name, a, strategy.__name__)
+                seen.add(strategy.__name__)
+        units_table = run_outcome(v_units, m, a)
+        loop_table = v_units_loop(m, a)
+        if loop_table is None:
+            assert units_table[0] is HypothesisNotMet, (m.name, a)
+        else:
+            assert list(units_table.table) == loop_table, (m.name, a)
+            seen.add("v_units")
+    nf = run_outcome(verify._check_nf, m)
+    assert nf == run_outcome(nf_loop, m), m.name
+    seen.add(nf[0])
+
+
+def element_scan_inputs(m, rng):
+    """Subsets Sigma for is_sup_spanning and self-maps for is_magma_hom: U(M),
+    every element, none and four seeded subsets; the identity, each constant
+    map (a hom exactly at an idempotent) and four seeded tables."""
+    n = m.n
+    sigmas = [distinguished_sets(m).units, range(n), ()]
+    sigmas += [list(bits(rng.getrandbits(n))) for _ in range(4)]
+    tables = [tuple(range(n))] + [(c,) * n for c in range(n)]
+    tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(4)]
+    return sigmas, tables
+
+
+def element_scan_carriers(corpus):
+    """The corpus, I(Z/60), I(Z/210), Z3's lattice, 2^5 under meet and the
+    power set of {1, a, b} with a x = a and b x = b, whose product is not
+    commutative."""
+    left = powerset_prequantale(plain_magma(["1", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]])).magma
+    return [
+        *corpus.values(),
+        ring_ideal_lattice(FiniteRing.zmod(60)).magma,
+        ring_ideal_lattice(FiniteRing.zmod(210)).magma,
+        module_system_lattice(cyclic_group(3)).magma,
+        meet_lattice(FinitePoset.powerset(5), "bool5-meet"),
+        left,
+    ]
+
+
+def test_element_scans_match_the_loops(corpus):
+    rng, seen = random.Random(27), set()
+    for m in element_scan_carriers(corpus):
+        assert_element_scans_match(m, *element_scan_inputs(m, rng), seen)
+    assert seen >= {True, False, "v_lin", "v_rs", "v_units", "pass", CarrierTooLarge}, seen
+
+
+@pytest.mark.parametrize("pname", sorted(three_element_posets()))
+def test_element_scans_match_the_loops_on_the_three_element_sweep(pname):
+    # Every 10th magma of the antichain's 19683, every magma of the others;
+    # every subset and every self-map of each.
+    magmas = compatible_magmas(three_element_posets()[pname])
+    if pname == "antichain":
+        magmas = magmas[::10]
+    subsets = [list(bits(mask)) for mask in range(8)]
+    seen = set()
+    for m in magmas:
+        assert_element_scans_match(m, subsets, list(product(range(3), repeat=3)), seen)
+    assert {True, False} <= seen, seen
+
+
+def test_nf_fails_with_its_loop_where_the_join_table_is_wrong(monkeypatch):
+    # Each pair's join read as its first nucleus, wrong wherever the second
+    # is not below the first: the lane-code route and the per-element sups
+    # both FAIL the row.
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    wrong = tuple((i,) * len(row) for i, row in enumerate(nucleus.nuclei_join_table(m)))
+    for module in (verify, nucleus):
+        monkeypatch.setattr(module, "nuclei_join_table", lambda q: wrong)
+    assert verify._check_nf(m) == nf_loop(m) == ("fail", "composition-monoid supremum misses the join")
 
 
 def test_join_and_meet_tables_match_least_of(corpus):
@@ -1816,6 +1917,7 @@ def test_kernels_equal_the_loops_on_random_ordered_magmas(m, data):
     assert_scans_match(m, tables)
     assert_row_laws_match(m)
     assert_residual_kernels_match(m, image_candidates(m), set())
+    assert_element_scans_match(m, [list(bits(mask)) for mask in range(1 << n)], tables)
     try:
         m.profile
         enumerate_nuclei(m)

@@ -176,6 +176,18 @@ class TestCli:
         code, out, _ = run_cli(["tower", str(magma)])
         assert code == 0 and "tower sizes: [3, 4]" in out
 
+    @pytest.mark.parametrize("element", ["6", "-1"])
+    def test_v_refuses_a_foreign_element_with_one_stderr_line(self, tmp_path, corpus, capsys, element):
+        # The library refuses the id, for every strategy: exit 2, one stderr
+        # line, nothing on stdout.
+        from quantic import cli
+
+        path = tmp_path / "z12.json"
+        path.write_text(to_json(corpus["ideals-z12"]))
+        for strategy in ("all", "lin", "rs", "residual", "units"):
+            assert cli.main(["v", str(path), element, "--strategy", strategy]) == 2
+            assert capsys.readouterr() == ("", f"malformed input: element id {element} foreign to carrier of size 6\n")
+
     def test_star_f_lazy_carriers(self):
         code, out, _ = run_cli(["star-f", "--carrier", "chain-omega", "e"])
         assert code == 0 and "finitary: True" in out

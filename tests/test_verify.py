@@ -444,3 +444,16 @@ def test_structure2_passes_above_ten_elements(build):
     assert m.n > 10
     (row,) = run_all(m, names=["structure2"])
     assert (row.status, row.detail) == ("pass", "")
+
+
+@pytest.mark.parametrize("dropped", range(1, 7))
+def test_1compact_reads_the_compact_elements_of_the_poset(monkeypatch, dropped):
+    # In 2^Z3 the units are the singletons, and each moves every element
+    # other than the bottom and the top; so where compact_elements leaves out
+    # any other element, some unit times a compact element lands on it.
+    m = powerset_prequantale(cyclic_group(3)).magma
+    assert [r.status for r in run_all(m, names=["1compact"])] == ["pass"]
+    full = FinitePoset.compact_elements
+    monkeypatch.setattr(FinitePoset, "compact_elements", lambda p: [x for x in full(p) if x != dropped])
+    (row,) = run_all(m, names=["1compact"])
+    assert (row.status, row.detail) == ("fail", "U(M)K(M) escaped K(M)")
