@@ -196,14 +196,16 @@ def _diagram_position(profile: dict) -> str:
 def cmd_nuclei(args) -> int:
     m = _load_finite_magma(args.file)
     maps = enumerate_nuclei(m)
-    lines = [f"{len(maps)} nuclei on {m.name or 'magma'}:"]
-    payload = []
-    for i, s in enumerate(maps):
-        strict = is_strict_nucleus(m, s)
-        fixed = ",".join(m.label(x) for x in s.image())
-        lines.append(f"  n{i}: assign={list(s.table)} strict={str(strict).lower()} image={{{fixed}}}")
-        payload.append({"assign": list(s.table), "strict": strict, "image": s.image()})
-    _emit(args, {"count": len(maps), "nuclei": payload}, lines)
+    strict = [is_strict_nucleus(m, s) for s in maps]
+    if args.json:
+        nuclei = [{"assign": list(s.table), "strict": st, "image": s.image()} for s, st in zip(maps, strict)]
+        _emit(args, {"count": len(maps), "nuclei": nuclei}, [])
+        return 0
+    labels, lines = m.poset.labels, [f"{len(maps)} nuclei on {m.name or 'magma'}:"]
+    for i, (s, st) in enumerate(zip(maps, strict)):
+        fixed = ",".join(labels[x] for x in s.image())
+        lines.append(f"  n{i}: assign={list(s.table)} strict={str(st).lower()} image={{{fixed}}}")
+    _emit(args, {}, lines)
     return 0
 
 

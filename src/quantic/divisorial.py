@@ -31,7 +31,7 @@ from .nucleus import (
     per_carrier,
 )
 from .finitary import star_f
-from .poset import bits, id_mask, mask_row, row_mask, translate_table
+from .poset import bits, id_mask, row_mask
 
 # More translation-monoid maps than this is an internal error.
 LIN_CAP = 100_000
@@ -80,7 +80,7 @@ def _sups_of_supersets(q: OrderedMagma, columns: list, a: int, strategy: str) ->
     columns[x] holds w(x) for every witness w and bit i of constrained[x] is
     set when witness i sends x under a: columns[x] read through the 0/1 row
     of down[a]."""
-    below_a = translate_table(mask_row(q.poset.down[a], q.n))
+    below_a = q.poset.down_rows[a]
     constrained = [row_mask(col.translate(below_a)) for col in columns]
     table = []
     for cx in constrained:

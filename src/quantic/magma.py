@@ -242,7 +242,7 @@ class OrderedMagma:
         """
         p, n, mul, cols = self.poset, self.n, self.mul, self.cols
         greatest = {mask_row(d, n): x for d, x in p.principal_down.items()}
-        below = [translate_table(mask_row(d, n)) for d in p.down]
+        below = p.down_rows
         empty = bytes(n)
         residuated = near = True
         out = []

@@ -23,6 +23,17 @@ verdicts that the chunks of _decide_nuclei write, ("nucleus", table) on a
 magma and ("closure", table) on its poset.  Stored results are tuples,
 read-only mappings, bytes, or objects no caller changes.
 
+The nucleus search can stop at a count.  nuclei_at_most(m, cap) feeds
+_decide_nuclei the closures as the backtracking search reaches them, in
+batches sized to the nuclei still needed, and gives up once it has found
+cap + 1, so a refusal costs O(cap) decisions; the verdicts stay in the
+memo, and a search that finds every nucleus stores the tuple where
+enumerate_nuclei keeps it.  N(M) asks for at most ENUM_CAP nuclei and is
+refused with "has more than ENUM_CAP nuclei", a lower bound; the verify
+rows quadratic in the count ask for at most their own cap.  The Nf and
+complemmacor rows read one slot-encoded pass over the alternating words of
+every pair of nuclei (_alternations; see the comment at its section).
+
 A map table is bytes, one byte per id: carriers have at most
 ENUM_CAP = 64 <= 256 elements.  _pad(T), the table T padded to 256 bytes, is
 a bytes.translate table, so row.translate(_pad(T)) applies T to every entry
@@ -69,9 +80,9 @@ and, on unital carriers, both unital forms, compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from itertools import chain, compress, islice, product, repeat
-from operator import and_, eq, invert, itemgetter
+from operator import and_, attrgetter, eq, invert, itemgetter
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -83,9 +94,9 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
-from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
-from .poset import lane_segments, order_preserving, order_preserving_each, read_code, transpose
-from .poset import zero_segments
+from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, byte_lanes, id_mask, lane_code
+from .poset import lane_segments, order_preserving, order_preserving_each, read_code
+from .poset import row_mask, zero_segments
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
 
 # Closure enumeration refuses carriers over this many elements.  A closure
@@ -125,6 +136,14 @@ class MonotoneMap:
         self.carrier = carrier
         self.table = bytes(table)
         self._image_mask = self._fixed_mask = None
+
+    @classmethod
+    def _of(cls, carrier, table: bytes) -> "MonotoneMap":
+        """A map whose table, bytes of ids of carrier, was built from
+        carrier's own ids, so no id needs checking: a closure search leaf."""
+        s = object.__new__(cls)
+        s.carrier, s.table, s._image_mask, s._fixed_mask = carrier, table, None, None
+        return s
 
     @classmethod
     def identity(cls, carrier) -> "MonotoneMap":
@@ -492,7 +511,15 @@ def nuclei_join(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
 
 @per_carrier
 def enumerate_closures(carrier) -> Tuple[MonotoneMap, ...]:
-    """All closure operations, by a backtracking search over their images.
+    """All closure operations, sorted by table: the leaves of _closure_tables.
+    The search runs once per carrier, up to ENUMERATION_CAP elements; every
+    call returns the stored tuple."""
+    return tuple(MonotoneMap._of(carrier, t) for t in sorted(_closure_tables(carrier)))
+
+
+def _closure_tables(carrier):
+    """Every closure table, by a backtracking search over the images, one
+    table a leaf as the search reaches it.
 
     A subset C is the image of a (unique) closure operation exactly when every
     fiber {a in C : a >= x} has a least element, and then x* is that element.
@@ -502,26 +529,32 @@ def enumerate_closures(carrier) -> Tuple[MonotoneMap, ...]:
     Every partial choice extends, by keeping every undecided element: up[x]
     holds only x and elements decided before it, so the fiber of a decided x
     never changes, and an undecided x is its own x*.  So the leaves are the
-    closures, each once, sorted by table.  The search runs once per carrier,
-    up to ENUMERATION_CAP elements; every call returns the stored tuple.
+    closures, each once, and a caller may stop after any of them (R. C. Read
+    and R. E. Tarjan, Networks 5, 1975: the delay between leaves is
+    polynomial).  An entry (i, kept, star) of the stack has decided order[:i],
+    star being x* for x = order[i - 1]; what an entry's ancestors wrote to
+    the table is still there when it is popped.
     """
     p = poset_of(carrier)
     if p.n > ENUMERATION_CAP:
         raise CarrierTooLarge(
             f"closure enumeration capped at {ENUMERATION_CAP} elements, refused on {_label(carrier)}"
         )
-    order = sorted(range(p.n), key=lambda x: bin(p.up[x]).count("1"))
-    table, tables = bytearray(p.n), []
-    def extend(i: int, kept: int):
-        if i == p.n:
-            return tables.append(bytes(table))
+    n, up, least_of = p.n, p.up, p.least_of
+    order = sorted(range(n), key=lambda x: bin(up[x]).count("1"))
+    table, stack = bytearray(n), [(0, 0, 0)]
+    while stack:
+        i, kept, star = stack.pop()
+        if i:
+            table[order[i - 1]] = star
+        if i == n:
+            yield bytes(table)
+            continue
         x = order[i]
-        for star, rest in ((x, kept | 1 << x), (p.least_of(kept & p.up[x]), kept)):
-            if star is not None:
-                table[x] = star
-                extend(i + 1, rest)
-    extend(0, 0)
-    return tuple(MonotoneMap(carrier, t) for t in sorted(tables))
+        below = least_of(kept & up[x])
+        if below is not None:
+            stack.append((i + 1, kept, below))
+        stack.append((i + 1, kept | 1 << x, x))
 
 
 @per_carrier
@@ -550,12 +583,43 @@ def enumerate_closures_bruteforce(carrier) -> List[MonotoneMap]:
 
 @per_carrier
 def enumerate_nuclei(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
-    """All nuclei on m, computed once per carrier; every call returns the stored tuple.
+    """All nuclei on m, sorted by table, computed once per carrier; every call
+    returns the stored tuple (see _search_nuclei)."""
+    return _search_nuclei(m, None)
 
-    Both routes filter the one closure enumeration.  On near-residuated
+
+# Where enumerate_nuclei stores its tuple, per the per_carrier rule; a
+# nuclei_at_most search that finds every nucleus stores it there too.
+_ALL_NUCLEI = (enumerate_nuclei.__wrapped__,)
+
+
+def nuclei_at_most(m: OrderedMagma, cap: int) -> Optional[Tuple[MonotoneMap, ...]]:
+    """enumerate_nuclei(m) when m has at most cap nuclei, else None.  The
+    search stops once it has found cap + 1 nuclei, so a refusal costs what
+    cap + 1 nuclei cost, not what all of them do; the verdicts it decided
+    stay in the memo, and a search that finds every nucleus stores the tuple
+    as enumerate_nuclei would."""
+    memo = _memo(m)
+    found = memo.get(_ALL_NUCLEI)
+    if found is None:
+        found = _search_nuclei(m, cap)
+        if found is None:
+            return None
+        memo[_ALL_NUCLEI] = found
+    return found if len(found) <= cap else None
+
+
+def _search_nuclei(m: OrderedMagma, cap: Optional[int]) -> Optional[Tuple[MonotoneMap, ...]]:
+    """The nuclei on m, or None once more than cap are found.
+
+    Both routes filter the closures batch by batch.  On near-residuated
     carriers the image-set criterion, images that hold every residual of
-    their members, must select exactly the closures that pass is_nucleus;
-    otherwise only the is_nucleus filter runs.
+    their members, must select exactly the closures of each batch that pass
+    is_nucleus; otherwise only the is_nucleus filter runs.  With no cap the
+    batch is every closure of the stored enumeration; with a cap the search
+    feeds _decide_nuclei closures as it reaches them, each batch the nuclei
+    still needed times the closures decided per nucleus found so far, at
+    most BATCH_MAPS.
 
     Write x/a for the largest z with z a <= x, and a\\x for the largest z
     with a z <= x.  (=>) Let s be a nucleus, x = x* and r = a\\x.  Then
@@ -567,19 +631,34 @@ def enumerate_nuclei(m: OrderedMagma) -> Tuple[MonotoneMap, ...]:
     closure image holds every meet that exists, since w = a ^ b gives
     w* <= a* = a and w* <= b, so w* = w.
     """
-    closures = enumerate_closures(m)
-    _decide_nuclei(m, [s.table for s in closures])
-    filtered = [s for s in closures if is_nucleus(m, s)]
-    if m.profile.near_residuated:
-        by_images = {s.table for s in _nuclei_by_image_sets(m, closures)}
-        by_filter = {s.table for s in filtered}
-        if by_images != by_filter:
-            raise InternalCheckError(
-                f"image-set and filter nucleus enumerations disagree on {_label(m)}: "
-                f"image-set only {sorted(map(tuple, by_images - by_filter))}, "
-                f"filter only {sorted(map(tuple, by_filter - by_images))}"
-            )
-    return tuple(filtered)
+    memo, found, decided = _memo(m), [], 0
+    if cap is None:
+        closures = iter(enumerate_closures(m))
+    else:
+        closures = (MonotoneMap._of(m, t) for t in _closure_tables(m))
+    while True:
+        if cap is None:
+            batch = list(closures)
+        else:
+            need = cap + 1 - len(found)
+            batch = list(islice(closures, min(BATCH_MAPS, -(-need * max(decided, 1) // max(len(found), 1)))))
+        if not batch:
+            return tuple(sorted(found, key=attrgetter("table")))
+        _decide_nuclei(m, [s.table for s in batch])
+        filtered = [s for s in batch if memo["nucleus", s.table][0]]
+        if m.profile.near_residuated:
+            by_images = {s.table for s in _nuclei_by_image_sets(m, batch)}
+            by_filter = {s.table for s in filtered}
+            if by_images != by_filter:
+                raise InternalCheckError(
+                    f"image-set and filter nucleus enumerations disagree on {_label(m)}: "
+                    f"image-set only {sorted(map(tuple, by_images - by_filter))}, "
+                    f"filter only {sorted(map(tuple, by_filter - by_images))}"
+                )
+        found += filtered
+        decided += len(batch)
+        if cap is not None and len(found) > cap:
+            return None
 
 
 def _nuclei_by_image_sets(m: OrderedMagma, closures: Sequence[MonotoneMap]) -> List[MonotoneMap]:
@@ -840,15 +919,17 @@ class NucleusLattice:
 
 @per_carrier
 def nucleus_lattice(m: OrderedMagma) -> NucleusLattice:
-    """N(M), built once per carrier object."""
-    maps = enumerate_nuclei(m)
-    k = len(maps)
+    """N(M), built once per carrier object.  Over ENUM_CAP nuclei it is
+    refused once the search has found ENUM_CAP + 1 of them, so the count in
+    the message is a lower bound."""
     name = f"N({m.name})" if m.name else "N(M)"
-    if k > ENUM_CAP:
+    maps = nuclei_at_most(m, ENUM_CAP)
+    if maps is None:
         raise CarrierTooLarge(
             f"N(M) capped at {ENUM_CAP} nuclei, refused on {name}: "
-            f"{_label(m)} has {k} nuclei"
+            f"{_label(m)} has more than {ENUM_CAP} nuclei"
         )
+    k = len(maps)
     _, above, _ = nucleus_order(m)
     lat = FinitePoset.from_up_masks(above, [f"n{i}" for i in range(k)])
     mul = nuclei_join_table(m) if join_formula_applies(m) else lat.join_table
@@ -924,15 +1005,25 @@ def nucleus_order(m: OrderedMagma) -> tuple:
     maps = enumerate_nuclei(m)
     above = pointwise_order(m.poset, maps)
     index = MappingProxyType({s.table: i for i, s in enumerate(maps)})
-    return index, tuple(above), tuple(transpose(above, len(maps)))
+    return index, tuple(above), tuple(_pointwise_masks(m.poset.down_rows, [s.table for s in maps]))
 
 
 def pointwise_order(p: FinitePoset, maps: Sequence[MonotoneMap]) -> list:
-    """above[i] = mask of the j with maps[i] <= maps[j] pointwise: s <= t iff
-    lane_code(t) & ~lane_code(s) == 0 over p.up_lanes, one AND per pair;
-    the codes come from one lane_segments pass."""
-    codes = list(map(read_code, lane_segments(p.up_lanes, [s.table for s in maps])))
-    return [id_mask(j for j, code in enumerate(codes) if not code & out) for out in map(invert, codes)]
+    """above[i] = mask of the j with maps[i] <= maps[j] pointwise."""
+    return _pointwise_masks(p.up_rows, [s.table for s in maps])
+
+
+def _pointwise_masks(rows: Sequence[bytes], tables: Sequence[bytes]) -> list:
+    """out[i] = mask of the j with tables[j][x] in set v = tables[i][x] for
+    every x, rows[v] the 0/1 row of set v as a translate table: with the
+    up-sets, the j above i pointwise; with the down-sets, the j below.
+    within[x][v], the j with tables[j][x] in set v, is column x of the
+    tables read through rows[v]; out[i] is the AND of within[x][tables[i][x]]
+    over x, n ANDs a table."""
+    n, laid = len(rows), b"".join(tables)
+    columns = [laid[x::n] for x in range(n)]
+    within = [{v: row_mask(column.translate(rows[v])) for v in set(column)} for column in columns]
+    return [reduce(and_, map(dict.__getitem__, within, t)) for t in tables]
 
 
 @dataclass(frozen=True)
@@ -1011,3 +1102,144 @@ def certified_composition(
             return n, _certified(m, cand, "certified composition")
         a, b, then_a, then_b = a.translate(then_a), b.translate(then_b), then_b, then_a
     return None
+
+
+# -- one slot-encoded pass over the alternating words of pairs ------------------------
+#
+# Slot i of a chunk holds pair i: id i*n + x is element x of pair i, so one
+# bytes.translate of a chunk's string composes floor(256/n) pairs at once.
+# For two idempotents s and t every word of their composition monoid is the
+# identity or an alternating word, s first (b_r, r maps) or t first (a_r).
+# With s and t expansive the words rise, a_r <= a_{r+1} = g a_r, and a word
+# that its next map fixes is fixed by both, so each side runs until its
+# string stops changing, at a_last and b_last.
+#
+# Where a_last = b_last = j, the join entry of every pair of the chunk (one
+# bytes compare a side), both rows hold for the whole chunk.  Nf: every word
+# lies below a_last or b_last, and j is a word, so j is the sup of each
+# element's images over the monoid.  complemmacor: a_{r+1} = b_r s2, with
+# s2 the map a_r applies first, and a_r s2 = a_r; so b_r <= a_r gives
+# a_r <= a_{r+1} <= a_r, a_r is a_last = j, and likewise a_r <= b_r gives
+# b_r = j.  So the word certified_composition takes is j, and a pair is
+# certified, at some r <= COMPOSITION_BOUND, exactly when a_r or b_r is j
+# by then: a_r = j makes b_r <= j = a_r.  The words stop within the bound
+# for most chunks, certifying every pair; otherwise each pair's word at
+# the bound is compared with j.  Any other chunk is decided pair by pair:
+# Nf by the AND of the up-lane codes of the identity and every word, the
+# upper bounds of each element's images, against the code of the join
+# entries; complemmacor by certified_composition's comparisons a word at a
+# time, and the word it takes against the join entry, or, where the join
+# formula does not apply, certified as a nucleus.
+
+
+def composition_sups_match(m: OrderedMagma, pairs: Optional[tuple] = None) -> bool:
+    """Whether, for every pair (i, j) of positions in enumerate_nuclei(m),
+    i <= j by default, the sup of each element's images over the
+    composition monoid of nuclei i and j is its image under their join in
+    nuclei_join_table(m)."""
+    sups_match = _alternations(m, pairs)[0]
+    if sups_match is None:
+        raise HypothesisNotMet("the composition-monoid supremum is compared with the join formula")
+    return sups_match
+
+
+def certified_compositions(m: OrderedMagma, pairs: Optional[tuple] = None) -> Optional[int]:
+    """certified_composition over every pair (i, j) of positions in
+    enumerate_nuclei(m), i <= j by default: the number of ordered pairs it
+    certifies, (i, j) and (j, i) sharing one verdict, or None when, where
+    the join formula applies, a certified composition is not the join.  A
+    composition that the join table does not vouch for is certified as a
+    nucleus here, else InternalCheckError, as certified_composition does."""
+    _, certified, uncertified, parted = _alternations(m, pairs)
+    for table in uncertified:
+        _certified(m, table, "certified composition")
+    return None if parted else certified
+
+
+@per_carrier
+def _alternations(m: OrderedMagma, pairs: Optional[tuple]) -> tuple:
+    """The one pass for composition_sups_match and certified_compositions
+    (see the comment above): whether every sup is the join (None with no
+    join table), the ordered pairs certified within the bound, the
+    compositions the join table does not vouch for, in pair order, and
+    whether some certified composition is not its pair's join."""
+    maps, n, p = enumerate_nuclei(m), m.n, m.poset
+    joins = nuclei_join_table(m) if join_formula_applies(m) else None
+    tables, per, bound = [s.table for s in maps], 256 // n, COMPOSITION_BOUND
+    slot_lanes, unslot, shifts = byte_lanes(p.up * per, n), _pad(bytes(x % n for x in range(per * n))), {}
+    sups_match, certified, uncertified, parted = joins is not None, 0, {}, False
+    for q, first, second, joined, twins in _pair_chunks(tables, joins, per, n, pairs):
+        size = q * n
+        if q not in shifts:
+            shifts[q] = read_code(bytes(i * n for i in range(q) for _ in range(n)))
+        first, second = ((read_code(t) + shifts[q]).to_bytes(size, "little") for t in (first, second))
+        # a applies the second map first and b the first, as certified_composition.
+        a, b, then_a, then_b = second, first, _pad(first), _pad(second)
+        words_a, words_b = [a], [b]
+        for _ in range(n * n + 1):
+            next_a, next_b = a.translate(then_a), b.translate(then_b)
+            if next_a == a and next_b == b:
+                break
+            a, b, then_a, then_b = next_a, next_b, then_b, then_a
+            words_a.append(a)
+            words_b.append(b)
+        else:
+            raise _broken(m, "alternating compositions did not stabilize")
+        j = None if joined is None else (read_code(joined) + shifts[q]).to_bytes(size, "little")
+        if a == j == b:
+            if len(words_a) > bound:
+                a, b = words_a[bound - 1], words_b[bound - 1]
+                hits = sum(a[c : c + n] == j[c : c + n] or b[c : c + n] == j[c : c + n] for c in range(0, size, n))
+            else:
+                hits = q
+            certified += 2 * hits - len(twins)
+            continue
+        if sups_match:
+            sup = lane_code(slot_lanes, bytes(range(size)))
+            for word in words_a + words_b:
+                sup &= lane_code(slot_lanes, word)
+            sups_match = sup == lane_code(p.up_lanes, joined)
+        for i in range(q if not parted else 0):
+            c = i * n
+            for r in range(bound):
+                a = words_a[min(r, len(words_a) - 1)][c : c + n].translate(unslot)
+                b = words_b[min(r, len(words_b) - 1)][c : c + n].translate(unslot)
+                word = a if all_below(p, b, a) else b if all_below(p, a, b) else None
+                if word is not None:
+                    break
+            else:
+                continue
+            certified += 1 if i in twins else 2
+            if joins is None:
+                uncertified.setdefault(word)
+            elif word != joined[c : c + n]:
+                uncertified[word], parted = None, True
+                break
+        if parted and not sups_match:
+            break
+    return sups_match if joins is not None else None, certified, tuple(uncertified), parted
+
+
+def _pair_chunks(tables: Sequence[bytes], joins, per: int, n: int, pairs: Optional[tuple]):
+    """The pairs, per at a time: (q, the first tables, the second tables,
+    the join entries' tables or None, the positions i of the pairs of the
+    form (s, s)), each string q tables laid out one after another.  With
+    pairs None, every i <= j, row by row, a chunk never spanning two rows."""
+    if pairs is not None:
+        for c in range(0, len(pairs), per):
+            chunk = pairs[c : c + per]
+            yield (
+                len(chunk),
+                b"".join(tables[i] for i, _ in chunk),
+                b"".join(tables[j] for _, j in chunk),
+                None if joins is None else b"".join(tables[joins[i][j]] for i, j in chunk),
+                [at for at, (i, j) in enumerate(chunk) if i == j],
+            )
+        return
+    laid, k = b"".join(tables), len(tables)
+    for i, t in enumerate(tables):
+        row = None if joins is None else joins[i]
+        for j in range(i, k, per):
+            q = min(per, k - j)
+            joined = None if row is None else b"".join(map(tables.__getitem__, row[j : j + q]))
+            yield q, t * q, laid[j * n : (j + q) * n], joined, (0,) if j == i else ()

@@ -375,6 +375,17 @@ class FinitePoset:
         return byte_lanes(self.up, self.n)
 
     @cached_property
+    def up_rows(self) -> tuple:
+        """The 0/1 row of each up-set as a translate table: ids.translate(up_rows[v])
+        marks each id of ids that lies above v."""
+        return tuple(translate_table(mask_row(u, self.n)) for u in self.up)
+
+    @cached_property
+    def down_rows(self) -> tuple:
+        """The 0/1 row of each down-set as a translate table, likewise."""
+        return tuple(translate_table(mask_row(d, self.n)) for d in self.down)
+
+    @cached_property
     def down_lanes(self) -> tuple:
         """byte_lanes of the down-sets; a pointwise meet has the AND of the codes."""
         return byte_lanes(self.down, self.n)

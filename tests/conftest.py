@@ -1,4 +1,5 @@
-from operator import getitem
+from functools import reduce
+from operator import and_, getitem
 
 import pytest
 
@@ -7,7 +8,7 @@ from quantic.corpus import ring_corpus, standard_corpus
 from quantic.divisorial import lin_monoid
 from quantic.instances import plain_magma
 from quantic.magma import OrderedMagma, generated_monoid
-from quantic.poset import FinitePoset, row_mask
+from quantic.poset import FinitePoset, lane_code, lane_segments, read_code, row_mask
 
 
 def two_element_monoid() -> OrderedMagma:
@@ -225,3 +226,43 @@ def nf_loop(m):
                 if m.poset.sup_mask(sum(1 << y for y in set(images))) != joined[x]:
                     return "fail", "composition-monoid supremum misses the join"
     return "pass", ""
+
+
+def all_pairs(k):
+    """Every pair (i, j) of positions with i <= j, row by row."""
+    return [(i, j) for i in range(k) for j in range(i, k)]
+
+
+def nf_monoid_loop(m, pairs=None):
+    """The per-pair oracle of the Nf row's slot-encoded pass: each pair's
+    composition monoid saturated by generated_monoid, the AND of the up-lane
+    codes of its maps against the code of the join; over pairs (i, j) of
+    positions in enumerate_nuclei(m), every i <= j by default.  The row's
+    (status, detail)."""
+    if not m.profile.near_prequantale:
+        return "skip", "needs a small near prequantale"
+    p, maps = m.poset, nucleus.enumerate_nuclei(m)
+    joins = nucleus.nuclei_join_table(m)
+    for i, j in all_pairs(len(maps)) if pairs is None else pairs:
+        monoid = list(generated_monoid(m, (maps[i].table, maps[j].table)))
+        bounds = reduce(and_, map(read_code, lane_segments(p.up_lanes, monoid)), p.universe_code(m.n))
+        if bounds != lane_code(p.up_lanes, maps[joins[i][j]].table):
+            return "fail", "composition-monoid supremum misses the join"
+    return "pass", ""
+
+
+def complemmacor_loop(m, pairs=None):
+    """The per-pair oracle of the complemmacor row's slot-encoded pass:
+    certified_composition on each pair, its composition against the join
+    where the join formula applies; the row's (status, detail).  (s, t) and
+    (t, s) share one verdict, so s != t counts twice."""
+    maps = nucleus.enumerate_nuclei(m)
+    joins = nucleus.nuclei_join_table(m) if nucleus.join_formula_applies(m) else None
+    certified = 0
+    for i, j in all_pairs(len(maps)) if pairs is None else pairs:
+        found = nucleus.certified_composition(m, maps[i], maps[j])
+        if found is not None:
+            certified += 1 if i == j else 2
+            if joins is not None and found[1].table != maps[joins[i][j]].table:
+                return "fail", "certified composition disagrees with the join"
+    return "pass", f"{certified} certified pairs"

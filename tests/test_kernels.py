@@ -24,7 +24,7 @@ from quantic.corpus import standard_corpus
 from quantic.divisorial import lin_monoid, v_lin, v_rs, v_units
 from quantic.errors import CarrierTooLarge, HypothesisNotMet, InternalCheckError, StructureError
 from quantic.idl import down_closure_mask
-from quantic.instances import cyclic_group, module_system_lattice, plain_magma, powerset_prequantale
+from quantic.instances import cyclic_group, left_zero, module_system_lattice, plain_magma, powerset_prequantale
 from quantic.magma import (
     MagmaMorphism,
     OrderedMagma,
@@ -41,9 +41,11 @@ from quantic.poset import order_preserving_each, translate_table
 from quantic.poset import EXHAUSTIVE_CAP, SUBSET_BLOCK, lanes_within, mask_row, row_mask, subset_masks, subset_table
 from quantic.poset import sup_misses, ub_scan_sup
 from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
+from quantic.verify import run_all
 
 from conftest import automorphism_loop, corrupted_kernel, invertible_loop, law_failures_by_lists, lin_masks_loop
-from conftest import magma_hom_loop, nf_loop, order_preserving_loop, sandwich_masks_loop, subset_walk
+from conftest import complemmacor_loop, magma_hom_loop, nf_loop, nf_monoid_loop, order_preserving_loop
+from conftest import sandwich_masks_loop, subset_walk
 from conftest import sup_misses_walk, sup_spanning_loop, units_loop, v_units_loop, witness_masks
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
@@ -660,6 +662,81 @@ def test_nf_fails_with_its_loop_where_the_join_table_is_wrong(monkeypatch):
     for module in (verify, nucleus):
         monkeypatch.setattr(module, "nuclei_join_table", lambda q: wrong)
     assert verify._check_nf(m) == nf_loop(m) == ("fail", "composition-monoid supremum misses the join")
+
+
+def chain_meet(n):
+    return meet_lattice(FinitePoset.chain(n), f"chain{n}-meet")
+
+
+def pass_verdicts(m, pairs=None):
+    """The Nf and complemmacor verdicts of the slot-encoded pass over pairs
+    (every i <= j by default), as the rows' (status, detail)."""
+    if not m.profile.near_prequantale:
+        nf = "skip", "needs a small near prequantale"
+    elif nucleus.composition_sups_match(m, pairs):
+        nf = "pass", ""
+    else:
+        nf = "fail", "composition-monoid supremum misses the join"
+    certified = nucleus.certified_compositions(m, pairs)
+    if certified is None:
+        return nf, ("fail", "certified composition disagrees with the join")
+    return nf, ("pass", f"{certified} certified pairs")
+
+
+def loop_verdicts(m, pairs=None):
+    return nf_monoid_loop(m, pairs), complemmacor_loop(m, pairs)
+
+
+def test_the_pair_rows_match_their_per_pair_loops(corpus, bowtie1_left):
+    # Every pair of the corpus, I(Z/60), N(diamond-join) (37 nuclei) and
+    # chain-9 under meet (256 nuclei, 32,896 pairs), and two carriers where
+    # the join formula does not apply, so complemmacor's pass certifies its
+    # compositions as nuclei itself.
+    carriers = [
+        *corpus.values(),
+        ring_ideal_lattice(FiniteRing.zmod(60)).magma,
+        nucleus.nucleus_lattice(corpus["diamond-join"]).magma,
+        chain_meet(9),
+        bowtie1_left,
+        plain_magma(["a", "b", "c"], [[0] * 3] * 3),
+    ]
+    seen = set()
+    for m in carriers:
+        rows = tuple((r.status, r.detail) for r in run_all(m, names=["complemmacor", "Nf"]))
+        nf, complemmacor = loop_verdicts(m)
+        assert rows == (complemmacor, nf) == pass_verdicts(m)[::-1], m.name
+        assert nf[0] == "skip" or nf_loop(m) == nf, m.name
+        seen.add((nucleus.join_formula_applies(m), nf[0], complemmacor[0]))
+    assert seen == {(True, "pass", "pass"), (False, "skip", "pass")}, seen
+    assert [r.detail for r in run_all(chain_meet(9), names=["complemmacor"])] == ["65500 certified pairs"]
+
+
+def test_the_pair_rows_match_their_per_pair_loops_on_seeded_pairs_of_the_left_zero_power_set():
+    # 16 elements and 2,272 nuclei: 2,000 seeded pairs, each i <= j.
+    m = powerset_prequantale(left_zero(4)).magma
+    k = len(enumerate_nuclei(m))
+    rng = random.Random(28)
+    pairs = tuple(tuple(sorted((rng.randrange(k), rng.randrange(k)))) for _ in range(2000))
+    assert k == 2272 and len(set(pairs)) > 1900
+    verdicts = pass_verdicts(m, pairs)
+    assert verdicts == loop_verdicts(m, pairs) and verdicts[0] == ("pass", ""), verdicts
+
+
+def test_a_wrong_join_entry_fails_both_pair_rows_with_their_loops(monkeypatch):
+    # One entry of chain-9's join table, at a pair i < j with nucleus i
+    # below nucleus j, names nucleus i: the pass and the loops both FAIL.
+    m = chain_meet(9)
+    maps, (_, above, _) = enumerate_nuclei(m), nucleus.nucleus_order(m)
+    i, j = next((i, j) for i in range(100, len(maps)) for j in bits(above[i]) if j > i)
+    planted = [list(row) for row in nucleus.nuclei_join_table(m)]
+    assert planted[i][j] == j
+    planted[i][j] = planted[j][i] = i
+    planted = tuple(map(tuple, planted))
+    for module in (verify, nucleus):
+        monkeypatch.setattr(module, "nuclei_join_table", lambda q: planted)
+    rows = tuple((r.status, r.detail) for r in run_all(m, names=["complemmacor", "Nf"]))
+    expected = ("fail", "certified composition disagrees with the join"), ("fail", "composition-monoid supremum misses the join")
+    assert rows == expected == loop_verdicts(m)[::-1]
 
 
 def test_join_and_meet_tables_match_least_of(corpus):

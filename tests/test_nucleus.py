@@ -711,6 +711,7 @@ CACHED = {
     "quantic.nucleus._pair_table": (contract_carrier, lambda m: ("v",), (over_the_cap, lambda m: ("^",), CarrierTooLarge)),
     "quantic.nucleus.nucleus_order": (contract_carrier, no_args, (over_the_cap, no_args, CarrierTooLarge)),
     "quantic.nucleus._least_above": (lambda: contract_carrier().poset, lambda p: (p.universe,), None),
+    "quantic.nucleus._alternations": (contract_carrier, lambda m: (None,), (over_the_cap, lambda m: (None,), CarrierTooLarge)),
     "quantic.divisorial.lin_monoid": (contract_carrier, no_args, None),
     "quantic.divisorial._units_and_spanning": (contract_carrier, no_args, None),
     "quantic.divisorial._v_all": (contract_carrier, lambda m: (2,), (antichain_constant, lambda m: (0,), HypothesisNotMet)),

@@ -229,6 +229,49 @@ def test_the_tower_refuses_n_m_over_the_cap_before_ordering_its_nuclei(monkeypat
     assert calls == []
 
 
+def test_the_tower_refuses_n_m_after_deciding_at_most_cap_plus_one_tables(monkeypatch):
+    # chain-9 under meet: every closure is a nucleus, so the search hands
+    # the kernel 64 tables, then the one still needed, and stops at 65.
+    m = OrderedMagma(FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], name="chain9-meet")
+    handed, decided = [], []
+    decide, kernel = nucleus._decide_nuclei, nucleus._chunk_verdicts
+    monkeypatch.setattr(nucleus, "_decide_nuclei", lambda m, tables: handed.append(len(tables)) or decide(m, tables))
+    monkeypatch.setattr(nucleus, "_chunk_verdicts", lambda m, tables: decided.extend(tables) or kernel(m, tables))
+    with pytest.raises(CarrierTooLarge, match=r"chain9-meet \(9 elements\) has more than 64 nuclei"):
+        nucleus.nucleus_tower(m, depth=2)
+    assert handed == [64, 1] and len(decided) == 65
+    # A later full enumeration decides only the closures the search left.
+    assert len(nucleus.enumerate_nuclei(m)) == 256 and len(decided) == 256 == len(set(decided))
+
+
+def test_the_pair_rows_skip_on_chain14_at_the_count_cap():
+    # chain-14 under meet has 8,192 nuclei: the search stops after 2,801.
+    m = OrderedMagma(FinitePoset.chain(14), [[min(x, y) for y in range(14)] for x in range(14)], name="chain14-meet")
+    skip = "pair rows capped at 2800 nuclei, refused on chain14-meet (14 elements), which has more than 2800 nuclei"
+    assert verify.PAIR_CAP == 2800
+    assert verdicts(run_all(m, names=["CMC", "complemmacor", "Nf"])) == dict.fromkeys(["CMC", "complemmacor", "Nf"], ("skip", skip))
+    assert sum(key[0] == "nucleus" for key in nucleus._memo(m)) == 2801
+
+
+def test_the_pair_rows_skip_over_their_count_cap_naming_it(monkeypatch):
+    # With the cap at 100, chain-9 under meet (256 nuclei) is over it: the
+    # three pair rows skip, naming the count, the cap and the carrier, and
+    # the search stops after 101 nuclei; every other row still answers.
+    m = OrderedMagma(FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], name="chain9-meet")
+    monkeypatch.setattr(verify, "PAIR_CAP", 100)
+    decided, kernel = [], nucleus._chunk_verdicts
+    monkeypatch.setattr(nucleus, "_chunk_verdicts", lambda m, tables: decided.extend(tables) or kernel(m, tables))
+    rows = verdicts(run_all(m, names=["CMC", "complemmacor", "Nf"]))
+    skip = "pair rows capped at 100 nuclei, refused on chain9-meet (9 elements), which has more than 100 nuclei"
+    assert rows == dict.fromkeys(["CMC", "complemmacor", "Nf"], ("skip", skip))
+    assert len(decided) == 101
+    rows = verdicts(run_all(m))
+    assert {name for name, (status, _) in rows.items() if status == "skip"} == {
+        "CMC", "complemmacor", "Nf", "structure2", "downarrowlemma",
+    }, rows
+    assert "FAIL" not in {status for status, _ in rows.values()}
+
+
 def test_stablecor_fails_when_star_w_is_not_the_largest_stable_nucleus_below(monkeypatch):
     # With both routes returning their nucleus they agree, but a nucleus
     # that is not stable is not the largest stable nucleus below itself.
@@ -409,10 +452,10 @@ def test_a_lazy_row_contains_its_own_exception(monkeypatch, name):
         (lambda: FinitePoset.chain(65), "capped at 64 elements", "got 65 elements"),
         (lambda: verify._check_structure2(OrderedMagma(
             FinitePoset.chain(12), [[min(x, y) for y in range(12)] for x in range(12)], "chain12-meet")),
-         "capped at 64 nuclei", "chain12-meet (12 elements) has 2048 nuclei"),
+         "capped at 64 nuclei", "chain12-meet (12 elements) has more than 64 nuclei"),
         (lambda: nucleus.nucleus_lattice(OrderedMagma(
             FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], "chain9-meet")),
-         "capped at 64 nuclei", "N(chain9-meet): chain9-meet (9 elements) has 256 nuclei"),
+         "capped at 64 nuclei", "N(chain9-meet): chain9-meet (9 elements) has more than 64 nuclei"),
     ],
     ids=["enumeration", "tower-level", "bruteforce", "morphism-sups", "powerset-base",
          "system-base", "poset", "verify-row", "nucleus-lattice"],
