@@ -466,20 +466,16 @@ def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
 
 def distinguished_sets(m: OrderedMagma) -> DistinguishedSets:
     """U(M), Inv(M), Idem(M) and R(M).  U(M): the ids whose row and column are
-    permutations that, with their inverses, preserve the order, four tables a
-    candidate in one order_preserving_each.  Inv(M): u has a v whose row and
-    column compose with u's both ways to the identity, one translate a side."""
+    permutations that preserve the order, two tables a candidate in one
+    order_preserving_each.  Their inverses preserve it too: such a
+    permutation maps the finitely many strict pairs x < y injectively into
+    themselves, hence onto them.  Inv(M): u has a v whose row and column
+    compose with u's both ways to the identity, one translate a side."""
     p, n, mul, cols = m.poset, m.n, m.mul, m.cols
     identity = bytes(range(n))
     perms = [u for u in range(n) if len(set(mul[u])) == len(set(cols[u])) == n]
-    autos = [
-        t
-        for u in perms
-        for line in (mul[u], cols[u])
-        for t in (line, identity.translate(bytes.maketrans(line, identity)))
-    ]
-    kept = order_preserving_each(p, autos)
-    units = [u for i, u in enumerate(perms) if all(kept[4 * i : 4 * i + 4])]
+    kept = order_preserving_each(p, [line for u in perms for line in (mul[u], cols[u])])
+    units = [u for u, row, col in zip(perms, kept[::2], kept[1::2]) if row and col]
     rows, col_tables = m.row_tables, list(map(translate_table, cols))
     invertible = [
         u

@@ -94,7 +94,7 @@ from .errors import (
     StructureError,
 )
 from .magma import MagmaMorphism, OrderedMagma, is_sup_spanning, r_set_mask
-from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, byte_lanes, id_mask, lane_code
+from .poset import ENUM_CAP, EXHAUSTIVE_CAP, FinitePoset, all_below, bits, id_mask
 from .poset import lane_segments, order_preserving, order_preserving_each, read_code
 from .poset import row_mask, zero_segments
 from .poset import broken as _broken, carrier_label as _label, sup_misses, translate_table as _pad
@@ -488,11 +488,7 @@ def nuclei_join(m: OrderedMagma, gamma: Iterable[MonotoneMap]) -> MonotoneMap:
     operation refuses.
     """
     p = m.poset
-    if not join_formula_applies(m):
-        raise HypothesisNotMet(
-            "join of nuclei needs a near prequantale, or a bounded-complete "
-            "near-residuated carrier with a top"
-        )
+    _refuse_without_join_formula(m)
     maps = _nuclei_of(m, gamma, "nuclei_join")
     common = p.universe
     for s in maps:
@@ -1108,28 +1104,37 @@ def certified_composition(
 #
 # Slot i of a chunk holds pair i: id i*n + x is element x of pair i, so one
 # bytes.translate of a chunk's string composes floor(256/n) pairs at once.
-# For two idempotents s and t every word of their composition monoid is the
-# identity or an alternating word, s first (b_r, r maps) or t first (a_r).
-# With s and t expansive the words rise, a_r <= a_{r+1} = g a_r, and a word
-# that its next map fixes is fixed by both, so each side runs until its
-# string stops changing, at a_last and b_last.
+# For two closures s and t every word of their composition monoid is the
+# identity or an alternating word, t first (a_r, r maps) or s first (b_r).
+# The words rise, a_r <= a_{r+1} = g a_r with g expansive, and a word that
+# its next map fixes is fixed by both, so each side runs until its string
+# stops changing.  Each limit is expansive and fixed by s and t, and it
+# fixes F = Fix s & Fix t, so its image is F and it is idempotent: both
+# sides end at L, the closure onto F.  A chunk whose two sides end apart
+# raises InternalCheckError.  Where the join formula applies, _pair_table
+# certifies Fix(s v t) = F, so L is the join entry.
 #
-# Where a_last = b_last = j, the join entry of every pair of the chunk (one
-# bytes compare a side), both rows hold for the whole chunk.  Nf: every word
-# lies below a_last or b_last, and j is a word, so j is the sup of each
-# element's images over the monoid.  complemmacor: a_{r+1} = b_r s2, with
-# s2 the map a_r applies first, and a_r s2 = a_r; so b_r <= a_r gives
-# a_r <= a_{r+1} <= a_r, a_r is a_last = j, and likewise a_r <= b_r gives
-# b_r = j.  So the word certified_composition takes is j, and a pair is
-# certified, at some r <= COMPOSITION_BOUND, exactly when a_r or b_r is j
-# by then: a_r = j makes b_r <= j = a_r.  The words stop within the bound
-# for most chunks, certifying every pair; otherwise each pair's word at
-# the bound is compared with j.  Any other chunk is decided pair by pair:
-# Nf by the AND of the up-lane codes of the identity and every word, the
-# upper bounds of each element's images, against the code of the join
-# entries; complemmacor by certified_composition's comparisons a word at a
-# time, and the word it takes against the join entry, or, where the join
-# formula does not apply, certified as a nucleus.
+# Nf: every word lies below L, and L is a word, so L is the sup of each
+# element's images over the monoid, and a chunk holds when its limits are
+# its join entries.  complemmacor: a_{r+1} = b_r t with a_r t = a_r, so
+# b_r <= a_r gives a_r <= a_{r+1} <= a_r, and a_r is L; likewise a_r <= b_r
+# gives b_r = L; and a_r = L gives b_r <= a_r.  So certified_composition
+# takes L, and a pair is certified within COMPOSITION_BOUND exactly when
+# its word of that length on either side is L: every pair of a chunk whose
+# words stop within the bound, else the pairs whose slots read L.  A
+# certified L that is not its join entry parts the row; where the join
+# formula does not apply, each distinct certified L is certified as a
+# nucleus.
+
+
+def _refuse_without_join_formula(m: OrderedMagma) -> None:
+    """The refusal of nuclei_join and composition_sups_match where
+    join_formula_applies(m) fails."""
+    if not join_formula_applies(m):
+        raise HypothesisNotMet(
+            "join of nuclei needs a near prequantale, or a bounded-complete "
+            "near-residuated carrier with a top"
+        )
 
 
 def composition_sups_match(m: OrderedMagma, pairs: Optional[tuple] = None) -> bool:
@@ -1137,93 +1142,72 @@ def composition_sups_match(m: OrderedMagma, pairs: Optional[tuple] = None) -> bo
     i <= j by default, the sup of each element's images over the
     composition monoid of nuclei i and j is its image under their join in
     nuclei_join_table(m)."""
-    sups_match = _alternations(m, pairs)[0]
-    if sups_match is None:
-        raise HypothesisNotMet("the composition-monoid supremum is compared with the join formula")
-    return sups_match
+    _refuse_without_join_formula(m)
+    return _alternations(m, pairs)[0]
 
 
 def certified_compositions(m: OrderedMagma, pairs: Optional[tuple] = None) -> Optional[int]:
     """certified_composition over every pair (i, j) of positions in
     enumerate_nuclei(m), i <= j by default: the number of ordered pairs it
     certifies, (i, j) and (j, i) sharing one verdict, or None when, where
-    the join formula applies, a certified composition is not the join.  A
-    composition that the join table does not vouch for is certified as a
+    the join formula applies, a certified composition is not the join.
+    Where it does not apply, each certified composition is certified as a
     nucleus here, else InternalCheckError, as certified_composition does."""
-    _, certified, uncertified, parted = _alternations(m, pairs)
-    for table in uncertified:
+    _, certified, limits = _alternations(m, pairs)
+    for table in limits:
         _certified(m, table, "certified composition")
-    return None if parted else certified
+    return certified
 
 
 @per_carrier
 def _alternations(m: OrderedMagma, pairs: Optional[tuple]) -> tuple:
     """The one pass for composition_sups_match and certified_compositions
-    (see the comment above): whether every sup is the join (None with no
-    join table), the ordered pairs certified within the bound, the
-    compositions the join table does not vouch for, in pair order, and
-    whether some certified composition is not its pair's join."""
-    maps, n, p = enumerate_nuclei(m), m.n, m.poset
+    (see the comment above): whether every limit is its join entry (False
+    with no join table), the ordered pairs certified within the bound, or
+    None where a certified limit is not its join entry, and the distinct
+    certified limits where the join formula does not apply."""
+    tables, n = list(map(attrgetter("table"), enumerate_nuclei(m))), m.n
     joins = nuclei_join_table(m) if join_formula_applies(m) else None
-    tables, per, bound = [s.table for s in maps], 256 // n, COMPOSITION_BOUND
-    slot_lanes, unslot, shifts = byte_lanes(p.up * per, n), _pad(bytes(x % n for x in range(per * n))), {}
-    sups_match, certified, uncertified, parted = joins is not None, 0, {}, False
-    for q, first, second, joined, twins in _pair_chunks(tables, joins, per, n, pairs):
+    sups_match, certified, limits, shifts = joins is not None, 0, {}, {}
+    for q, first, second, joined, twins in _pair_chunks(tables, joins, 256 // n, n, pairs):
         size = q * n
         if q not in shifts:
             shifts[q] = read_code(bytes(i * n for i in range(q) for _ in range(n)))
         first, second = ((read_code(t) + shifts[q]).to_bytes(size, "little") for t in (first, second))
-        # a applies the second map first and b the first, as certified_composition.
+        # a applies the second map first and b the first, as certified_composition;
+        # at_a and at_b keep the words of length COMPOSITION_BOUND.
         a, b, then_a, then_b = second, first, _pad(first), _pad(second)
-        words_a, words_b = [a], [b]
-        for _ in range(n * n + 1):
+        for r in range(n * n + 1):
+            if r < COMPOSITION_BOUND:
+                at_a, at_b = a, b
             next_a, next_b = a.translate(then_a), b.translate(then_b)
             if next_a == a and next_b == b:
                 break
             a, b, then_a, then_b = next_a, next_b, then_b, then_a
-            words_a.append(a)
-            words_b.append(b)
         else:
             raise _broken(m, "alternating compositions did not stabilize")
-        j = None if joined is None else (read_code(joined) + shifts[q]).to_bytes(size, "little")
-        if a == j == b:
-            if len(words_a) > bound:
-                a, b = words_a[bound - 1], words_b[bound - 1]
-                hits = sum(a[c : c + n] == j[c : c + n] or b[c : c + n] == j[c : c + n] for c in range(0, size, n))
-            else:
-                hits = q
-            certified += 2 * hits - len(twins)
+        if a != b:
+            raise _broken(m, "alternating compositions end at two limits")
+        limit = (read_code(a) - shifts[q]).to_bytes(size, "little")
+        sups_match = sups_match and limit == joined
+        if (at_a == a or at_b == b) and limit == joined:
+            certified += 2 * q - twins
             continue
-        if sups_match:
-            sup = lane_code(slot_lanes, bytes(range(size)))
-            for word in words_a + words_b:
-                sup &= lane_code(slot_lanes, word)
-            sups_match = sup == lane_code(p.up_lanes, joined)
-        for i in range(q if not parted else 0):
-            c = i * n
-            for r in range(bound):
-                a = words_a[min(r, len(words_a) - 1)][c : c + n].translate(unslot)
-                b = words_b[min(r, len(words_b) - 1)][c : c + n].translate(unslot)
-                word = a if all_below(p, b, a) else b if all_below(p, a, b) else None
-                if word is not None:
-                    break
-            else:
-                continue
-            certified += 1 if i in twins else 2
-            if joins is None:
-                uncertified.setdefault(word)
-            elif word != joined[c : c + n]:
-                uncertified[word], parted = None, True
-                break
-        if parted and not sups_match:
-            break
-    return sups_match if joins is not None else None, certified, tuple(uncertified), parted
+        certified -= twins
+        for c in range(0, size, n):
+            if a[c : c + n] in (at_a[c : c + n], at_b[c : c + n]):
+                certified += 2
+                if joined is None:
+                    limits[limit[c : c + n]] = None
+                elif limit[c : c + n] != joined[c : c + n]:
+                    return False, None, ()
+    return sups_match, certified, tuple(limits)
 
 
 def _pair_chunks(tables: Sequence[bytes], joins, per: int, n: int, pairs: Optional[tuple]):
     """The pairs, per at a time: (q, the first tables, the second tables,
-    the join entries' tables or None, the positions i of the pairs of the
-    form (s, s)), each string q tables laid out one after another.  With
+    the join entries' tables or None, the number of pairs of the form
+    (s, s)), each string q tables laid out one after another.  With
     pairs None, every i <= j, row by row, a chunk never spanning two rows."""
     if pairs is not None:
         for c in range(0, len(pairs), per):
@@ -1233,7 +1217,7 @@ def _pair_chunks(tables: Sequence[bytes], joins, per: int, n: int, pairs: Option
                 b"".join(tables[i] for i, _ in chunk),
                 b"".join(tables[j] for _, j in chunk),
                 None if joins is None else b"".join(tables[joins[i][j]] for i, j in chunk),
-                [at for at, (i, j) in enumerate(chunk) if i == j],
+                sum(i == j for i, j in chunk),
             )
         return
     laid, k = b"".join(tables), len(tables)
@@ -1242,4 +1226,4 @@ def _pair_chunks(tables: Sequence[bytes], joins, per: int, n: int, pairs: Option
         for j in range(i, k, per):
             q = min(per, k - j)
             joined = None if row is None else b"".join(map(tables.__getitem__, row[j : j + q]))
-            yield q, t * q, laid[j * n : (j + q) * n], joined, (0,) if j == i else ()
+            yield q, t * q, laid[j * n : (j + q) * n], joined, int(j == i)

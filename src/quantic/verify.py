@@ -434,8 +434,8 @@ def _check_klattice(m: OrderedMagma):
 @register("Nf")
 def _check_nf(m: OrderedMagma):
     """Joins of (finitary) nuclei match the supremum over the composition
-    monoid: the AND of the up-lane codes of the monoid's maps, the upper
-    bounds of each element's images, is the code of the join."""
+    monoid: the common limit of the two alternating words, which bounds
+    every word and is one, is the join."""
     if not m.profile.near_prequantale:
         return _skip("needs a small near prequantale")
     _pair_nuclei(m)

@@ -739,6 +739,33 @@ def test_a_wrong_join_entry_fails_both_pair_rows_with_their_loops(monkeypatch):
     assert rows == expected == loop_verdicts(m)[::-1]
 
 
+def test_alternating_words_that_end_apart_fail_both_pair_rows_as_an_internal_check():
+    # chain-3 under meet has four nuclei.  The stored enumeration holds
+    # (0, 0, 2), idempotent but not expansive, in place of nucleus 2,
+    # (1, 1, 2), after the join table was built from the true nuclei.  Paired
+    # with nucleus 1, (0, 2, 2), both of its alternating words stop at once,
+    # one at (0, 0, 2) and the other at (0, 2, 2).
+    m = chain_meet(3)
+    maps = enumerate_nuclei(m)
+    nucleus.nuclei_join_table(m)
+    assert [tuple(s.table) for s in maps] == [(0, 1, 2), (0, 2, 2), (1, 1, 2), (2, 2, 2)]
+    nucleus._memo(m)[nucleus._ALL_NUCLEI] = (*maps[:2], MonotoneMap(m, [0, 0, 2]), maps[3])
+    rows = tuple((r.status, r.detail) for r in run_all(m, names=["complemmacor", "Nf"]))
+    detail = "InternalCheckError: alternating compositions end at two limits on chain3-meet (3 elements)"
+    assert rows == (("fail", detail),) * 2
+
+
+def test_the_nf_pass_refuses_with_the_text_of_nuclei_join(bowtie1_left):
+    # bowtie1-left has 13 nuclei, and the join formula does not apply.
+    maps = enumerate_nuclei(bowtie1_left)
+    assert len(maps) == 13 and not nucleus.join_formula_applies(bowtie1_left)
+    text = "join of nuclei needs a near prequantale, or a bounded-complete near-residuated carrier with a top"
+    for refused in (lambda: nucleus.composition_sups_match(bowtie1_left), lambda: nucleus.nuclei_join(bowtie1_left, maps[:2])):
+        with pytest.raises(HypothesisNotMet) as info:
+            refused()
+        assert str(info.value) == text
+
+
 def test_join_and_meet_tables_match_least_of(corpus):
     posets = [m.poset for m in scan_carriers(corpus).values()]
     posets += [p for p in three_element_posets().values()]
