@@ -41,7 +41,7 @@ from .nucleus import (
     nucleus_lattice,
     nucleus_tower,
 )
-from .rings import FiniteRing, ring_ideal_lattice
+from .rings import FiniteRing, poly_quotient_order, ring_ideal_lattice
 from .structdoc import (
     LAZY_CARRIERS,
     load_any,
@@ -138,6 +138,8 @@ def _parse_poly_spec(spec: str):
     if p < 2:
         raise StructureError("coefficient field needs a prime order")
     deg = max(coeffs)
+    # A ring over the cap is refused by its degree, before the coefficient list.
+    poly_quotient_order(p, deg, coeffs[deg], f"F_{p}[x]/({poly})")
     out = [(coeffs.get(i, 0)) % p for i in range(deg + 1)]
     return p, out, poly
 

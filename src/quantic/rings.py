@@ -2,11 +2,10 @@
 
 A ring keeps its addition and multiplication tables as rows of bytes, one
 byte per element, which RING_SIZE_CAP = 256 allows.  The ring laws are
-decided on every triple (x, y, z), one row over z at a time: a table row
-read through another row is ``row.translate(other + pad)`` with
-``pad = bytes(256 - n)``, and the two sides of a law are compared as bytes.
-A failed law names the ring, its size and the triple, with z the first
-element where the two rows differ.
+decided at an additive generating set, one row over z at a time: a row read
+through another is ``row.translate(other + pad)``, ``pad = bytes(256 - n)``.
+A failed law names the ring, its size and the first failing triple (x, y, z),
+with z the first element where the two rows differ.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Sequence, Tuple
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
 from .magma import OrderedMagma
 from .nucleus import MonotoneMap, _certified, closure_from_preclosure
-from .poset import FinitePoset, bits, id_mask, translate_table
+from .poset import FinitePoset, bits, id_mask, row_mask, translate_table
 
 # Every element is one byte, and a table row padded with zeros to 256 bytes
 # is a bytes.translate table: the byte-row law check needs n <= 256.
@@ -86,10 +85,13 @@ class FiniteRing:
                 y = min(_first_difference(add[x], flat_add[x::n]),
                         _first_difference(mul[x], flat_mul[x::n]))
                 raise self._malformed("ring is not commutative", f" at (x, y) = ({x}, {y})")
-        # Each law for every z at once, as a row: (x+y)+z is the row add[x+y],
-        # x+(y+z) is add[y] read through add[x], and likewise below.
+        self.generators = self._additive_generators()
         through_add = [translate_table(r) for r in add]
         through_mul = [translate_table(r) for r in mul]
+        if self._laws_hold_at(self.generators, through_add, through_mul):
+            return
+        # The first failing triple, each law for every z at once, as a row:
+        # (x+y)+z is add[x+y], x+(y+z) is add[y] read through add[x], and so on.
         for x, (ax, mx, by_ax, by_mx) in enumerate(zip(add, mul, through_add, through_mul)):
             for y, (ay, my, s, p) in enumerate(zip(add, mul, ax, mx)):
                 if (lhs := add[s]) != (rhs := ay.translate(by_ax)):
@@ -100,6 +102,38 @@ class FiniteRing:
                 # mul[x] read through add[xy].
                 if (lhs := ay.translate(by_mx)) != (rhs := mx.translate(through_add[p])):
                     raise self._law_fails("distributivity fails", x, y, lhs, rhs)
+        raise _broken(self, "a ring law fails at a generator but on no triple")
+
+    def _additive_generators(self) -> tuple:
+        """G: each id, in order, that zero cannot reach by adding the earlier
+        generators; each reached element is translated once by each one."""
+        add, gens, seen, todo = self.add, [], {self.zero}, []
+        for x in range(self.n):
+            if x not in seen:
+                gens.append(x)
+                todo += product(seen, (x,))
+                while todo:
+                    s, g = todo.pop()
+                    if (t := add[s][g]) not in seen:
+                        seen.add(t)
+                        todo += product((t,), gens)
+        return tuple(gens)
+
+    def _laws_hold_at(self, gens, through_add, through_mul) -> bool:
+        """(x+g)+z = x+(g+z), x(z+g) = xz+xg and (xg)z = x(gz) for g in G, every
+        x, one row over z each.  Given zero, one, an absorbing zero and
+        commutativity, this decides the laws on every triple as G reaches every
+        element: the g with (x+g)+z = x+(g+z) for all x, z hold 0 and are closed
+        under + (Light's lemma); given that, so are the g with x(y+g) = xy+xg
+        for all x, y; given both, so are the g with (xg)z = x(gz) for all x, z."""
+        add, mul = self.add, self.mul
+        for g in gens:
+            ag, mg = add[g], mul[g]
+            for ax, mx, by_ax, by_mx in zip(add, mul, through_add, through_mul):
+                if (add[ax[g]] != ag.translate(by_ax) or mul[mx[g]] != mg.translate(by_mx)
+                        or ag.translate(by_mx) != mx.translate(through_add[mx[g]])):
+                    return False
+        return True
 
     def _law_fails(self, law: str, x: int, y: int, lhs: bytes, rhs: bytes) -> StructureError:
         return self._malformed(law, f" at (x, y, z) = ({x}, {y}, {_first_difference(lhs, rhs)})")
@@ -130,8 +164,10 @@ class FiniteRing:
         if n < 1:
             raise StructureError(f"modulus must be positive on {name}")
         _check_size(n, _label(name, n))
-        add = [bytes(range(i, n)) + bytes(range(i)) for i in range(n)]
-        mul = [bytes([i * j % n for j in range(n)]) for i in range(n)]
+        ids = bytes(range(n))
+        add = [ids[i:] + ids[:i] for i in range(n)]
+        # Row i is every i-th entry of ids repeated i times: (j * i) % n at j.
+        mul = [bytes(n)] + [(ids * i)[::i] for i in range(1, n)]
         return cls(add, mul, 0, 1 % n, name=name)
 
     @classmethod
@@ -144,17 +180,7 @@ class FiniteRing:
         a*b = d*a + x*(a*j), one lookup per entry."""
         name = name or f"F_{p}[x]/(f)"
         deg = len(modulus) - 1
-        label = _label(name, f"{p}^{deg}") if deg >= 1 else name
-        if p >= PRIME_TEST_BOUND:
-            _check_size(p, label)
-        if not _is_prime(p):
-            raise StructureError(f"coefficient field needs a prime order on {label}")
-        if not modulus or modulus[-1] % p != 1:
-            raise StructureError(f"modulus must be monic with its leading coefficient 1 on {label}")
-        if deg < 1:
-            raise StructureError(f"modulus must have positive degree on {label}")
-        size = p ** deg
-        _check_size(size, label)
+        size = poly_quotient_order(p, deg, modulus[-1] if modulus else 0, name)
 
         add = [list(range(size))]
         for a in range(1, size):
@@ -189,6 +215,23 @@ class FiniteRing:
             return "+".join(parts) or "0"
 
         return cls(add, mul, 0, 1, name=name, element_names=[render(i) for i in range(size)])
+
+
+def poly_quotient_order(p: int, deg: int, lead: int, name: str) -> int:
+    """p**deg, the order of F_p[x]/(f) for f of degree deg with leading
+    coefficient lead, after every check that needs no table."""
+    label = _label(name, f"{p}^{deg}") if deg >= 1 else name
+    if p >= PRIME_TEST_BOUND:
+        _check_size(p, label)
+    if not _is_prime(p):
+        raise StructureError(f"coefficient field needs a prime order on {label}")
+    if lead % p != 1:
+        raise StructureError(f"modulus must be monic with its leading coefficient 1 on {label}")
+    if deg < 1:
+        raise StructureError(f"modulus must have positive degree on {label}")
+    # As p >= 2, p**deg is over the cap once deg reaches the cap's bit length.
+    _check_size(size := p ** min(deg, RING_SIZE_CAP.bit_length()), label)
+    return size
 
 
 def _first_difference(a: bytes, b: bytes) -> int:
@@ -236,69 +279,65 @@ class RingIdealLattice:
         return self.ring.characteristic
 
 
-def _additive_span(ring: FiniteRing, gens) -> int:
-    """The additive subgroup generated by the elements gens, one generator at a
-    time: span + <g> is the union of the translates of span by 0, g, 2g, ...
-    up to the first multiple of g already in span."""
-    add = ring.add
-    members = bytes([ring.zero])
-    span = {ring.zero}
-    for g in gens:
-        if g in span:
+def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> int:
+    """The ideal generated by the ideal with the given members, (0) by default,
+    and gens: Rx is the additive span of xG, and span + <y> is the union of the
+    translates of span by 0, y, 2y, ... up to the first one already in span."""
+    add, mul = ring.add, ring.mul
+    members = members or bytes([ring.zero])
+    span = set(members)
+    for y in {mul[x][g] for x in gens for g in ring.generators}:
+        if y in span:
             continue
-        base, shift = members, g
+        base, shift = members, y
         while shift not in span:
             coset = base.translate(translate_table(add[shift]))
             members += coset
             span.update(coset)
-            shift = add[shift][g]
+            shift = add[shift][y]
     return id_mask(span)
-
-
-def _ideal_generated(ring: FiniteRing, gens) -> int:
-    """The additive span of Rg over the generators g; Rg is row g of the
-    multiplication table, which is commutative."""
-    return _additive_span(ring, set().union(*(ring.mul[g] for g in gens)))
 
 
 def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     """All ideals by closing (0) under one-generator extensions; the lattice is
     a multiplicative lattice with unit the whole ring and annihilator the zero
     ideal."""
-    # The ideal generated by base and x is base + Rx, so each ideal is
-    # extended by the distinct principal ideals only.  Rx is row x of the
-    # multiplication table, already an additive subgroup by distributivity.
-    principal = [id_mask(row) for row in ring.mul]
+    # The ideal generated by I and x is I + Rx, so each ideal is extended by
+    # one x per distinct principal ideal Rx; breadth first, each keeps a
+    # shortest list of such x.  Rx is row x of the multiplication table, read
+    # as a mask by a translate table that sends each id to 0, then Rx to 1.
+    n, ids = ring.n, bytes(range(ring.n))
+    principal = [row_mask(bytes.maketrans(ids + row, bytes(n) + b"\1" * n)[:n]) for row in ring.mul]
+    firsts = {rx: x for x, rx in enumerate(principal)}
     zero_ideal = 1 << ring.zero
-    found = {zero_ideal}
-    frontier = [zero_ideal]
-    while frontier:
-        base = frontier.pop()
-        for rx in set(principal):
-            if rx & ~base:
-                grown = _additive_span(ring, bits(base | rx))
-                if grown not in found:
-                    found.add(grown)
-                    frontier.append(grown)
-    ideals = tuple(sorted(found))
+    gens = {zero_ideal: ()}
+    for base in (queue := [zero_ideal]):
+        members = bytes(bits(base))
+        for rx, x in firsts.items():
+            if rx & ~base and (grown := _ideal_generated(ring, (x,), members)) not in gens:
+                gens[grown] = gens[base] + (x,)
+                queue.append(grown)
+    ideals = tuple(sorted(gens))
     index = {m: i for i, m in enumerate(ideals)}
     leq_rows = [[(a & ~b) == 0 for b in ideals] for a in ideals]
     labels = [_minimal_generating_label(ring, principal, m) for m in ideals]
     poset = FinitePoset(leq_rows, labels)
-    # I*J is the additive span of { xy : x in I, y in J }; the products of
-    # one x are the members of J read through row x of the multiplication
-    # table, one bytes.translate.
-    members = [bytes(bits(m)) for m in ideals]
-    through = [translate_table(row) for row in ring.mul]
-    mul = []
-    for a in members:
-        rows = [through[x] for x in a]
-        spans = (_additive_span(ring, set(b"".join(map(b.translate, rows)))) for b in members)
-        mul.append([index[span] for span in spans])
+    # I*J is generated by the products gh of the generators of I and of J,
+    # so it is the least ideal holding the principal ideals R(gh): one lookup
+    # when their union is an ideal, else the first ideal above it, as the
+    # least ideal above a mask is a submask of every other one.
+    lists, mul = [gens[m] for m in ideals], []
+    for a in lists:
+        mul.append(row := [])
+        for b in lists:
+            u = zero_ideal
+            for g, h in product(a, b):
+                u |= principal[ring.mul[g][h]]
+            row.append(index[u] if u in index else index[next(m for m in ideals if not u & ~m)])
     magma = OrderedMagma(poset, mul, name=f"I({ring.name})" if ring.name else "I(R)")
     if not magma.profile.multiplicative_lattice:
         raise _broken(ring, "an ideal lattice must be a multiplicative lattice")
-    if magma.unit != index[(1 << ring.n) - 1] or magma.annihilator != index[zero_ideal]:
+    if magma.unit != index[(1 << n) - 1] or magma.annihilator != index[zero_ideal]:
         raise _broken(ring, "unit or annihilator of the ideal lattice misplaced")
     return RingIdealLattice(ring, ideals, magma, index)
 
@@ -423,8 +462,6 @@ def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int
     p = base_prime(ring)
     pre, period = frobenius_exponent_window(ring)
     exps = list(range(pre, pre + period + extra_period))
-    if not exps:
-        exps = [pre]
     regulars = list(bits(regular_elements_mask(lat)))
     if not regulars:
         raise _broken(ring, "the regular locus of a finite ring cannot be empty")

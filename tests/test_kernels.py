@@ -8,6 +8,7 @@ carriers below and on random ordered magmas.
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -1827,6 +1828,151 @@ def test_poly_tables_match_schoolbook_arithmetic():
             for b, db in enumerate(elems):
                 assert digits(ring.add[a][b], p, deg) == [(u + w) % p for u, w in zip(da, db)]
                 assert digits(ring.mul[a][b], p, deg) == poly_mul_loop(p, coeffs, da, db), spec
+
+
+def test_ideal_products_match_the_element_pairs_on_the_larger_rings():
+    rings = [FiniteRing.zmod(n) for n in (120, 180, 210, 240, 256)] + [poly_ring("3,x^5+x+2")]
+    for ring in rings:
+        lat = ring_ideal_lattice(ring)
+        for i, a in enumerate(lat.ideals):
+            for j, b in enumerate(lat.ideals):
+                assert lat.ideals[lat.magma.mul[i][j]] == ideal_product_loop(ring, a, b), ring
+
+
+def test_a_ring_with_a_non_principal_ideal_matches_the_definitions():
+    # F_2[x,y]/(x^2, xy, y^2): a + bx + cy at id a + 2b + 4c, and its maximal
+    # ideal (x, y) needs both generators.
+    elems = [(i & 1, i >> 1 & 1, i >> 2) for i in range(8)]
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[tuple(u ^ w for u, w in zip(s, t))] for t in elems] for s in elems]
+    mul = [[index[(s[0] & t[0], s[0] & t[1] ^ s[1] & t[0], s[0] & t[2] ^ s[2] & t[0])] for t in elems]
+           for s in elems]
+    ring = FiniteRing(add, mul, 0, 1, name="F2[x,y]/(x^2,xy,y^2)")
+    assert ring.generators == (1, 2, 4)
+    lat = ring_ideal_lattice(ring)
+    closed = [
+        s for s in range(1, 1 << 8)
+        if all(s >> add[a][b] & 1 and s >> mul[r][a] & 1 for a in bits(s) for b in bits(s) for r in range(8))
+    ]
+    assert sorted(lat.ideals) == closed
+    maximal = id_mask((0, 2, 4, 6))
+    assert maximal in lat.ideals and all(id_mask(mul[g]) != maximal for g in range(8))
+    assert lat.magma.poset.labels[lat.index[maximal]] == "(2,4,6)"
+    for i, a in enumerate(lat.ideals):
+        for j, b in enumerate(lat.ideals):
+            assert lat.ideals[lat.magma.mul[i][j]] == ideal_product_loop(ring, a, b), (a, b)
+    assert lat.magma.mul[lat.index[maximal]][lat.index[maximal]] == lat.index[1]
+
+
+def ring_tables(n, add_free, mul_free):
+    """The tables on 0..n-1 with zero 0 and one 1 that pass the zero, one,
+    absorbing and commutativity checks, from the entries above the diagonal
+    or on it that those checks leave free: add_free over 1..n-1 and mul_free
+    over 2..n-1, in the order of combinations_with_replacement."""
+    add = [list(range(n))] + [[x] + [0] * (n - 1) for x in range(1, n)]
+    mul = [[0] * n, list(range(n))] + [[0, x] + [0] * (n - 2) for x in range(2, n)]
+    for table, low, free in ((add, 1, add_free), (mul, 2, mul_free)):
+        cells = [(x, y) for x in range(low, n) for y in range(x, n)]
+        for (x, y), value in zip(cells, free):
+            table[x][y] = table[y][x] = value
+    return add, mul
+
+
+def test_the_generator_check_accepts_what_the_ordered_scan_accepts():
+    rng = random.Random("rings:generators")
+    pairs = [ring_tables(3, a, [m]) for a in product(range(3), repeat=3) for m in range(3)]
+    assert len(pairs) == 81
+    pairs += [
+        ring_tables(4, [rng.randrange(4) for _ in range(6)], [rng.randrange(4) for _ in range(3)])
+        for _ in range(2000)
+    ]
+    seen = Counter()
+    for add, mul in pairs:
+        expected = ring_laws_loop(add, mul, 0, 1)
+        seen[expected and expected[0]] += 1
+        if expected is None:
+            assert FiniteRing(add, mul, 0, 1).n == len(add)
+            continue
+        with pytest.raises(StructureError) as info:
+            FiniteRing(add, mul, 0, 1)
+        law, at = expected
+        assert str(info.value) == f"{law} on ring ({len(add)} elements) at {at}"
+    assert set(seen) == {
+        None,
+        "addition not associative",
+        "multiplication not associative",
+        "distributivity fails",
+        "additive inverse missing",
+    }, seen
+
+
+def bilinear_tables(products):
+    """F_2^3 with basis 1, a, b at ids 1, 2, 4, added by XOR, and the
+    commutative product with unit 1 and aa, ab, bb the given ids, extended
+    bilinearly: distributive, and associative only for some products."""
+    basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 2): products[0], (2, 4): products[1], (4, 4): products[2]}
+
+    def times(u, v):
+        out = 0
+        for i in bits(u):
+            for j in bits(v):
+                out ^= basis[min(1 << i, 1 << j), max(1 << i, 1 << j)]
+        return out
+
+    return [[u ^ v for v in range(8)] for u in range(8)], [[times(u, v) for v in range(8)] for u in range(8)]
+
+
+def test_the_generator_check_decides_multiplication_under_distributivity():
+    verdicts = Counter()
+    for products in product(range(8), repeat=3):
+        add, mul = bilinear_tables(products)
+        expected = ring_laws_loop(add, mul, 0, 1)
+        verdicts[expected and expected[0]] += 1
+        if expected is None:
+            assert FiniteRing(add, mul, 0, 1).generators == (1, 2, 4)
+            continue
+        with pytest.raises(StructureError) as info:
+            FiniteRing(add, mul, 0, 1)
+        assert str(info.value) == f"{expected[0]} on ring (8 elements) at {expected[1]}"
+    assert set(verdicts) == {None, "multiplication not associative"}, verdicts
+
+
+def test_a_generator_check_without_a_failing_triple_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(FiniteRing, "_laws_hold_at", lambda *args: False)
+    with pytest.raises(InternalCheckError, match=r"Z/12 \(12 elements\)"):
+        FiniteRing.zmod(12)
+
+
+def test_the_additive_generators_reach_every_element():
+    rings = [FiniteRing.zmod(n) for n in range(1, 257)] + [poly_ring(s) for s in POLY_SPECS]
+    for ring in rings:
+        reached, frontier = {ring.zero}, [ring.zero]
+        while frontier:
+            s = frontier.pop()
+            for g in ring.generators:
+                if (t := ring.add[s][g]) not in reached:
+                    reached.add(t)
+                    frontier.append(t)
+        assert reached == set(range(ring.n)), ring
+    assert all(ring.generators == (1,) for ring in rings[1:256])
+    assert rings[0].generators == ()
+    for spec, ring in zip(POLY_SPECS, rings[256:]):
+        p, coeffs, _ = _parse_poly_spec(spec)
+        assert ring.generators == tuple(p ** d for d in range(len(coeffs) - 1)), spec
+
+
+def test_an_over_cap_degree_is_refused_before_its_coefficients(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.main(["make", "ring", "--poly", "2,x^10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 1 << 20, peak
+    assert err == (
+        "hypothesis not met: ring size capped at 256 on F_2[x]/(x^10000000) (2^10000000 elements)\n"
+    )
 
 
 @pytest.mark.parametrize(
