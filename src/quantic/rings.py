@@ -274,10 +274,6 @@ class RingIdealLattice:
     magma: OrderedMagma        # containment order with ideal multiplication
     index: dict                # ideal mask -> lattice element id
 
-    @property
-    def characteristic(self) -> int:
-        return self.ring.characteristic
-
 
 def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> int:
     """The ideal generated by the ideal with the given members, (0) by default,
@@ -302,30 +298,33 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     """All ideals by closing (0) under one-generator extensions; the lattice is
     a multiplicative lattice with unit the whole ring and annihilator the zero
     ideal."""
-    # The ideal generated by I and x is I + Rx, so each ideal is extended by
-    # one x per distinct principal ideal Rx; breadth first, each keeps a
-    # shortest list of such x.  Rx is row x of the multiplication table, read
-    # as a mask by a translate table that sends each id to 0, then Rx to 1.
+    # Each ideal I is extended by one x per distinct principal ideal Rx;
+    # breadth first, each keeps a shortest list of such x.  Rx is row x of
+    # the multiplication table, read as a mask by a translate table that
+    # sends each id to 0, then Rx to 1.
     n, ids = ring.n, bytes(range(ring.n))
     principal = [row_mask(bytes.maketrans(ids + row, bytes(n) + b"\1" * n)[:n]) for row in ring.mul]
     firsts = {rx: x for x, rx in enumerate(principal)}
     zero_ideal = 1 << ring.zero
-    gens = {zero_ideal: ()}
+    gens, tried = {zero_ideal: ()}, set()
     for base in (queue := [zero_ideal]):
         members = bytes(bits(base))
         for rx, x in firsts.items():
-            if rx & ~base and (grown := _ideal_generated(ring, (x,), members)) not in gens:
-                gens[grown] = gens[base] + (x,)
-                queue.append(grown)
+            # I + Rx is the ideal generated by their union, and no new ideal
+            # when that union is an ideal already or was extended before.
+            if (u := base | rx) not in gens and u not in tried:
+                tried.add(u)
+                if (grown := _ideal_generated(ring, (x,), members)) not in gens:
+                    gens[grown] = gens[base] + (x,)
+                    queue.append(grown)
     ideals = tuple(sorted(gens))
     index = {m: i for i, m in enumerate(ideals)}
     leq_rows = [[(a & ~b) == 0 for b in ideals] for a in ideals]
     labels = [_minimal_generating_label(ring, principal, m) for m in ideals]
     poset = FinitePoset(leq_rows, labels)
-    # I*J is generated by the products gh of the generators of I and of J,
-    # so it is the least ideal holding the principal ideals R(gh): one lookup
-    # when their union is an ideal, else the first ideal above it, as the
-    # least ideal above a mask is a submask of every other one.
+    # I*J is the least ideal holding R(gh) for the generators g of I and h
+    # of J: their union when that is an ideal, else the first ideal above it,
+    # as the least ideal above a mask is a submask of every other one.
     lists, mul = [gens[m] for m in ideals], []
     for a in lists:
         mul.append(row := [])
