@@ -85,55 +85,9 @@ class FiniteRing:
                 y = min(_first_difference(add[x], flat_add[x::n]),
                         _first_difference(mul[x], flat_mul[x::n]))
                 raise self._malformed("ring is not commutative", f" at (x, y) = ({x}, {y})")
-        self.generators = self._additive_generators()
-        through_add = [translate_table(r) for r in add]
-        through_mul = [translate_table(r) for r in mul]
-        if self._laws_hold_at(self.generators, through_add, through_mul):
-            return
-        # The first failing triple, each law for every z at once, as a row:
-        # (x+y)+z is add[x+y], x+(y+z) is add[y] read through add[x], and so on.
-        for x, (ax, mx, by_ax, by_mx) in enumerate(zip(add, mul, through_add, through_mul)):
-            for y, (ay, my, s, p) in enumerate(zip(add, mul, ax, mx)):
-                if (lhs := add[s]) != (rhs := ay.translate(by_ax)):
-                    raise self._law_fails("addition not associative", x, y, lhs, rhs)
-                if (lhs := mul[p]) != (rhs := my.translate(by_mx)):
-                    raise self._law_fails("multiplication not associative", x, y, lhs, rhs)
-                # x(y+z) against xy+xz: add[y] read through mul[x], against
-                # mul[x] read through add[xy].
-                if (lhs := ay.translate(by_mx)) != (rhs := mx.translate(through_add[p])):
-                    raise self._law_fails("distributivity fails", x, y, lhs, rhs)
-        raise _broken(self, "a ring law fails at a generator but on no triple")
-
-    def _additive_generators(self) -> tuple:
-        """G: each id, in order, that zero cannot reach by adding the earlier
-        generators; each reached element is translated once by each one."""
-        add, gens, seen, todo = self.add, [], {self.zero}, []
-        for x in range(self.n):
-            if x not in seen:
-                gens.append(x)
-                todo += product(seen, (x,))
-                while todo:
-                    s, g = todo.pop()
-                    if (t := add[s][g]) not in seen:
-                        seen.add(t)
-                        todo += product((t,), gens)
-        return tuple(gens)
-
-    def _laws_hold_at(self, gens, through_add, through_mul) -> bool:
-        """(x+g)+z = x+(g+z), x(z+g) = xz+xg and (xg)z = x(gz) for g in G, every
-        x, one row over z each.  Given zero, one, an absorbing zero and
-        commutativity, this decides the laws on every triple as G reaches every
-        element: the g with (x+g)+z = x+(g+z) for all x, z hold 0 and are closed
-        under + (Light's lemma); given that, so are the g with x(y+g) = xy+xg
-        for all x, y; given both, so are the g with (xg)z = x(gz) for all x, z."""
-        add, mul = self.add, self.mul
-        for g in gens:
-            ag, mg = add[g], mul[g]
-            for ax, mx, by_ax, by_mx in zip(add, mul, through_add, through_mul):
-                if (add[ax[g]] != ag.translate(by_ax) or mul[mx[g]] != mg.translate(by_mx)
-                        or ag.translate(by_mx) != mx.translate(through_add[mx[g]])):
-                    return False
-        return True
+        self.generators = _additive_generators(add, zero)
+        if _first_failure(add, mul, self.generators) is not None:
+            raise self._law_fails(*_first_failure(add, mul, range(n)))
 
     def _law_fails(self, law: str, x: int, y: int, lhs: bytes, rhs: bytes) -> StructureError:
         return self._malformed(law, f" at (x, y, z) = ({x}, {y}, {_first_difference(lhs, rhs)})")
@@ -234,6 +188,48 @@ def poly_quotient_order(p: int, deg: int, lead: int, name: str) -> int:
     return size
 
 
+def _additive_generators(add, zero: int) -> tuple:
+    """G: each id, in order, that zero cannot reach by adding the earlier
+    generators; each reached element is translated once by each one."""
+    gens, seen, todo = [], {zero}, []
+    for x in range(len(add)):
+        if x not in seen:
+            gens.append(x)
+            todo += product(seen, (x,))
+            while todo:
+                s, g = todo.pop()
+                if (t := add[s][g]) not in seen:
+                    seen.add(t)
+                    todo += product((t,), gens)
+    return tuple(gens)
+
+
+def _first_failure(add, mul, ys):
+    """The first (law, x, y, lhs, rhs), x over every element and y over ys,
+    where (x+y)+z = x+(y+z), (xy)z = x(yz) or x(y+z) = xy+xz fails for some z
+    (each law for every z at once, as a row), or None.  With ys an additive
+    generating set this decides the laws on every triple, given zero, one, an
+    absorbing zero and commutativity: the y with (x+y)+z = x+(y+z) for all x, z
+    hold 0 and are closed under + (Light's lemma); given that, so are the y
+    with x(y+z) = xy+xz for all x, z; given both, so are the y with
+    (xy)z = x(yz) for all x, z.  A failure at ys is also one of the scan over
+    every y, found there at or before it."""
+    through_add = [translate_table(r) for r in add]
+    for x, (ax, mx, by_ax) in enumerate(zip(add, mul, through_add)):
+        by_mx = translate_table(mx)
+        for y in ys:
+            ay, my, s, p = add[y], mul[y], ax[y], mx[y]
+            if (lhs := add[s]) != (rhs := ay.translate(by_ax)):
+                return "addition not associative", x, y, lhs, rhs
+            if (lhs := mul[p]) != (rhs := my.translate(by_mx)):
+                return "multiplication not associative", x, y, lhs, rhs
+            # x(y+z) against xy+xz: add[y] read through mul[x], against
+            # mul[x] read through add[xy].
+            if (lhs := ay.translate(by_mx)) != (rhs := mx.translate(through_add[p])):
+                return "distributivity fails", x, y, lhs, rhs
+    return None
+
+
 def _first_difference(a: bytes, b: bytes) -> int:
     """The first index where a and b differ, or len(a) if they agree."""
     return next((i for i, (u, w) in enumerate(zip(a, b)) if u != w), len(a))
@@ -274,6 +270,10 @@ class RingIdealLattice:
     magma: OrderedMagma        # containment order with ideal multiplication
     index: dict                # ideal mask -> lattice element id
 
+    @property
+    def characteristic(self) -> int:
+        return self.ring.characteristic
+
 
 def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> int:
     """The ideal generated by the ideal with the given members, (0) by default,
@@ -298,18 +298,17 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     """All ideals by closing (0) under one-generator extensions; the lattice is
     a multiplicative lattice with unit the whole ring and annihilator the zero
     ideal."""
-    # Each ideal I is extended by one x per distinct principal ideal Rx;
-    # breadth first, each keeps a shortest list of such x.  Rx is row x of
-    # the multiplication table, read as a mask by a translate table that
-    # sends each id to 0, then Rx to 1.
+    # Each ideal I is extended by one x per distinct principal ideal Rx,
+    # breadth first, so each keeps a shortest list of such x; Rx is row x of
+    # the multiplication table read as a mask (each id to 0, then Rx to 1).
     n, ids = ring.n, bytes(range(ring.n))
     principal = [row_mask(bytes.maketrans(ids + row, bytes(n) + b"\1" * n)[:n]) for row in ring.mul]
-    firsts = {rx: x for x, rx in enumerate(principal)}
+    by_principal = {rx: x for x, rx in enumerate(principal)}
     zero_ideal = 1 << ring.zero
     gens, tried = {zero_ideal: ()}, set()
     for base in (queue := [zero_ideal]):
         members = bytes(bits(base))
-        for rx, x in firsts.items():
+        for rx, x in by_principal.items():
             # I + Rx is the ideal generated by their union, and no new ideal
             # when that union is an ideal already or was extended before.
             if (u := base | rx) not in gens and u not in tried:
@@ -461,6 +460,8 @@ def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int
     p = base_prime(ring)
     pre, period = frobenius_exponent_window(ring)
     exps = list(range(pre, pre + period + extra_period))
+    if not exps:
+        exps = [pre]
     regulars = list(bits(regular_elements_mask(lat)))
     if not regulars:
         raise _broken(ring, "the regular locus of a finite ring cannot be empty")

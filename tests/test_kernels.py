@@ -41,7 +41,14 @@ from quantic.poset import FinitePoset, all_below, bits, byte_lanes, carrier_labe
 from quantic.poset import order_preserving_each, translate_table
 from quantic.poset import EXHAUSTIVE_CAP, SUBSET_BLOCK, lanes_within, mask_row, row_mask, subset_masks, subset_table
 from quantic.poset import sup_misses, ub_scan_sup
-from quantic.rings import PRIME_TEST_BOUND, FiniteRing, _is_prime, ring_ideal_lattice
+from quantic.rings import (
+    PRIME_TEST_BOUND,
+    FiniteRing,
+    _additive_generators,
+    _first_failure,
+    _is_prime,
+    ring_ideal_lattice,
+)
 from quantic.verify import run_all
 
 from conftest import automorphism_loop, corrupted_kernel, invertible_loop, law_failures_by_lists, lin_masks_loop
@@ -1937,10 +1944,27 @@ def test_the_generator_check_decides_multiplication_under_distributivity():
     assert set(verdicts) == {None, "multiplication not associative"}, verdicts
 
 
-def test_a_generator_check_without_a_failing_triple_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(FiniteRing, "_laws_hold_at", lambda *args: False)
-    with pytest.raises(InternalCheckError, match=r"Z/12 \(12 elements\)"):
-        FiniteRing.zmod(12)
+def test_a_failure_at_the_generators_is_found_by_the_full_scan_no_later():
+    """On tables that pass the zero, one, absorbing and commutativity checks,
+    the scan over every y fails exactly when the scan at G does, and at the
+    same (x, y) or an earlier one, so a failure at G always names a triple."""
+    tables = [ring_tables(3, a, [m]) for a in product(range(3), repeat=3) for m in range(3)]
+    tables += [bilinear_tables(products) for products in product(range(8), repeat=3)]
+    for ring in (FiniteRing.zmod(12), poly_ring("2,x^4")):
+        tables += corrupted_tables(ring.add, ring.mul, f"rings:scan:{ring.name}", 200)
+    early = {"zero or one fails its law", "zero is not absorbing", "ring is not commutative"}
+    failures = 0
+    for add, mul in tables:
+        if (expected := ring_laws_loop(add, mul, 0, 1)) and expected[0] in early:
+            continue
+        add, mul = [bytes(r) for r in add], [bytes(r) for r in mul]
+        at_g = _first_failure(add, mul, _additive_generators(add, 0))
+        full = _first_failure(add, mul, range(len(add)))
+        assert (at_g is None) == (full is None), (add, mul)
+        if at_g is not None:
+            failures += 1
+            assert full[1:3] <= at_g[1:3] and full[3] != full[4]
+    assert failures > 100, failures
 
 
 def test_the_additive_generators_reach_every_element():
