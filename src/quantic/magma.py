@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, product
 from operator import and_, ne
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving, order_preserving_each
@@ -231,6 +231,11 @@ class OrderedMagma:
         return tuple(map(translate_table, self.mul))
 
     @cached_property
+    def line_codes(self) -> list:
+        """The up-lane codes of the product's n rows, then of its n columns."""
+        return list(map(read_code, lane_segments(self.poset.up_lanes, self.mul + self.cols)))
+
+    @cached_property
     def residuals(self) -> ResidualTable:
         """The residual table; each entry is checked against the adjunction as it is built.
 
@@ -319,25 +324,16 @@ def residual(m: OrderedMagma, x: int, a: int) -> Residual:
     return m.residuals.at[x][a]
 
 
-def _translations_preserve_existing_sups(m: OrderedMagma) -> Tuple[bool, bool]:
-    """Whether a(sup X) == sup(aX) and (sup X)a == sup(Xa) for every nonempty X,
-    and for every X, whose sup exists; one exhaustive walk over the subsets."""
-    every = True
-    for mask in _translation_failures(m):
-        if mask:
-            return False, False
-        every = False
-    return True, every
-
-
 def _translation_failures(m: OrderedMagma):
     """Every subset X, in walk order, whose sup s exists and some translation
     of which misses it: a s != sup(aX) or s a != sup(Xa).  sup_misses carries
     the upper bounds of the 2n sets aX and Xa, lane a and lane n + a of one
-    packed int, and cols[s], the lane code of up[a s] and up[s a] over a,
-    decides every translation in one comparison."""
-    p, n = m.poset, m.n
-    cols = list(map(read_code, lane_segments(p.up_lanes, list(map(bytes.__add__, m.cols, m.mul)))))
+    packed int, and cols[s], the line code of column s with row s's n lanes
+    above it, up[a s] and up[s a] over a, decides every translation in one
+    comparison."""
+    p, n, codes = m.poset, m.n, m.line_codes
+    shift = 8 * len(p.up_lanes) * n
+    cols = [codes[n + a] | codes[a] << shift for a in range(n)]
     return sup_misses(p, cols, p.universe_code(2 * n))
 
 
@@ -351,25 +347,13 @@ def _law_failures(m: OrderedMagma):
     some a, by rows then columns.  As up[u v w] = up[u] & up[w], line x v y
     is the joins of lines x and y exactly when their up-lane codes have
     code[join[x][y]] = code[x] & code[y]: one AND a pair."""
-    p, n = m.poset, m.n
-    codes = list(map(read_code, lane_segments(p.up_lanes, m.mul + m.cols)))
-    joins = [j for row in p.join_table for j in row]
+    n, codes = m.n, m.line_codes
+    joins = [j for row in m.poset.join_table for j in row]
     for c in (codes[:n], codes[n:]):
         joined, anded = [c[j] for j in joins], [u & w for u in c for w in c]
         if joined != anded:
             pairs = compress(product(range(n), repeat=2), map(ne, joined, anded))
             yield from ((x, y) for x, y in pairs if x <= y)
-
-
-def _parting_subset(m: OrderedMagma, scan_np: bool, near_prequantale: bool) -> list:
-    """Where the translation scan and the pairwise law part ways: the first
-    nonempty subset the scan fails when only the law holds, the first pair
-    the law fails when only the scan holds, else the empty set."""
-    if near_prequantale and not scan_np:
-        return next((list(bits(mask)) for mask in _translation_failures(m) if mask), [])
-    if scan_np and not near_prequantale:
-        return list(next(_law_failures(m), ()))
-    return []
 
 
 def classify(m: OrderedMagma) -> ClassificationProfile:
@@ -405,13 +389,17 @@ def classify(m: OrderedMagma) -> ClassificationProfile:
     if prequantale != (pf.complete and residuated):
         raise broken(m, "prequantale characterizations disagree")
     if n <= EXHAUSTIVE_CAP:
-        scan_np, scan_all = (
-            _translations_preserve_existing_sups(m) if pf.near_sup_complete else (False, False)
-        )
+        # One scan: the near-prequantale scan holds with no nonempty miss,
+        # the prequantale scan with no miss; both fail if not near sup-complete.
+        misses = list(_translation_failures(m)) if pf.near_sup_complete else None
+        nonempty = next(filter(None, misses or ()), None)
+        scan_np, scan_all = misses is not None and nonempty is None, misses == []
         if scan_np != near_prequantale or (pf.complete and scan_all) != prequantale:
+            # The first nonempty miss, else the law's first failing pair if the scan holds.
+            parting = bits(nonempty) if nonempty is not None else next(_law_failures(m), ()) if scan_np else ()
             raise InternalCheckError(
                 f"subset-scan classification disagrees with pairwise on {carrier_label(m)}, "
-                f"first parting subset {_parting_subset(m, scan_np, near_prequantale)}"
+                f"first parting subset {list(parting)}"
             )
 
     profile = ClassificationProfile(
@@ -451,12 +439,11 @@ def check_profile_implications(profile: ClassificationProfile, name: str = ""):
 
 def is_sup_spanning(m: OrderedMagma, sigma: Iterable[int]) -> bool:
     """xy = sup{ay : a in Sigma, a <= x} = sup{xb : b in Sigma, b <= y} for all x, y.
-    Over the up-lane codes of the rows and columns (the layout of _law_failures),
-    line x is the joins of the lines in Sigma below x exactly when the AND of
-    their codes, from the universe, is the code of line x."""
-    p, n = m.poset, m.n
+    Over the line codes of the rows and columns, line x is the joins of the
+    lines in Sigma below x exactly when the AND of their codes, from the
+    universe, is the code of line x."""
+    p, n, codes = m.poset, m.n, m.line_codes
     smask, start = id_mask(sigma), p.universe_code(n)
-    codes = list(map(read_code, lane_segments(p.up_lanes, m.mul + m.cols)))
     return all(
         reduce(and_, (c[a] for a in bits(smask & down)), start) == c[x]
         for c in (codes[:n], codes[n:])

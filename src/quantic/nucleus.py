@@ -624,8 +624,7 @@ def _search_nuclei(m: OrderedMagma, cap: Optional[int]) -> Optional[Tuple[Monoto
     {z : a z <= w}, so a\\w exists (near residuation) and is in the image.
     So y* <= a\\w and a y* <= w; symmetrically x* y <= (x y)*.  This is c3,
     and c3 with the closure gives a nucleus.  No meet test is needed: a
-    closure image holds every meet that exists, since w = a ^ b gives
-    w* <= a* = a and w* <= b, so w* = w.
+    closure image holds every meet that exists (_assert_profile_inheritance).
     """
     memo, found, decided = _memo(m), [], 0
     if cap is None:
@@ -726,13 +725,19 @@ def _assert_corestriction_sup_preserving(m: OrderedMagma, s: MonotoneMap):
 
 
 def _assert_profile_inheritance(m: OrderedMagma, q: OrderedMagma):
-    pm, pq = m.profile, q.profile
+    """Every flag below that holds on m holds on its quotient q: the magma
+    classes, and the poset flags, which hold for the image of any closure s.
+    The image's sup of a set X is s(sup X), so each sup that exists in m has
+    one in the image.  The image also holds every meet that exists: w = a ^ b
+    gives s(w) <= s(a) = a and s(w) <= b, so s(w) = w."""
+    held, kept = ({**c.profile.as_dict(), **vars(c.poset.flags)} for c in (m, q))
     for flag in (
         "prequantale", "near_prequantale", "semiprequantale", "multiplicative_semilattice",
         "prequantic_semilattice", "near_residuated", "residuated",
         "quantale", "near_quantale", "multiplicative_lattice", "near_multiplicative_lattice",
+        "complete", "near_sup_complete", "bounded_complete", "join_semilattice", "meet_semilattice",
     ):
-        if getattr(pm, flag) and not getattr(pq, flag):
+        if held[flag] and not kept[flag]:
             raise _broken(m, f"quotient failed to inherit {flag}")
 
 
@@ -1137,30 +1142,29 @@ def _refuse_without_join_formula(m: OrderedMagma) -> None:
         )
 
 
-def composition_sups_match(m: OrderedMagma, pairs: Optional[tuple] = None) -> bool:
+def composition_sups_match(m: OrderedMagma) -> bool:
     """Whether, for every pair (i, j) of positions in enumerate_nuclei(m),
-    i <= j by default, the sup of each element's images over the
-    composition monoid of nuclei i and j is its image under their join in
-    nuclei_join_table(m)."""
+    i <= j, the sup of each element's images over the composition monoid of
+    nuclei i and j is its image under their join in nuclei_join_table(m)."""
     _refuse_without_join_formula(m)
-    return _alternations(m, pairs)[0]
+    return _alternations(m)[0]
 
 
-def certified_compositions(m: OrderedMagma, pairs: Optional[tuple] = None) -> Optional[int]:
+def certified_compositions(m: OrderedMagma) -> Optional[int]:
     """certified_composition over every pair (i, j) of positions in
-    enumerate_nuclei(m), i <= j by default: the number of ordered pairs it
+    enumerate_nuclei(m), i <= j: the number of ordered pairs it
     certifies, (i, j) and (j, i) sharing one verdict, or None when, where
     the join formula applies, a certified composition is not the join.
     Where it does not apply, each certified composition is certified as a
     nucleus here, else InternalCheckError, as certified_composition does."""
-    _, certified, limits = _alternations(m, pairs)
+    _, certified, limits = _alternations(m)
     for table in limits:
         _certified(m, table, "certified composition")
     return certified
 
 
 @per_carrier
-def _alternations(m: OrderedMagma, pairs: Optional[tuple]) -> tuple:
+def _alternations(m: OrderedMagma) -> tuple:
     """The one pass for composition_sups_match and certified_compositions
     (see the comment above): whether every limit is its join entry (False
     with no join table), the ordered pairs certified within the bound, or
@@ -1169,7 +1173,7 @@ def _alternations(m: OrderedMagma, pairs: Optional[tuple]) -> tuple:
     tables, n = list(map(attrgetter("table"), enumerate_nuclei(m))), m.n
     joins = nuclei_join_table(m) if join_formula_applies(m) else None
     sups_match, certified, limits, shifts = joins is not None, 0, {}, {}
-    for q, first, second, joined, twins in _pair_chunks(tables, joins, 256 // n, n, pairs):
+    for q, first, second, joined, twins in _pair_chunks(tables, joins, 256 // n, n):
         size = q * n
         if q not in shifts:
             shifts[q] = read_code(bytes(i * n for i in range(q) for _ in range(n)))
@@ -1204,22 +1208,11 @@ def _alternations(m: OrderedMagma, pairs: Optional[tuple]) -> tuple:
     return sups_match, certified, tuple(limits)
 
 
-def _pair_chunks(tables: Sequence[bytes], joins, per: int, n: int, pairs: Optional[tuple]):
-    """The pairs, per at a time: (q, the first tables, the second tables,
-    the join entries' tables or None, the number of pairs of the form
-    (s, s)), each string q tables laid out one after another.  With
-    pairs None, every i <= j, row by row, a chunk never spanning two rows."""
-    if pairs is not None:
-        for c in range(0, len(pairs), per):
-            chunk = pairs[c : c + per]
-            yield (
-                len(chunk),
-                b"".join(tables[i] for i, _ in chunk),
-                b"".join(tables[j] for _, j in chunk),
-                None if joins is None else b"".join(tables[joins[i][j]] for i, j in chunk),
-                sum(i == j for i, j in chunk),
-            )
-        return
+def _pair_chunks(tables: Sequence[bytes], joins, per: int, n: int):
+    """Every pair i <= j, per at a time, row by row, a chunk never spanning
+    two rows: (q, the first tables, the second tables, the join entries'
+    tables or None, the number of pairs of the form (s, s)), each string q
+    tables laid out one after another."""
     laid, k = b"".join(tables), len(tables)
     for i, t in enumerate(tables):
         row = None if joins is None else joins[i]

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress, repeat
-from operator import and_, ne, not_, or_
+from operator import and_, itemgetter, ne, not_, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
@@ -508,14 +508,17 @@ class FinitePoset:
             if self.up[i] & self.up[j]
         )
         if n <= EXHAUSTIVE_CAP:
-            pair = (complete, near_sup, bounded_complete)
-            scan = self._flag_scan()
+            # One scan: firsts[k] is the first (subset, upper bounds) with no sup in flag
+            # k's class: any subset (filter None), nonempty (the mask), bounded too (all).
+            misses = self._subsets_without_sup()
+            firsts = [next(filter(test, misses), None) for test in (None, itemgetter(0), all)]
+            pair, scan = (complete, near_sup, bounded_complete), tuple(first is None for first in firsts)
             if scan != pair:
-                k = next(k for k in range(3) if scan[k] != pair[k])
+                k = list(map(ne, scan, pair)).index(True)
                 raise InternalCheckError(
                     "pairwise and exhaustive poset classification disagree: "
-                    f"pair={pair} scan={scan} on {carrier_label(self)}, first parting "
-                    f"subset {self._parting_subset(k, scan[k])}"
+                    f"pair={pair} scan={scan} on {carrier_label(self)}, first parting subset "
+                    f"{self._parting_subset(k) if scan[k] else list(bits(firsts[k][0]))}"
                 )
         return PosetFlags(
             complete=complete,
@@ -539,23 +542,10 @@ class FinitePoset:
             out += compress(zip(masks, ubs), map(not_, map(least.__contains__, ubs)))
         return out
 
-    def _flag_scan(self) -> tuple:
-        """(complete, near sup-complete, bounded complete) decided from the
-        upper bounds of every subset, independently of the pairwise joins."""
-        misses = self._subsets_without_sup()
-        if not misses:
-            return True, True, True
-        return False, not any(mask for mask, _ in misses), not any(mask and ub for mask, ub in misses)
-
-    def _parting_subset(self, k: int, scan_holds: bool) -> list:
+    def _parting_subset(self, k: int) -> list:
         """A subset without a supremum in the class of flag k (0: every
         subset, 1: nonempty ones, 2: nonempty ones bounded above), found by
-        the route that denies the flag: the subset scan unless scan_holds,
-        else the pairwise joins, a missing top or a missing bottom."""
-        if not scan_holds:
-            for mask, ub in self._subsets_without_sup():
-                if k == 0 or mask and (k == 1 or ub):
-                    return list(bits(mask))
+        the pairwise route: the joins, a missing top or a missing bottom."""
         for i, row in enumerate(self.join_table):
             for j in range(i, self.n):
                 if row[j] is None and (k < 2 or self.up[i] & self.up[j]):

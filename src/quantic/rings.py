@@ -270,10 +270,6 @@ class RingIdealLattice:
     magma: OrderedMagma        # containment order with ideal multiplication
     index: dict                # ideal mask -> lattice element id
 
-    @property
-    def characteristic(self) -> int:
-        return self.ring.characteristic
-
 
 def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> int:
     """The ideal generated by the ideal with the given members, (0) by default,
@@ -460,8 +456,6 @@ def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int
     p = base_prime(ring)
     pre, period = frobenius_exponent_window(ring)
     exps = list(range(pre, pre + period + extra_period))
-    if not exps:
-        exps = [pre]
     regulars = list(bits(regular_elements_mask(lat)))
     if not regulars:
         raise _broken(ring, "the regular locus of a finite ring cannot be empty")

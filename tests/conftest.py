@@ -233,6 +233,25 @@ def all_pairs(k):
     return [(i, j) for i in range(k) for j in range(i, k)]
 
 
+def pair_chunker(pairs):
+    """A stand-in for nucleus._pair_chunks over the given pairs (i, j) of
+    positions, per at a time: (q, the first tables, the second tables, the
+    join entries' tables or None, the number of pairs of the form (s, s))."""
+
+    def chunks(tables, joins, per, n):
+        for c in range(0, len(pairs), per):
+            chunk = pairs[c : c + per]
+            yield (
+                len(chunk),
+                b"".join(tables[i] for i, _ in chunk),
+                b"".join(tables[j] for _, j in chunk),
+                None if joins is None else b"".join(tables[joins[i][j]] for i, j in chunk),
+                sum(i == j for i, j in chunk),
+            )
+
+    return chunks
+
+
 def nf_monoid_loop(m, pairs=None):
     """The per-pair oracle of the Nf row's slot-encoded pass: each pair's
     composition monoid saturated by generated_monoid, the AND of the up-lane

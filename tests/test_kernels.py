@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quantic import cli, idl, nucleus, verify
+from quantic import cli, idl, magma, nucleus, verify
 from quantic.cli import _parse_poly_spec
 from quantic.corpus import standard_corpus
 from quantic.divisorial import lin_monoid, v_lin, v_rs, v_units
@@ -31,8 +31,7 @@ from quantic.magma import (
     OrderedMagma,
     _distributes_over_finite_nonempty,
     _law_failures,
-    _parting_subset,
-    _translations_preserve_existing_sups,
+    _translation_failures,
     distinguished_sets,
     is_sup_spanning,
 )
@@ -52,7 +51,7 @@ from quantic.rings import (
 from quantic.verify import run_all
 
 from conftest import automorphism_loop, corrupted_kernel, invertible_loop, law_failures_by_lists, lin_masks_loop
-from conftest import complemmacor_loop, magma_hom_loop, nf_loop, nf_monoid_loop, order_preserving_loop
+from conftest import complemmacor_loop, magma_hom_loop, nf_loop, nf_monoid_loop, order_preserving_loop, pair_chunker
 from conftest import sandwich_masks_loop, subset_walk
 from conftest import sup_misses_walk, sup_spanning_loop, units_loop, v_units_loop, witness_masks
 from test_exhaustive_small import compatible_magmas, three_element_posets
@@ -407,11 +406,16 @@ def corestriction_kernel(m, t):
 
 
 def assert_scans_match(m, tables=(), seen=None):
-    """The four subset scans against their loops; adds each answer to seen[scan]."""
+    """The four subset scans against their loops; adds each answer to seen[scan].
+    The flags' one scan answers through p.flags, which raises where it parts
+    from the pairwise route; the translation scan answers (no nonempty miss,
+    no miss), the verdicts classify reads from it."""
     p = m.poset
+    assert p.n <= EXHAUSTIVE_CAP, m.name
+    misses = list(_translation_failures(m))
     answers = {
-        "flags": [(p._flag_scan(), flag_scan_loop(p))],
-        "translations": [(_translations_preserve_existing_sups(m), translations_loop(m))],
+        "flags": [((p.flags.complete, p.flags.near_sup_complete, p.flags.bounded_complete), flag_scan_loop(p))],
+        "translations": [((not any(misses), not misses), translations_loop(m))],
         "corestriction": [],
         "morphism": [],
     }
@@ -676,16 +680,16 @@ def chain_meet(n):
     return meet_lattice(FinitePoset.chain(n), f"chain{n}-meet")
 
 
-def pass_verdicts(m, pairs=None):
-    """The Nf and complemmacor verdicts of the slot-encoded pass over pairs
-    (every i <= j by default), as the rows' (status, detail)."""
+def pass_verdicts(m):
+    """The Nf and complemmacor verdicts of the slot-encoded pass over every
+    pair i <= j, as the rows' (status, detail)."""
     if not m.profile.near_prequantale:
         nf = "skip", "needs a small near prequantale"
-    elif nucleus.composition_sups_match(m, pairs):
+    elif nucleus.composition_sups_match(m):
         nf = "pass", ""
     else:
         nf = "fail", "composition-monoid supremum misses the join"
-    certified = nucleus.certified_compositions(m, pairs)
+    certified = nucleus.certified_compositions(m)
     if certified is None:
         return nf, ("fail", "certified composition disagrees with the join")
     return nf, ("pass", f"{certified} certified pairs")
@@ -719,14 +723,16 @@ def test_the_pair_rows_match_their_per_pair_loops(corpus, bowtie1_left):
     assert [r.detail for r in run_all(chain_meet(9), names=["complemmacor"])] == ["65500 certified pairs"]
 
 
-def test_the_pair_rows_match_their_per_pair_loops_on_seeded_pairs_of_the_left_zero_power_set():
-    # 16 elements and 2,272 nuclei: 2,000 seeded pairs, each i <= j.
+def test_the_pair_rows_match_their_per_pair_loops_on_seeded_pairs_of_the_left_zero_power_set(monkeypatch):
+    # 16 elements and 2,272 nuclei: 2,000 seeded pairs, each i <= j, fed to
+    # the pass in place of every pair.
     m = powerset_prequantale(left_zero(4)).magma
     k = len(enumerate_nuclei(m))
     rng = random.Random(28)
     pairs = tuple(tuple(sorted((rng.randrange(k), rng.randrange(k)))) for _ in range(2000))
     assert k == 2272 and len(set(pairs)) > 1900
-    verdicts = pass_verdicts(m, pairs)
+    monkeypatch.setattr(nucleus, "_pair_chunks", pair_chunker(pairs))
+    verdicts = pass_verdicts(m)
     assert verdicts == loop_verdicts(m, pairs) and verdicts[0] == ("pass", ""), verdicts
 
 
@@ -2215,10 +2221,17 @@ def union_closed_poset(rng, base, count):
 
 def assert_law_scans_match(m):
     """The lane-code law scan lists the list oracle's pairs in its order,
-    and the pair that _parting_subset names is the oracle's first."""
+    and where the law fails, classify with a translation scan that finds no
+    miss names the oracle's first pair as the parting subset (up to
+    EXHAUSTIVE_CAP elements, where classify runs the scan)."""
     pairs = list(_law_failures(m))
     assert pairs == list(law_failures_by_lists(m)), (m.name, m.mul, m.poset.up)
-    assert _parting_subset(m, True, False) == list(pairs[0] if pairs else ())
+    if pairs and m.n <= EXHAUSTIVE_CAP:
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(magma, "_translation_failures", lambda m: iter(()))
+            with pytest.raises(InternalCheckError, match="subset-scan classification disagrees") as info:
+                magma.classify(m)
+        assert str(info.value).endswith(f"first parting subset {list(pairs[0])}"), (m.name, info.value)
     return pairs
 
 

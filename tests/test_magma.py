@@ -186,6 +186,18 @@ def test_scan_disagreement_names_the_carrier_its_size_and_the_pair_the_law_fails
     assert "first parting subset [1, 2]" in str(info.value)
 
 
+def test_scan_disagreement_names_the_first_nonempty_subset_the_scan_misses(monkeypatch):
+    # The diamond under meet is a near prequantale; a scan that misses the
+    # empty set and then {a, b} parts ways with the law at {a, b}, the first
+    # nonempty miss.
+    p = FinitePoset.diamond()
+    m = OrderedMagma(p, [[p.meet(x, y) for y in range(4)] for x in range(4)], name="diamond-meet")
+    monkeypatch.setattr(magma, "_translation_failures", lambda m: iter([0, 0b0110]))
+    with pytest.raises(InternalCheckError, match="subset-scan classification disagrees") as info:
+        m.profile
+    assert str(info.value).endswith("diamond-meet (4 elements), first parting subset [1, 2]")
+
+
 def test_a_broken_residual_names_the_carrier_its_size_and_the_triple():
     # A lookup that sends down[0] to 2 makes 2 the residual 0/1 on the
     # chain 0 < 1 < 2 under min, and 2 * 1 = 1 is not below 0.

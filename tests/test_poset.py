@@ -158,10 +158,24 @@ def test_flag_disagreement_names_the_poset_its_size_and_the_scan_subset():
     assert "first parting subset [0, 1]" in str(info.value)
 
 
+def test_flag_disagreement_names_the_first_subset_of_the_parting_class():
+    # On 0, 1 < 2 the empty set has no sup on either route.  A lookup that
+    # forgets up[1] makes the scan also miss the sup of {1}: near
+    # sup-completeness parts, and its witness is {1}, the first nonempty
+    # miss, not the empty set, the first miss.
+    p = FinitePoset.from_covers([[2], [2], []])
+    p.join_table, p.top, p.bottom
+    p.principal_up = {p.up[0]: 0, p.up[2]: 2}
+    with pytest.raises(InternalCheckError, match="pair=\\(False, True, True\\) scan=\\(False, False, False\\)") as info:
+        p.flags
+    assert str(info.value).endswith("first parting subset [1]")
+
+
 def test_flag_disagreement_names_the_pair_the_joins_miss(monkeypatch):
     # The bowtie (0, 1 < 2, 3): {0, 1} has two minimal upper bounds.
     p = FinitePoset.from_covers([[2, 3], [2, 3], [], []])
-    monkeypatch.setattr(FinitePoset, "_flag_scan", lambda self: (True, True, True))
+    # A scan that finds every sup holds all three flags.
+    monkeypatch.setattr(FinitePoset, "_subsets_without_sup", lambda self: [])
     with pytest.raises(InternalCheckError, match="FinitePoset \\(4 elements\\)") as info:
         p.flags
     assert "first parting subset [0, 1]" in str(info.value)

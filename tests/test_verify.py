@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +42,23 @@ def test_matrix_has_no_failures(corpus, name):
     results = run_all(corpus[name])
     failures = [(r.name, r.detail) for r in results if r.status == "fail"]
     assert not failures, failures
+
+
+# The rows in the order verify-all prints them, which every recorded output
+# of the command depends on.
+ROW_ORDER = [
+    "closureprop1", "closureprop1a", "closureprop2", "closureprop3", "joinspan", "quantales",
+    "nearprequantales", "starlemma", "CSTstar", "supremark", "preclosurelemma", "CMC",
+    "characterizingclosures", "complemmacor", "dalpha", "RMlemma", "structure2", "1compact",
+    "onebracket", "klattice", "Nf", "downarrowlemma", "maintheorem", "divprop",
+    "simpleprequantales", "stabletheorem", "stablecor", "vstrategies",
+]
+LAZY_ROW_ORDER = ["certification", "finitary", "klattice", "residual-adjunction"]
+
+
+def test_the_rows_keep_the_order_verify_all_prints():
+    assert check_names() == ROW_ORDER
+    assert [name for name, _ in verify._LAZY_REGISTRY] == LAZY_ROW_ORDER
 
 
 def test_every_registered_check_passes_somewhere(corpus):
@@ -127,16 +145,47 @@ def test_run_all_runs_the_join_formula_on_no_pair_and_builds_each_pair_table_onc
     assert k > 2 and calls == [] and sorted(op for _, op in tables) == ["^", "v"]
 
 
-def test_cmc_and_stabletheorem_read_one_meet_table(monkeypatch):
+def test_cmc_builds_the_one_meet_table_and_stabletheorem_meets_only_the_stable_pairs(monkeypatch):
     m = ring_ideal_lattice(FiniteRing.zmod(30)).magma
-    calls = []
+    table_calls, row_calls = [], []
     meet = nucleus.nuclei_meet
-    monkeypatch.setattr(nucleus, "nuclei_meet", lambda m, gamma: calls.append(1) or meet(m, gamma))
+    monkeypatch.setattr(nucleus, "nuclei_meet", lambda m, gamma: table_calls.append(1) or meet(m, gamma))
+    monkeypatch.setattr(verify, "nuclei_meet", lambda m, gamma: row_calls.append(1) or meet(m, gamma))
     tables = counting_builds(monkeypatch, nucleus._pair_table)
-    statuses = {r.name: r.status for r in run_all(m, names=["CMC", "stabletheorem"])}
-    k = len(nucleus.enumerate_nuclei(m))
-    assert statuses == {"CMC": "pass", "stabletheorem": "pass"}
-    assert k > 2 and calls == [] and tables == [(m, "^"), (m, "v")]
+    (row,) = run_all(m, names=["stabletheorem"])
+    # I(Z/30) has 8 nuclei, all stable: the row meets its 36 pairs i <= j
+    # pointwise and builds no table.
+    assert (row.status, row.detail) == ("pass", "8 stable among 8")
+    assert len(row_calls) == 36 and tables == [] and table_calls == []
+    (row,) = run_all(m, names=["CMC"])
+    # Both routes of the table agree on every pair, so it calls no meet.
+    assert row.status == "pass" and tables == [(m, "^"), (m, "v")] and table_calls == []
+
+
+def test_stabletheorem_fails_where_the_pointwise_meet_of_a_stable_pair_parts_from_the_order(monkeypatch):
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    s, t = [u for u in nucleus.enumerate_nuclei(m) if divisorial.is_stable(m, u)][1:3]
+    top, meet = MonotoneMap.top_map(m), verify.nuclei_meet
+    planted = lambda m, gamma: top if [u.table for u in gamma] == [s.table, t.table] else meet(m, gamma)
+    monkeypatch.setattr(verify, "nuclei_meet", planted)
+    (row,) = run_all(m, names=["stabletheorem"])
+    assert (row.status, row.detail) == (
+        "fail",
+        "InternalCheckError: stable meet disagrees with the N(M) order on I(Z/12) (6 elements): "
+        "(2, 4, 2, 5, 4, 5) ^ (3, 3, 5, 3, 5, 5) gives (5, 5, 5, 5, 5, 5)",
+    )
+
+
+def test_stabletheorem_answers_on_chain9_without_the_meet_table(monkeypatch):
+    m = OrderedMagma(FinitePoset.chain(9), [[min(x, y) for y in range(9)] for x in range(9)], name="chain9-meet")
+
+    def refused(m):
+        raise AssertionError("the meet table was built")
+
+    for module in (nucleus, verify):
+        monkeypatch.setattr(module, "nuclei_meet_table", refused)
+    (row,) = run_all(m, names=["stabletheorem"])
+    assert (row.status, row.detail) == ("pass", "9 stable among 256")
 
 
 def drop_a_cover(m, side):
@@ -187,8 +236,8 @@ def test_cmc_fails_on_a_meet_that_is_not_the_n_m_meet(fault):
     m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
     fault(m)
     # The meet table refuses the pair whose routes part, naming the carrier
-    # and the pair, in both rows that read it.
-    assert_readers_fail_alike(m, ["CMC", "stabletheorem"], "meet table disagrees with the N(M) order", "^")
+    # and the pair, in CMC, the one row that reads it.
+    assert_readers_fail_alike(m, ["CMC"], "meet table disagrees with the N(M) order", "^")
 
 
 @pytest.mark.parametrize("fault", [wrong_fixed_mask, lambda m: drop_a_cover(m, "above")], ids=["fixed-mask", "order-mask"])
@@ -201,6 +250,23 @@ def test_a_join_that_is_not_the_n_m_join_fails_its_table_and_every_row_reading_i
     readers = ["CMC", "structure2", "complemmacor", "Nf"]
     detail = assert_readers_fail_alike(m, readers, "join table disagrees with the N(M) order", "v")
     assert detail == f"InternalCheckError: {info.value}"
+
+
+def test_a_quotient_that_loses_a_poset_flag_fails_every_row_that_builds_it(monkeypatch):
+    # Each image of I(Z/12) is a lattice; a restriction that reports it is
+    # not a meet semilattice breaks the inheritance the quotient asserts.
+    m = ring_ideal_lattice(FiniteRing.zmod(12)).magma
+    restrict = FinitePoset.restrict
+
+    def restricted(p, members):
+        sub = restrict(p, members)
+        sub.__dict__["flags"] = replace(sub.flags, meet_semilattice=False)
+        return sub
+
+    monkeypatch.setattr(FinitePoset, "restrict", restricted)
+    failed = {r.name: r.detail for r in run_all(m) if r.status == "fail"}
+    detail = "InternalCheckError: quotient failed to inherit meet_semilattice on I(Z/12) (6 elements)"
+    assert failed == dict.fromkeys(["starlemma", "CSTstar", "supremark", "klattice"], detail)
 
 
 def test_cmc_structure2_and_stablecor_share_one_order_of_the_nuclei(monkeypatch):
