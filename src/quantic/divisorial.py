@@ -19,7 +19,6 @@ from .magma import (
     generated_monoid,
     is_cyclic_element,
     is_sup_spanning,
-    residual,
 )
 from .nucleus import (
     MonotoneMap,
@@ -47,7 +46,7 @@ def is_cyclic(m: OrderedMagma, a: int) -> CyclicityReport:
     """xy <= a implies yx <= a, cross-checked via residual symmetry when available."""
     ok, witness = is_cyclic_element(m, a)
     if m.profile.near_residuated:
-        symmetric = all(r.left == r.right for r in (residual(m, a, x) for x in range(m.n)))
+        symmetric = m.residuals.left[a] == m.residuals.right[a]
         if symmetric != ok:
             raise _broken(m, "cyclicity characterizations disagree")
     return CyclicityReport(ok, witness)
@@ -118,18 +117,15 @@ def v_residual(q: OrderedMagma, a: int) -> MonotoneMap:
         raise HypothesisNotMet(
             f"element is not cyclic, counterexample pair {report.counterexample}"
         )
-    p = q.poset
-    top = p.top
+    top, left, right = q.poset.top, q.residuals.left[a], q.residuals.right[a]
     table = []
-    for x in range(q.n):
-        over_x = residual(q, a, x)
-        if over_x.left is None or over_x.right is None:
+    for over_x, under_x in zip(left, right):
+        if over_x is None or under_x is None:
             table.append(top)
             continue
-        back = residual(q, a, over_x.left)
-        if back.left is None:
+        if (back := left[over_x]) is None:
             raise _broken(q, "a/(a/x) missing although a/x exists")
-        table.append(back.left)
+        table.append(back)
     return MonotoneMap(q, table)
 
 
@@ -227,8 +223,9 @@ def is_simple(q: OrderedMagma) -> SimplicityReport:
     routes["divisorial"] = all(v(q, a) == identity for a in range(q.n) if a != top)
     if q.profile.near_multiplicative_lattice:
         # x/(x/y) == y for all x, y below the top.
+        left = q.residuals.left
         routes["double-residual"] = all(
-            (r := residual(q, x, y).left) is not None and residual(q, x, r).left == y
+            (r := left[x][y]) is not None and left[x][r] == y
             for x in range(q.n)
             for y in range(q.n)
             if top not in (x, y)
@@ -279,12 +276,12 @@ def _decide_stable_hypotheses(q: OrderedMagma) -> bool:
     p = q.poset
     # Every compact (= every element, finite carrier) must be residuated and
     # x ^ 1 must exist throughout; the scan only names the first witness.
-    if not q.residuals.residuated:
+    if not (table := q.residuals).residuated:
         t, x = next(
             (t, x)
             for t in range(q.n)
             for x in range(q.n)
-            if None in ((r := residual(q, x, t)).left, r.right)
+            if None in (table.left[x][t], table.right[x][t])
         )
         raise HypothesisNotMet(f"compact element {t} is not residuated at {x}")
     for x in range(q.n):
@@ -301,8 +298,8 @@ def stable_closure(q: OrderedMagma, s: MonotoneMap) -> MonotoneMap:
     _nuclei_of(q, [s], "stable_closure")
     gv = gv_elements(q, s)
     table = []
-    for x in range(q.n):
-        parts = [residual(q, x, z).left for z in gv.members]
+    for row in q.residuals.left:
+        parts = [row[z] for z in gv.members]
         if None in parts:
             raise _broken(q, "x/z missing for a GV element z <= 1")
         w = q.poset.sup_mask(id_mask(parts))
@@ -321,7 +318,7 @@ def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
     per carrier object and nucleus table."""
     _decide_stable_hypotheses(q)
     _nuclei_of(q, [s], "is_stable")
-    p, t = q.poset, s.table
+    p, t, left = q.poset, s.table, q.residuals.left
     one = q.unit
     meets = p.meet_table
     # (x ^ y)* == x* ^ y* wherever x ^ y exists, and (x/c)* == x*/c.
@@ -331,18 +328,18 @@ def is_stable(q: OrderedMagma, s: MonotoneMap) -> bool:
         for y, w in enumerate(row)
     )
     transport = all(
-        t[xc] == residual(q, t[x], c).left
+        t[xc] == left[t[x]][c]
         for x in range(q.n)
         for c in range(q.n)
-        if (xc := residual(q, x, c).left) is not None
+        if (xc := left[x][c]) is not None
     )
     cond1 = distribute and transport
     cond2 = transport and all(
         t[p.meet(x, one)] == p.meet(t[x], t[one]) for x in range(q.n)
     )
     cond3 = all(
-        t[p.meet(residual(q, x, tc).left, one)]
-        == p.meet(residual(q, t[x], tc).left, t[one])
+        t[p.meet(left[x][tc], one)]
+        == p.meet(left[t[x]][tc], t[one])
         for x in range(q.n)
         for tc in range(q.n)
     )

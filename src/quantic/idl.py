@@ -10,7 +10,7 @@ from typing import List
 
 from .errors import HypothesisNotMet, NotAMorphism
 from .magma import MagmaMorphism, OrderedMagma
-from .nucleus import MonotoneMap
+from .nucleus import MonotoneMap, per_carrier
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, broken, id_mask, subset_masks, subset_table
 
 
@@ -58,8 +58,10 @@ class IdealCompletion:
     principal: tuple          # source element -> ideal index of its principal ideal
 
 
+@per_carrier
 def idl(m: OrderedMagma) -> IdealCompletion:
-    """The ideal completion of a multiplicative (or prequantic) semilattice."""
+    """The ideal completion of a multiplicative (or prequantic) semilattice,
+    built once per carrier object."""
     prof = m.profile
     if not prof.multiplicative_semilattice:
         raise HypothesisNotMet("ideal completion needs a multiplicative semilattice")

@@ -116,13 +116,14 @@ class Residual:
 class ResidualTable:
     """Every residual of a finite carrier, from one scan of the defining sets.
 
-    at[x][a] is the Residual of x by a; a side is None where its defining set
-    is empty or has no greatest element.  The carrier is residuated when every
-    defining set has a greatest element, and near residuated when every
-    nonempty one does.
+    left[x][a] is x/a and right[x][a] is a\\x, ids; an entry is None where
+    its defining set is empty or has no greatest element.  The carrier is
+    residuated when every defining set has a greatest element, and near
+    residuated when every nonempty one does.
     """
 
-    at: tuple
+    left: tuple
+    right: tuple
     residuated: bool
     near_residuated: bool
 
@@ -239,40 +240,35 @@ class OrderedMagma:
     def residuals(self) -> ResidualTable:
         """The residual table; each entry is checked against the adjunction as it is built.
 
-        The defining set {z : z*a <= x} is column a of the product translated
-        through the 0/1 row of down[x], one bytes.translate, and {z : a*z <= x}
-        is row a translated likewise.  Both are down-sets, the product being
-        monotone, so their greatest elements are read from principal_down,
-        keyed by row.
+        The defining sets {z : z*a <= x} over a are the columns of the product
+        translated through the 0/1 row of down[x], one bytes.translate each,
+        and {z : a*z <= x} the rows likewise.  Both are down-sets, the product
+        being monotone, so their greatest elements are read from
+        principal_down, keyed by row.
         """
-        p, n, mul, cols = self.poset, self.n, self.mul, self.cols
+        p, n = self.poset, self.n
         greatest = {mask_row(d, n): x for d, x in p.principal_down.items()}
-        below = p.down_rows
-        empty = bytes(n)
+        lines, empty = self.cols + self.mul, bytes(n)
         residuated = near = True
-        out = []
-        for x in range(n):
-            row = []
-            for a in range(n):
-                left_set, right_set = cols[a].translate(below[x]), mul[a].translate(below[x])
-                left, right = greatest.get(left_set), greatest.get(right_set)
-                if left is None or right is None:
-                    residuated = False
-                    for defining, r in ((left_set, left), (right_set, right)):
-                        near = near and (r is not None or defining == empty)
-                if left is not None and not p.leq(mul[left][a], x):
-                    raise InternalCheckError(
-                        f"residual adjunction violated on the left on {carrier_label(self)}: "
-                        f"(x, a, residual) = {(x, a, left)}"
-                    )
-                if right is not None and not p.leq(mul[a][right], x):
-                    raise InternalCheckError(
-                        f"residual adjunction violated on the right on {carrier_label(self)}: "
-                        f"(x, a, residual) = {(x, a, right)}"
-                    )
-                row.append(Residual(left, right))
-            out.append(tuple(row))
-        return ResidualTable(tuple(out), residuated, near)
+        left, right = [], []
+        for x, below in enumerate(p.down_rows):
+            # The n left defining sets, then the n right ones; their greatest elements.
+            sets = [line.translate(below) for line in lines]
+            found = tuple(map(greatest.get, sets))
+            left.append(found[:n])
+            right.append(found[n:])
+            if None in found:
+                residuated = False
+                near = near and all(s == empty for s, z in zip(sets, found) if z is None)
+            # z*a <= x for z = x/a, and a*z <= x for z = a\x: z is in its own
+            # defining set.  The first failure by a, the left side first.
+            if not all(s[z] for s, z in zip(sets, found) if z is not None):
+                k = min((k % n, k) for k, (s, z) in enumerate(zip(sets, found)) if z is not None and not s[z])[1]
+                raise InternalCheckError(
+                    f"residual adjunction violated on the {('left', 'right')[k // n]} on "
+                    f"{carrier_label(self)}: (x, a, residual) = {(x, k % n, found[k])}"
+                )
+        return ResidualTable(tuple(left), tuple(right), residuated, near)
 
     def complex_mul_mask(self, xmask: int, ymask: int) -> int:
         """Elementwise product set XY as a mask."""
@@ -321,7 +317,8 @@ def generated_monoid(carrier, gens: Sequence[bytes], cap: Optional[int] = None) 
 
 def residual(m: OrderedMagma, x: int, a: int) -> Residual:
     """Left and right residuals, read from the carrier's residual table."""
-    return m.residuals.at[x][a]
+    table = m.residuals
+    return Residual(table.left[x][a], table.right[x][a])
 
 
 def _translation_failures(m: OrderedMagma):

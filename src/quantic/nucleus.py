@@ -664,9 +664,9 @@ def _nuclei_by_image_sets(m: OrderedMagma, closures: Sequence[MonotoneMap]) -> L
 
 def _residual_masks(m: OrderedMagma) -> List[int]:
     """residual_masks[x]: every residual x/a and a\\x there is, as a mask."""
+    table = m.residuals
     return [
-        id_mask(side for r in row for side in (r.left, r.right) if side is not None)
-        for row in m.residuals.at
+        id_mask(set(left + right) - {None}) for left, right in zip(table.left, table.right)
     ]
 
 
@@ -745,11 +745,11 @@ def _assert_quotient_residuals(m: OrderedMagma, s: MonotoneMap):
     """(x/y)* = x/y* = x/y for star-fixed x, whenever the residual exists."""
     if not m.profile.near_residuated:
         return
-    at, t = m.residuals.at, s.table
+    left, t = m.residuals.left, s.table
     for x in bits(s.fixed_mask()):
         for y in range(m.n):
-            r = at[x][y].left
-            if r is not None and (t[r] != r or at[x][t[y]].left != r):
+            r = left[x][y]
+            if r is not None and (t[r] != r or left[x][t[y]] != r):
                 raise _broken(m, "quotient residual formula failed")
 
 

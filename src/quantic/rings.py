@@ -1,7 +1,10 @@
 """Finite commutative rings, their ideal lattices, radical and tight closure.
 
 A ring keeps its addition and multiplication tables as rows of bytes, one
-byte per element, which RING_SIZE_CAP = 256 allows.  The ring laws are
+byte per element, which RING_SIZE_CAP = 256 allows; a bytes row is kept as
+given.  F_p[x]/(f) builds its tables a digit block at a time, and an ideal's
+span is read as a mask from its members' 0/1 row: no Python step per entry.
+The ring laws are
 decided at an additive generating set, one row over z at a time: a row read
 through another is ``row.translate(other + pad)``, ``pad = bytes(256 - n)``.
 A failed law names the ring, its size and the first failing triple (x, y, z),
@@ -48,10 +51,12 @@ class FiniteRing:
         self.name = name
         _check_size(n, self.label)
         try:
-            self.add = tuple(bytes(list(r)) for r in add)
-            self.mul = tuple(bytes(list(r)) for r in mul)
+            self.add = tuple(r if isinstance(r, bytes) else bytes(list(r)) for r in add)
+            self.mul = tuple(r if isinstance(r, bytes) else bytes(list(r)) for r in mul)
             rows = self.add + self.mul
-            shaped = len(rows) == 2 * n and all(len(r) == n and max(r) < n for r in rows)
+            # Deleting the ids 0..n-1 from the rows leaves nothing.
+            shaped = len(rows) == 2 * n and all(len(r) == n for r in rows)
+            shaped = shaped and not b"".join(rows).translate(None, bytes(range(n)))
         except (TypeError, ValueError):
             shaped = False
         if not (shaped and 0 <= zero < n and 0 <= one < n):
@@ -130,29 +135,37 @@ class FiniteRing:
 
         Element i is the polynomial whose coefficients are the base-p digits
         of i, constant term lowest, so i = d + p*j is d + x*j.  The tables are
-        built by linearity: a+b adds the low digits and then the rest, and
-        a*b = d*a + x*(a*j), one lookup per entry."""
+        built a digit block at a time, whole rows read through translate
+        tables: with shift[c] adding c*p^k, the addition and scale[e] (row e
+        of the multiplication) on the ids below p^(k+1) join those below p^k
+        read through the shifts, and row a of the multiplication joins its
+        part below p^k read through row e*(a x^k) of the addition over e < p:
+        a*(b + e x^k) = a*b + e*(a x^k)."""
         name = name or f"F_{p}[x]/(f)"
         deg = len(modulus) - 1
         size = poly_quotient_order(p, deg, modulus[-1] if modulus else 0, name)
 
-        add = [list(range(size))]
-        for a in range(1, size):
-            low, rest = a % p, add[a // p]
-            add.append([(low + b % p) % p + p * rest[b // p] for b in range(size)])
-        # scale[d][a] = d*a, and x*a moves every digit up one place and turns
-        # the top digit t into t*x^deg = t*(x^deg - f).
-        scale = [[0] * size]
-        for _ in range(1, p):
-            scale.append([add[s][a] for a, s in enumerate(scale[-1])])
-        top = p ** (deg - 1)
+        add, scale = [b"\0"], [b"\0"] * p
+        for k in range(deg):
+            m = p ** k
+            shift = [translate_table(bytes(range(c * m, c * m + m))) for c in range(p)]
+            # Row a' read through shift[0], ..., shift[p-1], twice: row
+            # a' + d*p^k is the p blocks from block d.
+            doubled = [b"".join(row.translate(t) for t in shift) * 2 for row in add]
+            add = [row[d * m:(d + p) * m] for d in range(p) for row in doubled]
+            scale = [b"".join(s.translate(shift[e * d % p]) for d in range(p)) for e, s in enumerate(scale)]
+        # x*a moves every digit up one place and turns the top digit t into
+        # t*x^deg = t*(x^deg - f): block t of times_x is p*a read through
+        # row t*(x^deg - f) of the addition.
+        through_add = [translate_table(row) for row in add]
         reduced = sum((-c % p) * p ** i for i, c in enumerate(modulus[:deg]))
-        times_x = [add[p * (a % top)][scale[a // top][reduced]] for a in range(size)]
+        times_x = b"".join(bytes(range(0, size, p)).translate(through_add[s[reduced]]) for s in scale)
         mul = []
         for a in range(size):
-            row = [0] * size
-            for b in range(1, size):
-                row[b] = add[scale[b % p][a]][times_x[row[b // p]]]
+            row, ax = b"\0", a
+            for _ in range(deg):
+                row = b"".join(row.translate(through_add[s[ax]]) for s in scale)
+                ax = times_x[ax]
             mul.append(row)
 
         def render(i):
@@ -271,23 +284,27 @@ class RingIdealLattice:
     index: dict                # ideal mask -> lattice element id
 
 
-def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> int:
-    """The ideal generated by the ideal with the given members, (0) by default,
-    and gens: Rx is the additive span of xG, and span + <y> is the union of the
-    translates of span by 0, y, 2y, ... up to the first one already in span."""
+def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> bytes:
+    """The members of the ideal generated by the ideal with the given members,
+    (0) by default, and gens: Rx is the additive span of xG, and span + <y> is
+    the union of the translates of span by 0, y, 2y, ... up to the first one
+    already in span."""
     add, mul = ring.add, ring.mul
     members = members or bytes([ring.zero])
-    span = set(members)
     for y in {mul[x][g] for x in gens for g in ring.generators}:
-        if y in span:
+        if y in members:
             continue
         base, shift = members, y
-        while shift not in span:
-            coset = base.translate(translate_table(add[shift]))
-            members += coset
-            span.update(coset)
+        while shift not in members:
+            members += base.translate(translate_table(add[shift]))
             shift = add[shift][y]
-    return id_mask(span)
+    return members
+
+
+def _members_mask(ids: bytes, members: bytes) -> int:
+    """The mask of the members among ids = 0..n-1, read from their 0/1 row:
+    each id to 0, then each member to 1."""
+    return row_mask(bytes.maketrans(ids + members, bytes(len(ids)) + b"\1" * len(members))[:len(ids)])
 
 
 def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
@@ -296,31 +313,33 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     ideal."""
     # Each ideal I is extended by one x per distinct principal ideal Rx,
     # breadth first, so each keeps a shortest list of such x; Rx is row x of
-    # the multiplication table read as a mask (each id to 0, then Rx to 1).
+    # the multiplication table read as a mask.
     n, ids = ring.n, bytes(range(ring.n))
-    principal = [row_mask(bytes.maketrans(ids + row, bytes(n) + b"\1" * n)[:n]) for row in ring.mul]
+    principal = [_members_mask(ids, row) for row in ring.mul]
     by_principal = {rx: x for x, rx in enumerate(principal)}
     zero_ideal = 1 << ring.zero
-    gens, tried = {zero_ideal: ()}, set()
+    # Each ideal's mask -> its list of such x and its members, as bytes.
+    found, tried = {zero_ideal: ((), bytes([ring.zero]))}, set()
     for base in (queue := [zero_ideal]):
-        members = bytes(bits(base))
+        base_gens, members = found[base]
         for rx, x in by_principal.items():
             # I + Rx is the ideal generated by their union, and no new ideal
             # when that union is an ideal already or was extended before.
-            if (u := base | rx) not in gens and u not in tried:
+            if (u := base | rx) not in found and u not in tried:
                 tried.add(u)
-                if (grown := _ideal_generated(ring, (x,), members)) not in gens:
-                    gens[grown] = gens[base] + (x,)
+                span = _ideal_generated(ring, (x,), members)
+                if (grown := _members_mask(ids, span)) not in found:
+                    found[grown] = (base_gens + (x,), span)
                     queue.append(grown)
-    ideals = tuple(sorted(gens))
+    ideals = tuple(sorted(found))
     index = {m: i for i, m in enumerate(ideals)}
     leq_rows = [[(a & ~b) == 0 for b in ideals] for a in ideals]
-    labels = [_minimal_generating_label(ring, principal, m) for m in ideals]
+    labels = [_minimal_generating_label(ring, principal, m, found[m][1]) for m in ideals]
     poset = FinitePoset(leq_rows, labels)
     # I*J is the least ideal holding R(gh) for the generators g of I and h
     # of J: their union when that is an ideal, else the first ideal above it,
     # as the least ideal above a mask is a submask of every other one.
-    lists, mul = [gens[m] for m in ideals], []
+    lists, mul = [found[m][0] for m in ideals], []
     for a in lists:
         mul.append(row := [])
         for b in lists:
@@ -336,8 +355,8 @@ def ring_ideal_lattice(ring: FiniteRing) -> RingIdealLattice:
     return RingIdealLattice(ring, ideals, magma, index)
 
 
-def _minimal_generating_label(ring: FiniteRing, principal: list, mask: int) -> str:
-    members = list(bits(mask))
+def _minimal_generating_label(ring: FiniteRing, principal: list, mask: int, members: bytes) -> str:
+    members = sorted(members)
     for g in members:
         if principal[g] == mask:
             return f"({ring.element_names[g]})"
@@ -444,9 +463,9 @@ def _ring_pow(ring: FiniteRing, x: int, k: int) -> int:
 def frobenius_power_ideal(lat: RingIdealLattice, i: int, e: int) -> int:
     """I^[p^e]: the ideal generated by the e-th Frobenius image of I."""
     ring = lat.ring
-    p = base_prime(ring)
-    q = p ** e
-    return _ideal_generated(ring, {_ring_pow(ring, x, q) for x in bits(lat.ideals[i])})
+    q = base_prime(ring) ** e
+    span = _ideal_generated(ring, {_ring_pow(ring, x, q) for x in bits(lat.ideals[i])})
+    return _members_mask(bytes(range(ring.n)), span)
 
 
 def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int:

@@ -285,3 +285,31 @@ def complemmacor_loop(m, pairs=None):
             if joins is not None and found[1].table != maps[joins[i][j]].table:
                 return "fail", "certified composition disagrees with the join"
     return "pass", f"{certified} certified pairs"
+
+
+def poly_tables_by_entry(p, modulus):
+    """The per-entry oracle of FiniteRing.poly_quotient: its addition and
+    multiplication tables as lists of id lists, built by linearity, one
+    lookup per entry.  a+b adds the low digits and then the rest, and with
+    b = d + p*j, a*b = d*a + x*(a*j)."""
+    deg = len(modulus) - 1
+    size = p ** deg
+    add = [list(range(size))]
+    for a in range(1, size):
+        low, rest = a % p, add[a // p]
+        add.append([(low + b % p) % p + p * rest[b // p] for b in range(size)])
+    # scale[d][a] = d*a, and x*a moves every digit up one place and turns
+    # the top digit t into t*x^deg = t*(x^deg - f).
+    scale = [[0] * size]
+    for _ in range(1, p):
+        scale.append([add[s][a] for a, s in enumerate(scale[-1])])
+    top = p ** (deg - 1)
+    reduced = sum((-c % p) * p ** i for i, c in enumerate(modulus[:deg]))
+    times_x = [add[p * (a % top)][scale[a // top][reduced]] for a in range(size)]
+    mul = []
+    for a in range(size):
+        row = [0] * size
+        for b in range(1, size):
+            row[b] = add[scale[b % p][a]][times_x[row[b // p]]]
+        mul.append(row)
+    return add, mul

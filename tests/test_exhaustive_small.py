@@ -11,7 +11,8 @@ from itertools import product
 import pytest
 
 from quantic.magma import OrderedMagma, adjoin_annihilator, check_profile_implications
-from quantic.nucleus import enumerate_closures, enumerate_closures_bruteforce, is_nucleus
+from quantic.corpus import standard_corpus
+from quantic.nucleus import enumerate_closures, enumerate_closures_bruteforce, is_nucleus, nucleus_lattice
 from quantic.poset import FinitePoset
 from quantic.errors import StructureError
 
@@ -77,7 +78,7 @@ def scanned_residuals(m):
 
 def assert_residual_table_matches_scan(m):
     table = m.residuals
-    at = [[(r.left, r.right) for r in row] for row in table.at]
+    at = [list(zip(left, right)) for left, right in zip(table.left, table.right)]
     assert (at, table.residuated, table.near_residuated) == scanned_residuals(m)
 
 
@@ -104,6 +105,14 @@ def test_sweep_reaches_every_residuation_class():
 
 def test_residual_table_matches_scan_on_the_corpus(corpus):
     for m in corpus.values():
+        assert_residual_table_matches_scan(m)
+
+
+def test_residual_table_matches_scan_on_the_ring_and_nucleus_lattices(rings):
+    level1 = nucleus_lattice(standard_corpus()["diamond-join"]).magma
+    level2 = nucleus_lattice(level1).magma
+    assert (level1.n, level2.n) == (7, 37)
+    for m in [lat.magma for lat in rings.values()] + [level1, level2]:
         assert_residual_table_matches_scan(m)
 
 

@@ -52,7 +52,7 @@ from quantic.verify import run_all
 
 from conftest import automorphism_loop, corrupted_kernel, invertible_loop, law_failures_by_lists, lin_masks_loop
 from conftest import complemmacor_loop, magma_hom_loop, nf_loop, nf_monoid_loop, order_preserving_loop, pair_chunker
-from conftest import sandwich_masks_loop, subset_walk
+from conftest import poly_tables_by_entry, sandwich_masks_loop, subset_walk
 from conftest import sup_misses_walk, sup_spanning_loop, units_loop, v_units_loop, witness_masks
 from test_exhaustive_small import compatible_magmas, three_element_posets
 
@@ -1368,10 +1368,9 @@ def meet_closed_loop(p, c):
 
 def residual_stable_loop(m, c):
     for x in bits(c):
-        for r in m.residuals.at[x]:
-            for side in (r.left, r.right):
-                if side is not None and not ((c >> side) & 1):
-                    return False
+        for side in m.residuals.left[x] + m.residuals.right[x]:
+            if side is not None and not ((c >> side) & 1):
+                return False
     return True
 
 
@@ -1393,7 +1392,7 @@ def image_candidates(m):
 
 def assert_residual_kernels_match(m, images, seen):
     table = m.residuals
-    at = [[(r.left, r.right) for r in row] for row in table.at]
+    at = [list(zip(left, right)) for left, right in zip(table.left, table.right)]
     assert (at, table.residuated, table.near_residuated) == residuals_loop(m), m.name
     seen.add(("residuated", table.residuated, table.near_residuated))
     residual_masks = nucleus._residual_masks(m)
@@ -1810,16 +1809,26 @@ def test_ring_validation_matches_the_tuple_rows_on_corrupted_tables():
 def test_ring_tables_need_entries_in_range():
     add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     mul = [[(i * j) % 3 for j in range(3)] for i in range(3)]
+    refusal = r"^ring needs n x n tables, a zero and a one in 0\.\.n-1 on ring \(3 elements\)$"
     for bad_add, bad_mul, zero in (
         (add, [r[:] for r in mul[:2]], 0),
         (add, [[0, 0, 0], [0, 1, 2], [0, 2, 3]], 0),
         (add, [[0, 0, 0], [0, 1, 2], [0, 2, -1]], 0),
         (add, [[0, 0, 0], [0, 1, 2], [0, 2]], 0),
         (add, [0, 1, 2], 0),
+        (add, [[0, 0, 0], [0, 1, 2], "abc"], 0),
+        (add, [[0, 0, 0], [0, 1, 2], b"\0\2\3"], 0),
+        (add, [[0, 0, 0], [0, 1, 2], b"\0\2"], 0),
         (add, mul, 3),
     ):
-        with pytest.raises(StructureError, match=r"on ring \(3 elements\)"):
+        with pytest.raises(StructureError, match=refusal):
             FiniteRing(bad_add, bad_mul, zero, 1)
+
+
+def test_bytes_rows_are_kept_as_given():
+    ring = FiniteRing.zmod(7)
+    again = FiniteRing(ring.add, ring.mul, 0, 1)
+    assert all(kept is given for kept, given in zip(again.add + again.mul, ring.add + ring.mul))
 
 
 def test_ideal_products_match_the_element_pairs():
@@ -1841,6 +1850,16 @@ def test_poly_tables_match_schoolbook_arithmetic():
             for b, db in enumerate(elems):
                 assert digits(ring.add[a][b], p, deg) == [(u + w) % p for u, w in zip(da, db)]
                 assert digits(ring.mul[a][b], p, deg) == poly_mul_loop(p, coeffs, da, db), spec
+
+
+def test_poly_tables_match_the_per_entry_oracle():
+    # Every benchmark spec, and four larger ones: the largest under the cap
+    # over F_3 and over F_2 (x^8, and the AES field modulus), and p = 13.
+    for spec in POLY_SPECS + ("3,x^5+x+2", "2,x^8", "2,x^8+x^4+x^3+x+1", "13,x^2+1"):
+        p, coeffs, _ = _parse_poly_spec(spec)
+        ring = poly_ring(spec)
+        add, mul = poly_tables_by_entry(p, coeffs)
+        assert ring.add == tuple(map(bytes, add)) and ring.mul == tuple(map(bytes, mul)), spec
 
 
 def test_ideal_products_match_the_element_pairs_on_the_larger_rings():

@@ -209,6 +209,18 @@ def test_a_broken_residual_names_the_carrier_its_size_and_the_triple():
     assert "chain3 (3 elements): (x, a, residual) = (0, 1, 2)" in str(info.value)
 
 
+def test_a_broken_right_residual_names_its_side():
+    # Under the right projection x*y = y the same lookup makes 2 the
+    # residual 0\0, {z : 0*z <= 0} being down[0], and 0 * 2 = 2 is not below
+    # 0; the left set at (0, 0) is every element, and 2 is its greatest.
+    p = FinitePoset.chain(3)
+    p.principal_down = {p.down[0]: 2, p.down[1]: 1, p.down[2]: 2}
+    m = OrderedMagma(p, [[y for y in range(3)] for x in range(3)], name="chain3-right")
+    with pytest.raises(InternalCheckError, match="residual adjunction violated on the right") as info:
+        m.residuals
+    assert "chain3-right (3 elements): (x, a, residual) = (0, 0, 2)" in str(info.value)
+
+
 def test_internal_checks_name_the_carrier_and_its_size(monkeypatch):
     m = join_magma(FinitePoset.chain(3), name="chain3")
     law = magma._distributes_over_finite_nonempty

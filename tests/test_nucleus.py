@@ -719,6 +719,7 @@ CACHED = {
     "quantic.divisorial.stable_closure": (contract_carrier, identity_args, (chain3_join, identity_args, HypothesisNotMet)),
     "quantic.divisorial.is_stable": (contract_carrier, identity_args, (chain3_join, identity_args, HypothesisNotMet)),
     "quantic.verify._random_maps": (contract_carrier, no_args, None),
+    "quantic.idl.idl": (contract_carrier, no_args, (antichain_constant, no_args, HypothesisNotMet)),
 }
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from quantic import cli, divisorial, nucleus, verify
+from quantic import idl as idl_module
 from quantic.corpus import standard_corpus
 from quantic.errors import (
     CarrierTooLarge,
@@ -111,6 +112,20 @@ def test_run_all_decides_each_table_and_builds_each_quotient_and_v_once(monkeypa
     nuclei = sorted(s.table for s in nucleus.enumerate_nuclei(m))
     assert sorted(s.table for carrier, s in quotients if carrier is m) == nuclei
     assert sorted(a for carrier, a in divisorial_runs if carrier is m) == list(range(m.n))
+
+
+@pytest.mark.parametrize("modulus, downarrow", [(6, "pass"), (12, "skip")])
+def test_verify_all_builds_one_ideal_completion(monkeypatch, modulus, downarrow):
+    # I(Z/6) has 4 ideals and both rows that read Idl(M) run on it; I(Z/12)
+    # has 6, above the power-set cap of downarrowlemma.
+    m = ring_ideal_lattice(FiniteRing.zmod(modulus)).magma
+    built, completion = [], idl_module.IdealCompletion
+    monkeypatch.setattr(
+        idl_module, "IdealCompletion", lambda source, *rest: built.append(source) or completion(source, *rest)
+    )
+    rows = verdicts(run_all(m))
+    assert (rows["maintheorem"][0], rows["downarrowlemma"][0]) == ("pass", downarrow)
+    assert built == [m]
 
 
 def test_closureprop1_rows_share_the_seeded_sample(monkeypatch):
