@@ -9,8 +9,7 @@ and unit-sandwich strategies are independent of it and of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import HypothesisNotMet
 from .magma import (
@@ -36,8 +35,7 @@ from .poset import bits, id_mask, row_mask
 LIN_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class CyclicityReport:
+class CyclicityReport(NamedTuple):
     is_cyclic: bool
     counterexample: Optional[Tuple[int, int]]
 
@@ -204,8 +202,7 @@ def divisorial_decomposition(q: OrderedMagma, s: MonotoneMap) -> list:
 # -- simplicity ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     simple: bool
     routes: dict
 
@@ -239,8 +236,7 @@ def is_simple(q: OrderedMagma) -> SimplicityReport:
 # -- stable nuclei ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GVSet:
+class GVSet(NamedTuple):
     members: tuple
 
 

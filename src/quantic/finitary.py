@@ -3,9 +3,8 @@ finitary companion of a nucleus on a precoherent carrier."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     HypothesisNotMet,
@@ -19,8 +18,7 @@ from .nucleus import MonotoneMap, _nuclei_of, quotient
 from .poset import bits, broken, id_mask
 
 
-@dataclass(frozen=True)
-class FinitaryReport:
+class FinitaryReport(NamedTuple):
     is_finitary: bool
     witness: Optional[object]  # a directed family breaking the equality, if found
     note: str
@@ -105,8 +103,7 @@ def _star_f_lazy(carrier: LazyCarrier, s: RuleMap) -> RuleMap:
     return out
 
 
-@dataclass(frozen=True)
-class KLatticeVerdict:
+class KLatticeVerdict(NamedTuple):
     holds: bool
     detail: str
     exhaustive: bool

@@ -3,10 +3,9 @@ checked as explicit round-trip isomorphisms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq, or_
-from typing import List
+from typing import List, NamedTuple
 
 from .errors import HypothesisNotMet, NotAMorphism
 from .magma import MagmaMorphism, OrderedMagma
@@ -50,8 +49,7 @@ def _ideal_masks(p: FinitePoset) -> List[int]:
     return sorted(filter(p.is_directed_mask, downsets))
 
 
-@dataclass(frozen=True)
-class IdealCompletion:
+class IdealCompletion(NamedTuple):
     source: OrderedMagma
     ideal_masks: tuple        # member bitsets, one per ideal, in mask order
     magma: OrderedMagma       # ideals under inclusion with down-multiplication
@@ -96,8 +94,7 @@ def k_functor(q: OrderedMagma) -> OrderedMagma:
     return out
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(NamedTuple):
     to_completion: dict    # source element -> ideal index, an ordered-magma iso
     from_completion: dict  # ideal index -> source element (sup), the inverse iso
 

@@ -4,8 +4,7 @@ lattices and chain examples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import CarrierTooLarge, HypothesisNotMet
 from .magma import OrderedMagma, adjoin_annihilator
@@ -53,8 +52,7 @@ def nonassociative_pair() -> OrderedMagma:
 # -- power-set carriers ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowersetCarrier:
+class PowersetCarrier(NamedTuple):
     """A power-set ordered magma plus the subset bookkeeping for its elements."""
 
     base: OrderedMagma         # its order is ignored
@@ -103,8 +101,13 @@ def powerset_prequantale(base: OrderedMagma, drop_empty: bool = False) -> Powers
     carrier = _powerset_carrier(base, drop_empty, name)
     prof = carrier.magma.profile
     if drop_empty:
-        if not prof.near_prequantale or prof.with_annihilator:
-            raise broken(carrier.magma, "2^M minus the empty set must be a near prequantale")
+        # The singletons are minimal, so there is a bottom, and with it an
+        # annihilator, exactly when M has one element.
+        if not prof.near_prequantale or prof.with_annihilator != (base.n == 1):
+            raise broken(
+                carrier.magma,
+                "2^M minus the empty set must be a near prequantale, with an annihilator exactly when |M| = 1",
+            )
     else:
         if not prof.prequantale:
             raise broken(carrier.magma, "2^M must be a prequantale")
@@ -121,8 +124,7 @@ def powerset_of_magma_elements(m: OrderedMagma, drop_empty: bool) -> PowersetCar
 # -- module systems and ideal systems ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetSystemCarrier:
+class SetSystemCarrier(NamedTuple):
     """2^(M_0) for a base magma M with an absorbing zero symbol adjoined.
 
     Symbol 0 is the absorbing zero; base element i sits at symbol i + 1.

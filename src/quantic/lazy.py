@@ -11,10 +11,9 @@ classification flags; nothing is guessed beyond the declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     InternalCheckError,
@@ -35,8 +34,7 @@ SAMPLE_SIZE = 12
 # walk is worth (its sup, its image sup).
 
 
-@dataclass(frozen=True)
-class FiniteFamily:
+class FiniteFamily(NamedTuple):
     members: tuple
 
     @classmethod
@@ -47,8 +45,7 @@ class FiniteFamily:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
-class TailFamily:
+class TailFamily(NamedTuple):
     """All chain elements >= start (a directed, cofinal family)."""
 
     start: int
@@ -57,8 +54,7 @@ class TailFamily:
         return count(self.start)
 
 
-@dataclass(frozen=True)
-class TruncationFamily:
+class TruncationFamily(NamedTuple):
     """The directed family of finite truncations S intersect [0, n] of an UPSet."""
 
     limit: "UPSet"
@@ -587,8 +583,7 @@ class UpsetsNat(LazyCarrier):
 # -- rule-based maps with self-certification -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     expansive: bool
     order_preserving: bool
     idempotent: bool

@@ -9,19 +9,17 @@ composed by bytes.translate, and up-lane codes ANDed a line at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, product
 from operator import and_, ne
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, NoUnit, StructureError
 from .poset import EXHAUSTIVE_CAP, FinitePoset, bits, carrier_label, order_preserving, order_preserving_each
 from .poset import broken, id_mask, lane_segments, mask_row, read_code, sup_misses, translate_table
 
 
-@dataclass(frozen=True)
-class ClassificationProfile:
+class ClassificationProfile(NamedTuple):
     sup_magma: bool
     near_sup_magma: bool
     dcpo_magma: bool
@@ -72,7 +70,7 @@ class ClassificationProfile:
         return self.precoherent and self.unital
 
     def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d = self._asdict()
         for k in (
             "quantale",
             "near_quantale",
@@ -104,16 +102,14 @@ PROFILE_IMPLICATIONS = [
 ]
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """left = x/a (largest z with z*a <= x), right = a\\x (largest z with a*z <= x)."""
 
     left: Optional[int]
     right: Optional[int]
 
 
-@dataclass(frozen=True)
-class ResidualTable:
+class ResidualTable(NamedTuple):
     """Every residual of a finite carrier, from one scan of the defining sets.
 
     left[x][a] is x/a and right[x][a] is a\\x, ids; an entry is None where
@@ -128,8 +124,7 @@ class ResidualTable:
     near_residuated: bool
 
 
-@dataclass(frozen=True)
-class DistinguishedSets:
+class DistinguishedSets(NamedTuple):
     units: tuple          # U(M): both translations are poset automorphisms
     invertible: tuple     # Inv(M)
     idempotents: tuple

@@ -79,12 +79,11 @@ and, on unital carriers, both unital forms, compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import chain, compress, islice, product, repeat
 from operator import and_, attrgetter, eq, invert, itemgetter
 from types import MappingProxyType
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CarrierTooLarge,
@@ -678,8 +677,7 @@ def _residual_stable(residual_masks: List[int], c: int) -> bool:
 # -- quotients -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientMagma:
+class QuotientMagma(NamedTuple):
     parent: OrderedMagma
     nucleus: MonotoneMap
     members: tuple            # parent ids of the image, ascending
@@ -730,7 +728,7 @@ def _assert_profile_inheritance(m: OrderedMagma, q: OrderedMagma):
     The image's sup of a set X is s(sup X), so each sup that exists in m has
     one in the image.  The image also holds every meet that exists: w = a ^ b
     gives s(w) <= s(a) = a and s(w) <= b, so s(w) = w."""
-    held, kept = ({**c.profile.as_dict(), **vars(c.poset.flags)} for c in (m, q))
+    held, kept = ({**c.profile.as_dict(), **c.poset.flags._asdict()} for c in (m, q))
     for flag in (
         "prequantale", "near_prequantale", "semiprequantale", "multiplicative_semilattice",
         "prequantic_semilattice", "near_residuated", "residuated",
@@ -788,8 +786,7 @@ def _assert_image_iso(f: MagmaMorphism, s: MonotoneMap, members):
 # -- induced nuclei ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Submagma:
+class Submagma(NamedTuple):
     parent: OrderedMagma
     members: tuple            # parent ids, ascending; member i is sub id i
     magma: OrderedMagma
@@ -911,8 +908,7 @@ def one_bracket_map(q: OrderedMagma) -> MonotoneMap:
 # -- the lattice N(M) and the tower ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class NucleusLattice:
+class NucleusLattice(NamedTuple):
     base: OrderedMagma
     maps: tuple                # the nuclei, in deterministic order
     magma: OrderedMagma        # N(M) under pointwise order with join as multiplication
@@ -1027,8 +1023,7 @@ def _pointwise_masks(rows: Sequence[bytes], tables: Sequence[bytes]) -> list:
     return [reduce(and_, map(dict.__getitem__, within, t)) for t in tables]
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     levels: tuple              # NucleusLattice per level
     sizes: tuple
     stabilizes: Optional[bool]  # d_- iso at the last computed step

@@ -34,11 +34,10 @@ blocks and in walk order, so a scan lists its misses in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress, repeat
 from operator import and_, itemgetter, ne, not_, or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CarrierTooLarge, InternalCheckError, StructureError
 
@@ -197,8 +196,7 @@ def transpose(rows: Sequence[int], n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class PosetFlags:
+class PosetFlags(NamedTuple):
     """Order-theoretic classification of one carrier."""
 
     complete: bool

@@ -13,9 +13,8 @@ with z the first element where the two rows differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import HypothesisNotMet, InternalCheckError, StructureError
 from .magma import OrderedMagma
@@ -276,12 +275,11 @@ def _is_prime(n: int) -> bool:
 # -- the ideal lattice ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingIdealLattice:
+class RingIdealLattice(NamedTuple):
     ring: FiniteRing
     ideals: tuple              # element bitmasks, sorted
     magma: OrderedMagma        # containment order with ideal multiplication
-    index: dict                # ideal mask -> lattice element id
+    mask_index: dict           # ideal mask -> lattice element id
 
 
 def _ideal_generated(ring: FiniteRing, gens, members: bytes = b"") -> bytes:
@@ -378,9 +376,9 @@ def radical_operation(lat: RingIdealLattice) -> MonotoneMap:
                     rad |= 1 << x
                     break
                 acc = ring.mul[acc][x]
-        if rad not in lat.index:
+        if rad not in lat.mask_index:
             raise _broken(ring, "radical of an ideal is not an ideal", f" at ideal {i}")
-        table.append(lat.index[rad])
+        table.append(lat.mask_index[rad])
     return _certified(lat.magma, table, "the radical operation")
 
 
@@ -487,9 +485,9 @@ def tight_closure_T(lat: RingIdealLattice, i: int, extra_period: int = 0) -> int
             ):
                 members |= 1 << x
                 break
-    if members not in lat.index:
+    if members not in lat.mask_index:
         raise _broken(ring, "I^T is not an ideal", f" at ideal {i}")
-    out = lat.index[members]
+    out = lat.mask_index[members]
     if extra_period == 0:
         widened = tight_closure_T(lat, i, extra_period=period)
         if widened != out:

@@ -100,6 +100,15 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _kind(doc: dict):
+    """The kind of a document, whose format, when given, must be FORMAT."""
+    kind = _require(doc, "kind")
+    fmt = doc.get("format", FORMAT)
+    if isinstance(fmt, bool) or fmt != FORMAT:
+        raise StructureError(f"unsupported document format {fmt!r}, expected {FORMAT}")
+    return kind
+
+
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise StructureError(f"{what} must be a list")
@@ -113,25 +122,33 @@ def _matrix(value, what: str) -> list:
 
 
 def load_poset(doc: dict) -> FinitePoset:
-    if _require(doc, "kind") != "poset":
+    if _kind(doc) != "poset":
         raise StructureError("expected a poset document")
     labels = doc.get("elements")
     if labels is not None and not all(isinstance(x, str) for x in _list(labels, "elements")):
         raise StructureError("every element label must be a string")
-    return FinitePoset(_matrix(_require(doc, "leq"), "leq"), labels)
+    leq = _matrix(_require(doc, "leq"), "leq")
+    if not leq:
+        raise StructureError("a poset document needs at least one element, got 0 elements")
+    if not {type(v) for row in leq for v in row} <= {bool}:
+        raise StructureError("every leq entry must be true or false")
+    return FinitePoset(leq, labels)
 
 
 def load_magma(doc: dict) -> Union[OrderedMagma, LazyCarrier]:
-    kind = _require(doc, "kind")
+    kind = _kind(doc)
     if kind == "lazy-magma":
         name = _require(doc, "name")
-        if name not in LAZY_CARRIERS:
+        if not isinstance(name, str) or name not in LAZY_CARRIERS:
             raise StructureError(f"unknown lazy carrier {name!r}")
         return LAZY_CARRIERS[name]()
     if kind != "magma":
         raise StructureError("expected a magma document")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise StructureError("a magma name must be a string")
     poset = load_poset(_require(doc, "poset"))
-    magma = OrderedMagma(poset, _matrix(_require(doc, "mul"), "mul"), name=doc.get("name", ""))
+    magma = OrderedMagma(poset, _matrix(_require(doc, "mul"), "mul"), name=name)
     for key in ("unit", "annihilator"):
         declared = doc.get(key)
         if declared is not None:
@@ -142,7 +159,7 @@ def load_magma(doc: dict) -> Union[OrderedMagma, LazyCarrier]:
 
 
 def load_map(doc: dict) -> MonotoneMap:
-    if _require(doc, "kind") != "map":
+    if _kind(doc) != "map":
         raise StructureError("expected a map document")
     if "magma" in doc:
         carrier = load_magma(doc["magma"])
@@ -155,13 +172,13 @@ def load_map(doc: dict) -> MonotoneMap:
 
 def load_map_on(doc: dict, carrier) -> MonotoneMap:
     """Load just the assignment of a map document onto an existing carrier."""
-    if _require(doc, "kind") != "map":
+    if _kind(doc) != "map":
         raise StructureError("expected a map document")
     return MonotoneMap(carrier, _list(_require(doc, "assign"), "assign"))
 
 
 def load_morphism(doc: dict) -> MagmaMorphism:
-    if _require(doc, "kind") != "morphism":
+    if _kind(doc) != "morphism":
         raise StructureError("expected a morphism document")
     src = load_magma(_require(doc, "source"))
     tgt = load_magma(_require(doc, "target"))
@@ -169,7 +186,7 @@ def load_morphism(doc: dict) -> MagmaMorphism:
 
 
 def load_any(doc: dict):
-    kind = _require(doc, "kind")
+    kind = _kind(doc)
     if kind == "poset":
         return load_poset(doc)
     if kind in ("magma", "lazy-magma"):

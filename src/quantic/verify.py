@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from operator import getitem
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .divisorial import (
     divisorial_decomposition,
@@ -88,8 +87,7 @@ PRECLOSURE_DRAWS = 200
 SEED = 1251
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str      # pass | fail | skip
     detail: str

@@ -64,6 +64,30 @@ class TestPowerset:
         c = powerset_prequantale(cyclic_group(2), drop_empty=True)
         assert c.magma.annihilator is None and c.magma.profile.near_prequantale
 
+    def test_drop_empty_on_one_element_has_an_annihilator(self):
+        # 2^M minus the empty set is the single {m}: its bottom, top and
+        # annihilator.
+        c = powerset_prequantale(trivial_monoid(), drop_empty=True)
+        assert c.magma.n == 1 and c.magma.annihilator == 0 and c.magma.profile.near_prequantale
+
+    @pytest.mark.parametrize(
+        "base, built",
+        [(trivial_monoid(), (cyclic_group(2), True)), (cyclic_group(2), (cyclic_group(2), False))],
+        ids=["one-element-without-annihilator", "two-elements-with-annihilator"],
+    )
+    def test_drop_empty_annihilator_check_holds_both_ways(self, monkeypatch, base, built):
+        """The post-check refuses a carrier without an annihilator on a
+        one-element base and one with an annihilator on a larger base: the
+        carrier built is swapped for 2^{Z2}-{} or 2^{Z2}, near prequantales
+        of the other kind."""
+        from quantic import instances
+        from quantic.errors import InternalCheckError
+
+        build = instances._powerset_carrier
+        monkeypatch.setattr(instances, "_powerset_carrier", lambda b, drop, name: build(*built, name))
+        with pytest.raises(InternalCheckError, match=r"with an annihilator exactly when \|M\| = 1"):
+            powerset_prequantale(base, drop_empty=True)
+
     def test_size_cap(self):
         with pytest.raises(CarrierTooLarge):
             powerset_prequantale(cyclic_group(6))

@@ -10,7 +10,6 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import or_
@@ -1889,11 +1888,11 @@ def test_a_ring_with_a_non_principal_ideal_matches_the_definitions():
     assert sorted(lat.ideals) == closed
     maximal = id_mask((0, 2, 4, 6))
     assert maximal in lat.ideals and all(id_mask(mul[g]) != maximal for g in range(8))
-    assert lat.magma.poset.labels[lat.index[maximal]] == "(2,4,6)"
+    assert lat.magma.poset.labels[lat.mask_index[maximal]] == "(2,4,6)"
     for i, a in enumerate(lat.ideals):
         for j, b in enumerate(lat.ideals):
             assert lat.ideals[lat.magma.mul[i][j]] == ideal_product_loop(ring, a, b), (a, b)
-    assert lat.magma.mul[lat.index[maximal]][lat.index[maximal]] == lat.index[1]
+    assert lat.magma.mul[lat.mask_index[maximal]][lat.mask_index[maximal]] == lat.mask_index[1]
 
 
 def ring_tables(n, add_free, mul_free):
@@ -2141,9 +2140,9 @@ def completion_corruptions(comp):
         for field in ("principal", "ideal_masks"):
             table = list(getattr(comp, field))
             table[x], table[y] = table[y], table[x]
-            yield replace(comp, **{field: tuple(table)})
-    yield replace(comp, magma=OrderedMagma(q.poset, q.poset.join_table, name=q.name))
-    yield replace(comp, magma=OrderedMagma(FinitePoset.antichain(q.n), q.mul, name=q.name))
+            yield comp._replace(**{field: tuple(table)})
+    yield comp._replace(magma=OrderedMagma(q.poset, q.poset.join_table, name=q.name))
+    yield comp._replace(magma=OrderedMagma(FinitePoset.antichain(q.n), q.mul, name=q.name))
 
 
 def test_roundtrip_checks_agree_with_the_element_loops(corpus, monkeypatch):

@@ -1,11 +1,13 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from quantic.errors import StructureError
+from quantic.instances import left_zero, trivial_monoid
 from quantic.lazy import UpsetsNat
 from quantic.magma import MagmaMorphism
 from quantic.nucleus import MonotoneMap
@@ -62,14 +64,8 @@ class TestDocuments:
             parse("{nope")
 
     def test_emitted_documents_match_the_shipped_schema(self, z4):
-        import pathlib
-
         jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads(
-            pathlib.Path(__file__).resolve().parents[1]
-            .joinpath("docs", "structuredoc.schema.json")
-            .read_text()
-        )
+        schema = shipped_schema()
         m = z4.magma
         docs = [
             json.loads(to_json(m.poset)),
@@ -80,6 +76,43 @@ class TestDocuments:
         ]
         for doc in docs:
             jsonschema.validate(doc, schema)
+
+    @pytest.mark.parametrize("name", ["zero", "leq_two", "leq_null", "leq_yes", "int_name", "format_two"])
+    def test_documents_the_shipped_schema_rejects_are_refused_on_load(self, z4, name):
+        jsonschema = pytest.importorskip("jsonschema")
+        doc = malformed_documents(z4)[name]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, shipped_schema())
+        with pytest.raises(StructureError):
+            load_any(doc)
+
+    def test_the_leq_yes_document_loads_with_true_in_its_place(self, z4):
+        doc = malformed_documents(z4)["leq_yes"]
+        doc["poset"]["leq"][0][1] = True
+        assert load_any(doc).leq(0, 1)
+
+
+def shipped_schema() -> dict:
+    return json.loads(pathlib.Path(__file__).resolve().parents[1].joinpath("docs", "structuredoc.schema.json").read_text())
+
+
+def malformed_documents(z4):
+    """Magma documents the shipped schema rejects, each refused on load: no
+    elements, an leq entry that is not a boolean, a name that is not a
+    string, and a format other than 1.  leq_yes would make the two
+    incomparable elements of the left-zero semigroup comparable."""
+    zero = {"kind": "magma", "poset": {"kind": "poset", "elements": [], "leq": []}, "mul": []}
+    docs = {"zero": zero, "leq_yes": magma_doc(left_zero(2))}
+    docs["leq_yes"]["poset"]["leq"][0][1] = "yes"
+    for name, edit in (
+        ("leq_two", lambda d: d["poset"]["leq"][0].__setitem__(0, 2)),
+        ("leq_null", lambda d: d["poset"]["leq"][1].__setitem__(0, None)),
+        ("int_name", lambda d: d.update(name=7)),
+        ("format_two", lambda d: d.update(format=2)),
+    ):
+        docs[name] = magma_doc(z4.magma)
+        edit(docs[name])
+    return docs
 
 
 def run_cli(args, stdin_text=None):
@@ -157,6 +190,16 @@ class TestCli:
         assert code == 0, err
         code, out, _ = run_cli(["classify", "-"], stdin_text=power_doc)
         assert "prequantale" in out
+
+    def test_powerset_without_the_empty_set_of_one_element(self, tmp_path):
+        # 2^M minus the empty set is {M} itself, with an annihilator.
+        base = tmp_path / "one.json"
+        base.write_text(to_json(trivial_monoid()))
+        code, power_doc, err = run_cli(["make", "powerset", "--magma", str(base), "--drop-empty"])
+        assert code == 0, err
+        assert json.loads(power_doc)["annihilator"] == 0
+        code, out, err = run_cli(["verify-all", "-"], stdin_text=power_doc)
+        assert code == 0 and "FAIL" not in out, out + err
 
     def test_simple_subcommand(self):
         _, doc, _ = run_cli(["make", "ring", "--zmod", "2"])
@@ -304,6 +347,14 @@ class TestCli:
             ["star-f", "{z4}", "{true_assign}"],
             ["stable", "{z4}", "{big_assign}"],
             ["star-f", "{z4}", "{big_assign}"],
+            ["classify", "{zero}"],
+            ["nuclei", "{zero}"],
+            ["verify-all", "{zero}"],
+            ["classify", "{leq_two}"],
+            ["classify", "{leq_null}"],
+            ["classify", "{leq_yes}"],
+            ["classify", "{int_name}"],
+            ["classify", "{format_two}"],
         ],
         ids=[
             "missing-file", "directory", "non-utf8", "depth-0", "depth-negative",
@@ -312,6 +363,8 @@ class TestCli:
             "int-leq-rows", "int-elements", "int-poset", "chain-nucleus-name", "upsets-nucleus-name",
             "star-f-without-magma", "int-labels", "stable-kindless-map", "star-f-kindless-map",
             "stable-true-assign", "star-f-true-assign", "stable-300-assign", "star-f-300-assign",
+            "classify-zero-elements", "nuclei-zero-elements", "verify-all-zero-elements",
+            "leq-two", "leq-null", "leq-yes", "int-name", "format-2",
         ],
     )
     def test_malformed_input_exits_2_with_one_stderr_line(self, tmp_path, z4, corpus, args):
@@ -320,7 +373,8 @@ class TestCli:
             for name in (
                 "missing", "non_utf8", "z4", "mul_str", "mul_float", "diamond", "float_map", "float_unit",
                 "int_assign", "int_mul", "int_leq_rows", "int_elements", "int_poset", "int_labels",
-                "kindless_map", "true_assign", "big_assign",
+                "kindless_map", "true_assign", "big_assign", "zero", "leq_two", "leq_null", "leq_yes",
+                "int_name", "format_two",
             )
         }
         paths["dir"] = tmp_path
@@ -339,6 +393,8 @@ class TestCli:
         paths["kindless_map"].write_text(json.dumps({"format": 1, "assign": [0, 1, 2]}))
         paths["true_assign"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [True, 1, 2]}))
         paths["big_assign"].write_text(json.dumps({"kind": "map", "format": 1, "assign": [300, 1, 2]}))
+        for name, doc in malformed_documents(z4).items():
+            paths[name].write_text(json.dumps(doc))
         for name, edit in (
             ("int_mul", lambda d: d.update(mul=7)),
             ("int_leq_rows", lambda d: d["poset"].update(leq=[1, 2, 3])),

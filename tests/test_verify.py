@@ -2,7 +2,6 @@
 
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -275,7 +274,7 @@ def test_a_quotient_that_loses_a_poset_flag_fails_every_row_that_builds_it(monke
 
     def restricted(p, members):
         sub = restrict(p, members)
-        sub.__dict__["flags"] = replace(sub.flags, meet_semilattice=False)
+        sub.__dict__["flags"] = sub.flags._replace(meet_semilattice=False)
         return sub
 
     monkeypatch.setattr(FinitePoset, "restrict", restricted)
